@@ -58,6 +58,24 @@ fn same_config_reruns_are_bit_identical() {
     );
 }
 
+/// Outcome and journal digests of `quick("carbon-greedy")`, recorded while
+/// the unsharded continuous epoch still ran on its own DES loop. Every
+/// regional fleet serves through that path, so these pin it end to end.
+#[test]
+fn router_cell_reproduces_the_recorded_digests() {
+    let (out, report) =
+        GlobalRouter::run_cells_with(vec![quick("carbon-greedy")], 1, TelemetrySpec::JOURNAL)
+            .pop()
+            .expect("one cell");
+    assert_eq!(
+        (out.digest(), report.journal_digest()),
+        (0x24AD_CC44_209F_F082, 0xB542_DB51_44B3_8CF8),
+        "router run drifted (got 0x{:016X}, journal 0x{:016X})",
+        out.digest(),
+        report.journal_digest()
+    );
+}
+
 #[test]
 fn router_grid_is_bit_identical_serial_vs_parallel() {
     let configs = || -> Vec<RouterConfig> {
