@@ -19,15 +19,23 @@
 //! carbon ledger later multiplies these joules by the time-varying grid
 //! intensity.
 //!
+//! One event loop, `run_kernel`, serves every path: a classic window is the
+//! kernel with a warm-up, an empty carry and a drain past the horizon; an
+//! unsharded continuous epoch is the kernel restored from a carry and
+//! snapshotted at the horizon; a sharded epoch runs the same kernel once
+//! per shard (see `sim::shard`).
+//!
 //! The simulator is built for reuse: an experiment runs hundreds of hourly
 //! windows (plus the optimizer's evaluation windows) against one
-//! [`ServingSim`], so the per-window working state — event heap, FIFO,
+//! [`ServingSim`], so the per-run working state — event heap, FIFO,
 //! instance table, idle list, per-variant counters, latency histogram —
-//! lives in a `SimScratch` that is reset (allocation kept) rather than
-//! reallocated each window. The model family is shared by `Arc`, making
-//! simulator construction O(1) instead of a deep clone of the zoo tables.
+//! lives in pooled `SimScratch`es that are reset (allocation kept) rather
+//! than reallocated each window. The model family is shared by `Arc`,
+//! making simulator construction O(1) instead of a deep clone of the zoo
+//! tables.
 
 use crate::deployment::Deployment;
+use clover_mig::SliceType;
 use clover_models::{ModelFamily, PerfModel, VariantId};
 use clover_simkit::{EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime};
 use clover_telemetry::{Phase, ProfilerHandle};
@@ -223,13 +231,13 @@ enum Ev {
         instance: u32,
         gen: u32,
     },
-    /// Index into the window's injected-failure schedule.
+    /// Index into the run's injected-failure schedule.
     Fault {
         failure: u32,
     },
 }
 
-/// Per-window working state, carried across the hundreds of windows an
+/// Per-run working state, pooled across the hundreds of windows an
 /// experiment simulates so the DES hot path allocates (almost) nothing per
 /// window: collections are cleared, not rebuilt, and keep their capacity.
 struct SimScratch {
@@ -255,7 +263,7 @@ impl SimScratch {
         }
     }
 
-    /// Readies the scratch for a fresh window: everything emptied, all
+    /// Readies the scratch for a fresh run: everything emptied, all
     /// buffers retained.
     fn reset(&mut self, n_variants: usize) {
         self.queue.reset();
@@ -366,6 +374,453 @@ impl ServingCarry {
         self.queue_ages_s
             .sort_by(|a, b| b.partial_cmp(a).expect("finite request ages"));
     }
+
+    /// Readies the carry to restore onto `deployment`. If it was taken on
+    /// another deployment (a reconfiguration landed at the boundary), its
+    /// in-flight work loses its partial service and rejoins the queue,
+    /// oldest first.
+    fn rebind(&mut self, deployment: &Deployment) {
+        if self.deployment.as_ref() != Some(deployment) {
+            self.queue_ages_s = self.drain_for_migration();
+        }
+    }
+}
+
+/// Where a kernel run's arrivals come from. The kernel is generic over it,
+/// so each source is compiled into its own copy of the event loop.
+trait ArrivalSource {
+    /// The arrival following the one at `now`, or `None` once exhausted.
+    fn next_after(&mut self, now: SimTime) -> Option<SimTime>;
+}
+
+/// Arrivals drawn live from a process on the window's arrival stream.
+struct Live<'a> {
+    process: &'a mut dyn ArrivalProcess,
+    rng: SimRng,
+}
+
+impl ArrivalSource for Live<'_> {
+    fn next_after(&mut self, now: SimTime) -> Option<SimTime> {
+        self.process.next_after(now, &mut self.rng)
+    }
+}
+
+/// A pre-drawn, ascending arrival sequence (one shard's share).
+impl ArrivalSource for std::vec::IntoIter<SimTime> {
+    fn next_after(&mut self, _now: SimTime) -> Option<SimTime> {
+        self.next()
+    }
+}
+
+/// Everything one kernel run starts from besides its scratch, whose
+/// instance table is already loaded. Instance indices in `restore` and
+/// `failures` are local to that table; local instance `i` is global
+/// instance `i * stride + shard`.
+struct KernelRun<'a, A> {
+    shard: u32,
+    stride: u32,
+    /// In-flight work and waiting queue restored at the opening instant.
+    restore: &'a ServingCarry,
+    arrivals: A,
+    failures: &'a [InstanceFailure],
+    service_rng: SimRng,
+    /// New arrivals finding this many requests waiting are dropped.
+    max_queue: usize,
+    warmup: SimDuration,
+    window: SimDuration,
+    /// `Some`: carry mode — stop at the horizon and snapshot what remains
+    /// into this carry. `None`: drain every event past the horizon.
+    carry_out: Option<&'a mut ServingCarry>,
+    /// Times the restore and the snapshot as [`Phase::Carry`].
+    profiler: Option<&'a ProfilerHandle>,
+}
+
+/// Counters and energy of one kernel run (or, summed, of a sharded epoch).
+/// The latency histogram and per-variant counts stay in the scratch.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    carried_in: u64,
+    arrived: u64,
+    served: u64,
+    dropped: u64,
+    carried_out: u64,
+    completed_in_span: u64,
+    sim_events: u64,
+    dynamic_j: f64,
+    idle_j: f64,
+    busy_integral: f64,
+    fault_kills: u64,
+    fault_requeued: u64,
+}
+
+impl Tally {
+    fn add(&mut self, o: &Tally) {
+        self.carried_in += o.carried_in;
+        self.arrived += o.arrived;
+        self.served += o.served;
+        self.dropped += o.dropped;
+        self.carried_out += o.carried_out;
+        self.completed_in_span += o.completed_in_span;
+        self.sim_events += o.sim_events;
+        self.dynamic_j += o.dynamic_j;
+        self.idle_j += o.idle_j;
+        self.busy_integral += o.busy_integral;
+        self.fault_kills += o.fault_kills;
+        self.fault_requeued += o.fault_requeued;
+    }
+
+    fn seam(&self, shard: u32) -> ShardSeam {
+        ShardSeam {
+            shard,
+            carried_in: self.carried_in,
+            arrived: self.arrived,
+            served: self.served,
+            dropped: self.dropped,
+            carried_out: self.carried_out,
+        }
+    }
+
+    fn into_metrics(
+        self,
+        span_s: f64,
+        offered_rps: f64,
+        static_energy_j: f64,
+        hist: LatencyHistogram,
+        per_variant_served: Vec<u64>,
+        shard_seams: Vec<ShardSeam>,
+    ) -> WindowMetrics {
+        WindowMetrics {
+            span_s,
+            offered_rps,
+            arrived: self.arrived,
+            served: self.served,
+            completed_in_span: self.completed_in_span,
+            dropped: self.dropped,
+            mean_latency_s: hist.mean(),
+            p95_latency_s: hist.quantile(0.95),
+            max_latency_s: hist.max(),
+            sim_events: self.sim_events,
+            per_variant_served,
+            dynamic_energy_j: self.dynamic_j,
+            idle_energy_j: self.idle_j,
+            static_energy_j,
+            mean_busy_instances: self.busy_integral / span_s,
+            latency_hist: hist,
+            conservation_leak: self.seam(0).leak(),
+            fault_kills: self.fault_kills,
+            fault_requeued: self.fault_requeued,
+            shard_seams,
+        }
+    }
+}
+
+/// The DES kernel: one FIFO in front of the scratch's instances. It
+/// restores in-flight work and the waiting queue, pairs waiting work with
+/// idle instances at the opening instant, then runs arrivals, completions
+/// and injected failures until the horizon (carry mode, snapshotting what
+/// remains) or until every event has drained. Pure: everything it touches
+/// is passed in, so shards can run it on any thread.
+///
+/// Event order is part of the result — the queue breaks time ties by
+/// insertion — so restored completions are scheduled first, then the
+/// opening dispatch, then the failures, then the first arrival.
+fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>) -> Tally {
+    let KernelRun {
+        shard,
+        stride,
+        restore,
+        mut arrivals,
+        failures,
+        mut service_rng,
+        max_queue,
+        warmup,
+        window,
+        carry_out,
+        profiler,
+    } = run;
+    let carry_mode = carry_out.is_some();
+    let warmup_end = SimTime::ZERO + warmup;
+    let horizon = warmup_end + window;
+    let span_s = window.as_secs();
+    let warmup_end_s = warmup_end.as_secs();
+    let horizon_s = horizon.as_secs();
+    let SimScratch {
+        queue: q,
+        instances,
+        fifo,
+        idle,
+        per_variant,
+        hist,
+    } = scratch;
+    let mut t = Tally {
+        carried_in: restore.backlog(),
+        ..Tally::default()
+    };
+
+    // Restore: in-flight requests back onto their instances with their
+    // remaining service scheduled (the pre-boundary part of the interval
+    // was charged to the previous epoch), waiting requests back into the
+    // queue with their pre-window arrival times (negative on this clock).
+    let restore_scope = profiler.map(|p| p.scope(Phase::Carry));
+    for r in &restore.in_flight {
+        let inst = &mut instances[r.instance as usize];
+        inst.in_flight = Some(-r.age_s);
+        inst.pending_interval = Some((0.0, r.remaining_s));
+        q.schedule(
+            SimTime::from_secs(r.remaining_s),
+            Ev::Done {
+                instance: r.instance,
+                gen: 0,
+            },
+        );
+    }
+    fifo.extend(restore.queue_ages_s.iter().map(|&age| -age));
+
+    // Idle instances. The consumer has no placement preference (paper
+    // Sec. 4.3: instances notify the consumer when free; an arriving
+    // request finding several idle instances is dispatched uniformly at
+    // random). Under load, dispatch is completion-driven regardless.
+    idle.extend((0..instances.len() as u32).filter(|&i| instances[i as usize].in_flight.is_none()));
+
+    // A restore can leave waiting work next to idle instances: dispatch
+    // the queue heads at the opening instant so later arrivals cannot
+    // jump carried requests.
+    while !idle.is_empty() && !fifo.is_empty() {
+        let arrived_at = fifo.pop_front().expect("non-empty queue");
+        dispatch_to_idle(
+            instances,
+            idle,
+            SimTime::ZERO,
+            arrived_at,
+            &mut service_rng,
+            q,
+        );
+    }
+    drop(restore_scope);
+
+    // Injected failures land as ordinary DES events; fault-free runs
+    // schedule nothing.
+    for (k, f) in failures.iter().enumerate() {
+        let at = SimTime::from_secs(f.at_s.max(0.0));
+        if at <= horizon {
+            q.schedule(at, Ev::Fault { failure: k as u32 });
+        }
+    }
+
+    // Arrivals are chained through the heap one at a time (the next is
+    // scheduled when the current pops), so the heap stays small.
+    if let Some(first) = arrivals.next_after(SimTime::ZERO) {
+        q.schedule(first, Ev::Arrive);
+    }
+
+    while let Some(next_t) = q.peek_time() {
+        // Carry mode stops *at* the horizon: whatever is still pending
+        // becomes the next epoch's carry instead of being drained.
+        if carry_mode && next_t > horizon {
+            break;
+        }
+        let (now, ev) = q.pop().expect("peeked event");
+        t.sim_events += 1;
+        match ev {
+            Ev::Arrive => {
+                if now > horizon {
+                    continue; // draining past the horizon: stop generating
+                }
+                if let Some(next) = arrivals.next_after(now) {
+                    q.schedule(next, Ev::Arrive);
+                }
+                let measured = now >= warmup_end;
+                if measured {
+                    t.arrived += 1;
+                }
+                if !idle.is_empty() {
+                    dispatch_to_idle(instances, idle, now, now.as_secs(), &mut service_rng, q);
+                } else if fifo.len() < max_queue {
+                    fifo.push_back(now.as_secs());
+                } else if measured {
+                    t.dropped += 1;
+                }
+            }
+            Ev::Fault { failure } => {
+                // Collect the dying instances' in-flight arrivals so they
+                // can rejoin the queue oldest-first.
+                let mut requeue: Vec<f64> = Vec::new();
+                for &inst_idx in &failures[failure as usize].instances {
+                    let i = inst_idx as usize;
+                    if i >= instances.len() || !instances[i].up {
+                        continue;
+                    }
+                    let inst = &mut instances[i];
+                    inst.up = false;
+                    inst.gen = inst.gen.wrapping_add(1);
+                    inst.down_at_s = Some(now.as_secs());
+                    t.fault_kills += 1;
+                    // The aborted request burned power up to the failure
+                    // instant; its scheduled completion is now stale (old
+                    // generation) and will be discarded.
+                    if let Some((a, _)) = inst.pending_interval.take() {
+                        inst.pending_interval = Some((a, now.as_secs()));
+                    }
+                    inst.fold_interval(warmup_end_s, horizon_s);
+                    if let Some(arr) = inst.in_flight.take() {
+                        requeue.push(arr);
+                        t.fault_requeued += 1;
+                    }
+                    idle.retain(|&j| j != inst_idx);
+                }
+                // Oldest first, ahead of everything already waiting.
+                requeue.sort_by(|a, b| a.partial_cmp(b).expect("finite arrivals"));
+                for &arr in requeue.iter().rev() {
+                    fifo.push_front(arr);
+                }
+            }
+            Ev::Done { instance, gen } => {
+                let i = instance as usize;
+                if instances[i].gen != gen {
+                    continue; // stale completion of a failed instance
+                }
+                instances[i].fold_interval(warmup_end_s, horizon_s);
+                let arrived_at = instances[i]
+                    .in_flight
+                    .take()
+                    .expect("completion for idle instance");
+                // Drain mode measures requests that arrived within the
+                // span. Carry mode measures every completion in the epoch,
+                // carried requests with their full seam-spanning latency.
+                if carry_mode || (arrived_at >= warmup_end_s && arrived_at <= horizon_s) {
+                    hist.record(now.as_secs() - arrived_at);
+                    t.served += 1;
+                    per_variant[instances[i].variant.0 as usize] += 1;
+                }
+                if now >= warmup_end && now <= horizon {
+                    t.completed_in_span += 1;
+                }
+                if let Some(next_arrival) = fifo.pop_front() {
+                    instances[i].start_service(instance, now, next_arrival, &mut service_rng, q);
+                } else {
+                    idle.push(instance);
+                }
+            }
+        }
+    }
+
+    // Snapshot the boundary (carry mode): clip in-flight energy at the
+    // horizon and turn pending completions into carried in-flight work
+    // under their global index. A pending arrival past the horizon is
+    // discarded — the next epoch anchors a fresh arrival process.
+    let snapshot_scope = profiler.map(|p| p.scope(Phase::Carry));
+    if let Some(out) = carry_out {
+        while let Some((at, ev)) = q.pop() {
+            let Ev::Done { instance, gen } = ev else {
+                continue;
+            };
+            let i = instance as usize;
+            if instances[i].gen != gen {
+                continue; // stale completion of a failed instance
+            }
+            instances[i].fold_interval(warmup_end_s, horizon_s);
+            let arrived_at = instances[i]
+                .in_flight
+                .take()
+                .expect("carried completion for idle instance");
+            out.in_flight.push(CarriedRequest {
+                instance: instance * stride + shard,
+                age_s: horizon_s - arrived_at,
+                remaining_s: at.as_secs() - horizon_s,
+            });
+            t.carried_out += 1;
+        }
+        out.queue_ages_s.extend(fifo.iter().map(|&a| horizon_s - a));
+        t.carried_out += fifo.len() as u64;
+        // Debug builds halt at a leak; release builds surface it through
+        // `WindowMetrics::conservation_leak`.
+        debug_assert_eq!(t.seam(shard).leak(), 0, "a request leaked at the seam");
+    }
+    drop(snapshot_scope);
+
+    // Busy time and energy, clipped to the measured span.
+    for inst in instances.iter() {
+        t.dynamic_j += inst.busy_w * inst.busy_in_span_s;
+        // A dead slice stops drawing idle power at its failure instant.
+        let dead_s = inst
+            .down_at_s
+            .map_or(0.0, |d| (horizon_s - d.max(warmup_end_s)).max(0.0));
+        t.idle_j += inst.idle_w * (span_s - inst.busy_in_span_s - dead_s).max(0.0);
+        t.busy_integral += inst.busy_in_span_s;
+    }
+    t
+}
+
+/// Dispatches one request to a uniformly chosen idle instance — the single
+/// encoding of the paper's placement-free consumer rule (one `below` draw
+/// on the service stream, then service start).
+fn dispatch_to_idle(
+    instances: &mut [Instance],
+    idle: &mut Vec<u32>,
+    now: SimTime,
+    arrived_at_s: f64,
+    rng: &mut SimRng,
+    q: &mut EventQueue<Ev>,
+) {
+    let i = idle.swap_remove(rng.below(idle.len()));
+    instances[i as usize].start_service(i, now, arrived_at_s, rng, q);
+}
+
+impl Instance {
+    fn new(family: &ModelFamily, perf: &PerfModel, v: VariantId, slice: SliceType) -> Self {
+        let variant = family.variant(v);
+        Instance {
+            variant: v,
+            mean_service_s: perf.service_time(variant, slice).as_secs(),
+            busy_w: perf.busy_power_w(variant, slice),
+            idle_w: perf.power.idle_slice_w(slice),
+            in_flight: None,
+            pending_interval: None,
+            busy_in_span_s: 0.0,
+            up: true,
+            gen: 0,
+            down_at_s: None,
+        }
+    }
+
+    fn start_service(
+        &mut self,
+        index: u32,
+        now: SimTime,
+        arrived_at_s: f64,
+        rng: &mut SimRng,
+        q: &mut EventQueue<Ev>,
+    ) {
+        debug_assert!(self.in_flight.is_none());
+        debug_assert!(self.up, "dispatch to a failed instance");
+        self.in_flight = Some(arrived_at_s);
+        // Lognormal jitter with unit mean.
+        let sigma = SERVICE_JITTER_SIGMA;
+        let jitter = (sigma * rng.normal() - 0.5 * sigma * sigma).exp();
+        let service = self.mean_service_s * jitter;
+        q.schedule_in(
+            SimDuration::from_secs(service),
+            Ev::Done {
+                instance: index,
+                gen: self.gen,
+            },
+        );
+        // Busy intervals can straddle the span edges; remember the exact
+        // interval and clip it to the measured span at completion.
+        self.pending_interval = Some((now.as_secs(), now.as_secs() + service));
+    }
+
+    /// Clips the in-flight service interval to `[warmup_end, span_end]` and
+    /// accumulates the overlap into the measured busy time.
+    fn fold_interval(&mut self, warmup_end: f64, span_end: f64) {
+        if let Some((a, b)) = self.pending_interval.take() {
+            let lo = a.max(warmup_end);
+            let hi = b.min(span_end);
+            if hi > lo {
+                self.busy_in_span_s += hi - lo;
+            }
+        }
+    }
 }
 
 /// Discrete-event simulator for one deployment of one application.
@@ -374,7 +829,8 @@ pub struct ServingSim {
     perf: PerfModel,
     deployment: Deployment,
     rng: SimRng,
-    scratch: SimScratch,
+    /// Recycled kernel scratches: one per run, `k` per sharded epoch.
+    pool: Vec<SimScratch>,
     /// Optional phase profiler: when set, the continuous path's carry
     /// restore and boundary snapshot are timed as
     /// [`clover_telemetry::Phase::Carry`]. Wall-clock only — attaching a
@@ -388,9 +844,6 @@ pub struct ServingSim {
     /// Worker threads for the sharded path; `None` defers to
     /// [`clover_simkit::default_threads`] when an epoch runs.
     shard_threads: Option<usize>,
-    /// Reusable per-shard scratches, recycled across epochs exactly like
-    /// the main `scratch`.
-    shard_scratch: Vec<SimScratch>,
 }
 
 impl ServingSim {
@@ -408,12 +861,11 @@ impl ServingSim {
             perf,
             deployment,
             rng: SimRng::new(seed),
-            scratch: SimScratch::new(),
+            pool: Vec::new(),
             profiler: None,
             pending_failures: Vec::new(),
             shards: 1,
             shard_threads: None,
-            shard_scratch: Vec::new(),
         }
     }
 
@@ -473,7 +925,7 @@ impl ServingSim {
 
     /// Restarts the RNG from `seed`, exactly as if the simulator had just
     /// been constructed with it. Lets one simulator (and its warm
-    /// `SimScratch`) be reused for independently seeded windows — the
+    /// scratches) be reused for independently seeded windows — the
     /// optimizer's evaluator re-seeds per candidate instead of building a
     /// fresh simulator each time.
     pub fn reseed(&mut self, seed: u64) {
@@ -506,7 +958,9 @@ impl ServingSim {
         window: SimDuration,
         warmup: SimDuration,
     ) -> WindowMetrics {
-        self.run_core(arrivals, window, warmup, None).0
+        let mut m = self.run_unsharded(arrivals, window, warmup, &ServingCarry::default(), None);
+        m.conservation_leak = 0;
+        m
     }
 
     /// Simulates one epoch of continuous serving: the system is restored
@@ -519,8 +973,9 @@ impl ServingSim {
     ///
     /// Per epoch the conservation law
     /// `carry.backlog() + arrived == served + dropped + next.backlog()`
-    /// holds exactly (debug-asserted): no request vanishes or double-counts
-    /// at a seam.
+    /// holds exactly. It is checked on every epoch, release builds
+    /// included: a violation is reported in
+    /// [`WindowMetrics::conservation_leak`] (debug builds also halt).
     ///
     /// If the deployment changed since the carry was taken (the control
     /// plane applied a reconfiguration at the boundary), carried in-flight
@@ -528,454 +983,118 @@ impl ServingSim {
     /// requests — and restart service on the new instances.
     ///
     /// With [`ServingSim::set_intra_epoch_shards`] above 1 (and a
-    /// deployment of 2+ instances) the epoch runs on the sharded engine
-    /// instead: instances are striped across shards, arrivals are
-    /// pre-drawn and split deterministically, and the shards execute
+    /// deployment of 2+ instances) the epoch runs sharded instead:
+    /// instances are striped across shards, arrivals are pre-drawn and
+    /// split deterministically, and the shards run the same kernel
     /// concurrently with an order-preserving merge — same conservation
     /// law, per-shard seams reported in [`WindowMetrics::shard_seams`].
     pub fn run_epoch_continuous(
         &mut self,
         arrivals: &mut dyn ArrivalProcess,
         epoch: SimDuration,
-        carry: ServingCarry,
+        mut carry: ServingCarry,
     ) -> (WindowMetrics, ServingCarry) {
         let k = self.shards.min(self.deployment.n_instances());
         if k > 1 {
             return self.run_epoch_sharded(arrivals, epoch, carry, k);
         }
-        let (metrics, out) = self.run_core(arrivals, epoch, SimDuration::ZERO, Some(carry));
-        (
-            metrics,
-            out.expect("continuous run always produces a carry"),
-        )
+        carry.rebind(&self.deployment);
+        let mut out = ServingCarry {
+            deployment: Some(self.deployment.clone()),
+            ..ServingCarry::default()
+        };
+        let metrics =
+            self.run_unsharded(arrivals, epoch, SimDuration::ZERO, &carry, Some(&mut out));
+        (metrics, out)
     }
 
-    /// The DES window body. `carry_in: None` is the classic cold-start
-    /// window (start empty, drain measured completions past the horizon);
-    /// `Some(carry)` is the continuous path (restore, stop at the horizon,
-    /// snapshot what remains). The classic path's arithmetic and RNG
-    /// consumption are bit-identical to the pre-carry implementation
-    /// (pinned by the recorded digests in `tests/control_plane.rs`).
-    fn run_core(
+    /// One kernel run over the whole deployment on the window's own
+    /// streams: the classic window (`carry_out: None`) or the unsharded
+    /// continuous epoch. Its carry keeps the kernel's pop order.
+    fn run_unsharded(
         &mut self,
         arrivals: &mut dyn ArrivalProcess,
         window: SimDuration,
         warmup: SimDuration,
-        carry_in: Option<ServingCarry>,
-    ) -> (WindowMetrics, Option<ServingCarry>) {
-        let continuous = carry_in.is_some();
+        restore: &ServingCarry,
+        carry_out: Option<&mut ServingCarry>,
+    ) -> WindowMetrics {
         let window_rng = self.rng.fork(0x5e7);
-        let mut arrival_rng = window_rng.substream(stream::ARRIVALS);
-        let mut service_rng = window_rng.substream(stream::SERVICE);
-        let instances_spec = self.deployment.instances();
-        let m = instances_spec.len();
-        assert!(m > 0, "deployment with no instances");
-
-        let scratch = &mut self.scratch;
-        scratch.reset(self.family.len());
-
-        // Precompute per-instance physics into the reusable table.
-        scratch
-            .instances
-            .extend(instances_spec.iter().map(|&(v, slice)| {
-                let variant = self.family.variant(v);
-                let mean = self.perf.service_time(variant, slice).as_secs();
-                Instance {
-                    variant: v,
-                    mean_service_s: mean,
-                    busy_w: self.perf.busy_power_w(variant, slice),
-                    idle_w: self.perf.power.idle_slice_w(slice),
-                    in_flight: None,
-                    pending_interval: None,
-                    busy_in_span_s: 0.0,
-                    up: true,
-                    gen: 0,
-                    down_at_s: None,
-                }
-            }));
-
-        let warmup_end = SimTime::ZERO + warmup;
-        let horizon = warmup_end + window;
-        let span_s = window.as_secs();
-        let warmup_end_s = warmup_end.as_secs();
-        let horizon_s = horizon.as_secs();
-
-        let q = &mut scratch.queue;
-        let fifo = &mut scratch.fifo;
-        let instances = &mut scratch.instances;
-        let per_variant = &mut scratch.per_variant;
-        let hist = &mut scratch.hist;
-        let idle = &mut scratch.idle;
-        let jitter_sigma = SERVICE_JITTER_SIGMA;
-
-        // Restore the boundary snapshot (continuous path only): in-flight
-        // requests back onto their instances with their remaining service
-        // scheduled, waiting requests back into the queue with their
-        // pre-window arrival times (negative on this window's clock).
-        let profiler = self.profiler.clone();
-        let restore_scope = profiler
-            .as_ref()
-            .filter(|_| continuous)
-            .map(|p| p.scope(Phase::Carry));
-        let mut carried_in = 0u64;
-        if let Some(carry) = &carry_in {
-            carried_in = carry.backlog();
-            if carry
-                .deployment
-                .as_ref()
-                .is_some_and(|d| d == &self.deployment)
-            {
-                for r in &carry.in_flight {
-                    let inst = &mut instances[r.instance as usize];
-                    inst.in_flight = Some(-r.age_s);
-                    // The pre-boundary part of the interval was charged to
-                    // the previous epoch; only the remainder burns here.
-                    inst.pending_interval = Some((0.0, r.remaining_s));
-                    q.schedule(
-                        SimTime::from_secs(r.remaining_s),
-                        Ev::Done {
-                            instance: r.instance,
-                            gen: 0,
-                        },
-                    );
-                }
-                for &age in &carry.queue_ages_s {
-                    fifo.push_back(-age);
-                }
-            } else {
-                // The deployment changed at the boundary: in-flight work
-                // loses its partial service and rejoins the queue ahead of
-                // the waiting requests, oldest first.
-                let mut ages: Vec<f64> = carry.in_flight.iter().map(|r| r.age_s).collect();
-                ages.extend(carry.queue_ages_s.iter().copied());
-                ages.sort_by(|a, b| b.partial_cmp(a).expect("finite carry ages"));
-                for age in ages {
-                    fifo.push_back(-age);
-                }
-            }
-        }
-
-        // Idle instances. The consumer has no placement preference (paper
-        // Sec. 4.3: instances notify the consumer when free; an arriving
-        // request finding several idle instances is dispatched uniformly at
-        // random). Under load, dispatch is completion-driven regardless.
-        idle.extend((0..m as u32).filter(|&i| instances[i as usize].in_flight.is_none()));
-
-        // A reconfiguration restore can leave waiting work next to idle
-        // instances (the queue-implies-busy invariant holds only within a
-        // window): dispatch the queue heads at the epoch's opening instant
-        // so later arrivals cannot jump carried requests.
-        while !idle.is_empty() && !fifo.is_empty() {
-            let arrived_at = fifo.pop_front().expect("non-empty queue");
-            Self::dispatch_to_idle(
-                instances,
-                idle,
-                SimTime::ZERO,
-                arrived_at,
-                jitter_sigma,
-                &mut service_rng,
-                q,
-            );
-        }
-        drop(restore_scope);
-
-        let mut arrived = 0u64;
-        let mut served = 0u64;
-        let mut completed_in_span = 0u64;
-        let mut dropped = 0u64;
-        let mut sim_events = 0u64;
-        let mut dynamic_j = 0.0f64;
-        let mut fault_kills = 0u64;
-        let mut fault_requeued = 0u64;
-
-        // Injected failures land as ordinary DES events. The schedule is
-        // consumed by this window; chaos-off runs never reach this loop
-        // body and schedule nothing.
+        let (mut scratch, _) = self.stripe_scratch(&self.deployment.instances(), 0, 1);
         let failures = std::mem::take(&mut self.pending_failures);
-        for (k, f) in failures.iter().enumerate() {
-            let at = SimTime::from_secs(f.at_s.max(0.0));
-            if at <= horizon {
-                q.schedule(at, Ev::Fault { failure: k as u32 });
-            }
-        }
-
-        if let Some(first) = arrivals.next_after(SimTime::ZERO, &mut arrival_rng) {
-            q.schedule(first, Ev::Arrive);
-        }
-
-        while let Some(next_t) = q.peek_time() {
-            // The continuous path stops *at* the horizon — whatever is
-            // still pending becomes the next epoch's carry instead of
-            // being drained to completion.
-            if continuous && next_t > horizon {
-                break;
-            }
-            let (now, ev) = q.pop().expect("peeked event");
-            sim_events += 1;
-            match ev {
-                Ev::Arrive => {
-                    if now <= horizon {
-                        if let Some(next) = arrivals.next_after(now, &mut arrival_rng) {
-                            q.schedule(next, Ev::Arrive);
-                        }
-                    } else {
-                        continue; // past the horizon: stop generating
-                    }
-                    if now >= warmup_end {
-                        arrived += 1;
-                    }
-                    if !idle.is_empty() {
-                        Self::dispatch_to_idle(
-                            instances,
-                            idle,
-                            now,
-                            now.as_secs(),
-                            jitter_sigma,
-                            &mut service_rng,
-                            q,
-                        );
-                    } else if fifo.len() < MAX_QUEUE {
-                        fifo.push_back(now.as_secs());
-                    } else if now >= warmup_end {
-                        dropped += 1;
-                    }
-                }
-                Ev::Fault { failure } => {
-                    let f = &failures[failure as usize];
-                    // Collect the dying instances' in-flight arrivals so
-                    // they can rejoin the queue oldest-first.
-                    let mut requeue: Vec<f64> = Vec::new();
-                    for &inst_idx in &f.instances {
-                        let i = inst_idx as usize;
-                        if i >= instances.len() || !instances[i].up {
-                            continue;
-                        }
-                        let inst = &mut instances[i];
-                        inst.up = false;
-                        inst.gen = inst.gen.wrapping_add(1);
-                        inst.down_at_s = Some(now.as_secs());
-                        fault_kills += 1;
-                        // The aborted request burned power up to the
-                        // failure instant; its scheduled completion is now
-                        // stale (old generation) and will be discarded.
-                        if let Some((a, _)) = inst.pending_interval.take() {
-                            inst.pending_interval = Some((a, now.as_secs()));
-                        }
-                        inst.fold_interval(warmup_end_s, horizon_s);
-                        if let Some(arr) = inst.in_flight.take() {
-                            requeue.push(arr);
-                            fault_requeued += 1;
-                        }
-                        idle.retain(|&j| j != inst_idx);
-                    }
-                    // Oldest first, ahead of everything already waiting.
-                    requeue.sort_by(|a, b| a.partial_cmp(b).expect("finite arrivals"));
-                    for &arr in requeue.iter().rev() {
-                        fifo.push_front(arr);
-                    }
-                }
-                Ev::Done { instance, gen } => {
-                    let i = instance as usize;
-                    if instances[i].gen != gen {
-                        continue; // stale completion of a failed instance
-                    }
-                    instances[i].fold_interval(warmup_end_s, horizon_s);
-                    let arrived_at = instances[i]
-                        .in_flight
-                        .take()
-                        .expect("completion for idle instance");
-                    // Classic path: measure requests that arrived within
-                    // the span. Continuous path: measure every completion
-                    // in the epoch — carried requests included, with their
-                    // full seam-spanning latency.
-                    if continuous || (arrived_at >= warmup_end_s && arrived_at <= horizon_s) {
-                        let latency = now.as_secs() - arrived_at;
-                        hist.record(latency);
-                        served += 1;
-                        per_variant[instances[i].variant.0 as usize] += 1;
-                    }
-                    if now >= warmup_end && now <= horizon {
-                        completed_in_span += 1;
-                    }
-                    if let Some(next_arrival) = fifo.pop_front() {
-                        Self::start_service(
-                            &mut instances[i],
-                            instance,
-                            now,
-                            next_arrival,
-                            jitter_sigma,
-                            &mut service_rng,
-                            q,
-                        );
-                    } else {
-                        idle.push(instance);
-                    }
-                }
-            }
-        }
-
-        // Snapshot the boundary (continuous path): clip in-flight energy at
-        // the horizon and convert the still-pending events into the next
-        // epoch's carry. Arrive events past the horizon are discarded — the
-        // next epoch anchors a fresh arrival process at its own start.
-        let snapshot_scope = profiler
-            .as_ref()
-            .filter(|_| continuous)
-            .map(|p| p.scope(Phase::Carry));
-        let mut conservation_leak = 0i64;
-        let carry_out = continuous.then(|| {
-            let mut out = ServingCarry {
-                deployment: Some(self.deployment.clone()),
-                ..ServingCarry::default()
-            };
-            while let Some((t, ev)) = q.pop() {
-                if let Ev::Done { instance, gen } = ev {
-                    let i = instance as usize;
-                    if instances[i].gen != gen {
-                        continue; // stale completion of a failed instance
-                    }
-                    instances[i].fold_interval(warmup_end_s, horizon_s);
-                    let arrived_at = instances[i]
-                        .in_flight
-                        .take()
-                        .expect("carried completion for idle instance");
-                    out.in_flight.push(CarriedRequest {
-                        instance,
-                        age_s: horizon_s - arrived_at,
-                        remaining_s: t.as_secs() - horizon_s,
-                    });
-                }
-            }
-            out.queue_ages_s.extend(fifo.iter().map(|&a| horizon_s - a));
-            // The conservation law is checked on every continuous epoch —
-            // release builds included. A nonzero leak is surfaced to the
-            // caller (journal `conservation` violation event) instead of
-            // aborting the run; debug builds still halt at the fault.
-            conservation_leak =
-                (carried_in + arrived) as i64 - (served + dropped + out.backlog()) as i64;
-            debug_assert_eq!(
-                conservation_leak, 0,
-                "continuous epoch leaked a request at the boundary"
-            );
-            out
-        });
-        drop(snapshot_scope);
-
-        // Busy time and dynamic energy, clipped to the measured span.
-        // Service intervals were recorded by start_service via the ledger
-        // below; we recompute energy from busy_in_span_s accumulated there.
-        let mut idle_j = 0.0;
-        let mut busy_integral = 0.0;
-        for inst in instances.iter() {
-            dynamic_j += inst.busy_w * inst.busy_in_span_s;
-            // A dead slice stops drawing idle power at its failure instant.
-            let dead_s = inst
-                .down_at_s
-                .map_or(0.0, |d| (horizon_s - d.max(warmup_end_s)).max(0.0));
-            idle_j += inst.idle_w * (span_s - inst.busy_in_span_s - dead_s).max(0.0);
-            busy_integral += inst.busy_in_span_s;
-        }
-        let mut static_j =
-            self.perf.power.gpu_static_w() * self.deployment.n_gpus() as f64 * span_s;
-        // Dead GPUs stop drawing static power at their failure instant.
-        for f in &failures {
-            let dead_s = (horizon_s - f.at_s.max(warmup_end_s)).max(0.0);
-            static_j -= self.perf.power.gpu_static_w() * f.gpus as f64 * dead_s.min(span_s);
-        }
-        static_j = static_j.max(0.0);
-
-        let metrics = WindowMetrics {
-            span_s,
-            offered_rps: arrivals.mean_rate(),
-            arrived,
-            served,
-            completed_in_span,
-            dropped,
-            mean_latency_s: hist.mean(),
-            p95_latency_s: hist.quantile(0.95),
-            max_latency_s: hist.max(),
-            sim_events,
-            per_variant_served: per_variant.clone(),
-            dynamic_energy_j: dynamic_j,
-            idle_energy_j: idle_j,
-            static_energy_j: static_j,
-            mean_busy_instances: busy_integral / span_s,
-            latency_hist: hist.clone(),
-            conservation_leak,
-            fault_kills,
-            fault_requeued,
-            shard_seams: Vec::new(),
-        };
-        (metrics, carry_out)
-    }
-
-    /// Dispatches one request to a uniformly chosen idle instance — the
-    /// single encoding of the paper's placement-free consumer rule (one
-    /// `below` draw on the service stream, then service start), shared by
-    /// the arrival path and the continuous restore's opening dispatch so
-    /// the convention cannot drift between them.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_to_idle(
-        instances: &mut [Instance],
-        idle: &mut Vec<u32>,
-        now: SimTime,
-        arrived_at_s: f64,
-        jitter_sigma: f64,
-        rng: &mut SimRng,
-        q: &mut EventQueue<Ev>,
-    ) {
-        let i = idle.swap_remove(rng.below(idle.len()));
-        Self::start_service(
-            &mut instances[i as usize],
-            i,
-            now,
-            arrived_at_s,
-            jitter_sigma,
-            rng,
-            q,
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn start_service(
-        inst: &mut Instance,
-        index: u32,
-        now: SimTime,
-        arrived_at_s: f64,
-        jitter_sigma: f64,
-        rng: &mut SimRng,
-        q: &mut EventQueue<Ev>,
-    ) {
-        debug_assert!(inst.in_flight.is_none());
-        debug_assert!(inst.up, "dispatch to a failed instance");
-        inst.in_flight = Some(arrived_at_s);
-        // Lognormal jitter with unit mean.
-        let jitter = (jitter_sigma * rng.normal() - 0.5 * jitter_sigma * jitter_sigma).exp();
-        let service = inst.mean_service_s * jitter;
-        q.schedule_in(
-            SimDuration::from_secs(service),
-            Ev::Done {
-                instance: index,
-                gen: inst.gen,
+        let profiler = self.profiler.as_ref().filter(|_| carry_out.is_some());
+        let tally = run_kernel(
+            &mut scratch,
+            KernelRun {
+                shard: 0,
+                stride: 1,
+                restore,
+                arrivals: Live {
+                    process: &mut *arrivals,
+                    rng: window_rng.substream(stream::ARRIVALS),
+                },
+                failures: &failures,
+                service_rng: window_rng.substream(stream::SERVICE),
+                max_queue: MAX_QUEUE,
+                warmup,
+                window,
+                carry_out,
+                profiler,
             },
         );
-        // Busy intervals can straddle the span edges; remember the exact
-        // interval and clip it to the measured span at completion.
-        inst.pending_interval = Some((now.as_secs(), now.as_secs() + service));
+        let metrics = tally.into_metrics(
+            window.as_secs(),
+            arrivals.mean_rate(),
+            self.static_energy_j(&failures, warmup, window),
+            scratch.hist.clone(),
+            scratch.per_variant.clone(),
+            Vec::new(),
+        );
+        self.pool.push(scratch);
+        metrics
     }
-}
 
-impl Instance {
-    /// Clips the in-flight service interval to `[warmup_end, span_end]` and
-    /// accumulates the overlap into the measured busy time.
-    fn fold_interval(&mut self, warmup_end: f64, span_end: f64) {
-        if let Some((a, b)) = self.pending_interval.take() {
-            let lo = a.max(warmup_end);
-            let hi = b.min(span_end);
-            if hi > lo {
-                self.busy_in_span_s += hi - lo;
-            }
+    /// A pooled scratch, reset, with the instance table of stripe `shard`
+    /// of `k` loaded (global instance `shard + j * k` becomes local `j`),
+    /// and that stripe's service capacity `Σ 1/mean_service_s`.
+    fn stripe_scratch(
+        &mut self,
+        spec: &[(VariantId, SliceType)],
+        shard: usize,
+        k: usize,
+    ) -> (SimScratch, f64) {
+        assert!(!spec.is_empty(), "deployment with no instances");
+        let mut scratch = self.pool.pop().unwrap_or_else(SimScratch::new);
+        scratch.reset(self.family.len());
+        let mut capacity = 0.0;
+        for &(v, slice) in spec.iter().skip(shard).step_by(k) {
+            let inst = Instance::new(&self.family, &self.perf, v, slice);
+            capacity += 1.0 / inst.mean_service_s;
+            scratch.instances.push(inst);
         }
+        (scratch, capacity)
+    }
+
+    /// Per-GPU static energy over the measured span, each failure's dead
+    /// GPUs credited from its instant. A property of the physical fleet,
+    /// so a sharded epoch computes it once, not per shard.
+    fn static_energy_j(
+        &self,
+        failures: &[InstanceFailure],
+        warmup: SimDuration,
+        window: SimDuration,
+    ) -> f64 {
+        let warmup_end = SimTime::ZERO + warmup;
+        let warmup_end_s = warmup_end.as_secs();
+        let horizon_s = (warmup_end + window).as_secs();
+        let span_s = window.as_secs();
+        let static_w = self.perf.power.gpu_static_w();
+        let mut j = static_w * self.deployment.n_gpus() as f64 * span_s;
+        for f in failures {
+            let dead_s = (horizon_s - f.at_s.max(warmup_end_s)).max(0.0);
+            j -= static_w * f.gpus as f64 * dead_s.min(span_s);
+        }
+        j.max(0.0)
     }
 }
 

@@ -12,8 +12,9 @@
 //! and every incoming request — carried queue entries first, then the
 //! epoch's arrivals — is routed to a shard by a deterministic smooth
 //! weighted round-robin whose weights are each shard's service capacity
-//! `Σ 1/mean_service_s`. Each shard then runs the very same DES body as the
-//! classic engine over its own queue, idle list, and event heap.
+//! `Σ 1/mean_service_s`. Each shard then runs the simulator's one DES
+//! kernel over its own queue, idle list, and event heap; the unsharded
+//! epoch is that same kernel run once over every instance.
 //!
 //! Sharded physics is *not* bit-identical to the 1-shard queue (a K-sharded
 //! system has K queues; the paper's single-queue results keep the default
@@ -26,7 +27,7 @@
 //!
 //! Everything random is decided *before* the shards run: the arrival
 //! sequence is pre-drawn from the window's arrival substream (consuming the
-//! process and RNG exactly as the classic engine would), the split is a
+//! process and RNG exactly as the unsharded kernel would), the split is a
 //! pure function of the sequence and the deployment, and each shard owns an
 //! independent service substream
 //! (`window.substream(SERVICE).substream(SHARD_SERVICE + k)`). Shards are
@@ -68,56 +69,22 @@ impl ShardSeam {
     }
 }
 
-/// A failure schedule entry scoped to one shard: the subset of a window's
-/// [`InstanceFailure`] instances this shard owns. The failure's static-GPU
-/// energy credit is accounted globally by the merge, not per shard.
-struct ShardFailure {
-    at_s: f64,
-    /// Global instance indices (all owned by this shard).
-    instances: Vec<u32>,
-}
-
 /// Everything one shard needs to run, prepared serially by the split so
-/// the parallel phase shares nothing mutable.
+/// the parallel phase shares nothing mutable. Instance indices in
+/// `restore` and `failures` are local to the shard's stripe.
 struct ShardTask {
-    /// Reusable scratch, pre-reset with this shard's instance table built.
+    shard: u32,
+    /// Pooled scratch with this shard's instance table loaded.
     scratch: SimScratch,
-    /// Global instance indices owned by this shard, ascending.
-    ids: Vec<u32>,
-    /// In-flight requests restored onto this shard's instances
-    /// (`instance` is a global index).
-    in_flight: Vec<CarriedRequest>,
-    /// Carried queue entries as local-clock times (≤ 0), oldest first.
-    queue_times: Vec<f64>,
+    /// In-flight work on this shard's instances plus its share of the
+    /// carried queue.
+    restore: ServingCarry,
     /// This shard's share of the epoch's pre-drawn arrivals, ascending.
     arrivals: Vec<SimTime>,
-    /// Mid-epoch failures affecting this shard's instances.
-    failures: Vec<ShardFailure>,
-    /// This shard's independent service-randomness stream.
+    /// Mid-epoch failures of this shard's instances; their static-GPU
+    /// credit is accounted once for the whole fleet.
+    failures: Vec<InstanceFailure>,
     service_rng: SimRng,
-    /// Queue bound: the global [`MAX_QUEUE`] split evenly across shards.
-    max_queue: usize,
-    /// Epoch horizon.
-    horizon: SimTime,
-}
-
-/// What one shard hands back to the merge.
-struct ShardDone {
-    /// The scratch (holding this shard's histogram and per-variant counts),
-    /// returned for recycling.
-    scratch: SimScratch,
-    seam: ShardSeam,
-    completed_in_span: u64,
-    sim_events: u64,
-    dynamic_j: f64,
-    idle_j: f64,
-    busy_integral: f64,
-    fault_kills: u64,
-    fault_requeued: u64,
-    /// Requests mid-service at the horizon (`instance` global).
-    in_flight_out: Vec<CarriedRequest>,
-    /// Waiting requests' ages at the horizon, oldest first.
-    queue_ages_out: Vec<f64>,
 }
 
 /// Smooth weighted round-robin: each pick adds every shard's weight to its
@@ -138,175 +105,151 @@ fn wrr_pick(credit: &mut [f64], weights: &[f64], total: f64) -> usize {
     best
 }
 
+/// The arrivals up to `horizon`, drawn up front. Consumes the process and
+/// its RNG exactly as the live kernel would: one draw past the horizon
+/// ends the chain there too.
+fn predraw(arrivals: &mut dyn ArrivalProcess, rng: &mut SimRng, horizon: SimTime) -> Vec<SimTime> {
+    let mut times = Vec::new();
+    let mut prev = SimTime::ZERO;
+    while let Some(t) = arrivals.next_after(prev, rng) {
+        if t > horizon {
+            break;
+        }
+        times.push(t);
+        prev = t;
+    }
+    times
+}
+
 impl ServingSim {
     /// The sharded continuous epoch: split deterministically, run the
-    /// shards on a [`par_map`] pool, merge in shard order. Called by
-    /// [`ServingSim::run_epoch_continuous`] when 2+ shards are configured
-    /// and the deployment has 2+ instances (`k` is the effective count,
-    /// already clamped).
+    /// kernel per shard on a [`par_map`] pool, merge in shard order. Called
+    /// by [`ServingSim::run_epoch_continuous`] when 2+ shards are
+    /// configured and the deployment has 2+ instances (`k` is the
+    /// effective count, already clamped).
     pub(super) fn run_epoch_sharded(
         &mut self,
         arrivals: &mut dyn ArrivalProcess,
         epoch: SimDuration,
-        carry: ServingCarry,
+        mut carry: ServingCarry,
         k: usize,
     ) -> (WindowMetrics, ServingCarry) {
-        // Same window-stream discipline as the classic engine: one fork off
-        // the root (so the simulator's RNG evolves identically whatever the
-        // shard count), arrival and service substreams derived from it.
+        // Same window-stream discipline as the unsharded kernel: one fork
+        // off the root (so the simulator's RNG evolves identically whatever
+        // the shard count), arrival and service substreams derived from it.
         let window_rng = self.rng.fork(0x5e7);
         let mut arrival_rng = window_rng.substream(stream::ARRIVALS);
         let service_root = window_rng.substream(stream::SERVICE);
-
         let horizon = SimTime::ZERO + epoch;
-        let span_s = epoch.as_secs();
-        let horizon_s = span_s;
 
         let profiler = self.profiler.clone();
         let split_scope = profiler.as_ref().map(|p| p.scope(Phase::Carry));
 
-        // Pre-draw the epoch's arrival sequence, consuming the process and
-        // its RNG substream exactly as the classic engine's event loop
-        // would (one draw past the horizon ends the chain there too).
-        let mut arrival_times: Vec<SimTime> = Vec::new();
-        let mut prev = SimTime::ZERO;
-        while let Some(t) = arrivals.next_after(prev, &mut arrival_rng) {
-            if t > horizon {
-                break;
-            }
-            arrival_times.push(t);
-            prev = t;
-        }
+        let arrival_times = predraw(arrivals, &mut arrival_rng, horizon);
 
-        // Stripe instances across shards and precompute per-shard instance
-        // tables (into recycled scratches) plus capacity weights.
-        let instances_spec = self.deployment.instances();
-        let m = instances_spec.len();
+        // Stripe the instances across shards into pooled scratches.
+        let spec = self.deployment.instances();
+        let m = spec.len();
         debug_assert!(k >= 2 && k <= m);
-        let mut ids: Vec<Vec<u32>> = vec![Vec::new(); k];
-        for i in 0..m {
-            ids[i % k].push(i as u32);
-        }
-        while self.shard_scratch.len() < k {
-            self.shard_scratch.push(SimScratch::new());
-        }
-        let mut weights = vec![0.0f64; k];
-        let mut tasks: Vec<ShardTask> = Vec::with_capacity(k);
-        for (s, shard_ids) in ids.into_iter().enumerate() {
-            let mut scratch = self.shard_scratch.pop().expect("scratch pool sized above");
-            scratch.reset(self.family.len());
-            for &gi in &shard_ids {
-                let (v, slice) = instances_spec[gi as usize];
-                let variant = self.family.variant(v);
-                let mean = self.perf.service_time(variant, slice).as_secs();
-                weights[s] += 1.0 / mean;
-                scratch.instances.push(Instance {
-                    variant: v,
-                    mean_service_s: mean,
-                    busy_w: self.perf.busy_power_w(variant, slice),
-                    idle_w: self.perf.power.idle_slice_w(slice),
-                    in_flight: None,
-                    pending_interval: None,
-                    busy_in_span_s: 0.0,
-                    up: true,
-                    gen: 0,
-                    down_at_s: None,
-                });
-            }
-            tasks.push(ShardTask {
-                scratch,
-                ids: shard_ids,
-                in_flight: Vec::new(),
-                queue_times: Vec::new(),
-                arrivals: Vec::new(),
-                failures: Vec::new(),
-                service_rng: service_root.substream(stream::SHARD_SERVICE + s as u64),
-                max_queue: (MAX_QUEUE / k).max(1),
-                horizon,
-            });
-        }
+        let mut weights = Vec::with_capacity(k);
+        let mut tasks: Vec<ShardTask> = (0..k)
+            .map(|s| {
+                let (scratch, capacity) = self.stripe_scratch(&spec, s, k);
+                weights.push(capacity);
+                ShardTask {
+                    shard: s as u32,
+                    scratch,
+                    restore: ServingCarry::default(),
+                    arrivals: Vec::new(),
+                    failures: Vec::new(),
+                    service_rng: service_root.substream(stream::SHARD_SERVICE + s as u64),
+                }
+            })
+            .collect();
 
-        // Restore the carry. With a matching deployment, in-flight work
-        // goes home to the shard owning its instance; on a reconfiguration
-        // it loses its partial service and joins the queue split, oldest
-        // first — the same rule as the classic engine.
-        let mut carried_queue: Vec<f64> = Vec::new();
-        if carry
-            .deployment
-            .as_ref()
-            .is_some_and(|d| d == &self.deployment)
-        {
-            for r in &carry.in_flight {
-                tasks[r.instance as usize % k].in_flight.push(*r);
-            }
-            carried_queue.extend(carry.queue_ages_s.iter().map(|&a| -a));
-        } else {
-            let mut ages: Vec<f64> = carry.in_flight.iter().map(|r| r.age_s).collect();
-            ages.extend(carry.queue_ages_s.iter().copied());
-            ages.sort_by(|a, b| b.partial_cmp(a).expect("finite carry ages"));
-            carried_queue.extend(ages.iter().map(|&a| -a));
+        // Restore the carry: in-flight work goes home to the shard owning
+        // its instance; the queue joins the split, oldest first.
+        carry.rebind(&self.deployment);
+        for r in &carry.in_flight {
+            tasks[r.instance as usize % k]
+                .restore
+                .in_flight
+                .push(CarriedRequest {
+                    instance: r.instance / k as u32,
+                    ..*r
+                });
         }
 
         // Route the incoming sequence — carried queue first, then arrivals,
         // both in order — through the capacity-weighted round-robin.
         let total_w: f64 = weights.iter().sum();
         let mut credit = vec![0.0f64; k];
-        for &t in &carried_queue {
+        for &age in &carry.queue_ages_s {
             tasks[wrr_pick(&mut credit, &weights, total_w)]
-                .queue_times
-                .push(t);
+                .restore
+                .queue_ages_s
+                .push(age);
         }
-        for &t in &arrival_times {
+        for t in arrival_times {
             tasks[wrr_pick(&mut credit, &weights, total_w)]
                 .arrivals
                 .push(t);
         }
-        drop(arrival_times);
 
-        // Scope each failure to the shards owning its instances; the
-        // physical-GPU static-energy credit stays global (handled below).
+        // Scope each failure to the shards owning its instances.
         let failures = std::mem::take(&mut self.pending_failures);
         for f in &failures {
             for (s, task) in tasks.iter_mut().enumerate() {
                 let local: Vec<u32> = f
                     .instances
                     .iter()
-                    .copied()
-                    .filter(|&i| (i as usize) < m && (i as usize) % k == s)
+                    .filter(|&&i| (i as usize) < m && (i as usize) % k == s)
+                    .map(|&i| i / k as u32)
                     .collect();
                 if !local.is_empty() {
-                    task.failures.push(ShardFailure {
+                    task.failures.push(InstanceFailure {
                         at_s: f.at_s,
                         instances: local,
+                        gpus: 0,
                     });
                 }
             }
         }
         drop(split_scope);
 
-        // The parallel phase: pure, share-nothing shard bodies; results
+        // The parallel phase: pure, share-nothing kernel runs; results
         // deposited at submission index, so thread count cannot reorder
         // the merge below.
         let threads = self
             .shard_threads
             .unwrap_or_else(default_threads)
             .clamp(1, k);
-        let results = par_map(tasks, threads, run_shard);
+        let max_queue = (MAX_QUEUE / k).max(1);
+        let results = par_map(tasks, threads, |mut task| {
+            let mut out = ServingCarry::default();
+            let tally = run_kernel(
+                &mut task.scratch,
+                KernelRun {
+                    shard: task.shard,
+                    stride: k as u32,
+                    restore: &task.restore,
+                    arrivals: task.arrivals.into_iter(),
+                    failures: &task.failures,
+                    service_rng: task.service_rng,
+                    max_queue,
+                    warmup: SimDuration::ZERO,
+                    window: epoch,
+                    carry_out: Some(&mut out),
+                    profiler: None,
+                },
+            );
+            (task.scratch, tally, out)
+        });
 
-        // Order-preserving merge, timed as carry work like the classic
-        // engine's boundary snapshot.
+        // Order-preserving merge, timed as carry work like the unsharded
+        // boundary snapshot.
         let merge_scope = profiler.as_ref().map(|p| p.scope(Phase::Carry));
-        let mut arrived = 0u64;
-        let mut served = 0u64;
-        let mut completed_in_span = 0u64;
-        let mut dropped = 0u64;
-        let mut sim_events = 0u64;
-        let mut dynamic_j = 0.0f64;
-        let mut idle_j = 0.0f64;
-        let mut busy_integral = 0.0f64;
-        let mut fault_kills = 0u64;
-        let mut fault_requeued = 0u64;
-        let mut conservation_leak = 0i64;
+        let mut total = Tally::default();
         let mut hist = LatencyHistogram::for_latency();
         let mut per_variant = vec![0u64; self.family.len()];
         let mut seams: Vec<ShardSeam> = Vec::with_capacity(k);
@@ -314,30 +257,20 @@ impl ServingSim {
             deployment: Some(self.deployment.clone()),
             ..ServingCarry::default()
         };
-        for r in results {
-            arrived += r.seam.arrived;
-            served += r.seam.served;
-            dropped += r.seam.dropped;
-            completed_in_span += r.completed_in_span;
-            sim_events += r.sim_events;
-            dynamic_j += r.dynamic_j;
-            idle_j += r.idle_j;
-            busy_integral += r.busy_integral;
-            fault_kills += r.fault_kills;
-            fault_requeued += r.fault_requeued;
-            conservation_leak += r.seam.leak();
-            hist.merge(&r.scratch.hist);
-            for (acc, &v) in per_variant.iter_mut().zip(&r.scratch.per_variant) {
+        for (s, (scratch, tally, shard_out)) in results.into_iter().enumerate() {
+            total.add(&tally);
+            seams.push(tally.seam(s as u32));
+            hist.merge(&scratch.hist);
+            for (acc, &v) in per_variant.iter_mut().zip(&scratch.per_variant) {
                 *acc += v;
             }
-            out.in_flight.extend(r.in_flight_out);
-            out.queue_ages_s.extend(r.queue_ages_out);
-            seams.push(r.seam);
-            self.shard_scratch.push(r.scratch);
+            out.in_flight.extend(shard_out.in_flight);
+            out.queue_ages_s.extend(shard_out.queue_ages_s);
+            self.pool.push(scratch);
         }
         // Canonical carry order: in-flight by completion time (remaining
-        // service, ties by instance) — the order the classic engine's
-        // boundary drain produces — and the queue oldest-first.
+        // service, ties by instance) — the order the unsharded snapshot
+        // produces — and the queue oldest-first.
         out.in_flight.sort_by(|a, b| {
             a.remaining_s
                 .partial_cmp(&b.remaining_s)
@@ -346,289 +279,17 @@ impl ServingSim {
         });
         out.queue_ages_s
             .sort_by(|a, b| b.partial_cmp(a).expect("finite request ages"));
-        debug_assert_eq!(
-            conservation_leak, 0,
-            "sharded epoch leaked a request at a seam"
+
+        let metrics = total.into_metrics(
+            epoch.as_secs(),
+            arrivals.mean_rate(),
+            self.static_energy_j(&failures, SimDuration::ZERO, epoch),
+            hist,
+            per_variant,
+            seams,
         );
-
-        // Static energy is a property of the physical fleet, not of the
-        // split: identical to the classic engine, failures credited from
-        // their instant.
-        let mut static_j =
-            self.perf.power.gpu_static_w() * self.deployment.n_gpus() as f64 * span_s;
-        for f in &failures {
-            let dead_s = (horizon_s - f.at_s.max(0.0)).max(0.0);
-            static_j -= self.perf.power.gpu_static_w() * f.gpus as f64 * dead_s.min(span_s);
-        }
-        static_j = static_j.max(0.0);
-
-        let metrics = WindowMetrics {
-            span_s,
-            offered_rps: arrivals.mean_rate(),
-            arrived,
-            served,
-            completed_in_span,
-            dropped,
-            mean_latency_s: hist.mean(),
-            p95_latency_s: hist.quantile(0.95),
-            max_latency_s: hist.max(),
-            sim_events,
-            per_variant_served: per_variant,
-            dynamic_energy_j: dynamic_j,
-            idle_energy_j: idle_j,
-            static_energy_j: static_j,
-            mean_busy_instances: busy_integral / span_s,
-            latency_hist: hist,
-            conservation_leak,
-            fault_kills,
-            fault_requeued,
-            shard_seams: seams,
-        };
         drop(merge_scope);
         (metrics, out)
-    }
-}
-
-/// One shard's DES body — the classic continuous engine over the shard's
-/// instances, queue, and pre-split arrival sequence. Pure: everything it
-/// touches arrives in the task, so shards can run on any thread.
-fn run_shard(mut task: ShardTask) -> ShardDone {
-    let horizon = task.horizon;
-    let horizon_s = horizon.as_secs();
-    let span_s = horizon_s;
-    let warmup_end_s = 0.0;
-    let jitter_sigma = SERVICE_JITTER_SIGMA;
-    let mut service_rng = task.service_rng;
-
-    let scratch = &mut task.scratch;
-    let q = &mut scratch.queue;
-    let fifo = &mut scratch.fifo;
-    let instances = &mut scratch.instances;
-    let per_variant = &mut scratch.per_variant;
-    let hist = &mut scratch.hist;
-    let idle = &mut scratch.idle;
-    let local = |ids: &[u32], global: u32| -> usize {
-        ids.binary_search(&global)
-            .expect("carried instance not owned by this shard")
-    };
-
-    // Restore: in-flight back onto instances with their remaining service
-    // scheduled, carried queue entries into the FIFO — then the opening
-    // dispatch pairs waiting work with idle instances at t = 0, exactly
-    // like the classic engine.
-    let carried_in = (task.in_flight.len() + task.queue_times.len()) as u64;
-    for r in &task.in_flight {
-        let li = local(&task.ids, r.instance);
-        let inst = &mut instances[li];
-        inst.in_flight = Some(-r.age_s);
-        inst.pending_interval = Some((0.0, r.remaining_s));
-        q.schedule(
-            SimTime::from_secs(r.remaining_s),
-            Ev::Done {
-                instance: li as u32,
-                gen: 0,
-            },
-        );
-    }
-    for &t in &task.queue_times {
-        fifo.push_back(t);
-    }
-    idle.extend((0..instances.len() as u32).filter(|&i| instances[i as usize].in_flight.is_none()));
-    while !idle.is_empty() && !fifo.is_empty() {
-        let arrived_at = fifo.pop_front().expect("non-empty queue");
-        ServingSim::dispatch_to_idle(
-            instances,
-            idle,
-            SimTime::ZERO,
-            arrived_at,
-            jitter_sigma,
-            &mut service_rng,
-            q,
-        );
-    }
-
-    let mut arrived = 0u64;
-    let mut served = 0u64;
-    let mut completed_in_span = 0u64;
-    let mut dropped = 0u64;
-    let mut sim_events = 0u64;
-    let mut fault_kills = 0u64;
-    let mut fault_requeued = 0u64;
-
-    for (f_idx, f) in task.failures.iter().enumerate() {
-        let at = SimTime::from_secs(f.at_s.max(0.0));
-        if at <= horizon {
-            q.schedule(
-                at,
-                Ev::Fault {
-                    failure: f_idx as u32,
-                },
-            );
-        }
-    }
-
-    // Arrivals are chained through the heap one at a time (schedule the
-    // next when the current pops) so the heap stays small and the queue's
-    // clock — which `start_service` schedules against — is always current.
-    let mut next_arrival = 0usize;
-    if let Some(&t) = task.arrivals.first() {
-        q.schedule(t, Ev::Arrive);
-        next_arrival = 1;
-    }
-
-    while let Some(next_t) = q.peek_time() {
-        if next_t > horizon {
-            break; // continuous semantics: the rest becomes the carry
-        }
-        let (now, ev) = q.pop().expect("peeked event");
-        sim_events += 1;
-        match ev {
-            Ev::Arrive => {
-                if next_arrival < task.arrivals.len() {
-                    q.schedule(task.arrivals[next_arrival], Ev::Arrive);
-                    next_arrival += 1;
-                }
-                arrived += 1;
-                if !idle.is_empty() {
-                    ServingSim::dispatch_to_idle(
-                        instances,
-                        idle,
-                        now,
-                        now.as_secs(),
-                        jitter_sigma,
-                        &mut service_rng,
-                        q,
-                    );
-                } else if fifo.len() < task.max_queue {
-                    fifo.push_back(now.as_secs());
-                } else {
-                    dropped += 1;
-                }
-            }
-            Ev::Fault { failure } => {
-                let f = &task.failures[failure as usize];
-                let mut requeue: Vec<f64> = Vec::new();
-                for &gi in &f.instances {
-                    let li = local(&task.ids, gi);
-                    if !instances[li].up {
-                        continue;
-                    }
-                    let inst = &mut instances[li];
-                    inst.up = false;
-                    inst.gen = inst.gen.wrapping_add(1);
-                    inst.down_at_s = Some(now.as_secs());
-                    fault_kills += 1;
-                    if let Some((a, _)) = inst.pending_interval.take() {
-                        inst.pending_interval = Some((a, now.as_secs()));
-                    }
-                    inst.fold_interval(warmup_end_s, horizon_s);
-                    if let Some(arr) = inst.in_flight.take() {
-                        requeue.push(arr);
-                        fault_requeued += 1;
-                    }
-                    idle.retain(|&j| j != li as u32);
-                }
-                requeue.sort_by(|a, b| a.partial_cmp(b).expect("finite arrivals"));
-                for &arr in requeue.iter().rev() {
-                    fifo.push_front(arr);
-                }
-            }
-            Ev::Done { instance, gen } => {
-                let i = instance as usize;
-                if instances[i].gen != gen {
-                    continue; // stale completion of a failed instance
-                }
-                instances[i].fold_interval(warmup_end_s, horizon_s);
-                let arrived_at = instances[i]
-                    .in_flight
-                    .take()
-                    .expect("completion for idle instance");
-                // Continuous path: every completion is measured, carried
-                // requests with their full seam-spanning latency.
-                let latency = now.as_secs() - arrived_at;
-                hist.record(latency);
-                served += 1;
-                per_variant[instances[i].variant.0 as usize] += 1;
-                completed_in_span += 1;
-                if let Some(next_arrived) = fifo.pop_front() {
-                    ServingSim::start_service(
-                        &mut instances[i],
-                        instance,
-                        now,
-                        next_arrived,
-                        jitter_sigma,
-                        &mut service_rng,
-                        q,
-                    );
-                } else {
-                    idle.push(instance);
-                }
-            }
-        }
-    }
-
-    // Boundary snapshot: pending completions become carried in-flight
-    // work (back under their *global* instance index), the FIFO becomes
-    // carried queue ages.
-    let mut in_flight_out: Vec<CarriedRequest> = Vec::new();
-    while let Some((t, ev)) = q.pop() {
-        if let Ev::Done { instance, gen } = ev {
-            let i = instance as usize;
-            if instances[i].gen != gen {
-                continue;
-            }
-            instances[i].fold_interval(warmup_end_s, horizon_s);
-            let arrived_at = instances[i]
-                .in_flight
-                .take()
-                .expect("carried completion for idle instance");
-            in_flight_out.push(CarriedRequest {
-                instance: task.ids[i],
-                age_s: horizon_s - arrived_at,
-                remaining_s: t.as_secs() - horizon_s,
-            });
-        }
-    }
-    let queue_ages_out: Vec<f64> = fifo.iter().map(|&a| horizon_s - a).collect();
-
-    let carried_out = (in_flight_out.len() + queue_ages_out.len()) as u64;
-    let seam = ShardSeam {
-        // Striping puts global instance `s` first in shard `s`'s table, so
-        // the smallest owned id *is* the shard index.
-        shard: task.ids[0],
-        carried_in,
-        arrived,
-        served,
-        dropped,
-        carried_out,
-    };
-
-    let mut dynamic_j = 0.0f64;
-    let mut idle_j = 0.0f64;
-    let mut busy_integral = 0.0f64;
-    for inst in instances.iter() {
-        dynamic_j += inst.busy_w * inst.busy_in_span_s;
-        let dead_s = inst
-            .down_at_s
-            .map_or(0.0, |d| (horizon_s - d.max(warmup_end_s)).max(0.0));
-        idle_j += inst.idle_w * (span_s - inst.busy_in_span_s - dead_s).max(0.0);
-        busy_integral += inst.busy_in_span_s;
-    }
-
-    debug_assert_eq!(seam.leak(), 0, "shard leaked a request at its seam");
-
-    ShardDone {
-        scratch: task.scratch,
-        seam,
-        completed_in_span,
-        sim_events,
-        dynamic_j,
-        idle_j,
-        busy_integral,
-        fault_kills,
-        fault_requeued,
-        in_flight_out,
-        queue_ages_out,
     }
 }
 
@@ -725,6 +386,86 @@ mod tests {
             assert!(w.shard_seams.is_empty());
             assert_eq!(w.conservation_leak, 0);
         }
+    }
+
+    /// K = 1 is the degenerate shard: the kernel run directly as shard 0 of
+    /// 1 — pre-drawn arrivals, as a shard gets them — reproduces the
+    /// unsharded epoch bit for bit, carry included, across three carried
+    /// epochs with a mid-epoch kill.
+    #[test]
+    fn kernel_as_a_single_shard_matches_the_unsharded_epoch() {
+        let fam = efficientnet();
+        let d = Deployment::base(&fam, 2);
+        let mut unsharded = ServingSim::new(fam.clone(), PerfModel::a100(), d.clone(), 17);
+        let mut direct = ServingSim::new(fam, PerfModel::a100(), d, 17);
+        let epoch = SimDuration::from_secs(20.0);
+        let mut carry = ServingCarry::default();
+        let mut direct_carry = ServingCarry::default();
+        let mut kills = 0;
+        for e in 0..3 {
+            let failures = match e {
+                1 => vec![InstanceFailure {
+                    at_s: 7.5,
+                    instances: vec![1],
+                    gpus: 1,
+                }],
+                _ => Vec::new(),
+            };
+            unsharded.set_window_failures(failures.clone());
+            let (w, next) =
+                unsharded.run_epoch_continuous(&mut PoissonProcess::new(380.0), epoch, carry);
+            carry = next;
+            kills += w.fault_kills;
+
+            let window_rng = direct.rng.fork(0x5e7);
+            let mut arrivals = PoissonProcess::new(380.0);
+            let times = predraw(
+                &mut arrivals,
+                &mut window_rng.substream(stream::ARRIVALS),
+                SimTime::ZERO + epoch,
+            );
+            let (mut scratch, _) = direct.stripe_scratch(&direct.deployment.instances(), 0, 1);
+            direct_carry.rebind(&direct.deployment);
+            let mut out = ServingCarry {
+                deployment: Some(direct.deployment.clone()),
+                ..ServingCarry::default()
+            };
+            let tally = run_kernel(
+                &mut scratch,
+                KernelRun {
+                    shard: 0,
+                    stride: 1,
+                    restore: &direct_carry,
+                    arrivals: times.into_iter(),
+                    failures: &failures,
+                    service_rng: window_rng.substream(stream::SERVICE),
+                    max_queue: MAX_QUEUE,
+                    warmup: SimDuration::ZERO,
+                    window: epoch,
+                    carry_out: Some(&mut out),
+                    profiler: None,
+                },
+            );
+            let k = tally.into_metrics(
+                epoch.as_secs(),
+                arrivals.mean_rate(),
+                direct.static_energy_j(&failures, SimDuration::ZERO, epoch),
+                scratch.hist.clone(),
+                scratch.per_variant.clone(),
+                Vec::new(),
+            );
+            direct_carry = out;
+            // Debug formatting prints every f64 in round-trip form, so
+            // equal strings mean equal bits.
+            assert_eq!(format!("{w:?}"), format!("{k:?}"), "epoch {e}");
+            assert_eq!(
+                format!("{carry:?}"),
+                format!("{direct_carry:?}"),
+                "epoch {e}"
+            );
+        }
+        assert_eq!(kills, 1, "the mid-epoch kill must land");
+        assert!(carry.in_flight() > 0, "work must cross the seams");
     }
 
     #[test]
