@@ -111,7 +111,8 @@ pub struct WindowMetrics {
     pub served: u64,
     /// Requests whose completion fell within the span (true throughput).
     pub completed_in_span: u64,
-    /// Requests dropped because the queue was saturated.
+    /// Requests dropped: shed at the queue bound or, in a classic window,
+    /// still waiting when the drain ended with no live instance left.
     pub dropped: u64,
     /// Mean end-to-end latency (wait + service) of served requests, seconds.
     pub mean_latency_s: f64,
@@ -138,11 +139,12 @@ pub struct WindowMetrics {
     /// Full latency distribution of served requests (mergeable across
     /// windows for run-level quantiles).
     pub latency_hist: LatencyHistogram,
-    /// Signed residual of the continuous conservation law
-    /// `carried_in + arrived - (served + dropped + carried_out)`. Always 0
-    /// unless the bookkeeping itself is broken; checked on every continuous
-    /// epoch (not just debug builds) so a violation surfaces as a journal
-    /// event instead of aborting a release run. Classic windows report 0.
+    /// Signed residual of the conservation law
+    /// `carried_in + arrived - (served + dropped + carried_out)` (a classic
+    /// window carries nothing in or out). Always 0 unless the bookkeeping
+    /// itself is broken; checked on every window and epoch (not just debug
+    /// builds) so a violation surfaces as a journal event instead of
+    /// aborting a release run.
     pub conservation_leak: i64,
     /// Instances killed by injected failures within this window.
     pub fault_kills: u64,
@@ -732,11 +734,18 @@ fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>)
         }
         out.queue_ages_s.extend(fifo.iter().map(|&a| horizon_s - a));
         t.carried_out += fifo.len() as u64;
-        // Debug builds halt at a leak; release builds surface it through
-        // `WindowMetrics::conservation_leak`.
-        debug_assert_eq!(t.seam(shard).leak(), 0, "a request leaked at the seam");
+    } else {
+        // The drain ran out of events, so whatever still waits has no live
+        // instance left to serve it: its measured requests are shed.
+        t.dropped += fifo
+            .iter()
+            .filter(|&&a| a >= warmup_end_s && a <= horizon_s)
+            .count() as u64;
     }
     drop(snapshot_scope);
+    // Debug builds halt at a leak; release builds surface it through
+    // `WindowMetrics::conservation_leak`.
+    debug_assert_eq!(t.seam(shard).leak(), 0, "a request leaked");
 
     // Busy time and energy, clipped to the measured span.
     for inst in instances.iter() {
@@ -958,9 +967,7 @@ impl ServingSim {
         window: SimDuration,
         warmup: SimDuration,
     ) -> WindowMetrics {
-        let mut m = self.run_unsharded(arrivals, window, warmup, &ServingCarry::default(), None);
-        m.conservation_leak = 0;
-        m
+        self.run_unsharded(arrivals, window, warmup, &ServingCarry::default(), None)
     }
 
     /// Simulates one epoch of continuous serving: the system is restored
@@ -1558,6 +1565,34 @@ mod tests {
             "nothing in flight"
         );
         assert!(carry.backlog() > 0, "arrivals must queue, not vanish");
+    }
+
+    #[test]
+    fn classic_window_with_a_dead_fleet_drops_what_it_cannot_serve() {
+        let fam = efficientnet();
+        let mut sim = ServingSim::new(
+            fam.clone(),
+            PerfModel::a100(),
+            Deployment::base(&fam, 2),
+            33,
+        );
+        sim.set_window_failures(vec![InstanceFailure {
+            at_s: 0.0,
+            instances: vec![0, 1],
+            gpus: 2,
+        }]);
+        let w = sim.run_window(
+            200.0,
+            SimDuration::from_secs(20.0),
+            SimDuration::from_secs(2.0),
+        );
+        assert!(w.arrived > 0);
+        assert_eq!(w.served, 0, "a dead fleet serves nothing");
+        assert_eq!(
+            w.dropped, w.arrived,
+            "measured requests left waiting at the end of the drain must count as dropped"
+        );
+        assert_eq!(w.conservation_leak, 0);
     }
 
     #[test]
