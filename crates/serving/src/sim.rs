@@ -439,7 +439,7 @@ struct KernelRun<'a, A> {
 
 /// Counters and energy of one kernel run (or, summed, of a sharded epoch).
 /// The latency histogram and per-variant counts stay in the scratch.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default)]
 struct Tally {
     carried_in: u64,
     arrived: u64,
