@@ -30,7 +30,7 @@ pub mod stats;
 pub mod time;
 
 pub use engine::{Process, Simulation};
-pub use events::EventQueue;
+pub use events::{EventKey, EventQueue};
 pub use par::{default_threads, par_map, par_map_auto, par_map_lpt};
 pub use quantile::{ExactQuantiles, LatencyHistogram, P2Quantile};
 pub use rng::SimRng;

@@ -13,7 +13,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 /// An instant on the simulation clock, in seconds since the start of the
 /// simulation.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-pub struct SimTime(f64);
+pub struct SimTime(pub(crate) f64);
 
 /// A span of simulated time, in seconds. May not be negative.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
