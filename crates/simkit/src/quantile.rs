@@ -194,11 +194,115 @@ impl P2Quantile {
     }
 }
 
+/// Floor and relative precision of [`LatencyHistogram::for_latency`].
+const LATENCY_FLOOR_S: f64 = 1e-5;
+const LATENCY_PRECISION: f64 = 0.01;
+
+/// A [`BucketTable`] covers values below `2^TABLE_MAX_EXP` (about 12 days
+/// in seconds) from the binary octave holding the floor up; larger values
+/// take the logarithm.
+const TABLE_MAX_EXP: i32 = 20;
+/// Each binary octave splits into `2^SLOT_BITS` slots. One slot spans a
+/// ratio of `2^(1/128) ≈ 1.0054`, under the 1% bucket ratio, so it holds
+/// at most one bucket edge.
+const SLOT_BITS: u32 = 7;
+
+/// The bucket `floor(log(x / min) / log_base) + 1` of `x`, 0 at or below
+/// `min` — the histogram's defining formula.
+fn log_bucket(min_value: f64, log_base: f64, x: f64) -> usize {
+    if x <= min_value {
+        0
+    } else {
+        ((x / min_value).ln() / log_base) as usize + 1
+    }
+}
+
+/// Exact bucket edges of one histogram configuration, so recording a value
+/// is a table lookup and one comparison instead of a logarithm. Each edge is
+/// the float where [`log_bucket`] itself steps up, found once by walking
+/// ulps from the analytic edge, so lookups agree with the formula bit for
+/// bit.
+struct BucketTable {
+    /// `edges[b]` is the smallest value in bucket `b` or above (`b ≥ 1`);
+    /// `edges[0]` is the floor and a final `+inf` bounds the last bucket.
+    edges: Vec<f64>,
+    /// Bucket of each slot's smallest value, slots counted from the octave
+    /// holding the floor.
+    first: Vec<u16>,
+    /// Slot index of that octave's first slot, from the float's top bits.
+    slot_base: usize,
+}
+
+impl BucketTable {
+    fn new(min_value: f64, log_base: f64) -> Self {
+        let bucket = |x: f64| log_bucket(min_value, log_base, x);
+        let top = 2f64.powi(TABLE_MAX_EXP);
+        let n = bucket(top.next_down());
+        assert!(n < u16::MAX as usize, "bucket table too large");
+        let mut edges = Vec::with_capacity(n + 2);
+        edges.push(min_value);
+        for b in 1..=n {
+            let mut x = min_value * ((b - 1) as f64 * log_base).exp();
+            while bucket(x) >= b {
+                x = x.next_down();
+            }
+            while bucket(x) < b {
+                x = x.next_up();
+            }
+            edges.push(x);
+        }
+        edges.push(f64::INFINITY);
+        let slot_of = |x: f64| (x.to_bits() >> (52 - SLOT_BITS)) as usize;
+        let slot_base = slot_of(min_value) & !((1 << SLOT_BITS) - 1);
+        let slot_floor = |s: usize| f64::from_bits((s as u64) << (52 - SLOT_BITS));
+        let first = (slot_base..slot_of(top))
+            .map(|s| {
+                let b = edges[1..=n].partition_point(|&e| e <= slot_floor(s));
+                assert!(
+                    edges.get(b + 2).is_none_or(|&e| e >= slot_floor(s + 1)),
+                    "a slot holds two bucket edges"
+                );
+                b as u16
+            })
+            .collect();
+        BucketTable {
+            edges,
+            first,
+            slot_base,
+        }
+    }
+
+    /// The bucket of `x > edges[0]`, or `None` past the table's range.
+    #[inline]
+    fn bucket(&self, x: f64) -> Option<usize> {
+        let slot = ((x.to_bits() >> (52 - SLOT_BITS)) as usize).wrapping_sub(self.slot_base);
+        let b = *self.first.get(slot)? as usize;
+        // Branch-free: whether `x` clears the slot's one possible edge.
+        Some(b + usize::from(x >= self.edges[b + 1]))
+    }
+}
+
+impl std::fmt::Debug for BucketTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "BucketTable({} buckets)", self.edges.len() - 2)
+    }
+}
+
+/// The table of [`LatencyHistogram::for_latency`]'s configuration, built on
+/// first use and shared by every such histogram.
+fn latency_table() -> &'static BucketTable {
+    static TABLE: std::sync::OnceLock<BucketTable> = std::sync::OnceLock::new();
+    TABLE.get_or_init(|| BucketTable::new(LATENCY_FLOOR_S, (1.0 + LATENCY_PRECISION).ln()))
+}
+
 /// Geometric-bucket latency histogram with bounded relative error.
 ///
 /// Values are bucketed as `floor(log(x / min) / log(1 + precision))`, so any
 /// quantile estimate is within a factor `1 + precision` of the true value.
 /// Covers `[min_value, +inf)`; values below `min_value` land in bucket 0.
+/// The [`LatencyHistogram::for_latency`] configuration finds buckets in a
+/// precomputed table of the formula's exact edges; other configurations
+/// evaluate the logarithm.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     min_value: f64,
@@ -207,6 +311,7 @@ pub struct LatencyHistogram {
     total: u64,
     sum: f64,
     max_seen: f64,
+    table: Option<&'static BucketTable>,
 }
 
 impl LatencyHistogram {
@@ -214,6 +319,8 @@ impl LatencyHistogram {
     /// given relative `precision` (e.g. 0.01 for 1%).
     pub fn new(min_value: f64, precision: f64) -> Self {
         assert!(min_value > 0.0 && precision > 0.0);
+        let table =
+            (min_value == LATENCY_FLOOR_S && precision == LATENCY_PRECISION).then(latency_table);
         LatencyHistogram {
             min_value,
             log_base: (1.0 + precision).ln(),
@@ -221,20 +328,23 @@ impl LatencyHistogram {
             total: 0,
             sum: 0.0,
             max_seen: 0.0,
+            table,
         }
     }
 
     /// Default configuration for request latencies: 10 µs floor, 1% error.
     pub fn for_latency() -> Self {
-        Self::new(1e-5, 0.01)
+        Self::new(LATENCY_FLOOR_S, LATENCY_PRECISION)
     }
 
+    #[inline]
     fn bucket_of(&self, x: f64) -> usize {
         if x <= self.min_value {
-            0
-        } else {
-            ((x / self.min_value).ln() / self.log_base) as usize + 1
+            return 0;
         }
+        self.table
+            .and_then(|t| t.bucket(x))
+            .unwrap_or_else(|| log_bucket(self.min_value, self.log_base, x))
     }
 
     fn bucket_value(&self, idx: usize) -> f64 {
@@ -421,6 +531,31 @@ mod tests {
         assert_eq!(h.max(), 100.0);
         h.clear();
         assert_eq!(h.count(), 0);
+    }
+
+    #[test]
+    fn table_buckets_match_the_logarithm_everywhere() {
+        let h = LatencyHistogram::for_latency();
+        let table = h.table.expect("the latency configuration is table-driven");
+        let formula = |x: f64| log_bucket(h.min_value, h.log_base, x);
+        // Around every edge, where a lookup could disagree with the formula.
+        for &edge in &table.edges[1..table.edges.len() - 1] {
+            let mut x = edge;
+            for _ in 0..64 {
+                x = x.next_down();
+            }
+            for _ in 0..128 {
+                assert_eq!(h.bucket_of(x), formula(x), "x = {x:e}");
+                x = x.next_up();
+            }
+        }
+        // Log-uniform values from below the floor to past the table.
+        let mut rng = SimRng::new(11);
+        for _ in 0..100_000 {
+            let x = 10f64.powf(rng.range_f64(-7.0, 8.0));
+            assert_eq!(h.bucket_of(x), formula(x), "x = {x:e}");
+        }
+        assert!(LatencyHistogram::new(1e-3, 0.05).table.is_none());
     }
 
     #[test]
