@@ -226,9 +226,10 @@ struct Instance {
     down_at_s: Option<f64>,
 }
 
+/// A queued kernel event. Arrivals never enter the queue: the kernel holds
+/// the next one beside it (see `run_kernel`).
 #[derive(Clone, Copy)]
 enum Ev {
-    Arrive,
     Done {
         instance: u32,
         gen: u32,
@@ -609,40 +610,46 @@ fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>)
         }
     }
 
-    // Arrivals are chained through the heap one at a time (the next is
-    // scheduled when the current pops), so the heap stays small.
-    if let Some(first) = arrivals.next_after(SimTime::ZERO) {
-        q.schedule(first, Ev::Arrive);
-    }
+    // Arrivals are chained one at a time (the next is drawn when the
+    // current one is handled) and held beside the queue, not in it: the
+    // reserved key orders the pending arrival against queued events exactly
+    // as scheduling it would, without a heap push and pop per request.
+    let mut next_arrival = arrivals.next_after(SimTime::ZERO).map(|at| q.reserve(at));
 
-    while let Some(next_t) = q.peek_time() {
+    loop {
+        let key = match (next_arrival, q.peek_key()) {
+            (Some(arrival), Some(head)) => arrival.min(head),
+            (Some(key), None) | (None, Some(key)) => key,
+            (None, None) => break,
+        };
         // Carry mode stops *at* the horizon: whatever is still pending
         // becomes the next epoch's carry instead of being drained.
-        if carry_mode && next_t > horizon {
+        if carry_mode && key.time() > horizon {
             break;
         }
-        let (now, ev) = q.pop().expect("peeked event");
         t.sim_events += 1;
-        match ev {
-            Ev::Arrive => {
-                if now > horizon {
-                    continue; // draining past the horizon: stop generating
-                }
-                if let Some(next) = arrivals.next_after(now) {
-                    q.schedule(next, Ev::Arrive);
-                }
-                let measured = now >= warmup_end;
-                if measured {
-                    t.arrived += 1;
-                }
-                if !idle.is_empty() {
-                    dispatch_to_idle(instances, idle, now, now.as_secs(), &mut service_rng, q);
-                } else if fifo.len() < max_queue {
-                    fifo.push_back(now.as_secs());
-                } else if measured {
-                    t.dropped += 1;
-                }
+        if Some(key) == next_arrival {
+            let now = q.claim(key);
+            if now > horizon {
+                next_arrival = None; // draining past the horizon: stop generating
+                continue;
             }
+            next_arrival = arrivals.next_after(now).map(|at| q.reserve(at));
+            let measured = now >= warmup_end;
+            if measured {
+                t.arrived += 1;
+            }
+            if !idle.is_empty() {
+                dispatch_to_idle(instances, idle, now, now.as_secs(), &mut service_rng, q);
+            } else if fifo.len() < max_queue {
+                fifo.push_back(now.as_secs());
+            } else if measured {
+                t.dropped += 1;
+            }
+            continue;
+        }
+        let (now, ev) = q.pop().expect("peeked event");
+        match ev {
             Ev::Fault { failure } => {
                 // Collect the dying instances' in-flight arrivals so they
                 // can rejoin the queue oldest-first.
@@ -708,7 +715,7 @@ fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>)
 
     // Snapshot the boundary (carry mode): clip in-flight energy at the
     // horizon and turn pending completions into carried in-flight work
-    // under their global index. A pending arrival past the horizon is
+    // under their global index. The pending arrival past the horizon is
     // discarded — the next epoch anchors a fresh arrival process.
     let snapshot_scope = profiler.map(|p| p.scope(Phase::Carry));
     if let Some(out) = carry_out {
@@ -1565,6 +1572,36 @@ mod tests {
             "nothing in flight"
         );
         assert!(carry.backlog() > 0, "arrivals must queue, not vanish");
+    }
+
+    #[test]
+    fn an_arrival_tied_with_a_fault_lands_after_it() {
+        // The arrival is held beside the event queue, yet ties still break
+        // by insertion: the fault was scheduled before the first arrival
+        // was drawn, so at the same instant it pops first and the request
+        // finds the fleet already dead.
+        use clover_workload::{ArrivalTrace, TraceReplayProcess};
+        let fam = efficientnet();
+        let mut sim = ServingSim::new(fam.clone(), PerfModel::a100(), Deployment::base(&fam, 1), 3);
+        sim.set_window_failures(vec![InstanceFailure {
+            at_s: 5.0,
+            instances: vec![0],
+            gpus: 1,
+        }]);
+        let trace = ArrivalTrace::new(vec![5.0], 20.0);
+        let mut p = TraceReplayProcess::new(trace, SimTime::ZERO, false);
+        let (w, carry) = sim.run_epoch_continuous(
+            &mut p,
+            SimDuration::from_secs(10.0),
+            ServingCarry::default(),
+        );
+        assert_eq!(w.arrived, 1);
+        assert_eq!(w.fault_kills, 1);
+        assert_eq!(
+            w.fault_requeued, 0,
+            "the arrival was served before the fault"
+        );
+        assert_eq!(carry.queued(), 1);
     }
 
     #[test]
