@@ -25,26 +25,23 @@
 //!    ([`Fidelity::FullEpoch`], so bursts are actually sampled);
 //! 4. account energy → carbon through the time-varying trace at PUE 1.5.
 //!
-//! A synchronized BASE run over the same trace and seeds provides the
+//! Steps 2–4 are one [`CellRuntime::step`] per epoch — the same cell
+//! runtime each regional fleet of the multi-region router runs. A
+//! synchronized BASE run over the same trace and seeds provides the
 //! reference for carbon savings, accuracy loss, and normalized SLA latency.
 
 use crate::anneal::{EvalRecord, SaParams};
-use crate::autoscale::{Scaler, ScalerConfig, ScalingPolicy};
-use crate::chaos::{ChaosConfig, FaultPlan};
-use crate::control::{
-    per_hour_or_panic, ControlPlane, EpochSchedule, Fidelity, PlaneEnv, SearchBudget,
-};
-use crate::eval::DesEvaluator;
-use crate::objective::{MeasuredPoint, Objective};
-use crate::schedulers::{make_scheduler, SchemeKind};
-use clover_carbon::{
-    CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Pue, Region,
-};
-use clover_mig::SliceType;
+use crate::autoscale::ScalingPolicy;
+use crate::cell::{served_accuracy_pct, CellRuntime, CellTotals};
+use crate::chaos::ChaosConfig;
+use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, PlaneEnv, SearchBudget};
+use crate::objective::Objective;
+use crate::schedulers::SchemeKind;
+use clover_carbon::{CarbonIntensity, CarbonMonitor, CarbonTrace, Region};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{analytic, Deployment, InstanceFailure, ServingSim, WindowMetrics};
-use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
+use clover_serving::{analytic, Deployment, ServingSim};
+use clover_simkit::SimDuration;
 use clover_telemetry::{Event, Phase, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
@@ -890,11 +887,12 @@ impl Experiment {
     /// Runs the experiment (scheme plus the synchronized BASE reference).
     ///
     /// Each [`crate::control::ControlEpoch`] of the schedule is one
-    /// `begin_epoch` → serve → `observe_serving` round trip through the
-    /// [`ControlPlane`]; this method owns only the accounting (ledgers,
-    /// histograms, timeline). Under the default configuration (hourly
-    /// epochs, representative window) the numbers are bit-identical to the
-    /// pre-extraction hourly loop (pinned by `tests/control_plane.rs`).
+    /// [`CellRuntime::step`] — `begin_epoch` → serve → `observe_serving`
+    /// through the [`crate::control::ControlPlane`], with the cell's
+    /// accounting — followed by the synchronized BASE reference epoch.
+    /// Under the default configuration (hourly epochs, representative
+    /// window) the numbers are bit-identical to the pre-extraction hourly
+    /// loop (pinned by `tests/control_plane.rs`).
     ///
     /// Equivalent to [`Experiment::run_with`] against the no-op telemetry
     /// sink.
@@ -904,435 +902,97 @@ impl Experiment {
 
     /// [`Experiment::run`] with a telemetry sink.
     ///
-    /// Beyond the control plane's own events
-    /// ([`ControlPlane::begin_epoch_with`]), the runtime emits one
-    /// `conservation` checkpoint per epoch — the window counters that close
-    /// the per-boundary conservation law, matching the [`HourPoint`] the
-    /// timeline records — and maintains per-scheme request counters in the
-    /// metric registry. When profiling is enabled the epoch's serving
-    /// measurements (scheme and synchronized BASE reference) are timed as
-    /// [`Phase::Des`]; note that [`Phase::Carry`] (boundary hand-off inside
-    /// continuous serving) is nested within it, as [`Phase::Search`] is
-    /// within [`Phase::Plan`]. Telemetry is a strict overlay: with the
-    /// no-op sink this method *is* [`Experiment::run`], bit for bit.
+    /// Beyond the cell's own events ([`CellRuntime::step`]), the runtime
+    /// emits one `conservation` checkpoint per epoch — the window counters
+    /// that close the per-boundary conservation law, matching the
+    /// [`HourPoint`] the timeline records — and maintains per-scheme
+    /// request counters in the metric registry. When profiling is enabled
+    /// the epoch's serving measurements (scheme and synchronized BASE
+    /// reference) are timed as [`Phase::Des`]; [`Phase::Carry`] (the
+    /// continuous engine's seam work: boundary snapshot and restore, plus
+    /// the sharded path's serial arrival pre-draw, split and merge) is
+    /// nested within it, as [`Phase::Search`] is within [`Phase::Plan`].
+    /// Telemetry is a strict overlay: with the no-op sink this method *is*
+    /// [`Experiment::run`], bit for bit.
     pub fn run_with(&self, telemetry: &mut Telemetry) -> ExperimentOutcome {
         let cfg = &self.cfg;
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let epochs = schedule.count();
         let epoch_len = schedule.epoch_len();
-        let epoch_hours = schedule.epoch_hours();
         let wp = cfg.fidelity.window_plan(epoch_len);
-
-        let initial = Deployment::base(&self.family, cfg.n_gpus);
-        // The search budget is resolved against the cadence once: sub-hour
-        // epochs cap the SA's charged live time and iteration budget, the
-        // hourly default passes the paper's parameters through untouched.
-        let sa = cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s);
-        let scheduler = make_scheduler(&cfg.scheme, &self.family, cfg.n_gpus, sa);
-        let evaluator = DesEvaluator::new(
+        let mut cell = CellRuntime::new(
+            cfg,
             self.family.clone(),
             self.perf,
-            self.rate_rps,
-            initial.clone(),
-            cfg.seed ^ 0xE7A1,
-        );
-        // Everything that will go wrong this run, drawn up front from the
-        // seed. Chaos off generates nothing and touches no RNG — the run
-        // is bit-identical to one without the chaos layer (tests/chaos.rs
-        // pins the fault-free digests against the pre-chaos values).
-        let fault_plan = FaultPlan::generate(
-            &cfg.chaos,
-            cfg.seed,
-            cfg.n_gpus,
-            epochs as usize,
-            cfg.control_epoch_s,
-        );
-        let chaos_on = !fault_plan.is_empty();
-
-        let mut monitor = CarbonMonitor::new(self.trace.clone(), cfg.monitor_threshold);
-        let gaps = fault_plan.carbon_gaps();
-        if !gaps.is_empty() {
-            monitor.set_gaps(
-                gaps,
-                SimDuration::from_secs(CarbonMonitor::DEFAULT_AGE_CAP_S),
-            );
-        }
-        let rng = SimRng::new(cfg.seed ^ 0x5C8E);
-        let pue = Pue::PAPER_DEFAULT;
-        let mut ledger = CarbonLedger::new(self.trace.clone(), pue);
-        let mut base_ledger = CarbonLedger::new(self.trace.clone(), pue);
-
-        let mut sim = ServingSim::new(
-            self.family.clone(),
-            self.perf,
-            initial.clone(),
-            cfg.seed ^ 0x11,
-        );
-        let base_ref = Deployment::base(&self.family, cfg.reference_gpus);
-        let mut base_sim =
-            ServingSim::new(self.family.clone(), self.perf, base_ref, cfg.seed ^ 0x22);
-        // Intra-epoch sharding (continuous epochs only; the default of 1
-        // keeps both simulators on the classic engine, digests unchanged).
-        sim.set_intra_epoch_shards(cfg.des_shards);
-        base_sim.set_intra_epoch_shards(cfg.des_shards);
-        sim.set_shard_threads(self.shard_threads);
-        base_sim.set_shard_threads(self.shard_threads);
-
-        let mut hist = LatencyHistogram::for_latency();
-        let mut base_hist = LatencyHistogram::for_latency();
-        let mut per_variant = vec![0.0f64; self.family.len()];
-        let mut served_scaled = 0.0f64;
-        let mut base_served_scaled = 0.0f64;
-        let mut sim_events = 0u64;
-        let mut optimization_time_s = 0.0f64;
-        let mut timeline = Vec::with_capacity(epochs as usize);
-        let mut invocations = Vec::new();
-
-        // The elastic fleet: one scaler decision per control epoch. Under
-        // the default Static policy this collapses to the paper's fixed
-        // fleet (all GPUs active, zero standby charge, identical numbers).
-        let mut scaler_cfg = ScalerConfig::new(
-            cfg.scaling,
-            cfg.min_gpus,
-            cfg.n_gpus,
+            self.trace.clone(),
             self.capacity_per_gpu_rps,
+            self.rate_rps,
+            self.shard_threads,
         );
-        scaler_cfg.target_utilization = cfg.utilization_target;
-        let scaler = Scaler::new(scaler_cfg);
-
-        let mut plane = ControlPlane::new(scheduler, monitor, scaler, evaluator, rng);
-        // Timing is keyed off shared atomic cells: the evaluator's
-        // candidate windows land in Search, the serving simulators'
-        // boundary hand-offs in Carry. No-ops when profiling is off.
-        plane.set_profiler(telemetry.profiler());
-        sim.set_profiler(telemetry.profiler());
-        base_sim.set_profiler(telemetry.profiler());
+        cell.set_profiler(telemetry.profiler());
         let env = PlaneEnv {
             family: &self.family,
             perf: &self.perf,
             objective: &self.objective,
             workload: &self.workload,
         };
-        let mut active_gpu_hours = 0.0f64;
-        // Under FullEpoch fidelity the run is *continuous*: queue and
-        // in-flight state cross every epoch boundary (the scheme's carry is
-        // owned by the control plane, the synchronized BASE reference keeps
-        // its own), so a 2-minute cadence simulates one unbroken day
-        // instead of 720 cold starts.
-        let continuous = matches!(cfg.fidelity, Fidelity::FullEpoch);
+
+        // The synchronized BASE reference stays un-faulted: it is the
+        // ideal-world yardstick carbon savings are measured against, and
+        // faulting it too would let a failing scheme hide behind a failing
+        // baseline. Under FullEpoch fidelity it is carried across
+        // boundaries too — the baseline must not keep a cold-start
+        // advantage.
+        let base_ref = Deployment::base(&self.family, cfg.reference_gpus);
+        let mut base_sim =
+            ServingSim::new(self.family.clone(), self.perf, base_ref, cfg.seed ^ 0x22);
+        base_sim.set_intra_epoch_shards(cfg.des_shards);
+        base_sim.set_shard_threads(self.shard_threads);
+        base_sim.set_profiler(telemetry.profiler());
+        let mut base = CellTotals::new(self.trace.clone(), self.family.len());
         let mut base_carry = clover_serving::ServingCarry::default();
-        // The deployment currently serving — tracked so the chaos layer
-        // can map a failed physical GPU onto its instance range.
-        let mut current_deployment = initial;
-        // Physical GPUs the control plane saw down at the previous epoch
-        // boundary; the per-boundary diff turns the fault plan's down
-        // intervals into scaler fail/repair transitions.
-        let mut prev_down: Vec<usize> = Vec::new();
+        let continuous = matches!(cfg.fidelity, Fidelity::FullEpoch);
+        let mut timeline = Vec::with_capacity(epochs as usize);
+        let mut invocations = Vec::new();
 
         for epoch in schedule.iter() {
             let t = epoch.start;
-            // Chaos, boundary half: reconcile the fleet with the fault
-            // plan *before* the plane plans — `begin_epoch` must size and
-            // partition the surviving fleet, not the paper fleet. Repairs
-            // re-enter through the scaler's warming state. The
-            // synchronized BASE reference below stays un-faulted: it is
-            // the ideal-world yardstick carbon savings are measured
-            // against, and faulting it too would let a failing scheme
-            // hide behind a failing baseline.
-            if chaos_on {
-                let t_s = t.as_secs();
-                let down_now = fault_plan.down_at(t_s);
-                let failed: Vec<usize> = down_now
-                    .iter()
-                    .copied()
-                    .filter(|g| !prev_down.contains(g))
-                    .collect();
-                let repaired: Vec<usize> = prev_down
-                    .iter()
-                    .copied()
-                    .filter(|g| !down_now.contains(g))
-                    .collect();
-                plane.fleet_fail(failed.len());
-                plane.fleet_repair(repaired.len());
-                plane.set_forecast_factor(fault_plan.forecast_factor(epoch.index as usize));
-                if telemetry.journal_mut().is_some() {
-                    for &g in &failed {
-                        telemetry.emit(
-                            Event::new("fault", t)
-                                .str("kind", "gpu")
-                                .u64("gpu", g as u64)
-                                .u64("epoch", u64::from(epoch.index)),
-                        );
-                    }
-                    for &g in &repaired {
-                        telemetry.emit(
-                            Event::new("repair", t)
-                                .str("kind", "gpu")
-                                .u64("gpu", g as u64)
-                                .u64("epoch", u64::from(epoch.index)),
-                        );
-                    }
-                }
-                if let Some(m) = telemetry.metrics_mut() {
-                    let labels: &[(&str, &str)] = &[("scheme", cfg.scheme.label())];
-                    if !failed.is_empty() {
-                        m.counter_add(
-                            "clover_fault_gpu_failures_total",
-                            labels,
-                            failed.len() as u64,
-                        );
-                    }
-                    if !repaired.is_empty() {
-                        m.counter_add(
-                            "clover_fault_gpu_repairs_total",
-                            labels,
-                            repaired.len() as u64,
-                        );
-                    }
-                    m.gauge_set("clover_fault_gpus_down", labels, down_now.len() as f64);
-                }
-                prev_down = down_now;
-            }
-            let plan = plane.begin_epoch_with(&epoch, &env, telemetry);
-            let ci = plan.ci;
-            let fleet = plan.fleet;
-            active_gpu_hours += fleet.active as f64 * epoch_hours;
-
-            if let Some(run) = plan.run {
-                optimization_time_s += run.time_spent_s;
-                invocations.push(InvocationRecord {
-                    at_hours: epoch.start_hours(),
-                    time_spent_s: run.time_spent_s,
-                    evals: run.evals,
-                });
-            }
-            // Exploration traffic is real traffic: fold it in 1:1 — also
-            // for schemes that measure candidates without reporting an
-            // optimization run (the windows were still served live).
-            for w in &plan.eval_windows {
-                sim_events += w.sim_events;
-                Self::accumulate(
-                    &mut ledger,
-                    &mut hist,
-                    &mut per_variant,
-                    &mut served_scaled,
-                    t,
-                    w,
-                    1.0,
-                );
-            }
-            if let Some(deployment) = plan.deployment {
-                current_deployment = deployment.clone();
-                sim.set_deployment(deployment);
-            }
-
-            // Chaos, serving half: faults landing *inside* this epoch
-            // become DES events. Under continuous (full-epoch) serving a
-            // mid-window GPU kill takes down its instance range at the
-            // fault instant — in-flight work re-queues oldest-first; the
-            // representative-window path gets epoch-granularity fleet
-            // effects only (the boundary diff above), since its short
-            // window does not span the epoch it extrapolates. A fully
-            // dead fleet is killed at the window's open on either path:
-            // arrivals queue, shed at the bound, and recover after
-            // repair — no scheme gets to deadlock.
-            if chaos_on {
-                let t_s = t.as_secs();
-                let end_s = t_s + epoch_len.as_secs();
-                let mut failures: Vec<InstanceFailure> = Vec::new();
-                if fleet.active == 0 {
-                    let n_inst = current_deployment.n_instances();
-                    if n_inst > 0 {
-                        failures.push(InstanceFailure {
-                            at_s: 0.0,
-                            instances: (0..n_inst as u32).collect(),
-                            gpus: current_deployment.n_gpus() as u32,
-                        });
-                    }
-                } else if continuous {
-                    // Deployment slot j serves on the j-th lowest alive
-                    // physical GPU; instances are flat in GPU order, so
-                    // prefix sums over the per-GPU slice counts give each
-                    // slot's instance range.
-                    let mut offsets = vec![0u32];
-                    for c in current_deployment.partitioning().configs() {
-                        offsets.push(offsets.last().unwrap() + c.num_slices() as u32);
-                    }
-                    let alive: Vec<usize> = (0..cfg.n_gpus)
-                        .filter(|&g| !fault_plan.is_down(g, t_s))
-                        .collect();
-                    let deployed = current_deployment.n_gpus();
-                    for kill in fault_plan.kills_in(t_s, end_s) {
-                        let Some(slot) = alive.iter().take(deployed).position(|&g| g == kill.gpu)
-                        else {
-                            continue; // fell on a board outside the deployment
-                        };
-                        if telemetry.journal_mut().is_some() {
-                            telemetry.emit(
-                                Event::new("fault", SimTime::from_secs(kill.at_s()))
-                                    .str("kind", "kill")
-                                    .u64("gpu", kill.gpu as u64)
-                                    .u64("instances", u64::from(offsets[slot + 1] - offsets[slot])),
-                            );
-                        }
-                        failures.push(InstanceFailure {
-                            at_s: kill.at_s() - t_s,
-                            instances: (offsets[slot]..offsets[slot + 1]).collect(),
-                            gpus: 1,
-                        });
-                    }
-                    let n_inst = current_deployment.n_instances();
-                    for crash in fault_plan.crashes_in(t_s, end_s) {
-                        if n_inst == 0 {
-                            break;
-                        }
-                        let idx = ((crash.selector * n_inst as f64) as usize).min(n_inst - 1);
-                        if telemetry.journal_mut().is_some() {
-                            telemetry.emit(
-                                Event::new("fault", SimTime::from_secs(crash.at_s))
-                                    .str("kind", "crash")
-                                    .u64("instance", idx as u64),
-                            );
-                        }
-                        failures.push(InstanceFailure {
-                            at_s: crash.at_s - t_s,
-                            instances: vec![idx as u32],
-                            gpus: 0,
-                        });
-                    }
-                }
-                if !failures.is_empty() {
-                    sim.set_window_failures(failures);
-                }
-            }
-
-            // The epoch's serving measurement — a representative window
-            // extrapolated to the epoch, or the full epoch served
-            // continuously across boundaries, per the configured fidelity
-            // — driven by the workload's arrival process anchored at the
-            // epoch's start.
-            let mut arrivals = self.workload.process_from(t);
-            let des_scope = telemetry.scope(Phase::Des);
-            let w = if continuous {
-                plane.serve_continuous(&mut sim, arrivals.as_mut(), epoch_len)
-            } else {
-                sim.run_window_with(arrivals.as_mut(), wp.window, wp.warmup)
-            };
-            drop(des_scope);
-            sim_events += w.sim_events;
-            Self::accumulate(
-                &mut ledger,
-                &mut hist,
-                &mut per_variant,
-                &mut served_scaled,
-                t,
-                &w,
-                wp.scale,
+            let rec = cell.step(
+                &epoch,
+                &env,
+                self.workload.process_from(t).as_mut(),
+                telemetry,
             );
-
-            // GPUs the scaler holds out of the deployment still cost power:
-            // powered-off boards draw standby watts, warming boards pay the
-            // full static floor while they repartition and load models.
-            // (With the Static policy both counts are zero and this charge
-            // vanishes.) The serving windows above already cover the
-            // active fleet's static/idle/dynamic draw.
-            // Down boards draw nothing — a failed GPU is off the bus, not
-            // on standby — so they are carved out of the off count the
-            // scaler reports (chaos off ⇒ gpus_down() == 0, identical sum).
-            let off_powered = fleet.off.saturating_sub(plane.gpus_down());
-            let overhead_w = off_powered as f64 * self.perf.power.standby_gpu_w()
-                + fleet.warming as f64 * self.perf.power.gpu_static_w();
-            ledger.record_power(t, epoch_len, overhead_w);
-            // Draining boards are the honest scale-down transition cost:
-            // still powered while in-flight work empties, admitting
-            // nothing, until the next epoch boundary confirms them empty.
-            // The draw is modeled as the static floor plus a fully
-            // allocated board's idle residual (one G7 slice) — the
-            // retired board's exact partitioning is no longer tracked
-            // once it leaves the deployment, and the full-allocation
-            // residual is the conservative bound. Sub-hour epochs
-            // shorten exactly this window.
-            if fleet.draining > 0 {
-                let drain_w = fleet.draining as f64
-                    * (self.perf.power.gpu_static_w()
-                        + self.perf.power.idle_slice_w(SliceType::G7));
-                ledger.record_power(t, epoch_len, drain_w);
-            }
-
-            plane.observe_serving(&epoch, &w, &env);
-            let epoch_acc = w
-                .accuracy_pct(&self.family)
-                .unwrap_or(self.family.accuracy_base());
-            let epoch_energy = w.energy_per_request_j().unwrap_or(f64::NAN);
-            let epoch_p95 = w.p95_latency_s.unwrap_or(f64::NAN);
-            // An epoch that served nothing (e.g. a non-looping trace that
-            // ran dry mid-horizon) has no per-request metrics; its
-            // timeline entries stay NaN instead of reaching the objective.
-            let (objective_f, carbon_save_pct) = if epoch_energy.is_finite() {
-                let point = MeasuredPoint {
-                    accuracy_pct: epoch_acc,
-                    energy_per_request_j: epoch_energy,
-                    p95_latency_s: epoch_p95,
-                };
-                (
-                    self.objective.f(&point, ci),
-                    self.objective.delta_carbon_pct(epoch_energy, ci),
-                )
-            } else {
-                (f64::NAN, f64::NAN)
-            };
-            timeline.push(HourPoint {
-                hour: epoch.trace_hour(),
-                t_hours: epoch.start_hours(),
-                active_gpus: fleet.active as u32,
-                ci_g_per_kwh: ci.g_per_kwh(),
-                objective_f,
-                accuracy_pct: epoch_acc,
-                p95_s: epoch_p95,
-                energy_per_request_j: epoch_energy,
-                carbon_save_pct,
-                arrived: w.arrived,
-                served: w.served,
-                dropped: w.dropped,
-                backlog: plane.backlog(),
-            });
+            let (w, backlog) = (&rec.window, rec.point.backlog);
             // The conservation checkpoint mirrors the HourPoint counters
             // exactly (window counts, not extrapolated): `tests/telemetry.rs`
             // cross-checks the journal against the timeline, and summing
             // the stream verifies Σ arrived == Σ served + Σ dropped +
             // closing backlog without rerunning anything.
-            if telemetry.journal_mut().is_some() {
-                telemetry.emit(
-                    Event::new("conservation", t)
-                        .u64("epoch", u64::from(epoch.index))
-                        .u64("arrived", w.arrived)
-                        .u64("served", w.served)
-                        .u64("dropped", w.dropped)
-                        .u64("backlog", plane.backlog())
-                        .f64("leak", w.conservation_leak as f64),
-                );
-            }
+            telemetry.emit(
+                Event::new("conservation", t)
+                    .u64("epoch", u64::from(epoch.index))
+                    .u64("arrived", w.arrived)
+                    .u64("served", w.served)
+                    .u64("dropped", w.dropped)
+                    .u64("backlog", backlog)
+                    .f64("leak", w.conservation_leak as f64),
+            );
             if let Some(m) = telemetry.metrics_mut() {
-                let scheme = cfg.scheme.label();
-                let labels: &[(&str, &str)] = &[("scheme", scheme)];
+                let labels: &[(&str, &str)] = &[("scheme", cfg.scheme.label())];
                 m.counter_add("clover_epochs_total", labels, 1);
                 m.counter_add("clover_requests_arrived_total", labels, w.arrived);
                 m.counter_add("clover_requests_served_total", labels, w.served);
                 m.counter_add("clover_requests_dropped_total", labels, w.dropped);
-                m.gauge_set("clover_backlog_requests", labels, plane.backlog() as f64);
-                m.gauge_set("clover_active_gpus", labels, fleet.active as f64);
+                m.gauge_set("clover_backlog_requests", labels, backlog as f64);
+                m.gauge_set("clover_active_gpus", labels, rec.fleet.active as f64);
                 if w.conservation_leak != 0 {
                     m.counter_add("clover_conservation_violations_total", labels, 1);
                 }
-                if chaos_on {
-                    m.counter_add("clover_fault_kills_total", labels, w.fault_kills);
-                    m.counter_add("clover_fault_requeued_total", labels, w.fault_requeued);
-                }
             }
+            timeline.push(rec.point);
+            invocations.extend(rec.invocation);
 
-            // Synchronized BASE reference epoch, under the same workload
-            // (carried across boundaries too when the run is continuous —
-            // the baseline must not keep a cold-start advantage).
             let mut base_arrivals = self.workload.process_from(t);
             let des_scope = telemetry.scope(Phase::Des);
             let bw = if continuous {
@@ -1344,49 +1004,23 @@ impl Experiment {
                 base_sim.run_window_with(base_arrivals.as_mut(), wp.window, wp.warmup)
             };
             drop(des_scope);
-            sim_events += bw.sim_events;
-            base_ledger.record_energy_at(t, Energy::from_joules(bw.it_energy_j() * wp.scale));
-            base_hist.merge(&bw.latency_hist);
-            base_served_scaled += bw.served as f64 * wp.scale;
+            base.fold(t, &bw, wp.scale);
         }
 
-        let total_carbon_g = ledger.carbon().grams();
-        let base_carbon_g = base_ledger.carbon().grams();
-        let accuracy_pct = {
-            let total: f64 = per_variant.iter().sum();
-            if total == 0.0 {
-                self.family.accuracy_base()
-            } else {
-                per_variant
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &n)| self.family.variants[i].accuracy_pct * n)
-                    .sum::<f64>()
-                    / total
-            }
-        };
+        let totals = cell.into_totals();
+        let served_scaled = totals.served_scaled;
+        let total_carbon_g = totals.ledger.carbon().grams();
+        let base_carbon_g = base.ledger.carbon().grams();
+        let accuracy_pct = served_accuracy_pct(&self.family, &totals.per_variant);
         let a_base = self.family.accuracy_base();
         // A run that served nothing has no measured tail: NaN (like the
         // per-request metrics below), never 0.0 — `sla_met` compares
         // false against NaN, so a fully wedged run cannot pass its SLA.
-        let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
-        let base_p95_s = base_hist.quantile(0.95).unwrap_or(f64::NAN);
-        let horizon_s = cfg.horizon_hours * 3600.0;
-        let energy_per_request_j = if served_scaled > 0.0 {
-            ledger.it_energy().joules() / served_scaled
-        } else {
-            f64::NAN
-        };
-        let carbon_per_req_g = if served_scaled > 0.0 {
-            total_carbon_g / served_scaled
-        } else {
-            f64::NAN
-        };
-        let base_carbon_per_req_g = if base_served_scaled > 0.0 {
-            base_carbon_g / base_served_scaled
-        } else {
-            f64::NAN
-        };
+        let p95_s = totals.hist.quantile(0.95).unwrap_or(f64::NAN);
+        let base_p95_s = base.hist.quantile(0.95).unwrap_or(f64::NAN);
+        let per_request = |x: f64, n: f64| if n > 0.0 { x / n } else { f64::NAN };
+        let carbon_per_req_g = per_request(total_carbon_g, served_scaled);
+        let base_carbon_per_req_g = per_request(base_carbon_g, base.served_scaled);
 
         ExperimentOutcome {
             scheme: cfg.scheme.label().to_string(),
@@ -1400,7 +1034,8 @@ impl Experiment {
             fidelity: cfg.fidelity.label().to_string(),
             control_epoch_s: cfg.control_epoch_s,
             n_gpus: cfg.n_gpus,
-            mean_active_gpus: active_gpu_hours / (f64::from(epochs.max(1)) * epoch_hours),
+            mean_active_gpus: totals.active_gpu_hours
+                / (f64::from(epochs.max(1)) * schedule.epoch_hours()),
             lambda: cfg.lambda,
             horizon_hours: cfg.horizon_hours,
             rate_rps: self.rate_rps,
@@ -1415,33 +1050,15 @@ impl Experiment {
             base_p95_s,
             p95_norm_to_base: p95_s / base_p95_s,
             sla_met: p95_s <= self.objective.l_tail_s,
-            energy_per_request_j,
+            energy_per_request_j: per_request(totals.ledger.it_energy().joules(), served_scaled),
             saving_g_per_request: base_carbon_per_req_g - carbon_per_req_g,
-            optimization_time_s,
-            optimization_fraction: optimization_time_s / horizon_s,
+            optimization_time_s: totals.optimization_time_s,
+            optimization_fraction: totals.optimization_time_s / (cfg.horizon_hours * 3600.0),
             served_scaled,
-            sim_events,
+            sim_events: totals.sim_events + base.sim_events,
             timeline,
             invocations,
         }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn accumulate(
-        ledger: &mut CarbonLedger,
-        hist: &mut LatencyHistogram,
-        per_variant: &mut [f64],
-        served_scaled: &mut f64,
-        at: SimTime,
-        w: &WindowMetrics,
-        scale: f64,
-    ) {
-        ledger.record_energy_at(at, Energy::from_joules(w.it_energy_j() * scale));
-        hist.merge(&w.latency_hist);
-        for (acc, &n) in per_variant.iter_mut().zip(w.per_variant_served.iter()) {
-            *acc += n as f64 * scale;
-        }
-        *served_scaled += w.served as f64 * scale;
     }
 }
 

@@ -26,6 +26,9 @@
 //! - [`control`] — the control plane: [`ControlEpoch`] cadence (sub-hour
 //!   capable), serving [`Fidelity`] (representative window vs full epoch),
 //!   and the monitor → scaler → scheduler loop as a stepped API.
+//! - [`cell`] — the per-epoch cell runtime: one cluster's control plane,
+//!   serving simulator, fault plan and carbon accounting, stepped once per
+//!   control epoch by the experiment and by every regional fleet.
 //! - [`experiment`] — the 48-hour evaluation runtime reproducing the
 //!   paper's Sec. 5 methodology, including the synchronized BASE reference
 //!   and the per-epoch scaling/standby carbon accounting.
@@ -38,6 +41,7 @@
 
 pub mod anneal;
 pub mod autoscale;
+pub mod cell;
 pub mod chaos;
 pub mod control;
 pub mod eval;
@@ -49,6 +53,7 @@ pub mod schedulers;
 
 pub use anneal::{anneal, EvalRecord, OptimizationRun, SaParams, SearchLedger};
 pub use autoscale::{FleetState, ScaleReason, Scaler, ScalerConfig, ScalingPolicy};
+pub use cell::{CellRuntime, CellTotals, EpochRecord};
 pub use chaos::{ChaosConfig, CrashEvent, FaultPlan, FaultSpec, GpuKill};
 pub use control::{ControlEpoch, ControlPlane, EpochSchedule, Fidelity, PlaneEnv, WindowPlan};
 pub use eval::DesEvaluator;

@@ -1,25 +1,21 @@
 //! One region's serving stack, wrapped for the global router.
 //!
-//! A [`RegionalFleet`] is today's single-cluster pipeline promoted to a
+//! A [`RegionalFleet`] is the single-cluster [`CellRuntime`] promoted to a
 //! component: its own carbon trace (the region's generator), its own
-//! autoscaler and [`ControlPlane`] running the scheme's scheduler, its own
-//! continuous [`ServingSim`], its own carbon ledger — and its own RNG
-//! substream, so adding or removing a region never re-deals another
-//! region's randomness. The [`crate::GlobalRouter`] owns the fleet
-//! collection and decides, each control epoch, what share of global
-//! traffic each fleet serves.
+//! control plane, continuous serving simulator, carbon ledger and GPU-level
+//! fault plan — and its own RNG substream, so adding or removing a region
+//! never re-deals another region's randomness (its faults included). The
+//! [`crate::GlobalRouter`] owns the fleet collection and decides, each
+//! control epoch, what share of global traffic each fleet serves.
 
 use crate::policy::RegionSnapshot;
-use clover_carbon::{CarbonLedger, CarbonMonitor, Energy, Pue, Region};
-use clover_core::anneal::SaParams;
-use clover_core::control::{ControlEpoch, ControlPlane, PlaneEnv};
-use clover_core::schedulers::{make_scheduler, SchemeKind};
-use clover_core::{DesEvaluator, FleetState, Objective, Scaler, ScalerConfig, ScalingPolicy};
-use clover_mig::SliceType;
+use clover_carbon::{CarbonTrace, Region};
+use clover_core::control::{ControlEpoch, PlaneEnv};
+use clover_core::{CellRuntime, CellTotals, ExperimentConfig, Objective};
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{Deployment, ServingCarry, ServingSim, WindowMetrics};
-use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
-use clover_telemetry::{Phase, Telemetry};
+use clover_serving::{ServingCarry, WindowMetrics};
+use clover_simkit::{SimRng, SimTime};
+use clover_telemetry::Telemetry;
 use clover_workload::{ArrivalProcess, Workload, WorkloadKind};
 use std::sync::Arc;
 
@@ -56,9 +52,12 @@ pub struct FleetSpec<'a> {
     pub region: Region,
     /// Position in the router's region list.
     pub index: usize,
-    /// The fleet's derived master seed (already substream-isolated by the
-    /// router; the standard per-component salts are applied inside).
-    pub seed: u64,
+    /// The region's cell configuration: full-epoch fidelity, the per-region
+    /// fleet and scaling, and a master seed already substream-isolated by
+    /// the router (the standard per-component salts are applied inside).
+    /// Its `workload` is the global traffic scenario, scaled per epoch by
+    /// the routed weight.
+    pub config: ExperimentConfig,
     /// The *experiment* seed, which keys the region's trace generator —
     /// the grid does not care how many fleets the operator runs.
     pub trace_seed: u64,
@@ -66,32 +65,13 @@ pub struct FleetSpec<'a> {
     pub family: &'a Arc<ModelFamily>,
     /// Device performance model.
     pub perf: PerfModel,
-    /// Scheduling scheme each region runs locally.
-    pub scheme: &'a SchemeKind,
-    /// Global traffic scenario (per-region arrival rates are this shape
-    /// scaled by the routed weight).
-    pub workload: WorkloadKind,
     /// Global offered base rate, req/s.
     pub global_rate_rps: f64,
-    /// GPUs provisioned in this region.
-    pub n_gpus: usize,
-    /// Scale-down floor for the region's autoscaler.
-    pub min_gpus: usize,
-    /// Autoscaling policy.
-    pub scaling: ScalingPolicy,
     /// Serving capacity one BASE GPU contributes, req/s.
     pub capacity_per_gpu_rps: f64,
-    /// Utilization the autoscaler sizes toward.
-    pub utilization_target: f64,
-    /// Carbon-monitor re-optimization threshold.
-    pub monitor_threshold: f64,
-    /// SA parameters (already resolved against the control cadence).
-    pub sa: SaParams,
-    /// Simulated horizon, hours (sizes the trace).
-    pub horizon_hours: f64,
 }
 
-/// One region's complete serving stack plus its run-level accounting.
+/// One region's [`CellRuntime`] plus the router's view of it.
 pub struct RegionalFleet {
     region: Region,
     index: usize,
@@ -100,97 +80,55 @@ pub struct RegionalFleet {
     workload: WorkloadKind,
     global_rate_rps: f64,
     capacity_per_gpu_rps: f64,
-    /// Router-side carbon view for snapshots; the control plane inside
-    /// owns its own monitor (same trace, same threshold).
-    monitor: CarbonMonitor,
-    plane: ControlPlane,
-    sim: ServingSim,
-    ledger: CarbonLedger,
-    hist: LatencyHistogram,
-    per_variant: Vec<f64>,
-    served_scaled: f64,
-    sim_events: u64,
-    optimization_time_s: f64,
-    active_gpu_hours: f64,
-    arrived: u64,
+    /// The region's grid, read for routing snapshots.
+    trace: Arc<CarbonTrace>,
+    cell: CellRuntime,
     served: u64,
-    dropped: u64,
     recent_energy_per_request_j: f64,
-    last_fleet: FleetState,
+    active_gpus: usize,
     down: bool,
 }
 
 impl RegionalFleet {
-    /// Builds the fleet: trace, monitor, scheduler, evaluator, scaler,
-    /// control plane and serving simulator, all seeded from
-    /// [`FleetSpec::seed`] with the same per-component salts the
-    /// single-cluster runtime uses.
+    /// Builds the fleet: the region's trace and its cell runtime, seeded
+    /// from the spec's config with the same per-component salts the
+    /// single-cluster runtime uses. The evaluator starts at the planning
+    /// floor's rate.
     pub fn new(spec: FleetSpec<'_>) -> Self {
         // The trace covers the horizon but never less than the standard
         // 48-hour evaluation span, so short-horizon router studies sample
         // the same grid the single-region figures do.
-        let hours = (spec.horizon_hours.ceil() as usize).max(48);
+        let hours = (spec.config.horizon_hours.ceil() as usize).max(48);
         let trace = Arc::new(spec.region.trace(hours, spec.trace_seed));
-        let monitor = CarbonMonitor::new(trace.clone(), spec.monitor_threshold);
-        let plane_monitor = CarbonMonitor::new(trace.clone(), spec.monitor_threshold);
-
-        let initial = Deployment::base(spec.family, spec.n_gpus);
-        let scheduler = make_scheduler(spec.scheme, spec.family, spec.n_gpus, spec.sa);
-        let evaluator = DesEvaluator::new(
+        let cell = CellRuntime::new(
+            &spec.config,
             spec.family.clone(),
             spec.perf,
-            spec.global_rate_rps * PLANNING_FLOOR_W,
-            initial.clone(),
-            spec.seed ^ 0xE7A1,
-        );
-        let mut scaler_cfg = ScalerConfig::new(
-            spec.scaling,
-            spec.min_gpus,
-            spec.n_gpus,
+            trace.clone(),
             spec.capacity_per_gpu_rps,
+            spec.global_rate_rps * PLANNING_FLOOR_W,
+            None,
         );
-        scaler_cfg.target_utilization = spec.utilization_target;
-        let scaler = Scaler::new(scaler_cfg);
-        let rng = SimRng::new(spec.seed ^ 0x5C8E);
-        let plane = ControlPlane::new(scheduler, plane_monitor, scaler, evaluator, rng);
-        let sim = ServingSim::new(spec.family.clone(), spec.perf, initial, spec.seed ^ 0x11);
-
         RegionalFleet {
             region: spec.region,
             index: spec.index,
             family: spec.family.clone(),
             perf: spec.perf,
-            workload: spec.workload,
+            workload: spec.config.workload,
             global_rate_rps: spec.global_rate_rps,
             capacity_per_gpu_rps: spec.capacity_per_gpu_rps,
-            monitor,
-            plane,
-            sim,
-            ledger: CarbonLedger::new(trace, Pue::PAPER_DEFAULT),
-            hist: LatencyHistogram::for_latency(),
-            per_variant: vec![0.0; spec.family.len()],
-            served_scaled: 0.0,
-            sim_events: 0,
-            optimization_time_s: 0.0,
-            active_gpu_hours: 0.0,
-            arrived: 0,
+            trace,
+            cell,
             served: 0,
-            dropped: 0,
             recent_energy_per_request_j: 0.0,
-            last_fleet: FleetState {
-                active: spec.n_gpus,
-                warming: 0,
-                draining: 0,
-                off: 0,
-            },
+            active_gpus: spec.config.n_gpus,
             down: false,
         }
     }
 
-    /// Wires the telemetry profiler into the plane and simulator.
+    /// Wires the telemetry profiler into the cell.
     pub fn set_profiler(&mut self, telemetry: &Telemetry) {
-        self.plane.set_profiler(telemetry.profiler());
-        self.sim.set_profiler(telemetry.profiler());
+        self.cell.set_profiler(telemetry.profiler());
     }
 
     /// The fleet's grid region.
@@ -205,45 +143,45 @@ impl RegionalFleet {
 
     /// Backlog (queued + in-flight) the fleet carries right now.
     pub fn backlog(&self) -> u64 {
-        self.plane.backlog()
+        self.cell.plane().backlog()
     }
 
     /// Requests waiting in the boundary carry's queue.
     pub fn queued(&self) -> usize {
-        self.plane.carry().queued()
+        self.cell.plane().carry().queued()
     }
 
     /// GPUs actively serving after the last planning round.
     pub fn active_gpus(&self) -> usize {
-        self.last_fleet.active
+        self.active_gpus
     }
 
     /// The boundary carry, for backlog rebalancing between epochs.
     pub fn carry_mut(&mut self) -> &mut ServingCarry {
-        self.plane.carry_mut()
+        self.cell.carry_mut()
     }
 
     /// What a routing policy sees of this region at `t`: current and
-    /// lookahead carbon (hourly samples of the router-side monitor),
-    /// queue state, and live capacity.
+    /// lookahead carbon (hourly samples of the region's trace), queue
+    /// state, and live capacity.
     pub fn snapshot(&self, t: SimTime, lookahead_h: f64, prev_weight: f64) -> RegionSnapshot {
         let hours = (lookahead_h.ceil() as usize).max(1);
         let mut sum = 0.0;
         for k in 0..hours {
             let at = SimTime::from_secs(t.as_secs() + k as f64 * 3600.0);
-            sum += self.monitor.intensity_at(at).g_per_kwh();
+            sum += self.trace.at(at).g_per_kwh();
         }
-        let carry = self.plane.carry();
+        let carry = self.cell.plane().carry();
         RegionSnapshot {
             index: self.index,
             label: self.region.to_string(),
             up: !self.down,
-            ci_now_g_per_kwh: self.monitor.intensity_at(t).g_per_kwh(),
+            ci_now_g_per_kwh: self.trace.at(t).g_per_kwh(),
             ci_forecast_g_per_kwh: sum / hours as f64,
             queued: carry.queued() as u64,
             in_flight: carry.in_flight() as u64,
-            active_gpus: self.last_fleet.active,
-            capacity_rps: self.last_fleet.active as f64 * self.capacity_per_gpu_rps,
+            active_gpus: self.active_gpus,
+            capacity_rps: self.active_gpus as f64 * self.capacity_per_gpu_rps,
             energy_per_request_j: self.recent_energy_per_request_j,
             prev_weight,
         }
@@ -253,11 +191,11 @@ impl RegionalFleet {
     /// queued and in-flight alike (mid-service progress is lost with the
     /// region) — is drained for migration, aged by the inter-region
     /// transfer latency, and handed to the router's transit pool. The
-    /// scaler and ledger freeze until [`RegionalFleet::restore`]; dark
-    /// boards draw nothing.
+    /// cell is not stepped until [`RegionalFleet::restore`], so its
+    /// scaler and ledger freeze; dark boards draw nothing.
     pub fn go_dark(&mut self, transfer_latency_s: f64) -> Vec<f64> {
         self.down = true;
-        let mut ages = self.plane.carry_mut().drain_for_migration();
+        let mut ages = self.carry_mut().drain_for_migration();
         for a in &mut ages {
             *a += transfer_latency_s;
         }
@@ -271,88 +209,40 @@ impl RegionalFleet {
         self.down = false;
     }
 
-    /// Runs one control epoch at routed `weight`: plan (against the
-    /// weight-scaled workload, floored at [`PLANNING_FLOOR_W`]), serve the
-    /// full epoch continuously (weight zero serves [`NoArrivals`] — the
-    /// backlog still drains), account energy and overhead power, and feed
-    /// the serving observation back to the plane.
+    /// Runs one control epoch of the cell at routed `weight`: plans
+    /// against the weight-scaled workload (floored at
+    /// [`PLANNING_FLOOR_W`]) and serves the full epoch continuously
+    /// (weight zero serves [`NoArrivals`] — the backlog still drains).
     ///
     /// Must not be called while the region is dark.
     pub fn serve_epoch(
         &mut self,
         epoch: &ControlEpoch,
-        epoch_len: SimDuration,
         weight: f64,
         objective: &Objective,
         telemetry: &mut Telemetry,
     ) -> WindowMetrics {
         assert!(!self.down, "a dark region serves nothing");
-        let t = epoch.start;
         let planning = Workload::new(
             self.workload.clone(),
             weight.max(PLANNING_FLOOR_W) * self.global_rate_rps,
         );
-        // `env` borrows locals only (the family handle is cheap to clone),
-        // so the accounting below can still take `&mut self`.
-        let family = self.family.clone();
-        let perf = self.perf;
         let env = PlaneEnv {
-            family: &family,
-            perf: &perf,
+            family: &self.family,
+            perf: &self.perf,
             objective,
             workload: &planning,
         };
-        let plan = self.plane.begin_epoch_with(epoch, &env, telemetry);
-        let fleet = plan.fleet;
-        self.last_fleet = fleet;
-        self.active_gpu_hours += fleet.active as f64 * epoch_len.as_secs() / 3600.0;
-        if let Some(run) = plan.run {
-            self.optimization_time_s += run.time_spent_s;
-        }
-        // Exploration traffic is real traffic: fold candidate windows in
-        // 1:1, exactly as the single-cluster runtime does.
-        for w in &plan.eval_windows {
-            self.sim_events += w.sim_events;
-            self.accumulate(t, w);
-        }
-        if let Some(deployment) = plan.deployment {
-            self.sim.set_deployment(deployment);
-        }
-
-        let w = {
-            let mut arrivals: Box<dyn ArrivalProcess> = if weight > 0.0 {
-                Workload::new(self.workload.clone(), weight * self.global_rate_rps).process_from(t)
-            } else {
-                Box::new(NoArrivals)
-            };
-            let des_scope = telemetry.scope(Phase::Des);
-            let w = self
-                .plane
-                .serve_continuous(&mut self.sim, arrivals.as_mut(), epoch_len);
-            drop(des_scope);
-            w
+        let mut arrivals: Box<dyn ArrivalProcess> = if weight > 0.0 {
+            Workload::new(self.workload.clone(), weight * self.global_rate_rps)
+                .process_from(epoch.start)
+        } else {
+            Box::new(NoArrivals)
         };
-        self.sim_events += w.sim_events;
-        self.accumulate(t, &w);
-
-        // Scaled-out boards still cost power: standby draw when off,
-        // the full static floor while warming, static + one idle-slice
-        // residual while draining (same accounting as the single-cluster
-        // runtime; no GPU-level chaos inside a fleet, so the off count
-        // needs no down-board carve-out).
-        let overhead_w = fleet.off as f64 * self.perf.power.standby_gpu_w()
-            + fleet.warming as f64 * self.perf.power.gpu_static_w();
-        self.ledger.record_power(t, epoch_len, overhead_w);
-        if fleet.draining > 0 {
-            let drain_w = fleet.draining as f64
-                * (self.perf.power.gpu_static_w() + self.perf.power.idle_slice_w(SliceType::G7));
-            self.ledger.record_power(t, epoch_len, drain_w);
-        }
-
-        self.plane.observe_serving(epoch, &w, &env);
-        self.arrived += w.arrived;
+        let rec = self.cell.step(epoch, &env, arrivals.as_mut(), telemetry);
+        let w = rec.window;
+        self.active_gpus = rec.fleet.active;
         self.served += w.served;
-        self.dropped += w.dropped;
         // What a request actually cost here this epoch — the routing
         // policies relativize grid intensity by it (a clean grid serving
         // the big hungry variants is less attractive than its intensity
@@ -363,68 +253,14 @@ impl RegionalFleet {
         w
     }
 
-    fn accumulate(&mut self, at: SimTime, w: &WindowMetrics) {
-        self.ledger
-            .record_energy_at(at, Energy::from_joules(w.it_energy_j()));
-        self.hist.merge(&w.latency_hist);
-        for (acc, &n) in self.per_variant.iter_mut().zip(w.per_variant_served.iter()) {
-            *acc += n as f64;
-        }
-        self.served_scaled += w.served as f64;
-    }
-
-    /// Operational carbon attributed to this region so far, grams.
-    pub fn carbon_g(&self) -> f64 {
-        self.ledger.carbon().grams()
-    }
-
-    /// IT (device) energy accounted so far, joules.
-    pub fn it_energy_j(&self) -> f64 {
-        self.ledger.it_energy().joules()
-    }
-
-    /// The run-level latency distribution served from this region.
-    pub fn hist(&self) -> &LatencyHistogram {
-        &self.hist
-    }
-
-    /// Served counts per variant ordinal (for global accuracy).
-    pub fn per_variant(&self) -> &[f64] {
-        &self.per_variant
-    }
-
-    /// Requests served (eval windows included), for per-request metrics.
-    pub fn served_scaled(&self) -> f64 {
-        self.served_scaled
-    }
-
-    /// Discrete events simulated in this region.
-    pub fn sim_events(&self) -> u64 {
-        self.sim_events
-    }
-
-    /// Scheduler search time charged in this region, seconds.
-    pub fn optimization_time_s(&self) -> f64 {
-        self.optimization_time_s
-    }
-
-    /// GPU-hours the active fleet accumulated.
-    pub fn active_gpu_hours(&self) -> f64 {
-        self.active_gpu_hours
-    }
-
-    /// Live-traffic arrivals admitted in this region.
-    pub fn arrived(&self) -> u64 {
-        self.arrived
+    /// The cell's run-level accumulators (ledger, latency histogram,
+    /// per-variant and served counts, events, search time, GPU-hours).
+    pub fn totals(&self) -> &CellTotals {
+        self.cell.totals()
     }
 
     /// Live-traffic requests served in this region.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Live-traffic requests dropped in this region.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }

@@ -38,10 +38,11 @@ use crate::fleet::{FleetSpec, RegionalFleet};
 use crate::policy::{make_route_policy, RouteCtx};
 use clover_carbon::{CarbonIntensity, Region};
 use clover_core::anneal::SaParams;
+use clover_core::cell::served_accuracy_pct;
 use clover_core::chaos::ChaosConfig;
-use clover_core::control::{EpochSchedule, SearchBudget};
+use clover_core::control::{EpochSchedule, Fidelity, SearchBudget};
 use clover_core::schedulers::SchemeKind;
-use clover_core::{Objective, ScalingPolicy};
+use clover_core::{ExperimentConfig, Objective, ScalingPolicy, TraceSource};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{analytic, Deployment, ServingSim};
@@ -99,9 +100,11 @@ pub struct RouterConfig {
     pub sa: SaParams,
     /// How the SA budget relates to the control cadence.
     pub search_budget: SearchBudget,
-    /// Fault processes; the router consumes
-    /// [`clover_core::chaos::FaultSpec::RegionOutage`] entries (other fault
-    /// kinds are single-cluster concerns and are ignored here).
+    /// Fault processes. The router consumes
+    /// [`clover_core::chaos::FaultSpec::RegionOutage`] entries; every other
+    /// fault kind (GPU failures, brownouts, instance crashes, carbon-feed
+    /// gaps, forecast error) reaches each region's cell runtime, drawn from
+    /// that region's own seed substream.
     pub chaos: ChaosConfig,
     /// Extra latency a request pays for an inter-region hop, seconds.
     pub transfer_latency_s: f64,
@@ -150,6 +153,35 @@ impl RouterConfig {
                 forecast_lookahead_h: 3.0,
             },
         }
+    }
+
+    /// The cell configuration every regional fleet runs: this config's
+    /// per-region fields at [`Fidelity::FullEpoch`], with the router's
+    /// seed (each fleet stamps its own seed and region over it).
+    ///
+    /// # Panics
+    /// With [`clover_core::experiment::ExperimentConfigBuilder::build`]'s
+    /// messages when those fields are inconsistent.
+    pub fn cell_config(&self) -> ExperimentConfig {
+        let mut cell = ExperimentConfig::builder(self.app)
+            .scheme(self.scheme.clone())
+            .workload(self.workload.clone())
+            .n_gpus(self.n_gpus_per_region)
+            .min_gpus(self.min_gpus)
+            .scaling(self.scaling)
+            .horizon_hours(self.horizon_hours)
+            .lambda(self.lambda)
+            .utilization(self.utilization_target)
+            .seed(self.seed)
+            .control_epoch_s(self.control_epoch_s)
+            .fidelity(Fidelity::FullEpoch)
+            .sla_headroom(self.sla_headroom)
+            .sa(self.sa)
+            .search_budget(self.search_budget)
+            .chaos(self.chaos.clone())
+            .build();
+        cell.monitor_threshold = self.monitor_threshold;
+        cell
     }
 }
 
@@ -283,24 +315,19 @@ impl RouterConfigBuilder {
     ///
     /// # Panics
     /// On an empty region list, out-of-range rates/ceilings, a negative
-    /// or non-finite transfer latency, an invalid chaos config, or a
-    /// `RegionOutage` naming a region index outside the fleet.
+    /// or non-finite transfer latency, or a `RegionOutage` naming a region
+    /// index outside the fleet; and, with the experiment config's own
+    /// messages, on per-region fields a cell rejects (GPU counts, horizon,
+    /// cadence, λ outside `(0, 1]`, SLA headroom, an invalid chaos config;
+    /// see [`RouterConfig::cell_config`]).
     pub fn build(self) -> RouterConfig {
         let cfg = self.cfg;
         assert!(!cfg.regions.is_empty(), "at least one region");
-        assert!(
-            cfg.n_gpus_per_region >= 1
-                && cfg.min_gpus >= 1
-                && cfg.min_gpus <= cfg.n_gpus_per_region,
-            "1 <= min_gpus <= n_gpus_per_region"
-        );
-        assert!(cfg.horizon_hours > 0.0, "positive horizon");
+        let _ = cfg.cell_config();
         assert!(
             cfg.utilization_target > 0.0 && cfg.utilization_target <= 1.0,
             "utilization in (0, 1]"
         );
-        assert!((0.0..=1.0).contains(&cfg.lambda), "lambda in [0, 1]");
-        assert!(cfg.sla_headroom >= 1.0, "SLA headroom >= 1");
         assert!(
             cfg.transfer_latency_s.is_finite() && cfg.transfer_latency_s >= 0.0,
             "finite non-negative transfer latency"
@@ -317,9 +344,6 @@ impl RouterConfigBuilder {
             cfg.forecast_lookahead_h > 0.0 && cfg.forecast_lookahead_h.is_finite(),
             "positive forecast lookahead"
         );
-        if let Err(e) = cfg.chaos.validate() {
-            panic!("invalid chaos config: {e}");
-        }
         for (region, _, _) in cfg.chaos.region_outages() {
             assert!(
                 region < cfg.regions.len(),
@@ -631,7 +655,7 @@ impl GlobalRouter {
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let epoch_len = schedule.epoch_len();
         let epoch_s = epoch_len.as_secs();
-        let sa = cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s);
+        let cell = cfg.cell_config();
 
         let mut policy = make_route_policy(&cfg.policy);
         let mut route_rng = SimRng::new(cfg.seed ^ ROUTE_SALT);
@@ -641,25 +665,18 @@ impl GlobalRouter {
             .iter()
             .enumerate()
             .map(|(i, &region)| {
-                let seed = seeder.substream(i as u64).next_u64();
+                let mut config = cell.clone();
+                config.seed = seeder.substream(i as u64).next_u64();
+                config.trace = TraceSource::Region(region);
                 RegionalFleet::new(FleetSpec {
                     region,
                     index: i,
-                    seed,
+                    config,
                     trace_seed: cfg.seed,
                     family: &self.family,
                     perf: self.perf,
-                    scheme: &cfg.scheme,
-                    workload: cfg.workload.clone(),
                     global_rate_rps: self.rate_rps,
-                    n_gpus: cfg.n_gpus_per_region,
-                    min_gpus: cfg.min_gpus,
-                    scaling: cfg.scaling,
                     capacity_per_gpu_rps: self.capacity_per_gpu_rps,
-                    utilization_target: cfg.utilization_target,
-                    monitor_threshold: cfg.monitor_threshold,
-                    sa,
-                    horizon_hours: cfg.horizon_hours,
                 })
             })
             .collect();
@@ -793,13 +810,7 @@ impl GlobalRouter {
             let mut e_dropped = 0u64;
             for (i, fleet) in fleets.iter_mut().enumerate() {
                 if up[i] {
-                    let w = fleet.serve_epoch(
-                        &epoch,
-                        epoch_len,
-                        weights[i],
-                        &self.objective,
-                        telemetry,
-                    );
+                    let w = fleet.serve_epoch(&epoch, weights[i], &self.objective, telemetry);
                     e_arrived += w.arrived;
                     e_served += w.served;
                     e_dropped += w.dropped;
@@ -885,30 +896,20 @@ impl GlobalRouter {
 
         // Global roll-up across the regional ledgers and histograms.
         let epochs = schedule.count().max(1) as f64;
-        let total_carbon_g: f64 = fleets.iter().map(|f| f.carbon_g()).sum();
-        let it_energy_j: f64 = fleets.iter().map(|f| f.it_energy_j()).sum();
-        let served_scaled: f64 = fleets.iter().map(|f| f.served_scaled()).sum();
+        let totals: Vec<_> = fleets.iter().map(|f| f.totals()).collect();
+        let region_carbon_g: Vec<f64> = totals.iter().map(|t| t.ledger.carbon().grams()).collect();
+        let total_carbon_g: f64 = region_carbon_g.iter().sum();
+        let it_energy_j: f64 = totals.iter().map(|t| t.ledger.it_energy().joules()).sum();
+        let served_scaled: f64 = totals.iter().map(|t| t.served_scaled).sum();
         let mut hist = LatencyHistogram::for_latency();
         let mut per_variant = vec![0.0f64; self.family.len()];
-        for f in &fleets {
-            hist.merge(f.hist());
-            for (acc, v) in per_variant.iter_mut().zip(f.per_variant().iter()) {
+        for t in &totals {
+            hist.merge(&t.hist);
+            for (acc, v) in per_variant.iter_mut().zip(t.per_variant.iter()) {
                 *acc += v;
             }
         }
-        let accuracy_pct = {
-            let total: f64 = per_variant.iter().sum();
-            if total == 0.0 {
-                self.family.accuracy_base()
-            } else {
-                per_variant
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &c)| self.family.variants[i].accuracy_pct * c)
-                    .sum::<f64>()
-                    / total
-            }
-        };
+        let accuracy_pct = served_accuracy_pct(&self.family, &per_variant);
         let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
 
         GlobalOutcome {
@@ -923,7 +924,7 @@ impl GlobalRouter {
             rate_rps: self.rate_rps,
             sla_p95_s: self.objective.l_tail_s,
             total_carbon_g,
-            region_carbon_g: fleets.iter().map(|f| f.carbon_g()).collect(),
+            region_carbon_g,
             region_served: fleets.iter().map(|f| f.served()).collect(),
             mean_weights: weight_sums.iter().map(|s| s / epochs).collect(),
             accuracy_pct,
@@ -947,11 +948,11 @@ impl GlobalRouter {
             migrated_requests,
             migration_boundaries,
             outage_epochs,
-            mean_active_gpus: fleets.iter().map(|f| f.active_gpu_hours()).sum::<f64>()
+            mean_active_gpus: totals.iter().map(|t| t.active_gpu_hours).sum::<f64>()
                 / (epochs * schedule.epoch_hours()),
             served_scaled,
-            optimization_time_s: fleets.iter().map(|f| f.optimization_time_s()).sum(),
-            sim_events: fleets.iter().map(|f| f.sim_events()).sum(),
+            optimization_time_s: totals.iter().map(|t| t.optimization_time_s).sum(),
+            sim_events: totals.iter().map(|t| t.sim_events).sum(),
             conservation_leak,
             boundary_leak,
             timeline,

@@ -18,6 +18,10 @@
 //! 5. **The policy surface is open.** A custom policy registered at
 //!    runtime drives a full router run; re-registering a builtin name is
 //!    rejected.
+//! 6. **GPU-level chaos reaches every regional fleet.** Failures, kills
+//!    and crashes land inside the regions' cells (each drawn from its own
+//!    substream), conservation still closes, and the faulted run stays
+//!    serial == parallel.
 
 use clover::carbon::regions::Region;
 use clover::core::autoscale::ScalingPolicy;
@@ -47,6 +51,18 @@ fn quick(policy: &str) -> RouterConfig {
         .build()
 }
 
+/// `quick(policy)` under GPU failures at a 0.5 h MTBF (with brownouts,
+/// carbon-feed gaps and forecast error) plus instance crashes — harsh
+/// enough that the 4 h horizon sees boundary failures, mid-epoch kills
+/// and crashes.
+fn chaotic(policy: &str) -> RouterConfig {
+    let mut cfg = quick(policy);
+    cfg.chaos = ChaosConfig::resilience(0.5).with(FaultSpec::InstanceCrashes {
+        rate_per_hour: 12.0,
+    });
+    cfg
+}
+
 #[test]
 fn same_config_reruns_are_bit_identical() {
     let a = GlobalRouter::new(quick("carbon-greedy")).run();
@@ -74,6 +90,56 @@ fn router_cell_reproduces_the_recorded_digests() {
         out.digest(),
         report.journal_digest()
     );
+}
+
+#[test]
+fn gpu_level_chaos_reaches_every_regional_fleet() {
+    let configs = || vec![chaotic("carbon-greedy"), chaotic("uniform")];
+    let serial = GlobalRouter::run_cells_with(configs(), 1, TelemetrySpec::JOURNAL);
+    let parallel = GlobalRouter::run_cells_with(configs(), 2, TelemetrySpec::JOURNAL);
+    for ((s, sr), (p, pr)) in serial.iter().zip(parallel.iter()) {
+        assert_eq!(s.digest(), p.digest(), "{}: faulted run diverged", s.policy);
+        assert_eq!(
+            sr.journal.as_ref().map(|j| j.as_str()),
+            pr.journal.as_ref().map(|j| j.as_str()),
+            "{}: faulted journals diverged across thread counts",
+            s.policy
+        );
+        let journal = sr.journal.as_ref().expect("journal enabled").as_str();
+        for kind in ["gpu", "kill", "crash"] {
+            assert!(
+                journal.lines().any(|l| l.contains("\"event\":\"fault\"")
+                    && l.contains(&format!("\"kind\":\"{kind}\""))),
+                "{}: no {kind} fault reached a regional fleet",
+                s.policy
+            );
+        }
+        assert_eq!(s.conservation_leak, 0, "{}: serve-law leak", s.policy);
+        assert_eq!(s.boundary_leak, 0, "{}: boundary-law leak", s.policy);
+    }
+    let (out, report) = &serial[0];
+    assert_ne!(
+        out.digest(),
+        GlobalRouter::new(quick("carbon-greedy")).run().digest(),
+        "GPU-level chaos must change the outcome"
+    );
+    // Recorded when GPU-level chaos first reached the regional fleets.
+    assert_eq!(
+        (out.digest(), report.journal_digest()),
+        (0x7578_F3F7_90A1_1BD5, 0xA572_4B99_C0B7_31F3),
+        "faulted router run drifted (got 0x{:016X}, journal 0x{:016X})",
+        out.digest(),
+        report.journal_digest()
+    );
+}
+
+#[test]
+#[should_panic(expected = "lambda must lie in (0, 1]")]
+fn zero_lambda_is_rejected() {
+    // λ = 0 drops carbon from Eq. 3, exactly as for a single cluster.
+    let _ = RouterConfig::builder(Application::LanguageModeling)
+        .lambda(0.0)
+        .build();
 }
 
 #[test]
