@@ -848,7 +848,8 @@ pub struct ServingSim {
     /// Recycled kernel scratches: one per run, `k` per sharded epoch.
     pool: Vec<SimScratch>,
     /// Optional phase profiler: when set, the continuous path's carry
-    /// restore and boundary snapshot are timed as
+    /// restore and boundary snapshot — and, sharded, the serial arrival
+    /// pre-draw, split and merge — are timed as
     /// [`clover_telemetry::Phase::Carry`]. Wall-clock only — attaching a
     /// profiler changes no simulated result.
     profiler: Option<ProfilerHandle>,
@@ -918,7 +919,8 @@ impl ServingSim {
     }
 
     /// Attach (or detach) a phase profiler; carry hand-offs at continuous
-    /// epoch seams are recorded under [`clover_telemetry::Phase::Carry`].
+    /// epoch seams (and the sharded path's serial pre-draw, split and
+    /// merge) are recorded under [`clover_telemetry::Phase::Carry`].
     pub fn set_profiler(&mut self, profiler: Option<ProfilerHandle>) {
         self.profiler = profiler;
     }

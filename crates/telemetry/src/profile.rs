@@ -29,8 +29,10 @@ pub enum Phase {
     Des,
     /// The autoscaler's `step`.
     Scaler,
-    /// Continuous-serving carry hand-off: state snapshot and restore at
-    /// epoch seams.
+    /// The continuous engine's seam work, nested within `Des`: the
+    /// carry snapshot and restore at epoch boundaries and, on the sharded
+    /// path, the serial arrival pre-draw, the weighted round-robin split
+    /// across shards and the order-preserving merge.
     Carry,
 }
 
@@ -43,6 +45,10 @@ impl Phase {
         Phase::Scaler,
         Phase::Carry,
     ];
+
+    /// The phases no other phase nests within (`Search` runs inside
+    /// `Plan`, `Carry` inside `Des`): their sum is the exclusive total.
+    pub const TOP_LEVEL: [Phase; 3] = [Phase::Plan, Phase::Des, Phase::Scaler];
 
     /// Number of phases.
     pub const COUNT: usize = Self::ALL.len();
