@@ -22,7 +22,7 @@ use crate::control::{ControlEpoch, ControlPlane, EpochSchedule, Fidelity, PlaneE
 use crate::eval::DesEvaluator;
 use crate::experiment::{ExperimentConfig, HourPoint, InvocationRecord};
 use crate::objective::MeasuredPoint;
-use crate::schedulers::make_scheduler;
+use crate::schedulers::{make_scheduler, SchemeKind};
 use clover_carbon::{CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Pue};
 use clover_mig::SliceType;
 use clover_models::{ModelFamily, PerfModel};
@@ -94,7 +94,11 @@ pub struct EpochRecord {
 
 /// One cluster's per-epoch serving loop (see the module docs).
 pub struct CellRuntime {
-    cfg: ExperimentConfig,
+    scheme: SchemeKind,
+    n_gpus: usize,
+    /// Full-epoch fidelity: serve continuously, carrying state across
+    /// boundaries.
+    continuous: bool,
     epoch_hours: f64,
     window: WindowPlan,
     plane: ControlPlane,
@@ -165,7 +169,9 @@ impl CellRuntime {
         sim.set_intra_epoch_shards(cfg.des_shards);
         sim.set_shard_threads(shard_threads);
         CellRuntime {
-            cfg: cfg.clone(),
+            scheme: cfg.scheme.clone(),
+            n_gpus: cfg.n_gpus,
+            continuous: matches!(cfg.fidelity, Fidelity::FullEpoch),
             epoch_hours: schedule.epoch_hours(),
             window: cfg.fidelity.window_plan(schedule.epoch_len()),
             plane,
@@ -254,10 +260,9 @@ impl CellRuntime {
             }
         }
 
-        let continuous = matches!(self.cfg.fidelity, Fidelity::FullEpoch);
         let wp = self.window;
         let des_scope = telemetry.scope(Phase::Des);
-        let w = if continuous {
+        let w = if self.continuous {
             self.plane
                 .serve_continuous(&mut self.sim, arrivals, epoch.len)
         } else {
@@ -293,7 +298,7 @@ impl CellRuntime {
         self.plane.observe_serving(epoch, &w, env);
         if chaos_on {
             if let Some(m) = telemetry.metrics_mut() {
-                let labels: &[(&str, &str)] = &[("scheme", self.cfg.scheme.label())];
+                let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
                 m.counter_add("clover_fault_kills_total", labels, w.fault_kills);
                 m.counter_add("clover_fault_requeued_total", labels, w.fault_requeued);
             }
@@ -340,7 +345,7 @@ impl CellRuntime {
             }
         }
         if let Some(m) = telemetry.metrics_mut() {
-            let labels: &[(&str, &str)] = &[("scheme", self.cfg.scheme.label())];
+            let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
             if !failed.is_empty() {
                 m.counter_add(
                     "clover_fault_gpu_failures_total",
@@ -387,7 +392,7 @@ impl CellRuntime {
                 }],
             };
         }
-        if !matches!(self.cfg.fidelity, Fidelity::FullEpoch) {
+        if !self.continuous {
             return Vec::new();
         }
         let t_s = epoch.start.as_secs();
@@ -400,7 +405,7 @@ impl CellRuntime {
         for c in deployment.partitioning().configs() {
             offsets.push(offsets.last().expect("starts at 0") + c.num_slices() as u32);
         }
-        let alive: Vec<usize> = (0..self.cfg.n_gpus)
+        let alive: Vec<usize> = (0..self.n_gpus)
             .filter(|&g| !self.faults.is_down(g, t_s))
             .collect();
         for kill in self.faults.kills_in(t_s, end_s) {
