@@ -6,10 +6,12 @@
 //! runs finish quickly; EXPERIMENTS.md records full-scale (48 h) runs.
 //!
 //! Experiment grids (scheme × application × seed × λ) fan out over the
-//! deterministic parallel engine: [`run_cells`]/[`run_grid`] dispatch the
-//! cells to `clover-simkit`'s ordered `par_map`, so the figures print
-//! byte-identical numbers at any thread count (`CLOVER_THREADS` to pin,
-//! default: the machine's parallelism).
+//! deterministic parallel engine: [`run_cells`]/[`run_grid`] go through
+//! `Experiment::run_cells`, which builds every cell first (so cells that
+//! share a BASE reference or calibration window compute it once) and then
+//! runs them through `clover-simkit`'s LPT-ordered `par_map_lpt`. The
+//! figures print byte-identical numbers at any thread count
+//! (`CLOVER_THREADS` to pin, default: the machine's parallelism).
 //!
 //! Output goes through `clover-telemetry`'s leveled [`log_line!`] facility:
 //! `CLOVER_LOG=quiet` silences the tables (machine-read artifacts like

@@ -29,6 +29,8 @@
 //! runtime each regional fleet of the multi-region router runs. A
 //! synchronized BASE run over the same trace and seeds provides the
 //! reference for carbon savings, accuracy loss, and normalized SLA latency.
+//! Neither it nor the calibration window reads the scheme, so live
+//! experiments whose inputs match share one computation of each.
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
@@ -40,12 +42,13 @@ use crate::schedulers::SchemeKind;
 use clover_carbon::{CarbonIntensity, CarbonMonitor, CarbonTrace, Region};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{analytic, Deployment, ServingSim};
+use clover_serving::{analytic, Deployment, ServingCarry, ServingSim, WindowMetrics};
 use clover_simkit::SimDuration;
-use clover_telemetry::{Event, Phase, Telemetry, TelemetryReport, TelemetrySpec};
+use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// How the SLA is derived from the calibration window's measured BASE p95.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -193,11 +196,17 @@ impl ExperimentConfig {
     }
 
     /// A deterministic relative cost estimate of running this cell —
-    /// simulated serving seconds times fleet size, a proxy for DES event
-    /// volume. Used as the [`clover_simkit::par_map_lpt`] weight so a grid
-    /// mixing full-epoch and representative-window cells claims its
-    /// heaviest cells first instead of stranding one 10M-event cell on a
-    /// drained pool.
+    /// simulated serving seconds times fleet size. Used as the
+    /// [`clover_simkit::par_map_lpt`] weight so a grid mixing full-epoch
+    /// and representative-window cells claims its heaviest cells first
+    /// instead of stranding one 10M-event cell on a drained pool.
+    ///
+    /// It ignores the offered rate, so it is not proportional to DES event
+    /// volume: at equal weight a cell of a fast model serves many more
+    /// requests than one of a slow model (the paper grid's Classification
+    /// cells carry about 10× the events of its Detection cells). A
+    /// rate-aware weight measured no gain once cells share their BASE
+    /// reference, so the weight stays this simple.
     pub fn cost_weight(&self) -> f64 {
         let epochs = (self.horizon_hours * 3600.0 / self.control_epoch_s).max(1.0);
         let per_epoch_s = match self.fidelity {
@@ -683,6 +692,157 @@ impl ExperimentOutcome {
     }
 }
 
+/// The configuration fields the synchronized BASE reference reads, and
+/// nothing else. The reference is a pure function of this key, so every
+/// live experiment with an equal key shares one computation of it. Floats
+/// compare by `==`: a NaN field never shares.
+#[derive(Debug, Clone, PartialEq)]
+struct ReferenceKey {
+    app: Application,
+    seed: u64,
+    reference_gpus: usize,
+    utilization_target: f64,
+    workload: WorkloadKind,
+    trace: TraceSource,
+    fidelity: Fidelity,
+    control_epoch_s: f64,
+    horizon_hours: f64,
+    des_shards: usize,
+}
+
+impl ReferenceKey {
+    fn of(cfg: &ExperimentConfig) -> Self {
+        ReferenceKey {
+            app: cfg.app,
+            seed: cfg.seed,
+            reference_gpus: cfg.reference_gpus,
+            utilization_target: cfg.utilization_target,
+            workload: cfg.workload.clone(),
+            trace: cfg.trace,
+            fidelity: cfg.fidelity.clone(),
+            control_epoch_s: cfg.control_epoch_s,
+            horizon_hours: cfg.horizon_hours,
+            des_shards: cfg.des_shards,
+        }
+    }
+}
+
+/// The configuration fields the calibration window reads: application,
+/// reference fleet and utilization target (which fix the BASE deployment
+/// and its offered rate) and seed.
+type CalibrationKey = (Application, usize, f64, u64);
+
+/// A process-wide table of values shared by every live experiment with an
+/// equal key. Entries are weak, so a value dies with the last experiment
+/// holding it and nothing is cached across separately built grids.
+struct SharedTable<K, V>(Mutex<Vec<(K, Weak<V>)>>);
+
+impl<K: PartialEq, V> SharedTable<K, V> {
+    const fn new() -> Self {
+        SharedTable(Mutex::new(Vec::new()))
+    }
+
+    /// The live value under `key`, or `empty(&key)` registered under it.
+    /// The lock covers this lookup only: holders fill their values later,
+    /// never under it.
+    fn slot(&self, key: K, empty: impl FnOnce(&K) -> V) -> Arc<V> {
+        // Every update below leaves the table valid (a panic in `empty`
+        // happens before the push), so a poisoned lock is safe to reuse.
+        let mut entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        entries.retain(|(_, v)| v.strong_count() > 0);
+        if let Some(v) = entries
+            .iter()
+            .filter(|(k, _)| *k == key)
+            .find_map(|(_, v)| v.upgrade())
+        {
+            return v;
+        }
+        let v = Arc::new(empty(&key));
+        entries.push((key, Arc::downgrade(&v)));
+        v
+    }
+}
+
+static REFERENCES: SharedTable<ReferenceKey, BaseReference> = SharedTable::new();
+static CALIBRATIONS: SharedTable<CalibrationKey, OnceLock<WindowMetrics>> = SharedTable::new();
+
+/// The synchronized BASE reference of every live experiment with an equal
+/// [`ReferenceKey`]: its inputs, derived from the key alone, and its totals
+/// once some experiment has computed them.
+struct BaseReference {
+    key: ReferenceKey,
+    family: Arc<ModelFamily>,
+    perf: PerfModel,
+    trace: Arc<CarbonTrace>,
+    workload: Workload,
+    /// Set by the first experiment to start running; that one computes
+    /// the totals before its own epochs.
+    claimed: AtomicBool,
+    totals: OnceLock<CellTotals>,
+}
+
+impl BaseReference {
+    /// True for exactly one caller: the experiment that computes first.
+    fn claim(&self) -> bool {
+        // The flag publishes no data (the totals synchronize through their
+        // `OnceLock`), so the swap needs no ordering beyond its atomicity.
+        !self.claimed.swap(true, Ordering::Relaxed)
+    }
+
+    /// The reference's totals, computed on this thread if no one has yet.
+    /// Blocks while another thread computes them; if that thread panicked,
+    /// computes them here instead.
+    fn totals(
+        &self,
+        shard_threads: Option<usize>,
+        profiler: Option<ProfilerHandle>,
+    ) -> &CellTotals {
+        self.totals
+            .get_or_init(|| self.compute(shard_threads, profiler))
+    }
+
+    /// Serves every epoch of the schedule on the reference fleet's BASE
+    /// deployment. The reference stays un-faulted: it is the ideal-world
+    /// yardstick carbon savings are measured against, and faulting it too
+    /// would let a failing scheme hide behind a failing baseline. Under
+    /// FullEpoch fidelity it is carried across boundaries too — the
+    /// baseline must not keep a cold-start advantage. The DES time is
+    /// charged to `profiler`, the computing experiment's.
+    fn compute(
+        &self,
+        shard_threads: Option<usize>,
+        profiler: Option<ProfilerHandle>,
+    ) -> CellTotals {
+        let key = &self.key;
+        let schedule = EpochSchedule::new(key.horizon_hours, key.control_epoch_s);
+        let epoch_len = schedule.epoch_len();
+        let wp = key.fidelity.window_plan(epoch_len);
+        let continuous = matches!(key.fidelity, Fidelity::FullEpoch);
+        let deployment = Deployment::base(&self.family, key.reference_gpus);
+        let mut sim = ServingSim::new(self.family.clone(), self.perf, deployment, key.seed ^ 0x22);
+        sim.set_intra_epoch_shards(key.des_shards);
+        sim.set_shard_threads(shard_threads);
+        sim.set_profiler(profiler.clone());
+        let mut totals = CellTotals::new(self.trace.clone(), self.family.len());
+        let mut carry = ServingCarry::default();
+        for epoch in schedule.iter() {
+            let t = epoch.start;
+            let mut arrivals = self.workload.process_from(t);
+            let des_scope = profiler.as_ref().map(|p| p.scope(Phase::Des));
+            let w = if continuous {
+                let (w, next) = sim.run_epoch_continuous(arrivals.as_mut(), epoch_len, carry);
+                carry = next;
+                w
+            } else {
+                sim.run_window_with(arrivals.as_mut(), wp.window, wp.warmup)
+            };
+            drop(des_scope);
+            totals.fold(t, &w, wp.scale);
+        }
+        totals
+    }
+}
+
 /// A runnable experiment with its derived workload, SLA and objective.
 ///
 /// Heavy shared inputs — the model family and the carbon trace — are held
@@ -704,6 +864,10 @@ pub struct Experiment {
     pub objective: Objective,
     /// Measured BASE energy per request at calibration, joules.
     pub base_energy_per_request_j: f64,
+    /// Held so that experiments built while this one lives share the
+    /// calibration window.
+    _calibration: Arc<OnceLock<WindowMetrics>>,
+    reference: Arc<BaseReference>,
     /// Worker-thread cap handed to the sharded continuous engine
     /// (`None` defers to [`clover_simkit::default_threads`]). Grid runners
     /// set this to their per-cell budget so cell-level and intra-epoch
@@ -735,12 +899,21 @@ impl Experiment {
         // window is long enough that the p95 estimate's sampling noise sits
         // well inside the SLA headroom — a short calibration can
         // underestimate the tail and leave BASE violating its own SLA.
-        let mut calib = ServingSim::new(family.clone(), perf, base_ref, cfg.seed ^ 0xCA11_B007);
-        let w = calib.run_window(
-            rate_rps,
-            SimDuration::from_secs(160.0),
-            SimDuration::from_secs(16.0),
+        let key = (
+            cfg.app,
+            cfg.reference_gpus,
+            cfg.utilization_target,
+            cfg.seed,
         );
+        let calibration = CALIBRATIONS.slot(key, |_| OnceLock::new());
+        let w = calibration.get_or_init(|| {
+            let mut calib = ServingSim::new(family.clone(), perf, base_ref, cfg.seed ^ 0xCA11_B007);
+            calib.run_window(
+                rate_rps,
+                SimDuration::from_secs(160.0),
+                SimDuration::from_secs(16.0),
+            )
+        });
         let base_energy = w.energy_per_request_j().expect("calibration served");
         let base_p95 = w.p95_latency_s.expect("calibration served");
         let flat_sla = base_p95 * cfg.sla_headroom;
@@ -767,6 +940,16 @@ impl Experiment {
             objective = objective.with_accuracy_floor(floor);
         }
 
+        let reference = REFERENCES.slot(ReferenceKey::of(&cfg), |key| BaseReference {
+            key: key.clone(),
+            family: family.clone(),
+            perf,
+            trace: trace.clone(),
+            workload: workload.clone(),
+            claimed: AtomicBool::new(false),
+            totals: OnceLock::new(),
+        });
+
         Experiment {
             cfg,
             family,
@@ -777,6 +960,8 @@ impl Experiment {
             workload,
             objective,
             base_energy_per_request_j: base_energy,
+            _calibration: calibration,
+            reference,
             shard_threads: None,
         }
     }
@@ -802,7 +987,9 @@ impl Experiment {
     /// to running the configs serially (pinned by
     /// `tests/par_determinism.rs`); `threads <= 1` *is* the serial run.
     ///
-    /// Dispatch is LPT ([`clover_simkit::par_map_lpt`] over
+    /// Every cell is built first, so cells that share a BASE reference or
+    /// calibration window are alive together and compute it once. Dispatch
+    /// is then LPT ([`clover_simkit::par_map_lpt`] over
     /// [`ExperimentConfig::cost_weight`]): the heaviest cells are claimed
     /// first so one full-epoch cell cannot strand itself behind a drained
     /// pool of light windows. Each cell's sharded continuous engine (if
@@ -811,17 +998,24 @@ impl Experiment {
     /// shards serially too, keeping the serial-vs-parallel comparison an
     /// honest same-work measurement.
     pub fn run_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<ExperimentOutcome> {
-        let shard_threads = Self::shard_thread_budget(threads, configs.len());
+        let cells = Self::build_cells(configs, threads);
         clover_simkit::par_map_lpt(
-            configs,
+            cells.iter().collect(),
             threads,
-            ExperimentConfig::cost_weight,
-            move |cfg| {
-                let mut e = Experiment::new(cfg);
-                e.set_shard_threads(Some(shard_threads));
-                e.run()
-            },
+            |e| e.cfg.cost_weight(),
+            |e| e.run(),
         )
+    }
+
+    /// Builds one cell per config on `threads` workers, in input order,
+    /// each with its share of the thread budget for intra-epoch sharding.
+    fn build_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<Experiment> {
+        let shard_threads = Self::shard_thread_budget(threads, configs.len());
+        clover_simkit::par_map(configs, threads, |cfg| {
+            let mut e = Experiment::new(cfg);
+            e.set_shard_threads(Some(shard_threads));
+            e
+        })
     }
 
     /// Per-cell worker budget for intra-epoch sharding: the grid's thread
@@ -846,15 +1040,13 @@ impl Experiment {
         threads: usize,
         spec: TelemetrySpec,
     ) -> Vec<(ExperimentOutcome, TelemetryReport)> {
-        let shard_threads = Self::shard_thread_budget(threads, configs.len());
+        let cells = Self::build_cells(configs, threads);
         clover_simkit::par_map_lpt(
-            configs,
+            cells.iter().collect(),
             threads,
-            ExperimentConfig::cost_weight,
-            move |cfg| {
+            |e| e.cfg.cost_weight(),
+            |e| {
                 let mut telemetry = Telemetry::new(spec);
-                let mut e = Experiment::new(cfg);
-                e.set_shard_threads(Some(shard_threads));
                 let out = e.run_with(&mut telemetry);
                 (out, telemetry.take_report())
             },
@@ -889,10 +1081,10 @@ impl Experiment {
     /// Each [`crate::control::ControlEpoch`] of the schedule is one
     /// [`CellRuntime::step`] — `begin_epoch` → serve → `observe_serving`
     /// through the [`crate::control::ControlPlane`], with the cell's
-    /// accounting — followed by the synchronized BASE reference epoch.
-    /// Under the default configuration (hourly epochs, representative
-    /// window) the numbers are bit-identical to the pre-extraction hourly
-    /// loop (pinned by `tests/control_plane.rs`).
+    /// accounting. The synchronized BASE reference serves the same epochs
+    /// on the reference fleet. Under the default configuration (hourly
+    /// epochs, representative window) the numbers are bit-identical to the
+    /// pre-extraction hourly loop (pinned by `tests/control_plane.rs`).
     ///
     /// Equivalent to [`Experiment::run_with`] against the no-op telemetry
     /// sink.
@@ -907,19 +1099,24 @@ impl Experiment {
     /// that close the per-boundary conservation law, matching the
     /// [`HourPoint`] the timeline records — and maintains per-scheme
     /// request counters in the metric registry. When profiling is enabled
-    /// the epoch's serving measurements (scheme and synchronized BASE
-    /// reference) are timed as [`Phase::Des`]; [`Phase::Carry`] (the
+    /// the epoch's serving measurements (scheme and, when this cell
+    /// computes it, the synchronized BASE reference) are timed as
+    /// [`Phase::Des`]; [`Phase::Carry`] (the
     /// continuous engine's seam work: boundary snapshot and restore, plus
     /// the sharded path's serial arrival pre-draw, split and merge) is
     /// nested within it, as [`Phase::Search`] is within [`Phase::Plan`].
     /// Telemetry is a strict overlay: with the no-op sink this method *is*
     /// [`Experiment::run`], bit for bit.
+    ///
+    /// The BASE reference is shared by every live experiment with the same
+    /// reference inputs. The first of them to run computes it before its
+    /// own epochs; every other one serves its epochs first and then reads
+    /// it, waiting if it is still being computed (or computing it itself
+    /// if the claimer panicked). Sharing changes no result.
     pub fn run_with(&self, telemetry: &mut Telemetry) -> ExperimentOutcome {
         let cfg = &self.cfg;
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let epochs = schedule.count();
-        let epoch_len = schedule.epoch_len();
-        let wp = cfg.fidelity.window_plan(epoch_len);
         let mut cell = CellRuntime::new(
             cfg,
             self.family.clone(),
@@ -937,21 +1134,10 @@ impl Experiment {
             workload: &self.workload,
         };
 
-        // The synchronized BASE reference stays un-faulted: it is the
-        // ideal-world yardstick carbon savings are measured against, and
-        // faulting it too would let a failing scheme hide behind a failing
-        // baseline. Under FullEpoch fidelity it is carried across
-        // boundaries too — the baseline must not keep a cold-start
-        // advantage.
-        let base_ref = Deployment::base(&self.family, cfg.reference_gpus);
-        let mut base_sim =
-            ServingSim::new(self.family.clone(), self.perf, base_ref, cfg.seed ^ 0x22);
-        base_sim.set_intra_epoch_shards(cfg.des_shards);
-        base_sim.set_shard_threads(self.shard_threads);
-        base_sim.set_profiler(telemetry.profiler());
-        let mut base = CellTotals::new(self.trace.clone(), self.family.len());
-        let mut base_carry = clover_serving::ServingCarry::default();
-        let continuous = matches!(cfg.fidelity, Fidelity::FullEpoch);
+        if self.reference.claim() {
+            self.reference
+                .totals(self.shard_threads, telemetry.profiler());
+        }
         let mut timeline = Vec::with_capacity(epochs as usize);
         let mut invocations = Vec::new();
 
@@ -992,21 +1178,11 @@ impl Experiment {
             }
             timeline.push(rec.point);
             invocations.extend(rec.invocation);
-
-            let mut base_arrivals = self.workload.process_from(t);
-            let des_scope = telemetry.scope(Phase::Des);
-            let bw = if continuous {
-                let (bw, next) =
-                    base_sim.run_epoch_continuous(base_arrivals.as_mut(), epoch_len, base_carry);
-                base_carry = next;
-                bw
-            } else {
-                base_sim.run_window_with(base_arrivals.as_mut(), wp.window, wp.warmup)
-            };
-            drop(des_scope);
-            base.fold(t, &bw, wp.scale);
         }
 
+        let base = self
+            .reference
+            .totals(self.shard_threads, telemetry.profiler());
         let totals = cell.into_totals();
         let served_scaled = totals.served_scaled;
         let total_carbon_g = totals.ledger.carbon().grams();
@@ -1075,6 +1251,168 @@ mod tests {
             .seed(3)
             .build();
         Experiment::new(cfg).run()
+    }
+
+    /// A small FullEpoch cell (so `des_shards` may vary) for the sharing
+    /// tests. Each test passes a seed no other test uses, so no concurrent
+    /// test shares its slots.
+    fn sharing_config(seed: u64) -> ExperimentConfig {
+        ExperimentConfig::builder(Application::ImageClassification)
+            .n_gpus(4)
+            .horizon_hours(2.0)
+            .control_epoch_s(1800.0)
+            .fidelity(Fidelity::FullEpoch)
+            .seed(seed)
+            .build()
+    }
+
+    #[test]
+    fn reference_and_calibration_are_shared_by_exactly_their_keys() {
+        type Edit = fn(&mut ExperimentConfig);
+        let base_cfg = sharing_config(0x5EED_00A1);
+        let base = Experiment::new(base_cfg.clone());
+        // Each edit changes one reference-key field alone; the flag marks
+        // the fields the calibration window reads too.
+        let key_fields: [(&str, bool, Edit); 10] = [
+            ("app", true, |c| c.app = Application::ObjectDetection),
+            ("seed", true, |c| c.seed += 1),
+            ("reference_gpus", true, |c| c.reference_gpus = 6),
+            ("utilization_target", true, |c| c.utilization_target = 0.6),
+            ("workload", false, |c| {
+                c.workload = WorkloadKind::flash_crowd()
+            }),
+            ("trace", false, |c| {
+                c.trace = TraceSource::Region(Region::EsoMarch)
+            }),
+            ("fidelity", false, |c| {
+                c.fidelity = Fidelity::representative()
+            }),
+            ("control_epoch_s", false, |c| c.control_epoch_s = 900.0),
+            ("horizon_hours", false, |c| c.horizon_hours = 3.0),
+            ("des_shards", false, |c| c.des_shards = 2),
+        ];
+        for (name, calibration_field, edit) in key_fields {
+            let mut cfg = base_cfg.clone();
+            edit(&mut cfg);
+            let e = Experiment::new(cfg);
+            assert!(
+                !Arc::ptr_eq(&base.reference, &e.reference),
+                "changing {name} kept the reference slot"
+            );
+            assert_eq!(
+                Arc::ptr_eq(&base._calibration, &e._calibration),
+                !calibration_field,
+                "changing {name}: wrong calibration sharing"
+            );
+        }
+        let other_fields: [(&str, Edit); 12] = [
+            ("scheme", |c| c.scheme = SchemeKind::Co2Opt),
+            ("n_gpus", |c| c.n_gpus = 3),
+            ("lambda", |c| c.lambda = 0.9),
+            ("scaling", |c| c.scaling = ScalingPolicy::reactive()),
+            ("min_gpus", |c| c.min_gpus = 2),
+            ("chaos", |c| c.chaos = ChaosConfig::resilience(24.0)),
+            ("sla_headroom", |c| c.sla_headroom = 1.5),
+            ("sla_margin", |c| {
+                c.sla_margin = SlaMargin::confidence_interval()
+            }),
+            ("sa", |c| c.sa.t0 = 2.0),
+            ("search_budget", |c| c.search_budget = SearchBudget::Fixed),
+            ("monitor_threshold", |c| c.monitor_threshold = 0.1),
+            ("accuracy_floor_pct", |c| c.accuracy_floor_pct = Some(2.0)),
+        ];
+        for (name, edit) in other_fields {
+            let mut cfg = base_cfg.clone();
+            edit(&mut cfg);
+            let e = Experiment::new(cfg);
+            assert!(
+                Arc::ptr_eq(&base.reference, &e.reference),
+                "changing {name} split the reference slot"
+            );
+            assert!(
+                Arc::ptr_eq(&base._calibration, &e._calibration),
+                "changing {name} split the calibration slot"
+            );
+        }
+        // A NaN field never matches, not even itself.
+        let mut key = ReferenceKey::of(&base_cfg);
+        key.horizon_hours = f64::NAN;
+        assert_ne!(key, key.clone());
+    }
+
+    #[test]
+    fn a_cell_reading_a_sibling_reference_matches_its_solo_run() {
+        let window = ExperimentConfig::builder(Application::ImageClassification)
+            .n_gpus(4)
+            .horizon_hours(6.0)
+            .sim_window_s(20.0)
+            .seed(0x5EED_00B1)
+            .build();
+        let mut full = sharing_config(0x5EED_00B2);
+        full.horizon_hours = 0.5;
+        full.control_epoch_s = 600.0;
+        full.n_gpus = 2;
+        full.reference_gpus = 2;
+        for cfg in [window, full] {
+            let solo = Experiment::new(cfg.clone()).run();
+            let sibling = Experiment::new(ExperimentConfig {
+                scheme: SchemeKind::Co2Opt,
+                ..cfg.clone()
+            });
+            let cell = Experiment::new(cfg);
+            assert!(Arc::ptr_eq(&sibling.reference, &cell.reference));
+            sibling.run();
+            assert!(
+                cell.reference.totals.get().is_some(),
+                "the sibling left the reference empty"
+            );
+            let shared = cell.run();
+            assert_eq!(shared.digest(), solo.digest(), "{}", solo.fidelity);
+            assert_eq!(shared.base_carbon_g.to_bits(), solo.base_carbon_g.to_bits());
+            assert_eq!(shared.base_p95_s.to_bits(), solo.base_p95_s.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_claimer_panicking_mid_reference_leaves_its_sibling_to_finish() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cfg = ExperimentConfig::builder(Application::ImageClassification)
+            .n_gpus(4)
+            .horizon_hours(6.0)
+            .sim_window_s(20.0)
+            .seed(0x5EED_00C1)
+            .build();
+        let expected = Experiment::new(cfg.clone()).run();
+        let claimer = Experiment::new(ExperimentConfig {
+            scheme: SchemeKind::Co2Opt,
+            ..cfg.clone()
+        });
+        let sibling = Experiment::new(cfg);
+        assert!(Arc::ptr_eq(&claimer.reference, &sibling.reference));
+
+        let crashed = std::thread::spawn(move || {
+            assert!(claimer.reference.claim());
+            claimer
+                .reference
+                .totals
+                .get_or_init(|| panic!("claimer crashed mid-reference"));
+        });
+        assert!(crashed.join().is_err(), "the claimer was meant to panic");
+        // The reference is claimed but empty: the sibling must compute it
+        // rather than wait for the dead claimer.
+        let (done_tx, done_rx) = mpsc::channel();
+        let finisher = std::thread::spawn(move || done_tx.send(sibling.run()).unwrap());
+        let out = done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the sibling hung on a crashed claimer");
+        finisher.join().unwrap();
+        assert_eq!(out.digest(), expected.digest());
+        assert_eq!(
+            out.base_carbon_g.to_bits(),
+            expected.base_carbon_g.to_bits()
+        );
+        assert_eq!(out.base_p95_s.to_bits(), expected.base_p95_s.to_bits());
     }
 
     #[test]

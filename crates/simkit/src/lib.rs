@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod events;
 pub mod par;
 pub mod quantile;
@@ -29,7 +28,6 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Process, Simulation};
 pub use events::{EventKey, EventQueue};
 pub use par::{default_threads, par_map, par_map_auto, par_map_lpt};
 pub use quantile::{ExactQuantiles, LatencyHistogram, P2Quantile};
