@@ -3,7 +3,7 @@
 //! Every figure/table of the paper has a binary in `src/bin/`; they share
 //! the experiment plumbing here. The environment variable
 //! `CLOVER_BENCH_SCALE` (default 1.0) scales the simulated horizon so smoke
-//! runs finish quickly; EXPERIMENTS.md records full-scale (48 h) runs.
+//! runs finish quickly; 1.0 is the paper's full 48 h.
 //!
 //! Experiment grids (scheme × application × seed × λ) fan out over the
 //! deterministic parallel engine: [`run_cells`]/[`run_grid`] go through
@@ -15,8 +15,8 @@
 //!
 //! Output goes through `clover-telemetry`'s leveled [`log_line!`] facility:
 //! `CLOVER_LOG=quiet` silences the tables (machine-read artifacts like
-//! `BENCH_engine.json` are still written), `info` (the default) prints
-//! them, `debug` adds per-cell diagnostics.
+//! the `FIG_*_journal.jsonl` decision journals are still written), and
+//! `info` (the default) prints them.
 
 use clover_carbon::Region;
 use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};

@@ -7,7 +7,7 @@
 //! PUE of 1.5 (Sec. 5.1) and reports all benefits relative to a baseline so
 //! they do not depend on the PUE choice.
 
-use crate::intensity::{CarbonIntensity, CarbonMass, Energy};
+use crate::intensity::{CarbonMass, Energy};
 use crate::trace::CarbonTrace;
 use clover_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -132,11 +132,6 @@ impl CarbonLedger {
     /// The PUE in force.
     pub fn pue(&self) -> Pue {
         self.pue
-    }
-
-    /// Intensity at `now`, for convenience.
-    pub fn intensity_at(&self, now: SimTime) -> CarbonIntensity {
-        self.trace.at(now)
     }
 }
 

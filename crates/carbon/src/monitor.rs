@@ -114,14 +114,6 @@ impl CarbonMonitor {
         Self::new(trace, Self::DEFAULT_THRESHOLD)
     }
 
-    /// Current intensity at `now` (stepwise, as published by the grid).
-    /// This is the *true* feed, gap-blind — what the physics (the carbon
-    /// ledger) integrates; the controller's degraded view comes from
-    /// [`CarbonMonitor::observe`].
-    pub fn intensity_at(&self, now: SimTime) -> CarbonIntensity {
-        self.trace.at(now)
-    }
-
     /// Configures feed-outage windows `[start, end)` and the maximum age a
     /// last-known-good sample may be served at inside them. Gaps are how
     /// the chaos layer injects carbon-trace staleness; an empty gap list

@@ -535,12 +535,6 @@ impl FaultPlan {
         self.factors.get(epoch).copied().unwrap_or(1.0)
     }
 
-    /// Total GPU-failure onsets across the horizon (one brownout episode
-    /// counts once per affected GPU).
-    pub fn total_gpu_failures(&self) -> usize {
-        self.down.iter().map(Vec::len).sum()
-    }
-
     /// Down intervals of one GPU (testing / reporting).
     pub fn gpu_timeline(&self, gpu: usize) -> &[(f64, f64)] {
         self.down.get(gpu).map_or(&[], Vec::as_slice)

@@ -591,7 +591,7 @@ pub struct ExperimentOutcome {
     pub served_scaled: f64,
     /// Discrete events the DES engine processed across every simulated
     /// window of the run (serving hours, evaluation windows, and the BASE
-    /// reference) — the workload denominator for events/sec reporting.
+    /// reference) — the workload denominator for ns/event reporting.
     pub sim_events: u64,
     /// Per-epoch timeline (hourly under the default cadence).
     pub timeline: Vec<HourPoint>,

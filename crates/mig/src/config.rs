@@ -95,11 +95,6 @@ impl MigConfig {
         SliceCensus::from_slices(self.slices())
     }
 
-    /// True when all 7 compute units are allocated to slices.
-    pub fn is_full_allocation(self) -> bool {
-        self.total_units() == 7
-    }
-
     /// Configurations whose slice census matches `census` exactly, if any.
     pub fn from_census(census: &SliceCensus) -> Option<MigConfig> {
         MigConfig::all().find(|c| c.census() == *census)

@@ -124,7 +124,7 @@ pub struct WindowMetrics {
     pub max_latency_s: f64,
     /// Discrete events processed while simulating the window (arrivals and
     /// completions, warmup and drain included) — the denominator for
-    /// events/sec engine-throughput reporting.
+    /// ns/event engine-throughput reporting.
     pub sim_events: u64,
     /// Served request counts per variant ordinal.
     pub per_variant_served: Vec<u64>,
@@ -187,15 +187,6 @@ impl WindowMetrics {
     /// variants' published accuracy), percent.
     pub fn accuracy_pct(&self, family: &ModelFamily) -> Option<f64> {
         clover_models::served_weighted_accuracy_counts(family, &self.per_variant_served)
-    }
-
-    /// Fraction of arrived requests that were dropped.
-    pub fn drop_rate(&self) -> f64 {
-        if self.arrived == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / self.arrived as f64
-        }
     }
 }
 

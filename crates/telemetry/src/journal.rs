@@ -185,11 +185,6 @@ impl Journal {
         &self.text
     }
 
-    /// Consume the journal, returning the JSONL text.
-    pub fn into_string(self) -> String {
-        self.text
-    }
-
     /// FNV-1a digest over the journal bytes.
     ///
     /// Same basis and prime as `ExperimentOutcome::digest`, so the two

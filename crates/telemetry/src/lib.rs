@@ -18,8 +18,9 @@
 //!   between serial and parallel runs — `tests/telemetry.rs` pins this.
 //! - [`profile`] — scoped wall-clock [`ProfilerHandle`] timers around the
 //!   control loop's phases (scheduler plan, SA evaluate, DES run, scaler,
-//!   carry hand-off). Wall time flows only into perf aggregates
-//!   (`BENCH_engine.json`), never into journal bytes or simulation state.
+//!   carry hand-off). Wall time flows only into perf aggregates (the
+//!   benchmark's phase times, `perf_report`'s phase bound), never into
+//!   journal bytes or simulation state.
 //!
 //! Plus [`log`](mod@log) — the [`log_line!`] leveled stdout facility the
 //! bench bins use instead of ad-hoc `println!`, honoring

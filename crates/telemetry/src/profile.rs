@@ -4,12 +4,13 @@
 //! The profiler answers "where does the wall time go" — scheduler planning
 //! vs SA candidate evaluation vs the DES itself vs scaling vs the
 //! continuous-serving carry hand-off — which is the instrument that
-//! localizes throughput gaps like continuous-vs-cold-start in
-//! `perf_report`'s per-grid breakdown.
+//! localizes throughput gaps like continuous-vs-cold-start in the
+//! benchmark's per-phase self times (`python3 perfbench/run.py --trace 1`).
 //!
 //! Timing uses `std::time::Instant` and is therefore not deterministic —
-//! by design it flows only into perf aggregates (`BENCH_engine.json`),
-//! never into journal bytes, metrics used by tests, or simulation state.
+//! by design it flows only into perf aggregates (the benchmark's phase
+//! times and `perf_report`'s phase bound), never into journal bytes,
+//! metrics used by tests, or simulation state.
 //! Handles are `Arc`-shared atomics so long-lived components (the DES
 //! evaluator, the serving simulator) can record into the same totals the
 //! experiment owns, including across the parallel grid's worker threads.
@@ -52,17 +53,6 @@ impl Phase {
 
     /// Number of phases.
     pub const COUNT: usize = Self::ALL.len();
-
-    /// Stable lower-case label (JSON keys in `BENCH_engine.json`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Phase::Plan => "plan",
-            Phase::Search => "search",
-            Phase::Des => "des",
-            Phase::Scaler => "scaler",
-            Phase::Carry => "carry",
-        }
-    }
 
     fn index(self) -> usize {
         match self {
