@@ -15,8 +15,8 @@ fn main() {
         "Fig. 10",
         "Scheme comparison: carbon save vs accuracy gain (CISO March, 48 h)",
     );
-    // `CLOVER_SCHEMES=BASE,CLOVER,...` (registry names, custom schemes
-    // included) overrides the paper's roster.
+    // `CLOVER_SCHEMES=BASE,CLOVER,...` (scheme labels) overrides the
+    // paper's roster.
     let schemes = schemes_from_env(&[
         SchemeKind::Co2Opt,
         SchemeKind::Blover,

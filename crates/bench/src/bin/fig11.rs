@@ -8,7 +8,7 @@ use clover_models::zoo::Application;
 
 fn main() {
     header("Fig. 11", "Objective f over time per scheme (CISO March)");
-    // `CLOVER_SCHEMES=...` (registry names) overrides the roster.
+    // `CLOVER_SCHEMES=...` (scheme labels) overrides the roster.
     let schemes = schemes_from_env(&[
         SchemeKind::Co2Opt,
         SchemeKind::Blover,

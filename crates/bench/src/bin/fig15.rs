@@ -46,9 +46,8 @@ fn main() {
     let configs: Vec<_> = Application::ALL
         .into_iter()
         .flat_map(|app| {
-            let schemes = schemes.clone();
             sizes.into_iter().flat_map(move |(_, n)| {
-                schemes.clone().into_iter().map(move |scheme| {
+                schemes.into_iter().map(move |scheme| {
                     ExperimentConfig::builder(app)
                         .scheme(scheme)
                         .n_gpus(n)

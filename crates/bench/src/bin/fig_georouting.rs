@@ -7,9 +7,9 @@
 //! the spatial axis: one regional fleet per grid trace and a global
 //! router splitting live traffic each control epoch.
 //!
-//! The main grid sweeps every registered routing policy over a 3-region
-//! fleet running the carbon-unaware `Base` scheme locally (full-epoch
-//! continuous serving, reactive autoscaling):
+//! The main grid sweeps every routing policy in `ROUTE_POLICIES` over a
+//! 3-region fleet running the carbon-unaware `Base` scheme locally
+//! (full-epoch continuous serving, reactive autoscaling):
 //!
 //! - `uniform` **is** per-region-local serving — each region keeps its
 //!   origin share; this is the baseline the study measures against;
@@ -47,7 +47,7 @@ use clover_core::autoscale::ScalingPolicy;
 use clover_core::chaos::{ChaosConfig, FaultSpec};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
-use clover_router::{registered_route_policies, GlobalOutcome, GlobalRouter, RouterConfig};
+use clover_router::{GlobalOutcome, GlobalRouter, RouterConfig, ROUTE_POLICIES};
 use clover_telemetry::TelemetrySpec;
 
 fn config(policy: &str, scheme: SchemeKind, chaos: ChaosConfig) -> RouterConfig {
@@ -85,10 +85,9 @@ fn main() {
         "Fig. A4 (beyond the paper)",
         "geo-distributed carbon routing: multi-region fleets under a global traffic router",
     );
-    let policies = registered_route_policies();
     let mut labels: Vec<String> = Vec::new();
     let mut configs: Vec<RouterConfig> = Vec::new();
-    for policy in &policies {
+    for policy in ROUTE_POLICIES {
         labels.push(format!("{policy}/base"));
         configs.push(config(policy, SchemeKind::Base, ChaosConfig::off()));
     }

@@ -65,7 +65,7 @@ fn levels() -> Vec<Level> {
 
 fn config(scheme: &SchemeKind, level: &Level) -> ExperimentConfig {
     ExperimentConfig::builder(Application::ImageClassification)
-        .scheme(scheme.clone())
+        .scheme(*scheme)
         .chaos(ChaosConfig::resilience(level.mtbf_hours))
         .scaling(ScalingPolicy::reactive())
         .control_epoch_s(600.0)

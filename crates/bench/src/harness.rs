@@ -102,22 +102,19 @@ pub fn run_grid(cells: &[(Application, SchemeKind)]) -> Vec<ExperimentOutcome> {
     run_cells(
         cells
             .iter()
-            .map(|(app, scheme)| std_config(*app, scheme.clone()))
+            .map(|&(app, scheme)| std_config(app, scheme))
             .collect(),
     )
 }
 
-/// Resolves a scheme by name — the paper's five by their labels
-/// (case-insensitive), anything else as a registry-backed custom scheme.
-/// This is how binaries accept `CLOVER_SCHEMES`-style overrides.
-pub fn scheme_by_name(name: &str) -> SchemeKind {
-    SchemeKind::parse(name)
-}
-
 /// The schemes a binary should run: the comma-separated `CLOVER_SCHEMES`
-/// environment variable when set (names resolved by [`scheme_by_name`];
-/// empty segments from trailing or doubled commas are ignored), otherwise
-/// `default`.
+/// environment variable when set (labels resolved case-insensitively by
+/// [`SchemeKind::parse`]; empty segments from trailing or doubled commas
+/// are ignored), otherwise `default`.
+///
+/// # Panics
+/// On an entry that names none of the five schemes, before any cell is
+/// built.
 pub fn schemes_from_env(default: &[SchemeKind]) -> Vec<SchemeKind> {
     match std::env::var("CLOVER_SCHEMES") {
         Ok(list) => {
@@ -125,7 +122,14 @@ pub fn schemes_from_env(default: &[SchemeKind]) -> Vec<SchemeKind> {
                 .split(',')
                 .map(str::trim)
                 .filter(|s| !s.is_empty())
-                .map(scheme_by_name)
+                .map(|name| {
+                    SchemeKind::parse(name).unwrap_or_else(|| {
+                        panic!(
+                            "CLOVER_SCHEMES: unknown scheme {name:?}; known: {}",
+                            SchemeKind::ALL.map(SchemeKind::label).join(", ")
+                        )
+                    })
+                })
                 .collect();
             if schemes.is_empty() {
                 default.to_vec()

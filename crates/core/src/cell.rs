@@ -133,7 +133,7 @@ impl CellRuntime {
         // epochs cap the SA's charged live time and iteration budget, the
         // hourly default passes the paper's parameters through untouched.
         let sa = cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s);
-        let scheduler = make_scheduler(&cfg.scheme, &family, cfg.n_gpus, sa);
+        let scheduler = make_scheduler(cfg.scheme, &family, cfg.n_gpus, sa);
         let evaluator = DesEvaluator::new(
             family.clone(),
             perf,
@@ -146,10 +146,16 @@ impl CellRuntime {
         let mut scaler_cfg =
             ScalerConfig::new(cfg.scaling, cfg.min_gpus, cfg.n_gpus, capacity_per_gpu_rps);
         scaler_cfg.target_utilization = cfg.utilization_target;
-        let monitor = CarbonMonitor::new(trace.clone(), cfg.monitor_threshold);
+        let monitor = CarbonMonitor::new(trace.clone(), CarbonMonitor::DEFAULT_THRESHOLD);
         let rng = SimRng::new(cfg.seed ^ 0x5C8E);
-        let mut plane =
-            ControlPlane::new(scheduler, monitor, Scaler::new(scaler_cfg), evaluator, rng);
+        let mut plane = ControlPlane::new(
+            cfg.scheme,
+            scheduler,
+            monitor,
+            Scaler::new(scaler_cfg),
+            evaluator,
+            rng,
+        );
         // Everything that will go wrong this run, drawn up front from the
         // seed. Chaos off generates nothing and touches no RNG, so the run
         // is bit-identical to one without the chaos layer.
@@ -169,7 +175,7 @@ impl CellRuntime {
         sim.set_intra_epoch_shards(cfg.des_shards);
         sim.set_shard_threads(shard_threads);
         CellRuntime {
-            scheme: cfg.scheme.clone(),
+            scheme: cfg.scheme,
             n_gpus: cfg.n_gpus,
             continuous: matches!(cfg.fidelity, Fidelity::FullEpoch),
             epoch_hours: schedule.epoch_hours(),

@@ -36,7 +36,7 @@ use crate::anneal::{OptimizationRun, SaParams};
 use crate::autoscale::{FleetState, Scaler};
 use crate::eval::DesEvaluator;
 use crate::objective::Objective;
-use crate::schedulers::{Observation, Scheduler, SchedulerCtx};
+use crate::schedulers::{Observation, Scheduler, SchedulerCtx, SchemeKind};
 use clover_carbon::{CarbonIntensity, CarbonMonitor, Staleness};
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{Deployment, ServingCarry, ServingSim, WindowMetrics};
@@ -373,6 +373,7 @@ pub struct EpochPlan {
 /// constructed with, so experiments stay byte-identical between serial and
 /// parallel grid execution.
 pub struct ControlPlane {
+    scheme: SchemeKind,
     scheduler: Box<dyn Scheduler>,
     monitor: CarbonMonitor,
     scaler: Scaler,
@@ -392,9 +393,10 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// Assembles a control plane; the scaler's current fleet is taken as
-    /// the initially active one.
+    /// Assembles a control plane around `scheme`'s `scheduler`; the
+    /// scaler's current fleet is taken as the initially active one.
     pub fn new(
+        scheme: SchemeKind,
         scheduler: Box<dyn Scheduler>,
         monitor: CarbonMonitor,
         scaler: Scaler,
@@ -403,6 +405,7 @@ impl ControlPlane {
     ) -> Self {
         let active_gpus = scaler.fleet().active;
         ControlPlane {
+            scheme,
             scheduler,
             monitor,
             scaler,
@@ -413,11 +416,6 @@ impl ControlPlane {
             forecast_factor: 1.0,
             carry: ServingCarry::default(),
         }
-    }
-
-    /// The scheduler driving the plan.
-    pub fn scheduler(&self) -> &dyn Scheduler {
-        self.scheduler.as_ref()
     }
 
     /// Sets the forecast-error factor the next [`ControlPlane::begin_epoch`]
@@ -655,7 +653,7 @@ impl ControlPlane {
             let downtime = self.evaluator.apply(decision.deployment.clone());
             if telemetry.journal_mut().is_some() {
                 let mut ev = Event::new("plan", t)
-                    .str("scheme", self.scheduler.name())
+                    .str("scheme", self.scheme.label())
                     .str("cause", cause)
                     .u64("gpus", self.active_gpus as u64)
                     .u64("eval_windows", plan.eval_windows.len() as u64);
@@ -681,9 +679,8 @@ impl ControlPlane {
             }
             if let Some(run) = plan.run.as_ref() {
                 let l = run.ledger;
-                let scheme = self.scheduler.name().to_string();
                 if let Some(m) = telemetry.metrics_mut() {
-                    let labels: &[(&str, &str)] = &[("scheme", &scheme)];
+                    let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
                     m.counter_add("clover_plan_invocations_total", labels, 1);
                     m.counter_add(
                         "clover_search_iterations_total",
@@ -730,7 +727,7 @@ impl ControlPlane {
         self.sla_violated = metrics
             .p95_latency_s
             .is_some_and(|p| p > env.objective.l_tail_s)
-            && self.scheduler.carbon_aware();
+            && self.scheme.is_carbon_aware();
         self.scheduler.observe(&Observation {
             metrics,
             at: epoch.start,

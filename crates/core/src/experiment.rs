@@ -39,7 +39,7 @@ use crate::chaos::ChaosConfig;
 use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, PlaneEnv, SearchBudget};
 use crate::objective::Objective;
 use crate::schedulers::SchemeKind;
-use clover_carbon::{CarbonIntensity, CarbonMonitor, CarbonTrace, Region};
+use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{analytic, Deployment, ServingCarry, ServingSim, WindowMetrics};
@@ -142,8 +142,6 @@ pub struct ExperimentConfig {
     /// How the headroom is derived from the calibration measurement
     /// (default: the paper's flat multiplier; see [`SlaMargin`]).
     pub sla_margin: SlaMargin,
-    /// Carbon-monitor re-optimization threshold (paper: 5%).
-    pub monitor_threshold: f64,
     /// Simulated-annealing parameters.
     pub sa: SaParams,
     /// How the SA budget relates to the control cadence (default:
@@ -185,7 +183,6 @@ impl ExperimentConfig {
                 fidelity: Fidelity::representative(),
                 sla_headroom: 1.05,
                 sla_margin: SlaMargin::Flat,
-                monitor_threshold: CarbonMonitor::DEFAULT_THRESHOLD,
                 sa: SaParams::default(),
                 search_budget: SearchBudget::epoch_scaled(),
                 chaos: ChaosConfig::off(),
@@ -1305,7 +1302,7 @@ mod tests {
                 "changing {name}: wrong calibration sharing"
             );
         }
-        let other_fields: [(&str, Edit); 12] = [
+        let other_fields: [(&str, Edit); 11] = [
             ("scheme", |c| c.scheme = SchemeKind::Co2Opt),
             ("n_gpus", |c| c.n_gpus = 3),
             ("lambda", |c| c.lambda = 0.9),
@@ -1318,7 +1315,6 @@ mod tests {
             }),
             ("sa", |c| c.sa.t0 = 2.0),
             ("search_budget", |c| c.search_budget = SearchBudget::Fixed),
-            ("monitor_threshold", |c| c.monitor_threshold = 0.1),
             ("accuracy_floor_pct", |c| c.accuracy_floor_pct = Some(2.0)),
         ];
         for (name, edit) in other_fields {

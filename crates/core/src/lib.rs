@@ -11,10 +11,10 @@
 //!   cooling 0.05/iteration to 0.1, 5-minute budget, 5-non-improving stop).
 //! - [`eval`] — live candidate evaluation on the serving simulator, with
 //!   reconfiguration downtime charged.
-//! - [`schedulers`] — the scheme surface: the [`Scheduler`] lifecycle
-//!   (`plan`/`observe`), the name-keyed [`SchedulerRegistry`] with the five
-//!   paper schemes (BASE, CO2OPT, BLOVER, CLOVER, ORACLE) built in, each
-//!   partitioning whatever fleet the autoscaler has active.
+//! - [`schedulers`] — the paper's five schemes (BASE, CO2OPT, BLOVER,
+//!   CLOVER, ORACLE) as [`SchemeKind`], each built by [`make_scheduler`]
+//!   into a [`Scheduler`] lifecycle (`plan`/`observe`) that partitions
+//!   whatever fleet the autoscaler has active.
 //! - [`autoscale`] — the elastic-fleet layer beyond the paper: a
 //!   forecast-driven [`Scaler`] that powers GPUs up and down ahead of
 //!   demand swings, with hysteresis, cooldown, provisioning delay and a
@@ -61,7 +61,4 @@ pub use experiment::{Experiment, ExperimentConfig, ExperimentOutcome, TraceSourc
 pub use graph::ConfigGraph;
 pub use neighbors::NeighborSampler;
 pub use objective::{MeasuredPoint, Objective};
-pub use schedulers::{
-    make_scheduler, register_scheduler, registered_schemes, try_make_scheduler, Decision,
-    Observation, Scheduler, SchedulerCtx, SchedulerInit, SchedulerRegistry, SchemeKind,
-};
+pub use schedulers::{make_scheduler, Decision, Observation, Scheduler, SchedulerCtx, SchemeKind};

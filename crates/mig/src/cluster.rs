@@ -2,8 +2,8 @@
 //!
 //! The paper's testbed is ten A100s across five nodes; the optimization
 //! variable `x_p` assigns one of the 19 MIG configurations to each GPU.
-//! [`Partitioning`] is exactly `x_p`; [`GpuCluster`] materializes it into
-//! addressable slices and knows the cost of moving between partitionings
+//! [`Partitioning`] is exactly `x_p` and materializes it into addressable
+//! slices; [`ReconfigCost`] knows the cost of moving between partitionings
 //! (a GPU must drain, repartition, and reload models).
 
 use crate::config::MigConfig;
@@ -175,15 +175,9 @@ impl ReconfigCost {
         SimDuration::from_secs(self.model_load_secs)
     }
 
-    /// Total cluster reconfiguration downtime when applying `to` over
-    /// `from`: the max over changed GPUs (they reconfigure in parallel).
-    pub fn cluster_downtime(&self, from: &Partitioning, to: &Partitioning) -> SimDuration {
-        assert_eq!(from.n_gpus(), to.n_gpus(), "GPU count mismatch");
-        self.fleet_downtime(from, to)
-    }
-
-    /// Like [`ReconfigCost::cluster_downtime`], but tolerant of the fleet
-    /// itself resizing (autoscaling): GPUs present in both fleets are
+    /// Reconfiguration downtime when applying `to` over `from`: the max
+    /// over changed GPUs (they reconfigure in parallel). Tolerant of the
+    /// fleet itself resizing (autoscaling): GPUs present in both fleets are
     /// compared positionally — the active fleet is always a prefix of the
     /// provisioned one — and reconfigure in parallel. GPUs *joining* the
     /// fleet were repartitioned and loaded during their provisioning
@@ -204,46 +198,6 @@ impl ReconfigCost {
 impl Default for ReconfigCost {
     fn default() -> Self {
         Self::default_calibration()
-    }
-}
-
-/// A cluster of identically-sized GPUs with a current partitioning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GpuCluster {
-    partitioning: Partitioning,
-}
-
-impl GpuCluster {
-    /// Creates a cluster of `n_gpus` unpartitioned GPUs.
-    pub fn new(n_gpus: usize) -> Self {
-        GpuCluster {
-            partitioning: Partitioning::uniform(n_gpus, MigConfig::FULL),
-        }
-    }
-
-    /// Number of GPUs.
-    pub fn n_gpus(&self) -> usize {
-        self.partitioning.n_gpus()
-    }
-
-    /// Current partitioning.
-    pub fn partitioning(&self) -> &Partitioning {
-        &self.partitioning
-    }
-
-    /// Applies a new partitioning, returning the parallel downtime.
-    ///
-    /// # Panics
-    /// Panics if the GPU count changes.
-    pub fn apply(&mut self, to: Partitioning, cost: &ReconfigCost) -> SimDuration {
-        let downtime = cost.cluster_downtime(&self.partitioning, &to);
-        self.partitioning = to;
-        downtime
-    }
-
-    /// Current slices.
-    pub fn slices(&self) -> Vec<Slice> {
-        self.partitioning.slices()
     }
 }
 
@@ -315,7 +269,7 @@ mod tests {
         let mut to = from.clone();
         to.configs_mut()[0] = MigConfig::new(19); // 5 + 7*2 = 19 s
         to.configs_mut()[1] = MigConfig::new(7); // 5 + 2*2 = 9 s
-        assert_eq!(cost.cluster_downtime(&from, &to).as_secs(), 19.0);
+        assert_eq!(cost.fleet_downtime(&from, &to).as_secs(), 19.0);
         assert_eq!(to.gpus_changed_from(&from), 2);
     }
 
@@ -331,25 +285,13 @@ mod tests {
         // Repartitioning a surviving GPU is still charged.
         two.configs_mut()[0] = MigConfig::new(19); // 5 + 7*2 = 19 s
         assert_eq!(cost.fleet_downtime(&four, &two).as_secs(), 19.0);
-        // With equal counts it is exactly cluster_downtime.
+        // With equal counts every GPU is compared.
         let same = Partitioning::uniform(3, MigConfig::new(7));
         let other = Partitioning::uniform(3, MigConfig::new(1));
         assert_eq!(
             cost.fleet_downtime(&same, &other),
-            cost.cluster_downtime(&same, &other)
+            cost.gpu_downtime(MigConfig::new(7), MigConfig::new(1))
         );
-    }
-
-    #[test]
-    fn cluster_apply() {
-        let mut cluster = GpuCluster::new(2);
-        assert_eq!(cluster.slices().len(), 2);
-        let d = cluster.apply(
-            Partitioning::uniform(2, MigConfig::FINEST),
-            &ReconfigCost::default_calibration(),
-        );
-        assert!(d.as_secs() > 0.0);
-        assert_eq!(cluster.slices().len(), 14);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod feasibility;
 pub mod power;
 pub mod slice;
 
-pub use cluster::{GpuCluster, GpuId, Partitioning, ReconfigCost, Slice, SliceId};
+pub use cluster::{GpuId, Partitioning, ReconfigCost, Slice, SliceId};
 pub use config::MigConfig;
 pub use feasibility::Packer;
 pub use power::PowerModel;

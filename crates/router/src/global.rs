@@ -60,6 +60,14 @@ const FLEET_SALT: u64 = 0xF1EE_75A1;
 /// Salt for the router's own RNG (the only randomness policies may use).
 const ROUTE_SALT: u64 = 0x0520_F7E1;
 
+/// Extra latency a request pays for an inter-region hop, seconds.
+const TRANSFER_LATENCY_S: f64 = 0.08;
+
+/// Forecast lookahead for the forecast-aware policy, hours: the window
+/// both the regions' mean forecast intensity and the demand peak are
+/// taken over.
+const FORECAST_LOOKAHEAD_H: f64 = 3.0;
+
 /// Full specification of one multi-region serving run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RouterConfig {
@@ -71,8 +79,7 @@ pub struct RouterConfig {
     /// (two data centers on the same grid): each occurrence is its own
     /// fleet on the same trace.
     pub regions: Vec<Region>,
-    /// Routing policy name, resolved through the process-wide
-    /// [`crate::RoutePolicyRegistry`].
+    /// Routing policy name, one of [`crate::ROUTE_POLICIES`].
     pub policy: String,
     /// Global traffic scenario.
     pub workload: WorkloadKind,
@@ -94,8 +101,6 @@ pub struct RouterConfig {
     pub control_epoch_s: f64,
     /// SLA headroom multiplier over the measured BASE p95.
     pub sla_headroom: f64,
-    /// Carbon-monitor re-optimization threshold.
-    pub monitor_threshold: f64,
     /// Simulated-annealing parameters.
     pub sa: SaParams,
     /// How the SA budget relates to the control cadence.
@@ -106,20 +111,6 @@ pub struct RouterConfig {
     /// gaps, forecast error) reaches each region's cell runtime, drawn from
     /// that region's own seed substream.
     pub chaos: ChaosConfig,
-    /// Extra latency a request pays for an inter-region hop, seconds.
-    pub transfer_latency_s: f64,
-    /// Effective-carbon spread (gCO₂/kWh, after scaling by relative
-    /// energy per request) that must separate two regions before the
-    /// greedy policies move traffic — the migration penalty expressed in
-    /// the objective's currency. Too low and the policies chase noise
-    /// (and epoch-level weight churn thrashes the regional autoscalers);
-    /// 50 is robust across seeds on the paper's three grids.
-    pub penalty_g_per_kwh: f64,
-    /// Utilization ceiling the carbon policies respect when concentrating
-    /// traffic on a clean region.
-    pub max_region_utilization: f64,
-    /// Forecast lookahead for the forecast-aware policy, hours.
-    pub forecast_lookahead_h: f64,
 }
 
 impl RouterConfig {
@@ -143,14 +134,9 @@ impl RouterConfig {
                 seed: 42,
                 control_epoch_s: 3600.0,
                 sla_headroom: 1.05,
-                monitor_threshold: clover_carbon::CarbonMonitor::DEFAULT_THRESHOLD,
                 sa: SaParams::default(),
                 search_budget: SearchBudget::epoch_scaled(),
                 chaos: ChaosConfig::off(),
-                transfer_latency_s: 0.08,
-                penalty_g_per_kwh: 50.0,
-                max_region_utilization: 0.85,
-                forecast_lookahead_h: 3.0,
             },
         }
     }
@@ -163,8 +149,8 @@ impl RouterConfig {
     /// With [`clover_core::experiment::ExperimentConfigBuilder::build`]'s
     /// messages when those fields are inconsistent.
     pub fn cell_config(&self) -> ExperimentConfig {
-        let mut cell = ExperimentConfig::builder(self.app)
-            .scheme(self.scheme.clone())
+        ExperimentConfig::builder(self.app)
+            .scheme(self.scheme)
             .workload(self.workload.clone())
             .n_gpus(self.n_gpus_per_region)
             .min_gpus(self.min_gpus)
@@ -179,9 +165,7 @@ impl RouterConfig {
             .sa(self.sa)
             .search_budget(self.search_budget)
             .chaos(self.chaos.clone())
-            .build();
-        cell.monitor_threshold = self.monitor_threshold;
-        cell
+            .build()
     }
 }
 
@@ -203,7 +187,7 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Sets the routing policy by registry name.
+    /// Sets the routing policy by name (one of [`crate::ROUTE_POLICIES`]).
     pub fn policy(mut self, name: impl Into<String>) -> Self {
         self.cfg.policy = name.into();
         self
@@ -287,62 +271,24 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Sets the inter-region transfer latency, seconds.
-    pub fn transfer_latency_s(mut self, s: f64) -> Self {
-        self.cfg.transfer_latency_s = s;
-        self
-    }
-
-    /// Sets the carbon-spread migration threshold, gCO₂/kWh.
-    pub fn penalty_g_per_kwh(mut self, p: f64) -> Self {
-        self.cfg.penalty_g_per_kwh = p;
-        self
-    }
-
-    /// Sets the per-region utilization ceiling for carbon routing.
-    pub fn max_region_utilization(mut self, u: f64) -> Self {
-        self.cfg.max_region_utilization = u;
-        self
-    }
-
-    /// Sets the forecast lookahead, hours.
-    pub fn forecast_lookahead_h(mut self, h: f64) -> Self {
-        self.cfg.forecast_lookahead_h = h;
-        self
-    }
-
     /// Validates and returns the config.
     ///
     /// # Panics
-    /// On an empty region list, out-of-range rates/ceilings, a negative
-    /// or non-finite transfer latency, or a `RegionOutage` naming a region
-    /// index outside the fleet; and, with the experiment config's own
+    /// On a policy name outside [`crate::ROUTE_POLICIES`], an empty region list,
+    /// a utilization target outside `(0, 1]`, or a `RegionOutage` naming a
+    /// region index outside the fleet; and, with the experiment config's own
     /// messages, on per-region fields a cell rejects (GPU counts, horizon,
     /// cadence, λ outside `(0, 1]`, SLA headroom, an invalid chaos config;
     /// see [`RouterConfig::cell_config`]).
     pub fn build(self) -> RouterConfig {
         let cfg = self.cfg;
+        // Fails here, not after the router's calibration, on a bad name.
+        let _ = make_route_policy(&cfg.policy);
         assert!(!cfg.regions.is_empty(), "at least one region");
         let _ = cfg.cell_config();
         assert!(
             cfg.utilization_target > 0.0 && cfg.utilization_target <= 1.0,
             "utilization in (0, 1]"
-        );
-        assert!(
-            cfg.transfer_latency_s.is_finite() && cfg.transfer_latency_s >= 0.0,
-            "finite non-negative transfer latency"
-        );
-        assert!(
-            cfg.penalty_g_per_kwh.is_finite() && cfg.penalty_g_per_kwh >= 0.0,
-            "finite non-negative migration penalty"
-        );
-        assert!(
-            cfg.max_region_utilization > 0.0 && cfg.max_region_utilization <= 1.0,
-            "max region utilization in (0, 1]"
-        );
-        assert!(
-            cfg.forecast_lookahead_h > 0.0 && cfg.forecast_lookahead_h.is_finite(),
-            "positive forecast lookahead"
         );
         for (region, _, _) in cfg.chaos.region_outages() {
             assert!(
@@ -717,7 +663,7 @@ impl GlobalRouter {
                     .iter()
                     .any(|&(r, start, end)| r == i && start < end_s && end > t_s);
                 if down_now && !fleet.is_down() {
-                    let ages = fleet.go_dark(cfg.transfer_latency_s);
+                    let ages = fleet.go_dark(TRANSFER_LATENCY_S);
                     migrated_now += ages.len() as u64;
                     if telemetry.journal_mut().is_some() {
                         telemetry.emit(
@@ -753,7 +699,7 @@ impl GlobalRouter {
             let snapshots: Vec<_> = fleets
                 .iter()
                 .enumerate()
-                .map(|(i, f)| f.snapshot(t, cfg.forecast_lookahead_h, prev_weights[i]))
+                .map(|(i, f)| f.snapshot(t, FORECAST_LOOKAHEAD_H, prev_weights[i]))
                 .collect();
             let raw = policy.weights(&mut RouteCtx {
                 epoch: &epoch,
@@ -761,10 +707,7 @@ impl GlobalRouter {
                 demand_rps: self.workload.peak_over(t, epoch_len),
                 demand_peak_rps: self
                     .workload
-                    .peak_over(t, SimDuration::from_hours(cfg.forecast_lookahead_h)),
-                transfer_latency_s: cfg.transfer_latency_s,
-                max_region_utilization: cfg.max_region_utilization,
-                penalty_g_per_kwh: cfg.penalty_g_per_kwh,
+                    .peak_over(t, SimDuration::from_hours(FORECAST_LOOKAHEAD_H)),
                 rng: &mut route_rng,
             });
             assert_eq!(raw.len(), n, "policy returned one weight per region");
@@ -776,8 +719,7 @@ impl GlobalRouter {
             // In-flight work never moves — restarting it elsewhere would
             // waste the service time already invested.
             if policy.rebalances_backlog() && n_up > 1 {
-                migrated_now +=
-                    rebalance_backlog(&mut fleets, &up, &weights, cfg.transfer_latency_s);
+                migrated_now += rebalance_backlog(&mut fleets, &up, &weights);
             }
 
             // Transit delivery: surviving regions absorb the pool in
@@ -843,7 +785,7 @@ impl GlobalRouter {
                 telemetry.emit(
                     Event::new("route", t)
                         .u64("epoch", u64::from(epoch.index))
-                        .str("policy", policy.name().to_string())
+                        .str("policy", cfg.policy.as_str())
                         .str("weights", weights_s)
                         .u64("in_transit", transit.len() as u64)
                         .u64("migrated", migrated_now)
@@ -996,12 +938,7 @@ fn normalize_weights(raw: &[f64], up: &[bool]) -> Vec<f64> {
 /// their home queue), each migrant aged by the transfer latency. A
 /// hysteresis slack keeps small imbalances from thrashing back and forth
 /// every epoch. Returns the number of requests moved.
-fn rebalance_backlog(
-    fleets: &mut [RegionalFleet],
-    up: &[bool],
-    weights: &[f64],
-    transfer_latency_s: f64,
-) -> u64 {
+fn rebalance_backlog(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64]) -> u64 {
     let n_up = up.iter().filter(|&&u| u).count();
     let total_queued: u64 = fleets
         .iter()
@@ -1025,7 +962,7 @@ fn rebalance_backlog(
             let excess = queued - target.ceil() as u64;
             let mut taken = fleet.carry_mut().take_queued_newest(excess as usize);
             for a in &mut taken {
-                *a += transfer_latency_s;
+                *a += TRANSFER_LATENCY_S;
             }
             pool.extend(taken);
         } else if (queued as f64) < target.floor() {

@@ -14,10 +14,10 @@
 //! - [`RegionalFleet`] — one region's full serving stack (trace, monitor,
 //!   autoscaler, control plane, continuous serving simulator, carbon
 //!   ledger) on its own RNG substream;
-//! - [`RoutePolicy`] and the [`RoutePolicyRegistry`] — pluggable traffic
-//!   splits: `uniform` (per-region-local, the baseline), `random`,
-//!   `round-robin`, `smallest-queue`, and the carbon-aware `carbon-greedy`
-//!   and `forecast-aware`;
+//! - [`RoutePolicy`] — the six traffic splits named in [`ROUTE_POLICIES`]:
+//!   `uniform` (per-region-local, the baseline), `random`, `round-robin`,
+//!   `smallest-queue`, and the carbon-aware `carbon-greedy` and
+//!   `forecast-aware`;
 //! - [`GlobalRouter`] — the multi-region runtime: splits live traffic each
 //!   control epoch, migrates backlog across regions on the serving carry
 //!   (request ages survive the hop, plus a transfer-latency penalty),
@@ -40,7 +40,4 @@ pub use fleet::{FleetSpec, NoArrivals, RegionalFleet, PLANNING_FLOOR_W};
 pub use global::{
     GlobalOutcome, GlobalRouter, RouterConfig, RouterConfigBuilder, RouterEpochPoint,
 };
-pub use policy::{
-    make_route_policy, register_route_policy, registered_route_policies, try_make_route_policy,
-    DuplicatePolicy, RegionSnapshot, RouteCtx, RoutePolicy, RoutePolicyRegistry, UnknownPolicy,
-};
+pub use policy::{make_route_policy, RegionSnapshot, RouteCtx, RoutePolicy, ROUTE_POLICIES};

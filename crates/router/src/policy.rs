@@ -7,15 +7,36 @@
 //! policy is free to return unnormalized scores (or even all zeros, which
 //! falls back to a uniform split over the surviving regions).
 //!
-//! Policies resolve by name through a process-wide [`RoutePolicyRegistry`]
-//! mirroring `clover-core`'s scheduler registry: the five builtins register
-//! on first use and custom policies bolt on with
-//! [`register_route_policy`] in a few lines.
+//! The study's six policies are named in [`ROUTE_POLICIES`] and built by
+//! [`make_route_policy`]. The set is closed: adding a policy means adding
+//! a name and a `make_route_policy` arm.
 
 use clover_core::ControlEpoch;
 use clover_simkit::SimRng;
-use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+
+/// Every route policy name, in the study's order: four baselines
+/// (`uniform`, `random`, `round-robin`, `smallest-queue`), then the two
+/// carbon-aware policies (`carbon-greedy`, `forecast-aware`).
+pub const ROUTE_POLICIES: [&str; 6] = [
+    "uniform",
+    "random",
+    "round-robin",
+    "smallest-queue",
+    "carbon-greedy",
+    "forecast-aware",
+];
+
+/// Effective-carbon spread (gCO₂/kWh, after scaling by relative energy per
+/// request) that must separate two regions before the greedy policies move
+/// traffic — the migration penalty expressed in the objective's currency.
+/// Too low and the policies chase noise (and epoch-level weight churn
+/// thrashes the regional autoscalers); 50 is robust across seeds on the
+/// paper's three grids.
+const PENALTY_G_PER_KWH: f64 = 50.0;
+
+/// Utilization ceiling the carbon policies respect when concentrating
+/// traffic on a clean region, fraction of regional capacity.
+const MAX_REGION_UTILIZATION: f64 = 0.85;
 
 /// What a [`RoutePolicy`] sees of one region at an epoch boundary.
 #[derive(Debug, Clone)]
@@ -67,15 +88,6 @@ pub struct RouteCtx<'a> {
     pub demand_rps: f64,
     /// Global demand forecast peak over the lookahead window, req/s.
     pub demand_peak_rps: f64,
-    /// Extra latency a request pays for an inter-region hop, seconds.
-    pub transfer_latency_s: f64,
-    /// Utilization ceiling the carbon policies respect when concentrating
-    /// traffic on a clean region, fraction of regional capacity.
-    pub max_region_utilization: f64,
-    /// Carbon spread (gCO₂/kWh) that must separate two regions before the
-    /// greedy policies route traffic away from home — the latency penalty
-    /// expressed in the objective's own currency.
-    pub penalty_g_per_kwh: f64,
     /// The router's own RNG substream (isolated from every fleet's).
     pub rng: &'a mut SimRng,
 }
@@ -85,14 +97,6 @@ pub struct RouteCtx<'a> {
 /// [`RouteCtx::rng`] so runs stay byte-identical between serial and
 /// parallel grid execution.
 pub trait RoutePolicy: Send {
-    /// Registry name of the policy.
-    fn name(&self) -> &str;
-
-    /// Whether the policy reads carbon signals (the study's axis).
-    fn carbon_aware(&self) -> bool {
-        false
-    }
-
     /// Whether the router should also *migrate queued backlog* toward this
     /// policy's weights at epoch boundaries (spatial arbitrage on work
     /// already admitted, paying the transfer latency per request). The
@@ -113,10 +117,6 @@ pub trait RoutePolicy: Send {
 struct UniformPolicy;
 
 impl RoutePolicy for UniformPolicy {
-    fn name(&self) -> &str {
-        "uniform"
-    }
-
     fn weights(&mut self, ctx: &mut RouteCtx<'_>) -> Vec<f64> {
         vec![1.0; ctx.regions.len()]
     }
@@ -126,10 +126,6 @@ impl RoutePolicy for UniformPolicy {
 struct RandomPolicy;
 
 impl RoutePolicy for RandomPolicy {
-    fn name(&self) -> &str {
-        "random"
-    }
-
     fn weights(&mut self, ctx: &mut RouteCtx<'_>) -> Vec<f64> {
         // One draw per region, dark ones included: the stream is a fixed
         // function of the epoch index, so an outage elsewhere in the run
@@ -142,10 +138,6 @@ impl RoutePolicy for RandomPolicy {
 struct RoundRobinPolicy;
 
 impl RoutePolicy for RoundRobinPolicy {
-    fn name(&self) -> &str {
-        "round-robin"
-    }
-
     fn weights(&mut self, ctx: &mut RouteCtx<'_>) -> Vec<f64> {
         let up: Vec<usize> = ctx
             .regions
@@ -166,10 +158,6 @@ impl RoutePolicy for RoundRobinPolicy {
 struct SmallestQueuePolicy;
 
 impl RoutePolicy for SmallestQueuePolicy {
-    fn name(&self) -> &str {
-        "smallest-queue"
-    }
-
     fn weights(&mut self, ctx: &mut RouteCtx<'_>) -> Vec<f64> {
         ctx.regions
             .iter()
@@ -180,15 +168,14 @@ impl RoutePolicy for SmallestQueuePolicy {
 
 /// Latency-penalized carbon greedy: start from the uniform (origin) split,
 /// then move share from dirty regions to clean ones — but only when the
-/// carbon spread beats [`RouteCtx::penalty_g_per_kwh`] (the inter-region
-/// hop is not free), and never past a clean region's utilization ceiling.
+/// carbon spread beats [`PENALTY_G_PER_KWH`] (the inter-region hop is not
+/// free), and never past a clean region's utilization ceiling.
 ///
 /// With `use_forecast` the decision runs on the lookahead-mean intensity
 /// and sizes the capacity ceiling against the lookahead demand *peak*
 /// ([`clover_workload::DemandForecast::peak_over`]) — follow-the-sun that
 /// will not chase a dip about to end into a region about to brown out.
 struct GreedyCarbonPolicy {
-    name: &'static str,
     use_forecast: bool,
 }
 
@@ -200,14 +187,6 @@ struct GreedyCarbonPolicy {
 const DAMPING: f64 = 0.5;
 
 impl RoutePolicy for GreedyCarbonPolicy {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn carbon_aware(&self) -> bool {
-        true
-    }
-
     fn rebalances_backlog(&self) -> bool {
         true
     }
@@ -262,7 +241,7 @@ impl RoutePolicy for GreedyCarbonPolicy {
         // utilization ceiling (unbounded when demand forecasts zero).
         let cap_share = |i: usize| -> f64 {
             if demand > 0.0 {
-                ctx.max_region_utilization * ctx.regions[i].capacity_rps / demand
+                MAX_REGION_UTILIZATION * ctx.regions[i].capacity_rps / demand
             } else {
                 1.0
             }
@@ -278,7 +257,7 @@ impl RoutePolicy for GreedyCarbonPolicy {
         });
         for (ri, &recv) in order.iter().enumerate() {
             for &donor in order[ri + 1..].iter().rev() {
-                if ci(donor) - ci(recv) <= ctx.penalty_g_per_kwh {
+                if ci(donor) - ci(recv) <= PENALTY_G_PER_KWH {
                     // Donors only get cleaner from here: stop this receiver.
                     break;
                 }
@@ -307,162 +286,25 @@ impl RoutePolicy for GreedyCarbonPolicy {
     }
 }
 
-type PolicyFactory = dyn Fn() -> Box<dyn RoutePolicy> + Send + Sync;
-
-/// Error: resolving a name no policy is registered under.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownPolicy {
-    /// The unresolvable name.
-    pub name: String,
-    /// Every name that would have resolved.
-    pub known: Vec<String>,
-}
-
-impl fmt::Display for UnknownPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown route policy {:?}; registered: {}",
-            self.name,
-            self.known.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownPolicy {}
-
-/// Error: registering a name that is already taken.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DuplicatePolicy(pub String);
-
-impl fmt::Display for DuplicatePolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "route policy {:?} is already registered", self.0)
-    }
-}
-
-impl std::error::Error for DuplicatePolicy {}
-
-/// Name-keyed policy registry (lookup is case-sensitive; builtins use
-/// their study labels, e.g. `"carbon-greedy"`).
-#[derive(Default)]
-pub struct RoutePolicyRegistry {
-    entries: Vec<(String, Arc<PolicyFactory>)>,
-}
-
-impl RoutePolicyRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A registry pre-loaded with the study's policies: `uniform`,
-    /// `random`, `round-robin`, `smallest-queue` (baselines), plus
-    /// `carbon-greedy` and `forecast-aware` (carbon-aware).
-    pub fn with_builtins() -> Self {
-        let mut reg = Self::new();
-        reg.register("uniform", || Box::new(UniformPolicy))
-            .expect("empty registry");
-        reg.register("random", || Box::new(RandomPolicy))
-            .expect("fresh name");
-        reg.register("round-robin", || Box::new(RoundRobinPolicy))
-            .expect("fresh name");
-        reg.register("smallest-queue", || Box::new(SmallestQueuePolicy))
-            .expect("fresh name");
-        reg.register("carbon-greedy", || {
-            Box::new(GreedyCarbonPolicy {
-                name: "carbon-greedy",
-                use_forecast: false,
-            })
-        })
-        .expect("fresh name");
-        reg.register("forecast-aware", || {
-            Box::new(GreedyCarbonPolicy {
-                name: "forecast-aware",
-                use_forecast: true,
-            })
-        })
-        .expect("fresh name");
-        reg
-    }
-
-    /// Registers a policy under `name`. Fails (leaving the registry
-    /// unchanged) when the name is taken — policy names are identities a
-    /// config refers to, silently shadowing one would corrupt it.
-    pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        factory: impl Fn() -> Box<dyn RoutePolicy> + Send + Sync + 'static,
-    ) -> Result<(), DuplicatePolicy> {
-        let name = name.into();
-        if self.contains(&name) {
-            return Err(DuplicatePolicy(name));
-        }
-        self.entries.push((name, Arc::new(factory)));
-        Ok(())
-    }
-
-    /// Whether `name` resolves.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|(n, _)| n == name)
-    }
-
-    /// Every registered name, in registration order.
-    pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|(n, _)| n.clone()).collect()
-    }
-
-    /// Builds a fresh policy instance for `name`.
-    pub fn build(&self, name: &str) -> Result<Box<dyn RoutePolicy>, UnknownPolicy> {
-        match self.entries.iter().find(|(n, _)| n == name) {
-            Some((_, factory)) => Ok(factory()),
-            None => Err(UnknownPolicy {
-                name: name.to_string(),
-                known: self.names(),
-            }),
-        }
-    }
-}
-
-/// The process-wide registry router configs resolve policies through,
-/// initialized with the six builtins on first use.
-fn global_registry() -> &'static RwLock<RoutePolicyRegistry> {
-    static GLOBAL: OnceLock<RwLock<RoutePolicyRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(RoutePolicyRegistry::with_builtins()))
-}
-
-/// Registers a policy in the process-wide registry, making it addressable
-/// from any [`crate::RouterConfig`] by name.
-pub fn register_route_policy(
-    name: impl Into<String>,
-    factory: impl Fn() -> Box<dyn RoutePolicy> + Send + Sync + 'static,
-) -> Result<(), DuplicatePolicy> {
-    global_registry()
-        .write()
-        .expect("route policy registry poisoned")
-        .register(name, factory)
-}
-
-/// The names currently registered in the process-wide registry.
-pub fn registered_route_policies() -> Vec<String> {
-    global_registry()
-        .read()
-        .expect("route policy registry poisoned")
-        .names()
-}
-
-/// Builds the policy registered under `name` via the process-wide registry.
-pub fn try_make_route_policy(name: &str) -> Result<Box<dyn RoutePolicy>, UnknownPolicy> {
-    global_registry()
-        .read()
-        .expect("route policy registry poisoned")
-        .build(name)
-}
-
-/// Like [`try_make_route_policy`], panicking on an unknown name (the
-/// router runtime's path: an unresolvable config is a caller bug).
+/// Builds a fresh instance of the policy named `name`.
+///
+/// # Panics
+/// On a name outside [`ROUTE_POLICIES`].
 pub fn make_route_policy(name: &str) -> Box<dyn RoutePolicy> {
-    try_make_route_policy(name).unwrap_or_else(|e| panic!("{e}"))
+    match name {
+        "uniform" => Box::new(UniformPolicy),
+        "random" => Box::new(RandomPolicy),
+        "round-robin" => Box::new(RoundRobinPolicy),
+        "smallest-queue" => Box::new(SmallestQueuePolicy),
+        "carbon-greedy" => Box::new(GreedyCarbonPolicy {
+            use_forecast: false,
+        }),
+        "forecast-aware" => Box::new(GreedyCarbonPolicy { use_forecast: true }),
+        _ => panic!(
+            "unknown route policy {name:?}; known: {}",
+            ROUTE_POLICIES.join(", ")
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -490,7 +332,6 @@ mod tests {
         policy: &mut dyn RoutePolicy,
         regions: &[RegionSnapshot],
         demand: f64,
-        penalty: f64,
     ) -> Vec<f64> {
         let schedule = EpochSchedule::new(1.0, 3600.0);
         let epoch = schedule.iter().next().unwrap();
@@ -500,26 +341,17 @@ mod tests {
             regions,
             demand_rps: demand,
             demand_peak_rps: demand,
-            transfer_latency_s: 0.08,
-            max_region_utilization: 0.85,
-            penalty_g_per_kwh: penalty,
             rng: &mut rng,
         })
     }
 
     #[test]
     fn builtin_names_resolve() {
-        for name in [
-            "uniform",
-            "random",
-            "round-robin",
-            "smallest-queue",
-            "carbon-greedy",
-            "forecast-aware",
-        ] {
-            assert_eq!(make_route_policy(name).name(), name);
+        let regions = vec![snap(0, true, 200.0, 0, 400.0)];
+        for name in ROUTE_POLICIES {
+            let w = ctx_weights(make_route_policy(name).as_mut(), &regions, 400.0);
+            assert_eq!(w.len(), 1, "{name}");
         }
-        assert!(try_make_route_policy("nope").is_err());
     }
 
     #[test]
@@ -532,11 +364,14 @@ mod tests {
         let mut p = make_route_policy("carbon-greedy");
         // Demand 600 rps, cap share = 0.85*400/600 ≈ 0.567: the clean
         // region absorbs up to its ceiling, the dirty two keep the rest.
-        let w = ctx_weights(p.as_mut(), &regions, 600.0, 25.0);
+        let w = ctx_weights(p.as_mut(), &regions, 600.0);
         let total: f64 = w.iter().sum();
         assert!((total - 1.0).abs() < 1e-12);
         assert!(w[1] > w[0] && w[1] > w[2], "{w:?}");
-        assert!(w[1] <= 0.85 * 400.0 / 600.0 + 1e-12, "{w:?}");
+        assert!(
+            w[1] <= MAX_REGION_UTILIZATION * 400.0 / 600.0 + 1e-12,
+            "{w:?}"
+        );
     }
 
     #[test]
@@ -546,7 +381,7 @@ mod tests {
             snap(1, true, 200.0, 0, 400.0),
         ];
         let mut p = make_route_policy("carbon-greedy");
-        let w = ctx_weights(p.as_mut(), &regions, 400.0, 25.0);
+        let w = ctx_weights(p.as_mut(), &regions, 400.0);
         assert_eq!(w, vec![0.5, 0.5]);
     }
 
@@ -557,7 +392,7 @@ mod tests {
             snap(1, true, 200.0, 0, 400.0),
         ];
         let mut p = make_route_policy("smallest-queue");
-        let w = ctx_weights(p.as_mut(), &regions, 400.0, 25.0);
+        let w = ctx_weights(p.as_mut(), &regions, 400.0);
         assert!(w[1] > w[0]);
     }
 
@@ -579,9 +414,6 @@ mod tests {
                     regions: &regions,
                     demand_rps: 400.0,
                     demand_peak_rps: 400.0,
-                    transfer_latency_s: 0.08,
-                    max_region_utilization: 0.85,
-                    penalty_g_per_kwh: 25.0,
                     rng: &mut rng,
                 })
             })

@@ -890,11 +890,6 @@ impl ServingSim {
         self.shards = shards.max(1);
     }
 
-    /// The configured intra-epoch shard count.
-    pub fn intra_epoch_shards(&self) -> usize {
-        self.shards
-    }
-
     /// Caps the worker threads the sharded continuous path may use;
     /// `None` (the default) defers to [`clover_simkit::default_threads`].
     /// Thread count never affects results — only wall-clock.

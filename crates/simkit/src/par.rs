@@ -200,17 +200,6 @@ where
         .collect()
 }
 
-/// [`par_map`] with [`default_threads`] workers.
-pub fn par_map_auto<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let threads = default_threads();
-    par_map(items, threads, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,11 +1,9 @@
 //! Quantile estimation for tail-latency (p95) tracking.
 //!
-//! Three estimators with different memory/accuracy trade-offs:
+//! Two estimators with different memory/accuracy trade-offs:
 //!
-//! - [`ExactQuantiles`] stores every sample; exact, used in tests and for
-//!   short measurement windows during Clover's optimization evaluations.
-//! - [`P2Quantile`] is the classic P² streaming estimator: five markers,
-//!   O(1) memory, good accuracy for stationary streams.
+//! - [`ExactQuantiles`] stores every sample; exact, the reference the
+//!   histogram's error bound is tested against.
 //! - [`LatencyHistogram`] is an HDR-style geometric-bucket histogram with
 //!   bounded relative error; used for 48-hour runs with tens of millions of
 //!   samples.
@@ -80,117 +78,6 @@ impl ExactQuantiles {
     pub fn clear(&mut self) {
         self.samples.clear();
         self.sorted = true;
-    }
-}
-
-/// P² (Jain & Chlamtac) single-quantile streaming estimator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct P2Quantile {
-    q: f64,
-    /// Marker heights.
-    heights: [f64; 5],
-    /// Marker positions (1-based ranks).
-    positions: [f64; 5],
-    /// Desired marker positions.
-    desired: [f64; 5],
-    /// Desired position increments.
-    increments: [f64; 5],
-    count: usize,
-    /// Initial observations until the estimator is primed.
-    initial: Vec<f64>,
-}
-
-impl P2Quantile {
-    /// Creates an estimator for the `q`-quantile (e.g. 0.95 for p95).
-    pub fn new(q: f64) -> Self {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        P2Quantile {
-            q,
-            heights: [0.0; 5],
-            positions: [1.0, 2.0, 3.0, 4.0, 5.0],
-            desired: [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q, 3.0 + 2.0 * q, 5.0],
-            increments: [0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0],
-            count: 0,
-            initial: Vec::with_capacity(5),
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f64) {
-        debug_assert!(x.is_finite());
-        self.count += 1;
-        if self.initial.len() < 5 {
-            self.initial.push(x);
-            if self.initial.len() == 5 {
-                self.initial
-                    .sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-                for (h, &v) in self.heights.iter_mut().zip(self.initial.iter()) {
-                    *h = v;
-                }
-            }
-            return;
-        }
-
-        // Find the cell k such that heights[k] <= x < heights[k+1].
-        let k = if x < self.heights[0] {
-            self.heights[0] = x;
-            0
-        } else if x >= self.heights[4] {
-            self.heights[4] = x;
-            3
-        } else {
-            (0..4)
-                .find(|&i| x < self.heights[i + 1])
-                .expect("x is within marker range")
-        };
-
-        for p in self.positions.iter_mut().skip(k + 1) {
-            *p += 1.0;
-        }
-        for (d, inc) in self.desired.iter_mut().zip(self.increments.iter()) {
-            *d += inc;
-        }
-
-        // Adjust interior markers with the piecewise-parabolic formula.
-        for i in 1..4 {
-            let d = self.desired[i] - self.positions[i];
-            let dp = self.positions[i + 1] - self.positions[i];
-            let dm = self.positions[i - 1] - self.positions[i];
-            if (d >= 1.0 && dp > 1.0) || (d <= -1.0 && dm < -1.0) {
-                let d = d.signum();
-                let hp = (self.heights[i + 1] - self.heights[i]) / dp;
-                let hm = (self.heights[i - 1] - self.heights[i]) / dm;
-                let parabolic = self.heights[i] + d / (dp - dm) * ((d - dm) * hp + (dp - d) * hm);
-                self.heights[i] =
-                    if self.heights[i - 1] < parabolic && parabolic < self.heights[i + 1] {
-                        parabolic
-                    } else if d > 0.0 {
-                        self.heights[i] + hp
-                    } else {
-                        self.heights[i] - hm
-                    };
-                self.positions[i] += d;
-            }
-        }
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Current quantile estimate. Returns `None` before any observation.
-    pub fn value(&self) -> Option<f64> {
-        match self.count {
-            0 => None,
-            n if n < 5 => {
-                let mut v = self.initial.clone();
-                v.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite"));
-                let rank = ((self.q * n as f64).ceil() as usize).clamp(1, n);
-                Some(v[rank - 1])
-            }
-            _ => Some(self.heights[2]),
-        }
     }
 }
 
@@ -462,41 +349,6 @@ mod tests {
         assert_eq!(e.quantile(0.2), Some(1.0));
         assert_eq!(e.quantile(0.8), Some(4.0));
         assert_eq!(e.count(), 5);
-    }
-
-    #[test]
-    fn p2_tracks_uniform_p95() {
-        let mut p2 = P2Quantile::new(0.95);
-        let mut rng = SimRng::new(123);
-        for _ in 0..100_000 {
-            p2.record(rng.f64());
-        }
-        let v = p2.value().unwrap();
-        assert!((v - 0.95).abs() < 0.01, "p95 estimate {v}");
-    }
-
-    #[test]
-    fn p2_tracks_exponential_median() {
-        let mut p2 = P2Quantile::new(0.5);
-        let mut rng = SimRng::new(42);
-        for _ in 0..100_000 {
-            p2.record(rng.exponential(1.0));
-        }
-        let v = p2.value().unwrap();
-        let truth = std::f64::consts::LN_2;
-        assert!((v - truth).abs() / truth < 0.05, "median estimate {v}");
-    }
-
-    #[test]
-    fn p2_small_counts_fall_back_to_exact() {
-        let mut p2 = P2Quantile::new(0.95);
-        assert_eq!(p2.value(), None);
-        p2.record(3.0);
-        assert_eq!(p2.value(), Some(3.0));
-        p2.record(1.0);
-        p2.record(2.0);
-        assert_eq!(p2.value(), Some(3.0));
-        assert_eq!(p2.count(), 3);
     }
 
     #[test]

@@ -40,7 +40,7 @@ fn main() {
     let objective = Objective::new(family.accuracy_base(), c_base, sla);
     let mut monitor = CarbonMonitor::with_default_threshold(trace);
 
-    let mut scheduler = make_scheduler(&SchemeKind::Clover, &family, n_gpus, SaParams::default());
+    let mut scheduler = make_scheduler(SchemeKind::Clover, &family, n_gpus, SaParams::default());
     let mut evaluator = DesEvaluator::new(family.clone(), perf, rate, base, 99);
     let mut rng = SimRng::new(5);
     let workload = Workload::poisson(rate);

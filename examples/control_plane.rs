@@ -1,14 +1,12 @@
-//! The control-plane API end to end: a custom scheme registered by name,
-//! driven on a sub-hour control cadence with full-epoch fidelity.
+//! The control-plane API end to end: schemes driven on a sub-hour control
+//! cadence with full-epoch fidelity.
 //!
-//! Demonstrates the three pieces `docs/control-plane.md` describes:
+//! Demonstrates the pieces `docs/control-plane.md` describes:
 //!
-//! - **Open scheduler registry** — `ANALYTIC`, a ~30-line scheme that
-//!   argmaxes the paper's objective over the standardized configuration
-//!   space using the zero-cost M/M/c estimate instead of live DES
-//!   measurement (a model-based counterpart to ORACLE), is registered at
-//!   runtime and addressed from an ordinary `ExperimentConfig` — no core
-//!   enum to extend.
+//! - **Scheme lifecycle** — CLOVER searches online and charges its live
+//!   measurements; ORACLE plans from offline profiles it builds once per
+//!   (fleet size, rate band) and refines through its `observe` hook. Both
+//!   are addressed by `SchemeKind` from an ordinary `ExperimentConfig`.
 //! - **Sub-hour control epochs** — the loop ticks every 15 minutes while
 //!   the carbon trace stays hourly.
 //! - **Fidelity** — the same cells are run with the paper's representative
@@ -20,69 +18,9 @@
 
 use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig};
-use clover::core::objective::MeasuredPoint;
-use clover::core::schedulers::{
-    enumerate_standardized, register_scheduler, Decision, Observation, Scheduler, SchedulerCtx,
-    SchemeKind,
-};
+use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::serving::{analytic, Deployment};
 use clover::workload::WorkloadKind;
-
-/// A model-based scheme: every invocation, rank the standardized space by
-/// the paper's objective at the current carbon intensity — using the
-/// zero-cost analytic (M/M/c) estimate instead of ORACLE's offline DES
-/// profile or CLOVER's charged live measurements — and deploy the best
-/// SLA-compliant entry. No optimization time is charged because nothing
-/// touches live traffic.
-struct AnalyticScheduler {
-    plans: u32,
-    epochs_observed: u32,
-}
-
-impl Scheduler for AnalyticScheduler {
-    fn name(&self) -> &str {
-        "ANALYTIC"
-    }
-
-    fn plan(&mut self, ctx: &mut SchedulerCtx<'_>) -> Decision {
-        self.plans += 1;
-        let rate = ctx.workload.planning_rate_at(ctx.now);
-        let deployment = enumerate_standardized(ctx.family, ctx.active_gpus)
-            .into_iter()
-            .filter_map(|d| {
-                let est = analytic::estimate(ctx.family, ctx.perf, &d, rate);
-                if !est.stable || est.p95_latency_s > ctx.objective.l_tail_s {
-                    return None;
-                }
-                let acc = clover::models::capacity_weighted_accuracy(
-                    ctx.family,
-                    ctx.perf,
-                    &d.instances(),
-                )?;
-                let point = MeasuredPoint {
-                    accuracy_pct: acc,
-                    energy_per_request_j: est.energy_per_request_j,
-                    p95_latency_s: est.p95_latency_s,
-                };
-                Some((d, ctx.objective.f(&point, ctx.ci)))
-            })
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite objective"))
-            .map(|(d, _)| d)
-            .unwrap_or_else(|| Deployment::base(ctx.family, ctx.active_gpus));
-        Decision {
-            deployment,
-            run: None,
-            note: None,
-        }
-    }
-
-    fn observe(&mut self, _obs: &Observation<'_>) {
-        // A real scheme would learn from the served window here (see
-        // ORACLE's per-rate-band profiles); this one just counts.
-        self.epochs_observed += 1;
-    }
-}
 
 fn config(scheme: SchemeKind, fidelity: Fidelity) -> ExperimentConfig {
     ExperimentConfig::builder(Application::ImageClassification)
@@ -101,21 +39,13 @@ fn config(scheme: SchemeKind, fidelity: Fidelity) -> ExperimentConfig {
 }
 
 fn main() {
-    register_scheduler("ANALYTIC", |_| {
-        Box::new(AnalyticScheduler {
-            plans: 0,
-            epochs_observed: 0,
-        })
-    })
-    .expect("fresh name");
-
     println!("scheme      fidelity     carbon_save%  acc_loss%  p95/sla  epochs");
-    for scheme in [SchemeKind::Clover, SchemeKind::Custom("ANALYTIC".into())] {
+    for scheme in [SchemeKind::Clover, SchemeKind::Oracle] {
         for fidelity in [
             Fidelity::RepresentativeWindow { window_s: 20.0 },
             Fidelity::FullEpoch,
         ] {
-            let out = Experiment::new(config(scheme.clone(), fidelity)).run();
+            let out = Experiment::new(config(scheme, fidelity)).run();
             println!(
                 "{:<11} {:<12} {:>12.1} {:>10.2} {:>8.2} {:>7}",
                 out.scheme,
@@ -129,8 +59,7 @@ fn main() {
     }
     println!();
     println!(
-        "ANALYTIC was registered at runtime and addressed as SchemeKind::Custom; the 15-minute \
-         cadence gives 24 control epochs per 6 h run, and full-epoch fidelity samples the MMPP \
-         bursts the 20 s representative window mostly misses."
+        "The 15-minute cadence gives 24 control epochs per 6 h run, and full-epoch fidelity \
+         samples the MMPP bursts the 20 s representative window mostly misses."
     );
 }

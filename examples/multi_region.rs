@@ -19,20 +19,19 @@
 use clover::core::autoscale::ScalingPolicy;
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::router::{registered_route_policies, GlobalRouter, RouterConfig};
+use clover::router::{GlobalRouter, RouterConfig, ROUTE_POLICIES};
 
 fn main() {
     let app = Application::LanguageModeling;
-    let policies = registered_route_policies();
     println!("Global router serving {app} across 3 regions for 12 simulated hours:");
     println!(
         "{:<16} {:>10} {:>10} {:>8} {:>9} {:>10} {:>9}",
         "policy", "kg CO2", "p95 (s)", "SLA", "migrated", "mean gpus", "weights"
     );
     let mut uniform_carbon = None;
-    for policy in &policies {
+    for policy in ROUTE_POLICIES {
         let cfg = RouterConfig::builder(app)
-            .policy(policy.clone())
+            .policy(policy)
             .scheme(SchemeKind::Base)
             .n_gpus_per_region(4)
             .min_gpus(1)

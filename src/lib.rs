@@ -15,7 +15,7 @@
 //! - [`serving`] — inference serving simulator (queue, dispatch, metrics)
 //! - [`core`] — the Clover optimizer, controller, and competing schemes
 //! - [`router`] — geo-distributed serving: regional fleets and the global
-//!   carbon-aware traffic router with its pluggable policy registry
+//!   carbon-aware traffic router with its six routing policies
 //! - [`telemetry`] — determinism-safe observability: metric registry
 //!   (JSON / Prometheus exposition), control-plane decision journal
 //!   (JSONL), and phase profiling

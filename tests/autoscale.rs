@@ -337,7 +337,7 @@ fn prewarm_meets_the_flash_crowd_sla_at_no_more_carbon_than_reactive() {
 fn all_schemes_complete_under_forecast_scaling() {
     for scheme in SchemeKind::ALL {
         let cfg = ExperimentConfig::builder(Application::ObjectDetection)
-            .scheme(scheme.clone())
+            .scheme(scheme)
             .workload(WorkloadKind::diurnal())
             .scaling(ScalingPolicy::forecast())
             .n_gpus(2)

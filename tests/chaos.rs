@@ -61,7 +61,7 @@ fn faulted(scheme: SchemeKind) -> ExperimentConfig {
 fn chaos_off_is_bit_identical_to_the_pre_refactor_pins() {
     for (name, expected) in PRE_REFACTOR_QUICK {
         let cfg = ExperimentConfig::builder(Application::ImageClassification)
-            .scheme(SchemeKind::parse(name))
+            .scheme(SchemeKind::parse(name).unwrap())
             .chaos(ChaosConfig::off())
             .n_gpus(4)
             .horizon_hours(6.0)

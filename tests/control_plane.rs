@@ -1,6 +1,6 @@
 //! Integration tests for the control-plane redesign.
 //!
-//! Three guarantees are pinned here:
+//! Two guarantees are pinned here:
 //!
 //! 1. **The refactor is invisible at the default configuration.** The
 //!    digests below were recorded on the tree *before* the experiment's
@@ -11,20 +11,12 @@
 //! 2. **The new degrees of freedom stay deterministic.** Sub-hour control
 //!    epochs and `FullEpoch` fidelity produce serial == parallel digests
 //!    across thread counts for all five schemes.
-//! 3. **The scheme surface is genuinely open.** A scheme registered by
-//!    name runs end to end from an ordinary `ExperimentConfig`; unknown
-//!    names fail with a listing of what exists.
 
-use clover::core::anneal::SaParams;
 use clover::core::autoscale::ScalingPolicy;
 use clover::core::control::{Fidelity, SearchBudget};
 use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
-use clover::core::schedulers::{
-    register_scheduler, registered_schemes, try_make_scheduler, Decision, Scheduler, SchedulerCtx,
-    SchemeKind,
-};
+use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::serving::Deployment;
 
 /// Digests recorded before the control-plane extraction (commit 19339c8's
 /// tree): `ExperimentConfig::builder(ImageClassification).scheme(s)
@@ -61,7 +53,7 @@ const PRE_REFACTOR_PAR: [(&str, u64, u64); 15] = [
 fn default_config_reproduces_pre_refactor_digests() {
     for (name, expected) in PRE_REFACTOR_QUICK {
         let cfg = ExperimentConfig::builder(Application::ImageClassification)
-            .scheme(SchemeKind::parse(name))
+            .scheme(SchemeKind::parse(name).unwrap())
             .n_gpus(4)
             .horizon_hours(6.0)
             .sim_window_s(20.0)
@@ -83,7 +75,7 @@ fn default_config_reproduces_pre_refactor_digests() {
 fn default_grid_cells_reproduce_pre_refactor_digests() {
     for (name, seed, expected) in PRE_REFACTOR_PAR {
         let cfg = ExperimentConfig::builder(Application::ImageClassification)
-            .scheme(SchemeKind::parse(name))
+            .scheme(SchemeKind::parse(name).unwrap())
             .n_gpus(2)
             .horizon_hours(2.0)
             .sim_window_s(10.0)
@@ -120,7 +112,7 @@ fn epoch_cfg(scheme: SchemeKind, fidelity: Fidelity, seed: u64) -> ExperimentCon
 fn sub_hour_epochs_run_all_schemes_with_finer_timelines() {
     for scheme in SchemeKind::ALL {
         let out = Experiment::new(epoch_cfg(
-            scheme.clone(),
+            scheme,
             Fidelity::RepresentativeWindow { window_s: 10.0 },
             7,
         ))
@@ -175,7 +167,7 @@ fn sub_hour_and_full_epoch_grids_are_bit_identical_serial_vs_parallel() {
                 Fidelity::FullEpoch,
             ]
             .into_iter()
-            .map(move |f| epoch_cfg(scheme.clone(), f, 23))
+            .map(move |f| epoch_cfg(scheme, f, 23))
         })
         .collect();
     let serial: Vec<u64> = Experiment::run_cells(configs.clone(), 1)
@@ -350,100 +342,5 @@ fn search_budget_scales_with_the_epoch_and_not_with_the_default() {
     assert!(
         scaled.evals_total() > 0,
         "the capped search must still evaluate candidates"
-    );
-}
-
-/// A trivial registered scheme: BASE's layout under a custom name, proving
-/// the registry path end to end (`Custom` config → registry factory →
-/// lifecycle calls → outcome labeled with the custom name).
-struct PinnedScheduler {
-    deployment: Deployment,
-    observed_epochs: usize,
-}
-
-impl Scheduler for PinnedScheduler {
-    fn name(&self) -> &str {
-        "PINNED"
-    }
-
-    fn carbon_aware(&self) -> bool {
-        false
-    }
-
-    fn plan(&mut self, ctx: &mut SchedulerCtx<'_>) -> Decision {
-        if self.deployment.n_gpus() != ctx.active_gpus {
-            self.deployment = Deployment::base(ctx.family, ctx.active_gpus);
-        }
-        Decision {
-            deployment: self.deployment.clone(),
-            run: None,
-            note: None,
-        }
-    }
-
-    fn observe(&mut self, _obs: &clover::core::schedulers::Observation<'_>) {
-        self.observed_epochs += 1;
-    }
-}
-
-#[test]
-fn registered_custom_scheme_runs_end_to_end() {
-    // Ignore the error: another test in this binary may have registered it
-    // first (tests share the process-wide registry).
-    let _ = register_scheduler("PINNED", |init| {
-        Box::new(PinnedScheduler {
-            deployment: Deployment::base(init.family, init.n_gpus),
-            observed_epochs: 0,
-        })
-    });
-    assert!(registered_schemes().contains(&"PINNED".to_string()));
-
-    let cfg = ExperimentConfig::builder(Application::ImageClassification)
-        .scheme(SchemeKind::Custom("PINNED".into()))
-        .n_gpus(2)
-        .horizon_hours(2.0)
-        .sim_window_s(10.0)
-        .seed(3)
-        .build();
-    let out = Experiment::new(cfg).run();
-    assert_eq!(out.scheme, "PINNED");
-    assert!(out.served_scaled > 0.0);
-    assert_eq!(out.evals_total(), 0, "PINNED never searches online");
-
-    // A custom scheme that mirrors BASE's decisions reproduces BASE's
-    // serving numbers exactly: the registry adds no hidden state.
-    let base = Experiment::new(
-        ExperimentConfig::builder(Application::ImageClassification)
-            .scheme(SchemeKind::Base)
-            .n_gpus(2)
-            .horizon_hours(2.0)
-            .sim_window_s(10.0)
-            .seed(3)
-            .build(),
-    )
-    .run();
-    assert_eq!(out.total_carbon_g, base.total_carbon_g);
-    assert_eq!(out.p95_s, base.p95_s);
-    assert_eq!(out.sim_events, base.sim_events);
-}
-
-#[test]
-fn unknown_scheme_name_is_a_clear_error() {
-    let family = Application::ImageClassification.family();
-    let err = match try_make_scheduler(
-        &SchemeKind::Custom("NOT-REGISTERED".into()),
-        &family,
-        2,
-        SaParams::default(),
-    ) {
-        Ok(_) => panic!("unknown scheme must not resolve"),
-        Err(e) => e,
-    };
-    assert_eq!(err.name, "NOT-REGISTERED");
-    assert!(err.known.contains(&"CLOVER".to_string()));
-    let msg = err.to_string();
-    assert!(
-        msg.contains("NOT-REGISTERED") && msg.contains("BASE"),
-        "{msg}"
     );
 }

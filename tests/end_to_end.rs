@@ -20,7 +20,7 @@ fn run(app: Application, scheme: SchemeKind, n_gpus: usize) -> ExperimentOutcome
 fn all_schemes_complete_for_all_apps() {
     for app in Application::ALL {
         for scheme in SchemeKind::ALL {
-            let out = run(app, scheme.clone(), 2);
+            let out = run(app, scheme, 2);
             assert!(out.served_scaled > 0.0, "{app} {scheme}: nothing served");
             assert!(out.total_carbon_g > 0.0);
             assert_eq!(out.timeline.len(), 6);
@@ -35,7 +35,7 @@ fn all_schemes_complete_for_all_apps() {
 #[test]
 fn carbon_aware_schemes_beat_base_on_carbon() {
     for scheme in [SchemeKind::Co2Opt, SchemeKind::Clover, SchemeKind::Oracle] {
-        let out = run(Application::ImageClassification, scheme.clone(), 4);
+        let out = run(Application::ImageClassification, scheme, 4);
         assert!(
             out.carbon_saving_pct > 40.0,
             "{scheme}: saving only {:.1}%",

@@ -1,6 +1,6 @@
 //! Integration tests for the geo-distributed router: determinism of
 //! multi-region runs, global request conservation, outage failover, and
-//! the open end of the routing-policy surface.
+//! the closed routing-policy set.
 //!
 //! Five properties are pinned here:
 //!
@@ -15,9 +15,8 @@
 //!    while it is down, and conservation still closes.
 //! 4. **One region degenerates to the single-cluster shape.** A
 //!    single-region "fleet" routes weight 1.0 to itself every epoch.
-//! 5. **The policy surface is open.** A custom policy registered at
-//!    runtime drives a full router run; re-registering a builtin name is
-//!    rejected.
+//! 5. **The policy set is closed.** A config naming a policy outside
+//!    `ROUTE_POLICIES` is rejected when it is built, before any run.
 //! 6. **GPU-level chaos reaches every regional fleet.** Failures, kills
 //!    and crashes land inside the regions' cells (each drawn from its own
 //!    substream), conservation still closes, and the faulted run stays
@@ -28,9 +27,7 @@ use clover::core::autoscale::ScalingPolicy;
 use clover::core::chaos::{ChaosConfig, FaultSpec};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::router::{
-    register_route_policy, try_make_route_policy, GlobalRouter, RouteCtx, RoutePolicy, RouterConfig,
-};
+use clover::router::{GlobalRouter, RouterConfig};
 use clover::telemetry::TelemetrySpec;
 
 /// A small-but-live router cell: three regions, sub-hour epochs, reactive
@@ -261,53 +258,13 @@ fn a_single_region_fleet_degenerates_to_weight_one() {
     assert_eq!(out.conservation_leak, 0);
 }
 
-/// Sends everything to the region with the lowest instantaneous
-/// intensity — a deliberately extreme custom policy.
-struct ChaseCleanest;
-
-impl RoutePolicy for ChaseCleanest {
-    fn name(&self) -> &str {
-        "chase-cleanest"
-    }
-
-    fn weights(&mut self, ctx: &mut RouteCtx<'_>) -> Vec<f64> {
-        let mut w = vec![0.0; ctx.regions.len()];
-        let cleanest = ctx
-            .regions
-            .iter()
-            .filter(|r| r.up)
-            .min_by(|a, b| {
-                a.ci_now_g_per_kwh
-                    .partial_cmp(&b.ci_now_g_per_kwh)
-                    .unwrap()
-                    .then(a.index.cmp(&b.index))
-            })
-            .map(|r| r.index);
-        if let Some(i) = cleanest {
-            w[i] = 1.0;
-        }
-        w
-    }
-}
-
 #[test]
-fn the_policy_surface_is_open_and_guarded() {
-    register_route_policy("chase-cleanest", || Box::new(ChaseCleanest))
-        .expect("fresh name registers");
-    let out = GlobalRouter::new(quick("chase-cleanest")).run();
-    assert_eq!(out.policy, "chase-cleanest");
-    assert!(out.served > 0);
-    assert_eq!(out.conservation_leak, 0);
-    // Exactly one region carries each epoch.
-    for pt in &out.timeline {
-        let live: Vec<f64> = pt.weights.iter().copied().filter(|&w| w > 0.0).collect();
-        assert_eq!(live, vec![1.0], "epoch {}: winner-take-all", pt.epoch);
-    }
-
-    register_route_policy("uniform", || Box::new(ChaseCleanest))
-        .expect_err("builtin names must not be shadowed");
-    assert!(
-        try_make_route_policy("no-such-policy").is_err(),
-        "unknown names must not resolve"
-    );
+#[should_panic(
+    expected = "unknown route policy \"no-such-policy\"; known: uniform, random, \
+                           round-robin, smallest-queue, carbon-greedy, forecast-aware"
+)]
+fn an_unknown_policy_name_is_rejected_at_build() {
+    let _ = RouterConfig::builder(Application::LanguageModeling)
+        .policy("no-such-policy")
+        .build();
 }

@@ -25,7 +25,7 @@ fn cfg(scheme: SchemeKind, seed: u64) -> ExperimentConfig {
 fn grid() -> Vec<ExperimentConfig> {
     SchemeKind::ALL
         .into_iter()
-        .flat_map(|scheme| SEEDS.into_iter().map(move |seed| cfg(scheme.clone(), seed)))
+        .flat_map(|scheme| SEEDS.into_iter().map(move |seed| cfg(scheme, seed)))
         .collect()
 }
 

@@ -54,7 +54,7 @@ fn grid() -> Vec<ExperimentConfig> {
 fn grid_of(make: fn(SchemeKind, usize) -> ExperimentConfig) -> Vec<ExperimentConfig> {
     SchemeKind::ALL
         .into_iter()
-        .flat_map(|scheme| [1usize, 2, 4].map(|shards| make(scheme.clone(), shards)))
+        .flat_map(|scheme| [1usize, 2, 4].map(|shards| make(scheme, shards)))
         .collect()
 }
 
@@ -162,7 +162,7 @@ fn sharded_grid_is_bit_identical_across_thread_counts() {
 #[test]
 fn concurrent_shard_execution_matches_serial() {
     for scheme in SchemeKind::ALL {
-        let single = vec![cfg(scheme.clone(), 4)];
+        let single = vec![cfg(scheme, 4)];
         let reference = Experiment::run_cells(single.clone(), 1)[0].digest();
         for threads in [2, 4, 8] {
             let got = Experiment::run_cells(single.clone(), threads)[0].digest();

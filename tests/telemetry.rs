@@ -37,7 +37,7 @@ const PINNED_QUICK: [(&str, u64); 5] = [
 
 fn quick_cfg(scheme: &str) -> ExperimentConfig {
     ExperimentConfig::builder(Application::ImageClassification)
-        .scheme(SchemeKind::parse(scheme))
+        .scheme(SchemeKind::parse(scheme).unwrap())
         .n_gpus(4)
         .horizon_hours(6.0)
         .sim_window_s(20.0)
@@ -50,7 +50,7 @@ fn quick_cfg(scheme: &str) -> ExperimentConfig {
 /// epoch, epoch-scaled search budgets on re-plans).
 fn full_epoch_cfg(scheme: &str, seed: u64) -> ExperimentConfig {
     ExperimentConfig::builder(Application::ImageClassification)
-        .scheme(SchemeKind::parse(scheme))
+        .scheme(SchemeKind::parse(scheme).unwrap())
         .workload(WorkloadKind::flash_crowd())
         .n_gpus(2)
         .horizon_hours(2.0)

@@ -50,7 +50,7 @@ fn run(scheme: SchemeKind, kind: WorkloadKind, seed: u64) -> ExperimentOutcome {
 fn all_schemes_complete_under_all_workloads() {
     for kind in all_kinds() {
         for scheme in SchemeKind::ALL {
-            let out = run(scheme.clone(), kind.clone(), 21);
+            let out = run(scheme, kind.clone(), 21);
             assert!(
                 out.served_scaled > 0.0,
                 "{scheme} under {}: nothing served",
