@@ -102,11 +102,6 @@ impl CarbonMass {
         CarbonMass(g)
     }
 
-    /// Creates a mass from kilograms of CO₂.
-    pub fn from_kg(kg: f64) -> Self {
-        Self::from_grams(kg * 1e3)
-    }
-
     /// Value in grams.
     pub fn grams(self) -> f64 {
         self.0
@@ -243,7 +238,6 @@ mod tests {
         m += CarbonMass::from_grams(2.0);
         assert_eq!(m.grams(), 7.0);
         assert_eq!((m - CarbonMass::from_grams(3.0)).grams(), 4.0);
-        assert_eq!(CarbonMass::from_kg(1.5).grams(), 1500.0);
         assert_eq!((Energy::from_joules(2.0) * 3.0).joules(), 6.0);
     }
 
@@ -271,6 +265,6 @@ mod tests {
             "123.5 gCO2/kWh"
         );
         assert_eq!(format!("{}", Energy::from_joules(10.0)), "10.00 J");
-        assert_eq!(format!("{}", CarbonMass::from_kg(2.0)), "2.000 kgCO2");
+        assert_eq!(format!("{}", CarbonMass::from_grams(2000.0)), "2.000 kgCO2");
     }
 }

@@ -72,19 +72,6 @@ impl CarbonTrace {
         self.values[idx.min(self.values.len() - 1)]
     }
 
-    /// Linearly interpolated lookup (clamped at both ends).
-    pub fn at_interpolated(&self, t: SimTime) -> CarbonIntensity {
-        let pos = t.as_secs() / self.step.as_secs();
-        let idx = pos.floor() as usize;
-        if idx + 1 >= self.values.len() {
-            return self.values[self.values.len() - 1];
-        }
-        let frac = pos - idx as f64;
-        let a = self.values[idx].g_per_kwh();
-        let b = self.values[idx + 1].g_per_kwh();
-        CarbonIntensity::from_g_per_kwh(a + (b - a) * frac)
-    }
-
     /// Iterates `(time, intensity)` sample pairs.
     pub fn samples(&self) -> impl Iterator<Item = (SimTime, CarbonIntensity)> + '_ {
         let step = self.step;
@@ -141,13 +128,6 @@ impl CarbonTrace {
             best = best.max(hi - lo);
         }
         best
-    }
-
-    /// Restricts the trace to the first `span` of time (inclusive of the
-    /// sample at `span` when aligned).
-    pub fn truncated(&self, span: SimDuration) -> CarbonTrace {
-        let n = ((span / self.step).floor() as usize + 1).min(self.values.len());
-        CarbonTrace::new(self.step, self.values[..n].to_vec())
     }
 
     /// Serializes the trace as CSV: a comment line carrying the sampling
@@ -227,19 +207,6 @@ mod tests {
     }
 
     #[test]
-    fn interpolated_lookup() {
-        let t = ramp();
-        assert_eq!(
-            t.at_interpolated(SimTime::from_hours(0.5)).g_per_kwh(),
-            150.0
-        );
-        assert_eq!(
-            t.at_interpolated(SimTime::from_hours(2.5)).g_per_kwh(),
-            300.0
-        );
-    }
-
-    #[test]
     fn summary_statistics() {
         let t = ramp();
         assert_eq!(t.min().g_per_kwh(), 100.0);
@@ -272,14 +239,6 @@ mod tests {
         assert_eq!(v.len(), 3);
         assert_eq!(v[1].0.as_hours(), 1.0);
         assert_eq!(v[1].1.g_per_kwh(), 200.0);
-    }
-
-    #[test]
-    fn truncation() {
-        let t = CarbonTrace::hourly([1.0, 2.0, 3.0, 4.0, 5.0]);
-        let cut = t.truncated(SimDuration::from_hours(2.0));
-        assert_eq!(cut.len(), 3);
-        assert_eq!(cut.max().g_per_kwh(), 3.0);
     }
 
     #[test]

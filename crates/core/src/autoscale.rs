@@ -5,14 +5,12 @@
 //! This module adds the elastic dimension: each decision epoch (the
 //! experiment's control step — hourly by default, sub-hour via
 //! [`crate::control::ControlEpoch`]), a [`Scaler`] consults the workload's
-//! demand view (a [`clover_workload::DemandForecast`], or a
-//! [`clover_workload::NoisyForecast`] when the chaos layer injects
-//! forecast error) and chooses how many
-//! of the provisioned GPUs should be *active* — serving instances — with
-//! the rest *warming* (powered, loading models, joining after a
-//! provisioning lag), *draining* (recently retired: finishing in-flight
-//! work, admitting nothing, still drawing power until confirmed empty), or
-//! *off* (drawing only standby watts).
+//! demand forecast (scaled by a forecast-error factor when the chaos layer
+//! injects one) and chooses how many of the provisioned GPUs should be
+//! *active* — serving instances — with the rest *warming* (powered,
+//! loading models, joining after a provisioning lag), *draining* (recently
+//! retired: finishing in-flight work, admitting nothing, still drawing
+//! power until confirmed empty), or *off* (drawing only standby watts).
 //!
 //! Four policies are compared ([`ScalingPolicy`]):
 //!
@@ -44,7 +42,7 @@
 //! scale-up is clamped to the surviving fleet.
 
 use clover_simkit::{SimDuration, SimTime};
-use clover_workload::DemandView;
+use clover_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -71,7 +69,7 @@ pub enum ScalingPolicy {
         lookahead_hours: f64,
     },
     /// Size against the forecast **peak** over a look-ahead horizon
-    /// ([`DemandView::peak_over`]): capacity for a predicted spike is
+    /// ([`Workload::peak_over`]): capacity for a predicted spike is
     /// warming *before* the ramp opens, not chasing it from behind. The
     /// windowed mean smears a short flash crowd into near-invisibility
     /// (a 5-minute 5× spike barely moves a 2-hour mean); the peak is what
@@ -311,7 +309,7 @@ impl ScaleReason {
 /// let mut scaler = Scaler::new(cfg);
 ///
 /// let fleet: Vec<FleetState> = (0..24)
-///     .map(|h| scaler.step(SimTime::from_hours(h as f64), &workload.forecast()))
+///     .map(|h| scaler.step(SimTime::from_hours(h as f64), &workload, 1.0))
 ///     .collect();
 ///
 /// let min_active = fleet.iter().map(|f| f.active).min().unwrap();
@@ -361,6 +359,11 @@ impl Scaler {
         }
     }
 
+    /// Epochs [`Scaler::step`] has advanced so far.
+    pub(crate) fn epochs_stepped(&self) -> u64 {
+        self.epoch
+    }
+
     /// Why the most recent [`Scaler::step`] did what it did.
     pub fn last_reason(&self) -> ScaleReason {
         self.last_reason
@@ -380,10 +383,19 @@ impl Scaler {
     /// fleet partition to run with. Deterministic: no randomness is
     /// consumed, so scaled experiments parallelize byte-identically.
     ///
-    /// Generic over [`DemandView`] so the chaos layer can substitute a
-    /// [`clover_workload::NoisyForecast`] — the scaler cannot tell a
+    /// The demand `workload` forecasts is multiplied by `forecast_factor`:
+    /// the chaos layer's forecast error (`bias × noise`, drawn per epoch),
+    /// or exactly `1.0` for an honest forecast. The scaler cannot tell a
     /// biased forecast from a clean one, which is the point.
-    pub fn step<F: DemandView>(&mut self, now: SimTime, forecast: &F) -> FleetState {
+    ///
+    /// # Panics
+    /// Panics unless `forecast_factor` is finite and positive — a
+    /// non-positive "demand" is not an error model, it is a broken planner.
+    pub fn step(&mut self, now: SimTime, workload: &Workload, forecast_factor: f64) -> FleetState {
+        assert!(
+            forecast_factor.is_finite() && forecast_factor > 0.0,
+            "non-positive forecast factor {forecast_factor}"
+        );
         let epoch = self.epoch;
         self.epoch += 1;
 
@@ -401,9 +413,9 @@ impl Scaler {
 
         let demand = match self.cfg.policy {
             ScalingPolicy::Static => unreachable!("handled above"),
-            ScalingPolicy::Reactive { .. } => forecast.rate_at(now),
+            ScalingPolicy::Reactive { .. } => workload.rate_at(now),
             ScalingPolicy::Forecast { lookahead_hours } => {
-                forecast.windowed_mean(now, SimDuration::from_hours(lookahead_hours))
+                workload.windowed_mean(now, SimDuration::from_hours(lookahead_hours))
             }
             // Size on the predicted *peak*: the worst demand the forecast
             // sees inside the look-ahead. Ahead of a ramp the peak appears
@@ -412,9 +424,9 @@ impl Scaler {
             // spike the peak collapses back to the baseline and the fleet
             // scales down again.
             ScalingPolicy::PreWarm { lookahead_hours } => {
-                forecast.peak_over(now, SimDuration::from_hours(lookahead_hours))
+                workload.peak_over(now, SimDuration::from_hours(lookahead_hours))
             }
-        };
+        } * forecast_factor;
         let (up, down) = self.cfg.policy.thresholds();
         let cap = self.cfg.capacity_per_gpu_rps;
         // The pre-warm policy trades standing headroom for forecast
@@ -606,7 +618,7 @@ mod tests {
 
     fn run_day(scaler: &mut Scaler, workload: &Workload) -> Vec<FleetState> {
         (0..24)
-            .map(|h| scaler.step(SimTime::from_hours(f64::from(h)), &workload.forecast()))
+            .map(|h| scaler.step(SimTime::from_hours(f64::from(h)), workload, 1.0))
             .collect()
     }
 
@@ -629,12 +641,12 @@ mod tests {
     #[test]
     fn step_records_its_reason() {
         let (mut scaler, workload) = scaler_over(WorkloadKind::diurnal(), ScalingPolicy::Static);
-        scaler.step(SimTime::ZERO, &workload.forecast());
+        scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(scaler.last_reason(), ScaleReason::Static);
 
         // Steady Poisson inside the hysteresis band: every epoch holds.
         let (mut scaler, workload) = scaler_over(WorkloadKind::Poisson, ScalingPolicy::reactive());
-        scaler.step(SimTime::ZERO, &workload.forecast());
+        scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(scaler.last_reason(), ScaleReason::Hold);
 
         // Diurnal through a day must produce at least one scale-down (the
@@ -643,7 +655,7 @@ mod tests {
             scaler_over(WorkloadKind::diurnal(), ScalingPolicy::reactive());
         let mut reasons = Vec::new();
         for h in 0..24 {
-            scaler.step(SimTime::from_hours(f64::from(h)), &workload.forecast());
+            scaler.step(SimTime::from_hours(f64::from(h)), &workload, 1.0);
             reasons.push(scaler.last_reason());
         }
         assert!(reasons.contains(&ScaleReason::ScaleDown), "{reasons:?}");
@@ -713,13 +725,13 @@ mod tests {
         cfg.provision_delay_epochs = 2;
         let mut scaler = Scaler::new(cfg);
         scaler.active = 2; // start scaled down, demand demands 4
-        let f0 = scaler.step(SimTime::ZERO, &workload.forecast());
+        let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(f0.active, 2, "join before the warm-up lag");
         assert_eq!(f0.warming, 2);
         assert_eq!(f0.off, 0, "warming GPUs draw power immediately");
-        let f1 = scaler.step(SimTime::from_hours(1.0), &workload.forecast());
+        let f1 = scaler.step(SimTime::from_hours(1.0), &workload, 1.0);
         assert_eq!(f1.active, 2);
-        let f2 = scaler.step(SimTime::from_hours(2.0), &workload.forecast());
+        let f2 = scaler.step(SimTime::from_hours(2.0), &workload, 1.0);
         assert_eq!(f2.active, 4, "warm-up elapsed, GPUs join");
         assert_eq!(f2.warming, 0);
     }
@@ -732,18 +744,18 @@ mod tests {
         let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
         cfg.cooldown_epochs = 3;
         let mut scaler = Scaler::new(cfg);
-        let f0 = scaler.step(SimTime::ZERO, &workload.forecast());
+        let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(f0.active, 1, "first action scales to the floor");
         // desired() clamps to min_gpus, so one action suffices; what the
         // cooldown must guarantee is no further action for 3 epochs even
         // if demand moved. Raise demand mid-cooldown: no response.
         let surge = Workload::poisson(500.0);
         for h in 1..=3 {
-            let f = scaler.step(SimTime::from_hours(f64::from(h)), &surge.forecast());
+            let f = scaler.step(SimTime::from_hours(f64::from(h)), &surge, 1.0);
             assert_eq!(f.active, 1, "epoch {h} acted inside the cooldown");
             assert_eq!(f.warming, 0);
         }
-        let f4 = scaler.step(SimTime::from_hours(4.0), &surge.forecast());
+        let f4 = scaler.step(SimTime::from_hours(4.0), &surge, 1.0);
         assert!(f4.powered() > 1, "cooldown over, surge answered");
     }
 
@@ -753,14 +765,14 @@ mod tests {
         // Walk the fleet down with near-zero demand...
         let whisper = Workload::poisson(1e-6);
         for h in 0..6 {
-            let f = scaler.step(SimTime::from_hours(f64::from(h)), &whisper.forecast());
+            let f = scaler.step(SimTime::from_hours(f64::from(h)), &whisper, 1.0);
             assert!(f.active >= 1, "fell below min_gpus");
         }
         drop(quiet);
         // ...then slam it with far more than the fleet can serve.
         let flood = Workload::poisson(1e6);
         for h in 6..12 {
-            let f = scaler.step(SimTime::from_hours(f64::from(h)), &flood.forecast());
+            let f = scaler.step(SimTime::from_hours(f64::from(h)), &flood, 1.0);
             assert!(f.powered() <= 4, "exceeded max_gpus");
         }
     }
@@ -778,7 +790,7 @@ mod tests {
         let mut scaler = Scaler::new(cfg);
         let epoch_s = 120.0;
         let fleet: Vec<FleetState> = (0..60)
-            .map(|i| scaler.step(SimTime::from_secs(i as f64 * epoch_s), &workload.forecast()))
+            .map(|i| scaler.step(SimTime::from_secs(i as f64 * epoch_s), &workload, 1.0))
             .collect();
         let at = |t_s: f64| &fleet[(t_s / epoch_s) as usize];
         // Quiet stretch, spike not yet on the horizon: scaled down.
@@ -813,7 +825,7 @@ mod tests {
             // provisioning delay is one epoch), so `warming > 0` is the
             // unambiguous "began powering up" signal.
             (0..120)
-                .map(|i| scaler.step(SimTime::from_secs(i as f64 * 60.0), &workload.forecast()))
+                .map(|i| scaler.step(SimTime::from_secs(i as f64 * 60.0), &workload, 1.0))
                 .position(|f| f.warming > 0)
         };
         let prewarm = first_grow(ScalingPolicy::prewarm());
@@ -848,7 +860,7 @@ mod tests {
         // Static fleet, 4 GPUs: kill two, watch them come back through
         // the warming state after the provisioning delay.
         let (mut scaler, workload) = scaler_over(WorkloadKind::Poisson, ScalingPolicy::Static);
-        scaler.step(SimTime::ZERO, &workload.forecast());
+        scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(scaler.fail(2), 2);
         assert_eq!(scaler.down(), 2);
         assert_eq!(scaler.available(), 2);
@@ -861,8 +873,8 @@ mod tests {
         assert_eq!(f.warming, 2, "repair routes through warming");
         assert_eq!(f.active, 2, "repaired boards do not serve yet");
         // Default provisioning delay is one epoch: the next step promotes.
-        scaler.step(SimTime::from_hours(1.0), &workload.forecast());
-        let f2 = scaler.step(SimTime::from_hours(2.0), &workload.forecast());
+        scaler.step(SimTime::from_hours(1.0), &workload, 1.0);
+        let f2 = scaler.step(SimTime::from_hours(2.0), &workload, 1.0);
         assert_eq!(f2.active, 4, "static fleet fully recovered: {f2:?}");
         assert_eq!(f2.warming, 0);
     }
@@ -875,7 +887,7 @@ mod tests {
         let (mut scaler, _quiet) = scaler_over(WorkloadKind::Poisson, ScalingPolicy::reactive());
         scaler.fail(2);
         for h in 0..6 {
-            let f = scaler.step(SimTime::from_hours(f64::from(h)), &flood.forecast());
+            let f = scaler.step(SimTime::from_hours(f64::from(h)), &flood, 1.0);
             assert!(
                 f.powered() <= 2,
                 "hour {h}: powered {} of a 2-survivor fleet",
@@ -887,7 +899,7 @@ mod tests {
         scaler.repair(2);
         let mut restored = false;
         for h in 6..10 {
-            let f = scaler.step(SimTime::from_hours(f64::from(h)), &flood.forecast());
+            let f = scaler.step(SimTime::from_hours(f64::from(h)), &flood, 1.0);
             restored |= f.powered() == 4;
         }
         assert!(restored, "fleet never regrew after repair");
@@ -901,7 +913,7 @@ mod tests {
         let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
         cfg.drain_epochs = 5;
         let mut scaler = Scaler::new(cfg);
-        let f0 = scaler.step(SimTime::ZERO, &quiet.forecast());
+        let f0 = scaler.step(SimTime::ZERO, &quiet, 1.0);
         assert_eq!((f0.active, f0.draining), (1, 3));
         assert_eq!(scaler.fail(4), 4);
         let f = scaler.fleet();
@@ -919,17 +931,15 @@ mod tests {
         // Steady 100 req/s on 4×50: a clean reactive scaler holds at
         // utilization 0.5. A 2× biased forecast reads 200 req/s —
         // utilization 1.0 — and scales up on fiction.
-        use clover_workload::NoisyForecast;
         let workload = Workload::poisson(100.0);
         let (mut clean, _) = scaler_over(WorkloadKind::Poisson, ScalingPolicy::reactive());
-        let f = clean.step(SimTime::ZERO, &workload.forecast());
+        let f = clean.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(f.active, 4);
         assert_eq!(clean.last_reason(), ScaleReason::Hold);
 
         let mut fooled = Scaler::new(ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0));
         fooled.active = 2; // scaled down; the clean view would hold here
-        let noisy = NoisyForecast::new(workload.forecast(), 2.0);
-        let f = fooled.step(SimTime::ZERO, &noisy);
+        let f = fooled.step(SimTime::ZERO, &workload, 2.0);
         assert_eq!(fooled.last_reason(), ScaleReason::ScaleUp);
         assert!(
             f.warming > 0,
@@ -946,14 +956,14 @@ mod tests {
         let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
         cfg.drain_epochs = 2;
         let mut scaler = Scaler::new(cfg);
-        let f0 = scaler.step(SimTime::ZERO, &workload.forecast());
+        let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(f0.active, 1);
         assert_eq!(f0.draining, 3, "retired GPUs must drain first");
         assert_eq!(f0.off, 0, "nothing powers down during the drain");
         assert_eq!(f0.powered(), 4, "draining boards still draw wall power");
-        let f1 = scaler.step(SimTime::from_hours(1.0), &workload.forecast());
+        let f1 = scaler.step(SimTime::from_hours(1.0), &workload, 1.0);
         assert_eq!(f1.draining, 3, "drain window spans two epochs");
-        let f2 = scaler.step(SimTime::from_hours(2.0), &workload.forecast());
+        let f2 = scaler.step(SimTime::from_hours(2.0), &workload, 1.0);
         assert_eq!(f2.draining, 0, "drained GPUs fall to standby");
         assert_eq!(f2.off, 3);
     }
@@ -964,7 +974,7 @@ mod tests {
         let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
         cfg.drain_epochs = 0;
         let mut scaler = Scaler::new(cfg);
-        let f0 = scaler.step(SimTime::ZERO, &workload.forecast());
+        let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(f0.active, 1);
         assert_eq!(f0.draining, 0);
         assert_eq!(f0.off, 3, "instant drain powers boards straight down");
@@ -980,16 +990,16 @@ mod tests {
         cfg.drain_epochs = 3;
         cfg.cooldown_epochs = 0;
         let mut scaler = Scaler::new(cfg);
-        let f0 = scaler.step(SimTime::ZERO, &quiet.forecast());
+        let f0 = scaler.step(SimTime::ZERO, &quiet, 1.0);
         assert_eq!((f0.active, f0.draining), (1, 3));
-        let f1 = scaler.step(SimTime::from_hours(1.0), &surge.forecast());
+        let f1 = scaler.step(SimTime::from_hours(1.0), &surge, 1.0);
         assert_eq!(f1.draining, 3, "drain continues through the surge");
         assert_eq!(f1.warming, 0, "no free boards to conscript");
         assert!(f1.active + f1.warming + f1.draining + f1.off == 4);
         // Once the drain ends the surge is answered from the freed boards.
         let mut grown = false;
         for h in 3..6 {
-            let f = scaler.step(SimTime::from_hours(f64::from(h)), &surge.forecast());
+            let f = scaler.step(SimTime::from_hours(f64::from(h)), &surge, 1.0);
             assert!(f.active + f.warming + f.draining + f.off == 4);
             grown |= f.powered() > 1;
         }

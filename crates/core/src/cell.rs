@@ -1,15 +1,16 @@
 //! One per-epoch cell runtime: the control loop every serving cell runs.
 //!
-//! A [`CellRuntime`] is one cluster's serving stack — its
-//! [`ControlPlane`] (monitor, autoscaler, scheduler, live evaluator), its
-//! serving simulator, its carbon ledger and run-level accumulators, and
-//! its [`FaultPlan`]. Each [`CellRuntime::step`] runs one control epoch:
-//! reconcile the fleet with the fault plan at the boundary, plan, fold the
-//! scheduler's exploration traffic in, map the faults landing inside the
-//! epoch onto DES instance failures, serve (a representative window or the
-//! full epoch, per the configured [`Fidelity`]), charge the power of
-//! boards held out of the deployment, and feed the observation back to the
-//! plane.
+//! A [`CellRuntime`] is one cluster's serving stack — its decision state
+//! (carbon monitor, autoscaler, scheduler, live evaluator, scheduler RNG),
+//! its serving simulator and boundary carry, its carbon ledger and
+//! run-level accumulators, and its [`FaultPlan`]. Each
+//! [`CellRuntime::step`] runs one control epoch: reconcile the fleet with
+//! the fault plan at the boundary, observe the grid, size the fleet, plan
+//! when a trigger fires and fold the scheduler's exploration traffic in,
+//! map the faults landing inside the epoch onto DES instance failures,
+//! serve (a representative window or the full epoch, per the configured
+//! [`Fidelity`]), charge the power of boards held out of the deployment,
+//! and feed the observation back to the scheduler.
 //!
 //! The single-cluster [`crate::experiment::Experiment`] is this runtime
 //! plus a synchronized BASE reference; each of the multi-region router's
@@ -18,19 +19,26 @@
 
 use crate::autoscale::{FleetState, Scaler, ScalerConfig};
 use crate::chaos::FaultPlan;
-use crate::control::{ControlEpoch, ControlPlane, EpochSchedule, Fidelity, PlaneEnv, WindowPlan};
+use crate::control::{ControlEpoch, EpochSchedule, Fidelity, WindowPlan};
 use crate::eval::DesEvaluator;
 use crate::experiment::{ExperimentConfig, HourPoint, InvocationRecord};
-use crate::objective::MeasuredPoint;
-use crate::schedulers::{make_scheduler, SchemeKind};
-use clover_carbon::{CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Pue};
+use crate::objective::{MeasuredPoint, Objective};
+use crate::schedulers::{make_scheduler, Observation, Scheduler, SchedulerCtx, SchemeKind};
+use clover_carbon::{
+    CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Pue, Staleness,
+};
 use clover_mig::SliceType;
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{Deployment, InstanceFailure, ServingCarry, ServingSim, WindowMetrics};
 use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
 use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry};
-use clover_workload::ArrivalProcess;
+use clover_workload::{ArrivalProcess, Workload};
 use std::sync::Arc;
+
+/// Histogram buckets for per-invocation charged live search time, seconds
+/// (the paper's budget is 300 s at the hourly cadence; epoch-scaled budgets
+/// land in the lower buckets).
+const SEARCH_TIME_BUCKETS_S: [f64; 7] = [1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0];
 
 /// Run-level accumulators of one cell: everything its epochs served,
 /// extrapolated to the epoch under a representative window, with the
@@ -93,18 +101,36 @@ pub struct EpochRecord {
 }
 
 /// One cluster's per-epoch serving loop (see the module docs).
+///
+/// All state is owned and all randomness flows from the seeds it was
+/// constructed with, so experiments stay byte-identical between serial and
+/// parallel grid execution.
 pub struct CellRuntime {
     scheme: SchemeKind,
+    family: Arc<ModelFamily>,
+    perf: PerfModel,
     n_gpus: usize,
     /// Full-epoch fidelity: serve continuously, carrying state across
     /// boundaries.
     continuous: bool,
     epoch_hours: f64,
     window: WindowPlan,
-    plane: ControlPlane,
+    scheduler: Box<dyn Scheduler>,
+    monitor: CarbonMonitor,
+    scaler: Scaler,
+    evaluator: DesEvaluator,
+    /// The scheduler's randomness.
+    rng: SimRng,
+    /// GPUs serving after the last scaler step.
+    active_gpus: usize,
+    /// Whether the last served epoch broke the SLA (a re-plan trigger).
+    sla_violated: bool,
     sim: ServingSim,
+    /// Serving state crossing the last epoch boundary (continuous
+    /// full-epoch serving; empty otherwise).
+    carry: ServingCarry,
     faults: FaultPlan,
-    /// Physical GPUs the plane saw down at the previous boundary; the
+    /// Physical GPUs the cell saw down at the previous boundary; the
     /// per-boundary diff turns the fault plan's down intervals into scaler
     /// fail/repair transitions.
     prev_down: Vec<usize>,
@@ -146,16 +172,8 @@ impl CellRuntime {
         let mut scaler_cfg =
             ScalerConfig::new(cfg.scaling, cfg.min_gpus, cfg.n_gpus, capacity_per_gpu_rps);
         scaler_cfg.target_utilization = cfg.utilization_target;
-        let monitor = CarbonMonitor::new(trace.clone(), CarbonMonitor::DEFAULT_THRESHOLD);
-        let rng = SimRng::new(cfg.seed ^ 0x5C8E);
-        let mut plane = ControlPlane::new(
-            cfg.scheme,
-            scheduler,
-            monitor,
-            Scaler::new(scaler_cfg),
-            evaluator,
-            rng,
-        );
+        let scaler = Scaler::new(scaler_cfg);
+        let mut monitor = CarbonMonitor::new(trace.clone(), CarbonMonitor::DEFAULT_THRESHOLD);
         // Everything that will go wrong this run, drawn up front from the
         // seed. Chaos off generates nothing and touches no RNG, so the run
         // is bit-identical to one without the chaos layer.
@@ -166,22 +184,35 @@ impl CellRuntime {
             schedule.count() as usize,
             cfg.control_epoch_s,
         );
-        plane.set_carbon_gaps(
+        // Inside a carbon-feed gap the monitor serves last-known-good
+        // intensity until the age cap, then falls back blind to its
+        // reference. The ledger is unaffected: only the controller's view
+        // degrades.
+        monitor.set_gaps(
             faults.carbon_gaps(),
             SimDuration::from_secs(CarbonMonitor::DEFAULT_AGE_CAP_S),
         );
         let n_variants = family.len();
-        let mut sim = ServingSim::new(family, perf, initial, cfg.seed ^ 0x11);
+        let mut sim = ServingSim::new(family.clone(), perf, initial, cfg.seed ^ 0x11);
         sim.set_intra_epoch_shards(cfg.des_shards);
         sim.set_shard_threads(shard_threads);
         CellRuntime {
             scheme: cfg.scheme,
+            family,
+            perf,
             n_gpus: cfg.n_gpus,
             continuous: matches!(cfg.fidelity, Fidelity::FullEpoch),
             epoch_hours: schedule.epoch_hours(),
             window: cfg.fidelity.window_plan(schedule.epoch_len()),
-            plane,
+            scheduler,
+            monitor,
+            active_gpus: scaler.fleet().active,
+            scaler,
+            evaluator,
+            rng: SimRng::new(cfg.seed ^ 0x5C8E),
+            sla_violated: false,
             sim,
+            carry: ServingCarry::default(),
             faults,
             prev_down: Vec::new(),
             totals: CellTotals::new(trace, n_variants),
@@ -192,19 +223,28 @@ impl CellRuntime {
     /// [`Phase::Search`], the serving simulator's seam work in
     /// [`Phase::Carry`]. A no-op on results.
     pub fn set_profiler(&mut self, profiler: Option<ProfilerHandle>) {
-        self.plane.set_profiler(profiler.clone());
+        self.evaluator.set_profiler(profiler.clone());
         self.sim.set_profiler(profiler);
     }
 
-    /// The control plane (backlog and boundary carry included).
-    pub fn plane(&self) -> &ControlPlane {
-        &self.plane
+    /// The boundary carry: requests queued and in flight at the last epoch
+    /// boundary (always empty under a representative window).
+    pub fn carry(&self) -> &ServingCarry {
+        &self.carry
     }
 
-    /// The boundary carry, for moving requests between cells at epoch
-    /// boundaries (see [`ControlPlane::carry_mut`]).
+    /// Mutable access to the boundary carry, for moving requests between
+    /// cells at epoch boundaries (the multi-region router migrates queued
+    /// work through [`ServingCarry::take_queued_newest`],
+    /// [`ServingCarry::absorb_queued`] and
+    /// [`ServingCarry::drain_for_migration`]).
     pub fn carry_mut(&mut self) -> &mut ServingCarry {
-        self.plane.carry_mut()
+        &mut self.carry
+    }
+
+    /// GPUs actively serving after the last scaler step.
+    pub fn active_gpus(&self) -> usize {
+        self.active_gpus
     }
 
     /// The run-level accumulators so far.
@@ -217,19 +257,30 @@ impl CellRuntime {
         self.totals
     }
 
-    /// Runs one control epoch: plans against `env`, serves `arrivals`
-    /// (anchored at the epoch's start), and accounts the epoch. Epochs
-    /// must be stepped in order; a caller may skip epochs (a dark region)
-    /// — fault reconciliation diffs against the last epoch stepped.
+    /// Runs one control epoch: plans against `objective` and the demand
+    /// `workload` forecasts, serves `arrivals` (anchored at the epoch's
+    /// start), and accounts the epoch. Epochs must be stepped in order; a
+    /// caller may skip epochs (a dark region) — fault reconciliation diffs
+    /// against the last epoch stepped, and the first epoch stepped plans
+    /// at start-up whatever its index.
     ///
-    /// Journals `fault`/`repair` events for GPU failures at the boundary
-    /// and `fault` events for kills and crashes inside the epoch, besides
-    /// the plane's own events; the serving measurement is timed as
-    /// [`Phase::Des`].
+    /// The decision journal receives one `epoch_begin` and one `scaler`
+    /// event per epoch, plus `forecast`, `plan`, `search` (schemes that
+    /// report an optimization run) and `reconfig` (non-zero downtime)
+    /// events when a control trigger fires; the search ledger also lands in
+    /// the metric registry as per-scheme counters. Under chaos it also
+    /// receives `fallback` events for degraded carbon data, `fault`/`repair`
+    /// events for GPU failures at the boundary and `fault` events for kills
+    /// and crashes inside the epoch. The scaler step is timed as
+    /// [`Phase::Scaler`], the scheduler invocation as [`Phase::Plan`] and
+    /// the serving measurement as [`Phase::Des`]. Telemetry is a strict
+    /// overlay: every journal field derives from decision state the loop
+    /// computes anyway, so the no-op sink changes no result.
     pub fn step(
         &mut self,
         epoch: &ControlEpoch,
-        env: &PlaneEnv<'_>,
+        objective: &Objective,
+        workload: &Workload,
         arrivals: &mut dyn ArrivalProcess,
         telemetry: &mut Telemetry,
     ) -> EpochRecord {
@@ -238,27 +289,8 @@ impl CellRuntime {
         if chaos_on {
             self.reconcile_faults(epoch, telemetry);
         }
-        let plan = self.plane.begin_epoch_with(epoch, env, telemetry);
-        let (ci, fleet) = (plan.ci, plan.fleet);
-        let totals = &mut self.totals;
-        totals.active_gpu_hours += fleet.active as f64 * self.epoch_hours;
-        let invocation = plan.run.map(|run| {
-            totals.optimization_time_s += run.time_spent_s;
-            InvocationRecord {
-                at_hours: epoch.start_hours(),
-                time_spent_s: run.time_spent_s,
-                evals: run.evals,
-            }
-        });
-        // Exploration traffic is real traffic: fold it in 1:1 — also for
-        // schemes that measure candidates without reporting an
-        // optimization run (the windows were still served live).
-        for w in &plan.eval_windows {
-            totals.fold(t, w, 1.0);
-        }
-        if let Some(deployment) = plan.deployment {
-            self.sim.set_deployment(deployment);
-        }
+        let (ci, fleet, invocation) = self.begin_epoch(epoch, objective, workload, telemetry);
+        self.totals.active_gpu_hours += fleet.active as f64 * self.epoch_hours;
         if chaos_on {
             let failures = self.failures_in(epoch, fleet.active, telemetry);
             if !failures.is_empty() {
@@ -269,8 +301,13 @@ impl CellRuntime {
         let wp = self.window;
         let des_scope = telemetry.scope(Phase::Des);
         let w = if self.continuous {
-            self.plane
-                .serve_continuous(&mut self.sim, arrivals, epoch.len)
+            // One unbroken run instead of a cold start per epoch: restore
+            // from the previous boundary's carry, serve the whole epoch,
+            // snapshot the new boundary.
+            let carry = std::mem::take(&mut self.carry);
+            let (w, next) = self.sim.run_epoch_continuous(arrivals, epoch.len, carry);
+            self.carry = next;
+            w
         } else {
             self.sim.run_window_with(arrivals, wp.window, wp.warmup)
         };
@@ -283,8 +320,8 @@ impl CellRuntime {
         // the Static policy both counts are zero and this charge
         // vanishes.) Down boards draw nothing — a failed GPU is off the
         // bus, not on standby — so they are carved out of the off count.
-        let power = &env.perf.power;
-        let off_powered = fleet.off.saturating_sub(self.plane.gpus_down());
+        let power = &self.perf.power;
+        let off_powered = fleet.off.saturating_sub(self.scaler.down());
         let overhead_w = off_powered as f64 * power.standby_gpu_w()
             + fleet.warming as f64 * power.gpu_static_w();
         let ledger = &mut self.totals.ledger;
@@ -301,7 +338,7 @@ impl CellRuntime {
             ledger.record_power(t, epoch.len, drain_w);
         }
 
-        self.plane.observe_serving(epoch, &w, env);
+        self.observe_serving(epoch, &w, objective, workload);
         if chaos_on {
             if let Some(m) = telemetry.metrics_mut() {
                 let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
@@ -309,7 +346,7 @@ impl CellRuntime {
                 m.counter_add("clover_fault_requeued_total", labels, w.fault_requeued);
             }
         }
-        let point = self.hour_point(epoch, env, ci, fleet, &w);
+        let point = self.hour_point(epoch, objective, ci, fleet, &w);
         EpochRecord {
             window: w,
             point,
@@ -318,8 +355,231 @@ impl CellRuntime {
         }
     }
 
+    /// Opens `epoch`: observes the grid, sizes the fleet, and — when a
+    /// control trigger fires (start-up, carbon drift beyond the monitor
+    /// threshold, an SLA violation in the previous epoch, a fleet resize)
+    /// — invokes the scheduler for a fresh configuration, folds its
+    /// exploration traffic into the totals and deploys it. Returns the
+    /// intensity in force, the fleet partition, and the invocation behind
+    /// a fresh plan.
+    fn begin_epoch(
+        &mut self,
+        epoch: &ControlEpoch,
+        objective: &Objective,
+        workload: &Workload,
+        telemetry: &mut Telemetry,
+    ) -> (CarbonIntensity, FleetState, Option<InvocationRecord>) {
+        let t = epoch.start;
+        let event = self.monitor.observe(t);
+        let ci = event.current;
+        // The scaler counts the epochs it has stepped: none yet means this
+        // is the cell's first epoch, whatever its index (a region dark at
+        // t = 0 first steps later).
+        let first_epoch = self.scaler.epochs_stepped() == 0;
+
+        // Chaos scales the demand the scaler sizes against by the epoch's
+        // forecast-error factor (`1.0` when chaos is off). The scheduler's
+        // planning rate below stays honest: the error model targets
+        // capacity sizing, not the configuration search.
+        let scaler_scope = telemetry.scope(Phase::Scaler);
+        let fleet = self.scaler.step(
+            t,
+            workload,
+            self.faults.forecast_factor(epoch.index as usize),
+        );
+        drop(scaler_scope);
+        let fleet_changed = fleet.active != self.active_gpus;
+        self.active_gpus = fleet.active;
+
+        // Why the scheduler runs this epoch (`None`: keep the current
+        // configuration). Priority order mirrors the trigger condition.
+        // A fully dead fleet plans nothing: there is no hardware to
+        // partition, arrivals queue (and shed) in the serving layer, and
+        // the first epoch with survivors replans via `fleet-resize`.
+        let cause = if fleet.active == 0 {
+            None
+        } else if first_epoch {
+            Some("startup")
+        } else if event.triggered {
+            Some("carbon-drift")
+        } else if self.sla_violated {
+            Some("sla-violation")
+        } else if fleet_changed {
+            Some("fleet-resize")
+        } else {
+            None
+        };
+
+        // Degraded carbon data is evidence: journal the fallback the
+        // monitor took and count it, per mode.
+        let fallback = match event.staleness {
+            Staleness::Fresh => None,
+            Staleness::Stale { age_s } => Some(("stale", age_s)),
+            Staleness::Blind { age_s } => Some(("blind", age_s)),
+        };
+        if let Some((mode, age_s)) = fallback {
+            if telemetry.journal_mut().is_some() {
+                telemetry.emit(
+                    Event::new("fallback", t)
+                        .str("mode", mode)
+                        .f64("age_s", age_s)
+                        .f64("ci_g_per_kwh", ci.g_per_kwh()),
+                );
+            }
+            if let Some(m) = telemetry.metrics_mut() {
+                m.counter_add("clover_fault_fallback_epochs_total", &[("mode", mode)], 1);
+            }
+        }
+
+        if telemetry.journal_mut().is_some() {
+            telemetry.emit(
+                Event::new("epoch_begin", t)
+                    .u64("epoch", u64::from(epoch.index))
+                    .u64("trace_hour", u64::from(epoch.trace_hour()))
+                    .f64("ci_g_per_kwh", ci.g_per_kwh())
+                    .u64("active_gpus", self.active_gpus as u64),
+            );
+            telemetry.emit(
+                Event::new("scaler", t)
+                    .str("reason", self.scaler.last_reason().label())
+                    .u64("active", fleet.active as u64)
+                    .u64("warming", fleet.warming as u64)
+                    .u64("draining", fleet.draining as u64)
+                    .u64("off", fleet.off as u64),
+            );
+        }
+
+        let Some(cause) = cause else {
+            return (ci, fleet, None);
+        };
+        // Candidates are evaluated at the demand the workload forecasts
+        // for this epoch (the constant offered rate under the paper's
+        // Poisson workload; floored above zero so the measurement windows
+        // stay well-defined when a trace has run dry).
+        self.evaluator.rate_rps = workload.planning_rate_at(t);
+        if telemetry.journal_mut().is_some() {
+            telemetry
+                .emit(Event::new("forecast", t).f64("planning_rate_rps", self.evaluator.rate_rps));
+        }
+        let plan_scope = telemetry.scope(Phase::Plan);
+        let decision = self.scheduler.plan(&mut SchedulerCtx {
+            family: &self.family,
+            perf: &self.perf,
+            objective,
+            ci,
+            now: t,
+            active_gpus: self.active_gpus,
+            workload,
+            evaluator: &mut self.evaluator,
+            rng: &mut self.rng,
+        });
+        drop(plan_scope);
+        self.monitor.acknowledge(ci);
+        // Exploration traffic is real traffic: fold it into the totals
+        // 1:1. Drained unconditionally — a scheme may measure candidates
+        // through the evaluator yet return no OptimizationRun, and its
+        // charged windows must neither accumulate nor slip to a later
+        // epoch's intensity.
+        let eval_windows = self.evaluator.take_window_log();
+        for w in &eval_windows {
+            self.totals.fold(t, w, 1.0);
+        }
+        let downtime = self.evaluator.apply(decision.deployment.clone());
+        if telemetry.journal_mut().is_some() {
+            let mut ev = Event::new("plan", t)
+                .str("scheme", self.scheme.label())
+                .str("cause", cause)
+                .u64("gpus", self.active_gpus as u64)
+                .u64("eval_windows", eval_windows.len() as u64);
+            if let Some(note) = decision.note.as_deref() {
+                ev = ev.str("note", note);
+            }
+            telemetry.emit(ev);
+            if let Some(run) = decision.run.as_ref() {
+                let l = run.ledger;
+                telemetry.emit(
+                    Event::new("search", t)
+                        .u64("iterations", u64::from(l.iterations))
+                        .u64("accepted", u64::from(l.accepted))
+                        .u64("rejected", u64::from(l.rejected))
+                        .u64("non_improving", u64::from(l.final_non_improving))
+                        .f64("charged_live_s", l.charged_live_s)
+                        .f64("budget_s", l.budget_s),
+                );
+            }
+            if !downtime.is_zero() {
+                telemetry.emit(Event::new("reconfig", t).f64("downtime_s", downtime.as_secs()));
+            }
+        }
+        if let Some(run) = decision.run.as_ref() {
+            let l = run.ledger;
+            if let Some(m) = telemetry.metrics_mut() {
+                let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
+                m.counter_add("clover_plan_invocations_total", labels, 1);
+                m.counter_add(
+                    "clover_search_iterations_total",
+                    labels,
+                    u64::from(l.iterations),
+                );
+                m.counter_add(
+                    "clover_search_accepted_total",
+                    labels,
+                    u64::from(l.accepted),
+                );
+                m.counter_add(
+                    "clover_search_rejected_total",
+                    labels,
+                    u64::from(l.rejected),
+                );
+                m.gauge_set("clover_search_budget_seconds", labels, l.budget_s);
+                m.histogram_observe(
+                    "clover_search_charged_live_seconds",
+                    labels,
+                    &SEARCH_TIME_BUCKETS_S,
+                    l.charged_live_s,
+                );
+            }
+        }
+        self.sim.set_deployment(decision.deployment);
+        let invocation = decision.run.map(|run| {
+            self.totals.optimization_time_s += run.time_spent_s;
+            InvocationRecord {
+                at_hours: epoch.start_hours(),
+                time_spent_s: run.time_spent_s,
+                evals: run.evals,
+            }
+        });
+        (ci, fleet, invocation)
+    }
+
+    /// Closes `epoch` with the metrics of its served window: records the
+    /// SLA-violation re-invocation trigger (carbon-aware schemes only, per
+    /// the paper's Sec. 4.2) and forwards the measurement to the
+    /// scheduler's feedback hook.
+    fn observe_serving(
+        &mut self,
+        epoch: &ControlEpoch,
+        metrics: &WindowMetrics,
+        objective: &Objective,
+        workload: &Workload,
+    ) {
+        // A silent epoch has no measured tail: it must not count as an SLA
+        // violation (nor spuriously pass one — `p95_latency_s` is `None`,
+        // not 0.0, for zero-served windows).
+        self.sla_violated = metrics
+            .p95_latency_s
+            .is_some_and(|p| p > objective.l_tail_s)
+            && self.scheme.is_carbon_aware();
+        self.scheduler.observe(&Observation {
+            metrics,
+            at: epoch.start,
+            active_gpus: self.active_gpus,
+            workload,
+        });
+    }
+
     /// Chaos, boundary half: reconciles the fleet with the fault plan
-    /// *before* the plane plans, so `begin_epoch` sizes and partitions the
+    /// *before* the cell plans, so `begin_epoch` sizes and partitions the
     /// surviving fleet. Repairs re-enter through the scaler's warming
     /// state.
     fn reconcile_faults(&mut self, epoch: &ControlEpoch, telemetry: &mut Telemetry) {
@@ -336,10 +596,8 @@ impl CellRuntime {
             .copied()
             .filter(|g| !down_now.contains(g))
             .collect();
-        self.plane.fleet_fail(failed.len());
-        self.plane.fleet_repair(repaired.len());
-        self.plane
-            .set_forecast_factor(self.faults.forecast_factor(epoch.index as usize));
+        self.scaler.fail(failed.len());
+        self.scaler.repair(repaired.len());
         for (kind, gpus) in [("fault", &failed), ("repair", &repaired)] {
             for &g in gpus {
                 telemetry.emit(
@@ -459,14 +717,14 @@ impl CellRuntime {
     fn hour_point(
         &self,
         epoch: &ControlEpoch,
-        env: &PlaneEnv<'_>,
+        objective: &Objective,
         ci: CarbonIntensity,
         fleet: FleetState,
         w: &WindowMetrics,
     ) -> HourPoint {
         let accuracy_pct = w
-            .accuracy_pct(env.family)
-            .unwrap_or(env.family.accuracy_base());
+            .accuracy_pct(&self.family)
+            .unwrap_or(self.family.accuracy_base());
         let energy_per_request_j = w.energy_per_request_j().unwrap_or(f64::NAN);
         let p95_s = w.p95_latency_s.unwrap_or(f64::NAN);
         let (objective_f, carbon_save_pct) = if energy_per_request_j.is_finite() {
@@ -476,8 +734,8 @@ impl CellRuntime {
                 p95_latency_s: p95_s,
             };
             (
-                env.objective.f(&point, ci),
-                env.objective.delta_carbon_pct(energy_per_request_j, ci),
+                objective.f(&point, ci),
+                objective.delta_carbon_pct(energy_per_request_j, ci),
             )
         } else {
             (f64::NAN, f64::NAN)
@@ -495,7 +753,7 @@ impl CellRuntime {
             arrived: w.arrived,
             served: w.served,
             dropped: w.dropped,
-            backlog: self.plane.backlog(),
+            backlog: self.carry.backlog(),
         }
     }
 }

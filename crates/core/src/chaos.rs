@@ -39,15 +39,15 @@
 //!   fallback; the *ledger* keeps integrating the true trace — only the
 //!   controller's view degrades.
 //! - Forecast error multiplies every demand the scaler reads by a
-//!   per-epoch factor `bias × exp(σ·N(0,1))` via
-//!   [`clover_workload::NoisyForecast`].
+//!   per-epoch factor `bias × exp(σ·N(0,1))` (the `forecast_factor` of
+//!   [`crate::autoscale::Scaler::step`]).
 
 use clover_simkit::{SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Salt folded into the experiment seed for the chaos root generator.
 /// Shares no stream with calibration (`^ 0xCA11_B007`), the evaluator
-/// (`^ 0xE7A1`), the plane (`^ 0x5C8E`) or the serving sims (`^ 0x11` /
+/// (`^ 0xE7A1`), the scheduler (`^ 0x5C8E`) or the serving sims (`^ 0x11` /
 /// `^ 0x22`).
 const CHAOS_SALT: u64 = 0xC4A0_5F17;
 

@@ -1,6 +1,5 @@
-//! The control plane: epoch cadence, serving-simulation fidelity, and the
-//! monitor → scaler → scheduler loop, extracted from the experiment
-//! runtime into a first-class API.
+//! The control loop's schedule vocabulary: epoch cadence, serving-simulation
+//! fidelity and the cadence-aware search budget.
 //!
 //! The paper's methodology hard-wires three distinct cadences to the same
 //! hourly clock: the carbon trace's sample period, the control loop's
@@ -20,36 +19,19 @@
 //!   epoch, valid when traffic is stationary within an epoch) or
 //!   [`Fidelity::FullEpoch`] (drive the DES over the entire epoch, so
 //!   MMPP/flash bursts are actually sampled instead of averaged away).
-//! - A [`ControlPlane`] owns the per-experiment decision state — carbon
-//!   monitor, autoscaler, scheduler, live evaluator, scheduler RNG — and
-//!   exposes the two halves of the loop: [`ControlPlane::begin_epoch`]
-//!   (observe the grid, size the fleet, re-plan when a trigger fires) and
-//!   [`ControlPlane::observe_serving`] (feed the served window back:
-//!   SLA-violation re-invocation state plus the scheduler's
-//!   [`crate::schedulers::Scheduler::observe`] hook).
+//! - An [`EpochSchedule`] lays the epochs of a run out on the global clock.
+//!
+//! The monitor → scaler → scheduler loop these drive is
+//! [`crate::cell::CellRuntime::step`], one call per epoch.
 //!
 //! The default configuration — hourly epochs, representative window —
 //! reproduces the pre-extraction experiment results bit for bit (pinned by
 //! `tests/control_plane.rs`). See `docs/control-plane.md`.
 
-use crate::anneal::{OptimizationRun, SaParams};
-use crate::autoscale::{FleetState, Scaler};
-use crate::eval::DesEvaluator;
-use crate::objective::Objective;
-use crate::schedulers::{Observation, Scheduler, SchedulerCtx, SchemeKind};
-use clover_carbon::{CarbonIntensity, CarbonMonitor, Staleness};
-use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{Deployment, ServingCarry, ServingSim, WindowMetrics};
-use clover_simkit::{SimDuration, SimRng, SimTime};
-use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry};
-use clover_workload::{ArrivalProcess, NoisyForecast, Workload};
+use crate::anneal::SaParams;
+use clover_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-
-/// Histogram buckets for per-invocation charged live search time, seconds
-/// (the paper's budget is 300 s at the hourly cadence; epoch-scaled budgets
-/// land in the lower buckets).
-const SEARCH_TIME_BUCKETS_S: [f64; 7] = [1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0];
 
 /// How much of each control epoch the serving simulator actually runs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -332,409 +314,6 @@ pub(crate) fn per_hour_or_panic(epoch_s: f64) -> f64 {
          (use e.g. 600, 900, 1200, 1800 or 3600 seconds)"
     );
     per_hour.round()
-}
-
-/// Read-only environment the control plane plans within: the experiment's
-/// derived model family, hardware model, objective and workload.
-pub struct PlaneEnv<'a> {
-    /// The application's model family.
-    pub family: &'a ModelFamily,
-    /// Hardware performance model.
-    pub perf: &'a PerfModel,
-    /// The objective (λ, baselines, SLA).
-    pub objective: &'a Objective,
-    /// The offered workload (generator and forecast).
-    pub workload: &'a Workload,
-}
-
-/// What [`ControlPlane::begin_epoch`] decided for one epoch.
-pub struct EpochPlan {
-    /// Carbon intensity in force this epoch (held per trace hour).
-    pub ci: CarbonIntensity,
-    /// The fleet partition to run with.
-    pub fleet: FleetState,
-    /// A new configuration to serve with, when (re)planning happened this
-    /// epoch; `None` keeps the current one.
-    pub deployment: Option<Deployment>,
-    /// The optimization run behind the plan, for schemes that search
-    /// online (charged time, eval records).
-    pub run: Option<OptimizationRun>,
-    /// Live measurement windows the evaluator charged while searching —
-    /// exploration traffic the caller must fold into the run totals 1:1.
-    pub eval_windows: Vec<WindowMetrics>,
-}
-
-/// The per-experiment decision loop: carbon monitor, autoscaler, scheduler
-/// and live evaluator behind one stepped interface.
-///
-/// Drive it as `begin_epoch` → serve the epoch (at the configured
-/// [`Fidelity`]) → `observe_serving`, once per [`ControlEpoch`], in order.
-/// All state is owned and all randomness flows from the seeds it was
-/// constructed with, so experiments stay byte-identical between serial and
-/// parallel grid execution.
-pub struct ControlPlane {
-    scheme: SchemeKind,
-    scheduler: Box<dyn Scheduler>,
-    monitor: CarbonMonitor,
-    scaler: Scaler,
-    evaluator: DesEvaluator,
-    rng: SimRng,
-    active_gpus: usize,
-    sla_violated: bool,
-    /// Multiplier the chaos layer applies to every demand the scaler
-    /// reads this epoch (`1.0` — the default — is an honest forecast and
-    /// takes the plain [`clover_workload::DemandForecast`] path).
-    forecast_factor: f64,
-    /// Serving state crossing the last epoch boundary (continuous
-    /// full-epoch serving; empty otherwise). Owned here so the queue and
-    /// in-flight work survive the epoch loop exactly like the rest of the
-    /// decision state does.
-    carry: ServingCarry,
-}
-
-impl ControlPlane {
-    /// Assembles a control plane around `scheme`'s `scheduler`; the
-    /// scaler's current fleet is taken as the initially active one.
-    pub fn new(
-        scheme: SchemeKind,
-        scheduler: Box<dyn Scheduler>,
-        monitor: CarbonMonitor,
-        scaler: Scaler,
-        evaluator: DesEvaluator,
-        rng: SimRng,
-    ) -> Self {
-        let active_gpus = scaler.fleet().active;
-        ControlPlane {
-            scheme,
-            scheduler,
-            monitor,
-            scaler,
-            evaluator,
-            rng,
-            active_gpus,
-            sla_violated: false,
-            forecast_factor: 1.0,
-            carry: ServingCarry::default(),
-        }
-    }
-
-    /// Sets the forecast-error factor the next [`ControlPlane::begin_epoch`]
-    /// feeds the scaler (chaos layer). Must be finite and positive; `1.0`
-    /// restores the honest forecast.
-    pub fn set_forecast_factor(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "non-positive forecast factor {factor}"
-        );
-        self.forecast_factor = factor;
-    }
-
-    /// Declares carbon-feed outage windows to the monitor (chaos layer):
-    /// inside a gap the monitor serves last-known-good intensity until
-    /// `age_cap`, then falls back blind to its reference. The carbon
-    /// *ledger* is unaffected — only the controller's view degrades.
-    pub fn set_carbon_gaps(&mut self, gaps: Vec<(SimTime, SimTime)>, age_cap: SimDuration) {
-        self.monitor.set_gaps(gaps, age_cap);
-    }
-
-    /// Removes `n` failed GPUs from the fleet, effective immediately
-    /// (their serving instances are killed separately, in the DES).
-    /// Returns how many boards actually left. See [`Scaler::fail`].
-    pub fn fleet_fail(&mut self, n: usize) -> usize {
-        self.scaler.fail(n)
-    }
-
-    /// Returns `n` repaired GPUs through the scaler's warming state.
-    /// Returns how many boards actually came back. See [`Scaler::repair`].
-    pub fn fleet_repair(&mut self, n: usize) -> usize {
-        self.scaler.repair(n)
-    }
-
-    /// Failed GPUs currently out of the fleet.
-    pub fn gpus_down(&self) -> usize {
-        self.scaler.down()
-    }
-
-    /// Serves one epoch **continuously**: the simulator is restored from
-    /// the carry left at the previous epoch's boundary, driven for the
-    /// whole epoch, and snapshotted again — one unbroken day instead of a
-    /// cold start per epoch (the [`Fidelity::FullEpoch`] serving path).
-    /// The new boundary snapshot replaces the old one; inspect it with
-    /// [`ControlPlane::backlog`].
-    pub fn serve_continuous(
-        &mut self,
-        sim: &mut ServingSim,
-        arrivals: &mut dyn ArrivalProcess,
-        epoch_len: SimDuration,
-    ) -> WindowMetrics {
-        let carry = std::mem::take(&mut self.carry);
-        let (metrics, next) = sim.run_epoch_continuous(arrivals, epoch_len, carry);
-        self.carry = next;
-        metrics
-    }
-
-    /// Requests inside the serving system (queued + in-flight) at the last
-    /// epoch boundary served through [`ControlPlane::serve_continuous`].
-    pub fn backlog(&self) -> u64 {
-        self.carry.backlog()
-    }
-
-    /// The boundary carry itself (queued/in-flight split, not just the
-    /// total) — what the multi-region router snapshots when computing
-    /// routing weights and migration targets.
-    pub fn carry(&self) -> &ServingCarry {
-        &self.carry
-    }
-
-    /// Mutable access to the boundary carry, for epoch-boundary request
-    /// migration (the multi-region router moves queued work between
-    /// clusters through [`ServingCarry::take_queued_newest`] /
-    /// [`ServingCarry::absorb_queued`] / [`ServingCarry::drain_for_migration`]).
-    /// Only meaningful between a [`ControlPlane::serve_continuous`] call
-    /// and the next — mutating it mid-epoch has no target to land on.
-    pub fn carry_mut(&mut self) -> &mut ServingCarry {
-        &mut self.carry
-    }
-
-    /// Opens `epoch`: observes the grid, sizes the fleet, and — when a
-    /// control trigger fires (start-up, carbon drift beyond the monitor
-    /// threshold, an SLA violation in the previous epoch, a fleet resize)
-    /// — invokes the scheduler for a fresh configuration.
-    ///
-    /// Equivalent to [`ControlPlane::begin_epoch_with`] against the no-op
-    /// telemetry sink.
-    pub fn begin_epoch(&mut self, epoch: &ControlEpoch, env: &PlaneEnv<'_>) -> EpochPlan {
-        self.begin_epoch_with(epoch, env, &mut Telemetry::disabled())
-    }
-
-    /// Attaches (or detaches) a phase profiler to the live evaluator, so
-    /// the candidate measurements a scheduler charges inside
-    /// [`Scheduler::plan`] are timed as [`Phase::Search`] — nested within
-    /// the [`Phase::Plan`] scope [`ControlPlane::begin_epoch_with`] opens
-    /// around the whole invocation.
-    pub fn set_profiler(&mut self, profiler: Option<ProfilerHandle>) {
-        self.evaluator.set_profiler(profiler);
-    }
-
-    /// [`ControlPlane::begin_epoch`] with a telemetry sink.
-    ///
-    /// The decision journal receives one `epoch_begin` and one `scaler`
-    /// event per epoch, plus `forecast`, `plan`, `search` (schemes that
-    /// report an optimization run) and `reconfig` (non-zero downtime)
-    /// events when a control trigger fires; the search ledger also lands in
-    /// the metric registry as per-scheme counters. The scaler step is timed
-    /// as [`Phase::Scaler`] and the scheduler invocation as
-    /// [`Phase::Plan`]. Telemetry is a strict overlay: every journal field
-    /// derives from decision state the loop computes anyway, so with the
-    /// no-op sink this method *is* the plain `begin_epoch`, bit for bit.
-    pub fn begin_epoch_with(
-        &mut self,
-        epoch: &ControlEpoch,
-        env: &PlaneEnv<'_>,
-        telemetry: &mut Telemetry,
-    ) -> EpochPlan {
-        let t = epoch.start;
-        let event = self.monitor.observe(t);
-        let ci = event.current;
-
-        let scaler_scope = telemetry.scope(Phase::Scaler);
-        let fleet = if self.forecast_factor == 1.0 {
-            self.scaler.step(t, &env.workload.forecast())
-        } else {
-            // Chaos: the scaler sizes against a biased view of demand. It
-            // cannot tell the difference — that is the failure mode under
-            // study. The scheduler's planning rate below stays honest; the
-            // error model targets capacity sizing, not the configuration
-            // search.
-            let noisy = NoisyForecast::new(env.workload.forecast(), self.forecast_factor);
-            self.scaler.step(t, &noisy)
-        };
-        drop(scaler_scope);
-        let fleet_changed = fleet.active != self.active_gpus;
-        self.active_gpus = fleet.active;
-
-        // Why the scheduler runs this epoch (`None`: keep the current
-        // configuration). Priority order mirrors the trigger condition.
-        // A fully dead fleet plans nothing: there is no hardware to
-        // partition, arrivals queue (and shed) in the serving layer, and
-        // the first epoch with survivors replans via `fleet-resize`.
-        let cause = if fleet.active == 0 {
-            None
-        } else if epoch.index == 0 {
-            Some("startup")
-        } else if event.triggered {
-            Some("carbon-drift")
-        } else if self.sla_violated {
-            Some("sla-violation")
-        } else if fleet_changed {
-            Some("fleet-resize")
-        } else {
-            None
-        };
-
-        // Degraded carbon data is evidence: journal the fallback the
-        // monitor took and count it, per mode.
-        let fallback = match event.staleness {
-            Staleness::Fresh => None,
-            Staleness::Stale { age_s } => Some(("stale", age_s)),
-            Staleness::Blind { age_s } => Some(("blind", age_s)),
-        };
-        if let Some((mode, age_s)) = fallback {
-            if telemetry.journal_mut().is_some() {
-                telemetry.emit(
-                    Event::new("fallback", t)
-                        .str("mode", mode)
-                        .f64("age_s", age_s)
-                        .f64("ci_g_per_kwh", ci.g_per_kwh()),
-                );
-            }
-            if let Some(m) = telemetry.metrics_mut() {
-                m.counter_add("clover_fault_fallback_epochs_total", &[("mode", mode)], 1);
-            }
-        }
-
-        if telemetry.journal_mut().is_some() {
-            telemetry.emit(
-                Event::new("epoch_begin", t)
-                    .u64("epoch", u64::from(epoch.index))
-                    .u64("trace_hour", u64::from(epoch.trace_hour()))
-                    .f64("ci_g_per_kwh", ci.g_per_kwh())
-                    .u64("active_gpus", self.active_gpus as u64),
-            );
-            telemetry.emit(
-                Event::new("scaler", t)
-                    .str("reason", self.scaler.last_reason().label())
-                    .u64("active", fleet.active as u64)
-                    .u64("warming", fleet.warming as u64)
-                    .u64("draining", fleet.draining as u64)
-                    .u64("off", fleet.off as u64),
-            );
-        }
-
-        let mut plan = EpochPlan {
-            ci,
-            fleet,
-            deployment: None,
-            run: None,
-            eval_windows: Vec::new(),
-        };
-        if let Some(cause) = cause {
-            // Candidates are evaluated at the demand the workload forecasts
-            // for this epoch (the constant offered rate under the paper's
-            // Poisson workload; floored above zero so the measurement
-            // windows stay well-defined when a trace has run dry).
-            self.evaluator.rate_rps = env.workload.planning_rate_at(t);
-            if telemetry.journal_mut().is_some() {
-                telemetry.emit(
-                    Event::new("forecast", t).f64("planning_rate_rps", self.evaluator.rate_rps),
-                );
-            }
-            let plan_scope = telemetry.scope(Phase::Plan);
-            let decision = self.scheduler.plan(&mut SchedulerCtx {
-                family: env.family,
-                perf: env.perf,
-                objective: env.objective,
-                ci,
-                now: t,
-                active_gpus: self.active_gpus,
-                workload: env.workload,
-                evaluator: &mut self.evaluator,
-                rng: &mut self.rng,
-            });
-            drop(plan_scope);
-            self.monitor.acknowledge(ci);
-            plan.run = decision.run;
-            // Exploration traffic is real traffic: hand it to the caller
-            // to fold into the run totals 1:1. Drained unconditionally —
-            // a scheme may measure candidates through the evaluator yet
-            // return no OptimizationRun, and its charged windows must
-            // neither accumulate nor slip to a later epoch's intensity.
-            plan.eval_windows = self.evaluator.take_window_log();
-            let downtime = self.evaluator.apply(decision.deployment.clone());
-            if telemetry.journal_mut().is_some() {
-                let mut ev = Event::new("plan", t)
-                    .str("scheme", self.scheme.label())
-                    .str("cause", cause)
-                    .u64("gpus", self.active_gpus as u64)
-                    .u64("eval_windows", plan.eval_windows.len() as u64);
-                if let Some(note) = decision.note.as_deref() {
-                    ev = ev.str("note", note);
-                }
-                telemetry.emit(ev);
-                if let Some(run) = plan.run.as_ref() {
-                    let l = run.ledger;
-                    telemetry.emit(
-                        Event::new("search", t)
-                            .u64("iterations", u64::from(l.iterations))
-                            .u64("accepted", u64::from(l.accepted))
-                            .u64("rejected", u64::from(l.rejected))
-                            .u64("non_improving", u64::from(l.final_non_improving))
-                            .f64("charged_live_s", l.charged_live_s)
-                            .f64("budget_s", l.budget_s),
-                    );
-                }
-                if !downtime.is_zero() {
-                    telemetry.emit(Event::new("reconfig", t).f64("downtime_s", downtime.as_secs()));
-                }
-            }
-            if let Some(run) = plan.run.as_ref() {
-                let l = run.ledger;
-                if let Some(m) = telemetry.metrics_mut() {
-                    let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
-                    m.counter_add("clover_plan_invocations_total", labels, 1);
-                    m.counter_add(
-                        "clover_search_iterations_total",
-                        labels,
-                        u64::from(l.iterations),
-                    );
-                    m.counter_add(
-                        "clover_search_accepted_total",
-                        labels,
-                        u64::from(l.accepted),
-                    );
-                    m.counter_add(
-                        "clover_search_rejected_total",
-                        labels,
-                        u64::from(l.rejected),
-                    );
-                    m.gauge_set("clover_search_budget_seconds", labels, l.budget_s);
-                    m.histogram_observe(
-                        "clover_search_charged_live_seconds",
-                        labels,
-                        &SEARCH_TIME_BUCKETS_S,
-                        l.charged_live_s,
-                    );
-                }
-            }
-            plan.deployment = Some(decision.deployment);
-        }
-        plan
-    }
-
-    /// Closes `epoch` with the metrics of its served window: records the
-    /// SLA-violation re-invocation trigger (carbon-aware schemes only, per
-    /// the paper's Sec. 4.2) and forwards the measurement to the
-    /// scheduler's feedback hook.
-    pub fn observe_serving(
-        &mut self,
-        epoch: &ControlEpoch,
-        metrics: &WindowMetrics,
-        env: &PlaneEnv<'_>,
-    ) {
-        // A silent epoch has no measured tail: it must not count as an SLA
-        // violation (nor spuriously pass one — `p95_latency_s` is `None`,
-        // not 0.0, for zero-served windows).
-        self.sla_violated = metrics
-            .p95_latency_s
-            .is_some_and(|p| p > env.objective.l_tail_s)
-            && self.scheme.is_carbon_aware();
-        self.scheduler.observe(&Observation {
-            metrics,
-            at: epoch.start,
-            active_gpus: self.active_gpus,
-            workload: env.workload,
-        });
-    }
 }
 
 #[cfg(test)]

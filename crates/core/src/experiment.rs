@@ -12,10 +12,10 @@
 //!    deployment's measured p95, which is *not* relaxed when GPUs get
 //!    partitioned);
 //! 2. each control epoch (hourly by default, sub-hour via
-//!    [`ExperimentConfigBuilder::control_epoch_s`]), the
-//!    [`crate::control::ControlPlane`] observes the grid; if intensity
-//!    drifted more than 5% since the last optimization (or at start-up, on
-//!    an SLA violation, or on a fleet resize), it invokes the scheme's
+//!    [`ExperimentConfigBuilder::control_epoch_s`]), the cell runtime
+//!    observes the grid; if intensity drifted more than 5% since the last
+//!    optimization (or at start-up, on an SLA violation, or on a fleet
+//!    resize), it invokes the scheme's
 //!    scheduler — its live evaluation windows and reconfiguration downtime
 //!    are charged and their traffic folded into the results, exactly as the
 //!    paper includes optimization overhead in all reported numbers;
@@ -36,7 +36,7 @@ use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
 use crate::cell::{served_accuracy_pct, CellRuntime, CellTotals};
 use crate::chaos::ChaosConfig;
-use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, PlaneEnv, SearchBudget};
+use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, SearchBudget};
 use crate::objective::Objective;
 use crate::schedulers::SchemeKind;
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
@@ -1076,9 +1076,8 @@ impl Experiment {
     /// Runs the experiment (scheme plus the synchronized BASE reference).
     ///
     /// Each [`crate::control::ControlEpoch`] of the schedule is one
-    /// [`CellRuntime::step`] — `begin_epoch` → serve → `observe_serving`
-    /// through the [`crate::control::ControlPlane`], with the cell's
-    /// accounting. The synchronized BASE reference serves the same epochs
+    /// [`CellRuntime::step`]: plan, serve, observe, and account. The
+    /// synchronized BASE reference serves the same epochs
     /// on the reference fleet. Under the default configuration (hourly
     /// epochs, representative window) the numbers are bit-identical to the
     /// pre-extraction hourly loop (pinned by `tests/control_plane.rs`).
@@ -1124,12 +1123,6 @@ impl Experiment {
             self.shard_threads,
         );
         cell.set_profiler(telemetry.profiler());
-        let env = PlaneEnv {
-            family: &self.family,
-            perf: &self.perf,
-            objective: &self.objective,
-            workload: &self.workload,
-        };
 
         if self.reference.claim() {
             self.reference
@@ -1142,7 +1135,8 @@ impl Experiment {
             let t = epoch.start;
             let rec = cell.step(
                 &epoch,
-                &env,
+                &self.objective,
+                &self.workload,
                 self.workload.process_from(t).as_mut(),
                 telemetry,
             );

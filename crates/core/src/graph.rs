@@ -78,11 +78,6 @@ impl ConfigGraph {
         c
     }
 
-    /// Instance count per variant (row sums).
-    pub fn variant_counts(&self) -> Vec<u32> {
-        self.weights.iter().map(|row| row.iter().sum()).collect()
-    }
-
     /// Graph edit distance to `other`: sum over edges of the absolute
     /// weight difference (paper Fig. 7 step 2). A true metric.
     ///
@@ -178,7 +173,6 @@ mod tests {
         assert_eq!(g.weight(VariantId(3), SliceType::G7), 1);
         assert_eq!(g.total_weight(), 8);
         assert_eq!(g.census()[SliceType::G1], 7);
-        assert_eq!(g.variant_counts(), vec![7, 0, 0, 1]);
     }
 
     #[test]

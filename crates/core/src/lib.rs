@@ -23,12 +23,13 @@
 //!   failures, brownouts, instance crashes, carbon-feed gaps and forecast
 //!   error, all drawn up front from the experiment seed so faulted runs
 //!   stay reproducible and chaos-off digests stay bit-identical.
-//! - [`control`] — the control plane: [`ControlEpoch`] cadence (sub-hour
-//!   capable), serving [`Fidelity`] (representative window vs full epoch),
-//!   and the monitor → scaler → scheduler loop as a stepped API.
-//! - [`cell`] — the per-epoch cell runtime: one cluster's control plane,
-//!   serving simulator, fault plan and carbon accounting, stepped once per
-//!   control epoch by the experiment and by every regional fleet.
+//! - [`control`] — the loop's schedule: [`ControlEpoch`] cadence (sub-hour
+//!   capable) and serving [`Fidelity`] (representative window vs full
+//!   epoch).
+//! - [`cell`] — the per-epoch cell runtime: one cluster's monitor →
+//!   scaler → scheduler loop, serving simulator, fault plan and carbon
+//!   accounting, stepped once per control epoch by the experiment and by
+//!   every regional fleet.
 //! - [`experiment`] — the 48-hour evaluation runtime reproducing the
 //!   paper's Sec. 5 methodology, including the synchronized BASE reference
 //!   and the per-epoch scaling/standby carbon accounting.
@@ -55,7 +56,7 @@ pub use anneal::{anneal, EvalRecord, OptimizationRun, SaParams, SearchLedger};
 pub use autoscale::{FleetState, ScaleReason, Scaler, ScalerConfig, ScalingPolicy};
 pub use cell::{CellRuntime, CellTotals, EpochRecord};
 pub use chaos::{ChaosConfig, CrashEvent, FaultPlan, FaultSpec, GpuKill};
-pub use control::{ControlEpoch, ControlPlane, EpochSchedule, Fidelity, PlaneEnv, WindowPlan};
+pub use control::{ControlEpoch, EpochSchedule, Fidelity, WindowPlan};
 pub use eval::DesEvaluator;
 pub use experiment::{Experiment, ExperimentConfig, ExperimentOutcome, TraceSource};
 pub use graph::ConfigGraph;

@@ -103,20 +103,6 @@ impl Partitioning {
         }
         out
     }
-
-    /// Number of GPUs whose configuration differs from `other`
-    /// (both must describe the same number of GPUs).
-    ///
-    /// # Panics
-    /// Panics if the GPU counts differ.
-    pub fn gpus_changed_from(&self, other: &Partitioning) -> usize {
-        assert_eq!(self.n_gpus(), other.n_gpus(), "GPU count mismatch");
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    }
 }
 
 impl fmt::Display for Partitioning {
@@ -270,7 +256,6 @@ mod tests {
         to.configs_mut()[0] = MigConfig::new(19); // 5 + 7*2 = 19 s
         to.configs_mut()[1] = MigConfig::new(7); // 5 + 2*2 = 9 s
         assert_eq!(cost.fleet_downtime(&from, &to).as_secs(), 19.0);
-        assert_eq!(to.gpus_changed_from(&from), 2);
     }
 
     #[test]
@@ -292,13 +277,5 @@ mod tests {
             cost.fleet_downtime(&same, &other),
             cost.gpu_downtime(MigConfig::new(7), MigConfig::new(1))
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn gpu_count_mismatch_panics() {
-        let a = Partitioning::uniform(2, MigConfig::FULL);
-        let b = Partitioning::uniform(3, MigConfig::FULL);
-        let _ = a.gpus_changed_from(&b);
     }
 }

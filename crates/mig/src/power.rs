@@ -87,18 +87,6 @@ impl PowerModel {
     pub fn standby_gpu_w(&self) -> f64 {
         self.standby_w
     }
-
-    /// Energy (joules) for one request of `service_secs` on `slice` with the
-    /// given effective units, *excluding* the static share (static power is
-    /// integrated per-GPU over wall time by the carbon ledger).
-    pub fn request_dynamic_joules(
-        &self,
-        slice: SliceType,
-        effective_units: f64,
-        service_secs: f64,
-    ) -> f64 {
-        self.busy_slice_w(slice, effective_units) * service_secs
-    }
 }
 
 impl Default for PowerModel {
@@ -171,12 +159,5 @@ mod tests {
         for &s in &SliceType::ALL {
             assert!(m.idle_slice_w(s) < m.busy_slice_w(s, 0.5));
         }
-    }
-
-    #[test]
-    fn request_energy_is_power_times_time() {
-        let m = PowerModel::a100();
-        let e = m.request_dynamic_joules(SliceType::G2, 2.0, 0.5);
-        assert!((e - m.busy_slice_w(SliceType::G2, 2.0) * 0.5).abs() < 1e-12);
     }
 }

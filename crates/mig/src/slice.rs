@@ -70,26 +70,6 @@ impl SliceType {
             SliceType::G7 => 4,
         }
     }
-
-    /// Inverse of [`SliceType::index`].
-    ///
-    /// # Panics
-    /// Panics for indices ≥ 5.
-    pub fn from_index(i: usize) -> SliceType {
-        SliceType::ALL[i]
-    }
-
-    /// The slice type with exactly `units` compute units, if one exists.
-    pub fn from_units(units: u32) -> Option<SliceType> {
-        match units {
-            1 => Some(SliceType::G1),
-            2 => Some(SliceType::G2),
-            3 => Some(SliceType::G3),
-            4 => Some(SliceType::G4),
-            7 => Some(SliceType::G7),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SliceType {
@@ -240,15 +220,8 @@ mod tests {
     #[test]
     fn index_round_trip() {
         for &s in &SliceType::ALL {
-            assert_eq!(SliceType::from_index(s.index()), s);
+            assert_eq!(SliceType::ALL[s.index()], s);
         }
-    }
-
-    #[test]
-    fn from_units() {
-        assert_eq!(SliceType::from_units(7), Some(SliceType::G7));
-        assert_eq!(SliceType::from_units(5), None);
-        assert_eq!(SliceType::from_units(0), None);
     }
 
     #[test]

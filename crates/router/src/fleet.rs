@@ -2,7 +2,7 @@
 //!
 //! A [`RegionalFleet`] is the single-cluster [`CellRuntime`] promoted to a
 //! component: its own carbon trace (the region's generator), its own
-//! control plane, continuous serving simulator, carbon ledger and GPU-level
+//! control loop, continuous serving simulator, carbon ledger and GPU-level
 //! fault plan — and its own RNG substream, so adding or removing a region
 //! never re-deals another region's randomness (its faults included). The
 //! [`crate::GlobalRouter`] owns the fleet collection and decides, each
@@ -10,7 +10,7 @@
 
 use crate::policy::RegionSnapshot;
 use clover_carbon::{CarbonTrace, Region};
-use clover_core::control::{ControlEpoch, PlaneEnv};
+use clover_core::control::ControlEpoch;
 use clover_core::{CellRuntime, CellTotals, ExperimentConfig, Objective};
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{ServingCarry, WindowMetrics};
@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 /// Weight floor the *planning* workload is held at for a region routed
 /// zero traffic. The serving side genuinely admits nothing (see
-/// [`NoArrivals`]), but the control plane still runs its epoch — draining
+/// [`NoArrivals`]), but the cell still runs its epoch — draining
 /// backlog, letting the scaler shrink toward `min_gpus` — and its
 /// evaluator needs a well-posed (positive) planning rate to measure
 /// candidate deployments against.
@@ -75,8 +75,6 @@ pub struct FleetSpec<'a> {
 pub struct RegionalFleet {
     region: Region,
     index: usize,
-    family: Arc<ModelFamily>,
-    perf: PerfModel,
     workload: WorkloadKind,
     global_rate_rps: f64,
     capacity_per_gpu_rps: f64,
@@ -85,7 +83,6 @@ pub struct RegionalFleet {
     cell: CellRuntime,
     served: u64,
     recent_energy_per_request_j: f64,
-    active_gpus: usize,
     down: bool,
 }
 
@@ -112,8 +109,6 @@ impl RegionalFleet {
         RegionalFleet {
             region: spec.region,
             index: spec.index,
-            family: spec.family.clone(),
-            perf: spec.perf,
             workload: spec.config.workload,
             global_rate_rps: spec.global_rate_rps,
             capacity_per_gpu_rps: spec.capacity_per_gpu_rps,
@@ -121,7 +116,6 @@ impl RegionalFleet {
             cell,
             served: 0,
             recent_energy_per_request_j: 0.0,
-            active_gpus: spec.config.n_gpus,
             down: false,
         }
     }
@@ -143,17 +137,17 @@ impl RegionalFleet {
 
     /// Backlog (queued + in-flight) the fleet carries right now.
     pub fn backlog(&self) -> u64 {
-        self.cell.plane().backlog()
+        self.cell.carry().backlog()
     }
 
     /// Requests waiting in the boundary carry's queue.
     pub fn queued(&self) -> usize {
-        self.cell.plane().carry().queued()
+        self.cell.carry().queued()
     }
 
     /// GPUs actively serving after the last planning round.
     pub fn active_gpus(&self) -> usize {
-        self.active_gpus
+        self.cell.active_gpus()
     }
 
     /// The boundary carry, for backlog rebalancing between epochs.
@@ -171,7 +165,8 @@ impl RegionalFleet {
             let at = SimTime::from_secs(t.as_secs() + k as f64 * 3600.0);
             sum += self.trace.at(at).g_per_kwh();
         }
-        let carry = self.cell.plane().carry();
+        let carry = self.cell.carry();
+        let active_gpus = self.cell.active_gpus();
         RegionSnapshot {
             index: self.index,
             label: self.region.to_string(),
@@ -180,8 +175,8 @@ impl RegionalFleet {
             ci_forecast_g_per_kwh: sum / hours as f64,
             queued: carry.queued() as u64,
             in_flight: carry.in_flight() as u64,
-            active_gpus: self.active_gpus,
-            capacity_rps: self.active_gpus as f64 * self.capacity_per_gpu_rps,
+            active_gpus,
+            capacity_rps: active_gpus as f64 * self.capacity_per_gpu_rps,
             energy_per_request_j: self.recent_energy_per_request_j,
             prev_weight,
         }
@@ -227,21 +222,16 @@ impl RegionalFleet {
             self.workload.clone(),
             weight.max(PLANNING_FLOOR_W) * self.global_rate_rps,
         );
-        let env = PlaneEnv {
-            family: &self.family,
-            perf: &self.perf,
-            objective,
-            workload: &planning,
-        };
         let mut arrivals: Box<dyn ArrivalProcess> = if weight > 0.0 {
             Workload::new(self.workload.clone(), weight * self.global_rate_rps)
                 .process_from(epoch.start)
         } else {
             Box::new(NoArrivals)
         };
-        let rec = self.cell.step(epoch, &env, arrivals.as_mut(), telemetry);
-        let w = rec.window;
-        self.active_gpus = rec.fleet.active;
+        let w = self
+            .cell
+            .step(epoch, objective, &planning, arrivals.as_mut(), telemetry)
+            .window;
         self.served += w.served;
         // What a request actually cost here this epoch — the routing
         // policies relativize grid intensity by it (a clean grid serving

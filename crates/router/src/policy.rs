@@ -173,7 +173,7 @@ impl RoutePolicy for SmallestQueuePolicy {
 ///
 /// With `use_forecast` the decision runs on the lookahead-mean intensity
 /// and sizes the capacity ceiling against the lookahead demand *peak*
-/// ([`clover_workload::DemandForecast::peak_over`]) — follow-the-sun that
+/// ([`clover_workload::Workload::peak_over`]) — follow-the-sun that
 /// will not chase a dip about to end into a region about to brown out.
 struct GreedyCarbonPolicy {
     use_forecast: bool,

@@ -164,16 +164,6 @@ impl Deployment {
     pub fn census(&self) -> SliceCensus {
         self.partitioning.census()
     }
-
-    /// Counts instances per `(variant, slice_type)` pair — exactly the edge
-    /// weights of Clover's configuration graph.
-    pub fn edge_counts(&self, family: &ModelFamily) -> Vec<Vec<u32>> {
-        let mut counts = vec![vec![0u32; SliceType::COUNT]; family.len()];
-        for (v, s) in self.instances() {
-            counts[v.0 as usize][s.index()] += 1;
-        }
-        counts
-    }
 }
 
 impl fmt::Display for Deployment {
@@ -252,13 +242,16 @@ mod tests {
             vec![VariantId(1), VariantId(0), VariantId(0), VariantId(3)],
         )
         .unwrap();
-        let counts = d.edge_counts(&fam);
-        assert_eq!(counts[1][SliceType::G4.index()], 1);
-        assert_eq!(counts[0][SliceType::G2.index()], 1);
-        assert_eq!(counts[0][SliceType::G1.index()], 1);
-        assert_eq!(counts[3][SliceType::G7.index()], 1);
-        let total: u32 = counts.iter().flatten().sum();
-        assert_eq!(total as usize, d.n_instances());
+        assert_eq!(
+            d.instances(),
+            vec![
+                (VariantId(1), SliceType::G4),
+                (VariantId(0), SliceType::G2),
+                (VariantId(0), SliceType::G1),
+                (VariantId(3), SliceType::G7),
+            ]
+        );
+        assert_eq!(d.instances().len(), d.n_instances());
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|s| s.key)
     }
 
-    /// Timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.peek_key().map(EventKey::time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -320,6 +315,6 @@ mod tests {
         assert!(!q.is_empty());
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek_key(), None);
     }
 }

@@ -196,14 +196,6 @@ impl SimRng {
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.below(items.len())]
     }
-
-    /// Fisher-Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 impl RngCore for SimRng {
@@ -341,16 +333,6 @@ mod tests {
         let mut b = root.fork(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(3);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -97,7 +97,7 @@ impl TelemetrySpec {
 }
 
 /// The per-cell telemetry sink handed through `Experiment::run_with` and
-/// `ControlPlane::begin_epoch_with`.
+/// `CellRuntime::step`.
 ///
 /// Every accessor returns an `Option`, `None` when that pillar is
 /// disabled, so instrumentation sites cost one branch on the cold

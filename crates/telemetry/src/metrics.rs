@@ -14,7 +14,7 @@
 //! the exposition format (including label-value escaping) is round-trip
 //! tested in `tests/telemetry.rs` rather than trusted.
 
-use crate::journal::{escape_json, fmt_f64};
+use crate::journal::fmt_f64;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -214,72 +214,6 @@ impl MetricRegistry {
                 .iter()
                 .map(move |(labels, value)| (name.as_str(), labels.as_slice(), value))
         })
-    }
-
-    /// Snapshot as a JSON document (hand-rolled; the offline `serde` stub
-    /// does not serialize).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"metrics\":[");
-        let mut first_family = true;
-        for (name, samples) in &self.families {
-            if !first_family {
-                out.push(',');
-            }
-            first_family = false;
-            let kind = samples.values().next().map_or("counter", MetricValue::kind);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"type\":\"{kind}\",\"samples\":[",
-                escape_json(name)
-            );
-            let mut first_sample = true;
-            for (labels, value) in samples {
-                if !first_sample {
-                    out.push(',');
-                }
-                first_sample = false;
-                out.push_str("{\"labels\":{");
-                for (i, (k, v)) in labels.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "\"{}\":\"{}\"", escape_json(k), escape_json(v));
-                }
-                out.push_str("},");
-                match value {
-                    MetricValue::Counter(v) => {
-                        let _ = write!(out, "\"value\":{v}");
-                    }
-                    MetricValue::Gauge(v) => {
-                        let _ = write!(out, "\"value\":{}", fmt_f64(*v));
-                    }
-                    MetricValue::Histogram(h) => {
-                        out.push_str("\"buckets\":[");
-                        for (i, (bound, cum)) in h.cumulative().iter().enumerate() {
-                            if i > 0 {
-                                out.push(',');
-                            }
-                            let le = if bound.is_finite() {
-                                fmt_f64(*bound)
-                            } else {
-                                "\"+Inf\"".to_string()
-                            };
-                            let _ = write!(out, "{{\"le\":{le},\"count\":{cum}}}");
-                        }
-                        let _ = write!(
-                            out,
-                            "],\"sum\":{},\"count\":{}",
-                            fmt_f64(h.sum()),
-                            h.count()
-                        );
-                    }
-                }
-                out.push('}');
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
     }
 
     /// Snapshot in the Prometheus text exposition format (one `# TYPE`
@@ -525,21 +459,5 @@ mod tests {
             vec![("path".into(), "a\\b\"c\nd".into())]
         );
         assert_eq!(samples[0].value, 7.0);
-    }
-
-    #[test]
-    fn json_snapshot_is_wellformed_enough() {
-        let mut m = MetricRegistry::new();
-        m.counter_add("a", &[("k", "v")], 1);
-        m.gauge_set("b", &[], 2.5);
-        m.histogram_observe("h", &[], &[1.0], 0.5);
-        let json = m.to_json();
-        assert!(json.starts_with("{\"metrics\":["), "{json}");
-        assert!(json.contains("\"type\":\"histogram\""), "{json}");
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
     }
 }

@@ -131,10 +131,10 @@ impl fmt::Display for WorkloadKind {
 ///
 /// Provides both faces of a workload — the *generator*
 /// ([`Workload::process_from`]) the simulator pulls arrivals from, and the
-/// *forecast* ([`Workload::forecast`], [`Workload::rate_at`],
-/// [`Workload::windowed_mean`]) schedulers plan against. Both are views of
-/// the same normalized description, so a scheduler that trusts the forecast
-/// is judged against traffic actually drawn from it.
+/// *forecast* ([`Workload::rate_at`], [`Workload::windowed_mean`],
+/// [`Workload::peak_over`]) schedulers and the autoscaler plan against.
+/// Both are views of the same normalized description, so a scheduler that
+/// trusts the forecast is judged against traffic actually drawn from it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Workload {
     kind: WorkloadKind,
@@ -391,11 +391,6 @@ impl Workload {
         ((frac * bands as f64) as usize).min(bands - 1)
     }
 
-    /// The demand-forecast view handed to schedulers.
-    pub fn forecast(&self) -> DemandForecast<'_> {
-        DemandForecast { workload: self }
-    }
-
     /// Builds the arrival process for a measurement window whose local zero
     /// sits at `origin` on the global clock.
     ///
@@ -421,121 +416,6 @@ impl Workload {
                 Box::new(TraceReplayProcess::new(Arc::clone(trace), origin, *looping))
             }
         }
-    }
-}
-
-/// Read-only demand forecast: what a scheduler may know about future
-/// traffic. Wraps the workload's expected-rate queries without exposing the
-/// generator side.
-#[derive(Debug, Clone, Copy)]
-pub struct DemandForecast<'a> {
-    workload: &'a Workload,
-}
-
-impl DemandForecast<'_> {
-    /// Expected instantaneous rate at global time `t`, req/s.
-    pub fn rate_at(&self, t: SimTime) -> f64 {
-        self.workload.rate_at(t)
-    }
-
-    /// Expected mean rate over `[from, from + span]`, req/s.
-    pub fn windowed_mean(&self, from: SimTime, span: SimDuration) -> f64 {
-        self.workload.windowed_mean(from, span)
-    }
-
-    /// Largest expected rate within `[from, from + span]`, req/s (see
-    /// [`Workload::peak_over`]) — the pre-warm policy's sizing query.
-    pub fn peak_over(&self, from: SimTime, span: SimDuration) -> f64 {
-        self.workload.peak_over(from, span)
-    }
-
-    /// Long-run mean rate, req/s.
-    pub fn mean_rate(&self) -> f64 {
-        self.workload.mean_rate()
-    }
-
-    /// Largest expected demand, req/s.
-    pub fn max_rate(&self) -> f64 {
-        self.workload.max_rate()
-    }
-
-    /// Smallest expected demand, req/s.
-    pub fn min_rate(&self) -> f64 {
-        self.workload.min_rate()
-    }
-
-    /// Quantile band of `rps` within the forecast's rate range (see
-    /// [`Workload::rate_band`]).
-    pub fn rate_band(&self, rps: f64, bands: usize) -> usize {
-        self.workload.rate_band(rps, bands)
-    }
-}
-
-/// The demand queries a capacity planner (the autoscaler) sizes against —
-/// the common face of the honest [`DemandForecast`] and the chaos layer's
-/// [`NoisyForecast`], so consumers cannot tell degraded data from live
-/// data (which is the point).
-pub trait DemandView {
-    /// Expected instantaneous rate at global time `t`, req/s.
-    fn rate_at(&self, t: SimTime) -> f64;
-    /// Expected mean rate over `[from, from + span]`, req/s.
-    fn windowed_mean(&self, from: SimTime, span: SimDuration) -> f64;
-    /// Largest expected rate within `[from, from + span]`, req/s.
-    fn peak_over(&self, from: SimTime, span: SimDuration) -> f64;
-}
-
-impl DemandView for DemandForecast<'_> {
-    fn rate_at(&self, t: SimTime) -> f64 {
-        DemandForecast::rate_at(self, t)
-    }
-    fn windowed_mean(&self, from: SimTime, span: SimDuration) -> f64 {
-        DemandForecast::windowed_mean(self, from, span)
-    }
-    fn peak_over(&self, from: SimTime, span: SimDuration) -> f64 {
-        DemandForecast::peak_over(self, from, span)
-    }
-}
-
-/// A [`DemandForecast`] distorted by a multiplicative error — the degraded
-/// view a planner sees when its forecaster carries bias and noise. The
-/// factor is typically `bias × lognormal(sigma)`, drawn once per control
-/// epoch by the chaos layer; a factor of exactly 1 reproduces the honest
-/// forecast.
-#[derive(Debug, Clone, Copy)]
-pub struct NoisyForecast<'a> {
-    inner: DemandForecast<'a>,
-    factor: f64,
-}
-
-impl<'a> NoisyForecast<'a> {
-    /// Wraps `inner`, scaling every demand query by `factor`.
-    ///
-    /// # Panics
-    /// Panics unless `factor` is finite and positive — a non-positive
-    /// "demand" is not an error model, it is a broken planner.
-    pub fn new(inner: DemandForecast<'a>, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "non-positive forecast error factor {factor}"
-        );
-        NoisyForecast { inner, factor }
-    }
-
-    /// The distortion factor applied to every query.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-}
-
-impl DemandView for NoisyForecast<'_> {
-    fn rate_at(&self, t: SimTime) -> f64 {
-        self.inner.rate_at(t) * self.factor
-    }
-    fn windowed_mean(&self, from: SimTime, span: SimDuration) -> f64 {
-        self.inner.windowed_mean(from, span) * self.factor
-    }
-    fn peak_over(&self, from: SimTime, span: SimDuration) -> f64 {
-        self.inner.peak_over(from, span) * self.factor
     }
 }
 
@@ -653,12 +533,10 @@ mod tests {
     #[test]
     fn forecast_view_matches_workload() {
         let wl = Workload::new(WorkloadKind::flash_crowd(), 80.0);
-        let f = wl.forecast();
         let t = SimTime::from_hours(1.05); // inside the spike
-        assert_eq!(f.rate_at(t), wl.rate_at(t));
-        assert!(f.rate_at(t) > 80.0);
-        assert_eq!(f.mean_rate(), 80.0);
-        assert!(f.max_rate() > 300.0);
+        assert!(wl.rate_at(t) > 80.0);
+        assert_eq!(wl.mean_rate(), 80.0);
+        assert!(wl.max_rate() > 300.0);
     }
 
     #[test]
@@ -778,9 +656,7 @@ mod tests {
         // Out-of-range queries clamp instead of indexing out of bounds.
         assert_eq!(wl.rate_band(-5.0, 4), 0);
         assert_eq!(wl.rate_band(1e9, 4), 3);
-        // The forecast view agrees.
-        assert_eq!(wl.forecast().rate_band(150.0, 4), 3);
-        assert_eq!(wl.forecast().min_rate(), wl.min_rate());
+        assert_eq!(wl.rate_band(150.0, 4), 3);
 
         // Constant demand (the paper's Poisson) has a degenerate range:
         // everything is band 0, so ORACLE keeps exactly one profile.
@@ -816,9 +692,7 @@ mod tests {
         // Far from any spike the peak is the baseline.
         let calm = wl.peak_over(SimTime::from_secs(100.0), SimDuration::from_secs(600.0));
         assert!(calm < wl.mean_rate(), "calm peak {calm}");
-        // The forecast view agrees, and MMPP (unforecastable bursts)
-        // answers with its stationary mean.
-        assert_eq!(wl.forecast().peak_over(before, span), peak);
+        // MMPP (unforecastable bursts) answers with its stationary mean.
         let mmpp = Workload::new(WorkloadKind::mmpp(), 100.0);
         assert_eq!(mmpp.peak_over(before, span), 100.0);
         // A replay trace reports its loudest empirical stretch.

@@ -29,9 +29,9 @@
 //!   exact instantaneous lookup and numeric window means.
 //! - [`descriptor`] — [`WorkloadKind`] (the serializable scenario
 //!   parameterization that rides inside experiment configs) and
-//!   [`Workload`] (a kind bound to a base rate), plus the
-//!   [`DemandForecast`] view — `rate_at(t)` and windowed means — that
-//!   schedulers query to plan capacity.
+//!   [`Workload`] (a kind bound to a base rate), whose forecast queries —
+//!   `rate_at(t)`, windowed means and peaks — schedulers use to plan
+//!   capacity.
 //! - [`trace_io`] — [`ArrivalTrace`]: recorded arrival timestamps with
 //!   rate rescaling and CSV round-tripping (same I/O idiom as
 //!   `clover_carbon`'s trace CSV).
@@ -54,8 +54,8 @@
 //! use clover_simkit::{SimRng, SimTime};
 //!
 //! let wl = Workload::new(WorkloadKind::diurnal(), 100.0);
-//! // Forecast view: expected demand 6 simulated hours in.
-//! let expected = wl.forecast().rate_at(SimTime::from_hours(6.0));
+//! // Forecast: expected demand 6 simulated hours in.
+//! let expected = wl.rate_at(SimTime::from_hours(6.0));
 //! assert!(expected > 0.0);
 //! // Generator view: deterministic arrivals for a window starting at 6 h.
 //! let mut rng = SimRng::new(7);
@@ -71,7 +71,7 @@ pub mod process;
 pub mod rate;
 pub mod trace_io;
 
-pub use descriptor::{DemandForecast, DemandView, NoisyForecast, Workload, WorkloadKind};
+pub use descriptor::{Workload, WorkloadKind};
 pub use process::{ArrivalProcess, MmppProcess, NhppProcess, PoissonProcess, TraceReplayProcess};
 pub use rate::RateCurve;
 pub use trace_io::{ArrivalTrace, TraceParseError};

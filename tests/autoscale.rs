@@ -196,7 +196,7 @@ fn prewarm_seed_sweep_properties() {
         let epoch_s = 120.0;
         let steps = (3.0 * 3600.0 / epoch_s) as usize; // 1.5 spike periods
         let fleet: Vec<FleetState> = (0..steps)
-            .map(|i| scaler.step(SimTime::from_secs(i as f64 * epoch_s), &workload.forecast()))
+            .map(|i| scaler.step(SimTime::from_secs(i as f64 * epoch_s), &workload, 1.0))
             .collect();
 
         let label = format!("seed {seed} (n={n_gpus}, cap={cap_rps}, mult={spike_mult})");

@@ -4,8 +4,9 @@
 //!
 //! 1. **The refactor is invisible at the default configuration.** The
 //!    digests below were recorded on the tree *before* the experiment's
-//!    inner loop was extracted into `ControlPlane`/`EpochSchedule`/
-//!    `Fidelity` and the scheduler trait was redesigned — the default
+//!    inner loop was extracted into a stepped control loop over an
+//!    `EpochSchedule` at a configurable `Fidelity`, and before the
+//!    scheduler trait was redesigned — the default
 //!    (hourly epoch, representative window) must keep reproducing them
 //!    bit for bit, for all five schemes.
 //! 2. **The new degrees of freedom stay deterministic.** Sub-hour control

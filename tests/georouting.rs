@@ -21,6 +21,8 @@
 //!    and crashes land inside the regions' cells (each drawn from its own
 //!    substream), conservation still closes, and the faulted run stays
 //!    serial == parallel.
+//! 7. **Every region plans at start-up.** A region dark from t = 0 runs
+//!    its start-up plan on the first epoch it serves, not never.
 
 use clover::carbon::regions::Region;
 use clover::core::autoscale::ScalingPolicy;
@@ -227,6 +229,34 @@ fn a_region_outage_fails_over_without_losing_work() {
         "conservation must survive the outage"
     );
     assert_eq!(out.boundary_leak, 0, "boundary law must survive the outage");
+}
+
+#[test]
+fn a_region_dark_at_start_plans_at_startup_when_it_comes_up() {
+    let mut cfg = quick("carbon-greedy");
+    cfg.chaos = ChaosConfig::off().with(FaultSpec::RegionOutage {
+        region: 1,
+        start_h: 0.0,
+        duration_h: 1.0,
+    });
+    let (_, report) = GlobalRouter::run_cells_with(vec![cfg], 1, TelemetrySpec::JOURNAL)
+        .pop()
+        .expect("one cell");
+    let journal = report.journal.expect("journal enabled");
+    let startups: Vec<&str> = journal
+        .as_str()
+        .lines()
+        .filter(|l| l.contains("\"event\":\"plan\"") && l.contains("\"cause\":\"startup\""))
+        .collect();
+    assert_eq!(
+        startups.len(),
+        3,
+        "one start-up plan per region: {startups:#?}"
+    );
+    assert!(
+        startups.iter().any(|l| l.starts_with("{\"t_s\":3600,")),
+        "the dark region plans at start-up when it first serves: {startups:#?}"
+    );
 }
 
 #[test]
