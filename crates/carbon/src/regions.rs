@@ -104,6 +104,13 @@ impl Region {
         self.trace(48, seed)
     }
 
+    /// The trace a run of `horizon_hours` serves under: it covers the
+    /// horizon but never less than the 48-hour evaluation span, so a
+    /// run of up to 48 hours samples exactly [`Region::eval_trace`].
+    pub fn run_trace(self, horizon_hours: f64, seed: u64) -> CarbonTrace {
+        self.trace((horizon_hours.ceil() as usize).max(48), seed)
+    }
+
     /// The 14-day motivation trace (Fig. 4 setup).
     pub fn motivation_trace(self, seed: u64) -> CarbonTrace {
         self.trace(14 * 24, seed)
@@ -222,6 +229,8 @@ mod tests {
     fn trace_lengths() {
         assert_eq!(Region::CisoMarch.eval_trace(0).len(), 49);
         assert_eq!(Region::EsoMarch.motivation_trace(0).len(), 14 * 24 + 1);
+        assert_eq!(Region::CisoMarch.run_trace(6.0, 0).len(), 49);
+        assert_eq!(Region::CisoMarch.run_trace(71.5, 0).len(), 73);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use clover_mig::SliceType;
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{Deployment, InstanceFailure, ServingCarry, ServingSim, WindowMetrics};
 use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
-use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry};
+use clover_telemetry::{Event, Phase, PhaseScope, ProfilerHandle, Telemetry};
 use clover_workload::{ArrivalProcess, Workload};
 use std::sync::Arc;
 
@@ -298,21 +298,16 @@ impl CellRuntime {
             }
         }
 
-        let wp = self.window;
-        let des_scope = telemetry.scope(Phase::Des);
-        let w = if self.continuous {
-            // One unbroken run instead of a cold start per epoch: restore
-            // from the previous boundary's carry, serve the whole epoch,
-            // snapshot the new boundary.
-            let carry = std::mem::take(&mut self.carry);
-            let (w, next) = self.sim.run_epoch_continuous(arrivals, epoch.len, carry);
-            self.carry = next;
-            w
-        } else {
-            self.sim.run_window_with(arrivals, wp.window, wp.warmup)
-        };
-        drop(des_scope);
-        self.totals.fold(t, &w, wp.scale);
+        let des = telemetry.scope(Phase::Des);
+        let w = serve_epoch(
+            &mut self.sim,
+            self.continuous.then_some(&mut self.carry),
+            epoch,
+            self.window,
+            arrivals,
+            &mut self.totals,
+            des,
+        );
 
         // GPUs the scaler holds out of the deployment still cost power:
         // powered-off boards draw standby watts, warming boards pay the
@@ -756,6 +751,32 @@ impl CellRuntime {
             backlog: self.carry.backlog(),
         }
     }
+}
+
+/// Serves one epoch on `sim` — continuously from `carry`, which it
+/// advances to the closing boundary, or else the representative window —
+/// and folds the measurement into `totals` at the plan's scale. `des`, the
+/// caller's [`Phase::Des`] scope, closes before the fold.
+pub(crate) fn serve_epoch(
+    sim: &mut ServingSim,
+    carry: Option<&mut ServingCarry>,
+    epoch: &ControlEpoch,
+    wp: WindowPlan,
+    arrivals: &mut dyn ArrivalProcess,
+    totals: &mut CellTotals,
+    des: Option<PhaseScope>,
+) -> WindowMetrics {
+    let w = match carry {
+        Some(carry) => {
+            let (w, next) = sim.run_epoch_continuous(arrivals, epoch.len, std::mem::take(carry));
+            *carry = next;
+            w
+        }
+        None => sim.run_window_with(arrivals, wp.window, wp.warmup),
+    };
+    drop(des);
+    totals.fold(epoch.start, &w, wp.scale);
+    w
 }
 
 /// Served-weighted accuracy of `per_variant` served counts, percent (the

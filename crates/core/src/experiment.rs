@@ -34,7 +34,7 @@
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
-use crate::cell::{served_accuracy_pct, CellRuntime, CellTotals};
+use crate::cell::{serve_epoch, served_accuracy_pct, CellRuntime, CellTotals};
 use crate::chaos::ChaosConfig;
 use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, SearchBudget};
 use crate::objective::Objective;
@@ -42,52 +42,13 @@ use crate::schedulers::SchemeKind;
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{analytic, Deployment, ServingCarry, ServingSim, WindowMetrics};
+use clover_serving::{analytic, Deployment, ServingCarry, ServingSim};
 use clover_simkit::SimDuration;
 use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
-
-/// How the SLA is derived from the calibration window's measured BASE p95.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SlaMargin {
-    /// A flat multiplicative headroom over the measured p95 (the paper's
-    /// `p95 × 1.05`, and the default). Simple, but blind to how noisy the
-    /// p95 estimate itself is: a calibration seed that happened to draw a
-    /// light tail derives an SLA the long run can graze.
-    Flat,
-    /// Confidence-interval-based headroom: the SLA is the *larger* of the
-    /// flat target and the upper confidence bound of the true p95 — the
-    /// order-statistic (normal-approximation) bound
-    /// `q_hi = 0.95 + z·√(0.95·0.05/n)` over the calibration window's `n`
-    /// served requests, read from its latency histogram. A noisy (small-n
-    /// or heavy-tailed) calibration widens its own headroom instead of
-    /// shipping a target its own baseline will violate, which makes the
-    /// derived SLA stable across calibration seeds (pinned by a test).
-    ConfidenceInterval {
-        /// Normal quantile of the one-sided confidence level (1.96 ≈ 97.5%).
-        z: f64,
-    },
-}
-
-impl SlaMargin {
-    /// The default confidence quantile (one-sided 97.5%).
-    pub const DEFAULT_Z: f64 = 1.96;
-
-    /// Confidence-interval margin at the default confidence level.
-    pub fn confidence_interval() -> Self {
-        SlaMargin::ConfidenceInterval { z: Self::DEFAULT_Z }
-    }
-}
-
-impl Default for SlaMargin {
-    /// The paper's flat headroom.
-    fn default() -> Self {
-        SlaMargin::Flat
-    }
-}
 
 /// Where the carbon intensity comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -139,9 +100,6 @@ pub struct ExperimentConfig {
     pub fidelity: Fidelity,
     /// SLA headroom multiplier over the measured BASE p95.
     pub sla_headroom: f64,
-    /// How the headroom is derived from the calibration measurement
-    /// (default: the paper's flat multiplier; see [`SlaMargin`]).
-    pub sla_margin: SlaMargin,
     /// Simulated-annealing parameters.
     pub sa: SaParams,
     /// How the SA budget relates to the control cadence (default:
@@ -182,7 +140,6 @@ impl ExperimentConfig {
                 control_epoch_s: 3600.0,
                 fidelity: Fidelity::representative(),
                 sla_headroom: 1.05,
-                sla_margin: SlaMargin::Flat,
                 sa: SaParams::default(),
                 search_budget: SearchBudget::epoch_scaled(),
                 chaos: ChaosConfig::off(),
@@ -274,13 +231,6 @@ impl ExperimentConfigBuilder {
     /// Sets the SLA headroom multiplier over the measured BASE p95.
     pub fn sla_headroom(mut self, h: f64) -> Self {
         self.cfg.sla_headroom = h;
-        self
-    }
-
-    /// Sets how the SLA headroom is derived from the calibration
-    /// measurement (default: the paper's flat multiplier).
-    pub fn sla_margin(mut self, m: SlaMargin) -> Self {
-        self.cfg.sla_margin = m;
         self
     }
 
@@ -449,13 +399,6 @@ impl ExperimentConfigBuilder {
              BASE reference itself measured",
             cfg.sla_headroom
         );
-        if let SlaMargin::ConfidenceInterval { z } = cfg.sla_margin {
-            assert!(
-                z.is_finite() && z > 0.0,
-                "experiment config: confidence-interval SLA margin needs a positive normal \
-                 quantile, got z = {z}"
-            );
-        }
         // Panics with the budget's own contract on a bad fraction.
         let _ = cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s);
         if let Err(e) = cfg.chaos.validate() {
@@ -689,6 +632,73 @@ impl ExperimentOutcome {
     }
 }
 
+/// The BASE yardstick of Sec. 5.1: the rate BASE is offered at the
+/// utilization target, and the p95 (→ the SLA) and energy per request
+/// (→ `C_base`) a calibration window measures there. The experiment and
+/// the multi-region router both derive theirs here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BaseYardstick {
+    /// Offered base rate across every share, req/s.
+    pub rate_rps: f64,
+    /// Serving capacity one BASE GPU contributes, req/s.
+    pub capacity_per_gpu_rps: f64,
+    /// BASE IT energy per request over the calibration window, joules.
+    pub energy_per_request_j: f64,
+    /// BASE p95 latency over the calibration window, seconds.
+    pub p95_s: f64,
+}
+
+impl BaseYardstick {
+    /// Derives the yardstick of `shares` BASE deployments of `base_gpus`
+    /// GPUs each (1 for a cluster, one per region for the router): the
+    /// rate is their analytic capacity times `utilization`, and one of
+    /// them is calibrated at its share. The window is long enough that the
+    /// p95's sampling noise sits well inside the SLA headroom.
+    ///
+    /// # Panics
+    /// If the calibration window serves nothing.
+    pub fn derive(
+        family: &Arc<ModelFamily>,
+        perf: PerfModel,
+        base_gpus: usize,
+        shares: usize,
+        utilization: f64,
+        seed: u64,
+    ) -> Self {
+        let base = Deployment::base(family, base_gpus);
+        let capacity = analytic::estimate(family.as_ref(), &perf, &base, 1.0).capacity_rps;
+        // At one share `× shares` and `/ shares` are exact: a cluster's bits
+        // are those of `capacity × utilization`.
+        let shares = shares as f64;
+        let rate_rps = capacity * shares * utilization;
+        let mut calib = ServingSim::new(family.clone(), perf, base, seed ^ 0xCA11_B007);
+        let w = calib.run_window(
+            rate_rps / shares,
+            SimDuration::from_secs(160.0),
+            SimDuration::from_secs(16.0),
+        );
+        BaseYardstick {
+            rate_rps,
+            capacity_per_gpu_rps: capacity / base_gpus as f64,
+            energy_per_request_j: w.energy_per_request_j().expect("calibration served"),
+            p95_s: w.p95_latency_s.expect("calibration served"),
+        }
+    }
+
+    /// The objective at weight `lambda`: the SLA is the measured p95 times
+    /// `headroom`, and `C_base` the energy per request priced at `ci_ref`.
+    pub fn objective(
+        &self,
+        a_base_pct: f64,
+        ci_ref: CarbonIntensity,
+        headroom: f64,
+        lambda: f64,
+    ) -> Objective {
+        let c_base = Objective::carbon_per_request_g(self.energy_per_request_j, ci_ref);
+        Objective::new(a_base_pct, c_base, self.p95_s * headroom).with_lambda(lambda)
+    }
+}
+
 /// The configuration fields the synchronized BASE reference reads, and
 /// nothing else. The reference is a pure function of this key, so every
 /// live experiment with an equal key shares one computation of it. Floats
@@ -724,7 +734,7 @@ impl ReferenceKey {
     }
 }
 
-/// The configuration fields the calibration window reads: application,
+/// The configuration fields the BASE yardstick reads: application,
 /// reference fleet and utilization target (which fix the BASE deployment
 /// and its offered rate) and seed.
 type CalibrationKey = (Application, usize, f64, u64);
@@ -761,7 +771,7 @@ impl<K: PartialEq, V> SharedTable<K, V> {
 }
 
 static REFERENCES: SharedTable<ReferenceKey, BaseReference> = SharedTable::new();
-static CALIBRATIONS: SharedTable<CalibrationKey, OnceLock<WindowMetrics>> = SharedTable::new();
+static CALIBRATIONS: SharedTable<CalibrationKey, OnceLock<BaseYardstick>> = SharedTable::new();
 
 /// The synchronized BASE reference of every live experiment with an equal
 /// [`ReferenceKey`]: its inputs, derived from the key alone, and its totals
@@ -812,8 +822,7 @@ impl BaseReference {
     ) -> CellTotals {
         let key = &self.key;
         let schedule = EpochSchedule::new(key.horizon_hours, key.control_epoch_s);
-        let epoch_len = schedule.epoch_len();
-        let wp = key.fidelity.window_plan(epoch_len);
+        let wp = key.fidelity.window_plan(schedule.epoch_len());
         let continuous = matches!(key.fidelity, Fidelity::FullEpoch);
         let deployment = Deployment::base(&self.family, key.reference_gpus);
         let mut sim = ServingSim::new(self.family.clone(), self.perf, deployment, key.seed ^ 0x22);
@@ -823,18 +832,17 @@ impl BaseReference {
         let mut totals = CellTotals::new(self.trace.clone(), self.family.len());
         let mut carry = ServingCarry::default();
         for epoch in schedule.iter() {
-            let t = epoch.start;
-            let mut arrivals = self.workload.process_from(t);
-            let des_scope = profiler.as_ref().map(|p| p.scope(Phase::Des));
-            let w = if continuous {
-                let (w, next) = sim.run_epoch_continuous(arrivals.as_mut(), epoch_len, carry);
-                carry = next;
-                w
-            } else {
-                sim.run_window_with(arrivals.as_mut(), wp.window, wp.warmup)
-            };
-            drop(des_scope);
-            totals.fold(t, &w, wp.scale);
+            let mut arrivals = self.workload.process_from(epoch.start);
+            let des = profiler.as_ref().map(|p| p.scope(Phase::Des));
+            serve_epoch(
+                &mut sim,
+                continuous.then_some(&mut carry),
+                &epoch,
+                wp,
+                arrivals.as_mut(),
+                &mut totals,
+                des,
+            );
         }
         totals
     }
@@ -859,11 +867,9 @@ pub struct Experiment {
     pub workload: Workload,
     /// The derived objective (λ, C_base, A_base, SLA).
     pub objective: Objective,
-    /// Measured BASE energy per request at calibration, joules.
-    pub base_energy_per_request_j: f64,
     /// Held so that experiments built while this one lives share the
     /// calibration window.
-    _calibration: Arc<OnceLock<WindowMetrics>>,
+    _calibration: Arc<OnceLock<BaseYardstick>>,
     reference: Arc<BaseReference>,
     /// Worker-thread cap handed to the sharded continuous engine
     /// (`None` defers to [`clover_simkit::default_threads`]). Grid runners
@@ -873,66 +879,31 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Derives workload, SLA and objective baselines for `cfg`.
+    /// Derives workload, SLA and objective baselines for `cfg`: the
+    /// [`BaseYardstick`] of the reference fleet, with `C_base` priced at
+    /// the trace's mean intensity.
     pub fn new(cfg: ExperimentConfig) -> Self {
         let family = Arc::new(cfg.app.family());
         let perf = PerfModel::a100();
         let trace = Arc::new(match cfg.trace {
-            TraceSource::Region(r) => r.eval_trace(cfg.seed),
+            TraceSource::Region(r) => r.run_trace(cfg.horizon_hours, cfg.seed),
             TraceSource::Constant(v) => CarbonTrace::constant(
                 CarbonIntensity::from_g_per_kwh(v),
                 SimDuration::from_hours(cfg.horizon_hours + 1.0),
             ),
         });
 
-        // Workload: BASE on the reference GPUs at the utilization target.
-        let base_ref = Deployment::base(&family, cfg.reference_gpus);
-        let capacity = analytic::estimate(family.as_ref(), &perf, &base_ref, 1.0).capacity_rps;
-        let capacity_per_gpu_rps = capacity / cfg.reference_gpus as f64;
-        let rate_rps = capacity * cfg.utilization_target;
-        let workload = Workload::new(cfg.workload.clone(), rate_rps);
-
-        // Calibration window: measures BASE p95 (the SLA) and C_base. The
-        // window is long enough that the p95 estimate's sampling noise sits
-        // well inside the SLA headroom — a short calibration can
-        // underestimate the tail and leave BASE violating its own SLA.
-        let key = (
-            cfg.app,
-            cfg.reference_gpus,
-            cfg.utilization_target,
-            cfg.seed,
+        let (gpus, u, seed) = (cfg.reference_gpus, cfg.utilization_target, cfg.seed);
+        let calibration = CALIBRATIONS.slot((cfg.app, gpus, u, seed), |_| OnceLock::new());
+        let yardstick =
+            *calibration.get_or_init(|| BaseYardstick::derive(&family, perf, gpus, 1, u, seed));
+        let workload = Workload::new(cfg.workload.clone(), yardstick.rate_rps);
+        let mut objective = yardstick.objective(
+            family.accuracy_base(),
+            trace.mean(),
+            cfg.sla_headroom,
+            cfg.lambda,
         );
-        let calibration = CALIBRATIONS.slot(key, |_| OnceLock::new());
-        let w = calibration.get_or_init(|| {
-            let mut calib = ServingSim::new(family.clone(), perf, base_ref, cfg.seed ^ 0xCA11_B007);
-            calib.run_window(
-                rate_rps,
-                SimDuration::from_secs(160.0),
-                SimDuration::from_secs(16.0),
-            )
-        });
-        let base_energy = w.energy_per_request_j().expect("calibration served");
-        let base_p95 = w.p95_latency_s.expect("calibration served");
-        let flat_sla = base_p95 * cfg.sla_headroom;
-        let sla = match cfg.sla_margin {
-            SlaMargin::Flat => flat_sla,
-            // The flat multiplier trusts the point estimate; the CI margin
-            // widens the target to the order-statistic upper bound of the
-            // true p95 whenever that bound exceeds the flat headroom — a
-            // calibration seed that drew a light tail can no longer derive
-            // an SLA its own long-run baseline grazes.
-            SlaMargin::ConfidenceInterval { z } => {
-                let n = w.served as f64;
-                let q_hi = (0.95 + z * (0.95 * 0.05 / n).sqrt()).min(0.9995);
-                let p95_hi = w.latency_hist.quantile(q_hi).unwrap_or(base_p95);
-                flat_sla.max(p95_hi)
-            }
-        };
-        let ci_ref = trace.mean();
-        let c_base = Objective::carbon_per_request_g(base_energy, ci_ref);
-
-        let mut objective =
-            Objective::new(family.accuracy_base(), c_base, sla).with_lambda(cfg.lambda);
         if let Some(floor) = cfg.accuracy_floor_pct {
             objective = objective.with_accuracy_floor(floor);
         }
@@ -952,11 +923,10 @@ impl Experiment {
             family,
             perf,
             trace,
-            rate_rps,
-            capacity_per_gpu_rps,
+            rate_rps: yardstick.rate_rps,
+            capacity_per_gpu_rps: yardstick.capacity_per_gpu_rps,
             workload,
             objective,
-            base_energy_per_request_j: base_energy,
             _calibration: calibration,
             reference,
             shard_threads: None,
@@ -1296,7 +1266,7 @@ mod tests {
                 "changing {name}: wrong calibration sharing"
             );
         }
-        let other_fields: [(&str, Edit); 11] = [
+        let other_fields: [(&str, Edit); 10] = [
             ("scheme", |c| c.scheme = SchemeKind::Co2Opt),
             ("n_gpus", |c| c.n_gpus = 3),
             ("lambda", |c| c.lambda = 0.9),
@@ -1304,9 +1274,6 @@ mod tests {
             ("min_gpus", |c| c.min_gpus = 2),
             ("chaos", |c| c.chaos = ChaosConfig::resilience(24.0)),
             ("sla_headroom", |c| c.sla_headroom = 1.5),
-            ("sla_margin", |c| {
-                c.sla_margin = SlaMargin::confidence_interval()
-            }),
             ("sa", |c| c.sa.t0 = 2.0),
             ("search_budget", |c| c.search_budget = SearchBudget::Fixed),
             ("accuracy_floor_pct", |c| c.accuracy_floor_pct = Some(2.0)),
@@ -1541,55 +1508,6 @@ mod tests {
         assert_eq!(out.scaling, "static");
         assert_eq!(out.mean_active_gpus, 4.0);
         assert!(out.timeline.iter().all(|h| h.active_gpus == 4));
-    }
-
-    #[test]
-    fn ci_sla_margin_is_stable_across_calibration_seeds_and_never_tighter() {
-        // The flake the CI margin fixes: a calibration seed that draws a
-        // light tail derives a flat SLA the 6-hour run can graze. The
-        // order-statistic bound lifts exactly those under-estimates, so
-        // across calibration seeds the derived SLA (a) is never tighter
-        // than the flat one and (b) varies little seed to seed.
-        let derive = |seed: u64, margin: SlaMargin| {
-            let cfg = ExperimentConfig::builder(Application::ImageClassification)
-                .n_gpus(4)
-                .sla_margin(margin)
-                .seed(seed)
-                .build();
-            Experiment::new(cfg).objective.l_tail_s
-        };
-        let seeds: Vec<u64> = (1..=8).collect();
-        let ci: Vec<f64> = seeds
-            .iter()
-            .map(|&s| derive(s, SlaMargin::confidence_interval()))
-            .collect();
-        let flat: Vec<f64> = seeds.iter().map(|&s| derive(s, SlaMargin::Flat)).collect();
-        for (c, f) in ci.iter().zip(flat.iter()) {
-            assert!(
-                c >= f,
-                "CI margin derived a tighter SLA ({c}) than the flat one ({f})"
-            );
-        }
-        let spread = |v: &[f64]| {
-            let max = v.iter().cloned().fold(f64::MIN, f64::max);
-            let min = v.iter().cloned().fold(f64::MAX, f64::min);
-            (max - min) / min
-        };
-        assert!(
-            spread(&ci) < 0.10,
-            "CI-derived SLA varies {:.1}% across calibration seeds: {ci:?}",
-            spread(&ci) * 100.0
-        );
-        // And the default stays the paper's flat margin (digest safety).
-        assert_eq!(SlaMargin::default(), SlaMargin::Flat);
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a positive normal quantile")]
-    fn nonpositive_ci_quantile_rejected() {
-        let _ = ExperimentConfig::builder(Application::ImageClassification)
-            .sla_margin(SlaMargin::ConfidenceInterval { z: 0.0 })
-            .build();
     }
 
     #[test]

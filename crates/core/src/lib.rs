@@ -58,7 +58,7 @@ pub use cell::{CellRuntime, CellTotals, EpochRecord};
 pub use chaos::{ChaosConfig, CrashEvent, FaultPlan, FaultSpec, GpuKill};
 pub use control::{ControlEpoch, EpochSchedule, Fidelity, WindowPlan};
 pub use eval::DesEvaluator;
-pub use experiment::{Experiment, ExperimentConfig, ExperimentOutcome, TraceSource};
+pub use experiment::{BaseYardstick, Experiment, ExperimentConfig, ExperimentOutcome, TraceSource};
 pub use graph::ConfigGraph;
 pub use neighbors::NeighborSampler;
 pub use objective::{MeasuredPoint, Objective};

@@ -7,7 +7,7 @@
 //! {3g, 2g, 1g, 1g}, and configuration 19 is seven 1g slices. The remaining
 //! entries enumerate the other slice multisets an A100 supports (at most one
 //! 4g, at most two 3g, at most seven compute units); exact NVIDIA placement
-//! rules are approximated, as recorded in DESIGN.md.
+//! rules are approximated.
 
 use crate::slice::{SliceCensus, SliceType};
 use serde::{Deserialize, Serialize};

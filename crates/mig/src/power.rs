@@ -20,7 +20,7 @@
 //! busy power, and idle (allocated, no request) slices draw 3%. These
 //! splits are calibrated so the reproduction matches the paper's *relative*
 //! results: ≈30% carbon reduction from C1→C3 at equal quality (Fig. 3) and
-//! ≈85% for CO2OPT vs BASE (Fig. 10) — see DESIGN.md §4.
+//! ≈85% for CO2OPT vs BASE (Fig. 10).
 
 use crate::slice::SliceType;
 use serde::{Deserialize, Serialize};

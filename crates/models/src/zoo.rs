@@ -9,8 +9,8 @@
 //! Accuracy numbers are the published ones from the models' public
 //! repositories, exactly as the paper uses them (Sec. 5.1). Parameter counts
 //! and GFLOPs are from the same sources. Memory footprints, saturation
-//! points and serial fractions are calibrated estimates documented in
-//! DESIGN.md — they only shape latency/energy, not accuracy.
+//! points and serial fractions are calibrated estimates — they only shape
+//! latency/energy, not accuracy.
 
 use crate::variant::{ModelFamily, ModelVariant, VariantId};
 use serde::{Deserialize, Serialize};

@@ -58,9 +58,8 @@ pub struct FleetSpec<'a> {
     /// Its `workload` is the global traffic scenario, scaled per epoch by
     /// the routed weight.
     pub config: ExperimentConfig,
-    /// The *experiment* seed, which keys the region's trace generator —
-    /// the grid does not care how many fleets the operator runs.
-    pub trace_seed: u64,
+    /// The region's carbon trace over the run.
+    pub trace: Arc<CarbonTrace>,
     /// Model family served everywhere.
     pub family: &'a Arc<ModelFamily>,
     /// Device performance model.
@@ -87,21 +86,16 @@ pub struct RegionalFleet {
 }
 
 impl RegionalFleet {
-    /// Builds the fleet: the region's trace and its cell runtime, seeded
+    /// Builds the fleet's cell runtime under the spec's trace, seeded
     /// from the spec's config with the same per-component salts the
     /// single-cluster runtime uses. The evaluator starts at the planning
     /// floor's rate.
     pub fn new(spec: FleetSpec<'_>) -> Self {
-        // The trace covers the horizon but never less than the standard
-        // 48-hour evaluation span, so short-horizon router studies sample
-        // the same grid the single-region figures do.
-        let hours = (spec.config.horizon_hours.ceil() as usize).max(48);
-        let trace = Arc::new(spec.region.trace(hours, spec.trace_seed));
         let cell = CellRuntime::new(
             &spec.config,
             spec.family.clone(),
             spec.perf,
-            trace.clone(),
+            spec.trace.clone(),
             spec.capacity_per_gpu_rps,
             spec.global_rate_rps * PLANNING_FLOOR_W,
             None,
@@ -112,7 +106,7 @@ impl RegionalFleet {
             workload: spec.config.workload,
             global_rate_rps: spec.global_rate_rps,
             capacity_per_gpu_rps: spec.capacity_per_gpu_rps,
-            trace,
+            trace: spec.trace,
             cell,
             served: 0,
             recent_energy_per_request_j: 0.0,
@@ -123,11 +117,6 @@ impl RegionalFleet {
     /// Wires the telemetry profiler into the cell.
     pub fn set_profiler(&mut self, telemetry: &Telemetry) {
         self.cell.set_profiler(telemetry.profiler());
-    }
-
-    /// The fleet's grid region.
-    pub fn region(&self) -> Region {
-        self.region
     }
 
     /// Whether the region is inside an outage window.

@@ -36,16 +36,15 @@
 
 use crate::fleet::{FleetSpec, RegionalFleet};
 use crate::policy::{make_route_policy, RouteCtx};
-use clover_carbon::{CarbonIntensity, Region};
+use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_core::anneal::SaParams;
 use clover_core::cell::served_accuracy_pct;
 use clover_core::chaos::ChaosConfig;
 use clover_core::control::{EpochSchedule, Fidelity, SearchBudget};
 use clover_core::schedulers::SchemeKind;
-use clover_core::{ExperimentConfig, Objective, ScalingPolicy, TraceSource};
+use clover_core::{BaseYardstick, ExperimentConfig, Objective, ScalingPolicy};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{analytic, Deployment, ServingSim};
 use clover_simkit::{LatencyHistogram, SimDuration, SimRng};
 use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
@@ -494,6 +493,8 @@ pub struct GlobalRouter {
     cfg: RouterConfig,
     family: Arc<ModelFamily>,
     perf: PerfModel,
+    /// Each region's carbon trace, in region order.
+    traces: Vec<Arc<CarbonTrace>>,
     /// Global offered base rate, req/s.
     pub rate_rps: f64,
     /// Serving capacity one BASE GPU contributes, req/s.
@@ -504,59 +505,45 @@ pub struct GlobalRouter {
     /// region, because the SLA is a property of the service, not of where
     /// a request happens to be served.
     pub objective: Objective,
-    /// Measured BASE energy per request at calibration, joules.
-    pub base_energy_per_request_j: f64,
 }
 
 impl GlobalRouter {
     /// Derives the global workload, SLA and objective for `cfg`.
     ///
-    /// Calibration mirrors the single-cluster runtime: one BASE reference
-    /// deployment of `n_gpus_per_region` GPUs is measured at its regional
-    /// share of the global rate (seed-salted identically), its p95 sets
-    /// the SLA, and `C_base` is taken at the fleet-mean carbon intensity
-    /// across the configured regions.
+    /// The [`BaseYardstick`] has one share per region, and `C_base` is
+    /// priced at the fleet-mean carbon intensity of the regions.
     pub fn new(cfg: RouterConfig) -> Self {
         let family = Arc::new(cfg.app.family());
         let perf = PerfModel::a100();
-        let n = cfg.regions.len() as f64;
+        let n = cfg.regions.len();
+        let (gpus, u) = (cfg.n_gpus_per_region, cfg.utilization_target);
+        let yardstick = BaseYardstick::derive(&family, perf, gpus, n, u, cfg.seed);
+        let workload = Workload::new(cfg.workload.clone(), yardstick.rate_rps);
 
-        let base_ref = Deployment::base(&family, cfg.n_gpus_per_region);
-        let capacity = analytic::estimate(family.as_ref(), &perf, &base_ref, 1.0).capacity_rps;
-        let capacity_per_gpu_rps = capacity / cfg.n_gpus_per_region as f64;
-        let rate_rps = capacity * n * cfg.utilization_target;
-        let workload = Workload::new(cfg.workload.clone(), rate_rps);
-
-        let mut calib = ServingSim::new(family.clone(), perf, base_ref, cfg.seed ^ 0xCA11_B007);
-        let w = calib.run_window(
-            rate_rps / n,
-            SimDuration::from_secs(160.0),
-            SimDuration::from_secs(16.0),
-        );
-        let base_energy = w.energy_per_request_j().expect("calibration served");
-        let base_p95 = w.p95_latency_s.expect("calibration served");
-        let sla = base_p95 * cfg.sla_headroom;
-
-        let hours = (cfg.horizon_hours.ceil() as usize).max(48);
-        let ci_ref = cfg
+        // Region traces are keyed by the experiment seed alone: the grid
+        // does not care how many fleets the operator runs.
+        let traces: Vec<Arc<CarbonTrace>> = cfg
             .regions
             .iter()
-            .map(|r| r.trace(hours, cfg.seed).mean().g_per_kwh())
-            .sum::<f64>()
-            / n;
-        let c_base =
-            Objective::carbon_per_request_g(base_energy, CarbonIntensity::from_g_per_kwh(ci_ref));
-        let objective = Objective::new(family.accuracy_base(), c_base, sla).with_lambda(cfg.lambda);
+            .map(|r| Arc::new(r.run_trace(cfg.horizon_hours, cfg.seed)))
+            .collect();
+        let ci_ref = traces.iter().map(|t| t.mean().g_per_kwh()).sum::<f64>() / n as f64;
+        let objective = yardstick.objective(
+            family.accuracy_base(),
+            CarbonIntensity::from_g_per_kwh(ci_ref),
+            cfg.sla_headroom,
+            cfg.lambda,
+        );
 
         GlobalRouter {
             cfg,
             family,
             perf,
-            rate_rps,
-            capacity_per_gpu_rps,
+            traces,
+            rate_rps: yardstick.rate_rps,
+            capacity_per_gpu_rps: yardstick.capacity_per_gpu_rps,
             workload,
             objective,
-            base_energy_per_request_j: base_energy,
         }
     }
 
@@ -613,12 +600,11 @@ impl GlobalRouter {
             .map(|(i, &region)| {
                 let mut config = cell.clone();
                 config.seed = seeder.substream(i as u64).next_u64();
-                config.trace = TraceSource::Region(region);
                 RegionalFleet::new(FleetSpec {
                     region,
                     index: i,
                     config,
-                    trace_seed: cfg.seed,
+                    trace: self.traces[i].clone(),
                     family: &self.family,
                     perf: self.perf,
                     global_rate_rps: self.rate_rps,

@@ -11,9 +11,9 @@
 //!
 //! Three layers:
 //!
-//! - [`RegionalFleet`] — one region's full serving stack (trace, monitor,
-//!   autoscaler, control plane, continuous serving simulator, carbon
-//!   ledger) on its own RNG substream;
+//! - [`RegionalFleet`] — one region's [`clover_core::CellRuntime`] (carbon
+//!   monitor, autoscaler, scheduler, continuous serving simulator, carbon
+//!   ledger) under the region's trace, on its own RNG substream;
 //! - [`RoutePolicy`] — the six traffic splits named in [`ROUTE_POLICIES`]:
 //!   `uniform` (per-region-local, the baseline), `random`, `round-robin`,
 //!   `smallest-queue`, and the carbon-aware `carbon-greedy` and
@@ -31,6 +31,8 @@
 //! experiment seed alone — so [`GlobalRouter::run_cells`] over a grid of
 //! configs is byte-identical serial or parallel, and `fig_georouting`
 //! pins it.
+
+#![warn(missing_docs)]
 
 pub mod fleet;
 pub mod global;

@@ -5,8 +5,8 @@
 //! simulation (they never touch its RNG, float paths, or event order):
 //!
 //! - [`metrics`] — a [`MetricRegistry`] of named counters, gauges, and
-//!   fixed-bucket histograms with labels, snapshot-able to JSON and to the
-//!   Prometheus text exposition format. This is the contract the future
+//!   fixed-bucket histograms with labels, snapshot-able to the Prometheus
+//!   text exposition format. This is the contract the future
 //!   live serving daemon's `/metrics` endpoint will serve: the registry is
 //!   plain data, so the daemon only needs to call
 //!   [`MetricRegistry::to_prometheus`] behind an HTTP handler.

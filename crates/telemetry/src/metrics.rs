@@ -1,6 +1,6 @@
 //! The metric registry: named counters, gauges, and fixed-bucket
-//! histograms with labels, snapshot-able to JSON and to the Prometheus
-//! text exposition format.
+//! histograms with labels, snapshot-able to the Prometheus text exposition
+//! format.
 //!
 //! The registry is plain, deterministic data — a `BTreeMap` keyed by
 //! metric name, each holding samples keyed by their sorted label set — so

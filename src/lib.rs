@@ -6,19 +6,19 @@
 //!
 //! This façade crate re-exports the workspace crates:
 //!
-//! - [`simkit`] — discrete-event simulation kernel (clock, events, RNG, stats)
+//! - [`simkit`] — discrete-event simulation kernel (clock, events, RNG, par)
 //! - [`carbon`] — carbon-intensity traces, monitoring, and accounting
 //! - [`mig`] — Multi-Instance GPU substrate (slice types, 19 configs, power)
 //! - [`models`] — model-variant zoo with latency/energy/accuracy models
 //! - [`workload`] — traffic generation: arrival processes (Poisson, diurnal,
-//!   MMPP, flash-crowd, trace replay), workload descriptors, demand forecasts
+//!   MMPP, flash-crowd, trace replay) and workload descriptors
 //! - [`serving`] — inference serving simulator (queue, dispatch, metrics)
 //! - [`core`] — the Clover optimizer, controller, and competing schemes
 //! - [`router`] — geo-distributed serving: regional fleets and the global
 //!   carbon-aware traffic router with its six routing policies
 //! - [`telemetry`] — determinism-safe observability: metric registry
-//!   (JSON / Prometheus exposition), control-plane decision journal
-//!   (JSONL), and phase profiling
+//!   (Prometheus exposition), decision journal (JSONL), and phase
+//!   profiling
 //!
 //! ## Quickstart
 //!
@@ -39,6 +39,8 @@
 //! let outcome = Experiment::new(config).run();
 //! assert!(outcome.carbon_saving_pct > 0.0);
 //! ```
+
+#![warn(missing_docs)]
 
 pub use clover_carbon as carbon;
 pub use clover_core as core;

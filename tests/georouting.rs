@@ -14,7 +14,9 @@
 //!    region's backlog migrates to survivors, its weight pins to zero
 //!    while it is down, and conservation still closes.
 //! 4. **One region degenerates to the single-cluster shape.** A
-//!    single-region "fleet" routes weight 1.0 to itself every epoch.
+//!    single-region "fleet" routes weight 1.0 to itself every epoch, and
+//!    derives the single-cluster experiment's rate, SLA and `C_base` bit
+//!    for bit.
 //! 5. **The policy set is closed.** A config naming a policy outside
 //!    `ROUTE_POLICIES` is rejected when it is built, before any run.
 //! 6. **GPU-level chaos reaches every regional fleet.** Failures, kills
@@ -28,6 +30,7 @@ use clover::carbon::regions::Region;
 use clover::core::autoscale::ScalingPolicy;
 use clover::core::chaos::{ChaosConfig, FaultSpec};
 use clover::core::schedulers::SchemeKind;
+use clover::core::{Experiment, ExperimentConfig, Objective};
 use clover::models::zoo::Application;
 use clover::router::{GlobalRouter, RouterConfig};
 use clover::telemetry::TelemetrySpec;
@@ -286,6 +289,44 @@ fn a_single_region_fleet_degenerates_to_weight_one() {
     }
     assert_eq!(out.migrated_requests, 0, "nowhere to migrate to");
     assert_eq!(out.conservation_leak, 0);
+}
+
+#[test]
+fn a_single_region_router_derives_the_single_cluster_yardstick() {
+    use Application::*;
+    use Region::*;
+    let points = [
+        (ImageClassification, CisoMarch, 4, 0.65, 7, 6.0),
+        (LanguageModeling, EsoMarch, 3, 0.6, 11, 12.0),
+        (ObjectDetection, CisoSeptember, 10, 0.65, 2023, 48.0),
+    ];
+    for (app, region, gpus, utilization, seed, horizon) in points {
+        let router = GlobalRouter::new(
+            RouterConfig::builder(app)
+                .regions(vec![region])
+                .n_gpus_per_region(gpus)
+                .utilization(utilization)
+                .horizon_hours(horizon)
+                .seed(seed)
+                .build(),
+        );
+        let cell = Experiment::new(
+            ExperimentConfig::builder(app)
+                .region(region)
+                .n_gpus(gpus)
+                .utilization(utilization)
+                .horizon_hours(horizon)
+                .seed(seed)
+                .build(),
+        );
+        let bits =
+            |rate: f64, o: Objective| [rate, o.l_tail_s, o.c_base_g_per_req].map(f64::to_bits);
+        assert_eq!(
+            bits(router.rate_rps, router.objective),
+            bits(cell.rate_rps, cell.objective),
+            "{app:?} on {region}, seed {seed}"
+        );
+    }
 }
 
 #[test]

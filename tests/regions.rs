@@ -2,10 +2,14 @@
 //! ground the geo-router stands on. The single-region figures pinned the
 //! generators implicitly through experiment digests; the router samples
 //! all three traces in one run, so their contracts get pinned explicitly:
-//! determinism per seed, the documented intensity envelopes, and
-//! distinct per-region streams from a shared experiment seed.
+//! determinism per seed, the documented intensity envelopes, distinct
+//! per-region streams from a shared experiment seed, and a trace that
+//! covers an experiment's whole horizon.
 
 use clover::carbon::regions::Region;
+use clover::core::{Experiment, ExperimentConfig};
+use clover::models::zoo::Application;
+use clover::simkit::SimTime;
 
 /// The documented floor/ceiling envelope for each region's generator.
 fn envelope(region: Region) -> (f64, f64) {
@@ -89,4 +93,21 @@ fn eval_and_motivation_traces_are_views_of_the_generator() {
         assert_eq!(a, b, "eval_trace must be trace(48, ..)");
     }
     assert_eq!(Region::EsoMarch.motivation_trace(seed).len(), 14 * 24 + 1);
+}
+
+#[test]
+fn an_experiment_past_48_hours_keeps_sampling_its_region() {
+    // A 72 h cell must not see carbon flat-line after hour 48: its trace
+    // is the region's generator over the whole horizon.
+    let seed = 17;
+    let cfg = ExperimentConfig::builder(Application::ImageClassification)
+        .n_gpus(2)
+        .region(Region::CisoMarch)
+        .horizon_hours(72.0)
+        .seed(seed)
+        .build();
+    let (e, direct) = (Experiment::new(cfg), Region::CisoMarch.trace(72, seed));
+    let at_60 = SimTime::from_hours(60.0);
+    assert_eq!(e.trace().at(at_60), direct.at(at_60));
+    assert!(e.trace().samples().eq(direct.samples()));
 }
