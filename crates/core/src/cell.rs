@@ -140,10 +140,9 @@ pub struct CellRuntime {
 impl CellRuntime {
     /// Stands the cell up from `cfg` and what its caller derived: the
     /// model family and device model, the carbon trace the cell is charged
-    /// under, one BASE GPU's capacity (the autoscaler's sizing unit), the
-    /// evaluator's initial planning rate, and the worker-thread cap of the
-    /// sharded continuous engine. Every component is seeded from
-    /// `cfg.seed` with its own salt.
+    /// under, one BASE GPU's capacity (the autoscaler's sizing unit) and
+    /// the evaluator's initial planning rate. Every component is seeded
+    /// from `cfg.seed` with its own salt.
     pub fn new(
         cfg: &ExperimentConfig,
         family: Arc<ModelFamily>,
@@ -151,7 +150,6 @@ impl CellRuntime {
         trace: Arc<CarbonTrace>,
         capacity_per_gpu_rps: f64,
         planning_rate_rps: f64,
-        shard_threads: Option<usize>,
     ) -> Self {
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let initial = Deployment::base(&family, cfg.n_gpus);
@@ -193,9 +191,7 @@ impl CellRuntime {
             SimDuration::from_secs(CarbonMonitor::DEFAULT_AGE_CAP_S),
         );
         let n_variants = family.len();
-        let mut sim = ServingSim::new(family.clone(), perf, initial, cfg.seed ^ 0x11);
-        sim.set_intra_epoch_shards(cfg.des_shards);
-        sim.set_shard_threads(shard_threads);
+        let sim = ServingSim::new(family.clone(), perf, initial, cfg.seed ^ 0x11);
         CellRuntime {
             scheme: cfg.scheme,
             family,

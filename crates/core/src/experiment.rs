@@ -110,13 +110,6 @@ pub struct ExperimentConfig {
     /// every fault-free digest bit-identical to the pre-chaos pins; see
     /// [`crate::chaos`]).
     pub chaos: ChaosConfig,
-    /// Intra-epoch DES shards under [`Fidelity::FullEpoch`] (default 1 —
-    /// the classic single-queue engine, bit-identical to every recorded
-    /// digest). With 2+ shards each continuous epoch runs as a sharded-
-    /// producer system whose results are invariant to worker-thread count;
-    /// see `clover_serving::sim::shard`. No effect on representative
-    /// windows.
-    pub des_shards: usize,
 }
 
 impl ExperimentConfig {
@@ -143,7 +136,6 @@ impl ExperimentConfig {
                 sa: SaParams::default(),
                 search_budget: SearchBudget::epoch_scaled(),
                 chaos: ChaosConfig::off(),
-                des_shards: 1,
             },
             window_override: None,
         }
@@ -308,13 +300,10 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Sets the intra-epoch DES shard count for [`Fidelity::FullEpoch`]
-    /// runs (default 1, the classic single-queue engine). Validated at
-    /// [`Self::build`]: must be positive, and 2+ shards require full-epoch
-    /// fidelity — a representative window never shards, so asking for it
-    /// would silently measure different physics than requested.
-    pub fn des_shards(mut self, n: usize) -> Self {
-        self.cfg.des_shards = n;
+    /// Does nothing: every epoch runs the one single-queue DES kernel.
+    /// Kept, hidden, only because `perfbench` still calls it.
+    #[doc(hidden)]
+    pub fn des_shards(self, _n: usize) -> Self {
         self
     }
 
@@ -404,17 +393,6 @@ impl ExperimentConfigBuilder {
         if let Err(e) = cfg.chaos.validate() {
             panic!("experiment config: {e}");
         }
-        assert!(
-            cfg.des_shards >= 1,
-            "experiment config: des_shards must be at least 1 (1 = the classic unsharded engine)"
-        );
-        assert!(
-            cfg.des_shards == 1 || matches!(cfg.fidelity, Fidelity::FullEpoch),
-            "experiment config: des_shards ({}) above 1 requires Fidelity::FullEpoch — \
-             representative windows always run the classic single-queue engine, so the request \
-             would be silently ignored",
-            cfg.des_shards
-        );
         self.cfg
     }
 }
@@ -714,7 +692,6 @@ struct ReferenceKey {
     fidelity: Fidelity,
     control_epoch_s: f64,
     horizon_hours: f64,
-    des_shards: usize,
 }
 
 impl ReferenceKey {
@@ -729,7 +706,6 @@ impl ReferenceKey {
             fidelity: cfg.fidelity.clone(),
             control_epoch_s: cfg.control_epoch_s,
             horizon_hours: cfg.horizon_hours,
-            des_shards: cfg.des_shards,
         }
     }
 }
@@ -799,13 +775,8 @@ impl BaseReference {
     /// The reference's totals, computed on this thread if no one has yet.
     /// Blocks while another thread computes them; if that thread panicked,
     /// computes them here instead.
-    fn totals(
-        &self,
-        shard_threads: Option<usize>,
-        profiler: Option<ProfilerHandle>,
-    ) -> &CellTotals {
-        self.totals
-            .get_or_init(|| self.compute(shard_threads, profiler))
+    fn totals(&self, profiler: Option<ProfilerHandle>) -> &CellTotals {
+        self.totals.get_or_init(|| self.compute(profiler))
     }
 
     /// Serves every epoch of the schedule on the reference fleet's BASE
@@ -815,19 +786,13 @@ impl BaseReference {
     /// FullEpoch fidelity it is carried across boundaries too — the
     /// baseline must not keep a cold-start advantage. The DES time is
     /// charged to `profiler`, the computing experiment's.
-    fn compute(
-        &self,
-        shard_threads: Option<usize>,
-        profiler: Option<ProfilerHandle>,
-    ) -> CellTotals {
+    fn compute(&self, profiler: Option<ProfilerHandle>) -> CellTotals {
         let key = &self.key;
         let schedule = EpochSchedule::new(key.horizon_hours, key.control_epoch_s);
         let wp = key.fidelity.window_plan(schedule.epoch_len());
         let continuous = matches!(key.fidelity, Fidelity::FullEpoch);
         let deployment = Deployment::base(&self.family, key.reference_gpus);
         let mut sim = ServingSim::new(self.family.clone(), self.perf, deployment, key.seed ^ 0x22);
-        sim.set_intra_epoch_shards(key.des_shards);
-        sim.set_shard_threads(shard_threads);
         sim.set_profiler(profiler.clone());
         let mut totals = CellTotals::new(self.trace.clone(), self.family.len());
         let mut carry = ServingCarry::default();
@@ -871,11 +836,6 @@ pub struct Experiment {
     /// calibration window.
     _calibration: Arc<OnceLock<BaseYardstick>>,
     reference: Arc<BaseReference>,
-    /// Worker-thread cap handed to the sharded continuous engine
-    /// (`None` defers to [`clover_simkit::default_threads`]). Grid runners
-    /// set this to their per-cell budget so cell-level and intra-epoch
-    /// parallelism share one thread pool size instead of multiplying.
-    shard_threads: Option<usize>,
 }
 
 impl Experiment {
@@ -929,7 +889,6 @@ impl Experiment {
             objective,
             _calibration: calibration,
             reference,
-            shard_threads: None,
         }
     }
 
@@ -938,13 +897,10 @@ impl Experiment {
         &self.cfg
     }
 
-    /// Caps the worker threads the intra-epoch sharded engine may use for
-    /// this experiment (`None`, the default, defers to
-    /// [`clover_simkit::default_threads`]). Thread count never affects
-    /// results — only wall-clock.
-    pub fn set_shard_threads(&mut self, threads: Option<usize>) {
-        self.shard_threads = threads;
-    }
+    /// Does nothing: a cell's serving runs on the thread that runs the
+    /// cell. Kept, hidden, only because `perfbench` still calls it.
+    #[doc(hidden)]
+    pub fn set_shard_threads(&mut self, _threads: Option<usize>) {}
 
     /// Runs one experiment cell per config on `threads` worker threads,
     /// returning outcomes in input order.
@@ -952,18 +908,18 @@ impl Experiment {
     /// Every cell derives all of its randomness from its own
     /// `ExperimentConfig::seed`, so the parallel grid is **byte-identical**
     /// to running the configs serially (pinned by
-    /// `tests/par_determinism.rs`); `threads <= 1` *is* the serial run.
+    /// `tests/par_determinism.rs`). `threads <= 1` runs the cells one at a
+    /// time on the calling thread, but a grid holding an ORACLE cell is not
+    /// fully serial even then: `OracleScheduler` profiles its candidates on
+    /// [`clover_simkit::default_threads`] workers. Set `CLOVER_THREADS=1`
+    /// for a fully serial run. Results are identical either way.
     ///
     /// Every cell is built first, so cells that share a BASE reference or
     /// calibration window are alive together and compute it once. Dispatch
     /// is then LPT ([`clover_simkit::par_map_lpt`] over
     /// [`ExperimentConfig::cost_weight`]): the heaviest cells are claimed
     /// first so one full-epoch cell cannot strand itself behind a drained
-    /// pool of light windows. Each cell's sharded continuous engine (if
-    /// its config asks for shards) is budgeted `threads / n_cells` workers
-    /// — the serial reference run (`threads = 1`) therefore runs its
-    /// shards serially too, keeping the serial-vs-parallel comparison an
-    /// honest same-work measurement.
+    /// pool of light windows.
     pub fn run_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<ExperimentOutcome> {
         let cells = Self::build_cells(configs, threads);
         clover_simkit::par_map_lpt(
@@ -974,23 +930,9 @@ impl Experiment {
         )
     }
 
-    /// Builds one cell per config on `threads` workers, in input order,
-    /// each with its share of the thread budget for intra-epoch sharding.
+    /// Builds one cell per config on `threads` workers, in input order.
     fn build_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<Experiment> {
-        let shard_threads = Self::shard_thread_budget(threads, configs.len());
-        clover_simkit::par_map(configs, threads, |cfg| {
-            let mut e = Experiment::new(cfg);
-            e.set_shard_threads(Some(shard_threads));
-            e
-        })
-    }
-
-    /// Per-cell worker budget for intra-epoch sharding: the grid's thread
-    /// pool divided across its cells, floored at 1 (so `threads = 1` is
-    /// serial all the way down, and a single-cell "grid" hands the whole
-    /// pool to that cell's shards).
-    fn shard_thread_budget(threads: usize, n_cells: usize) -> usize {
-        (threads.max(1) / n_cells.max(1)).max(1)
+        clover_simkit::par_map(configs, threads, Experiment::new)
     }
 
     /// [`Experiment::run_cells`] with telemetry: each cell builds its own
@@ -1068,8 +1010,7 @@ impl Experiment {
     /// the epoch's serving measurements (scheme and, when this cell
     /// computes it, the synchronized BASE reference) are timed as
     /// [`Phase::Des`]; [`Phase::Carry`] (the
-    /// continuous engine's seam work: boundary snapshot and restore, plus
-    /// the sharded path's serial arrival pre-draw, split and merge) is
+    /// continuous engine's seam work: boundary snapshot and restore) is
     /// nested within it, as [`Phase::Search`] is within [`Phase::Plan`].
     /// Telemetry is a strict overlay: with the no-op sink this method *is*
     /// [`Experiment::run`], bit for bit.
@@ -1090,13 +1031,11 @@ impl Experiment {
             self.trace.clone(),
             self.capacity_per_gpu_rps,
             self.rate_rps,
-            self.shard_threads,
         );
         cell.set_profiler(telemetry.profiler());
 
         if self.reference.claim() {
-            self.reference
-                .totals(self.shard_threads, telemetry.profiler());
+            self.reference.totals(telemetry.profiler());
         }
         let mut timeline = Vec::with_capacity(epochs as usize);
         let mut invocations = Vec::new();
@@ -1141,9 +1080,7 @@ impl Experiment {
             invocations.extend(rec.invocation);
         }
 
-        let base = self
-            .reference
-            .totals(self.shard_threads, telemetry.profiler());
+        let base = self.reference.totals(telemetry.profiler());
         let totals = cell.into_totals();
         let served_scaled = totals.served_scaled;
         let total_carbon_g = totals.ledger.carbon().grams();
@@ -1214,9 +1151,8 @@ mod tests {
         Experiment::new(cfg).run()
     }
 
-    /// A small FullEpoch cell (so `des_shards` may vary) for the sharing
-    /// tests. Each test passes a seed no other test uses, so no concurrent
-    /// test shares its slots.
+    /// A small FullEpoch cell for the sharing tests. Each test passes a
+    /// seed no other test uses, so no concurrent test shares its slots.
     fn sharing_config(seed: u64) -> ExperimentConfig {
         ExperimentConfig::builder(Application::ImageClassification)
             .n_gpus(4)
@@ -1234,7 +1170,7 @@ mod tests {
         let base = Experiment::new(base_cfg.clone());
         // Each edit changes one reference-key field alone; the flag marks
         // the fields the calibration window reads too.
-        let key_fields: [(&str, bool, Edit); 10] = [
+        let key_fields: [(&str, bool, Edit); 9] = [
             ("app", true, |c| c.app = Application::ObjectDetection),
             ("seed", true, |c| c.seed += 1),
             ("reference_gpus", true, |c| c.reference_gpus = 6),
@@ -1250,7 +1186,6 @@ mod tests {
             }),
             ("control_epoch_s", false, |c| c.control_epoch_s = 900.0),
             ("horizon_hours", false, |c| c.horizon_hours = 3.0),
-            ("des_shards", false, |c| c.des_shards = 2),
         ];
         for (name, calibration_field, edit) in key_fields {
             let mut cfg = base_cfg.clone();

@@ -98,7 +98,6 @@ impl RegionalFleet {
             spec.trace.clone(),
             spec.capacity_per_gpu_rps,
             spec.global_rate_rps * PLANNING_FLOOR_W,
-            None,
         );
         RegionalFleet {
             region: spec.region,

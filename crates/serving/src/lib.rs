@@ -24,6 +24,5 @@ pub mod sim;
 pub use analytic::{estimate, AnalyticEstimate};
 pub use deployment::{Deployment, DeploymentError};
 pub use sim::{
-    InstanceFailure, ServingCarry, ServingSim, ShardSeam, WindowMetrics, MAX_QUEUE,
-    SERVICE_JITTER_SIGMA,
+    InstanceFailure, ServingCarry, ServingSim, WindowMetrics, MAX_QUEUE, SERVICE_JITTER_SIGMA,
 };

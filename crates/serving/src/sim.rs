@@ -20,17 +20,16 @@
 //! intensity.
 //!
 //! One event loop, `run_kernel`, serves every path: a classic window is the
-//! kernel with a warm-up, an empty carry and a drain past the horizon; an
-//! unsharded continuous epoch is the kernel restored from a carry and
-//! snapshotted at the horizon; a sharded epoch runs the same kernel once
-//! per shard (see `sim::shard`).
+//! kernel with a warm-up, an empty carry and a drain past the horizon; a
+//! continuous epoch is the kernel restored from a carry and snapshotted at
+//! the horizon.
 //!
 //! The simulator is built for reuse: an experiment runs hundreds of hourly
 //! windows (plus the optimizer's evaluation windows) against one
 //! [`ServingSim`], so the per-run working state — event heap, FIFO,
 //! instance table, idle list, per-variant counters, latency histogram —
-//! lives in pooled `SimScratch`es that are reset (allocation kept) rather
-//! than reallocated each window. The model family is shared by `Arc`,
+//! lives in one `SimScratch` per simulator that is reset (allocation kept)
+//! rather than reallocated each window. The model family is shared by `Arc`,
 //! making simulator construction O(1) instead of a deep clone of the zoo
 //! tables.
 
@@ -43,9 +42,6 @@ use clover_workload::{ArrivalProcess, PoissonProcess};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
-
-mod shard;
-pub use shard::ShardSeam;
 
 /// Named RNG sub-streams of one serving window.
 ///
@@ -61,12 +57,6 @@ pub mod stream {
     /// Service-side randomness: dispatch among idle instances and
     /// service-time jitter.
     pub const SERVICE: u64 = 0x5EB1;
-    /// Base label for per-shard service streams on the sharded continuous
-    /// path: shard `k` derives its service randomness as
-    /// `window.substream(SERVICE).substream(SHARD_SERVICE + k)`, so shards
-    /// draw from independent streams and the engine's output is invariant
-    /// to how shards are scheduled onto worker threads.
-    pub const SHARD_SERVICE: u64 = 0x5A4D;
 }
 
 /// Requests queued beyond this bound are dropped (an overloaded deployment
@@ -150,12 +140,6 @@ pub struct WindowMetrics {
     pub fault_kills: u64,
     /// In-flight requests re-queued because their instance failed.
     pub fault_requeued: u64,
-    /// Per-shard boundary accounting when this window was produced by the
-    /// sharded continuous path ([`ServingSim::set_intra_epoch_shards`] with
-    /// 2+ shards): one entry per shard, each closing the conservation law
-    /// `carried_in + arrived == served + dropped + carried_out` on its own.
-    /// Empty for classic windows and unsharded continuous epochs.
-    pub shard_seams: Vec<ShardSeam>,
 }
 
 impl WindowMetrics {
@@ -231,9 +215,10 @@ enum Ev {
     },
 }
 
-/// Per-run working state, pooled across the hundreds of windows an
-/// experiment simulates so the DES hot path allocates (almost) nothing per
-/// window: collections are cleared, not rebuilt, and keep their capacity.
+/// Per-run working state, kept by the simulator across the hundreds of
+/// windows an experiment simulates so the DES hot path allocates (almost)
+/// nothing per window: collections are cleared, not rebuilt, and keep their
+/// capacity.
 struct SimScratch {
     queue: EventQueue<Ev>,
     instances: Vec<Instance>,
@@ -380,46 +365,27 @@ impl ServingCarry {
     }
 }
 
-/// Where a kernel run's arrivals come from. The kernel is generic over it,
-/// so each source is compiled into its own copy of the event loop.
-trait ArrivalSource {
-    /// The arrival following the one at `now`, or `None` once exhausted.
-    fn next_after(&mut self, now: SimTime) -> Option<SimTime>;
-}
-
 /// Arrivals drawn live from a process on the window's arrival stream.
 struct Live<'a> {
     process: &'a mut dyn ArrivalProcess,
     rng: SimRng,
 }
 
-impl ArrivalSource for Live<'_> {
+impl Live<'_> {
+    /// The arrival following the one at `now`, or `None` once exhausted.
     fn next_after(&mut self, now: SimTime) -> Option<SimTime> {
         self.process.next_after(now, &mut self.rng)
     }
 }
 
-/// A pre-drawn, ascending arrival sequence (one shard's share).
-impl ArrivalSource for std::vec::IntoIter<SimTime> {
-    fn next_after(&mut self, _now: SimTime) -> Option<SimTime> {
-        self.next()
-    }
-}
-
 /// Everything one kernel run starts from besides its scratch, whose
-/// instance table is already loaded. Instance indices in `restore` and
-/// `failures` are local to that table; local instance `i` is global
-/// instance `i * stride + shard`.
-struct KernelRun<'a, A> {
-    shard: u32,
-    stride: u32,
+/// instance table is already loaded in deployment order.
+struct KernelRun<'a> {
     /// In-flight work and waiting queue restored at the opening instant.
     restore: &'a ServingCarry,
-    arrivals: A,
+    arrivals: Live<'a>,
     failures: &'a [InstanceFailure],
     service_rng: SimRng,
-    /// New arrivals finding this many requests waiting are dropped.
-    max_queue: usize,
     warmup: SimDuration,
     window: SimDuration,
     /// `Some`: carry mode — stop at the horizon and snapshot what remains
@@ -429,8 +395,8 @@ struct KernelRun<'a, A> {
     profiler: Option<&'a ProfilerHandle>,
 }
 
-/// Counters and energy of one kernel run (or, summed, of a sharded epoch).
-/// The latency histogram and per-variant counts stay in the scratch.
+/// Counters and energy of one kernel run. The latency histogram and
+/// per-variant counts stay in the scratch.
 #[derive(Default)]
 struct Tally {
     carried_in: u64,
@@ -448,30 +414,11 @@ struct Tally {
 }
 
 impl Tally {
-    fn add(&mut self, o: &Tally) {
-        self.carried_in += o.carried_in;
-        self.arrived += o.arrived;
-        self.served += o.served;
-        self.dropped += o.dropped;
-        self.carried_out += o.carried_out;
-        self.completed_in_span += o.completed_in_span;
-        self.sim_events += o.sim_events;
-        self.dynamic_j += o.dynamic_j;
-        self.idle_j += o.idle_j;
-        self.busy_integral += o.busy_integral;
-        self.fault_kills += o.fault_kills;
-        self.fault_requeued += o.fault_requeued;
-    }
-
-    fn seam(&self, shard: u32) -> ShardSeam {
-        ShardSeam {
-            shard,
-            carried_in: self.carried_in,
-            arrived: self.arrived,
-            served: self.served,
-            dropped: self.dropped,
-            carried_out: self.carried_out,
-        }
+    /// Signed residual of `carried_in + arrived == served + dropped +
+    /// carried_out`; 0 unless the bookkeeping itself is broken.
+    fn leak(&self) -> i64 {
+        (self.carried_in + self.arrived) as i64
+            - (self.served + self.dropped + self.carried_out) as i64
     }
 
     fn into_metrics(
@@ -481,7 +428,6 @@ impl Tally {
         static_energy_j: f64,
         hist: LatencyHistogram,
         per_variant_served: Vec<u64>,
-        shard_seams: Vec<ShardSeam>,
     ) -> WindowMetrics {
         WindowMetrics {
             span_s,
@@ -500,10 +446,9 @@ impl Tally {
             static_energy_j,
             mean_busy_instances: self.busy_integral / span_s,
             latency_hist: hist,
-            conservation_leak: self.seam(0).leak(),
+            conservation_leak: self.leak(),
             fault_kills: self.fault_kills,
             fault_requeued: self.fault_requeued,
-            shard_seams,
         }
     }
 }
@@ -512,21 +457,18 @@ impl Tally {
 /// restores in-flight work and the waiting queue, pairs waiting work with
 /// idle instances at the opening instant, then runs arrivals, completions
 /// and injected failures until the horizon (carry mode, snapshotting what
-/// remains) or until every event has drained. Pure: everything it touches
-/// is passed in, so shards can run it on any thread.
+/// remains) or until every event has drained. Everything it touches is
+/// passed in.
 ///
 /// Event order is part of the result — the queue breaks time ties by
 /// insertion — so restored completions are scheduled first, then the
 /// opening dispatch, then the failures, then the first arrival.
-fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>) -> Tally {
+fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
     let KernelRun {
-        shard,
-        stride,
         restore,
         mut arrivals,
         failures,
         mut service_rng,
-        max_queue,
         warmup,
         window,
         carry_out,
@@ -632,7 +574,7 @@ fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>)
             }
             if !idle.is_empty() {
                 dispatch_to_idle(instances, idle, now, now.as_secs(), &mut service_rng, q);
-            } else if fifo.len() < max_queue {
+            } else if fifo.len() < MAX_QUEUE {
                 fifo.push_back(now.as_secs());
             } else if measured {
                 t.dropped += 1;
@@ -705,9 +647,9 @@ fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>)
     }
 
     // Snapshot the boundary (carry mode): clip in-flight energy at the
-    // horizon and turn pending completions into carried in-flight work
-    // under their global index. The pending arrival past the horizon is
-    // discarded — the next epoch anchors a fresh arrival process.
+    // horizon and turn pending completions into carried in-flight work.
+    // The pending arrival past the horizon is discarded — the next epoch
+    // anchors a fresh arrival process.
     let snapshot_scope = profiler.map(|p| p.scope(Phase::Carry));
     if let Some(out) = carry_out {
         while let Some((at, ev)) = q.pop() {
@@ -724,7 +666,7 @@ fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>)
                 .take()
                 .expect("carried completion for idle instance");
             out.in_flight.push(CarriedRequest {
-                instance: instance * stride + shard,
+                instance,
                 age_s: horizon_s - arrived_at,
                 remaining_s: at.as_secs() - horizon_s,
             });
@@ -743,7 +685,7 @@ fn run_kernel<A: ArrivalSource>(scratch: &mut SimScratch, run: KernelRun<'_, A>)
     drop(snapshot_scope);
     // Debug builds halt at a leak; release builds surface it through
     // `WindowMetrics::conservation_leak`.
-    debug_assert_eq!(t.seam(shard).leak(), 0, "a request leaked");
+    debug_assert_eq!(t.leak(), 0, "a request leaked");
 
     // Busy time and energy, clipped to the measured span.
     for inst in instances.iter() {
@@ -836,22 +778,15 @@ pub struct ServingSim {
     perf: PerfModel,
     deployment: Deployment,
     rng: SimRng,
-    /// Recycled kernel scratches: one per run, `k` per sharded epoch.
-    pool: Vec<SimScratch>,
+    /// The kernel's working state, reset and reused by every run.
+    scratch: SimScratch,
     /// Optional phase profiler: when set, the continuous path's carry
-    /// restore and boundary snapshot — and, sharded, the serial arrival
-    /// pre-draw, split and merge — are timed as
+    /// restore and boundary snapshot are timed as
     /// [`clover_telemetry::Phase::Carry`]. Wall-clock only — attaching a
     /// profiler changes no simulated result.
     profiler: Option<ProfilerHandle>,
     /// Failure schedule consumed by the next window (taken, not kept).
     pending_failures: Vec<InstanceFailure>,
-    /// Shards the continuous epoch path splits one DES epoch across
-    /// (1 = the classic single-queue engine; see `sim::shard`).
-    shards: usize,
-    /// Worker threads for the sharded path; `None` defers to
-    /// [`clover_simkit::default_threads`] when an epoch runs.
-    shard_threads: Option<usize>,
 }
 
 impl ServingSim {
@@ -869,33 +804,21 @@ impl ServingSim {
             perf,
             deployment,
             rng: SimRng::new(seed),
-            pool: Vec::new(),
+            scratch: SimScratch::new(),
             profiler: None,
             pending_failures: Vec::new(),
-            shards: 1,
-            shard_threads: None,
         }
     }
 
-    /// Sets how many shards the continuous epoch path splits one DES epoch
-    /// across (clamped to at least 1; also capped at the deployment's
-    /// instance count when an epoch runs). The default of 1 keeps the
-    /// classic single-queue engine, bit-identical to every pre-sharding
-    /// digest. With 2+ shards the epoch is a *sharded-producer* system —
-    /// each shard owns a stripe of the instances and a deterministic
-    /// weighted share of the arrivals — whose results are byte-identical
-    /// across any worker-thread count (see `shard` module docs), though not
-    /// identical to the 1-shard physics.
-    pub fn set_intra_epoch_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
+    /// Does nothing: every epoch runs the one single-queue kernel. Kept,
+    /// hidden, only because `perfbench` still calls it.
+    #[doc(hidden)]
+    pub fn set_intra_epoch_shards(&mut self, _shards: usize) {}
 
-    /// Caps the worker threads the sharded continuous path may use;
-    /// `None` (the default) defers to [`clover_simkit::default_threads`].
-    /// Thread count never affects results — only wall-clock.
-    pub fn set_shard_threads(&mut self, threads: Option<usize>) {
-        self.shard_threads = threads;
-    }
+    /// Does nothing: the simulator runs on its caller's thread. Kept,
+    /// hidden, only because `perfbench` still calls it.
+    #[doc(hidden)]
+    pub fn set_shard_threads(&mut self, _threads: Option<usize>) {}
 
     /// Schedules injected instance failures for the *next* window only;
     /// the schedule is consumed when that window runs. With no failures
@@ -905,8 +828,7 @@ impl ServingSim {
     }
 
     /// Attach (or detach) a phase profiler; carry hand-offs at continuous
-    /// epoch seams (and the sharded path's serial pre-draw, split and
-    /// merge) are recorded under [`clover_telemetry::Phase::Carry`].
+    /// epoch seams are recorded under [`clover_telemetry::Phase::Carry`].
     pub fn set_profiler(&mut self, profiler: Option<ProfilerHandle>) {
         self.profiler = profiler;
     }
@@ -962,7 +884,7 @@ impl ServingSim {
         window: SimDuration,
         warmup: SimDuration,
     ) -> WindowMetrics {
-        self.run_unsharded(arrivals, window, warmup, &ServingCarry::default(), None)
+        self.run(arrivals, window, warmup, &ServingCarry::default(), None)
     }
 
     /// Simulates one epoch of continuous serving: the system is restored
@@ -983,37 +905,25 @@ impl ServingSim {
     /// plane applied a reconfiguration at the boundary), carried in-flight
     /// requests rejoin the queue — oldest first, ahead of the waiting
     /// requests — and restart service on the new instances.
-    ///
-    /// With [`ServingSim::set_intra_epoch_shards`] above 1 (and a
-    /// deployment of 2+ instances) the epoch runs sharded instead:
-    /// instances are striped across shards, arrivals are pre-drawn and
-    /// split deterministically, and the shards run the same kernel
-    /// concurrently with an order-preserving merge — same conservation
-    /// law, per-shard seams reported in [`WindowMetrics::shard_seams`].
     pub fn run_epoch_continuous(
         &mut self,
         arrivals: &mut dyn ArrivalProcess,
         epoch: SimDuration,
         mut carry: ServingCarry,
     ) -> (WindowMetrics, ServingCarry) {
-        let k = self.shards.min(self.deployment.n_instances());
-        if k > 1 {
-            return self.run_epoch_sharded(arrivals, epoch, carry, k);
-        }
         carry.rebind(&self.deployment);
         let mut out = ServingCarry {
             deployment: Some(self.deployment.clone()),
             ..ServingCarry::default()
         };
-        let metrics =
-            self.run_unsharded(arrivals, epoch, SimDuration::ZERO, &carry, Some(&mut out));
+        let metrics = self.run(arrivals, epoch, SimDuration::ZERO, &carry, Some(&mut out));
         (metrics, out)
     }
 
     /// One kernel run over the whole deployment on the window's own
-    /// streams: the classic window (`carry_out: None`) or the unsharded
-    /// continuous epoch. Its carry keeps the kernel's pop order.
-    fn run_unsharded(
+    /// streams: the classic window (`carry_out: None`) or the continuous
+    /// epoch. Its carry keeps the kernel's pop order.
+    fn run(
         &mut self,
         arrivals: &mut dyn ArrivalProcess,
         window: SimDuration,
@@ -1022,14 +932,19 @@ impl ServingSim {
         carry_out: Option<&mut ServingCarry>,
     ) -> WindowMetrics {
         let window_rng = self.rng.fork(0x5e7);
-        let (mut scratch, _) = self.stripe_scratch(&self.deployment.instances(), 0, 1);
+        let spec = self.deployment.instances();
+        assert!(!spec.is_empty(), "deployment with no instances");
+        let scratch = &mut self.scratch;
+        scratch.reset(self.family.len());
+        scratch.instances.extend(
+            spec.into_iter()
+                .map(|(v, slice)| Instance::new(&self.family, &self.perf, v, slice)),
+        );
         let failures = std::mem::take(&mut self.pending_failures);
         let profiler = self.profiler.as_ref().filter(|_| carry_out.is_some());
         let tally = run_kernel(
-            &mut scratch,
+            scratch,
             KernelRun {
-                shard: 0,
-                stride: 1,
                 restore,
                 arrivals: Live {
                     process: &mut *arrivals,
@@ -1037,49 +952,23 @@ impl ServingSim {
                 },
                 failures: &failures,
                 service_rng: window_rng.substream(stream::SERVICE),
-                max_queue: MAX_QUEUE,
                 warmup,
                 window,
                 carry_out,
                 profiler,
             },
         );
-        let metrics = tally.into_metrics(
+        tally.into_metrics(
             window.as_secs(),
             arrivals.mean_rate(),
             self.static_energy_j(&failures, warmup, window),
-            scratch.hist.clone(),
-            scratch.per_variant.clone(),
-            Vec::new(),
-        );
-        self.pool.push(scratch);
-        metrics
-    }
-
-    /// A pooled scratch, reset, with the instance table of stripe `shard`
-    /// of `k` loaded (global instance `shard + j * k` becomes local `j`),
-    /// and that stripe's service capacity `Σ 1/mean_service_s`.
-    fn stripe_scratch(
-        &mut self,
-        spec: &[(VariantId, SliceType)],
-        shard: usize,
-        k: usize,
-    ) -> (SimScratch, f64) {
-        assert!(!spec.is_empty(), "deployment with no instances");
-        let mut scratch = self.pool.pop().unwrap_or_else(SimScratch::new);
-        scratch.reset(self.family.len());
-        let mut capacity = 0.0;
-        for &(v, slice) in spec.iter().skip(shard).step_by(k) {
-            let inst = Instance::new(&self.family, &self.perf, v, slice);
-            capacity += 1.0 / inst.mean_service_s;
-            scratch.instances.push(inst);
-        }
-        (scratch, capacity)
+            self.scratch.hist.clone(),
+            self.scratch.per_variant.clone(),
+        )
     }
 
     /// Per-GPU static energy over the measured span, each failure's dead
-    /// GPUs credited from its instant. A property of the physical fleet,
-    /// so a sharded epoch computes it once, not per shard.
+    /// GPUs credited from its instant.
     fn static_energy_j(
         &self,
         failures: &[InstanceFailure],

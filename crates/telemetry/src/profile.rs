@@ -31,9 +31,7 @@ pub enum Phase {
     /// The autoscaler's `step`.
     Scaler,
     /// The continuous engine's seam work, nested within `Des`: the
-    /// carry snapshot and restore at epoch boundaries and, on the sharded
-    /// path, the serial arrival pre-draw, the weighted round-robin split
-    /// across shards and the order-preserving merge.
+    /// carry snapshot and restore at epoch boundaries.
     Carry,
 }
 

@@ -77,7 +77,7 @@ fn same_config_reruns_are_bit_identical() {
 }
 
 /// Outcome and journal digests of `quick("carbon-greedy")`, recorded while
-/// the unsharded continuous epoch still ran on its own DES loop. Every
+/// the continuous epoch still ran on its own DES loop. Every
 /// regional fleet serves through that path, so these pin it end to end.
 #[test]
 fn router_cell_reproduces_the_recorded_digests() {
