@@ -55,7 +55,7 @@
 //! so a scaling regression can be read straight from the decisions that
 //! caused it, without rerunning anything.
 
-use clover_bench::{bench_threads, header, log_line, scaled_horizon, LogLevel};
+use clover_bench::{bench_threads, header, log_line, scaled_horizon, write_journals, LogLevel};
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::control::Fidelity;
 use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
@@ -168,21 +168,19 @@ fn main() {
     let configs: Vec<ExperimentConfig> = cells.iter().map(config).collect();
     let pairs = Experiment::run_cells_with(configs, bench_threads(), TelemetrySpec::JOURNAL);
 
-    // One JSONL artifact for the whole figure: a `cell` marker line, then
-    // that cell's decision journal verbatim. Journals are deterministic, so
-    // the artifact diffs cleanly across PRs.
-    let mut journal_out = String::new();
-    for (cell, (_, report)) in cells.iter().zip(pairs.iter()) {
-        journal_out.push_str(&format!(
-            "{{\"event\":\"cell\",\"label\":\"{}\",\"control_epoch_s\":{}}}\n",
-            cell.label, cell.epoch_s
-        ));
-        if let Some(j) = report.journal.as_ref() {
-            journal_out.push_str(j.as_str());
-        }
-    }
+    // One JSONL artifact for the whole figure; each cell's marker names
+    // its control cadence.
     let journal_path = "FIG_flashcrowd_journal.jsonl";
-    std::fs::write(journal_path, &journal_out).expect("write flash-crowd journal");
+    write_journals(
+        journal_path,
+        cells.iter().zip(pairs.iter()).map(|(cell, (_, report))| {
+            let marker = format!(
+                "{{\"event\":\"cell\",\"label\":\"{}\",\"control_epoch_s\":{}}}",
+                cell.label, cell.epoch_s
+            );
+            (marker, report)
+        }),
+    );
 
     let outs: Vec<ExperimentOutcome> = pairs.into_iter().map(|(o, _)| o).collect();
 

@@ -42,7 +42,9 @@
 //! artifact CI uploads. See `docs/georouting.md` for the architecture and
 //! how to read this figure.
 
-use clover_bench::{bench_threads, header, log_line, scaled_horizon, LogLevel};
+use clover_bench::{
+    bench_threads, count_events, header, log_line, scaled_horizon, write_journals, LogLevel,
+};
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::chaos::{ChaosConfig, FaultSpec};
 use clover_core::schedulers::SchemeKind;
@@ -75,11 +77,6 @@ fn outage() -> ChaosConfig {
     })
 }
 
-fn count_events(journal: &str, event: &str) -> usize {
-    let needle = format!("\"event\":\"{event}\"");
-    journal.lines().filter(|l| l.contains(&needle)).count()
-}
-
 fn main() {
     header(
         "Fig. A4 (beyond the paper)",
@@ -102,18 +99,18 @@ fn main() {
     let pairs =
         GlobalRouter::run_cells_with(configs.clone(), bench_threads(), TelemetrySpec::JOURNAL);
 
-    // One JSONL artifact for the whole figure: a `cell` marker line, then
-    // that cell's decision journal verbatim — per-epoch route splits,
-    // outage drains and restores, conservation checkpoints.
-    let mut journal_out = String::new();
-    for (label, (_, report)) in labels.iter().zip(pairs.iter()) {
-        journal_out.push_str(&format!("{{\"event\":\"cell\",\"label\":\"{label}\"}}\n"));
-        if let Some(j) = report.journal.as_ref() {
-            journal_out.push_str(j.as_str());
-        }
-    }
+    // One JSONL artifact for the whole figure: per-epoch route splits,
+    // outage drains and restores, conservation checkpoints, per cell.
     let journal_path = "FIG_georouting_journal.jsonl";
-    std::fs::write(journal_path, &journal_out).expect("write georouting journal");
+    write_journals(
+        journal_path,
+        labels.iter().zip(pairs.iter()).map(|(label, (_, report))| {
+            (
+                format!("{{\"event\":\"cell\",\"label\":\"{label}\"}}"),
+                report,
+            )
+        }),
+    );
 
     log_line!(
         LogLevel::Info,
@@ -261,17 +258,13 @@ fn main() {
             == p_rep.journal.as_ref().map(|j| j.as_str());
         if sd != pd || !journals_match {
             mismatches += 1;
-            log_line!(
-                LogLevel::Info,
+            eprintln!(
                 "DIGEST MISMATCH {label}: serial {sd:#018X} != parallel {pd:#018X} (journals match: {journals_match})"
             );
         }
     }
     if mismatches > 0 {
-        log_line!(
-            LogLevel::Info,
-            "georouting determinism gate FAILED: {mismatches} cell(s) diverged"
-        );
+        eprintln!("georouting determinism gate FAILED: {mismatches} cell(s) diverged");
         std::process::exit(1);
     }
     log_line!(

@@ -21,9 +21,9 @@
 //!    where arrivals queue and shed at the bound); no scheme deadlocks.
 //!
 //! The run then replays the harsh level **serially** and compares digests
-//! byte-for-byte against the parallel grid — the chaos-enabled
-//! determinism gate. A mismatch exits non-zero, so CI fails the build
-//! rather than uploading unreproducible numbers.
+//! and decision journals byte-for-byte against the parallel grid — the
+//! chaos-enabled determinism gate. A mismatch exits non-zero, so CI fails
+//! the build rather than uploading unreproducible numbers.
 //!
 //! Every cell's decision journal (fault/repair onsets, fallback epochs,
 //! conservation checkpoints) is written to
@@ -32,14 +32,16 @@
 //! without rerunning anything. See `docs/resilience.md` for the fault
 //! model and how to read this figure.
 
-use clover_bench::{bench_threads, header, log_line, scaled_horizon, LogLevel};
+use clover_bench::{
+    bench_threads, count_events, header, log_line, scaled_horizon, write_journals, LogLevel,
+};
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::chaos::ChaosConfig;
 use clover_core::control::Fidelity;
 use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
-use clover_telemetry::TelemetrySpec;
+use clover_telemetry::{TelemetryReport, TelemetrySpec};
 
 struct Level {
     label: &'static str,
@@ -78,11 +80,6 @@ fn config(scheme: &SchemeKind, level: &Level) -> ExperimentConfig {
         .build()
 }
 
-fn count_events(journal: &str, event: &str) -> usize {
-    let needle = format!("\"event\":\"{event}\"");
-    journal.lines().filter(|l| l.contains(&needle)).count()
-}
-
 fn main() {
     header(
         "Fig. A3 (beyond the paper)",
@@ -100,19 +97,18 @@ fn main() {
     }
     let pairs = Experiment::run_cells_with(configs, bench_threads(), TelemetrySpec::JOURNAL);
 
-    // One JSONL artifact for the whole figure: a `cell` marker line, then
-    // that cell's decision journal verbatim — fault/repair onsets,
-    // fallback epochs and conservation checkpoints, deterministic and
-    // diffable across PRs.
-    let mut journal_out = String::new();
-    for (label, (_, report)) in labels.iter().zip(pairs.iter()) {
-        journal_out.push_str(&format!("{{\"event\":\"cell\",\"label\":\"{label}\"}}\n"));
-        if let Some(j) = report.journal.as_ref() {
-            journal_out.push_str(j.as_str());
-        }
-    }
+    // One JSONL artifact for the whole figure: fault/repair onsets,
+    // fallback epochs and conservation checkpoints, per cell.
     let journal_path = "FIG_resilience_journal.jsonl";
-    std::fs::write(journal_path, &journal_out).expect("write resilience journal");
+    write_journals(
+        journal_path,
+        labels.iter().zip(pairs.iter()).map(|(label, (_, report))| {
+            (
+                format!("{{\"event\":\"cell\",\"label\":\"{label}\"}}"),
+                report,
+            )
+        }),
+    );
 
     log_line!(
         LogLevel::Info,
@@ -173,18 +169,17 @@ fn main() {
 
     // Degradation summary at the harsh level, per scheme vs its own
     // chaos-off cell — the resilience cost in carbon and tail.
-    let outs: Vec<&ExperimentOutcome> = pairs.iter().map(|(o, _)| o).collect();
-    let cell = |scheme: &SchemeKind, level: &str| -> &ExperimentOutcome {
+    let cell = |scheme: &SchemeKind, level: &str| -> &(ExperimentOutcome, TelemetryReport) {
         let want = format!("{}/{}", scheme.label(), level);
         labels
             .iter()
             .position(|l| *l == want)
-            .map(|i| outs[i])
+            .map(|i| &pairs[i])
             .expect("cell present")
     };
     for scheme in &schemes {
-        let clean = cell(scheme, "chaos-off");
-        let harsh = cell(scheme, "mtbf-6h");
+        let clean = &cell(scheme, "chaos-off").0;
+        let harsh = &cell(scheme, "mtbf-6h").0;
         log_line!(
             LogLevel::Info,
             "{:<8} harsh chaos: carbon {:+.1}%, p95/sla {:.2} -> {:.2}, served {:.1}% of clean",
@@ -198,33 +193,29 @@ fn main() {
     log_line!(LogLevel::Info, "");
 
     // The chaos-enabled determinism gate: replay the harsh level serially
-    // and require byte-identical digests against the parallel grid. This
-    // is the property that makes a resilience study citable — the faults
-    // are part of the experiment, not noise.
+    // and require byte-identical digests and journals against the parallel
+    // grid. This is the property that makes a resilience study citable —
+    // the faults are part of the experiment, not noise.
     let harsh_level = &levels[2];
     let serial_configs: Vec<ExperimentConfig> =
         schemes.iter().map(|s| config(s, harsh_level)).collect();
     let serial = Experiment::run_cells_with(serial_configs, 1, TelemetrySpec::JOURNAL);
     let mut mismatches = 0usize;
-    for (scheme, (serial_out, _)) in schemes.iter().zip(serial.iter()) {
-        let parallel_out = cell(scheme, harsh_level.label);
-        let (sd, pd) = (serial_out.digest(), parallel_out.digest());
-        if sd != pd {
+    for (scheme, (s_out, s_rep)) in schemes.iter().zip(serial.iter()) {
+        let (p_out, p_rep) = cell(scheme, harsh_level.label);
+        let (sd, pd) = (s_out.digest(), p_out.digest());
+        let journals_match = s_rep.journal.as_ref().map(|j| j.as_str())
+            == p_rep.journal.as_ref().map(|j| j.as_str());
+        if sd != pd || !journals_match {
             mismatches += 1;
-            log_line!(
-                LogLevel::Info,
-                "DIGEST MISMATCH {}: serial {:#018X} != parallel {:#018X}",
-                scheme.label(),
-                sd,
-                pd
+            eprintln!(
+                "DIGEST MISMATCH {}: serial {sd:#018X} != parallel {pd:#018X} (journals match: {journals_match})",
+                scheme.label()
             );
         }
     }
     if mismatches > 0 {
-        log_line!(
-            LogLevel::Info,
-            "chaos determinism gate FAILED: {mismatches} scheme(s) diverged"
-        );
+        eprintln!("chaos determinism gate FAILED: {mismatches} scheme(s) diverged");
         std::process::exit(1);
     }
     log_line!(

@@ -22,6 +22,7 @@ use clover_carbon::Region;
 use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
+use clover_telemetry::TelemetryReport;
 pub use clover_telemetry::{log_line, LogLevel};
 
 /// Prints a figure/table header in a uniform style.
@@ -105,6 +106,34 @@ pub fn run_grid(cells: &[(Application, SchemeKind)]) -> Vec<ExperimentOutcome> {
             .map(|&(app, scheme)| std_config(app, scheme))
             .collect(),
     )
+}
+
+/// Writes a figure's decision-journal artifact to `path`: for each cell,
+/// its `marker` line (a one-line JSON object naming the cell), then that
+/// cell's journal verbatim. Journals are deterministic, so the artifact
+/// diffs cleanly across commits.
+///
+/// # Panics
+/// When `path` cannot be written.
+pub fn write_journals<'a>(
+    path: &str,
+    cells: impl IntoIterator<Item = (String, &'a TelemetryReport)>,
+) {
+    let mut out = String::new();
+    for (marker, report) in cells {
+        out.push_str(&marker);
+        out.push('\n');
+        if let Some(j) = report.journal.as_ref() {
+            out.push_str(j.as_str());
+        }
+    }
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
+/// Lines of `journal` recording an `event` event.
+pub fn count_events(journal: &str, event: &str) -> usize {
+    let needle = format!("\"event\":\"{event}\"");
+    journal.lines().filter(|l| l.contains(&needle)).count()
 }
 
 /// The schemes a binary should run: the comma-separated `CLOVER_SCHEMES`

@@ -35,11 +35,6 @@ use clover_telemetry::{Event, Phase, PhaseScope, ProfilerHandle, Telemetry};
 use clover_workload::{ArrivalProcess, Workload};
 use std::sync::Arc;
 
-/// Histogram buckets for per-invocation charged live search time, seconds
-/// (the paper's budget is 300 s at the hourly cadence; epoch-scaled budgets
-/// land in the lower buckets).
-const SEARCH_TIME_BUCKETS_S: [f64; 7] = [1.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0];
-
 /// Run-level accumulators of one cell: everything its epochs served,
 /// extrapolated to the epoch under a representative window, with the
 /// scheduler's exploration traffic folded in 1:1.
@@ -263,8 +258,7 @@ impl CellRuntime {
     /// The decision journal receives one `epoch_begin` and one `scaler`
     /// event per epoch, plus `forecast`, `plan`, `search` (schemes that
     /// report an optimization run) and `reconfig` (non-zero downtime)
-    /// events when a control trigger fires; the search ledger also lands in
-    /// the metric registry as per-scheme counters. Under chaos it also
+    /// events when a control trigger fires. Under chaos it also
     /// receives `fallback` events for degraded carbon data, `fault`/`repair`
     /// events for GPU failures at the boundary and `fault` events for kills
     /// and crashes inside the epoch. The scaler step is timed as
@@ -330,13 +324,6 @@ impl CellRuntime {
         }
 
         self.observe_serving(epoch, &w, objective, workload);
-        if chaos_on {
-            if let Some(m) = telemetry.metrics_mut() {
-                let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
-                m.counter_add("clover_fault_kills_total", labels, w.fault_kills);
-                m.counter_add("clover_fault_requeued_total", labels, w.fault_requeued);
-            }
-        }
         let point = self.hour_point(epoch, objective, ci, fleet, &w);
         EpochRecord {
             window: w,
@@ -402,7 +389,7 @@ impl CellRuntime {
         };
 
         // Degraded carbon data is evidence: journal the fallback the
-        // monitor took and count it, per mode.
+        // monitor took.
         let fallback = match event.staleness {
             Staleness::Fresh => None,
             Staleness::Stale { age_s } => Some(("stale", age_s)),
@@ -416,9 +403,6 @@ impl CellRuntime {
                         .f64("age_s", age_s)
                         .f64("ci_g_per_kwh", ci.g_per_kwh()),
                 );
-            }
-            if let Some(m) = telemetry.metrics_mut() {
-                m.counter_add("clover_fault_fallback_epochs_total", &[("mode", mode)], 1);
             }
         }
 
@@ -502,35 +486,6 @@ impl CellRuntime {
                 telemetry.emit(Event::new("reconfig", t).f64("downtime_s", downtime.as_secs()));
             }
         }
-        if let Some(run) = decision.run.as_ref() {
-            let l = run.ledger;
-            if let Some(m) = telemetry.metrics_mut() {
-                let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
-                m.counter_add("clover_plan_invocations_total", labels, 1);
-                m.counter_add(
-                    "clover_search_iterations_total",
-                    labels,
-                    u64::from(l.iterations),
-                );
-                m.counter_add(
-                    "clover_search_accepted_total",
-                    labels,
-                    u64::from(l.accepted),
-                );
-                m.counter_add(
-                    "clover_search_rejected_total",
-                    labels,
-                    u64::from(l.rejected),
-                );
-                m.gauge_set("clover_search_budget_seconds", labels, l.budget_s);
-                m.histogram_observe(
-                    "clover_search_charged_live_seconds",
-                    labels,
-                    &SEARCH_TIME_BUCKETS_S,
-                    l.charged_live_s,
-                );
-            }
-        }
         self.sim.set_deployment(decision.deployment);
         let invocation = decision.run.map(|run| {
             self.totals.optimization_time_s += run.time_spent_s;
@@ -598,24 +553,6 @@ impl CellRuntime {
                         .u64("epoch", u64::from(epoch.index)),
                 );
             }
-        }
-        if let Some(m) = telemetry.metrics_mut() {
-            let labels: &[(&str, &str)] = &[("scheme", self.scheme.label())];
-            if !failed.is_empty() {
-                m.counter_add(
-                    "clover_fault_gpu_failures_total",
-                    labels,
-                    failed.len() as u64,
-                );
-            }
-            if !repaired.is_empty() {
-                m.counter_add(
-                    "clover_fault_gpu_repairs_total",
-                    labels,
-                    repaired.len() as u64,
-                );
-            }
-            m.gauge_set("clover_fault_gpus_down", labels, down_now.len() as f64);
         }
         self.prev_down = down_now;
     }

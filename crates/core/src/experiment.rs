@@ -1005,8 +1005,7 @@ impl Experiment {
     /// Beyond the cell's own events ([`CellRuntime::step`]), the runtime
     /// emits one `conservation` checkpoint per epoch — the window counters
     /// that close the per-boundary conservation law, matching the
-    /// [`HourPoint`] the timeline records — and maintains per-scheme
-    /// request counters in the metric registry. When profiling is enabled
+    /// [`HourPoint`] the timeline records. When profiling is enabled
     /// the epoch's serving measurements (scheme and, when this cell
     /// computes it, the synchronized BASE reference) are timed as
     /// [`Phase::Des`]; [`Phase::Carry`] (the
@@ -1064,18 +1063,6 @@ impl Experiment {
                     .u64("backlog", backlog)
                     .f64("leak", w.conservation_leak as f64),
             );
-            if let Some(m) = telemetry.metrics_mut() {
-                let labels: &[(&str, &str)] = &[("scheme", cfg.scheme.label())];
-                m.counter_add("clover_epochs_total", labels, 1);
-                m.counter_add("clover_requests_arrived_total", labels, w.arrived);
-                m.counter_add("clover_requests_served_total", labels, w.served);
-                m.counter_add("clover_requests_dropped_total", labels, w.dropped);
-                m.gauge_set("clover_backlog_requests", labels, backlog as f64);
-                m.gauge_set("clover_active_gpus", labels, rec.fleet.active as f64);
-                if w.conservation_leak != 0 {
-                    m.counter_add("clover_conservation_violations_total", labels, 1);
-                }
-            }
             timeline.push(rec.point);
             invocations.extend(rec.invocation);
         }

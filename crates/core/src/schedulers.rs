@@ -67,8 +67,7 @@ impl SchemeKind {
         SchemeKind::Oracle,
     ];
 
-    /// Display name as used in the paper's figures, the journal and the
-    /// metric labels.
+    /// Display name as used in the paper's figures and the journal.
     pub fn label(self) -> &'static str {
         match self {
             SchemeKind::Base => "BASE",

@@ -579,9 +579,8 @@ impl GlobalRouter {
 
     /// Runs the multi-region experiment with a telemetry sink. Emits one
     /// `route` and one `conservation` event per epoch, `region_outage` /
-    /// `region_restore` on transitions, and maintains `clover_route_*`
-    /// metrics; telemetry is a strict overlay (the no-op sink gives
-    /// [`GlobalRouter::run`], bit for bit).
+    /// `region_restore` on transitions; telemetry is a strict overlay (the
+    /// no-op sink gives [`GlobalRouter::run`], bit for bit).
     pub fn run_with(&self, telemetry: &mut Telemetry) -> GlobalOutcome {
         let cfg = &self.cfg;
         let n = cfg.regions.len();
@@ -657,13 +656,6 @@ impl GlobalRouter {
                                 .u64("region", i as u64)
                                 .u64("epoch", u64::from(epoch.index))
                                 .u64("drained", ages.len() as u64),
-                        );
-                    }
-                    if let Some(m) = telemetry.metrics_mut() {
-                        m.counter_add(
-                            "clover_route_region_outages_total",
-                            &[("policy", cfg.policy.as_str())],
-                            1,
                         );
                     }
                     transit.extend(ages);
@@ -788,23 +780,6 @@ impl GlobalRouter {
                         .f64("leak", leak as f64),
                 );
             }
-            if let Some(m) = telemetry.metrics_mut() {
-                let labels: &[(&str, &str)] = &[("policy", cfg.policy.as_str())];
-                m.counter_add("clover_route_epochs_total", labels, 1);
-                if migrated_now > 0 {
-                    m.counter_add("clover_route_migrated_requests_total", labels, migrated_now);
-                }
-                m.gauge_set("clover_route_in_transit", labels, transit.len() as f64);
-                for (i, w) in weights.iter().enumerate() {
-                    let region = snapshots[i].label.clone();
-                    m.gauge_set(
-                        "clover_route_weight",
-                        &[("policy", cfg.policy.as_str()), ("region", region.as_str())],
-                        *w,
-                    );
-                }
-            }
-
             timeline.push(RouterEpochPoint {
                 epoch: epoch.index,
                 t_hours: epoch.start_hours(),

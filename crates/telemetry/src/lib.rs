@@ -1,15 +1,9 @@
 //! # clover-telemetry
 //!
 //! Determinism-safe observability for the Clover reproduction, with zero
-//! external dependencies. Three pillars, all strict overlays on the
+//! external dependencies. Two pillars, both strict overlays on the
 //! simulation (they never touch its RNG, float paths, or event order):
 //!
-//! - [`metrics`] — a [`MetricRegistry`] of named counters, gauges, and
-//!   fixed-bucket histograms with labels, snapshot-able to the Prometheus
-//!   text exposition format. This is the contract the future
-//!   live serving daemon's `/metrics` endpoint will serve: the registry is
-//!   plain data, so the daemon only needs to call
-//!   [`MetricRegistry::to_prometheus`] behind an HTTP handler.
 //! - [`journal`] — a control-plane decision [`Journal`]: a structured,
 //!   sim-time-stamped event stream (epoch begin, forecast, scaler decision
 //!   with reason, scheduler plan, SA search summary, reconfiguration,
@@ -28,8 +22,8 @@
 //!
 //! The whole subsystem is toggled per experiment cell through a
 //! [`TelemetrySpec`]; with everything disabled, [`Telemetry`] is a no-op
-//! sink whose presence is invisible — outcome digests stay bit-identical
-//! and `perf_report` gates the wall-clock overhead below 1%.
+//! sink whose presence is invisible: outcome digests stay bit-identical,
+//! and `perf_report` gates that every pillar on keeps them so.
 //!
 //! See `docs/observability.md` at the workspace root for the journal
 //! schema and an annotated epoch example.
@@ -38,12 +32,10 @@
 
 pub mod journal;
 pub mod log;
-pub mod metrics;
 pub mod profile;
 
 pub use journal::{Event, Journal};
 pub use log::{log_enabled, log_level, LogLevel};
-pub use metrics::{parse_prometheus, MetricRegistry, PromSample};
 pub use profile::{Phase, PhaseScope, PhaseTotals, ProfilerHandle};
 
 /// Which telemetry pillars an experiment cell should run with.
@@ -53,8 +45,6 @@ pub use profile::{Phase, PhaseScope, PhaseTotals, ProfilerHandle};
 /// which is what keeps per-cell telemetry deterministic under `par_map`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetrySpec {
-    /// Maintain a [`MetricRegistry`] for the cell.
-    pub metrics: bool,
     /// Record the control-plane decision [`Journal`].
     pub journal: bool,
     /// Time control-loop phases with a [`ProfilerHandle`].
@@ -64,36 +54,27 @@ pub struct TelemetrySpec {
 impl TelemetrySpec {
     /// Everything off: the no-op sink.
     pub const DISABLED: Self = Self {
-        metrics: false,
         journal: false,
         profiling: false,
     };
 
-    /// All three pillars on.
+    /// Both pillars on.
     pub const ALL: Self = Self {
-        metrics: true,
         journal: true,
         profiling: true,
     };
 
     /// Decision journal only (the serial-vs-parallel byte-identity gate).
     pub const JOURNAL: Self = Self {
-        metrics: false,
         journal: true,
         profiling: false,
     };
 
     /// Phase profiling only (the `perf_report` time-breakdown runs).
     pub const PROFILING: Self = Self {
-        metrics: false,
         journal: false,
         profiling: true,
     };
-
-    /// Build a live [`Telemetry`] sink from this spec.
-    pub fn build(self) -> Telemetry {
-        Telemetry::new(self)
-    }
 }
 
 /// The per-cell telemetry sink handed through `Experiment::run_with` and
@@ -104,7 +85,6 @@ impl TelemetrySpec {
 /// (per-epoch) path and nothing on the hot (per-event) path.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    metrics: Option<MetricRegistry>,
     journal: Option<Journal>,
     profiler: Option<ProfilerHandle>,
 }
@@ -118,15 +98,9 @@ impl Telemetry {
     /// Build a sink with the pillars the spec enables.
     pub fn new(spec: TelemetrySpec) -> Self {
         Self {
-            metrics: spec.metrics.then(MetricRegistry::new),
             journal: spec.journal.then(Journal::new),
             profiler: spec.profiling.then(ProfilerHandle::new),
         }
-    }
-
-    /// The metric registry, when enabled.
-    pub fn metrics_mut(&mut self) -> Option<&mut MetricRegistry> {
-        self.metrics.as_mut()
     }
 
     /// The decision journal, when enabled.
@@ -165,7 +139,6 @@ impl Telemetry {
     /// grid cell and returns the report alongside the outcome.
     pub fn take_report(&mut self) -> TelemetryReport {
         TelemetryReport {
-            metrics: self.metrics.take(),
             journal: self.journal.take(),
             phases: self.profiler.take().map(|p| p.totals()),
         }
@@ -175,8 +148,6 @@ impl Telemetry {
 /// The telemetry collected by one experiment cell, detached from the sink.
 #[derive(Debug, Default)]
 pub struct TelemetryReport {
-    /// The cell's metric registry, when metrics were enabled.
-    pub metrics: Option<MetricRegistry>,
     /// The cell's decision journal, when journaling was enabled.
     pub journal: Option<Journal>,
     /// Aggregated per-phase wall time, when profiling was enabled.

@@ -16,9 +16,8 @@
 //! - [`core`] — the Clover optimizer, controller, and competing schemes
 //! - [`router`] — geo-distributed serving: regional fleets and the global
 //!   carbon-aware traffic router with its six routing policies
-//! - [`telemetry`] — determinism-safe observability: metric registry
-//!   (Prometheus exposition), decision journal (JSONL), and phase
-//!   profiling
+//! - [`telemetry`] — determinism-safe observability: decision journal
+//!   (JSONL) and phase profiling
 //!
 //! ## Quickstart
 //!
