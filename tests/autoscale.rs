@@ -356,3 +356,64 @@ fn all_schemes_complete_under_forecast_scaling() {
         );
     }
 }
+
+/// Outcome digests of the two policies no other pin covers, recorded before
+/// the scaler's knobs became constants: a forecast-scaled CLOVER cell on a
+/// diurnal day, and a pre-warmed BASE cell served continuously into the
+/// first flash-crowd spike. Any change to the scaler, the forecast or the
+/// diurnal/flash-crowd rate curves that moves a decision moves a digest.
+#[test]
+fn forecast_and_prewarm_cells_reproduce_the_recorded_digests() {
+    let forecast = ExperimentConfig::builder(Application::ImageClassification)
+        .scheme(SchemeKind::Clover)
+        // Just past the trough: the fleet shrinks, then regrows on the ramp.
+        .workload(WorkloadKind::Diurnal {
+            amplitude_frac: 0.6,
+            period_hours: 24.0,
+            phase_hours: 20.0,
+        })
+        .scaling(ScalingPolicy::forecast())
+        .n_gpus(4)
+        .min_gpus(1)
+        .horizon_hours(6.0)
+        .sim_window_s(20.0)
+        .utilization(0.6)
+        .sla_headroom(2.0)
+        .seed(7)
+        .build();
+    let prewarm = ExperimentConfig::builder(Application::ImageClassification)
+        .scheme(SchemeKind::Base)
+        .workload(WorkloadKind::flash_crowd())
+        .scaling(ScalingPolicy::PreWarm {
+            lookahead_hours: 0.075,
+        })
+        .fidelity(clover::core::control::Fidelity::FullEpoch)
+        .control_epoch_s(120.0)
+        .n_gpus(4)
+        .min_gpus(1)
+        .horizon_hours(1.25)
+        .utilization(0.4)
+        .sla_headroom(2.2)
+        .seed(7)
+        .build();
+    for (cfg, want) in [
+        (forecast, 0xE3BE_8C0A_8070_267E),
+        (prewarm, 0x92A2_AE09_3CC4_6D14),
+    ] {
+        let out = Experiment::new(cfg).run();
+        assert_eq!(
+            out.digest(),
+            want,
+            "{} {}: autoscaled cell drifted (got 0x{:016X})",
+            out.scheme,
+            out.scaling,
+            out.digest()
+        );
+        // The pin reaches the scaler only if the fleet actually moved.
+        assert!(
+            out.timeline.iter().any(|h| h.active_gpus < 4),
+            "{}: fleet never scaled",
+            out.scaling
+        );
+    }
+}
