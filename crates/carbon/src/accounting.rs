@@ -2,51 +2,19 @@
 //! modified `carbontracker` service.
 //!
 //! A [`CarbonLedger`] integrates device power over simulated time against a
-//! time-varying [`CarbonTrace`], applying a datacenter power usage
-//! effectiveness (PUE) multiplier. The paper evaluates with a constant
-//! PUE of 1.5 (Sec. 5.1) and reports all benefits relative to a baseline so
-//! they do not depend on the PUE choice.
+//! time-varying [`CarbonTrace`], applying the datacenter power usage
+//! effectiveness [`PUE`]. The paper evaluates with a constant PUE of 1.5
+//! (Sec. 5.1) and reports all benefits relative to a baseline so they do
+//! not depend on the PUE choice.
 
 use crate::intensity::{CarbonMass, Energy};
 use crate::trace::CarbonTrace;
 use clover_simkit::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Datacenter power usage effectiveness: total facility power divided by IT
-/// power. Always ≥ 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Pue(f64);
-
-impl Pue {
-    /// The paper's evaluation value (Uptime Institute 2022 survey).
-    pub const PAPER_DEFAULT: Pue = Pue(1.5);
-
-    /// Creates a PUE.
-    ///
-    /// # Panics
-    /// Panics if below 1 or non-finite.
-    pub fn new(v: f64) -> Self {
-        assert!(v.is_finite() && v >= 1.0, "invalid PUE: {v}");
-        Pue(v)
-    }
-
-    /// The multiplier value.
-    pub fn factor(self) -> f64 {
-        self.0
-    }
-
-    /// Facility energy for a given IT energy.
-    pub fn facility_energy(self, it_energy: Energy) -> Energy {
-        it_energy * self.0
-    }
-}
-
-impl Default for Pue {
-    fn default() -> Self {
-        Pue::PAPER_DEFAULT
-    }
-}
+/// Datacenter power usage effectiveness, total facility power divided by IT
+/// power: the paper's evaluation value (Uptime Institute 2022 survey).
+pub const PUE: f64 = 1.5;
 
 /// Integrates energy consumption against a carbon-intensity trace.
 ///
@@ -57,21 +25,18 @@ impl Default for Pue {
 #[derive(Debug, Clone)]
 pub struct CarbonLedger {
     trace: Arc<CarbonTrace>,
-    pue: Pue,
     it_energy: Energy,
     facility_energy: Energy,
     carbon: CarbonMass,
 }
 
 impl CarbonLedger {
-    /// Creates a ledger over `trace` with the given PUE. The trace is
-    /// shared (`Arc`), so several ledgers over the same trace (scheme and
-    /// BASE reference of one experiment) cost no deep copies; a plain
-    /// `CarbonTrace` still works.
-    pub fn new(trace: impl Into<Arc<CarbonTrace>>, pue: Pue) -> Self {
+    /// Creates a ledger over `trace`. The trace is shared (`Arc`), so
+    /// several ledgers over the same trace (scheme and BASE reference of one
+    /// experiment) cost no deep copies; a plain `CarbonTrace` still works.
+    pub fn new(trace: impl Into<Arc<CarbonTrace>>) -> Self {
         CarbonLedger {
             trace: trace.into(),
-            pue,
             it_energy: Energy::ZERO,
             facility_energy: Energy::ZERO,
             carbon: CarbonMass::ZERO,
@@ -95,7 +60,7 @@ impl CarbonLedger {
             let seg_end = boundary.min(end);
             let seg = SimDuration::from_secs(seg_end - cursor);
             let it = Energy::from_power(it_watts, seg);
-            let facility = self.pue.facility_energy(it);
+            let facility = it * PUE;
             let ci = self.trace.at(SimTime::from_secs(cursor));
             self.it_energy += it;
             self.facility_energy += facility;
@@ -107,7 +72,7 @@ impl CarbonLedger {
     /// Charges a lump of IT energy at a single instant, using the intensity
     /// published at that instant.
     pub fn record_energy_at(&mut self, at: SimTime, it: Energy) {
-        let facility = self.pue.facility_energy(it);
+        let facility = it * PUE;
         let ci = self.trace.at(at);
         self.it_energy += it;
         self.facility_energy += facility;
@@ -119,7 +84,7 @@ impl CarbonLedger {
         self.it_energy
     }
 
-    /// Total facility energy (IT × PUE).
+    /// Total facility energy (IT × [`PUE`]).
     pub fn facility_energy(&self) -> Energy {
         self.facility_energy
     }
@@ -128,11 +93,6 @@ impl CarbonLedger {
     pub fn carbon(&self) -> CarbonMass {
         self.carbon
     }
-
-    /// The PUE in force.
-    pub fn pue(&self) -> Pue {
-        self.pue
-    }
 }
 
 #[cfg(test)]
@@ -140,23 +100,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pue_validation_and_factor() {
-        assert_eq!(Pue::new(1.5).factor(), 1.5);
-        assert_eq!(Pue::default(), Pue::PAPER_DEFAULT);
-        let it = Energy::from_kwh(2.0);
-        assert!((Pue::new(1.5).facility_energy(it).kwh() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn pue_below_one_rejected() {
-        let _ = Pue::new(0.9);
-    }
-
-    #[test]
     fn constant_intensity_power_integration() {
         let trace = CarbonTrace::hourly([200.0, 200.0, 200.0]);
-        let mut ledger = CarbonLedger::new(trace, Pue::new(1.5));
+        let mut ledger = CarbonLedger::new(trace);
         // 1000 W for 1 h = 1 kWh IT = 1.5 kWh facility = 300 g.
         ledger.record_power(SimTime::ZERO, SimDuration::from_hours(1.0), 1000.0);
         assert!((ledger.it_energy().kwh() - 1.0).abs() < 1e-9);
@@ -169,15 +115,15 @@ mod tests {
         // Intensity doubles at hour 1; an interval straddling the boundary
         // must charge each half at its own intensity.
         let trace = CarbonTrace::hourly([100.0, 300.0]);
-        let mut ledger = CarbonLedger::new(trace, Pue::new(1.0));
+        let mut ledger = CarbonLedger::new(trace);
         ledger.record_power(
             SimTime::from_hours(0.5),
             SimDuration::from_hours(1.0),
             1000.0,
         );
-        // 0.5 kWh @ 100 + 0.5 kWh @ 300 = 50 + 150 = 200 g.
+        // 0.75 kWh facility @ 100 + 0.75 kWh @ 300 = 75 + 225 = 300 g.
         assert!(
-            (ledger.carbon().grams() - 200.0).abs() < 1e-6,
+            (ledger.carbon().grams() - 300.0).abs() < 1e-6,
             "{}",
             ledger.carbon()
         );
@@ -186,15 +132,16 @@ mod tests {
     #[test]
     fn lump_energy_uses_instant_intensity() {
         let trace = CarbonTrace::hourly([100.0, 400.0]);
-        let mut ledger = CarbonLedger::new(trace, Pue::new(1.0));
+        let mut ledger = CarbonLedger::new(trace);
         ledger.record_energy_at(SimTime::from_hours(1.5), Energy::from_kwh(0.25));
-        assert!((ledger.carbon().grams() - 100.0).abs() < 1e-9);
+        // 0.25 kWh IT × 1.5 = 0.375 kWh facility @ 400 = 150 g.
+        assert!((ledger.carbon().grams() - 150.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_power_or_duration_is_noop() {
         let trace = CarbonTrace::hourly([100.0]);
-        let mut ledger = CarbonLedger::new(trace, Pue::default());
+        let mut ledger = CarbonLedger::new(trace);
         ledger.record_power(SimTime::ZERO, SimDuration::ZERO, 500.0);
         ledger.record_power(SimTime::ZERO, SimDuration::from_hours(1.0), 0.0);
         assert_eq!(ledger.carbon(), CarbonMass::ZERO);
@@ -204,8 +151,8 @@ mod tests {
     #[test]
     fn split_and_whole_agree_under_constant_intensity() {
         let trace = CarbonTrace::hourly(vec![250.0; 10]);
-        let mut a = CarbonLedger::new(trace.clone(), Pue::new(1.5));
-        let mut b = CarbonLedger::new(trace, Pue::new(1.5));
+        let mut a = CarbonLedger::new(trace.clone());
+        let mut b = CarbonLedger::new(trace);
         a.record_power(SimTime::ZERO, SimDuration::from_hours(5.0), 123.0);
         for h in 0..5 {
             b.record_power(

@@ -15,11 +15,11 @@
 //!   seasonal shapes of the paper's three traces (US CISO March, US CISO
 //!   September, UK ESO March; Figs. 4 and 8).
 //! - [`monitor`] — the controller-facing carbon-intensity monitor that fires
-//!   when intensity moves more than a configurable threshold (5% in the
-//!   paper) since the last optimization.
+//!   when intensity moves more than the paper's 5% threshold since the last
+//!   optimization.
 //! - [`accounting`] — the carbon ledger: integrates device power over
-//!   simulated time against the time-varying trace, applying a datacenter
-//!   PUE (1.5 in the paper).
+//!   simulated time against the time-varying trace, applying the paper's
+//!   datacenter [`PUE`] of 1.5.
 //! - [`estimate`] — the §5.2.1 back-of-the-envelope equivalences
 //!   (gasoline-car kilometres, kilograms of coal) using EPA factors.
 
@@ -32,7 +32,7 @@ pub mod monitor;
 pub mod regions;
 pub mod trace;
 
-pub use accounting::{CarbonLedger, Pue};
+pub use accounting::{CarbonLedger, PUE};
 pub use intensity::{CarbonIntensity, CarbonMass, Energy};
 pub use monitor::{CarbonMonitor, MonitorEvent, Staleness};
 pub use regions::Region;

@@ -7,14 +7,14 @@
 //! intensity compared to the previous optimization run" (Sec. 5.2.2).
 //!
 //! [`CarbonMonitor`] wraps a trace with exactly that hysteresis: `observe`
-//! reports the current intensity and whether it has drifted beyond the
-//! threshold since the last acknowledged optimization.
+//! reports the current intensity and whether it has drifted beyond
+//! [`DRIFT_THRESHOLD`] since the last acknowledged optimization.
 //!
 //! Real intensity feeds go dark. Configured **gap windows**
 //! ([`CarbonMonitor::set_gaps`]) model a feed outage: inside a gap the
 //! monitor serves the last-known-good sample — flagged
-//! [`Staleness::Stale`] — until the sample's age exceeds the configured
-//! cap, after which it degrades to the last acknowledged planning
+//! [`Staleness::Stale`] — until the sample's age exceeds [`AGE_CAP_S`],
+//! after which it degrades to the last acknowledged planning
 //! intensity ([`Staleness::Blind`]): drift reads zero and the controller
 //! stops reacting to carbon rather than react to fiction. The underlying
 //! *physics* (the carbon ledger) always integrates the true trace; only
@@ -26,13 +26,21 @@ use clover_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
+/// The paper's re-invocation threshold: a relative drift above 5% since the
+/// last optimization triggers a new one.
+pub const DRIFT_THRESHOLD: f64 = 0.05;
+
+/// Last-known-good age cap during feed gaps, seconds: two hours (twice the
+/// hourly publication cadence of real grid feeds).
+pub const AGE_CAP_S: f64 = 7200.0;
+
 /// Data quality of a monitor observation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Staleness {
     /// The feed is live; the observation is the trace's current sample.
     Fresh,
     /// The feed is in a gap; serving the last-known-good sample, aged
-    /// `age_s` seconds (within the configured cap).
+    /// `age_s` seconds (within [`AGE_CAP_S`]).
     Stale {
         /// Age of the sample being served, seconds.
         age_s: f64,
@@ -62,65 +70,45 @@ pub struct MonitorEvent {
     pub reference: CarbonIntensity,
     /// Relative drift from the reference (fraction, e.g. 0.07 = 7%).
     pub drift: f64,
-    /// True when drift exceeds the configured threshold and a new
-    /// optimization should be invoked.
+    /// True when drift exceeds [`DRIFT_THRESHOLD`] and a new optimization
+    /// should be invoked.
     pub triggered: bool,
     /// Whether the observation is live, stale-but-served, or blind.
     pub staleness: Staleness,
 }
 
-/// Watches a carbon trace and flags drifts beyond a relative threshold.
+/// Watches a carbon trace and flags drifts beyond [`DRIFT_THRESHOLD`].
 #[derive(Debug, Clone)]
 pub struct CarbonMonitor {
     trace: Arc<CarbonTrace>,
-    threshold: f64,
     reference: CarbonIntensity,
     /// Feed-outage windows `[start, end)` during which the trace is
     /// unreadable by the controller.
     gaps: Vec<(SimTime, SimTime)>,
-    /// Maximum age a last-known-good sample may be served at.
-    age_cap: SimDuration,
     /// The most recent sample read from a live feed.
     last_good: Option<(SimTime, CarbonIntensity)>,
 }
 
 impl CarbonMonitor {
-    /// The paper's default re-invocation threshold: 5%.
-    pub const DEFAULT_THRESHOLD: f64 = 0.05;
-
-    /// Default last-known-good age cap during feed gaps, seconds: two
-    /// hours (twice the hourly publication cadence of real grid feeds).
-    pub const DEFAULT_AGE_CAP_S: f64 = 7200.0;
-
-    /// Creates a monitor over `trace` with the given relative threshold.
-    /// The initial reference is the intensity at t = 0. The trace is shared
-    /// (`Arc`); a plain `CarbonTrace` still works.
-    pub fn new(trace: impl Into<Arc<CarbonTrace>>, threshold: f64) -> Self {
-        assert!(threshold >= 0.0, "negative threshold");
+    /// Creates a monitor over `trace`. The initial reference is the
+    /// intensity at t = 0. The trace is shared (`Arc`); a plain
+    /// `CarbonTrace` still works.
+    pub fn new(trace: impl Into<Arc<CarbonTrace>>) -> Self {
         let trace = trace.into();
         let reference = trace.at(SimTime::ZERO);
         CarbonMonitor {
             trace,
-            threshold,
             reference,
             gaps: Vec::new(),
-            age_cap: SimDuration::from_secs(Self::DEFAULT_AGE_CAP_S),
             last_good: None,
         }
     }
 
-    /// Creates a monitor with the paper's 5% threshold.
-    pub fn with_default_threshold(trace: impl Into<Arc<CarbonTrace>>) -> Self {
-        Self::new(trace, Self::DEFAULT_THRESHOLD)
-    }
-
-    /// Configures feed-outage windows `[start, end)` and the maximum age a
-    /// last-known-good sample may be served at inside them. Gaps are how
-    /// the chaos layer injects carbon-trace staleness; an empty gap list
+    /// Configures feed-outage windows `[start, end)`. Gaps are how the
+    /// chaos layer injects carbon-trace staleness; an empty gap list
     /// restores fault-free behavior exactly.
-    pub fn set_gaps(&mut self, gaps: Vec<(SimTime, SimTime)>, age_cap: SimDuration) {
+    pub fn set_gaps(&mut self, gaps: Vec<(SimTime, SimTime)>) {
         self.gaps = gaps;
-        self.age_cap = age_cap;
     }
 
     /// True when the controller's feed is dark at `now`.
@@ -141,7 +129,7 @@ impl CarbonMonitor {
             match self.last_good {
                 Some((t0, ci)) => {
                     let age = now.saturating_since(t0);
-                    if age <= self.age_cap {
+                    if age <= SimDuration::from_secs(AGE_CAP_S) {
                         (
                             ci,
                             Staleness::Stale {
@@ -169,7 +157,7 @@ impl CarbonMonitor {
             current,
             reference: self.reference,
             drift,
-            triggered: drift > self.threshold,
+            triggered: drift > DRIFT_THRESHOLD,
             staleness,
         }
     }
@@ -185,11 +173,6 @@ impl CarbonMonitor {
         &self.trace
     }
 
-    /// The configured relative threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
     /// Times (sample boundaries) at which observation would trigger,
     /// assuming each trigger is acknowledged immediately. Useful for
     /// estimating how many optimizations a trace induces.
@@ -197,7 +180,7 @@ impl CarbonMonitor {
         let mut reference = self.trace.at(SimTime::ZERO);
         let mut out = Vec::new();
         for (t, ci) in self.trace.samples() {
-            if ci.relative_change_from(reference) > self.threshold {
+            if ci.relative_change_from(reference) > DRIFT_THRESHOLD {
                 out.push(t);
                 reference = ci;
             }
@@ -217,7 +200,7 @@ mod tests {
 
     #[test]
     fn small_drift_does_not_trigger() {
-        let mut m = CarbonMonitor::with_default_threshold(trace());
+        let mut m = CarbonMonitor::new(trace());
         let ev = m.observe(SimTime::from_hours(1.0));
         assert!(!ev.triggered);
         assert!((ev.drift - 0.03).abs() < 1e-12);
@@ -226,7 +209,7 @@ mod tests {
 
     #[test]
     fn large_drift_triggers() {
-        let mut m = CarbonMonitor::with_default_threshold(trace());
+        let mut m = CarbonMonitor::new(trace());
         let ev = m.observe(SimTime::from_hours(2.0));
         assert!(ev.triggered);
         assert_eq!(ev.current.g_per_kwh(), 110.0);
@@ -235,7 +218,7 @@ mod tests {
 
     #[test]
     fn acknowledge_resets_reference() {
-        let mut m = CarbonMonitor::with_default_threshold(trace());
+        let mut m = CarbonMonitor::new(trace());
         let ev = m.observe(SimTime::from_hours(2.0));
         assert!(ev.triggered);
         m.acknowledge(ev.current);
@@ -247,7 +230,7 @@ mod tests {
 
     #[test]
     fn trigger_times_walk_the_trace() {
-        let m = CarbonMonitor::with_default_threshold(trace());
+        let m = CarbonMonitor::new(trace());
         let hits = m.trigger_times();
         assert_eq!(hits.len(), 2);
         assert_eq!(hits[0].as_hours(), 2.0);
@@ -257,7 +240,7 @@ mod tests {
     #[test]
     fn realistic_trace_triggers_repeatedly() {
         let t = Region::CisoMarch.eval_trace(42);
-        let m = CarbonMonitor::with_default_threshold(t);
+        let m = CarbonMonitor::new(t);
         let hits = m.trigger_times();
         // A 48 h duck-curve trace should force many re-optimizations but not
         // one per hour.
@@ -266,18 +249,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_threshold_triggers_on_any_change() {
-        let mut m = CarbonMonitor::new(trace(), 0.0);
-        assert!(m.observe(SimTime::from_hours(1.0)).triggered);
-    }
-
-    #[test]
     fn gap_serves_last_known_good_within_age_cap() {
-        let mut m = CarbonMonitor::with_default_threshold(trace());
-        m.set_gaps(
-            vec![(SimTime::from_hours(2.0), SimTime::from_hours(4.0))],
-            SimDuration::from_hours(2.0),
-        );
+        let mut m = CarbonMonitor::new(trace());
+        m.set_gaps(vec![(SimTime::from_hours(2.0), SimTime::from_hours(4.0))]);
         // Live read at 1 h: 103, remembered.
         let live = m.observe(SimTime::from_hours(1.0));
         assert_eq!(live.staleness, Staleness::Fresh);
@@ -299,15 +273,15 @@ mod tests {
 
     #[test]
     fn gap_past_age_cap_goes_blind_on_the_reference() {
-        let mut m = CarbonMonitor::with_default_threshold(trace());
-        m.set_gaps(
-            vec![(SimTime::from_hours(1.5), SimTime::from_hours(12.0))],
-            SimDuration::from_hours(1.0),
-        );
+        let mut m = CarbonMonitor::new(trace());
+        m.set_gaps(vec![(SimTime::from_hours(1.5), SimTime::from_hours(12.0))]);
         m.observe(SimTime::from_hours(1.0)); // last good: 103 at 1 h
         m.acknowledge(CarbonIntensity::from_g_per_kwh(103.0));
-        // 2 h into the gap, the 1 h sample is over the 1 h cap: blind.
-        let blind = m.observe(SimTime::from_hours(3.0));
+        // At 3 h the 1 h sample is exactly at the 2 h cap: still served.
+        let stale = m.observe(SimTime::from_hours(3.0));
+        assert!(matches!(stale.staleness, Staleness::Stale { .. }));
+        // At 3.5 h it is over the cap: blind.
+        let blind = m.observe(SimTime::from_hours(3.5));
         assert!(matches!(blind.staleness, Staleness::Blind { .. }));
         assert_eq!(blind.current.g_per_kwh(), 103.0, "holds the reference");
         assert_eq!(blind.drift, 0.0, "blind drift must read zero");
@@ -316,11 +290,8 @@ mod tests {
 
     #[test]
     fn gap_with_no_prior_sample_is_blind_from_the_start() {
-        let mut m = CarbonMonitor::with_default_threshold(trace());
-        m.set_gaps(
-            vec![(SimTime::ZERO, SimTime::from_hours(1.0))],
-            SimDuration::from_hours(2.0),
-        );
+        let mut m = CarbonMonitor::new(trace());
+        m.set_gaps(vec![(SimTime::ZERO, SimTime::from_hours(1.0))]);
         let ev = m.observe(SimTime::ZERO);
         assert!(matches!(ev.staleness, Staleness::Blind { .. }));
         assert_eq!(ev.current, ev.reference);
@@ -328,9 +299,9 @@ mod tests {
 
     #[test]
     fn no_gaps_behaves_exactly_as_before() {
-        let mut gapped = CarbonMonitor::with_default_threshold(trace());
-        gapped.set_gaps(Vec::new(), SimDuration::from_hours(2.0));
-        let mut plain = CarbonMonitor::with_default_threshold(trace());
+        let mut gapped = CarbonMonitor::new(trace());
+        gapped.set_gaps(Vec::new());
+        let mut plain = CarbonMonitor::new(trace());
         for h in 0..5 {
             let t = SimTime::from_hours(h as f64);
             assert_eq!(gapped.observe(t), plain.observe(t));

@@ -46,6 +46,20 @@ use clover_workload::Workload;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Epochs to wait after a scaling action before acting again.
+pub const COOLDOWN_EPOCHS: u64 = 1;
+
+/// Epochs a newly powered GPU spends warming (repartitioning, loading
+/// models) before it joins the active fleet. It draws full static power
+/// while warming.
+pub const PROVISION_DELAY_EPOCHS: u64 = 1;
+
+/// Epochs a retired GPU spends *draining* before it powers down to standby:
+/// it finishes in-flight work, admits nothing, and keeps drawing power
+/// (static floor plus the residual of its resident slices) until the
+/// control plane confirms it empty at an epoch boundary.
+pub const DRAIN_EPOCHS: u64 = 1;
+
 /// How the active GPU count is chosen each decision epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ScalingPolicy {
@@ -53,21 +67,13 @@ pub enum ScalingPolicy {
     /// paper's evaluation setup, and the default).
     Static,
     /// Size against the current demand estimate, with hysteresis: scale up
-    /// when fleet utilization exceeds `up_threshold`, down when it falls
-    /// below `down_threshold`.
-    Reactive {
-        /// Utilization above which the fleet grows (e.g. 0.80).
-        up_threshold: f64,
-        /// Utilization below which the fleet shrinks (e.g. 0.40).
-        down_threshold: f64,
-    },
-    /// Size against the forecast windowed mean over a look-ahead horizon,
-    /// powering capacity up *ahead* of predicted ramps (uses the default
-    /// hysteresis thresholds).
-    Forecast {
-        /// Forecast window queried each epoch, hours.
-        lookahead_hours: f64,
-    },
+    /// when fleet utilization exceeds [`ScalingPolicy::UP_THRESHOLD`], down
+    /// when it falls below [`ScalingPolicy::DOWN_THRESHOLD`].
+    Reactive,
+    /// Size against the forecast windowed mean over the next
+    /// [`ScalingPolicy::FORECAST_LOOKAHEAD_HOURS`], powering capacity up
+    /// *ahead* of predicted ramps, within the same hysteresis band.
+    Forecast,
     /// Size against the forecast **peak** over a look-ahead horizon
     /// ([`Workload::peak_over`]): capacity for a predicted spike is
     /// warming *before* the ramp opens, not chasing it from behind. The
@@ -79,11 +85,11 @@ pub enum ScalingPolicy {
     /// Because the lookahead guarantees ramps are met from the front, the
     /// policy also runs **lean between them**: it sizes toward a
     /// utilization just under the scale-up threshold
-    /// ([`ScalingPolicy::PREWARM_TARGET_FRAC`] × `up_threshold`) instead
-    /// of the conservative reactive target — forecast insurance replaces
-    /// the standing headroom a reactive fleet must keep against surprise.
-    /// This is where the policy's carbon win over the reactive loop comes
-    /// from (`fig_flashcrowd`). Uses the default hysteresis thresholds.
+    /// ([`ScalingPolicy::PREWARM_TARGET_FRAC`] ×
+    /// [`ScalingPolicy::UP_THRESHOLD`]) instead of the conservative reactive
+    /// target — forecast insurance replaces the standing headroom a reactive
+    /// fleet must keep against surprise. This is where the policy's carbon
+    /// win over the reactive loop comes from (`fig_flashcrowd`).
     PreWarm {
         /// Forecast horizon scanned for predicted peaks, hours. Must cover
         /// at least the provisioning delay (epochs × epoch length), or the
@@ -93,62 +99,35 @@ pub enum ScalingPolicy {
 }
 
 impl ScalingPolicy {
-    /// Default scale-up utilization threshold.
-    pub const DEFAULT_UP: f64 = 0.80;
-    /// Default scale-down utilization threshold.
-    pub const DEFAULT_DOWN: f64 = 0.40;
-    /// Default forecast look-ahead, hours.
-    pub const DEFAULT_LOOKAHEAD_HOURS: f64 = 2.0;
-    /// Default pre-warm look-ahead, hours (15 minutes: enough to beat a
-    /// flash-crowd ramp at sub-hour cadences without warming the fleet
-    /// long before the spike needs it).
-    pub const DEFAULT_PREWARM_LOOKAHEAD_HOURS: f64 = 0.25;
+    /// Utilization above which every scaling policy grows the fleet.
+    pub const UP_THRESHOLD: f64 = 0.80;
+    /// Utilization below which every scaling policy shrinks the fleet.
+    pub const DOWN_THRESHOLD: f64 = 0.40;
+    /// The forecast policy's look-ahead, hours.
+    pub const FORECAST_LOOKAHEAD_HOURS: f64 = 2.0;
     /// The pre-warm policy's lean sizing target as a fraction of the
     /// scale-up threshold: the calm fleet sits just under the hysteresis
-    /// trigger (0.9 × 0.80 = 0.72 utilization at the defaults) because the
-    /// lookahead — not spare capacity — covers predicted ramps.
+    /// trigger (0.9 × 0.80 = 0.72 utilization) because the lookahead — not
+    /// spare capacity — covers predicted ramps.
     pub const PREWARM_TARGET_FRAC: f64 = 0.9;
 
-    /// Reactive policy with the default hysteresis thresholds.
+    /// The reactive policy.
     pub fn reactive() -> Self {
-        ScalingPolicy::Reactive {
-            up_threshold: Self::DEFAULT_UP,
-            down_threshold: Self::DEFAULT_DOWN,
-        }
+        ScalingPolicy::Reactive
     }
 
-    /// Forecast policy with the default look-ahead.
+    /// The forecast policy.
     pub fn forecast() -> Self {
-        ScalingPolicy::Forecast {
-            lookahead_hours: Self::DEFAULT_LOOKAHEAD_HOURS,
-        }
-    }
-
-    /// Pre-warm policy with the default look-ahead.
-    pub fn prewarm() -> Self {
-        ScalingPolicy::PreWarm {
-            lookahead_hours: Self::DEFAULT_PREWARM_LOOKAHEAD_HOURS,
-        }
+        ScalingPolicy::Forecast
     }
 
     /// Short display label (figure legends, CSV columns).
     pub fn label(&self) -> &'static str {
         match self {
             ScalingPolicy::Static => "static",
-            ScalingPolicy::Reactive { .. } => "reactive",
-            ScalingPolicy::Forecast { .. } => "forecast",
+            ScalingPolicy::Reactive => "reactive",
+            ScalingPolicy::Forecast => "forecast",
             ScalingPolicy::PreWarm { .. } => "prewarm",
-        }
-    }
-
-    /// The hysteresis band this policy scales within.
-    fn thresholds(&self) -> (f64, f64) {
-        match *self {
-            ScalingPolicy::Reactive {
-                up_threshold,
-                down_threshold,
-            } => (up_threshold, down_threshold),
-            _ => (Self::DEFAULT_UP, Self::DEFAULT_DOWN),
         }
     }
 }
@@ -181,28 +160,17 @@ pub struct ScalerConfig {
     /// Utilization the fleet is resized *toward* when it scales (the
     /// experiment's BASE utilization target).
     pub target_utilization: f64,
-    /// Epochs to wait after a scaling action before acting again.
-    pub cooldown_epochs: u32,
-    /// Epochs a newly powered GPU spends warming (repartitioning, loading
-    /// models) before it joins the active fleet. It draws full static
-    /// power while warming.
-    pub provision_delay_epochs: u32,
-    /// Epochs a retired GPU spends *draining* before it powers down to
-    /// standby: it finishes in-flight work, admits nothing, and keeps
-    /// drawing power (static floor plus the residual of its resident
-    /// slices) until the control plane confirms it empty at an epoch
-    /// boundary. `0` restores the old instant-drain fiction.
-    pub drain_epochs: u32,
 }
 
 impl ScalerConfig {
-    /// A config with the default cooldown (1 epoch), provisioning delay
-    /// (1 epoch) and target utilization (0.65).
+    /// A scaler configuration; cooldown, provisioning delay and drain are
+    /// the module's one-epoch constants.
     pub fn new(
         policy: ScalingPolicy,
         min_gpus: usize,
         max_gpus: usize,
         capacity_per_gpu_rps: f64,
+        target_utilization: f64,
     ) -> Self {
         assert!(
             min_gpus >= 1 && min_gpus <= max_gpus,
@@ -217,10 +185,7 @@ impl ScalerConfig {
             min_gpus,
             max_gpus,
             capacity_per_gpu_rps,
-            target_utilization: 0.65,
-            cooldown_epochs: 1,
-            provision_delay_epochs: 1,
-            drain_epochs: 1,
+            target_utilization,
         }
     }
 }
@@ -305,7 +270,7 @@ impl ScaleReason {
 ///
 /// // 4 GPUs of 40 req/s each; demand swings ±60% around 80 req/s daily.
 /// let workload = Workload::new(WorkloadKind::diurnal(), 80.0);
-/// let cfg = ScalerConfig::new(ScalingPolicy::forecast(), 1, 4, 40.0);
+/// let cfg = ScalerConfig::new(ScalingPolicy::forecast(), 1, 4, 40.0, 0.65);
 /// let mut scaler = Scaler::new(cfg);
 ///
 /// let fleet: Vec<FleetState> = (0..24)
@@ -413,10 +378,11 @@ impl Scaler {
 
         let demand = match self.cfg.policy {
             ScalingPolicy::Static => unreachable!("handled above"),
-            ScalingPolicy::Reactive { .. } => workload.rate_at(now),
-            ScalingPolicy::Forecast { lookahead_hours } => {
-                workload.windowed_mean(now, SimDuration::from_hours(lookahead_hours))
-            }
+            ScalingPolicy::Reactive => workload.rate_at(now),
+            ScalingPolicy::Forecast => workload.windowed_mean(
+                now,
+                SimDuration::from_hours(ScalingPolicy::FORECAST_LOOKAHEAD_HOURS),
+            ),
             // Size on the predicted *peak*: the worst demand the forecast
             // sees inside the look-ahead. Ahead of a ramp the peak appears
             // as soon as the horizon touches the spike, so capacity is
@@ -427,7 +393,7 @@ impl Scaler {
                 workload.peak_over(now, SimDuration::from_hours(lookahead_hours))
             }
         } * forecast_factor;
-        let (up, down) = self.cfg.policy.thresholds();
+        let (up, down) = (ScalingPolicy::UP_THRESHOLD, ScalingPolicy::DOWN_THRESHOLD);
         let cap = self.cfg.capacity_per_gpu_rps;
         // The pre-warm policy trades standing headroom for forecast
         // insurance: it sizes toward a utilization just under the scale-up
@@ -470,13 +436,8 @@ impl Scaler {
                     .saturating_sub(powered)
                     .min(uncommitted);
                 if add > 0 {
-                    if self.cfg.provision_delay_epochs == 0 {
-                        self.active += add;
-                    } else {
-                        self.warming
-                            .push((epoch + u64::from(self.cfg.provision_delay_epochs), add));
-                    }
-                    self.cooldown_until = epoch + 1 + u64::from(self.cfg.cooldown_epochs);
+                    self.warming.push((epoch + PROVISION_DELAY_EPOCHS, add));
+                    self.cooldown_until = epoch + 1 + COOLDOWN_EPOCHS;
                     self.last_reason = ScaleReason::ScaleUp;
                 }
             } else if util_active < down && self.active > self.cfg.min_gpus && self.pending() == 0 {
@@ -488,11 +449,8 @@ impl Scaler {
                 if desired < self.active {
                     let retired = self.active - desired;
                     self.active = desired;
-                    if self.cfg.drain_epochs > 0 {
-                        self.draining
-                            .push((epoch + u64::from(self.cfg.drain_epochs), retired));
-                    }
-                    self.cooldown_until = epoch + 1 + u64::from(self.cfg.cooldown_epochs);
+                    self.draining.push((epoch + DRAIN_EPOCHS, retired));
+                    self.cooldown_until = epoch + 1 + COOLDOWN_EPOCHS;
                     self.last_reason = ScaleReason::ScaleDown;
                 }
             }
@@ -541,12 +499,7 @@ impl Scaler {
         let n = n.min(self.down);
         self.down -= n;
         if n > 0 {
-            if self.cfg.provision_delay_epochs == 0 {
-                self.active = (self.active + n).min(self.available());
-            } else {
-                self.warming
-                    .push((self.epoch + u64::from(self.cfg.provision_delay_epochs), n));
-            }
+            self.warming.push((self.epoch + PROVISION_DELAY_EPOCHS, n));
         }
         n
     }
@@ -610,10 +563,21 @@ mod tests {
     use super::*;
     use clover_workload::{Workload, WorkloadKind};
 
-    /// 4 GPUs × 50 req/s each, demand described by `kind` around 100 req/s.
+    /// 4 GPUs × 50 req/s each, sized toward 0.65 utilization.
+    fn config(policy: ScalingPolicy) -> ScalerConfig {
+        ScalerConfig::new(policy, 1, 4, 50.0, 0.65)
+    }
+
+    /// 15-minute pre-warm look-ahead: enough to beat a flash-crowd ramp at
+    /// sub-hour cadences.
+    const PREWARM: ScalingPolicy = ScalingPolicy::PreWarm {
+        lookahead_hours: 0.25,
+    };
+
+    /// [`config`]'s fleet, demand described by `kind` around 100 req/s.
     fn scaler_over(kind: WorkloadKind, policy: ScalingPolicy) -> (Scaler, Workload) {
         let workload = Workload::new(kind, 100.0);
-        (Scaler::new(ScalerConfig::new(policy, 1, 4, 50.0)), workload)
+        (Scaler::new(config(policy)), workload)
     }
 
     fn run_day(scaler: &mut Scaler, workload: &Workload) -> Vec<FleetState> {
@@ -721,42 +685,35 @@ mod tests {
     #[test]
     fn provisioning_delay_defers_the_join() {
         let workload = Workload::poisson(200.0); // 4×50: utilization 1.0
-        let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
-        cfg.provision_delay_epochs = 2;
-        let mut scaler = Scaler::new(cfg);
+        let mut scaler = Scaler::new(config(ScalingPolicy::reactive()));
         scaler.active = 2; // start scaled down, demand demands 4
         let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
-        assert_eq!(f0.active, 2, "join before the warm-up lag");
+        assert_eq!(f0.active, 2, "no join before the warm-up lag");
         assert_eq!(f0.warming, 2);
         assert_eq!(f0.off, 0, "warming GPUs draw power immediately");
         let f1 = scaler.step(SimTime::from_hours(1.0), &workload, 1.0);
-        assert_eq!(f1.active, 2);
-        let f2 = scaler.step(SimTime::from_hours(2.0), &workload, 1.0);
-        assert_eq!(f2.active, 4, "warm-up elapsed, GPUs join");
-        assert_eq!(f2.warming, 0);
+        assert_eq!(f1.active, 4, "one-epoch warm-up elapsed, GPUs join");
+        assert_eq!(f1.warming, 0);
     }
 
     #[test]
     fn cooldown_spaces_scaling_actions() {
         // Demand at the floor: the scaler wants min_gpus immediately, but
-        // a long cooldown forces it to hold between actions.
+        // the cooldown forces it to hold for an epoch after acting.
         let workload = Workload::poisson(10.0);
-        let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
-        cfg.cooldown_epochs = 3;
-        let mut scaler = Scaler::new(cfg);
+        let mut scaler = Scaler::new(config(ScalingPolicy::reactive()));
         let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(f0.active, 1, "first action scales to the floor");
         // desired() clamps to min_gpus, so one action suffices; what the
-        // cooldown must guarantee is no further action for 3 epochs even
+        // cooldown must guarantee is no further action for one epoch even
         // if demand moved. Raise demand mid-cooldown: no response.
         let surge = Workload::poisson(500.0);
-        for h in 1..=3 {
-            let f = scaler.step(SimTime::from_hours(f64::from(h)), &surge, 1.0);
-            assert_eq!(f.active, 1, "epoch {h} acted inside the cooldown");
-            assert_eq!(f.warming, 0);
-        }
-        let f4 = scaler.step(SimTime::from_hours(4.0), &surge, 1.0);
-        assert!(f4.powered() > 1, "cooldown over, surge answered");
+        let f1 = scaler.step(SimTime::from_hours(1.0), &surge, 1.0);
+        assert_eq!(f1.active, 1, "acted inside the cooldown");
+        assert_eq!(f1.warming, 0);
+        assert_eq!(scaler.last_reason(), ScaleReason::Cooldown);
+        let f2 = scaler.step(SimTime::from_hours(2.0), &surge, 1.0);
+        assert!(f2.powered() > 1, "cooldown over, surge answered");
     }
 
     #[test]
@@ -785,9 +742,7 @@ mod tests {
         // a 15-minute lookahead, the fleet must be growing before the ramp
         // opens and shrunken again between spikes.
         let workload = Workload::new(WorkloadKind::flash_crowd(), 60.0);
-        let mut cfg = ScalerConfig::new(ScalingPolicy::prewarm(), 1, 4, 50.0);
-        cfg.cooldown_epochs = 0;
-        let mut scaler = Scaler::new(cfg);
+        let mut scaler = Scaler::new(config(PREWARM));
         let epoch_s = 120.0;
         let fleet: Vec<FleetState> = (0..60)
             .map(|i| scaler.step(SimTime::from_secs(i as f64 * epoch_s), &workload, 1.0))
@@ -818,17 +773,15 @@ mod tests {
         // the pre-warm policy powers up while rate_at(now) is still calm.
         let workload = Workload::new(WorkloadKind::flash_crowd(), 60.0);
         let first_grow = |policy: ScalingPolicy| {
-            let mut cfg = ScalerConfig::new(policy, 1, 4, 50.0);
-            cfg.cooldown_epochs = 0;
-            let mut scaler = Scaler::new(cfg);
-            // Growth always passes through the warming state (the default
+            let mut scaler = Scaler::new(config(policy));
+            // Growth always passes through the warming state (the
             // provisioning delay is one epoch), so `warming > 0` is the
             // unambiguous "began powering up" signal.
             (0..120)
                 .map(|i| scaler.step(SimTime::from_secs(i as f64 * 60.0), &workload, 1.0))
                 .position(|f| f.warming > 0)
         };
-        let prewarm = first_grow(ScalingPolicy::prewarm());
+        let prewarm = first_grow(PREWARM);
         let reactive = first_grow(ScalingPolicy::reactive());
         match (prewarm, reactive) {
             (Some(p), Some(r)) => assert!(p < r, "prewarm grew at {p}, reactive at {r}"),
@@ -843,8 +796,8 @@ mod tests {
         assert_eq!(ScalingPolicy::Static.label(), "static");
         assert_eq!(ScalingPolicy::reactive().label(), "reactive");
         assert_eq!(format!("{}", ScalingPolicy::forecast()), "forecast");
-        assert_eq!(ScalingPolicy::prewarm().label(), "prewarm");
-        let cfg = ScalerConfig::new(ScalingPolicy::forecast(), 2, 8, 25.0);
+        assert_eq!(PREWARM.label(), "prewarm");
+        let cfg = ScalerConfig::new(ScalingPolicy::forecast(), 2, 8, 25.0, 0.65);
         assert_eq!(cfg.min_gpus, 2);
         assert_eq!(Scaler::new(cfg).state().active, 8);
     }
@@ -852,7 +805,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "scaler bounds invalid")]
     fn min_above_max_rejected() {
-        let _ = ScalerConfig::new(ScalingPolicy::Static, 5, 4, 50.0);
+        let _ = ScalerConfig::new(ScalingPolicy::Static, 5, 4, 50.0, 0.65);
     }
 
     #[test]
@@ -872,7 +825,7 @@ mod tests {
         let f = scaler.fleet();
         assert_eq!(f.warming, 2, "repair routes through warming");
         assert_eq!(f.active, 2, "repaired boards do not serve yet");
-        // Default provisioning delay is one epoch: the next step promotes.
+        // The provisioning delay is one epoch: the next step promotes.
         scaler.step(SimTime::from_hours(1.0), &workload, 1.0);
         let f2 = scaler.step(SimTime::from_hours(2.0), &workload, 1.0);
         assert_eq!(f2.active, 4, "static fleet fully recovered: {f2:?}");
@@ -907,12 +860,10 @@ mod tests {
 
     #[test]
     fn fail_takes_warming_and_draining_boards_too() {
-        // Retire three boards into a long drain, then fail all four: the
+        // Retire three boards into the drain, then fail all four: the
         // active board and the draining ones all leave the fleet.
         let quiet = Workload::poisson(10.0);
-        let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
-        cfg.drain_epochs = 5;
-        let mut scaler = Scaler::new(cfg);
+        let mut scaler = Scaler::new(config(ScalingPolicy::reactive()));
         let f0 = scaler.step(SimTime::ZERO, &quiet, 1.0);
         assert_eq!((f0.active, f0.draining), (1, 3));
         assert_eq!(scaler.fail(4), 4);
@@ -937,7 +888,7 @@ mod tests {
         assert_eq!(f.active, 4);
         assert_eq!(clean.last_reason(), ScaleReason::Hold);
 
-        let mut fooled = Scaler::new(ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0));
+        let mut fooled = Scaler::new(config(ScalingPolicy::reactive()));
         fooled.active = 2; // scaled down; the clean view would hold here
         let f = fooled.step(SimTime::ZERO, &workload, 2.0);
         assert_eq!(fooled.last_reason(), ScaleReason::ScaleUp);
@@ -950,55 +901,36 @@ mod tests {
     #[test]
     fn scale_down_drains_before_standby() {
         // Demand at the floor: the scaler retires three of four GPUs; they
-        // must spend the configured drain window finishing in-flight work
+        // must spend the one-epoch drain window finishing in-flight work
         // (powered, admitting nothing) before falling to standby.
         let workload = Workload::poisson(10.0);
-        let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
-        cfg.drain_epochs = 2;
-        let mut scaler = Scaler::new(cfg);
+        let mut scaler = Scaler::new(config(ScalingPolicy::reactive()));
         let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
         assert_eq!(f0.active, 1);
         assert_eq!(f0.draining, 3, "retired GPUs must drain first");
         assert_eq!(f0.off, 0, "nothing powers down during the drain");
         assert_eq!(f0.powered(), 4, "draining boards still draw wall power");
         let f1 = scaler.step(SimTime::from_hours(1.0), &workload, 1.0);
-        assert_eq!(f1.draining, 3, "drain window spans two epochs");
-        let f2 = scaler.step(SimTime::from_hours(2.0), &workload, 1.0);
-        assert_eq!(f2.draining, 0, "drained GPUs fall to standby");
-        assert_eq!(f2.off, 3);
-    }
-
-    #[test]
-    fn zero_drain_epochs_restores_instant_powerdown() {
-        let workload = Workload::poisson(10.0);
-        let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
-        cfg.drain_epochs = 0;
-        let mut scaler = Scaler::new(cfg);
-        let f0 = scaler.step(SimTime::ZERO, &workload, 1.0);
-        assert_eq!(f0.active, 1);
-        assert_eq!(f0.draining, 0);
-        assert_eq!(f0.off, 3, "instant drain powers boards straight down");
+        assert_eq!(f1.draining, 0, "drained GPUs fall to standby");
+        assert_eq!(f1.off, 3);
     }
 
     #[test]
     fn draining_boards_are_not_reconscripted() {
-        // Retire three boards, then surge while they drain: growth may only
-        // commit genuinely free boards, so the fleet never double-books.
+        // Retire three boards, then surge: growth may only commit boards
+        // whose drain is over, so the fleet never double-books.
         let quiet = Workload::poisson(10.0);
         let surge = Workload::poisson(1000.0);
-        let mut cfg = ScalerConfig::new(ScalingPolicy::reactive(), 1, 4, 50.0);
-        cfg.drain_epochs = 3;
-        cfg.cooldown_epochs = 0;
-        let mut scaler = Scaler::new(cfg);
+        let mut scaler = Scaler::new(config(ScalingPolicy::reactive()));
         let f0 = scaler.step(SimTime::ZERO, &quiet, 1.0);
         assert_eq!((f0.active, f0.draining), (1, 3));
         let f1 = scaler.step(SimTime::from_hours(1.0), &surge, 1.0);
-        assert_eq!(f1.draining, 3, "drain continues through the surge");
-        assert_eq!(f1.warming, 0, "no free boards to conscript");
+        assert_eq!(f1.draining, 0, "the one-epoch drain is over");
+        assert_eq!(f1.warming, 0, "the cooldown holds the surge back");
         assert!(f1.active + f1.warming + f1.draining + f1.off == 4);
-        // Once the drain ends the surge is answered from the freed boards.
+        // After the cooldown the surge is answered from the freed boards.
         let mut grown = false;
-        for h in 3..6 {
+        for h in 2..6 {
             let f = scaler.step(SimTime::from_hours(f64::from(h)), &surge, 1.0);
             assert!(f.active + f.warming + f.draining + f.off == 4);
             grown |= f.powered() > 1;

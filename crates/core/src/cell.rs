@@ -24,13 +24,11 @@ use crate::eval::DesEvaluator;
 use crate::experiment::{ExperimentConfig, HourPoint, InvocationRecord};
 use crate::objective::{MeasuredPoint, Objective};
 use crate::schedulers::{make_scheduler, Observation, Scheduler, SchedulerCtx, SchemeKind};
-use clover_carbon::{
-    CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Pue, Staleness,
-};
+use clover_carbon::{CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Staleness};
 use clover_mig::SliceType;
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{Deployment, InstanceFailure, ServingCarry, ServingSim, WindowMetrics};
-use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
+use clover_simkit::{LatencyHistogram, SimRng, SimTime};
 use clover_telemetry::{Event, Phase, PhaseScope, ProfilerHandle, Telemetry};
 use clover_workload::{ArrivalProcess, Workload};
 use std::sync::Arc;
@@ -60,7 +58,7 @@ impl CellTotals {
     /// Empty totals charged under `trace` at the paper's PUE.
     pub(crate) fn new(trace: Arc<CarbonTrace>, n_variants: usize) -> Self {
         CellTotals {
-            ledger: CarbonLedger::new(trace, Pue::PAPER_DEFAULT),
+            ledger: CarbonLedger::new(trace),
             hist: LatencyHistogram::for_latency(),
             per_variant: vec![0.0; n_variants],
             served_scaled: 0.0,
@@ -162,11 +160,14 @@ impl CellRuntime {
         );
         // Under the default Static policy the scaler collapses to the
         // paper's fixed fleet (all GPUs active, zero standby charge).
-        let mut scaler_cfg =
-            ScalerConfig::new(cfg.scaling, cfg.min_gpus, cfg.n_gpus, capacity_per_gpu_rps);
-        scaler_cfg.target_utilization = cfg.utilization_target;
-        let scaler = Scaler::new(scaler_cfg);
-        let mut monitor = CarbonMonitor::new(trace.clone(), CarbonMonitor::DEFAULT_THRESHOLD);
+        let scaler = Scaler::new(ScalerConfig::new(
+            cfg.scaling,
+            cfg.min_gpus,
+            cfg.n_gpus,
+            capacity_per_gpu_rps,
+            cfg.utilization_target,
+        ));
+        let mut monitor = CarbonMonitor::new(trace.clone());
         // Everything that will go wrong this run, drawn up front from the
         // seed. Chaos off generates nothing and touches no RNG, so the run
         // is bit-identical to one without the chaos layer.
@@ -181,10 +182,7 @@ impl CellRuntime {
         // intensity until the age cap, then falls back blind to its
         // reference. The ledger is unaffected: only the controller's view
         // degrades.
-        monitor.set_gaps(
-            faults.carbon_gaps(),
-            SimDuration::from_secs(CarbonMonitor::DEFAULT_AGE_CAP_S),
-        );
+        monitor.set_gaps(faults.carbon_gaps());
         let n_variants = family.len();
         let sim = ServingSim::new(family.clone(), perf, initial, cfg.seed ^ 0x11);
         CellRuntime {

@@ -312,7 +312,8 @@ impl ExperimentConfigBuilder {
     /// # Panics
     /// Panics with a descriptive message when the configuration is
     /// internally inconsistent: zero GPUs or horizon, an objective weight
-    /// λ outside `(0, 1]`, a scaling floor above the fleet size, a
+    /// λ or a BASE utilization target outside `(0, 1]`, a negative or
+    /// non-finite accuracy floor, a scaling floor above the fleet size, a
     /// non-positive SLA headroom or serving window, a control epoch that
     /// does not evenly divide one hour, a representative window longer
     /// than its epoch, a `sim_window_s` override under
@@ -376,6 +377,19 @@ impl ExperimentConfigBuilder {
              would ignore carbon entirely and break the Eq. 3 trade-off the schemes optimize)",
             cfg.lambda
         );
+        assert!(
+            cfg.utilization_target > 0.0 && cfg.utilization_target <= 1.0,
+            "experiment config: utilization target must lie in (0, 1], got {} (the BASE \
+             reference is offered its capacity times this target)",
+            cfg.utilization_target
+        );
+        if let Some(floor) = cfg.accuracy_floor_pct {
+            assert!(
+                floor.is_finite() && floor >= 0.0,
+                "experiment config: accuracy floor must be a finite, non-negative loss in \
+                 percent, got {floor}"
+            );
+        }
         assert!(
             (1..=cfg.n_gpus).contains(&cfg.min_gpus),
             "experiment config: min_gpus ({}) must lie in [1, n_gpus = {}]",
@@ -1412,6 +1426,38 @@ mod tests {
     fn oversized_lambda_rejected() {
         let _ = ExperimentConfig::builder(Application::ImageClassification)
             .lambda(1.5)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "utilization target must lie in (0, 1], got 0")]
+    fn zero_utilization_rejected() {
+        let _ = ExperimentConfig::builder(Application::ImageClassification)
+            .utilization(0.0)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "utilization target must lie in (0, 1], got 1.5")]
+    fn oversized_utilization_rejected() {
+        let _ = ExperimentConfig::builder(Application::ImageClassification)
+            .utilization(1.5)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "utilization target must lie in (0, 1], got NaN")]
+    fn nan_utilization_rejected() {
+        let _ = ExperimentConfig::builder(Application::ImageClassification)
+            .utilization(f64::NAN)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "accuracy floor must be a finite, non-negative loss")]
+    fn negative_accuracy_floor_rejected() {
+        let _ = ExperimentConfig::builder(Application::ImageClassification)
+            .accuracy_floor(-1.0)
             .build();
     }
 

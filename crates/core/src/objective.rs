@@ -43,11 +43,12 @@ pub struct Objective {
     pub l_tail_s: f64,
     /// Optional maximum allowed accuracy loss, percent (Fig. 14b mode).
     pub accuracy_floor_pct: Option<f64>,
-    /// Penalty slope applied per percent of accuracy loss beyond the floor.
-    pub floor_penalty: f64,
 }
 
 impl Objective {
+    /// Penalty slope applied per percent of accuracy loss beyond the floor.
+    pub const FLOOR_PENALTY: f64 = 100.0;
+
     /// Creates an objective with the paper's defaults (λ = 0.5, no accuracy
     /// ceiling).
     pub fn new(a_base_pct: f64, c_base_g_per_req: f64, l_tail_s: f64) -> Self {
@@ -57,7 +58,6 @@ impl Objective {
             c_base_g_per_req,
             l_tail_s,
             accuracy_floor_pct: None,
-            floor_penalty: 100.0,
         }
     }
 
@@ -104,7 +104,7 @@ impl Objective {
         if let Some(floor) = self.accuracy_floor_pct {
             let loss = -da;
             if loss > floor {
-                f -= self.floor_penalty * (loss - floor);
+                f -= Self::FLOOR_PENALTY * (loss - floor);
             }
         }
         f

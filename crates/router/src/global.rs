@@ -274,21 +274,17 @@ impl RouterConfigBuilder {
     ///
     /// # Panics
     /// On a policy name outside [`crate::ROUTE_POLICIES`], an empty region list,
-    /// a utilization target outside `(0, 1]`, or a `RegionOutage` naming a
-    /// region index outside the fleet; and, with the experiment config's own
-    /// messages, on per-region fields a cell rejects (GPU counts, horizon,
-    /// cadence, λ outside `(0, 1]`, SLA headroom, an invalid chaos config;
-    /// see [`RouterConfig::cell_config`]).
+    /// or a `RegionOutage` naming a region index outside the fleet; and, with
+    /// the experiment config's own messages, on per-region fields a cell
+    /// rejects (GPU counts, horizon, cadence, λ or a utilization target
+    /// outside `(0, 1]`, SLA headroom, an invalid chaos config; see
+    /// [`RouterConfig::cell_config`]).
     pub fn build(self) -> RouterConfig {
         let cfg = self.cfg;
         // Fails here, not after the router's calibration, on a bad name.
         let _ = make_route_policy(&cfg.policy);
         assert!(!cfg.regions.is_empty(), "at least one region");
         let _ = cfg.cell_config();
-        assert!(
-            cfg.utilization_target > 0.0 && cfg.utilization_target <= 1.0,
-            "utilization in (0, 1]"
-        );
         for (region, _, _) in cfg.chaos.region_outages() {
             assert!(
                 region < cfg.regions.len(),

@@ -81,7 +81,7 @@ impl ExactQuantiles {
     }
 }
 
-/// Floor and relative precision of [`LatencyHistogram::for_latency`].
+/// Floor and relative precision of [`LatencyHistogram`]: 10 µs, 1%.
 const LATENCY_FLOOR_S: f64 = 1e-5;
 const LATENCY_PRECISION: f64 = 0.01;
 
@@ -104,12 +104,13 @@ fn log_bucket(min_value: f64, log_base: f64, x: f64) -> usize {
     }
 }
 
-/// Exact bucket edges of one histogram configuration, so recording a value
-/// is a table lookup and one comparison instead of a logarithm. Each edge is
-/// the float where [`log_bucket`] itself steps up, found once by walking
-/// ulps from the analytic edge, so lookups agree with the formula bit for
-/// bit.
+/// Exact bucket edges of the histogram, so recording a value is a table
+/// lookup and one comparison instead of a logarithm. Each edge is the float
+/// where [`log_bucket`] itself steps up, found once by walking ulps from the
+/// analytic edge, so lookups agree with the formula bit for bit.
 struct BucketTable {
+    /// `ln(1 + precision)`, the log-width of one bucket.
+    log_base: f64,
     /// `edges[b]` is the smallest value in bucket `b` or above (`b ≥ 1`);
     /// `edges[0]` is the floor and a final `+inf` bounds the last bucket.
     edges: Vec<f64>,
@@ -153,6 +154,7 @@ impl BucketTable {
             })
             .collect();
         BucketTable {
+            log_base,
             edges,
             first,
             slot_base,
@@ -175,8 +177,7 @@ impl std::fmt::Debug for BucketTable {
     }
 }
 
-/// The table of [`LatencyHistogram::for_latency`]'s configuration, built on
-/// first use and shared by every such histogram.
+/// The histogram's table, built on first use and shared by every histogram.
 fn latency_table() -> &'static BucketTable {
     static TABLE: std::sync::OnceLock<BucketTable> = std::sync::OnceLock::new();
     TABLE.get_or_init(|| BucketTable::new(LATENCY_FLOOR_S, (1.0 + LATENCY_PRECISION).ln()))
@@ -184,62 +185,48 @@ fn latency_table() -> &'static BucketTable {
 
 /// Geometric-bucket latency histogram with bounded relative error.
 ///
-/// Values are bucketed as `floor(log(x / min) / log(1 + precision))`, so any
-/// quantile estimate is within a factor `1 + precision` of the true value.
-/// Covers `[min_value, +inf)`; values below `min_value` land in bucket 0.
-/// The [`LatencyHistogram::for_latency`] configuration finds buckets in a
-/// precomputed table of the formula's exact edges; other configurations
-/// evaluate the logarithm.
+/// Values are bucketed as `floor(log(x / 10 µs) / log(1.01))`, so any
+/// quantile estimate is within 1% of the true value. Covers `[10 µs, +inf)`;
+/// values at or below the floor land in bucket 0. Buckets are found in a
+/// precomputed table of the formula's exact edges; values past the table
+/// (about 12 days) evaluate the logarithm.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    min_value: f64,
-    log_base: f64,
     counts: Vec<u64>,
     total: u64,
     sum: f64,
     max_seen: f64,
-    table: Option<&'static BucketTable>,
+    table: &'static BucketTable,
 }
 
 impl LatencyHistogram {
-    /// Creates a histogram starting at `min_value` (e.g. 1e-5 s) with the
-    /// given relative `precision` (e.g. 0.01 for 1%).
-    pub fn new(min_value: f64, precision: f64) -> Self {
-        assert!(min_value > 0.0 && precision > 0.0);
-        let table =
-            (min_value == LATENCY_FLOOR_S && precision == LATENCY_PRECISION).then(latency_table);
+    /// An empty histogram for request latencies: 10 µs floor, 1% error.
+    pub fn for_latency() -> Self {
         LatencyHistogram {
-            min_value,
-            log_base: (1.0 + precision).ln(),
             counts: Vec::new(),
             total: 0,
             sum: 0.0,
             max_seen: 0.0,
-            table,
+            table: latency_table(),
         }
-    }
-
-    /// Default configuration for request latencies: 10 µs floor, 1% error.
-    pub fn for_latency() -> Self {
-        Self::new(LATENCY_FLOOR_S, LATENCY_PRECISION)
     }
 
     #[inline]
     fn bucket_of(&self, x: f64) -> usize {
-        if x <= self.min_value {
+        if x <= LATENCY_FLOOR_S {
             return 0;
         }
         self.table
-            .and_then(|t| t.bucket(x))
-            .unwrap_or_else(|| log_bucket(self.min_value, self.log_base, x))
+            .bucket(x)
+            .unwrap_or_else(|| log_bucket(LATENCY_FLOOR_S, self.table.log_base, x))
     }
 
     fn bucket_value(&self, idx: usize) -> f64 {
         if idx == 0 {
-            self.min_value
+            LATENCY_FLOOR_S
         } else {
             // Midpoint (geometric) of the bucket.
-            self.min_value * ((idx as f64 - 0.5) * self.log_base).exp()
+            LATENCY_FLOOR_S * ((idx as f64 - 0.5) * self.table.log_base).exp()
         }
     }
 
@@ -292,13 +279,8 @@ impl LatencyHistogram {
         Some(self.max_seen)
     }
 
-    /// Merges another histogram with identical configuration.
-    ///
-    /// # Panics
-    /// Panics if configurations differ.
+    /// Adds another histogram's values to this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        assert_eq!(self.min_value, other.min_value, "histogram config mismatch");
-        assert_eq!(self.log_base, other.log_base, "histogram config mismatch");
         if other.counts.len() > self.counts.len() {
             self.counts.resize(other.counts.len(), 0);
         }
@@ -310,7 +292,7 @@ impl LatencyHistogram {
         self.max_seen = self.max_seen.max(other.max_seen);
     }
 
-    /// Clears all recorded values, keeping the configuration.
+    /// Clears all recorded values.
     pub fn clear(&mut self) {
         self.counts.clear();
         self.total = 0;
@@ -374,7 +356,7 @@ mod tests {
 
     #[test]
     fn histogram_edge_cases() {
-        let mut h = LatencyHistogram::new(1e-3, 0.05);
+        let mut h = LatencyHistogram::for_latency();
         assert_eq!(h.quantile(0.95), None);
         h.record(0.0); // below floor -> bucket 0, clamped to max_seen
         assert_eq!(h.quantile(0.5), Some(0.0));
@@ -388,8 +370,8 @@ mod tests {
     #[test]
     fn table_buckets_match_the_logarithm_everywhere() {
         let h = LatencyHistogram::for_latency();
-        let table = h.table.expect("the latency configuration is table-driven");
-        let formula = |x: f64| log_bucket(h.min_value, h.log_base, x);
+        let table = h.table;
+        let formula = |x: f64| log_bucket(LATENCY_FLOOR_S, table.log_base, x);
         // Around every edge, where a lookup could disagree with the formula.
         for &edge in &table.edges[1..table.edges.len() - 1] {
             let mut x = edge;
@@ -407,7 +389,6 @@ mod tests {
             let x = 10f64.powf(rng.range_f64(-7.0, 8.0));
             assert_eq!(h.bucket_of(x), formula(x), "x = {x:e}");
         }
-        assert!(LatencyHistogram::new(1e-3, 0.05).table.is_none());
     }
 
     #[test]

@@ -34,13 +34,6 @@ pub enum WorkloadKind {
         /// Phase shift, hours.
         phase_hours: f64,
     },
-    /// Non-homogeneous Poisson through piecewise-linear rate control points
-    /// `(time_hours, relative_rate)`; the shape is normalized so its mean
-    /// relative rate becomes 1 (i.e. the base rate).
-    PiecewiseLinear {
-        /// Control points, ascending in time.
-        points: Vec<(f64, f64)>,
-    },
     /// Markov-modulated Poisson: calm traffic with exponential bursts.
     Mmpp {
         /// Burst-state rate as a multiple of the calm-state rate (> 1).
@@ -106,7 +99,6 @@ impl WorkloadKind {
         match self {
             WorkloadKind::Poisson => "poisson",
             WorkloadKind::Diurnal { .. } => "diurnal",
-            WorkloadKind::PiecewiseLinear { .. } => "piecewise",
             WorkloadKind::Mmpp { .. } => "mmpp",
             WorkloadKind::FlashCrowd { .. } => "flash-crowd",
             WorkloadKind::Replay { .. } => "replay",
@@ -150,8 +142,8 @@ pub struct Workload {
 /// Precomputed normalized form of a workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Engine {
-    /// Deterministic intensity curve (Poisson, diurnal, piecewise, flash
-    /// crowd), already scaled so its long-run mean is the base rate.
+    /// Deterministic intensity curve (Poisson, diurnal, flash crowd),
+    /// already scaled so its long-run mean is the base rate.
     Curve(RateCurve),
     /// MMPP state rates, already normalized to the base rate.
     Mmpp {
@@ -198,15 +190,6 @@ impl Workload {
                     period_s: period_hours * 3600.0,
                     phase_s: phase_hours * 3600.0,
                 })
-            }
-            WorkloadKind::PiecewiseLinear { points } => {
-                let shape = RateCurve::PiecewiseLinear {
-                    points: points.iter().map(|&(h, r)| (h * 3600.0, r)).collect(),
-                };
-                shape.validate();
-                let mean = shape.long_run_mean();
-                assert!(mean > 0.0, "piecewise-linear shape has zero mean");
-                Engine::Curve(shape.scaled(base_rps / mean))
             }
             WorkloadKind::FlashCrowd {
                 spike_mult,
@@ -452,9 +435,6 @@ mod tests {
         vec![
             WorkloadKind::Poisson,
             WorkloadKind::diurnal(),
-            WorkloadKind::PiecewiseLinear {
-                points: vec![(0.0, 0.5), (24.0, 2.0), (48.0, 0.5)],
-            },
             WorkloadKind::mmpp(),
             WorkloadKind::flash_crowd(),
             WorkloadKind::Replay {

@@ -24,9 +24,9 @@
 //!   [`MmppProcess`] (two-state Markov-modulated Poisson: calm/burst), and
 //!   [`TraceReplayProcess`] (deterministic replay of recorded arrival
 //!   timestamps, optionally looping).
-//! - [`rate`] — [`RateCurve`]: constant, diurnal sinusoid, piecewise-linear
-//!   control points, and flash-crowd (periodic trapezoid spike) shapes with
-//!   exact instantaneous lookup and numeric window means.
+//! - [`rate`] — [`RateCurve`]: constant, diurnal sinusoid and flash-crowd
+//!   (periodic trapezoid spike) shapes with exact instantaneous lookup and
+//!   numeric window means.
 //! - [`descriptor`] — [`WorkloadKind`] (the serializable scenario
 //!   parameterization that rides inside experiment configs) and
 //!   [`Workload`] (a kind bound to a base rate), whose forecast queries —

@@ -116,18 +116,9 @@ impl NhppProcess {
 
 impl ArrivalProcess for NhppProcess {
     fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
-        // A curve whose tail is identically zero (piecewise-linear ending
-        // at rate 0) would reject thinning candidates forever; report
-        // exhaustion instead.
-        let support_end = self.curve.support_end();
         let mut t = now.as_secs();
         loop {
             t += rng.exponential(self.lambda_max);
-            if let Some(end) = support_end {
-                if self.origin_s + t >= end {
-                    return None;
-                }
-            }
             let accept = rng.f64() * self.lambda_max;
             if accept <= self.curve.rate_at(self.origin_s + t) {
                 return Some(SimTime::from_secs(t));
@@ -426,27 +417,6 @@ mod tests {
         let mut p = TraceReplayProcess::new(trace, SimTime::from_secs(4.5), true);
         let events = drain(&mut p, 6.0, 0);
         assert_eq!(events, vec![0.5, 2.5, 4.5]);
-    }
-
-    #[test]
-    fn nhpp_with_zero_tail_exhausts_instead_of_hanging() {
-        // A piecewise curve that decays to zero and stays there: thinning
-        // must report exhaustion, not reject candidates forever.
-        let curve = RateCurve::PiecewiseLinear {
-            points: vec![(0.0, 20.0), (50.0, 0.0)],
-        };
-        assert_eq!(curve.support_end(), Some(50.0));
-        let mut p = NhppProcess::new(curve, SimTime::ZERO);
-        let mut rng = SimRng::new(3);
-        let mut now = SimTime::ZERO;
-        let mut n = 0;
-        while let Some(t) = p.next_after(now, &mut rng) {
-            assert!(t.as_secs() < 50.0, "arrival past the support end");
-            now = t;
-            n += 1;
-            assert!(n < 10_000, "runaway generation");
-        }
-        assert!(n > 100, "only {n} arrivals before exhaustion");
     }
 
     #[test]

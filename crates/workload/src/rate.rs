@@ -32,12 +32,6 @@ pub enum RateCurve {
         /// Phase shift, seconds.
         phase_s: f64,
     },
-    /// Piecewise-linear interpolation through `(t_s, rps)` control points
-    /// (sorted by time; clamped before the first and after the last point).
-    PiecewiseLinear {
-        /// Control points `(time_s, rate_rps)`, ascending in time.
-        points: Vec<(f64, f64)>,
-    },
     /// Flash crowd: baseline traffic with a periodic trapezoid spike — a
     /// linear ramp to `spike_mult * base_rps`, a hold, and a ramp back. The
     /// spike opens halfway into each period.
@@ -66,21 +60,6 @@ impl RateCurve {
                 period_s,
                 phase_s,
             } => (mean_rps + amplitude_rps * (TAU * (t_s + phase_s) / period_s).sin()).max(0.0),
-            RateCurve::PiecewiseLinear { points } => {
-                let first = points.first().expect("non-empty curve");
-                let last = points.last().expect("non-empty curve");
-                if t_s <= first.0 {
-                    return first.1.max(0.0);
-                }
-                if t_s >= last.0 {
-                    return last.1.max(0.0);
-                }
-                let i = points.partition_point(|&(pt, _)| pt <= t_s);
-                let (t0, r0) = points[i - 1];
-                let (t1, r1) = points[i];
-                let frac = if t1 > t0 { (t_s - t0) / (t1 - t0) } else { 0.0 };
-                (r0 + (r1 - r0) * frac).max(0.0)
-            }
             RateCurve::FlashCrowd {
                 base_rps,
                 spike_mult,
@@ -115,11 +94,6 @@ impl RateCurve {
                 amplitude_rps,
                 ..
             } => (mean_rps + amplitude_rps.abs()).max(0.0),
-            RateCurve::PiecewiseLinear { points } => points
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(0.0f64, f64::max)
-                .max(0.0),
             RateCurve::FlashCrowd {
                 base_rps,
                 spike_mult,
@@ -138,18 +112,12 @@ impl RateCurve {
                 amplitude_rps,
                 ..
             } => (mean_rps - amplitude_rps.abs()).max(0.0),
-            RateCurve::PiecewiseLinear { points } => points
-                .iter()
-                .map(|&(_, r)| r)
-                .fold(f64::INFINITY, f64::min)
-                .max(0.0),
             // The baseline between spikes is the floor.
             RateCurve::FlashCrowd { base_rps, .. } => base_rps.max(0.0),
         }
     }
 
-    /// Mean rate over `[a_s, b_s]` (trapezoid quadrature; exact for the
-    /// piecewise-linear curve up to panel resolution).
+    /// Mean rate over `[a_s, b_s]` (trapezoid quadrature).
     pub fn mean_over(&self, a_s: f64, b_s: f64) -> f64 {
         assert!(b_s > a_s, "empty averaging window");
         let h = (b_s - a_s) / MEAN_PANELS as f64;
@@ -161,8 +129,8 @@ impl RateCurve {
     }
 
     /// The largest rate the curve reaches inside `[a_s, b_s]` — exact, via
-    /// the curve's critical points (sinusoid crests, control points,
-    /// trapezoid breakpoints) rather than sampling. This is the lookahead
+    /// the curve's critical points (sinusoid crests, trapezoid
+    /// breakpoints) rather than sampling. This is the lookahead
     /// query a pre-warming autoscaler plans against: "what is the worst
     /// demand the forecast predicts within my provisioning horizon?"
     ///
@@ -192,11 +160,6 @@ impl RateCurve {
                     endpoints
                 }
             }
-            RateCurve::PiecewiseLinear { points } => points
-                .iter()
-                .filter(|&&(t, _)| t >= a_s && t <= b_s)
-                .map(|&(_, r)| r.max(0.0))
-                .fold(endpoints, f64::max),
             RateCurve::FlashCrowd {
                 period_s,
                 ramp_s,
@@ -223,57 +186,13 @@ impl RateCurve {
         }
     }
 
-    /// Long-run mean rate: over one period for periodic curves, over the
-    /// defined span for piecewise-linear ones, the value itself for
-    /// constants.
+    /// Long-run mean rate: over one period for periodic curves, the value
+    /// itself for constants.
     pub fn long_run_mean(&self) -> f64 {
         match self {
             RateCurve::Constant(v) => *v,
             RateCurve::Sinusoid { period_s, .. } => self.mean_over(0.0, *period_s),
-            RateCurve::PiecewiseLinear { points } => {
-                let a = points.first().expect("non-empty curve").0;
-                let b = points.last().expect("non-empty curve").0;
-                if b > a {
-                    self.mean_over(a, b)
-                } else {
-                    points[0].1.max(0.0)
-                }
-            }
             RateCurve::FlashCrowd { period_s, .. } => self.mean_over(0.0, *period_s),
-        }
-    }
-
-    /// The time after which the rate is identically zero forever, if such
-    /// a time exists. Periodic curves (sinusoid, flash crowd) and positive
-    /// constants never go permanently silent; a piecewise-linear curve
-    /// does when its clamped tail sits at zero. Thinning samplers use this
-    /// to report exhaustion instead of rejecting candidates forever.
-    pub fn support_end(&self) -> Option<f64> {
-        match self {
-            RateCurve::Constant(v) => {
-                if *v > 0.0 {
-                    None
-                } else {
-                    Some(0.0)
-                }
-            }
-            RateCurve::Sinusoid { .. } | RateCurve::FlashCrowd { .. } => None,
-            RateCurve::PiecewiseLinear { points } => {
-                if points.last().map(|&(_, r)| r > 0.0).unwrap_or(false) {
-                    return None; // positive clamped tail
-                }
-                // Walk back over the trailing zero (or negative, clamped)
-                // rates; the support ends at the first point of that run.
-                let mut end = points.len();
-                while end > 0 && points[end - 1].1 <= 0.0 {
-                    end -= 1;
-                }
-                if end == 0 {
-                    Some(points[0].0) // identically zero
-                } else {
-                    Some(points[end].0) // rate reaches zero here, stays zero
-                }
-            }
         }
     }
 
@@ -294,9 +213,6 @@ impl RateCurve {
                 period_s,
                 phase_s,
             },
-            RateCurve::PiecewiseLinear { points } => RateCurve::PiecewiseLinear {
-                points: points.into_iter().map(|(t, r)| (t, r * factor)).collect(),
-            },
             RateCurve::FlashCrowd {
                 base_rps,
                 spike_mult,
@@ -313,8 +229,8 @@ impl RateCurve {
         }
     }
 
-    /// Validates structural invariants (sorted control points, positive
-    /// periods, ramps that fit their period).
+    /// Validates structural invariants (positive periods, ramps that fit
+    /// their period).
     ///
     /// # Panics
     /// Panics with a descriptive message on the first violated invariant.
@@ -328,17 +244,6 @@ impl RateCurve {
             } => {
                 assert!(*mean_rps >= 0.0, "negative sinusoid mean");
                 assert!(*period_s > 0.0, "non-positive sinusoid period");
-            }
-            RateCurve::PiecewiseLinear { points } => {
-                assert!(!points.is_empty(), "empty piecewise-linear curve");
-                assert!(
-                    points.windows(2).all(|w| w[0].0 <= w[1].0),
-                    "piecewise-linear control points not sorted by time"
-                );
-                assert!(
-                    points.iter().all(|&(t, r)| t.is_finite() && r.is_finite()),
-                    "non-finite piecewise-linear control point"
-                );
             }
             RateCurve::FlashCrowd {
                 base_rps,
@@ -376,18 +281,6 @@ mod tests {
         assert!((c.rate_at(25.0) - 250.0).abs() < 1e-9);
         assert_eq!(c.rate_at(75.0), 0.0); // clamped, would be -50
         assert_eq!(c.max_rate(), 250.0);
-    }
-
-    #[test]
-    fn piecewise_interpolates_and_clamps_ends() {
-        let c = RateCurve::PiecewiseLinear {
-            points: vec![(10.0, 5.0), (20.0, 15.0), (40.0, 15.0)],
-        };
-        assert_eq!(c.rate_at(0.0), 5.0);
-        assert_eq!(c.rate_at(15.0), 10.0);
-        assert_eq!(c.rate_at(30.0), 15.0);
-        assert_eq!(c.rate_at(100.0), 15.0);
-        assert_eq!(c.max_rate(), 15.0);
     }
 
     #[test]
@@ -465,12 +358,6 @@ mod tests {
             phase_s: 0.0,
         };
         assert!((neg.max_over(70.0, 80.0) - 160.0).abs() < 1e-9);
-
-        let pw = RateCurve::PiecewiseLinear {
-            points: vec![(0.0, 10.0), (50.0, 90.0), (100.0, 10.0)],
-        };
-        assert!((pw.max_over(0.0, 100.0) - 90.0).abs() < 1e-9);
-        assert!((pw.max_over(0.0, 25.0) - pw.rate_at(25.0)).abs() < 1e-9);
 
         let fc = RateCurve::FlashCrowd {
             base_rps: 10.0,

@@ -30,9 +30,6 @@ fn sweep_kinds(seed: u64) -> Vec<WorkloadKind> {
     vec![
         WorkloadKind::Poisson,
         WorkloadKind::diurnal(),
-        WorkloadKind::PiecewiseLinear {
-            points: vec![(0.0, 0.4), (6.0, 1.8), (18.0, 1.2), (24.0, 0.4)],
-        },
         WorkloadKind::mmpp(),
         WorkloadKind::flash_crowd(),
         WorkloadKind::Replay {

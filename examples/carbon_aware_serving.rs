@@ -34,11 +34,12 @@ fn main() {
     let est = analytic::estimate(&family, &perf, &base, rate);
     let sla = est.p95_latency_s * 1.05;
 
-    // A 24-hour duck-curve trace and the 5% monitor.
+    // A 24-hour duck-curve trace and the monitor, which fires on the
+    // paper's 5% drift.
     let trace = Region::CisoMarch.trace(24, 11);
     let c_base = Objective::carbon_per_request_g(est.energy_per_request_j, trace.mean());
     let objective = Objective::new(family.accuracy_base(), c_base, sla);
-    let mut monitor = CarbonMonitor::with_default_threshold(trace);
+    let mut monitor = CarbonMonitor::new(trace);
 
     let mut scheduler = make_scheduler(SchemeKind::Clover, &family, n_gpus, SaParams::default());
     let mut evaluator = DesEvaluator::new(family.clone(), perf, rate, base, 99);

@@ -7,7 +7,7 @@
 //! between serial and parallel execution (the scaler consumes no
 //! randomness, so thread interleaving has nothing to perturb).
 
-use clover::core::autoscale::{FleetState, Scaler, ScalerConfig, ScalingPolicy};
+use clover::core::autoscale::{FleetState, Scaler, ScalerConfig, ScalingPolicy, COOLDOWN_EPOCHS};
 use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
@@ -149,9 +149,8 @@ fn autoscaled_grids_are_bit_identical_serial_vs_parallel() {
 
 /// Seed-sweep property tests for the pre-warm policy (the repo's
 /// deterministic stand-in for proptest, see ROADMAP "Offline stubs"): each
-/// seed derives a different flash-crowd workload, fleet geometry, and
-/// cooldown/drain configuration, and every derived scenario must satisfy
-/// the policy's invariants:
+/// seed derives a different flash-crowd workload and fleet geometry, and
+/// every derived scenario must satisfy the policy's invariants:
 ///
 /// 1. the fleet partition always accounts for every provisioned GPU and
 ///    never exceeds `n_gpus`;
@@ -164,13 +163,11 @@ fn autoscaled_grids_are_bit_identical_serial_vs_parallel() {
 fn prewarm_seed_sweep_properties() {
     for seed in 0u64..16 {
         // Deterministic parameter derivation: small fleets to large, weak
-        // spikes to violent ones, cooldowns and drains on and off.
+        // spikes to violent ones.
         let n_gpus = 3 + (seed % 4) as usize; // 3..=6
         let cap_rps = 30.0 + (seed % 5) as f64 * 10.0; // 30..=70
         let base_rps = cap_rps * 0.9; // calm ≈ 1 GPU's load
         let spike_mult = 2.5 + (seed % 3) as f64; // 2.5..=4.5
-        let cooldown = (seed % 2) as u32;
-        let drain = 1 + (seed % 3) as u32;
         let workload = Workload::new(
             WorkloadKind::FlashCrowd {
                 spike_mult,
@@ -181,17 +178,15 @@ fn prewarm_seed_sweep_properties() {
             base_rps,
         );
         let lookahead_h = 0.25;
-        let mut cfg = ScalerConfig::new(
+        let mut scaler = Scaler::new(ScalerConfig::new(
             ScalingPolicy::PreWarm {
                 lookahead_hours: lookahead_h,
             },
             1,
             n_gpus,
             cap_rps,
-        );
-        cfg.cooldown_epochs = cooldown;
-        cfg.drain_epochs = drain;
-        let mut scaler = Scaler::new(cfg);
+            0.65,
+        ));
 
         let epoch_s = 120.0;
         let steps = (3.0 * 3600.0 / epoch_s) as usize; // 1.5 spike periods
@@ -212,9 +207,8 @@ fn prewarm_seed_sweep_properties() {
         }
         // (2) Monotone non-decreasing powered capacity ahead of the ramp:
         // the spike opens at 3600 s; the lookahead sees it from
-        // 3600 - lookahead. Give the first visible step one epoch to act
-        // (plus the cooldown if one is configured), then demand monotone
-        // growth or hold until the plateau ends.
+        // 3600 - lookahead. Give the first visible step one epoch to act,
+        // then demand monotone growth or hold until the plateau ends.
         let visible = ((3600.0 - lookahead_h * 3600.0) / epoch_s).ceil() as usize + 1;
         let plateau_end = ((3600.0 + 120.0 + 600.0) / epoch_s) as usize;
         for i in visible..plateau_end {
@@ -240,6 +234,7 @@ fn prewarm_seed_sweep_properties() {
         );
         // (3a) Cooldown spaces scaling *actions* (new warming batches or
         // retirements — observable as warming growth or active shrink).
+        let cooldown = COOLDOWN_EPOCHS as usize;
         let mut last_action: Option<usize> = None;
         for i in 1..fleet.len() {
             let grew = fleet[i].warming > fleet[i - 1].warming;
@@ -247,7 +242,7 @@ fn prewarm_seed_sweep_properties() {
             if grew || shrank {
                 if let Some(prev) = last_action {
                     assert!(
-                        i - prev > cooldown as usize,
+                        i - prev > cooldown,
                         "{label}: actions at steps {prev} and {i} violate a \
                          {cooldown}-epoch cooldown"
                     );

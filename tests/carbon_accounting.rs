@@ -2,13 +2,13 @@
 //! physical-significance estimates.
 
 use clover::carbon::estimate::SavingsEstimate;
-use clover::carbon::{CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Pue, Region};
+use clover::carbon::{CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Region};
 use clover::simkit::{SimDuration, SimTime};
 
 #[test]
 fn ledger_matches_hand_computation_over_a_varying_trace() {
     let trace = CarbonTrace::hourly([100.0, 300.0, 200.0]);
-    let mut ledger = CarbonLedger::new(trace, Pue::new(1.5));
+    let mut ledger = CarbonLedger::new(trace);
     // 2000 W for 3 hours: 2 kWh IT/hour, 3 kWh facility/hour.
     ledger.record_power(SimTime::ZERO, SimDuration::from_hours(3.0), 2000.0);
     let expected = 3.0 * (100.0 + 300.0 + 200.0);
@@ -20,8 +20,8 @@ fn ledger_matches_hand_computation_over_a_varying_trace() {
 #[test]
 fn lump_charging_and_power_charging_agree_within_an_hour() {
     let trace = Region::CisoMarch.eval_trace(4);
-    let mut a = CarbonLedger::new(trace.clone(), Pue::PAPER_DEFAULT);
-    let mut b = CarbonLedger::new(trace, Pue::PAPER_DEFAULT);
+    let mut a = CarbonLedger::new(trace.clone());
+    let mut b = CarbonLedger::new(trace);
     let at = SimTime::from_hours(5.25);
     // Same energy, charged as a lump vs as constant power within one
     // trace step.
@@ -34,7 +34,7 @@ fn lump_charging_and_power_charging_agree_within_an_hour() {
 fn monitor_triggers_match_trace_structure() {
     for region in Region::ALL {
         let trace = region.eval_trace(99);
-        let monitor = CarbonMonitor::with_default_threshold(trace);
+        let monitor = CarbonMonitor::new(trace);
         let triggers = monitor.trigger_times();
         assert!(
             triggers.len() >= 8,

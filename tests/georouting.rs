@@ -145,6 +145,14 @@ fn zero_lambda_is_rejected() {
 }
 
 #[test]
+#[should_panic(expected = "utilization target must lie in (0, 1]")]
+fn zero_utilization_is_rejected() {
+    let _ = RouterConfig::builder(Application::LanguageModeling)
+        .utilization(0.0)
+        .build();
+}
+
+#[test]
 fn router_grid_is_bit_identical_serial_vs_parallel() {
     let configs = || -> Vec<RouterConfig> {
         [
