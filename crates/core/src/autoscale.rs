@@ -425,12 +425,11 @@ impl Scaler {
             if util_powered > up && powered < self.available() {
                 // Grow toward the target utilization; the new GPUs draw
                 // power now but serve only after the provisioning delay.
-                // Draining boards are not re-conscripted mid-drain, and
-                // failed boards cannot be powered on at all: growth is
+                // Failed boards cannot be powered on at all: growth is
                 // bounded by what is genuinely uncommitted *and* alive.
-                let uncommitted = self
-                    .available()
-                    .saturating_sub(powered + self.draining_count());
+                // Drains last one epoch, so `promote_ready` above has retired them all.
+                debug_assert_eq!(self.draining_count(), 0);
+                let uncommitted = self.available().saturating_sub(powered);
                 let add = self
                     .desired(demand, target)
                     .saturating_sub(powered)

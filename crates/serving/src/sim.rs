@@ -26,7 +26,7 @@
 //!
 //! The simulator is built for reuse: an experiment runs hundreds of hourly
 //! windows (plus the optimizer's evaluation windows) against one
-//! [`ServingSim`], so the per-run working state — event heap, FIFO,
+//! [`ServingSim`], so the per-run working state — event queue, FIFO,
 //! instance table, idle list, per-variant counters, latency histogram —
 //! lives in one `SimScratch` per simulator that is reset (allocation kept)
 //! rather than reallocated each window. The model family is shared by `Arc`,
@@ -546,7 +546,7 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
     // Arrivals are chained one at a time (the next is drawn when the
     // current one is handled) and held beside the queue, not in it: the
     // reserved key orders the pending arrival against queued events exactly
-    // as scheduling it would, without a heap push and pop per request.
+    // as scheduling it would, without a queue push and pop per request.
     let mut next_arrival = arrivals.next_after(SimTime::ZERO).map(|at| q.reserve(at));
 
     loop {
