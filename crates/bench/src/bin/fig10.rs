@@ -6,7 +6,7 @@
 //! accuracy; CLOVER sits closest to ORACLE and dominates BLOVER; CLOVER is
 //! within ~5% of optimal carbon savings.
 
-use clover_bench::{header, outcome_row, run_grid, schemes_from_env};
+use clover_bench::{header, outcome_row, run_grid};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
 
@@ -15,40 +15,29 @@ fn main() {
         "Fig. 10",
         "Scheme comparison: carbon save vs accuracy gain (CISO March, 48 h)",
     );
-    // `CLOVER_SCHEMES=BASE,CLOVER,...` (scheme labels) overrides the
-    // paper's roster.
-    let schemes = schemes_from_env(&[
+    let schemes = [
         SchemeKind::Co2Opt,
         SchemeKind::Blover,
         SchemeKind::Clover,
         SchemeKind::Oracle,
-    ]);
+    ];
     // One parallel fan-out over the full app × scheme grid.
     let cells: Vec<_> = Application::ALL
         .into_iter()
-        .flat_map(|app| schemes.clone().into_iter().map(move |s| (app, s)))
+        .flat_map(|app| schemes.map(|s| (app, s)))
         .collect();
     let outs = run_grid(&cells);
+    let at = |kind| schemes.iter().position(|&s| s == kind).expect("in roster");
+    let (clover, oracle) = (at(SchemeKind::Clover), at(SchemeKind::Oracle));
     for (app, rows) in Application::ALL.into_iter().zip(outs.chunks(schemes.len())) {
         println!("--- {} ---", app.label());
-        let mut clover_save = None;
-        let mut oracle_save = None;
-        for (scheme, out) in schemes.iter().zip(rows) {
+        for out in rows {
             outcome_row(out);
-            match scheme {
-                SchemeKind::Clover => clover_save = Some(out.carbon_saving_pct),
-                SchemeKind::Oracle => oracle_save = Some(out.carbon_saving_pct),
-                _ => {}
-            }
         }
-        // The headline gap needs both schemes in the roster (a
-        // CLOVER_SCHEMES override may drop either).
-        if let (Some(clover), Some(oracle)) = (clover_save, oracle_save) {
-            println!(
-                "    CLOVER vs ORACLE carbon gap: {:.1} pp (paper: within ~5%)",
-                oracle - clover
-            );
-        }
+        println!(
+            "    CLOVER vs ORACLE carbon gap: {:.1} pp (paper: within ~5%)",
+            rows[oracle].carbon_saving_pct - rows[clover].carbon_saving_pct
+        );
         println!();
     }
 }

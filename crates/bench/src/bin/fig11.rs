@@ -2,23 +2,22 @@
 //! scheme plus CO2OPT — Clover should track ORACLE closely while BLOVER
 //! lags and CO2OPT stays flat.
 
-use clover_bench::{header, run_grid, schemes_from_env};
+use clover_bench::{header, run_grid};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
 
 fn main() {
     header("Fig. 11", "Objective f over time per scheme (CISO March)");
-    // `CLOVER_SCHEMES=...` (scheme labels) overrides the roster.
-    let schemes = schemes_from_env(&[
+    let schemes = [
         SchemeKind::Co2Opt,
         SchemeKind::Blover,
         SchemeKind::Clover,
         SchemeKind::Oracle,
-    ]);
+    ];
     // One parallel fan-out over the full app × scheme grid.
     let cells: Vec<_> = Application::ALL
         .into_iter()
-        .flat_map(|app| schemes.clone().into_iter().map(move |s| (app, s)))
+        .flat_map(|app| schemes.map(|s| (app, s)))
         .collect();
     let all = run_grid(&cells);
     for (app, outs) in Application::ALL.into_iter().zip(all.chunks(schemes.len())) {

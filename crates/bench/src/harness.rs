@@ -55,12 +55,24 @@ pub fn outcome_row(out: &ExperimentOutcome) {
 
 /// Reads the benchmark scale from `CLOVER_BENCH_SCALE` (1 = paper scale).
 /// Smaller values shrink the horizon for smoke runs.
+///
+/// # Panics
+/// When the variable is set to anything but a number in (0, 1].
 pub fn bench_scale() -> f64 {
-    std::env::var("CLOVER_BENCH_SCALE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v| v > 0.0 && v <= 1.0)
-        .unwrap_or(1.0)
+    scale_from(std::env::var("CLOVER_BENCH_SCALE").ok().as_deref())
+}
+
+/// The scale a `CLOVER_BENCH_SCALE` value selects; unset means 1.0. A
+/// value outside (0, 1] panics rather than fall back to full scale, so a
+/// typo cannot turn a seconds-long smoke run into a full-scale one.
+fn scale_from(value: Option<&str>) -> f64 {
+    let Some(v) = value else {
+        return 1.0;
+    };
+    match v.parse::<f64>() {
+        Ok(scale) if scale > 0.0 && scale <= 1.0 => scale,
+        _ => panic!("CLOVER_BENCH_SCALE={v:?}: expected a number in (0, 1]"),
+    }
 }
 
 /// Horizon in hours after scaling (paper: 48 h; floor 6 h).
@@ -136,36 +148,29 @@ pub fn count_events(journal: &str, event: &str) -> usize {
     journal.lines().filter(|l| l.contains(&needle)).count()
 }
 
-/// The schemes a binary should run: the comma-separated `CLOVER_SCHEMES`
-/// environment variable when set (labels resolved case-insensitively by
-/// [`SchemeKind::parse`]; empty segments from trailing or doubled commas
-/// are ignored), otherwise `default`.
-///
-/// # Panics
-/// On an entry that names none of the five schemes, before any cell is
-/// built.
-pub fn schemes_from_env(default: &[SchemeKind]) -> Vec<SchemeKind> {
-    match std::env::var("CLOVER_SCHEMES") {
-        Ok(list) => {
-            let schemes: Vec<SchemeKind> = list
-                .split(',')
-                .map(str::trim)
-                .filter(|s| !s.is_empty())
-                .map(|name| {
-                    SchemeKind::parse(name).unwrap_or_else(|| {
-                        panic!(
-                            "CLOVER_SCHEMES: unknown scheme {name:?}; known: {}",
-                            SchemeKind::ALL.map(SchemeKind::label).join(", ")
-                        )
-                    })
-                })
-                .collect();
-            if schemes.is_empty() {
-                default.to_vec()
-            } else {
-                schemes
-            }
+#[cfg(test)]
+mod tests {
+    use super::scale_from;
+
+    #[test]
+    fn scale_is_full_when_unset_and_accepts_the_unit_interval() {
+        assert_eq!(scale_from(None), 1.0);
+        assert_eq!(scale_from(Some("0.125")), 0.125);
+        assert_eq!(scale_from(Some("1")), 1.0);
+    }
+
+    #[test]
+    fn scale_rejects_every_value_outside_it() {
+        for bad in ["", "0.l25", "0", "-0.5", "1.5", "NaN", "inf"] {
+            let err = std::panic::catch_unwind(|| scale_from(Some(bad)))
+                .expect_err(&format!("{bad:?} was accepted"));
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(
+                msg.contains("CLOVER_BENCH_SCALE") && msg.contains("(0, 1]"),
+                "{bad:?}: {msg}"
+            );
         }
-        _ => default.to_vec(),
     }
 }

@@ -11,9 +11,10 @@
 //! Environment knobs honored by the binaries:
 //!
 //! - `CLOVER_BENCH_SCALE` (default 1.0) scales the simulated horizon so
-//!   smoke runs finish quickly;
+//!   smoke runs finish quickly; a value outside (0, 1] panics;
 //! - `CLOVER_THREADS` pins the experiment-grid worker pool (results are
-//!   byte-identical at any thread count).
+//!   byte-identical at any thread count);
+//! - `CLOVER_LOG=quiet|info|debug` sets the tables' verbosity.
 
 #![warn(missing_docs)]
 

@@ -133,8 +133,8 @@ mod tests {
     fn lump_energy_uses_instant_intensity() {
         let trace = CarbonTrace::hourly([100.0, 400.0]);
         let mut ledger = CarbonLedger::new(trace);
-        ledger.record_energy_at(SimTime::from_hours(1.5), Energy::from_kwh(0.25));
-        // 0.25 kWh IT × 1.5 = 0.375 kWh facility @ 400 = 150 g.
+        ledger.record_energy_at(SimTime::from_hours(1.5), Energy::from_joules(9e5));
+        // 9e5 J = 0.25 kWh IT × 1.5 = 0.375 kWh facility @ 400 = 150 g.
         assert!((ledger.carbon().grams() - 150.0).abs() < 1e-9);
     }
 

@@ -64,11 +64,6 @@ impl Energy {
         Energy(j)
     }
 
-    /// Creates energy from kilowatt-hours.
-    pub fn from_kwh(kwh: f64) -> Self {
-        Self::from_joules(kwh * JOULES_PER_KWH)
-    }
-
     /// Creates energy from a power level held for a duration.
     pub fn from_power(watts: f64, duration: clover_simkit::SimDuration) -> Self {
         Self::from_joules(watts * duration.as_secs())
@@ -213,7 +208,7 @@ mod tests {
 
     #[test]
     fn carbon_equals_energy_times_intensity() {
-        let e = Energy::from_kwh(2.0);
+        let e = Energy::from_joules(7.2e6); // 2 kWh
         let ci = CarbonIntensity::from_g_per_kwh(150.0);
         assert_eq!((e * ci).grams(), 300.0);
         assert_eq!((ci * e).grams(), 300.0);
@@ -221,8 +216,6 @@ mod tests {
 
     #[test]
     fn energy_conversions() {
-        let e = Energy::from_kwh(1.0);
-        assert_eq!(e.joules(), 3.6e6);
         assert_eq!(Energy::from_joules(3.6e6).kwh(), 1.0);
         let p = Energy::from_power(100.0, SimDuration::from_hours(1.0));
         assert!((p.kwh() - 0.1).abs() < 1e-12);

@@ -172,27 +172,11 @@ impl CarbonMonitor {
     pub fn trace(&self) -> &CarbonTrace {
         &self.trace
     }
-
-    /// Times (sample boundaries) at which observation would trigger,
-    /// assuming each trigger is acknowledged immediately. Useful for
-    /// estimating how many optimizations a trace induces.
-    pub fn trigger_times(&self) -> Vec<SimTime> {
-        let mut reference = self.trace.at(SimTime::ZERO);
-        let mut out = Vec::new();
-        for (t, ci) in self.trace.samples() {
-            if ci.relative_change_from(reference) > DRIFT_THRESHOLD {
-                out.push(t);
-                reference = ci;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::regions::Region;
 
     fn trace() -> CarbonTrace {
         CarbonTrace::hourly([100.0, 103.0, 110.0, 108.0, 90.0])
@@ -226,26 +210,6 @@ mod tests {
         assert!(!m.observe(SimTime::from_hours(3.0)).triggered);
         // 90 vs 110 is over 5%.
         assert!(m.observe(SimTime::from_hours(4.0)).triggered);
-    }
-
-    #[test]
-    fn trigger_times_walk_the_trace() {
-        let m = CarbonMonitor::new(trace());
-        let hits = m.trigger_times();
-        assert_eq!(hits.len(), 2);
-        assert_eq!(hits[0].as_hours(), 2.0);
-        assert_eq!(hits[1].as_hours(), 4.0);
-    }
-
-    #[test]
-    fn realistic_trace_triggers_repeatedly() {
-        let t = Region::CisoMarch.eval_trace(42);
-        let m = CarbonMonitor::new(t);
-        let hits = m.trigger_times();
-        // A 48 h duck-curve trace should force many re-optimizations but not
-        // one per hour.
-        assert!(hits.len() >= 10, "only {} triggers", hits.len());
-        assert!(hits.len() <= 48, "{} triggers", hits.len());
     }
 
     #[test]

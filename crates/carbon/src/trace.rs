@@ -250,7 +250,7 @@ mod tests {
     #[test]
     fn csv_round_trip_is_exact() {
         let t = CarbonTrace::new(
-            SimDuration::from_mins(30.0),
+            SimDuration::from_secs(1800.0),
             vec![101.25, 350.333_333_3, 88.0, 420.9]
                 .into_iter()
                 .map(CarbonIntensity::from_g_per_kwh)

@@ -717,14 +717,13 @@ mod tests {
 
     #[test]
     fn bounds_are_respected() {
-        let (mut scaler, quiet) = scaler_over(WorkloadKind::Poisson, ScalingPolicy::reactive());
+        let (mut scaler, _) = scaler_over(WorkloadKind::Poisson, ScalingPolicy::reactive());
         // Walk the fleet down with near-zero demand...
         let whisper = Workload::poisson(1e-6);
         for h in 0..6 {
             let f = scaler.step(SimTime::from_hours(f64::from(h)), &whisper, 1.0);
             assert!(f.active >= 1, "fell below min_gpus");
         }
-        drop(quiet);
         // ...then slam it with far more than the fleet can serve.
         let flood = Workload::poisson(1e6);
         for h in 6..12 {

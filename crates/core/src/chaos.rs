@@ -534,11 +534,6 @@ impl FaultPlan {
     pub fn forecast_factor(&self, epoch: usize) -> f64 {
         self.factors.get(epoch).copied().unwrap_or(1.0)
     }
-
-    /// Down intervals of one GPU (testing / reporting).
-    pub fn gpu_timeline(&self, gpu: usize) -> &[(f64, f64)] {
-        self.down.get(gpu).map_or(&[], Vec::as_slice)
-    }
 }
 
 /// Sorts, clips to `[0, horizon_s]`, and merges overlapping or touching
@@ -602,7 +597,7 @@ mod tests {
             let plan = FaultPlan::generate(&ChaosConfig::resilience(4.0), seed, 4, 24, 1800.0);
             let horizon = 24.0 * 1800.0;
             for gpu in 0..4 {
-                let tl = plan.gpu_timeline(gpu);
+                let tl = &plan.down[gpu];
                 for w in tl.windows(2) {
                     assert!(w[0].1 < w[1].0, "gpu {gpu} overlapping: {w:?}");
                 }
@@ -633,7 +628,7 @@ mod tests {
                 let plan = FaultPlan::generate(&gpu_only(mtbf, 1.0), seed, 3, 48, 3600.0);
                 for gpu in 0..3 {
                     let mut last_repair = -1.0;
-                    for &(fail, repair) in plan.gpu_timeline(gpu) {
+                    for &(fail, repair) in &plan.down[gpu] {
                         assert!(
                             fail > last_repair,
                             "seed {seed}: failure at {fail} before repair at {last_repair}"
@@ -663,7 +658,7 @@ mod tests {
         );
         // Gaps don't touch GPU timelines at all, so they compare exactly.
         for gpu in 0..4 {
-            assert_eq!(base.gpu_timeline(gpu), more.gpu_timeline(gpu));
+            assert_eq!(base.down[gpu], more.down[gpu]);
         }
     }
 
@@ -677,13 +672,10 @@ mod tests {
         let plan = FaultPlan::generate(&cfg, 11, 4, 48, 3600.0);
         // Half of 4 GPUs: indices 2 and 3 share every episode; 0 and 1
         // never brown out.
-        assert_eq!(plan.gpu_timeline(0), &[] as &[(f64, f64)]);
-        assert_eq!(plan.gpu_timeline(1), &[] as &[(f64, f64)]);
-        assert_eq!(plan.gpu_timeline(2), plan.gpu_timeline(3));
-        assert!(
-            !plan.gpu_timeline(2).is_empty(),
-            "no episode in 48 h at 2 h MTBF"
-        );
+        assert!(plan.down[0].is_empty());
+        assert!(plan.down[1].is_empty());
+        assert_eq!(plan.down[2], plan.down[3]);
+        assert!(!plan.down[2].is_empty(), "no episode in 48 h at 2 h MTBF");
     }
 
     #[test]

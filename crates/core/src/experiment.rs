@@ -6,8 +6,8 @@
 //!
 //! 1. derive the workload: the base rate at which the BASE deployment is
 //!    neither starved nor idle, shaped by the configured
-//!    [`WorkloadKind`] (the paper's Poisson by default; diurnal, MMPP,
-//!    flash-crowd and trace-replay scenarios via
+//!    [`WorkloadKind`] (the paper's Poisson by default; diurnal, MMPP and
+//!    flash-crowd scenarios via
 //!    [`ExperimentConfigBuilder::workload`]), and the SLA (the BASE
 //!    deployment's measured p95, which is *not* relaxed when GPUs get
 //!    partitioned);
@@ -974,24 +974,6 @@ impl Experiment {
                 (out, telemetry.take_report())
             },
         )
-    }
-
-    /// Multi-seed entry point: runs `cfg` once per seed (overriding
-    /// `cfg.seed`) on `threads` workers, outcomes in seed order.
-    pub fn run_many(
-        cfg: &ExperimentConfig,
-        seeds: &[u64],
-        threads: usize,
-    ) -> Vec<ExperimentOutcome> {
-        let configs = seeds
-            .iter()
-            .map(|&seed| {
-                let mut c = cfg.clone();
-                c.seed = seed;
-                c
-            })
-            .collect();
-        Self::run_cells(configs, threads)
     }
 
     /// The carbon trace in force.

@@ -69,11 +69,6 @@ impl Partitioning {
         &self.0
     }
 
-    /// Mutable access for neighbor generation.
-    pub fn configs_mut(&mut self) -> &mut [MigConfig] {
-        &mut self.0
-    }
-
     /// Total number of slices (service instances), `m` in the paper.
     /// Satisfies `n ≤ m ≤ 7n`.
     pub fn total_slices(&self) -> usize {
@@ -252,9 +247,11 @@ mod tests {
     fn cluster_downtime_is_parallel_max() {
         let cost = ReconfigCost::default_calibration();
         let from = Partitioning::uniform(3, MigConfig::new(1));
-        let mut to = from.clone();
-        to.configs_mut()[0] = MigConfig::new(19); // 5 + 7*2 = 19 s
-        to.configs_mut()[1] = MigConfig::new(7); // 5 + 2*2 = 9 s
+        let to = Partitioning::new(vec![
+            MigConfig::new(19), // 5 + 7*2 = 19 s
+            MigConfig::new(7),  // 5 + 2*2 = 9 s
+            MigConfig::new(1),
+        ]);
         assert_eq!(cost.fleet_downtime(&from, &to).as_secs(), 19.0);
     }
 
@@ -262,13 +259,13 @@ mod tests {
     fn fleet_downtime_tolerates_resizes() {
         let cost = ReconfigCost::default_calibration();
         let four = Partitioning::uniform(4, MigConfig::new(1));
-        let mut two = Partitioning::uniform(2, MigConfig::new(1));
+        let two = Partitioning::uniform(2, MigConfig::new(1));
         // Shrinking the fleet without touching the survivors is free.
         assert_eq!(cost.fleet_downtime(&four, &two), SimDuration::ZERO);
         // Growing it is too (new GPUs are prepared during warm-up).
         assert_eq!(cost.fleet_downtime(&two, &four), SimDuration::ZERO);
         // Repartitioning a surviving GPU is still charged.
-        two.configs_mut()[0] = MigConfig::new(19); // 5 + 7*2 = 19 s
+        let two = Partitioning::new(vec![MigConfig::new(19), MigConfig::new(1)]); // 5 + 7*2 = 19 s
         assert_eq!(cost.fleet_downtime(&four, &two).as_secs(), 19.0);
         // With equal counts every GPU is compared.
         let same = Partitioning::uniform(3, MigConfig::new(7));

@@ -38,11 +38,6 @@ impl Packer {
         Self::default()
     }
 
-    /// True when `census` can be realized on exactly `n_gpus` GPUs.
-    pub fn is_feasible(&mut self, census: &SliceCensus, n_gpus: usize) -> bool {
-        self.decompose(census, n_gpus).is_some()
-    }
-
     /// Finds per-GPU configurations (non-decreasing id order) whose combined
     /// slice census equals `census` exactly, using every one of the
     /// `n_gpus` GPUs. Returns `None` when infeasible.
@@ -143,13 +138,13 @@ mod tests {
         let mut packer = Packer::new();
         // Two 7g slices cannot fit on one GPU.
         let two_full = SliceCensus::from_slices(&[SliceType::G7, SliceType::G7]);
-        assert!(!packer.is_feasible(&two_full, 1));
-        assert!(packer.is_feasible(&two_full, 2));
+        assert_eq!(packer.decompose(&two_full, 1), None);
+        assert!(packer.decompose(&two_full, 2).is_some());
         // 8x 1g is infeasible everywhere: the only all-1g configuration is
         // C19 with seven slices, and no configuration is a lone 1g.
         let eight_1g = SliceCensus::from_slices(&[SliceType::G1; 8]);
-        assert!(!packer.is_feasible(&eight_1g, 1));
-        assert!(!packer.is_feasible(&eight_1g, 2));
+        assert_eq!(packer.decompose(&eight_1g, 1), None);
+        assert_eq!(packer.decompose(&eight_1g, 2), None);
         // 14x 1g is two C19 GPUs.
         let fourteen_1g = SliceCensus::from_slices(&[SliceType::G1; 14]);
         assert_eq!(
@@ -164,7 +159,7 @@ mod tests {
         // One 1g slice alone on a GPU: no configuration is a single 1g,
         // so this census is infeasible on 1 GPU.
         let lone = SliceCensus::from_slices(&[SliceType::G1]);
-        assert!(!packer.is_feasible(&lone, 1));
+        assert_eq!(packer.decompose(&lone, 1), None);
     }
 
     #[test]
@@ -172,11 +167,11 @@ mod tests {
         let mut packer = Packer::new();
         let c = MigConfig::new(1).census();
         // Census of one full GPU cannot occupy two GPUs.
-        assert!(!packer.is_feasible(&c, 2));
-        assert!(packer.is_feasible(&c, 1));
+        assert_eq!(packer.decompose(&c, 2), None);
+        assert!(packer.decompose(&c, 1).is_some());
         // Zero GPUs only realize the empty census.
         assert_eq!(packer.decompose(&SliceCensus::EMPTY, 0), Some(vec![]));
-        assert!(!packer.is_feasible(&c, 0));
+        assert_eq!(packer.decompose(&c, 0), None);
     }
 
     #[test]
@@ -202,10 +197,10 @@ mod tests {
         // agree.
         let mut packer = Packer::new();
         let c = SliceCensus::from_slices(&[SliceType::G4, SliceType::G4, SliceType::G3]);
-        let first = packer.is_feasible(&c, 1);
-        let second = packer.is_feasible(&c, 1);
+        let first = packer.decompose(&c, 1);
+        let second = packer.decompose(&c, 1);
         assert_eq!(first, second);
-        assert!(!first);
+        assert_eq!(first, None);
     }
 
     #[test]

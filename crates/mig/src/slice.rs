@@ -136,17 +136,6 @@ impl SliceCensus {
             .map(move |&s| (s, self[s]))
             .filter(|&(_, c)| c > 0)
     }
-
-    /// Expands the census into a flat slice list (smallest type first).
-    pub fn expand(&self) -> Vec<SliceType> {
-        let mut out = Vec::with_capacity(self.total_slices() as usize);
-        for &s in &SliceType::ALL {
-            for _ in 0..self[s] {
-                out.push(s);
-            }
-        }
-        out
-    }
 }
 
 impl Index<SliceType> for SliceCensus {
@@ -254,17 +243,6 @@ mod tests {
         let a = SliceCensus::from_slices(&[SliceType::G1]);
         let b = SliceCensus::from_slices(&[SliceType::G2]);
         let _ = a - b;
-    }
-
-    #[test]
-    fn expand_round_trip() {
-        let slices = vec![SliceType::G1, SliceType::G2, SliceType::G2, SliceType::G7];
-        let c = SliceCensus::from_slices(&slices);
-        let mut expanded = c.expand();
-        expanded.sort();
-        let mut orig = slices;
-        orig.sort();
-        assert_eq!(expanded, orig);
     }
 
     #[test]

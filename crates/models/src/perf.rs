@@ -133,11 +133,11 @@ mod tests {
         // milliseconds; YOLOv5x6 somewhat above it.
         let m = PerfModel::a100();
         let b7fam = efficientnet();
-        let b7 = m.service_time(b7fam.largest(), SliceType::G7).as_millis();
-        assert!((5.0..60.0).contains(&b7), "B7 latency {b7} ms");
+        let b7 = m.service_time(b7fam.largest(), SliceType::G7).as_secs();
+        assert!((0.005..0.060).contains(&b7), "B7 latency {b7} s");
         let yfam = yolo_v5();
-        let x6 = m.service_time(yfam.largest(), SliceType::G7).as_millis();
-        assert!((20.0..200.0).contains(&x6), "x6 latency {x6} ms");
+        let x6 = m.service_time(yfam.largest(), SliceType::G7).as_secs();
+        assert!((0.020..0.200).contains(&x6), "x6 latency {x6} s");
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! - [`deployment`] — the concrete `(x_p, x_v)` configuration, with BASE and
 //!   CO2OPT constructors and OOM validation.
 //! - [`sim`] — the event-driven simulator: pluggable arrival processes from
-//!   `clover_workload` (open-loop Poisson by default; diurnal, MMPP,
-//!   flash-crowd and trace-replay via [`ServingSim::run_window_with`]),
+//!   `clover_workload` (open-loop Poisson by default; diurnal, MMPP and
+//!   flash-crowd via [`ServingSim::run_window_with`]),
 //!   FIFO dispatch to free instances, p95 latency tracking, energy
 //!   integration (dynamic + idle + static).
 //! - [`analytic`] — M/M/c-style steady-state estimates (stability, p95,

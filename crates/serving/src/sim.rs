@@ -6,9 +6,8 @@
 //! Request latency is queueing wait plus service time; SLA is the p95 tail.
 //!
 //! Arrivals come from any [`ArrivalProcess`] (the paper's open-loop Poisson
-//! of Sec. 5.1 is [`ServingSim::run_window`]'s default; diurnal, bursty and
-//! trace-replay scenarios plug in through
-//! [`ServingSim::run_window_with`]). Arrival and service randomness live on
+//! of Sec. 5.1 is [`ServingSim::run_window`]'s default; diurnal and bursty
+//! scenarios plug in through [`ServingSim::run_window_with`]). Arrival and service randomness live on
 //! separate named sub-streams of the window's RNG (see [`stream`]), so
 //! swapping the arrival process never perturbs service jitter and vice
 //! versa.
@@ -1011,6 +1010,29 @@ mod tests {
         (w, fam)
     }
 
+    /// Fixed window-local arrival times, then no more arrivals.
+    struct FixedArrivals(std::vec::IntoIter<f64>);
+
+    impl FixedArrivals {
+        fn new(times: Vec<f64>) -> Self {
+            FixedArrivals(times.into_iter())
+        }
+    }
+
+    impl ArrivalProcess for FixedArrivals {
+        fn next_after(&mut self, _now: SimTime, _rng: &mut SimRng) -> Option<SimTime> {
+            self.0.next().map(SimTime::from_secs)
+        }
+
+        fn rate_at(&self, _t: SimTime) -> f64 {
+            0.0
+        }
+
+        fn mean_rate(&self) -> f64 {
+            0.0
+        }
+    }
+
     #[test]
     fn conservation_served_plus_dropped_le_arrived() {
         let fam = efficientnet();
@@ -1172,14 +1194,12 @@ mod tests {
 
     #[test]
     fn trace_replay_window_arrivals_are_exact() {
-        use clover_workload::{ArrivalTrace, TraceReplayProcess};
         let fam = efficientnet();
         let d = Deployment::base(&fam, 2);
         // 40 arrivals inside the measured span (warmup 2 s, window 20 s).
         let times: Vec<f64> = (0..40).map(|i| 2.5 + i as f64 * 0.45).collect();
-        let trace = ArrivalTrace::new(times, 25.0);
         let mut sim = ServingSim::new(fam, PerfModel::a100(), d, 9);
-        let mut p = TraceReplayProcess::new(trace, SimTime::ZERO, false);
+        let mut p = FixedArrivals::new(times);
         let w = sim.run_window_with(
             &mut p,
             SimDuration::from_secs(20.0),
@@ -1220,13 +1240,11 @@ mod tests {
 
     #[test]
     fn silent_window_has_no_p95() {
-        use clover_workload::{ArrivalTrace, TraceReplayProcess};
         let fam = efficientnet();
         let d = Deployment::base(&fam, 1);
         let mut sim = ServingSim::new(fam, PerfModel::a100(), d, 3);
         // The only arrival lies far past the horizon: nothing is served.
-        let trace = ArrivalTrace::new(vec![500.0], 600.0);
-        let mut p = TraceReplayProcess::new(trace, SimTime::ZERO, false);
+        let mut p = FixedArrivals::new(vec![500.0]);
         let w = sim.run_window_with(
             &mut p,
             SimDuration::from_secs(20.0),
@@ -1272,7 +1290,6 @@ mod tests {
 
     #[test]
     fn carried_requests_keep_their_seam_spanning_latency() {
-        use clover_workload::{ArrivalTrace, TraceReplayProcess};
         let fam = efficientnet();
         let perf = PerfModel::a100();
         let cap = perf.capacity_rps(fam.largest(), clover_mig::SliceType::G7);
@@ -1284,15 +1301,13 @@ mod tests {
         // land in the next one.
         let n = (cap * 15.0).ceil() as usize;
         let times: Vec<f64> = (0..n).map(|i| 0.01 + i as f64 * (2.0 / n as f64)).collect();
-        let trace = ArrivalTrace::new(times, 10.0);
-        let mut p1 = TraceReplayProcess::new(trace, SimTime::ZERO, false);
+        let mut p1 = FixedArrivals::new(times);
         let (w1, carry) = sim.run_epoch_continuous(&mut p1, epoch, ServingCarry::default());
         assert!(carry.backlog() > 0, "burst should outlive its epoch");
         assert!(w1.served < w1.arrived);
         // Second epoch is silent: everything served there was carried in,
         // and its measured latency spans the seam (> one full epoch).
-        let silent = ArrivalTrace::new(vec![500.0], 600.0);
-        let mut p2 = TraceReplayProcess::new(silent, SimTime::ZERO, false);
+        let mut p2 = FixedArrivals::new(vec![500.0]);
         let (w2, _) = sim.run_epoch_continuous(&mut p2, epoch, carry);
         assert_eq!(w2.arrived, 0);
         assert!(w2.served > 0, "carried work must complete next epoch");
@@ -1457,7 +1472,6 @@ mod tests {
         // by insertion: the fault was scheduled before the first arrival
         // was drawn, so at the same instant it pops first and the request
         // finds the fleet already dead.
-        use clover_workload::{ArrivalTrace, TraceReplayProcess};
         let fam = efficientnet();
         let mut sim = ServingSim::new(fam.clone(), PerfModel::a100(), Deployment::base(&fam, 1), 3);
         sim.set_window_failures(vec![InstanceFailure {
@@ -1465,8 +1479,7 @@ mod tests {
             instances: vec![0],
             gpus: 1,
         }]);
-        let trace = ArrivalTrace::new(vec![5.0], 20.0);
-        let mut p = TraceReplayProcess::new(trace, SimTime::ZERO, false);
+        let mut p = FixedArrivals::new(vec![5.0]);
         let (w, carry) = sim.run_epoch_continuous(
             &mut p,
             SimDuration::from_secs(10.0),

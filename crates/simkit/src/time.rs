@@ -83,16 +83,6 @@ impl SimDuration {
         SimDuration(secs)
     }
 
-    /// Creates a duration from milliseconds.
-    pub fn from_millis(ms: f64) -> Self {
-        Self::from_secs(ms / 1e3)
-    }
-
-    /// Creates a duration from minutes.
-    pub fn from_mins(mins: f64) -> Self {
-        Self::from_secs(mins * 60.0)
-    }
-
     /// Creates a duration from hours.
     pub fn from_hours(hours: f64) -> Self {
         Self::from_secs(hours * 3600.0)
@@ -101,11 +91,6 @@ impl SimDuration {
     /// Length in seconds.
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Length in milliseconds.
-    pub fn as_millis(self) -> f64 {
-        self.0 * 1e3
     }
 
     /// Length in hours.
@@ -221,10 +206,7 @@ mod tests {
         let t = SimTime::from_hours(2.0);
         assert_eq!(t.as_secs(), 7200.0);
         assert_eq!(t.as_hours(), 2.0);
-        let d = SimDuration::from_millis(250.0);
-        assert_eq!(d.as_secs(), 0.25);
-        assert_eq!(d.as_millis(), 250.0);
-        assert_eq!(SimDuration::from_mins(2.0).as_secs(), 120.0);
+        assert_eq!(SimDuration::from_hours(0.5).as_secs(), 1800.0);
     }
 
     #[test]
@@ -277,7 +259,7 @@ mod tests {
     #[test]
     fn display_formats() {
         assert_eq!(format!("{}", SimTime::from_secs(3661.5)), "01:01:01.500");
-        assert_eq!(format!("{}", SimDuration::from_millis(1.5)), "1.500ms");
+        assert_eq!(format!("{}", SimDuration::from_secs(0.0015)), "1.500ms");
         assert_eq!(format!("{}", SimDuration::from_secs(2.0)), "2.000s");
         assert_eq!(format!("{}", SimDuration::from_hours(1.5)), "1.500h");
     }

@@ -5,20 +5,16 @@
 //! A [`WorkloadKind`] describes traffic **shape** only; intensity comes from
 //! the base rate the experiment derives (in the paper's methodology, the
 //! rate at which the BASE deployment sits at its utilization target). Every
-//! synthetic shape is normalized so its long-run mean equals that base rate,
-//! and trace replays are rescaled to it — experiments under different
-//! scenarios then serve the same total demand, shaped differently, which
-//! keeps carbon-per-request comparisons meaningful.
+//! shape is normalized so its long-run mean equals that base rate —
+//! experiments under different scenarios then serve the same total demand,
+//! shaped differently, which keeps carbon-per-request comparisons
+//! meaningful.
 
-use crate::process::{
-    ArrivalProcess, MmppProcess, NhppProcess, PoissonProcess, TraceReplayProcess,
-};
+use crate::process::{ArrivalProcess, MmppProcess, NhppProcess, PoissonProcess};
 use crate::rate::RateCurve;
-use crate::trace_io::ArrivalTrace;
 use clover_simkit::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// The traffic scenarios the serving stack can be driven with.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -53,14 +49,6 @@ pub enum WorkloadKind {
         ramp_s: f64,
         /// Plateau duration at the peak, seconds.
         hold_s: f64,
-    },
-    /// Deterministic replay of a recorded arrival trace, rescaled to the
-    /// base rate.
-    Replay {
-        /// The recorded trace.
-        trace: ArrivalTrace,
-        /// Extend the trace periodically past its span.
-        looping: bool,
     },
 }
 
@@ -101,7 +89,6 @@ impl WorkloadKind {
             WorkloadKind::Diurnal { .. } => "diurnal",
             WorkloadKind::Mmpp { .. } => "mmpp",
             WorkloadKind::FlashCrowd { .. } => "flash-crowd",
-            WorkloadKind::Replay { .. } => "replay",
         }
     }
 }
@@ -132,10 +119,8 @@ pub struct Workload {
     kind: WorkloadKind,
     base_rps: f64,
     /// The normalized generation engine, derived once from `kind` +
-    /// `base_rps` at construction. Forecast queries and per-window process
-    /// builds reuse it instead of re-normalizing — rescaling a replay
-    /// trace clones its whole timestamp vector, which must not happen per
-    /// query.
+    /// `base_rps` at construction; forecast queries and per-window process
+    /// builds reuse it instead of re-normalizing.
     engine: Engine,
 }
 
@@ -151,12 +136,6 @@ enum Engine {
         burst_rps: f64,
         mean_calm_s: f64,
         mean_burst_s: f64,
-    },
-    /// Replay trace, already rescaled to the base rate and shared so
-    /// per-window processes don't clone the timestamps.
-    Replay {
-        trace: Arc<ArrivalTrace>,
-        looping: bool,
     },
 }
 
@@ -227,10 +206,6 @@ impl Workload {
                     mean_burst_s: *mean_burst_s,
                 }
             }
-            WorkloadKind::Replay { trace, looping } => Engine::Replay {
-                trace: Arc::new(trace.rescaled_to(base_rps)),
-                looping: *looping,
-            },
         };
         if let Engine::Curve(curve) = &engine {
             curve.validate();
@@ -263,11 +238,10 @@ impl Workload {
     }
 
     /// Expected instantaneous rate at global time `t`, req/s (stationary
-    /// mean for MMPP, empirical windowed rate for replay).
+    /// mean for MMPP).
     pub fn rate_at(&self, t: SimTime) -> f64 {
         match &self.engine {
             Engine::Mmpp { .. } => self.base_rps,
-            Engine::Replay { trace, looping } => trace.empirical_rate_at(t.as_secs(), *looping),
             Engine::Curve(curve) => curve.rate_at(t.as_secs()),
         }
     }
@@ -275,8 +249,7 @@ impl Workload {
     /// [`Workload::rate_at`] floored to a small fraction of the base rate:
     /// the rate downstream *planning* consumers (M/M/c estimates, candidate
     /// measurement windows) should use, since a forecast of exactly zero
-    /// traffic (a trace that ran dry, a diurnal trough at full amplitude)
-    /// would make those queries ill-defined.
+    /// traffic (a diurnal trough at full amplitude) would make those queries ill-defined.
     pub fn planning_rate_at(&self, t: SimTime) -> f64 {
         self.rate_at(t).max(self.base_rps * 1e-3)
     }
@@ -287,7 +260,6 @@ impl Workload {
         let (a, b) = (from.as_secs(), (from + span).as_secs());
         match &self.engine {
             Engine::Mmpp { .. } => self.base_rps,
-            Engine::Replay { trace, looping } => count_in(trace, a, b, *looping) / (b - a),
             Engine::Curve(curve) => curve.mean_over(a, b),
         }
     }
@@ -297,31 +269,12 @@ impl Workload {
     /// worst demand the forecast predicts inside my provisioning horizon").
     /// Exact for deterministic rate curves (via their critical points).
     /// MMPP bursts are not forecastable, so the stationary mean is all a
-    /// planner may know; a replay trace answers with its largest empirical
-    /// windowed rate, scanned at the rate estimator's own resolution so no
-    /// burst the estimator can resolve falls between samples.
+    /// planner may know.
     pub fn peak_over(&self, from: SimTime, span: SimDuration) -> f64 {
         assert!(!span.is_zero(), "empty forecast window");
         let (a, b) = (from.as_secs(), (from + span).as_secs());
         match &self.engine {
             Engine::Mmpp { .. } => self.base_rps,
-            Engine::Replay { trace, looping } => {
-                // The empirical rate is a centered-window estimate of
-                // width w (`ArrivalTrace::empirical_rate_at`); sampling
-                // every w/2 guarantees every instant of the lookahead is
-                // covered by some sample's window — a step wider than w
-                // would let a w-narrow burst hide between samples, which
-                // is exactly the spike a pre-warm lookahead exists to
-                // catch. The step count is bounded so a very long
-                // lookahead over a fine trace stays O(thousands) of
-                // binary searches, degrading resolution rather than cost.
-                let w = trace.rate_window_s();
-                let steps = (((b - a) / (w * 0.5)).ceil() as usize).clamp(32, 4096);
-                let h = (b - a) / steps as f64;
-                (0..=steps)
-                    .map(|i| trace.empirical_rate_at(a + h * i as f64, *looping))
-                    .fold(0.0f64, f64::max)
-            }
             Engine::Curve(curve) => curve.max_over(a, b),
         }
     }
@@ -332,7 +285,6 @@ impl Workload {
         match &self.engine {
             // Peak demand is the burst-state rate.
             Engine::Mmpp { burst_rps, .. } => *burst_rps,
-            Engine::Replay { .. } => self.base_rps, // unknowable a priori
             Engine::Curve(curve) => curve.max_rate(),
         }
     }
@@ -343,7 +295,6 @@ impl Workload {
         match &self.engine {
             // Calm-state demand is the floor.
             Engine::Mmpp { calm_rps, .. } => *calm_rps,
-            Engine::Replay { .. } => 0.0, // a recorded trace can go silent
             Engine::Curve(curve) => curve.min_rate(),
         }
     }
@@ -395,26 +346,7 @@ impl Workload {
                 *mean_calm_s,
                 *mean_burst_s,
             )),
-            Engine::Replay { trace, looping } => {
-                Box::new(TraceReplayProcess::new(Arc::clone(trace), origin, *looping))
-            }
         }
-    }
-}
-
-/// Arrivals of the (possibly periodically extended) trace in `[a, b)`.
-fn count_in(trace: &ArrivalTrace, a: f64, b: f64, looping: bool) -> f64 {
-    let times = trace.times_s();
-    if looping {
-        let span = trace.span_s();
-        let laps = |x: f64| {
-            let k = (x / span).floor();
-            let off = x - k * span;
-            k * times.len() as f64 + times.partition_point(|&t| t < off) as f64
-        };
-        laps(b) - laps(a)
-    } else {
-        (times.partition_point(|&t| t < b) - times.partition_point(|&t| t < a)) as f64
     }
 }
 
@@ -423,24 +355,12 @@ mod tests {
     use super::*;
     use clover_simkit::SimRng;
 
-    fn synthetic_trace() -> ArrivalTrace {
-        // A bursty half, a quiet half.
-        let mut times: Vec<f64> = (0..180).map(|i| i as f64 * 0.5).collect();
-        times.extend((0..20).map(|i| 90.0 + i as f64 * 4.5));
-        ArrivalTrace::new(times, 180.0)
-    }
-
-    /// Every kind, with a trace for Replay.
     fn all_kinds() -> Vec<WorkloadKind> {
         vec![
             WorkloadKind::Poisson,
             WorkloadKind::diurnal(),
             WorkloadKind::mmpp(),
             WorkloadKind::flash_crowd(),
-            WorkloadKind::Replay {
-                trace: synthetic_trace(),
-                looping: true,
-            },
         ]
     }
 
@@ -558,44 +478,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_mean_past_a_finite_trace_end_is_zero() {
-        // A non-looping replay forecasts *zero* demand beyond its span —
-        // not the base rate — so a forecast-driven scaler correctly powers
-        // down once the recorded traffic runs out. Rescaling the 180 s /
-        // 200-arrival recording to 100 req/s compresses its span to
-        // exactly 2 s (time scales by mean_rps / target_rps = 1/90).
-        let wl = Workload::new(
-            WorkloadKind::Replay {
-                trace: synthetic_trace(),
-                looping: false,
-            },
-            100.0,
-        );
-        let past = wl.windowed_mean(SimTime::from_secs(4.0), SimDuration::from_secs(2.0));
-        assert_eq!(past, 0.0);
-        // A window straddling the end only counts the recorded part: over
-        // [1 s, 3 s) all arrivals fall in [1 s, 2 s), so doubling the span
-        // beyond the end exactly halves the mean.
-        let tail = wl.windowed_mean(SimTime::from_secs(1.0), SimDuration::from_secs(1.0));
-        let straddle = wl.windowed_mean(SimTime::from_secs(1.0), SimDuration::from_secs(2.0));
-        assert!(tail > 0.0);
-        assert!(
-            (straddle - tail / 2.0).abs() < 1e-9,
-            "straddle {straddle} should be half the in-span tail mean {tail}"
-        );
-        // Looping extends the trace periodically instead.
-        let looping = Workload::new(
-            WorkloadKind::Replay {
-                trace: synthetic_trace(),
-                looping: true,
-            },
-            100.0,
-        );
-        let looped = looping.windowed_mean(SimTime::from_secs(4.0), SimDuration::from_secs(2.0));
-        assert!((looped - 100.0).abs() / 100.0 < 1e-6, "looped {looped}");
-    }
-
-    #[test]
     fn flash_crowd_spike_straddling_the_window_boundary_is_counted() {
         // Default flash crowd: 2 h period, spike opens at half-period
         // (1 h), 60 s ramps around a 300 s hold. A forecast window ending
@@ -675,44 +557,6 @@ mod tests {
         // MMPP (unforecastable bursts) answers with its stationary mean.
         let mmpp = Workload::new(WorkloadKind::mmpp(), 100.0);
         assert_eq!(mmpp.peak_over(before, span), 100.0);
-        // A replay trace reports its loudest empirical stretch.
-        let bursty = Workload::new(
-            WorkloadKind::Replay {
-                trace: synthetic_trace(),
-                looping: true,
-            },
-            100.0,
-        );
-        let p = bursty.peak_over(SimTime::ZERO, SimDuration::from_secs(2.0));
-        assert!(p > 100.0, "replay peak {p} should exceed its mean");
-    }
-
-    #[test]
-    fn replay_peak_over_resolves_bursts_narrower_than_the_scan_span() {
-        // A 36-second burst inside a one-hour recording, probed with a
-        // one-hour lookahead: a fixed coarse sampling grid (the original
-        // 32-step scan: one sample every 112.5 s against a 36 s rate
-        // window) leaves most of the lookahead unobserved and reports the
-        // baseline; scanning at the estimator's own resolution must see
-        // the burst. Keep the base rate equal to the recording's mean so
-        // no rescaling blurs the timing.
-        let mut times: Vec<f64> = (0..3600).map(|i| i as f64 + 0.5).collect(); // 1 req/s
-        times.extend((0..400).map(|i| 150.0 + i as f64 * 0.0125)); // burst at 150 s
-        let n = times.len() as f64;
-        let trace = ArrivalTrace::new(times, 3600.0);
-        let wl = Workload::new(
-            WorkloadKind::Replay {
-                trace,
-                looping: false,
-            },
-            n / 3600.0,
-        );
-        let peak = wl.peak_over(SimTime::ZERO, SimDuration::from_secs(3600.0));
-        assert!(
-            peak > wl.mean_rate() * 4.0,
-            "peak {peak} missed the burst (mean {})",
-            wl.mean_rate()
-        );
     }
 
     #[test]
@@ -723,20 +567,21 @@ mod tests {
 
     #[test]
     fn planning_rate_is_floored_above_zero() {
-        // A trace that runs dry forecasts zero demand past its end; the
+        // A full-amplitude diurnal forecasts zero demand at its trough; the
         // planning view must stay strictly positive for M/M/c estimates.
         let wl = Workload::new(
-            WorkloadKind::Replay {
-                trace: ArrivalTrace::new(vec![1.0, 2.0], 10.0),
-                looping: false,
+            WorkloadKind::Diurnal {
+                amplitude_frac: 1.0,
+                period_hours: 24.0,
+                phase_hours: 0.0,
             },
             200.0,
         );
-        let late = SimTime::from_hours(3.0);
-        assert_eq!(wl.rate_at(late), 0.0);
-        assert!(wl.planning_rate_at(late) > 0.0);
+        let trough = SimTime::from_hours(18.0);
+        assert!(wl.rate_at(trough) < 1e-9);
+        assert!(wl.planning_rate_at(trough) >= 200.0 * 1e-3);
         // For live demand the floor is invisible.
         let poisson = Workload::poisson(150.0);
-        assert_eq!(poisson.planning_rate_at(late), 150.0);
+        assert_eq!(poisson.planning_rate_at(trough), 150.0);
     }
 }

@@ -5,11 +5,10 @@
 //!
 //! The paper evaluates Clover only under open-loop homogeneous Poisson
 //! arrivals (Sec. 5.1). Real inference fleets see much more: diurnal
-//! day/night cycles, bursty on/off traffic, flash crowds, and — most
-//! importantly for reproduction studies — replayed production traces. This
-//! crate owns all of that so the serving, scheduling, and (future)
-//! autoscaling layers can be exercised under any traffic scenario without
-//! knowing how it is generated.
+//! day/night cycles, bursty on/off traffic and flash crowds. This crate
+//! owns all of that so the serving, scheduling and autoscaling layers can
+//! be exercised under any traffic scenario without knowing how it is
+//! generated.
 //!
 //! ## Architecture
 //!
@@ -20,10 +19,8 @@
 //! - [`process`] — the implementations:
 //!   [`PoissonProcess`] (homogeneous, extracted from the serving
 //!   simulator's original hardcoded path), [`NhppProcess`] (non-homogeneous
-//!   Poisson via Lewis–Shedler thinning over a [`RateCurve`]),
-//!   [`MmppProcess`] (two-state Markov-modulated Poisson: calm/burst), and
-//!   [`TraceReplayProcess`] (deterministic replay of recorded arrival
-//!   timestamps, optionally looping).
+//!   Poisson via Lewis–Shedler thinning over a [`RateCurve`]) and
+//!   [`MmppProcess`] (two-state Markov-modulated Poisson: calm/burst).
 //! - [`rate`] — [`RateCurve`]: constant, diurnal sinusoid and flash-crowd
 //!   (periodic trapezoid spike) shapes with exact instantaneous lookup and
 //!   numeric window means.
@@ -32,22 +29,18 @@
 //!   [`Workload`] (a kind bound to a base rate), whose forecast queries —
 //!   `rate_at(t)`, windowed means and peaks — schedulers use to plan
 //!   capacity.
-//! - [`trace_io`] — [`ArrivalTrace`]: recorded arrival timestamps with
-//!   rate rescaling and CSV round-tripping (same I/O idiom as
-//!   `clover_carbon`'s trace CSV).
 //!
 //! ## Conventions
 //!
-//! All synthetic kinds are **normalized to a base rate**: the long-run mean
-//! arrival rate of every process equals the `base_rps` the [`Workload`] was
-//! built with, so experiments stay comparable across scenarios — the same
-//! total demand, shaped differently. Trace replays are rescaled to the base
-//! rate the same way.
+//! All kinds are **normalized to a base rate**: the long-run mean arrival
+//! rate of every process equals the `base_rps` the [`Workload`] was built
+//! with, so experiments stay comparable across scenarios — the same total
+//! demand, shaped differently.
 //!
 //! Processes are created per measurement window via
 //! [`Workload::process_from`], with the window's origin on the global
-//! simulation clock; rate curves and trace replays are therefore sampled in
-//! global time while the serving simulator keeps its window-local clock.
+//! simulation clock; rate curves are therefore sampled in global time
+//! while the serving simulator keeps its window-local clock.
 //!
 //! ```
 //! use clover_workload::{Workload, WorkloadKind};
@@ -69,9 +62,7 @@
 pub mod descriptor;
 pub mod process;
 pub mod rate;
-pub mod trace_io;
 
 pub use descriptor::{Workload, WorkloadKind};
-pub use process::{ArrivalProcess, MmppProcess, NhppProcess, PoissonProcess, TraceReplayProcess};
+pub use process::{ArrivalProcess, MmppProcess, NhppProcess, PoissonProcess};
 pub use rate::RateCurve;
-pub use trace_io::{ArrivalTrace, TraceParseError};

@@ -3,27 +3,23 @@
 //! A process is sampled in **window-local time**: the serving simulator
 //! starts its clock at zero for every measurement window and pulls arrivals
 //! forward with [`ArrivalProcess::next_after`]. Processes that depend on
-//! absolute simulation time (rate curves, trace replay) carry their window's
-//! origin internally, set when [`crate::Workload::process_from`] builds
-//! them.
+//! absolute simulation time (rate curves) carry their window's origin
+//! internally, set when [`crate::Workload::process_from`] builds them.
 //!
 //! Every implementation draws randomness exclusively from the
 //! [`SimRng`] handed in by the caller, so a fixed seed reproduces the exact
 //! arrival stream — the property the whole benchmark harness rests on.
 
 use crate::rate::RateCurve;
-use crate::trace_io::ArrivalTrace;
 use clover_simkit::{SimRng, SimTime};
-use std::sync::Arc;
 
 /// A point process generating request arrival times.
 ///
 /// Implementations must be *monotone*: calls arrive with non-decreasing
-/// `now`, and the returned time is `>= now` (strictly greater except for
-/// simultaneous arrivals recorded in a trace).
+/// `now`, and the returned time is `>= now`.
 pub trait ArrivalProcess {
     /// The next arrival at or after `now` (window-local seconds), or `None`
-    /// when the process is exhausted (finite, non-looping trace).
+    /// once the process produces no more arrivals.
     fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime>;
 
     /// Expected instantaneous arrival rate at window-local time `t`, req/s.
@@ -236,89 +232,6 @@ impl ArrivalProcess for MmppProcess {
     }
 }
 
-/// Deterministic replay of recorded arrival timestamps.
-///
-/// Replay consumes no randomness: two replays of the same trace produce the
-/// same arrival stream regardless of seed (service jitter still varies —
-/// it draws from a different RNG sub-stream). With `looping`, the trace is
-/// extended periodically with its span; otherwise the process exhausts at
-/// the end of the recording and returns `None`.
-#[derive(Debug, Clone)]
-pub struct TraceReplayProcess {
-    /// Shared so per-window replayers of one workload don't clone the
-    /// timestamp vector.
-    trace: Arc<ArrivalTrace>,
-    origin_s: f64,
-    looping: bool,
-    /// Next candidate index into the trace.
-    cursor: usize,
-    /// How many full spans have been consumed ahead of the origin.
-    wraps: f64,
-    started: bool,
-}
-
-impl TraceReplayProcess {
-    /// Creates a replayer whose local zero sits at `origin` on the global
-    /// clock. The trace is replayed as recorded; rescale it first (see
-    /// [`ArrivalTrace::rescaled_to`]) to hit a target rate.
-    pub fn new(trace: impl Into<Arc<ArrivalTrace>>, origin: SimTime, looping: bool) -> Self {
-        TraceReplayProcess {
-            trace: trace.into(),
-            origin_s: origin.as_secs(),
-            looping,
-            cursor: 0,
-            wraps: 0.0,
-            started: false,
-        }
-    }
-
-    /// Positions the cursor at the first event at or after global time
-    /// `target_s` (an arrival recorded exactly at the window origin is
-    /// replayed, matching the `t < b` boundary the forecast counts with).
-    fn seek(&mut self, target_s: f64) {
-        let span = self.trace.span_s();
-        let times = self.trace.times_s();
-        if self.looping {
-            let k = (target_s / span).floor();
-            let offset = target_s - k * span;
-            self.wraps = k;
-            self.cursor = times.partition_point(|&t| t < offset);
-        } else {
-            self.wraps = 0.0;
-            self.cursor = times.partition_point(|&t| t < target_s);
-        }
-    }
-}
-
-impl ArrivalProcess for TraceReplayProcess {
-    fn next_after(&mut self, now: SimTime, _rng: &mut SimRng) -> Option<SimTime> {
-        if !self.started {
-            self.started = true;
-            self.seek(self.origin_s + now.as_secs());
-        }
-        let times = self.trace.times_s();
-        if self.cursor >= times.len() {
-            if !self.looping {
-                return None;
-            }
-            self.cursor = 0;
-            self.wraps += 1.0;
-        }
-        let global = self.wraps * self.trace.span_s() + times[self.cursor];
-        self.cursor += 1;
-        Some(SimTime::from_secs((global - self.origin_s).max(0.0)))
-    }
-
-    fn rate_at(&self, t: SimTime) -> f64 {
-        self.trace
-            .empirical_rate_at(self.origin_s + t.as_secs(), self.looping)
-    }
-
-    fn mean_rate(&self) -> f64 {
-        self.trace.mean_rps()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,55 +302,6 @@ mod tests {
         let mean = buckets.iter().sum::<f64>() / buckets.len() as f64;
         let var = buckets.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / buckets.len() as f64;
         assert!(var > mean * 2.0, "var {var} vs mean {mean}");
-    }
-
-    #[test]
-    fn replay_is_exact_and_seed_independent() {
-        let trace = ArrivalTrace::new(vec![0.5, 1.0, 1.0, 2.5], 4.0);
-        let mut a = TraceReplayProcess::new(trace.clone(), SimTime::ZERO, false);
-        let mut b = TraceReplayProcess::new(trace, SimTime::ZERO, false);
-        let ea = drain(&mut a, 10.0, 7);
-        let eb = drain(&mut b, 10.0, 1234);
-        assert_eq!(ea, eb);
-        assert_eq!(ea, vec![0.5, 1.0, 1.0, 2.5]);
-    }
-
-    #[test]
-    fn replay_loops_with_span_period() {
-        let trace = ArrivalTrace::new(vec![1.0, 3.0], 4.0);
-        let mut p = TraceReplayProcess::new(trace, SimTime::ZERO, true);
-        let events = drain(&mut p, 12.0, 0);
-        assert_eq!(events, vec![1.0, 3.0, 5.0, 7.0, 9.0, 11.0]);
-    }
-
-    #[test]
-    fn replay_respects_origin() {
-        let trace = ArrivalTrace::new(vec![1.0, 3.0], 4.0);
-        // Origin 4.5 lands mid second lap: first event is 5.0 global = 0.5.
-        let mut p = TraceReplayProcess::new(trace, SimTime::from_secs(4.5), true);
-        let events = drain(&mut p, 6.0, 0);
-        assert_eq!(events, vec![0.5, 2.5, 4.5]);
-    }
-
-    #[test]
-    fn replay_includes_arrival_at_exactly_the_origin() {
-        // An arrival recorded at t = 0 must replay (the forecast counts
-        // with t < b boundaries, so [0, b) includes it).
-        let trace = ArrivalTrace::new(vec![0.0, 1.0], 2.0);
-        let mut p = TraceReplayProcess::new(trace, SimTime::ZERO, false);
-        assert_eq!(drain(&mut p, 10.0, 0), vec![0.0, 1.0]);
-    }
-
-    #[test]
-    fn replay_exhausts_without_looping() {
-        let trace = ArrivalTrace::new(vec![1.0], 2.0);
-        let mut p = TraceReplayProcess::new(trace, SimTime::ZERO, false);
-        let mut rng = SimRng::new(0);
-        assert_eq!(
-            p.next_after(SimTime::ZERO, &mut rng),
-            Some(SimTime::from_secs(1.0))
-        );
-        assert_eq!(p.next_after(SimTime::from_secs(1.0), &mut rng), None);
     }
 
     #[test]

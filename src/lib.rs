@@ -11,7 +11,7 @@
 //! - [`mig`] — Multi-Instance GPU substrate (slice types, 19 configs, power)
 //! - [`models`] — model-variant zoo with latency/energy/accuracy models
 //! - [`workload`] — traffic generation: arrival processes (Poisson, diurnal,
-//!   MMPP, flash-crowd, trace replay) and workload descriptors
+//!   MMPP, flash-crowd) and workload descriptors
 //! - [`serving`] — inference serving simulator (queue, dispatch, metrics)
 //! - [`core`] — the Clover optimizer, controller, and competing schemes
 //! - [`router`] — geo-distributed serving: regional fleets and the global

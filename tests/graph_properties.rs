@@ -8,8 +8,9 @@
 use clover::core::graph::ConfigGraph;
 use clover::core::neighbors::NeighborSampler;
 use clover::core::schedulers::random_raw_deployment;
-use clover::mig::{Packer, Partitioning};
+use clover::mig::{Packer, Partitioning, SliceType};
 use clover::models::zoo::Application;
+use clover::models::VariantId;
 use clover::simkit::SimRng;
 
 const APPS: [Application; 3] = [
@@ -71,15 +72,17 @@ fn graph_additivity() {
         let mut rng = SimRng::new(seed);
         let a = random_raw_deployment(&family, 3, &mut rng);
         let b = random_raw_deployment(&family, 2, &mut rng);
-        let mut sum = ConfigGraph::from_deployment(&family, &a);
-        sum.add(&ConfigGraph::from_deployment(&family, &b));
-        assert_eq!(
-            sum.total_weight() as usize,
-            a.n_instances() + b.n_instances()
+        let (ga, gb) = (
+            ConfigGraph::from_deployment(&family, &a),
+            ConfigGraph::from_deployment(&family, &b),
         );
-        let mut back = sum.clone();
-        back.subtract(&ConfigGraph::from_deployment(&family, &b));
-        assert_eq!(back, ConfigGraph::from_deployment(&family, &a));
+        let mut sum = ga.clone();
+        sum.add(&gb);
+        for v in (0..family.len()).map(|v| VariantId(v as u8)) {
+            for s in SliceType::ALL {
+                assert_eq!(sum.weight(v, s), ga.weight(v, s) + gb.weight(v, s));
+            }
+        }
     }
 }
 

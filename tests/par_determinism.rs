@@ -66,21 +66,6 @@ fn par_map_grid_is_bit_identical_to_serial() {
     }
 }
 
-/// The multi-seed entry point honors seed order and matches per-cell
-/// serial construction.
-#[test]
-fn run_many_matches_individual_runs() {
-    let base = cfg(SchemeKind::Clover, 0);
-    let outs = Experiment::run_many(&base, &SEEDS, 4);
-    assert_eq!(outs.len(), SEEDS.len());
-    for (seed, out) in SEEDS.into_iter().zip(outs.iter()) {
-        let reference = Experiment::new(cfg(SchemeKind::Clover, seed)).run();
-        assert_outcomes_identical(&reference, out, &format!("seed {seed}"));
-    }
-    // Distinct seeds really are distinct experiments.
-    assert_ne!(outs[0].digest(), outs[1].digest());
-}
-
 /// Thread count is irrelevant to the result: 2, 3 and 8 workers all
 /// reproduce the same digests.
 #[test]
