@@ -1,17 +1,10 @@
-//! Common scaffolding for the figure-regeneration binaries.
+//! Common scaffolding for the figure specs in [`crate::figures`].
 //!
-//! Every figure/table of the paper has a binary in `src/bin/`; they share
-//! the experiment plumbing here. The environment variable
-//! `CLOVER_BENCH_SCALE` (default 1.0) scales the simulated horizon so smoke
-//! runs finish quickly; 1.0 is the paper's full 48 h.
-//!
-//! Experiment grids (scheme × application × seed × λ) fan out over the
-//! deterministic parallel engine: [`run_cells`]/[`run_grid`] go through
-//! `Experiment::run_cells`, which builds every cell first (so cells that
-//! share a BASE reference or calibration window compute it once) and then
-//! runs them through `clover-simkit`'s LPT-ordered `par_map_lpt`. The
-//! figures print byte-identical numbers at any thread count
-//! (`CLOVER_THREADS` to pin, default: the machine's parallelism).
+//! The environment variable `CLOVER_BENCH_SCALE` (default 1.0) scales the
+//! simulated horizon so smoke runs finish quickly; 1.0 is the paper's full
+//! 48 h. [`std_config`] is the standard Sec. 5.1 cell most paper figures
+//! share; the journal helpers read and write the decision-journal
+//! artifacts and gates of the beyond-the-paper figures.
 //!
 //! Output goes through `clover-telemetry`'s leveled [`log_line!`] facility:
 //! `CLOVER_LOG=quiet` silences the tables (machine-read artifacts like
@@ -19,7 +12,7 @@
 //! `info` (the default) prints them.
 
 use clover_carbon::Region;
-use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
+use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
 use clover_telemetry::TelemetryReport;
@@ -92,34 +85,6 @@ pub fn std_config(app: Application, scheme: SchemeKind) -> ExperimentConfig {
         .build()
 }
 
-/// Builds and runs the standard experiment.
-pub fn run_std(app: Application, scheme: SchemeKind) -> ExperimentOutcome {
-    Experiment::new(std_config(app, scheme)).run()
-}
-
-/// Worker threads for experiment fan-out: `CLOVER_THREADS` when set,
-/// otherwise the machine's available parallelism.
-pub fn bench_threads() -> usize {
-    clover_simkit::default_threads()
-}
-
-/// Runs a batch of experiment cells in parallel (outcomes in input order,
-/// byte-identical to a serial run — every cell is self-seeded).
-pub fn run_cells(configs: Vec<ExperimentConfig>) -> Vec<ExperimentOutcome> {
-    Experiment::run_cells(configs, bench_threads())
-}
-
-/// Runs the standard experiment for every `(app, scheme)` cell in parallel,
-/// outcomes in input order.
-pub fn run_grid(cells: &[(Application, SchemeKind)]) -> Vec<ExperimentOutcome> {
-    run_cells(
-        cells
-            .iter()
-            .map(|&(app, scheme)| std_config(app, scheme))
-            .collect(),
-    )
-}
-
 /// Writes a figure's decision-journal artifact to `path`: for each cell,
 /// its `marker` line (a one-line JSON object naming the cell), then that
 /// cell's journal verbatim. Journals are deterministic, so the artifact
@@ -135,17 +100,60 @@ pub fn write_journals<'a>(
     for (marker, report) in cells {
         out.push_str(&marker);
         out.push('\n');
-        if let Some(j) = report.journal.as_ref() {
-            out.push_str(j.as_str());
-        }
+        out.push_str(journal(report));
     }
     std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
+}
+
+/// The text of `report`'s decision journal, empty when none was kept.
+pub fn journal(report: &TelemetryReport) -> &str {
+    report.journal.as_ref().map_or("", |j| j.as_str())
 }
 
 /// Lines of `journal` recording an `event` event.
 pub fn count_events(journal: &str, event: &str) -> usize {
     let needle = format!("\"event\":\"{event}\"");
     journal.lines().filter(|l| l.contains(&needle)).count()
+}
+
+/// Conservation checkpoints in `journal` that did not close (leak ≠ 0).
+pub fn journal_leaks(journal: &str) -> usize {
+    journal
+        .lines()
+        .filter(|l| l.contains("\"event\":\"conservation\"") && !l.contains("\"leak\":0"))
+        .count()
+}
+
+/// The determinism gate: each cell's serial replay must reproduce its
+/// parallel run's outcome `digest` and decision journal. Prints every
+/// diverging cell, named by its label, to stderr.
+///
+/// # Errors
+/// When any cell diverged, naming `gate` and how many did.
+pub fn replay_gate<O>(
+    gate: &str,
+    labels: impl IntoIterator<Item = impl std::fmt::Display>,
+    parallel: &[&(O, TelemetryReport)],
+    serial: &[(O, TelemetryReport)],
+    digest: fn(&O) -> u64,
+) -> Result<(), String> {
+    let mut mismatches = 0;
+    for ((label, (p_out, p_rep)), (s_out, s_rep)) in labels.into_iter().zip(parallel).zip(serial) {
+        let (sd, pd) = (digest(s_out), digest(p_out));
+        let journals_match = journal(s_rep) == journal(p_rep);
+        if sd != pd || !journals_match {
+            mismatches += 1;
+            eprintln!(
+                "DIGEST MISMATCH {label}: serial {sd:#018X} != parallel {pd:#018X} (journals match: {journals_match})"
+            );
+        }
+    }
+    if mismatches > 0 {
+        return Err(format!(
+            "{gate} determinism gate FAILED: {mismatches} cell(s) diverged"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

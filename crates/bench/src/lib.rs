@@ -1,12 +1,15 @@
 //! # clover-bench
 //!
-//! The evaluation harness: one binary per table/figure of the paper under
-//! `src/bin/` (`fig01`–`fig16`, `table1`, `ablation_ged`, plus the
-//! beyond-the-paper `fig_autoscale` elastic-fleet study and the
-//! `perf_report` determinism gate), and this library of shared scaffolding
-//! ([`harness`]): figure headers/rows, the standard Sec. 5.1 experiment
-//! configuration, and parallel grid fan-out (`run_cells`/`run_grid`).
-//! Timing lives in the repository benchmark (`python3 perfbench/run.py`).
+//! The evaluation harness. [`figures`] holds every table and figure of the
+//! paper (`fig01`–`fig16`, `table1`, `est01`, `ablation_ged`) and the
+//! beyond-the-paper studies (`fig_autoscale`, `fig_flashcrowd`,
+//! `fig_resilience`, `fig_georouting`) as specs, which the `figures` binary
+//! runs over one deduplicated cell set: `figures fig10` renders one,
+//! `figures` all of them. [`harness`] is their shared scaffolding: figure
+//! headers and rows, the standard Sec. 5.1 experiment configuration, and
+//! the decision-journal artifacts and gates. The `perf_report` binary is
+//! the engine's determinism gate. Timing lives in the repository
+//! benchmark (`python3 perfbench/run.py`).
 //!
 //! Environment knobs honored by the binaries:
 //!
@@ -18,6 +21,7 @@
 
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod harness;
 
 pub use harness::*;

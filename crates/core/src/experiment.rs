@@ -60,7 +60,7 @@ pub enum TraceSource {
 }
 
 /// Full specification of one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentConfig {
     /// Application under test.
     pub app: Application,

@@ -97,11 +97,6 @@ impl Packer {
     }
 }
 
-/// One-shot convenience wrapper around [`Packer::decompose`].
-pub fn decompose(census: &SliceCensus, n_gpus: usize) -> Option<Vec<MigConfig>> {
-    Packer::new().decompose(census, n_gpus)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,6 +200,8 @@ mod tests {
 
     #[test]
     fn one_shot_helper() {
-        assert!(decompose(&MigConfig::new(10).census(), 1).is_some());
+        assert!(Packer::new()
+            .decompose(&MigConfig::new(10).census(), 1)
+            .is_some());
     }
 }

@@ -36,10 +36,6 @@ impl ArrivalProcess for NoArrivals {
         None
     }
 
-    fn rate_at(&self, _t: SimTime) -> f64 {
-        0.0
-    }
-
     fn mean_rate(&self) -> f64 {
         0.0
     }

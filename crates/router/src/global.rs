@@ -68,7 +68,7 @@ const TRANSFER_LATENCY_S: f64 = 0.08;
 const FORECAST_LOOKAHEAD_H: f64 = 3.0;
 
 /// Full specification of one multi-region serving run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RouterConfig {
     /// Application under test (served in every region).
     pub app: Application,

@@ -1024,10 +1024,6 @@ mod tests {
             self.0.next().map(SimTime::from_secs)
         }
 
-        fn rate_at(&self, _t: SimTime) -> f64 {
-            0.0
-        }
-
         fn mean_rate(&self) -> f64 {
             0.0
         }

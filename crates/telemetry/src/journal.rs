@@ -54,9 +54,7 @@ pub(crate) fn escape_json(s: &str) -> String {
 #[derive(Debug, Clone)]
 enum FieldValue {
     U64(u64),
-    I64(i64),
     F64(f64),
-    Bool(bool),
     Str(String),
 }
 
@@ -66,13 +64,7 @@ impl FieldValue {
             FieldValue::U64(v) => {
                 let _ = write!(out, "{v}");
             }
-            FieldValue::I64(v) => {
-                let _ = write!(out, "{v}");
-            }
             FieldValue::F64(v) => out.push_str(&fmt_f64(*v)),
-            FieldValue::Bool(v) => {
-                let _ = write!(out, "{v}");
-            }
             FieldValue::Str(v) => {
                 out.push('"');
                 out.push_str(&escape_json(v));
@@ -84,7 +76,7 @@ impl FieldValue {
 
 /// One journal event under construction: a name, a simulation timestamp,
 /// and an ordered list of fields. Build with the chained `u64`/`f64`/
-/// `str`/`bool` methods, then hand to [`Journal::push`] (or
+/// `str` methods, then hand to [`Journal::push`] (or
 /// `Telemetry::emit`).
 #[derive(Debug, Clone)]
 pub struct Event {
@@ -109,21 +101,9 @@ impl Event {
         self
     }
 
-    /// Append a signed integer field.
-    pub fn i64(mut self, key: &'static str, v: i64) -> Self {
-        self.fields.push((key, FieldValue::I64(v)));
-        self
-    }
-
     /// Append a float field (non-finite values render as `null`).
     pub fn f64(mut self, key: &'static str, v: f64) -> Self {
         self.fields.push((key, FieldValue::F64(v)));
-        self
-    }
-
-    /// Append a boolean field.
-    pub fn bool(mut self, key: &'static str, v: bool) -> Self {
-        self.fields.push((key, FieldValue::Bool(v)));
         self
     }
 
@@ -210,13 +190,12 @@ mod tests {
             Event::new("epoch_begin", SimTime::from_secs(120.0))
                 .u64("epoch", 1)
                 .f64("ci", 412.5)
-                .str("scheme", "CLOVER")
-                .bool("trigger", true),
+                .str("scheme", "CLOVER"),
         );
         assert_eq!(
             j.as_str(),
             "{\"t_s\":120,\"event\":\"epoch_begin\",\"epoch\":1,\"ci\":412.5,\
-             \"scheme\":\"CLOVER\",\"trigger\":true}\n"
+             \"scheme\":\"CLOVER\"}\n"
         );
         assert_eq!(j.len(), 1);
     }

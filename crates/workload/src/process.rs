@@ -22,12 +22,6 @@ pub trait ArrivalProcess {
     /// once the process produces no more arrivals.
     fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime>;
 
-    /// Expected instantaneous arrival rate at window-local time `t`, req/s.
-    ///
-    /// For doubly-stochastic processes (MMPP) whose true instantaneous rate
-    /// is itself random, this is the stationary expectation.
-    fn rate_at(&self, t: SimTime) -> f64;
-
     /// Long-run mean arrival rate, req/s.
     fn mean_rate(&self) -> f64;
 }
@@ -63,10 +57,6 @@ impl PoissonProcess {
 impl ArrivalProcess for PoissonProcess {
     fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
         Some(now + clover_simkit::SimDuration::from_secs(rng.exponential(self.rate_rps)))
-    }
-
-    fn rate_at(&self, _t: SimTime) -> f64 {
-        self.rate_rps
     }
 
     fn mean_rate(&self) -> f64 {
@@ -122,10 +112,6 @@ impl ArrivalProcess for NhppProcess {
         }
     }
 
-    fn rate_at(&self, t: SimTime) -> f64 {
-        self.curve.rate_at(self.origin_s + t.as_secs())
-    }
-
     fn mean_rate(&self) -> f64 {
         self.curve.long_run_mean()
     }
@@ -136,9 +122,9 @@ impl ArrivalProcess for NhppProcess {
 ///
 /// The initial state is drawn from the stationary distribution on the first
 /// `next_after` call (from the caller's RNG, so it is seed-deterministic).
-/// [`ArrivalProcess::rate_at`] reports the stationary mean — the modulating
-/// chain is not observable to forecasters, which is exactly what makes MMPP
-/// traffic hard on schedulers.
+/// [`ArrivalProcess::mean_rate`] reports the stationary mean — the
+/// modulating chain is not observable to forecasters, which is exactly
+/// what makes MMPP traffic hard on schedulers.
 #[derive(Debug, Clone)]
 pub struct MmppProcess {
     calm_rps: f64,
@@ -220,10 +206,6 @@ impl ArrivalProcess for MmppProcess {
             burst = !burst;
             switch_s = t + rng.exponential(self.sojourn_rate(burst));
         }
-    }
-
-    fn rate_at(&self, _t: SimTime) -> f64 {
-        self.mean_rate()
     }
 
     fn mean_rate(&self) -> f64 {
