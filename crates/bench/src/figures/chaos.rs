@@ -3,7 +3,7 @@
 //! a regional outage (Fig. A4). Both gate determinism by replaying cells
 //! serially against the suite's parallel runs.
 
-use super::Spec;
+use super::{Grid, Spec};
 use crate::{
     count_events, header, journal, journal_leaks, log_line, replay_gate, scaled_horizon,
     write_journals, LogLevel,
@@ -11,11 +11,11 @@ use crate::{
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::chaos::{ChaosConfig, FaultSpec};
 use clover_core::control::Fidelity;
-use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
+use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
-use clover_router::{GlobalOutcome, GlobalRouter, RouterConfig, ROUTE_POLICIES};
-use clover_telemetry::{TelemetryReport, TelemetrySpec};
+use clover_router::{GlobalOutcome, RouterConfig, ROUTE_POLICIES};
+use clover_telemetry::TelemetryReport;
 
 fn resilience_config(scheme: SchemeKind, mtbf_hours: f64) -> ExperimentConfig {
     ExperimentConfig::builder(Application::ImageClassification)
@@ -55,7 +55,10 @@ pub(super) fn resilience() -> Spec {
             cells.push(resilience_config(scheme, mtbf));
         }
     }
-    let harsh_cells = cells[2 * schemes.len()..].to_vec();
+    let replay = Grid {
+        cells: cells[2 * schemes.len()..].to_vec(),
+        routed: Vec::new(),
+    };
     Spec::checked(cells, Vec::new(), move |runs| {
         header(
             "Fig. A3 (beyond the paper)",
@@ -146,12 +149,11 @@ pub(super) fn resilience() -> Spec {
         // and require byte-identical digests and journals against the parallel
         // grid. This is the property that makes a resilience study citable —
         // the faults are part of the experiment, not noise.
-        let serial = Experiment::run_cells_with(harsh_cells, 1, TelemetrySpec::JOURNAL);
         replay_gate(
             "chaos",
             schemes.map(|s| s.label()),
             harsh,
-            &serial,
+            &runs.replay.experiments,
             ExperimentOutcome::digest,
         )?;
         log_line!(
@@ -167,6 +169,7 @@ pub(super) fn resilience() -> Spec {
         );
         Ok(())
     })
+    .replaying(replay)
 }
 
 /// Each cell's journal artifact marker, naming its label, with its report.
@@ -377,8 +380,13 @@ pub(super) fn georouting() -> Spec {
 
         // The multi-region determinism gate: replay the whole grid serially
         // and require byte-identical digests against the parallel run.
-        let serial = GlobalRouter::run_cells_with(configs, 1, TelemetrySpec::JOURNAL);
-        replay_gate("georouting", &labels, pairs, &serial, GlobalOutcome::digest)?;
+        replay_gate(
+            "georouting",
+            &labels,
+            pairs,
+            &runs.replay.routed,
+            GlobalOutcome::digest,
+        )?;
         log_line!(
             LogLevel::Info,
             "determinism gate: serial == parallel digests and journals for all {} cells",
@@ -390,5 +398,9 @@ pub(super) fn georouting() -> Spec {
             labels.len()
         );
         Ok(())
+    })
+    .replaying(Grid {
+        cells: Vec::new(),
+        routed: configs,
     })
 }

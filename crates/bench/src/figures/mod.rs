@@ -10,6 +10,11 @@
 //! §5.2.1 all read the same 12 standard cells — and the BASE references and
 //! calibration windows of equal cells. Figures without a grid have no cells
 //! and compute in their render step.
+//!
+//! A figure may also name a replay grid, which its render step checks
+//! against its parallel runs. Once the union has run, every selected replay
+//! grid runs at once, each serially on a worker of its own; the render step
+//! then reads its replay.
 
 use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover_router::{GlobalOutcome, GlobalRouter, RouterConfig};
@@ -39,6 +44,8 @@ pub struct Spec {
     pub cells: Vec<ExperimentConfig>,
     /// The multi-region cells it renders, in the order it reads them.
     pub routed: Vec<RouterConfig>,
+    /// The cells it replays serially to check its runs against.
+    replay: Grid,
     render: Box<dyn FnOnce(&Runs) -> Verdict>,
 }
 
@@ -66,9 +73,40 @@ impl Spec {
         Spec {
             cells,
             routed,
+            replay: Grid::default(),
             render,
         }
     }
+
+    /// This figure, replaying `replay` serially for its render to check.
+    fn replaying(self, replay: Grid) -> Spec {
+        Spec { replay, ..self }
+    }
+}
+
+/// Single-cluster and multi-region cells.
+#[derive(Default)]
+struct Grid {
+    cells: Vec<ExperimentConfig>,
+    routed: Vec<RouterConfig>,
+}
+
+impl Grid {
+    /// Runs every cell on `threads` workers with the decision journal on.
+    fn run(self, threads: usize) -> GridRuns {
+        GridRuns {
+            experiments: Experiment::run_cells_with(self.cells, threads, TelemetrySpec::JOURNAL),
+            routed: GlobalRouter::run_cells_with(self.routed, threads, TelemetrySpec::JOURNAL),
+        }
+    }
+}
+
+/// A grid's runs, in its cells' order.
+pub struct GridRuns {
+    /// One per single-cluster cell.
+    pub experiments: Vec<(ExperimentOutcome, TelemetryReport)>,
+    /// One per multi-region cell.
+    pub routed: Vec<(GlobalOutcome, TelemetryReport)>,
 }
 
 /// The runs of one figure's cells, in the order its [`Spec`] lists them.
@@ -77,6 +115,8 @@ pub struct Runs<'a> {
     pub experiments: Vec<&'a (ExperimentOutcome, TelemetryReport)>,
     /// One per entry of [`Spec::routed`].
     pub routed: Vec<&'a (GlobalOutcome, TelemetryReport)>,
+    /// The serial runs of the figure's replay grid.
+    pub replay: &'a GridRuns,
 }
 
 impl<'a> Runs<'a> {
@@ -147,26 +187,41 @@ fn dedup<T: PartialEq>(set: &mut Vec<T>, cells: Vec<T>) -> Vec<usize> {
         .collect()
 }
 
-/// Runs the union of `figures`' cells once on `threads` workers, then
-/// renders each figure in order. Returns one line per failed check, each
-/// naming its figure.
+/// Runs every grid serially, all at once on a worker apiece; runs come
+/// back in `grids` order.
+fn replay_all(grids: Vec<Grid>) -> Vec<GridRuns> {
+    let size = |g: &Grid| g.cells.len() + g.routed.len();
+    let busy = grids.iter().filter(|g| size(g) > 0).count();
+    // Largest first, so each non-empty grid takes a worker of its own.
+    clover_simkit::par_map_lpt(grids, busy, |g| size(g) as f64, |g| g.run(1))
+}
+
+/// Runs the union of `figures`' cells once on `threads` workers, then their
+/// replay grids, then renders each figure in order. Returns one line per
+/// failed check, each naming its figure.
 pub fn run(figures: Vec<(&str, Spec)>, threads: usize) -> Vec<String> {
-    let (mut cells, mut routed) = (Vec::new(), Vec::new());
+    let (mut union, mut replays) = (Grid::default(), Vec::new());
     let picked: Vec<_> = figures
         .into_iter()
         .map(|(name, spec)| {
-            let c = dedup(&mut cells, spec.cells);
-            (name, c, dedup(&mut routed, spec.routed), spec.render)
+            let c = dedup(&mut union.cells, spec.cells);
+            let r = dedup(&mut union.routed, spec.routed);
+            replays.push(spec.replay);
+            (name, c, r, spec.render)
         })
         .collect();
-    let cell_runs = Experiment::run_cells_with(cells, threads, TelemetrySpec::JOURNAL);
-    let routed_runs = GlobalRouter::run_cells_with(routed, threads, TelemetrySpec::JOURNAL);
+    let union_runs = union.run(threads);
+    // Only now: the union's cells are gone, so no replay cell can share a
+    // BASE reference or calibration window with the run it checks.
+    let replayed = replay_all(replays);
     picked
         .into_iter()
-        .filter_map(|(name, c, r, render)| {
+        .zip(&replayed)
+        .filter_map(|((name, c, r, render), replay)| {
             let runs = Runs {
-                experiments: c.iter().map(|&i| &cell_runs[i]).collect(),
-                routed: r.iter().map(|&i| &routed_runs[i]).collect(),
+                experiments: c.iter().map(|&i| &union_runs.experiments[i]).collect(),
+                routed: r.iter().map(|&i| &union_runs.routed[i]).collect(),
+                replay,
             };
             render(&runs).err().map(|check| format!("{name}: {check}"))
         })

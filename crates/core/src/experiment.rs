@@ -30,7 +30,8 @@
 //! synchronized BASE run over the same trace and seeds provides the
 //! reference for carbon savings, accuracy loss, and normalized SLA latency.
 //! Neither it nor the calibration window reads the scheme, so live
-//! experiments whose inputs match share one computation of each.
+//! experiments whose inputs match share one computation of each (the
+//! window also with multi-region routers).
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
@@ -627,7 +628,7 @@ impl ExperimentOutcome {
 /// The BASE yardstick of Sec. 5.1: the rate BASE is offered at the
 /// utilization target, and the p95 (→ the SLA) and energy per request
 /// (→ `C_base`) a calibration window measures there. The experiment and
-/// the multi-region router both derive theirs here.
+/// the multi-region router both get theirs from [`BaseYardstick::shared`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaseYardstick {
     /// Offered base rate across every share, req/s.
@@ -641,15 +642,37 @@ pub struct BaseYardstick {
 }
 
 impl BaseYardstick {
-    /// Derives the yardstick of `shares` BASE deployments of `base_gpus`
-    /// GPUs each (1 for a cluster, one per region for the router): the
-    /// rate is their analytic capacity times `utilization`, and one of
-    /// them is calibrated at its share. The window is long enough that the
-    /// p95's sampling noise sits well inside the SLA headroom.
+    /// The yardstick of `shares` BASE deployments of `base_gpus` GPUs each
+    /// (1 for a cluster, one per region for the router), with the slot it
+    /// lives in: the rate is their analytic capacity times `utilization`,
+    /// and one of them is calibrated at its share. Every live cell with
+    /// equal `(app, base_gpus, shares, utilization, seed)` gets the same
+    /// slot and the first to ask derives it there, so a cell holds the slot
+    /// while it lives. `family` and `perf` must be `app.family()` and the
+    /// model the cell serves on; the key omits them.
     ///
     /// # Panics
     /// If the calibration window serves nothing.
-    pub fn derive(
+    pub fn shared(
+        app: Application,
+        family: &Arc<ModelFamily>,
+        perf: PerfModel,
+        base_gpus: usize,
+        shares: usize,
+        utilization: f64,
+        seed: u64,
+    ) -> (Self, Arc<OnceLock<Self>>) {
+        let key = (app, base_gpus, shares, utilization, seed);
+        let slot = CALIBRATIONS.slot(key, |_| OnceLock::new());
+        let yardstick =
+            *slot.get_or_init(|| Self::derive(family, perf, base_gpus, shares, utilization, seed));
+        (yardstick, slot)
+    }
+
+    /// Derives [`BaseYardstick::shared`]'s yardstick. The window is long
+    /// enough that the p95's sampling noise sits well inside the SLA
+    /// headroom.
+    fn derive(
         family: &Arc<ModelFamily>,
         perf: PerfModel,
         base_gpus: usize,
@@ -724,14 +747,15 @@ impl ReferenceKey {
     }
 }
 
-/// The configuration fields the BASE yardstick reads: application,
-/// reference fleet and utilization target (which fix the BASE deployment
-/// and its offered rate) and seed.
-type CalibrationKey = (Application, usize, f64, u64);
+/// The inputs the BASE yardstick reads: application, GPUs per BASE
+/// deployment, deployment count (1 for a cluster, the region count for a
+/// router) and utilization target (which fix the BASE deployment and its
+/// offered rate) and seed.
+type CalibrationKey = (Application, usize, usize, f64, u64);
 
-/// A process-wide table of values shared by every live experiment with an
-/// equal key. Entries are weak, so a value dies with the last experiment
-/// holding it and nothing is cached across separately built grids.
+/// A process-wide table of values shared by every live cell with an equal
+/// key. Entries are weak, so a value dies with the last cell holding it
+/// and nothing is cached across separately built grids.
 struct SharedTable<K, V>(Mutex<Vec<(K, Weak<V>)>>);
 
 impl<K: PartialEq, V> SharedTable<K, V> {
@@ -868,9 +892,8 @@ impl Experiment {
         });
 
         let (gpus, u, seed) = (cfg.reference_gpus, cfg.utilization_target, cfg.seed);
-        let calibration = CALIBRATIONS.slot((cfg.app, gpus, u, seed), |_| OnceLock::new());
-        let yardstick =
-            *calibration.get_or_init(|| BaseYardstick::derive(&family, perf, gpus, 1, u, seed));
+        let (yardstick, calibration) =
+            BaseYardstick::shared(cfg.app, &family, perf, gpus, 1, u, seed);
         let workload = Workload::new(cfg.workload.clone(), yardstick.rate_rps);
         let mut objective = yardstick.objective(
             family.accuracy_base(),

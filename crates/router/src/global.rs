@@ -49,7 +49,7 @@ use clover_simkit::{LatencyHistogram, SimDuration, SimRng};
 use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Salt deriving the per-fleet seed space from the experiment seed. Each
 /// fleet's master seed is an independent substream of this, so region
@@ -501,6 +501,9 @@ pub struct GlobalRouter {
     /// region, because the SLA is a property of the service, not of where
     /// a request happens to be served.
     pub objective: Objective,
+    /// Held so that cells built while this one lives share the
+    /// calibration window.
+    _calibration: Arc<OnceLock<BaseYardstick>>,
 }
 
 impl GlobalRouter {
@@ -513,7 +516,8 @@ impl GlobalRouter {
         let perf = PerfModel::a100();
         let n = cfg.regions.len();
         let (gpus, u) = (cfg.n_gpus_per_region, cfg.utilization_target);
-        let yardstick = BaseYardstick::derive(&family, perf, gpus, n, u, cfg.seed);
+        let (yardstick, calibration) =
+            BaseYardstick::shared(cfg.app, &family, perf, gpus, n, u, cfg.seed);
         let workload = Workload::new(cfg.workload.clone(), yardstick.rate_rps);
 
         // Region traces are keyed by the experiment seed alone: the grid
@@ -540,6 +544,7 @@ impl GlobalRouter {
             capacity_per_gpu_rps: yardstick.capacity_per_gpu_rps,
             workload,
             objective,
+            _calibration: calibration,
         }
     }
 
@@ -548,22 +553,22 @@ impl GlobalRouter {
         &self.cfg
     }
 
-    /// Runs one cell per config on `threads` workers, outcomes in input
+    /// Runs one cell per config on `threads` workers, each with its own
+    /// telemetry sink from `spec`; outcomes and reports come back in input
     /// order. Every cell derives all randomness from its own seed, so the
     /// parallel grid is byte-identical to the serial run.
-    pub fn run_cells(configs: Vec<RouterConfig>, threads: usize) -> Vec<GlobalOutcome> {
-        clover_simkit::par_map(configs, threads, |cfg| GlobalRouter::new(cfg).run())
-    }
-
-    /// [`GlobalRouter::run_cells`] with telemetry, one report per cell.
+    ///
+    /// Every cell is built first, so cells that share a calibration window
+    /// are alive together and derive it once.
     pub fn run_cells_with(
         configs: Vec<RouterConfig>,
         threads: usize,
         spec: TelemetrySpec,
     ) -> Vec<(GlobalOutcome, TelemetryReport)> {
-        clover_simkit::par_map(configs, threads, move |cfg| {
+        let cells = clover_simkit::par_map(configs, threads, GlobalRouter::new);
+        clover_simkit::par_map(cells.iter().collect(), threads, |r| {
             let mut telemetry = Telemetry::new(spec);
-            let out = GlobalRouter::new(cfg).run_with(&mut telemetry);
+            let out = r.run_with(&mut telemetry);
             (out, telemetry.take_report())
         })
     }
@@ -1003,4 +1008,111 @@ fn deliver_transit(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64], m
         cursor += count;
     }
     debug_assert_eq!(cursor, total);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clover_core::Experiment;
+
+    /// A small two-region router for the sharing tests. Each test passes a
+    /// seed no other test uses, so no concurrent test shares its slot.
+    fn sharing_config(seed: u64) -> RouterConfig {
+        RouterConfig::builder(Application::ImageClassification)
+            .regions(vec![Region::CisoMarch, Region::EsoMarch])
+            .scheme(SchemeKind::Base)
+            .scaling(ScalingPolicy::reactive())
+            .control_epoch_s(600.0)
+            .n_gpus_per_region(2)
+            .horizon_hours(1.0)
+            .seed(seed)
+            .build()
+    }
+
+    #[test]
+    fn calibration_is_shared_by_exactly_its_key() {
+        type Edit = fn(&mut RouterConfig);
+        let base_cfg = sharing_config(0x5EED_01A1);
+        let base = GlobalRouter::new(base_cfg.clone());
+        let key_fields: [(&str, Edit); 5] = [
+            ("app", |c| c.app = Application::ObjectDetection),
+            ("n_gpus_per_region", |c| c.n_gpus_per_region = 3),
+            ("region count", |c| c.regions.push(Region::CisoSeptember)),
+            ("utilization_target", |c| c.utilization_target = 0.6),
+            ("seed", |c| c.seed += 1),
+        ];
+        for (name, edit) in key_fields {
+            let mut cfg = base_cfg.clone();
+            edit(&mut cfg);
+            let r = GlobalRouter::new(cfg);
+            assert!(
+                !Arc::ptr_eq(&base._calibration, &r._calibration),
+                "changing {name} kept the calibration slot"
+            );
+        }
+        let other_fields: [(&str, Edit); 6] = [
+            ("policy", |c| c.policy = "carbon-greedy".to_string()),
+            ("scheme", |c| c.scheme = SchemeKind::Clover),
+            ("sla_headroom", |c| c.sla_headroom = 1.5),
+            ("lambda", |c| c.lambda = 0.9),
+            ("chaos", |c| c.chaos = ChaosConfig::resilience(24.0)),
+            ("scaling", |c| c.scaling = ScalingPolicy::Static),
+        ];
+        for (name, edit) in other_fields {
+            let mut cfg = base_cfg.clone();
+            edit(&mut cfg);
+            let r = GlobalRouter::new(cfg);
+            assert!(
+                Arc::ptr_eq(&base._calibration, &r._calibration),
+                "changing {name} split the calibration slot"
+            );
+        }
+    }
+
+    #[test]
+    fn a_one_region_router_shares_the_matching_experiments_calibration() {
+        let mut cfg = sharing_config(0x5EED_01B1);
+        cfg.regions.truncate(1);
+        let router = GlobalRouter::new(cfg.clone());
+        let cell = Experiment::new(
+            ExperimentConfig::builder(cfg.app)
+                .region(cfg.regions[0])
+                .n_gpus(cfg.n_gpus_per_region)
+                .utilization(cfg.utilization_target)
+                .horizon_hours(cfg.horizon_hours)
+                .seed(cfg.seed)
+                .build(),
+        );
+        let (yardstick, slot) = BaseYardstick::shared(
+            cfg.app,
+            &router.family,
+            router.perf,
+            cfg.n_gpus_per_region,
+            1,
+            cfg.utilization_target,
+            cfg.seed,
+        );
+        assert!(Arc::ptr_eq(&router._calibration, &slot));
+        // The router, the experiment and `slot` hold it; nothing else does.
+        assert_eq!(
+            Arc::strong_count(&slot),
+            3,
+            "the experiment holds another slot"
+        );
+        assert_eq!(yardstick.rate_rps.to_bits(), cell.rate_rps.to_bits());
+    }
+
+    #[test]
+    fn a_router_reading_a_sibling_calibration_matches_its_solo_run() {
+        let cfg = sharing_config(0x5EED_01C1);
+        let solo = GlobalRouter::new(cfg.clone()).run();
+        let sibling = GlobalRouter::new(RouterConfig {
+            policy: "carbon-greedy".to_string(),
+            ..cfg.clone()
+        });
+        let cell = GlobalRouter::new(cfg);
+        assert!(Arc::ptr_eq(&sibling._calibration, &cell._calibration));
+        sibling.run();
+        assert_eq!(cell.run().digest(), solo.digest());
+    }
 }

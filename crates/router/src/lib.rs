@@ -28,9 +28,9 @@
 //! Determinism contract: everything derives from [`RouterConfig::seed`].
 //! Fleets draw their master seeds from isolated substreams, the router's
 //! policy RNG is salted separately, and region traces are keyed by the
-//! experiment seed alone — so [`GlobalRouter::run_cells`] over a grid of
-//! configs is byte-identical serial or parallel, and `fig_georouting`
-//! pins it.
+//! experiment seed alone — so [`GlobalRouter::run_cells_with`] over a grid
+//! of configs is byte-identical serial or parallel, and
+//! `figures fig_georouting` pins it.
 
 #![warn(missing_docs)]
 
