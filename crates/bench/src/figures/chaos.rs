@@ -14,7 +14,7 @@ use clover_core::control::Fidelity;
 use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
-use clover_router::{GlobalOutcome, RouterConfig, ROUTE_POLICIES};
+use clover_router::{GlobalOutcome, RoutePolicy, RouterConfig};
 use clover_telemetry::TelemetryReport;
 
 fn resilience_config(scheme: SchemeKind, mtbf_hours: f64) -> ExperimentConfig {
@@ -204,7 +204,7 @@ fn georouting_config(policy: &str, scheme: SchemeKind, chaos: ChaosConfig) -> Ro
 /// Geo-routing study (beyond the paper): what moving *traffic between
 /// grids* buys, and how it interacts with Clover's local adaptation.
 ///
-/// Every policy in `ROUTE_POLICIES` splits traffic over a 3-region fleet
+/// Every policy in [`RoutePolicy::ALL`] splits traffic over a 3-region fleet
 /// running `Base` locally; two `clover` cells rerun `uniform` and
 /// `forecast-aware` with Clover in each region, and two `outage` cells run
 /// `uniform` and `carbon-greedy` through a mid-horizon
@@ -227,7 +227,8 @@ pub(super) fn georouting() -> Spec {
             georouting_config(policy, scheme, chaos),
         )
     };
-    let base = ROUTE_POLICIES.map(|p| cell(p, "base", SchemeKind::Base, ChaosConfig::off()));
+    let base =
+        RoutePolicy::ALL.map(|p| cell(p.label(), "base", SchemeKind::Base, ChaosConfig::off()));
     let clover = ["uniform", "forecast-aware"]
         .map(|p| cell(p, "clover", SchemeKind::Clover, ChaosConfig::off()));
     let dark =

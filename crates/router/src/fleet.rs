@@ -68,7 +68,6 @@ pub struct FleetSpec<'a> {
 
 /// One region's [`CellRuntime`] plus the router's view of it.
 pub struct RegionalFleet {
-    region: Region,
     index: usize,
     workload: WorkloadKind,
     global_rate_rps: f64,
@@ -96,7 +95,6 @@ impl RegionalFleet {
             spec.global_rate_rps * PLANNING_FLOOR_W,
         );
         RegionalFleet {
-            region: spec.region,
             index: spec.index,
             workload: spec.config.workload,
             global_rate_rps: spec.global_rate_rps,
@@ -140,27 +138,26 @@ impl RegionalFleet {
     }
 
     /// What a routing policy sees of this region at `t`: current and
-    /// lookahead carbon (hourly samples of the region's trace), queue
-    /// state, and live capacity.
-    pub fn snapshot(&self, t: SimTime, lookahead_h: f64, prev_weight: f64) -> RegionSnapshot {
+    /// lookahead carbon (hourly samples of the region's trace) and live
+    /// capacity.
+    pub(crate) fn snapshot(
+        &self,
+        t: SimTime,
+        lookahead_h: f64,
+        prev_weight: f64,
+    ) -> RegionSnapshot {
         let hours = (lookahead_h.ceil() as usize).max(1);
         let mut sum = 0.0;
         for k in 0..hours {
             let at = SimTime::from_secs(t.as_secs() + k as f64 * 3600.0);
             sum += self.trace.at(at).g_per_kwh();
         }
-        let carry = self.cell.carry();
-        let active_gpus = self.cell.active_gpus();
         RegionSnapshot {
             index: self.index,
-            label: self.region.to_string(),
             up: !self.down,
             ci_now_g_per_kwh: self.trace.at(t).g_per_kwh(),
             ci_forecast_g_per_kwh: sum / hours as f64,
-            queued: carry.queued() as u64,
-            in_flight: carry.in_flight() as u64,
-            active_gpus,
-            capacity_rps: active_gpus as f64 * self.capacity_per_gpu_rps,
+            capacity_rps: self.cell.active_gpus() as f64 * self.capacity_per_gpu_rps,
             energy_per_request_j: self.recent_energy_per_request_j,
             prev_weight,
         }

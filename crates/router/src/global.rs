@@ -7,14 +7,11 @@
 //! 1. reconciles region outages ([`clover_core::chaos::FaultSpec::RegionOutage`])
 //!    — a region going dark drains its entire backlog into a transit pool,
 //!    each request aged by the inter-region transfer latency;
-//! 2. snapshots every region (carbon now and ahead, queues, live capacity)
-//!    and asks the configured [`RoutePolicy`](crate::policy::RoutePolicy)
-//!    for a traffic split, which the router masks to live regions and
-//!    normalizes;
+//! 2. snapshots every region (carbon now and ahead, live capacity) and
+//!    asks the configured [`RoutePolicy`] for a traffic split, which the
+//!    router masks to live regions and normalizes;
 //! 3. optionally rebalances queued backlog toward the split (carbon-aware
-//!    policies opt in via
-//!    [`RoutePolicy::rebalances_backlog`](crate::policy::RoutePolicy::rebalances_backlog))
-//!    and delivers
+//!    policies opt in via [`RoutePolicy::rebalances_backlog`]) and delivers
 //!    the transit pool to surviving regions — both paid for with the
 //!    transfer latency, both riding the serving carry so request ages
 //!    survive the hop;
@@ -35,7 +32,7 @@
 //! live region.
 
 use crate::fleet::{FleetSpec, RegionalFleet};
-use crate::policy::{make_route_policy, RouteCtx};
+use crate::policy::RoutePolicy;
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_core::anneal::SaParams;
 use clover_core::cell::served_accuracy_pct;
@@ -56,9 +53,6 @@ use std::sync::{Arc, OnceLock};
 /// count and order never re-deal another region's randomness.
 const FLEET_SALT: u64 = 0xF1EE_75A1;
 
-/// Salt for the router's own RNG (the only randomness policies may use).
-const ROUTE_SALT: u64 = 0x0520_F7E1;
-
 /// Extra latency a request pays for an inter-region hop, seconds.
 const TRANSFER_LATENCY_S: f64 = 0.08;
 
@@ -78,8 +72,8 @@ pub struct RouterConfig {
     /// (two data centers on the same grid): each occurrence is its own
     /// fleet on the same trace.
     pub regions: Vec<Region>,
-    /// Routing policy name, one of [`crate::ROUTE_POLICIES`].
-    pub policy: String,
+    /// Routing policy.
+    pub policy: RoutePolicy,
     /// Global traffic scenario.
     pub workload: WorkloadKind,
     /// GPUs provisioned per region.
@@ -122,7 +116,7 @@ impl RouterConfig {
                 app,
                 scheme: SchemeKind::Clover,
                 regions: Region::ALL.to_vec(),
-                policy: "uniform".to_string(),
+                policy: RoutePolicy::Uniform,
                 workload: WorkloadKind::Poisson,
                 n_gpus_per_region: 10,
                 min_gpus: 1,
@@ -186,9 +180,15 @@ impl RouterConfigBuilder {
         self
     }
 
-    /// Sets the routing policy by name (one of [`crate::ROUTE_POLICIES`]).
-    pub fn policy(mut self, name: impl Into<String>) -> Self {
-        self.cfg.policy = name.into();
+    /// Sets the routing policy by its label (see [`RoutePolicy::ALL`]).
+    ///
+    /// # Panics
+    /// On any other name, listing the known ones.
+    pub fn policy(mut self, name: &str) -> Self {
+        self.cfg.policy = RoutePolicy::parse(name).unwrap_or_else(|| {
+            let known = RoutePolicy::ALL.map(RoutePolicy::label).join(", ");
+            panic!("unknown route policy {name:?}; known: {known}")
+        });
         self
     }
 
@@ -273,16 +273,13 @@ impl RouterConfigBuilder {
     /// Validates and returns the config.
     ///
     /// # Panics
-    /// On a policy name outside [`crate::ROUTE_POLICIES`], an empty region list,
-    /// or a `RegionOutage` naming a region index outside the fleet; and, with
-    /// the experiment config's own messages, on per-region fields a cell
-    /// rejects (GPU counts, horizon, cadence, λ or a utilization target
-    /// outside `(0, 1]`, SLA headroom, an invalid chaos config; see
-    /// [`RouterConfig::cell_config`]).
+    /// On an empty region list or a `RegionOutage` naming a region index
+    /// outside the fleet; and, with the experiment config's own messages,
+    /// on per-region fields a cell rejects (GPU counts, horizon, cadence, λ
+    /// or a utilization target outside `(0, 1]`, SLA headroom, an invalid
+    /// chaos config; see [`RouterConfig::cell_config`]).
     pub fn build(self) -> RouterConfig {
         let cfg = self.cfg;
-        // Fails here, not after the router's calibration, on a bad name.
-        let _ = make_route_policy(&cfg.policy);
         assert!(!cfg.regions.is_empty(), "at least one region");
         let _ = cfg.cell_config();
         for (region, _, _) in cfg.chaos.region_outages() {
@@ -590,8 +587,6 @@ impl GlobalRouter {
         let epoch_s = epoch_len.as_secs();
         let cell = cfg.cell_config();
 
-        let mut policy = make_route_policy(&cfg.policy);
-        let mut route_rng = SimRng::new(cfg.seed ^ ROUTE_SALT);
         let seeder = SimRng::new(cfg.seed ^ FLEET_SALT);
         let mut fleets: Vec<RegionalFleet> = cfg
             .regions
@@ -680,16 +675,12 @@ impl GlobalRouter {
                 .enumerate()
                 .map(|(i, f)| f.snapshot(t, FORECAST_LOOKAHEAD_H, prev_weights[i]))
                 .collect();
-            let raw = policy.weights(&mut RouteCtx {
-                epoch: &epoch,
-                regions: &snapshots,
-                demand_rps: self.workload.peak_over(t, epoch_len),
-                demand_peak_rps: self
-                    .workload
+            let raw = cfg.policy.weights(
+                &snapshots,
+                self.workload.peak_over(t, epoch_len),
+                self.workload
                     .peak_over(t, SimDuration::from_hours(FORECAST_LOOKAHEAD_H)),
-                rng: &mut route_rng,
-            });
-            assert_eq!(raw.len(), n, "policy returned one weight per region");
+            );
             let weights = normalize_weights(&raw, &up);
 
             // Backlog rebalancing (carbon-aware policies only): move
@@ -697,7 +688,7 @@ impl GlobalRouter {
             // far over its share, paying the transfer latency per request.
             // In-flight work never moves — restarting it elsewhere would
             // waste the service time already invested.
-            if policy.rebalances_backlog() && n_up > 1 {
+            if cfg.policy.rebalances_backlog() && n_up > 1 {
                 migrated_now += rebalance_backlog(&mut fleets, &up, &weights);
             }
 
@@ -764,7 +755,7 @@ impl GlobalRouter {
                 telemetry.emit(
                     Event::new("route", t)
                         .u64("epoch", u64::from(epoch.index))
-                        .str("policy", cfg.policy.as_str())
+                        .str("policy", cfg.policy.label())
                         .str("weights", weights_s)
                         .u64("in_transit", transit.len() as u64)
                         .u64("migrated", migrated_now)
@@ -817,7 +808,7 @@ impl GlobalRouter {
         let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
 
         GlobalOutcome {
-            policy: cfg.policy.clone(),
+            policy: cfg.policy.label().to_string(),
             scheme: cfg.scheme.label().to_string(),
             regions: cfg.regions.iter().map(|r| r.to_string()).collect(),
             workload: self.workload.label().to_string(),
@@ -1029,6 +1020,87 @@ mod tests {
             .build()
     }
 
+    /// Idle fleets, one per region of `cfg`: nothing queued, nothing in
+    /// flight, no epoch served.
+    fn idle_fleets(cfg: &RouterConfig) -> Vec<RegionalFleet> {
+        let family = Arc::new(cfg.app.family());
+        let fleet = |(index, &region): (usize, &Region)| {
+            RegionalFleet::new(FleetSpec {
+                region,
+                index,
+                config: cfg.cell_config(),
+                trace: Arc::new(region.run_trace(cfg.horizon_hours, cfg.seed)),
+                family: &family,
+                perf: PerfModel::a100(),
+                global_rate_rps: 100.0,
+                capacity_per_gpu_rps: 50.0,
+            })
+        };
+        cfg.regions.iter().enumerate().map(fleet).collect()
+    }
+
+    /// Each fleet's queued ages, oldest first, emptying the queues.
+    fn take_queues(fleets: &mut [RegionalFleet]) -> Vec<Vec<f64>> {
+        fleets
+            .iter_mut()
+            .map(|f| f.carry_mut().take_queued_newest(usize::MAX))
+            .collect()
+    }
+
+    #[test]
+    fn normalize_weights_masks_dark_regions() {
+        let w = normalize_weights(&[1.0, 2.0, 3.0], &[true, false, true]);
+        assert_eq!(w, vec![0.25, 0.0, 0.75]);
+    }
+
+    #[test]
+    fn an_all_zero_vote_over_live_regions_becomes_uniform_over_them() {
+        // Negative and non-finite votes count as zero; the dark region's
+        // positive vote is masked before the fallback is considered.
+        let w = normalize_weights(&[-1.0, f64::NAN, 0.0, 5.0], &[true, true, true, false]);
+        let third = 1.0 / 3.0;
+        assert_eq!(w, vec![third, third, third, 0.0]);
+    }
+
+    #[test]
+    fn with_every_region_dark_every_weight_is_zero() {
+        let w = normalize_weights(&[1.0, 0.0, 2.0], &[false; 3]);
+        assert_eq!(w, vec![0.0; 3]);
+    }
+
+    #[test]
+    fn deliver_transit_deals_the_oldest_first_with_remainder_ties_to_the_lower_index() {
+        let mut cfg = sharing_config(0x5EED_01D1);
+        cfg.regions.push(Region::CisoSeptember);
+        let mut fleets = idle_fleets(&cfg);
+        let up = [true; 3];
+        let weights = normalize_weights(&[1.0; 3], &up);
+        // 4 requests over equal thirds: one each, and the remainders tie,
+        // so the extra one goes to region 0.
+        deliver_transit(&mut fleets, &up, &weights, vec![0.1, 0.4, 0.3, 0.2]);
+        let queues = take_queues(&mut fleets);
+        assert_eq!(queues, vec![vec![0.4, 0.3], vec![0.2], vec![0.1]]);
+    }
+
+    #[test]
+    fn deliver_transit_gives_dark_regions_nothing_and_places_the_whole_pool() {
+        let mut cfg = sharing_config(0x5EED_01E1);
+        cfg.regions.push(Region::CisoSeptember);
+        let mut fleets = idle_fleets(&cfg);
+        let up = [false, true, true];
+        let weights = normalize_weights(&[5.0, 1.0, 3.0], &up);
+        let pool: Vec<f64> = (1..=7).map(f64::from).collect();
+        deliver_transit(&mut fleets, &up, &weights, pool);
+        let queues = take_queues(&mut fleets);
+        // 7 × (0.25, 0.75) = (1.75, 5.25): floors 1 and 5, and region 1's
+        // larger remainder takes the seventh request.
+        assert_eq!(
+            queues,
+            vec![vec![], vec![7.0, 6.0], vec![5.0, 4.0, 3.0, 2.0, 1.0]]
+        );
+        assert_eq!(queues.iter().map(Vec::len).sum::<usize>(), 7);
+    }
+
     #[test]
     fn calibration_is_shared_by_exactly_its_key() {
         type Edit = fn(&mut RouterConfig);
@@ -1051,7 +1123,7 @@ mod tests {
             );
         }
         let other_fields: [(&str, Edit); 6] = [
-            ("policy", |c| c.policy = "carbon-greedy".to_string()),
+            ("policy", |c| c.policy = RoutePolicy::CarbonGreedy),
             ("scheme", |c| c.scheme = SchemeKind::Clover),
             ("sla_headroom", |c| c.sla_headroom = 1.5),
             ("lambda", |c| c.lambda = 0.9),
@@ -1107,7 +1179,7 @@ mod tests {
         let cfg = sharing_config(0x5EED_01C1);
         let solo = GlobalRouter::new(cfg.clone()).run();
         let sibling = GlobalRouter::new(RouterConfig {
-            policy: "carbon-greedy".to_string(),
+            policy: RoutePolicy::CarbonGreedy,
             ..cfg.clone()
         });
         let cell = GlobalRouter::new(cfg);

@@ -14,10 +14,9 @@
 //! - [`RegionalFleet`] — one region's [`clover_core::CellRuntime`] (carbon
 //!   monitor, autoscaler, scheduler, continuous serving simulator, carbon
 //!   ledger) under the region's trace, on its own RNG substream;
-//! - [`RoutePolicy`] — the six traffic splits named in [`ROUTE_POLICIES`]:
-//!   `uniform` (per-region-local, the baseline), `random`, `round-robin`,
-//!   `smallest-queue`, and the carbon-aware `carbon-greedy` and
-//!   `forecast-aware`;
+//! - [`RoutePolicy`] — the three traffic splits in [`RoutePolicy::ALL`]:
+//!   `uniform` (per-region-local, the baseline) and the carbon-aware
+//!   `carbon-greedy` and `forecast-aware`;
 //! - [`GlobalRouter`] — the multi-region runtime: splits live traffic each
 //!   control epoch, migrates backlog across regions on the serving carry
 //!   (request ages survive the hop, plus a transfer-latency penalty),
@@ -26,8 +25,8 @@
 //!   global request conservation every epoch.
 //!
 //! Determinism contract: everything derives from [`RouterConfig::seed`].
-//! Fleets draw their master seeds from isolated substreams, the router's
-//! policy RNG is salted separately, and region traces are keyed by the
+//! Fleets draw their master seeds from isolated substreams, the routing
+//! policies draw no randomness, and region traces are keyed by the
 //! experiment seed alone — so [`GlobalRouter::run_cells_with`] over a grid
 //! of configs is byte-identical serial or parallel, and
 //! `figures fig_georouting` pins it.
@@ -42,4 +41,4 @@ pub use fleet::{FleetSpec, NoArrivals, RegionalFleet, PLANNING_FLOOR_W};
 pub use global::{
     GlobalOutcome, GlobalRouter, RouterConfig, RouterConfigBuilder, RouterEpochPoint,
 };
-pub use policy::{make_route_policy, RegionSnapshot, RouteCtx, RoutePolicy, ROUTE_POLICIES};
+pub use policy::RoutePolicy;

@@ -19,7 +19,7 @@
 use clover::core::autoscale::ScalingPolicy;
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::router::{GlobalRouter, RouterConfig, ROUTE_POLICIES};
+use clover::router::{GlobalRouter, RoutePolicy, RouterConfig};
 
 fn main() {
     let app = Application::LanguageModeling;
@@ -29,9 +29,9 @@ fn main() {
         "policy", "kg CO2", "p95 (s)", "SLA", "migrated", "mean gpus", "weights"
     );
     let mut uniform_carbon = None;
-    for policy in ROUTE_POLICIES {
+    for policy in RoutePolicy::ALL {
         let cfg = RouterConfig::builder(app)
-            .policy(policy)
+            .policy(policy.label())
             .scheme(SchemeKind::Base)
             .n_gpus_per_region(4)
             .min_gpus(1)
@@ -47,7 +47,7 @@ fn main() {
             "global conservation must hold for {policy}"
         );
         assert_eq!(out.boundary_leak, 0, "boundary law must hold for {policy}");
-        if policy == "uniform" {
+        if policy == RoutePolicy::Uniform {
             uniform_carbon = Some(out.total_carbon_g);
         }
         let weights = out

@@ -15,7 +15,7 @@
 //! - [`serving`] — inference serving simulator (queue, dispatch, metrics)
 //! - [`core`] — the Clover optimizer, controller, and competing schemes
 //! - [`router`] — geo-distributed serving: regional fleets and the global
-//!   carbon-aware traffic router with its six routing policies
+//!   carbon-aware traffic router with its three routing policies
 //! - [`telemetry`] — determinism-safe observability: decision journal
 //!   (JSONL) and phase profiling
 //!

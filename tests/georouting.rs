@@ -18,7 +18,7 @@
 //!    derives the single-cluster experiment's rate, SLA and `C_base` bit
 //!    for bit.
 //! 5. **The policy set is closed.** A config naming a policy outside
-//!    `ROUTE_POLICIES` is rejected when it is built, before any run.
+//!    `RoutePolicy::ALL` is rejected when it is built, before any run.
 //! 6. **GPU-level chaos reaches every regional fleet.** Failures, kills
 //!    and crashes land inside the regions' cells (each drawn from its own
 //!    substream), conservation still closes, and the faulted run stays
@@ -78,22 +78,38 @@ fn same_config_reruns_are_bit_identical() {
     );
 }
 
-/// Outcome and journal digests of `quick("carbon-greedy")`, recorded while
-/// the continuous epoch still ran on its own DES loop. Every
-/// regional fleet serves through that path, so these pin it end to end.
+/// Outcome and journal digests of `quick(policy)` for every routing
+/// policy. Every regional fleet serves through the continuous epoch, so
+/// these pin it end to end. The `carbon-greedy` row was recorded while
+/// the continuous epoch still ran on its own DES loop; the other two were
+/// recorded while the policies were still boxed trait objects, so they
+/// also pin that each policy's split kept its bits in the closed enum.
 #[test]
 fn router_cell_reproduces_the_recorded_digests() {
-    let (out, report) =
-        GlobalRouter::run_cells_with(vec![quick("carbon-greedy")], 1, TelemetrySpec::JOURNAL)
-            .pop()
-            .expect("one cell");
-    assert_eq!(
-        (out.digest(), report.journal_digest()),
-        (0x24AD_CC44_209F_F082, 0xB542_DB51_44B3_8CF8),
-        "router run drifted (got 0x{:016X}, journal 0x{:016X})",
-        out.digest(),
-        report.journal_digest()
-    );
+    const PINS: [(&str, u64, u64); 3] = [
+        ("uniform", 0x4042_8EFB_1BA8_8870, 0xEC95_F35A_70E5_7EAE),
+        (
+            "carbon-greedy",
+            0x24AD_CC44_209F_F082,
+            0xB542_DB51_44B3_8CF8,
+        ),
+        (
+            "forecast-aware",
+            0x9518_8931_95E1_FB82,
+            0x5BB8_AD06_BC11_B8C9,
+        ),
+    ];
+    let configs = PINS.iter().map(|&(policy, _, _)| quick(policy)).collect();
+    let runs = GlobalRouter::run_cells_with(configs, 2, TelemetrySpec::JOURNAL);
+    for ((policy, digest, journal), (out, report)) in PINS.into_iter().zip(&runs) {
+        assert_eq!(
+            (out.digest(), report.journal_digest()),
+            (digest, journal),
+            "{policy}: router run drifted (got 0x{:016X}, journal 0x{:016X})",
+            out.digest(),
+            report.journal_digest()
+        );
+    }
 }
 
 #[test]
@@ -157,15 +173,10 @@ fn zero_utilization_is_rejected() {
 #[test]
 fn router_grid_is_bit_identical_serial_vs_parallel() {
     let configs = || -> Vec<RouterConfig> {
-        [
-            "uniform",
-            "smallest-queue",
-            "carbon-greedy",
-            "forecast-aware",
-        ]
-        .into_iter()
-        .map(quick)
-        .collect()
+        ["uniform", "carbon-greedy", "forecast-aware"]
+            .into_iter()
+            .map(quick)
+            .collect()
     };
     let serial = GlobalRouter::run_cells_with(configs(), 1, TelemetrySpec::JOURNAL);
     let parallel = GlobalRouter::run_cells_with(configs(), 4, TelemetrySpec::JOURNAL);
@@ -187,7 +198,7 @@ fn router_grid_is_bit_identical_serial_vs_parallel() {
 
 #[test]
 fn requests_are_conserved_globally() {
-    for policy in ["uniform", "round-robin", "carbon-greedy"] {
+    for policy in ["uniform", "forecast-aware", "carbon-greedy"] {
         let out = GlobalRouter::new(quick(policy)).run();
         assert_eq!(out.conservation_leak, 0, "{policy}: serve-law leak");
         assert_eq!(out.boundary_leak, 0, "{policy}: boundary-law leak");
@@ -415,8 +426,8 @@ fn a_single_region_router_derives_the_single_cluster_yardstick() {
 
 #[test]
 #[should_panic(
-    expected = "unknown route policy \"no-such-policy\"; known: uniform, random, \
-                           round-robin, smallest-queue, carbon-greedy, forecast-aware"
+    expected = "unknown route policy \"no-such-policy\"; known: uniform, carbon-greedy, \
+                forecast-aware"
 )]
 fn an_unknown_policy_name_is_rejected_at_build() {
     let _ = RouterConfig::builder(Application::LanguageModeling)
