@@ -17,9 +17,6 @@ pub const GASOLINE_CAR_G_PER_KM: f64 = 250.0;
 /// EPA factor: kilograms of CO₂ emitted per kilogram of coal burned.
 pub const COAL_KG_CO2_PER_KG: f64 = 2.0;
 
-/// US average grid carbon intensity assumed by the paper's estimate.
-pub const US_AVG_INTENSITY_G_PER_KWH: f64 = 380.0;
-
 /// Everyday-equivalent framing of a daily carbon saving.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SavingsEstimate {

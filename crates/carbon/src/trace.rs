@@ -129,64 +129,6 @@ impl CarbonTrace {
         }
         best
     }
-
-    /// Serializes the trace as CSV: a comment line carrying the sampling
-    /// step, a column header, one gCO₂/kWh value per line. Floats use
-    /// Rust's shortest round-trip formatting, so [`CarbonTrace::from_csv`]
-    /// reproduces the trace exactly. (The arrival traces of
-    /// `clover-workload` use the same I/O idiom.)
-    pub fn to_csv(&self) -> String {
-        let mut out = String::with_capacity(16 * self.values.len() + 64);
-        out.push_str(&format!(
-            "# clover-carbon intensity trace, step_s={}\n",
-            self.step.as_secs()
-        ));
-        out.push_str("g_per_kwh\n");
-        for v in &self.values {
-            out.push_str(&format!("{}\n", v.g_per_kwh()));
-        }
-        out
-    }
-
-    /// Parses a trace from the CSV format of [`CarbonTrace::to_csv`]. A
-    /// missing step comment falls back to hourly sampling.
-    pub fn from_csv(csv: &str) -> Result<CarbonTrace, String> {
-        let mut step = SimDuration::from_hours(1.0);
-        let mut values = Vec::new();
-        for (i, raw) in csv.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line == "g_per_kwh" {
-                continue;
-            }
-            if let Some(comment) = line.strip_prefix('#') {
-                if let Some(v) = comment.split("step_s=").nth(1) {
-                    let secs: f64 = v
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("carbon CSV line {}: bad step: {e}", i + 1))?;
-                    if !(secs.is_finite() && secs > 0.0) {
-                        return Err(format!("carbon CSV line {}: non-positive step", i + 1));
-                    }
-                    step = SimDuration::from_secs(secs);
-                }
-                continue;
-            }
-            let g: f64 = line
-                .parse()
-                .map_err(|e| format!("carbon CSV line {}: bad intensity: {e}", i + 1))?;
-            if !g.is_finite() || g < 0.0 {
-                return Err(format!(
-                    "carbon CSV line {}: negative or non-finite intensity {g}",
-                    i + 1
-                ));
-            }
-            values.push(CarbonIntensity::from_g_per_kwh(g));
-        }
-        if values.is_empty() {
-            return Err("carbon CSV holds no samples".to_string());
-        }
-        Ok(CarbonTrace::new(step, values))
-    }
 }
 
 #[cfg(test)]
@@ -245,58 +187,5 @@ mod tests {
     #[should_panic]
     fn empty_trace_rejected() {
         let _ = CarbonTrace::new(SimDuration::from_hours(1.0), vec![]);
-    }
-
-    #[test]
-    fn csv_round_trip_is_exact() {
-        let t = CarbonTrace::new(
-            SimDuration::from_secs(1800.0),
-            vec![101.25, 350.333_333_3, 88.0, 420.9]
-                .into_iter()
-                .map(CarbonIntensity::from_g_per_kwh)
-                .collect(),
-        );
-        let back = CarbonTrace::from_csv(&t.to_csv()).expect("parses");
-        assert_eq!(back.step(), t.step());
-        assert_eq!(back.len(), t.len());
-        for (a, b) in t.samples().zip(back.samples()) {
-            assert_eq!(a.1, b.1);
-        }
-    }
-
-    #[test]
-    fn csv_missing_step_defaults_to_hourly() {
-        let t = CarbonTrace::from_csv("g_per_kwh\n100\n200\n").expect("parses");
-        assert_eq!(t.step(), SimDuration::from_hours(1.0));
-        assert_eq!(t.len(), 2);
-        assert!(CarbonTrace::from_csv("g_per_kwh\n").is_err());
-        assert!(CarbonTrace::from_csv("g_per_kwh\nnope\n").is_err());
-    }
-
-    #[test]
-    fn corrupt_csv_is_a_lined_error_not_a_panic() {
-        // A truncated float mid-row: the line number names the culprit.
-        let err = CarbonTrace::from_csv("g_per_kwh\n100\n2e\n300\n").unwrap_err();
-        assert!(err.contains("line 3"), "got: {err}");
-        // Negative and non-finite intensities are physically meaningless.
-        let err = CarbonTrace::from_csv("g_per_kwh\n100\n-5\n").unwrap_err();
-        assert!(
-            err.contains("line 3") && err.contains("negative"),
-            "got: {err}"
-        );
-        let err = CarbonTrace::from_csv("g_per_kwh\ninf\n").unwrap_err();
-        assert!(err.contains("line 2"), "got: {err}");
-        let err = CarbonTrace::from_csv("g_per_kwh\nNaN\n").unwrap_err();
-        assert!(err.contains("line 2"), "got: {err}");
-        // A corrupt step comment is caught with its own line number.
-        let err = CarbonTrace::from_csv("# step_s=oops\ng_per_kwh\n100\n").unwrap_err();
-        assert!(
-            err.contains("line 1") && err.contains("bad step"),
-            "got: {err}"
-        );
-        let err = CarbonTrace::from_csv("# step_s=-60\ng_per_kwh\n100\n").unwrap_err();
-        assert!(err.contains("non-positive step"), "got: {err}");
-        let err = CarbonTrace::from_csv("# step_s=inf\ng_per_kwh\n100\n").unwrap_err();
-        assert!(err.contains("non-positive step"), "got: {err}");
     }
 }

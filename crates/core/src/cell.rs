@@ -709,18 +709,3 @@ pub(crate) fn serve_epoch(
     totals.fold(epoch.start, &w, wp.scale);
     w
 }
-
-/// Served-weighted accuracy of `per_variant` served counts, percent (the
-/// family's base accuracy when nothing was served).
-pub fn served_accuracy_pct(family: &ModelFamily, per_variant: &[f64]) -> f64 {
-    let total: f64 = per_variant.iter().sum();
-    if total == 0.0 {
-        return family.accuracy_base();
-    }
-    per_variant
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| family.variants[i].accuracy_pct * n)
-        .sum::<f64>()
-        / total
-}

@@ -35,14 +35,14 @@
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
-use crate::cell::{serve_epoch, served_accuracy_pct, CellRuntime, CellTotals};
+use crate::cell::{serve_epoch, CellRuntime, CellTotals};
 use crate::chaos::ChaosConfig;
 use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, SearchBudget};
 use crate::objective::Objective;
 use crate::schedulers::SchemeKind;
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_models::zoo::Application;
-use clover_models::{ModelFamily, PerfModel};
+use clover_models::{served_weighted_accuracy, ModelFamily, PerfModel};
 use clover_serving::{analytic, Deployment, ServingCarry, ServingSim};
 use clover_simkit::SimDuration;
 use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry, TelemetryReport, TelemetrySpec};
@@ -1091,8 +1091,10 @@ impl Experiment {
         let served_scaled = totals.served_scaled;
         let total_carbon_g = totals.ledger.carbon().grams();
         let base_carbon_g = base.ledger.carbon().grams();
-        let accuracy_pct = served_accuracy_pct(&self.family, &totals.per_variant);
         let a_base = self.family.accuracy_base();
+        let accuracy_pct =
+            served_weighted_accuracy(&self.family, totals.per_variant.iter().copied())
+                .unwrap_or(a_base);
         // A run that served nothing has no measured tail: NaN (like the
         // per-request metrics below), never 0.0 — `sla_met` compares
         // false against NaN, so a fully wedged run cannot pass its SLA.

@@ -798,11 +798,7 @@ mod tests {
         let lo = s.plan(&mut ctx_lo);
         // At very low intensity, accuracy dominates: the oracle should pick
         // a configuration with higher accuracy than the high-intensity pick.
-        let fam2 = efficientnet();
-        let acc = |d: &Deployment| {
-            clover_models::capacity_weighted_accuracy(&fam2, &PerfModel::a100(), &d.instances())
-                .unwrap()
-        };
+        let acc = |d: &Deployment| analytic::estimate(&fam, &perf, d, 10.0).accuracy_pct;
         assert!(
             acc(&lo.deployment) >= acc(&hi.deployment),
             "lo {} hi {}",

@@ -1,84 +1,30 @@
 //! Mixture accuracy.
 //!
 //! The paper defines the service's overall accuracy as "the weighted average
-//! accuracy of requests served by each model variant" (Sec. 3). Under
-//! Clover's work-conserving FIFO dispatch, faster instances complete more
-//! requests, so each instance's weight is (to first order) its service
-//! capacity. This module provides both the exact served-count weighting
-//! (used with simulator counts) and the capacity-proportional analytic
-//! prediction (used by ORACLE's offline profiling and the optimizer's fast
-//! pre-filter).
+//! accuracy of requests served by each model variant" (Sec. 3). This module
+//! computes that weighting from served counts; the capacity-proportional
+//! prediction ORACLE's offline profiling and the optimizer's pre-filter use
+//! is `clover_serving::analytic::estimate`'s `accuracy_pct`.
 
-use crate::perf::PerfModel;
-use crate::variant::{ModelFamily, VariantId};
-use clover_mig::SliceType;
+use crate::variant::ModelFamily;
 
-/// Weighted-average accuracy from per-variant served counts.
+/// Weighted-average accuracy of requests served per variant, percent.
+/// `served` yields one count per variant in ordinal order (the `i`-th is
+/// `VariantId(i)`'s), the layout of the simulator's and the run roll-ups'
+/// dense counters. Integer counts are exact in `f64` below 2⁵³.
 ///
-/// Returns `None` when no requests were served.
+/// Returns `None` when nothing was served.
 pub fn served_weighted_accuracy(
     family: &ModelFamily,
-    served_per_variant: &[(VariantId, u64)],
+    served: impl IntoIterator<Item = f64>,
 ) -> Option<f64> {
-    let total: u64 = served_per_variant.iter().map(|&(_, n)| n).sum();
-    if total == 0 {
-        return None;
-    }
-    let weighted: f64 = served_per_variant
-        .iter()
-        .map(|&(id, n)| family.variant(id).accuracy_pct * n as f64)
-        .sum();
-    Some(weighted / total as f64)
-}
-
-/// [`served_weighted_accuracy`] over a dense count array indexed by variant
-/// ordinal (`counts[i]` = requests served by `VariantId(i)`), the layout the
-/// simulator's per-window counters already use — no intermediate
-/// `(VariantId, u64)` vector needs to be allocated on the DES hot path.
-///
-/// Returns `None` when no requests were served.
-pub fn served_weighted_accuracy_counts(family: &ModelFamily, counts: &[u64]) -> Option<f64> {
-    debug_assert!(counts.len() <= family.len(), "more counters than variants");
-    let mut total = 0u64;
-    let mut weighted = 0.0f64;
-    for (variant, &n) in family.variants.iter().zip(counts.iter()) {
+    let mut total = 0.0;
+    let mut weighted = 0.0;
+    for (variant, n) in family.variants.iter().zip(served) {
         total += n;
-        weighted += variant.accuracy_pct * n as f64;
+        weighted += variant.accuracy_pct * n;
     }
-    if total == 0 {
-        None
-    } else {
-        Some(weighted / total as f64)
-    }
-}
-
-/// Analytic prediction of mixture accuracy for a set of deployed instances,
-/// weighting each instance by its service capacity (requests/s).
-///
-/// Returns `None` for an empty deployment.
-pub fn capacity_weighted_accuracy(
-    family: &ModelFamily,
-    perf: &PerfModel,
-    instances: &[(VariantId, SliceType)],
-) -> Option<f64> {
-    if instances.is_empty() {
-        return None;
-    }
-    let mut acc_sum = 0.0;
-    let mut cap_sum = 0.0;
-    for &(id, slice) in instances {
-        let v = family.variant(id);
-        let cap = perf.capacity_rps(v, slice);
-        acc_sum += v.accuracy_pct * cap;
-        cap_sum += cap;
-    }
-    Some(acc_sum / cap_sum)
-}
-
-/// The paper's Eq. 1: relative accuracy change versus the baseline
-/// (highest-quality) accuracy, in percent. Always ≤ 0.
-pub fn delta_accuracy_pct(actual_accuracy: f64, base_accuracy: f64) -> f64 {
-    (actual_accuracy - base_accuracy) / base_accuracy * 100.0
+    (total > 0.0).then(|| weighted / total)
 }
 
 #[cfg(test)]
@@ -90,74 +36,15 @@ mod tests {
     fn served_weighting() {
         let fam = efficientnet();
         // 3 parts B1 (79.1), 1 part B7 (84.3).
-        let acc =
-            served_weighted_accuracy(&fam, &[(VariantId(0), 300), (VariantId(3), 100)]).unwrap();
+        let acc = served_weighted_accuracy(&fam, [300.0, 0.0, 0.0, 100.0]).unwrap();
         let expected = (79.1 * 300.0 + 84.3 * 100.0) / 400.0;
         assert!((acc - expected).abs() < 1e-12);
     }
 
     #[test]
-    fn counts_slice_matches_pair_form() {
-        let fam = efficientnet();
-        let mut counts = vec![0u64; fam.len()];
-        counts[0] = 300;
-        counts[3] = 100;
-        let pairs = served_weighted_accuracy(&fam, &[(VariantId(0), 300), (VariantId(3), 100)]);
-        assert_eq!(served_weighted_accuracy_counts(&fam, &counts), pairs);
-        assert_eq!(served_weighted_accuracy_counts(&fam, &[]), None);
-        assert_eq!(
-            served_weighted_accuracy_counts(&fam, &vec![0; fam.len()]),
-            None
-        );
-    }
-
-    #[test]
     fn empty_counts_are_none() {
         let fam = efficientnet();
-        assert_eq!(served_weighted_accuracy(&fam, &[]), None);
-        assert_eq!(served_weighted_accuracy(&fam, &[(VariantId(0), 0)]), None);
-        assert_eq!(
-            capacity_weighted_accuracy(&fam, &PerfModel::a100(), &[]),
-            None
-        );
-    }
-
-    #[test]
-    fn pure_deployments_hit_their_variant_accuracy() {
-        let fam = efficientnet();
-        let perf = PerfModel::a100();
-        let acc = capacity_weighted_accuracy(
-            &fam,
-            &perf,
-            &[(VariantId(3), SliceType::G7), (VariantId(3), SliceType::G7)],
-        )
-        .unwrap();
-        assert!((acc - 84.3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn capacity_weighting_leans_toward_fast_instances() {
-        let fam = efficientnet();
-        let perf = PerfModel::a100();
-        // One fast small instance vs one slow large instance: the mixture
-        // accuracy must sit below the midpoint because the small model
-        // serves more traffic.
-        let acc = capacity_weighted_accuracy(
-            &fam,
-            &perf,
-            &[(VariantId(0), SliceType::G1), (VariantId(3), SliceType::G7)],
-        )
-        .unwrap();
-        let midpoint = (79.1 + 84.3) / 2.0;
-        assert!(acc < midpoint, "acc {acc} >= midpoint {midpoint}");
-        assert!(acc > 79.1);
-    }
-
-    #[test]
-    fn delta_accuracy_sign_and_scale() {
-        assert_eq!(delta_accuracy_pct(84.3, 84.3), 0.0);
-        let d = delta_accuracy_pct(80.0, 84.3);
-        assert!(d < 0.0);
-        assert!((d - (80.0 - 84.3) / 84.3 * 100.0).abs() < 1e-12);
+        assert_eq!(served_weighted_accuracy(&fam, []), None);
+        assert_eq!(served_weighted_accuracy(&fam, vec![0.0; fam.len()]), None);
     }
 }

@@ -9,9 +9,8 @@
 //!   and EfficientNet (ImageNet), with their published accuracy numbers.
 //! - [`perf`] — calibrated latency and energy models (Amdahl scaling over
 //!   MIG compute units with per-variant saturation points).
-//! - [`accuracy`] — mixture accuracy: served-count weighting and the
-//!   capacity-proportional analytic prediction, plus the paper's Eq. 1
-//!   ΔAccuracy.
+//! - [`accuracy`] — mixture accuracy: the served-count weighting every
+//!   measured accuracy in the workspace goes through.
 
 #![warn(missing_docs)]
 
@@ -20,10 +19,7 @@ pub mod perf;
 pub mod variant;
 pub mod zoo;
 
-pub use accuracy::{
-    capacity_weighted_accuracy, delta_accuracy_pct, served_weighted_accuracy,
-    served_weighted_accuracy_counts,
-};
+pub use accuracy::served_weighted_accuracy;
 pub use perf::PerfModel;
 pub use variant::{ModelFamily, ModelVariant, VariantId};
 pub use zoo::Application;

@@ -1,8 +1,11 @@
 //! The global router: one serving system spanning N grid regions.
 //!
 //! A [`GlobalRouter`] is the multi-region counterpart of the single-cluster
-//! experiment runtime. It stands up one [`RegionalFleet`] per configured
-//! region and, each control epoch:
+//! experiment runtime. It stands up one [`CellRuntime`] per configured
+//! region — under the region's carbon trace, with its own control loop,
+//! continuous serving simulator, carbon ledger and GPU-level fault plan, on
+//! its own RNG substream, so adding or removing a region never re-deals
+//! another region's randomness — and, each control epoch:
 //!
 //! 1. reconciles region outages ([`clover_core::chaos::FaultSpec::RegionOutage`])
 //!    — a region going dark drains its entire backlog into a transit pool,
@@ -31,20 +34,19 @@
 //! requests age in place, and serving resumes at the first boundary with a
 //! live region.
 
-use crate::fleet::{FleetSpec, RegionalFleet};
-use crate::policy::RoutePolicy;
+use crate::policy::{RegionSnapshot, RoutePolicy};
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_core::anneal::SaParams;
-use clover_core::cell::served_accuracy_pct;
 use clover_core::chaos::ChaosConfig;
-use clover_core::control::{EpochSchedule, Fidelity, SearchBudget};
+use clover_core::control::{ControlEpoch, EpochSchedule, Fidelity, SearchBudget};
 use clover_core::schedulers::SchemeKind;
-use clover_core::{BaseYardstick, ExperimentConfig, Objective, ScalingPolicy};
+use clover_core::{BaseYardstick, CellRuntime, ExperimentConfig, Objective, ScalingPolicy};
 use clover_models::zoo::Application;
-use clover_models::{ModelFamily, PerfModel};
-use clover_simkit::{LatencyHistogram, SimDuration, SimRng};
+use clover_models::{served_weighted_accuracy, ModelFamily, PerfModel};
+use clover_serving::WindowMetrics;
+use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
 use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
-use clover_workload::{Workload, WorkloadKind};
+use clover_workload::{ArrivalProcess, Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -60,6 +62,41 @@ const TRANSFER_LATENCY_S: f64 = 0.08;
 /// both the regions' mean forecast intensity and the demand peak are
 /// taken over.
 const FORECAST_LOOKAHEAD_H: f64 = 3.0;
+
+/// Weight floor the *planning* workload is held at for a region routed
+/// zero traffic. The serving side genuinely admits nothing (see
+/// [`NoArrivals`]), but the cell still runs its epoch — draining backlog,
+/// letting the scaler shrink toward `min_gpus` — and its evaluator needs a
+/// well-posed (positive) planning rate to measure candidate deployments
+/// against.
+const PLANNING_FLOOR_W: f64 = 0.01;
+
+/// An arrival process that never produces a request — what a region routed
+/// weight zero serves its epoch against (backlog still drains).
+struct NoArrivals;
+
+impl ArrivalProcess for NoArrivals {
+    fn next_after(&mut self, _now: SimTime, _rng: &mut SimRng) -> Option<SimTime> {
+        None
+    }
+
+    fn mean_rate(&self) -> f64 {
+        0.0
+    }
+}
+
+/// One region's cell runtime plus what the router tracks of it.
+struct Fleet {
+    cell: CellRuntime,
+    /// Live-traffic requests served here.
+    served: u64,
+    /// What a request cost here in the last epoch that served any, joules
+    /// (0 until the region has served).
+    energy_per_request_j: f64,
+    /// Inside an outage window: the cell is not stepped, so its scaler and
+    /// ledger freeze and its boards draw nothing.
+    dark: bool,
+}
 
 /// Full specification of one multi-region serving run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -585,31 +622,7 @@ impl GlobalRouter {
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let epoch_len = schedule.epoch_len();
         let epoch_s = epoch_len.as_secs();
-        let cell = cfg.cell_config();
-
-        let seeder = SimRng::new(cfg.seed ^ FLEET_SALT);
-        let mut fleets: Vec<RegionalFleet> = cfg
-            .regions
-            .iter()
-            .enumerate()
-            .map(|(i, &region)| {
-                let mut config = cell.clone();
-                config.seed = seeder.substream(i as u64).next_u64();
-                RegionalFleet::new(FleetSpec {
-                    region,
-                    index: i,
-                    config,
-                    trace: self.traces[i].clone(),
-                    family: &self.family,
-                    perf: self.perf,
-                    global_rate_rps: self.rate_rps,
-                    capacity_per_gpu_rps: self.capacity_per_gpu_rps,
-                })
-            })
-            .collect();
-        for f in &mut fleets {
-            f.set_profiler(telemetry);
-        }
+        let mut fleets = self.fleets(telemetry);
         // Region outages, as (region, start_s, end_s), already validated.
         let outages = cfg.chaos.region_outages();
 
@@ -633,18 +646,23 @@ impl GlobalRouter {
             let t = epoch.start;
             let t_s = t.as_secs();
             let end_s = t_s + epoch_s;
-            let before: u64 =
-                fleets.iter().map(|f| f.backlog()).sum::<u64>() + transit.len() as u64;
+            let before = backlog(&fleets) + transit.len() as u64;
             let mut migrated_now = 0u64;
 
             // Outage transitions. An epoch is dark when any outage window
-            // overlaps it — an outage covers every epoch it touches.
+            // overlaps it — an outage covers every epoch it touches. A
+            // region going dark hands its entire backlog — queued and in
+            // flight alike (mid-service progress is lost with the region) —
+            // to the transit pool, aged by the transfer latency. It comes
+            // back with an empty carry and its scaler as the outage left it
+            // (warm-up happens through the normal epoch loop).
             for (i, fleet) in fleets.iter_mut().enumerate() {
                 let down_now = outages
                     .iter()
                     .any(|&(r, start, end)| r == i && start < end_s && end > t_s);
-                if down_now && !fleet.is_down() {
-                    let ages = fleet.go_dark(TRANSFER_LATENCY_S);
+                if down_now && !fleet.dark {
+                    fleet.dark = true;
+                    let ages = fleet.cell.carry_mut().drain_for_migration();
                     migrated_now += ages.len() as u64;
                     if telemetry.journal_mut().is_some() {
                         telemetry.emit(
@@ -654,9 +672,9 @@ impl GlobalRouter {
                                 .u64("drained", ages.len() as u64),
                         );
                     }
-                    transit.extend(ages);
-                } else if !down_now && fleet.is_down() {
-                    fleet.restore();
+                    transit.extend(ages.iter().map(|a| a + TRANSFER_LATENCY_S));
+                } else if !down_now && fleet.dark {
+                    fleet.dark = false;
                     if telemetry.journal_mut().is_some() {
                         telemetry.emit(
                             Event::new("region_restore", t)
@@ -666,14 +684,14 @@ impl GlobalRouter {
                     }
                 }
             }
-            let up: Vec<bool> = fleets.iter().map(|f| !f.is_down()).collect();
+            let up: Vec<bool> = fleets.iter().map(|f| !f.dark).collect();
             let n_up = up.iter().filter(|&&u| u).count();
 
             // The policy's view and decision.
             let snapshots: Vec<_> = fleets
                 .iter()
                 .enumerate()
-                .map(|(i, f)| f.snapshot(t, FORECAST_LOOKAHEAD_H, prev_weights[i]))
+                .map(|(i, f)| self.snapshot(i, f, t, prev_weights[i]))
                 .collect();
             let raw = cfg.policy.weights(
                 &snapshots,
@@ -704,7 +722,7 @@ impl GlobalRouter {
                 }
             }
 
-            let after: u64 = fleets.iter().map(|f| f.backlog()).sum::<u64>() + transit.len() as u64;
+            let after = backlog(&fleets) + transit.len() as u64;
             boundary_leak += after as i64 - before as i64;
             if migrated_now > 0 {
                 migration_boundaries += 1;
@@ -716,13 +734,13 @@ impl GlobalRouter {
             // With *every* region dark nothing is admitted at all — the
             // service is unreachable, so the epoch's traffic never enters
             // the system (not counted as drops).
-            let carried_in: u64 = fleets.iter().map(|f| f.backlog()).sum();
+            let carried_in = backlog(&fleets);
             let mut e_arrived = 0u64;
             let mut e_served = 0u64;
             let mut e_dropped = 0u64;
             for (i, fleet) in fleets.iter_mut().enumerate() {
                 if up[i] {
-                    let w = fleet.serve_epoch(&epoch, weights[i], &self.objective, telemetry);
+                    let w = self.serve(fleet, &epoch, weights[i], telemetry);
                     e_arrived += w.arrived;
                     e_served += w.served;
                     e_dropped += w.dropped;
@@ -731,7 +749,7 @@ impl GlobalRouter {
                     outage_epochs += 1;
                 }
             }
-            let backlog_after: u64 = fleets.iter().map(|f| f.backlog()).sum();
+            let backlog_after = backlog(&fleets);
             // The global serve law; transit is constant within the epoch
             // so it cancels out of the balance.
             let leak =
@@ -777,7 +795,7 @@ impl GlobalRouter {
                 t_hours: epoch.start_hours(),
                 weights: weights.clone(),
                 ci_g_per_kwh: snapshots.iter().map(|s| s.ci_now_g_per_kwh).collect(),
-                active_gpus: fleets.iter().map(|f| f.active_gpus() as u32).collect(),
+                active_gpus: fleets.iter().map(|f| f.cell.active_gpus() as u32).collect(),
                 down: up.iter().map(|&u| !u).collect(),
                 arrived: e_arrived,
                 served: e_served,
@@ -791,7 +809,7 @@ impl GlobalRouter {
 
         // Global roll-up across the regional ledgers and histograms.
         let epochs = schedule.count().max(1) as f64;
-        let totals: Vec<_> = fleets.iter().map(|f| f.totals()).collect();
+        let totals: Vec<_> = fleets.iter().map(|f| f.cell.totals()).collect();
         let region_carbon_g: Vec<f64> = totals.iter().map(|t| t.ledger.carbon().grams()).collect();
         let total_carbon_g: f64 = region_carbon_g.iter().sum();
         let it_energy_j: f64 = totals.iter().map(|t| t.ledger.it_energy().joules()).sum();
@@ -804,7 +822,8 @@ impl GlobalRouter {
                 *acc += v;
             }
         }
-        let accuracy_pct = served_accuracy_pct(&self.family, &per_variant);
+        let accuracy_pct = served_weighted_accuracy(&self.family, per_variant)
+            .unwrap_or(self.family.accuracy_base());
         let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
 
         GlobalOutcome {
@@ -820,7 +839,7 @@ impl GlobalRouter {
             sla_p95_s: self.objective.l_tail_s,
             total_carbon_g,
             region_carbon_g,
-            region_served: fleets.iter().map(|f| f.served()).collect(),
+            region_served: fleets.iter().map(|f| f.served).collect(),
             mean_weights: weight_sums.iter().map(|s| s / epochs).collect(),
             accuracy_pct,
             p95_s,
@@ -838,7 +857,7 @@ impl GlobalRouter {
             arrived,
             served,
             dropped,
-            final_backlog: fleets.iter().map(|f| f.backlog()).sum(),
+            final_backlog: backlog(&fleets),
             final_in_transit: transit.len() as u64,
             migrated_requests,
             migration_boundaries,
@@ -853,6 +872,105 @@ impl GlobalRouter {
             timeline,
         }
     }
+
+    /// One fleet per region, each cell under the region's trace, seeded
+    /// from its own substream of [`FLEET_SALT`] (the standard per-component
+    /// salts are applied inside) and profiled into `telemetry`. Evaluators
+    /// start at the planning floor's rate.
+    fn fleets(&self, telemetry: &Telemetry) -> Vec<Fleet> {
+        let config = self.cfg.cell_config();
+        let seeder = SimRng::new(self.cfg.seed ^ FLEET_SALT);
+        self.traces
+            .iter()
+            .enumerate()
+            .map(|(i, trace)| {
+                let mut config = config.clone();
+                config.seed = seeder.substream(i as u64).next_u64();
+                let mut cell = CellRuntime::new(
+                    &config,
+                    self.family.clone(),
+                    self.perf,
+                    trace.clone(),
+                    self.capacity_per_gpu_rps,
+                    self.rate_rps * PLANNING_FLOOR_W,
+                );
+                cell.set_profiler(telemetry.profiler());
+                Fleet {
+                    cell,
+                    served: 0,
+                    energy_per_request_j: 0.0,
+                    dark: false,
+                }
+            })
+            .collect()
+    }
+
+    /// What a routing policy sees of region `i` at `t`: current and
+    /// lookahead carbon (hourly samples of the region's trace) and live
+    /// capacity.
+    fn snapshot(&self, i: usize, fleet: &Fleet, t: SimTime, prev_weight: f64) -> RegionSnapshot {
+        let trace = &self.traces[i];
+        let hours = (FORECAST_LOOKAHEAD_H.ceil() as usize).max(1);
+        let mut sum = 0.0;
+        for k in 0..hours {
+            let at = SimTime::from_secs(t.as_secs() + k as f64 * 3600.0);
+            sum += trace.at(at).g_per_kwh();
+        }
+        RegionSnapshot {
+            index: i,
+            up: !fleet.dark,
+            ci_now_g_per_kwh: trace.at(t).g_per_kwh(),
+            ci_forecast_g_per_kwh: sum / hours as f64,
+            capacity_rps: fleet.cell.active_gpus() as f64 * self.capacity_per_gpu_rps,
+            energy_per_request_j: fleet.energy_per_request_j,
+            prev_weight,
+        }
+    }
+
+    /// Runs one control epoch of `fleet` at routed `weight`: plans against
+    /// the weight-scaled workload (floored at [`PLANNING_FLOOR_W`]) and
+    /// serves the full epoch continuously (weight zero serves
+    /// [`NoArrivals`] — the backlog still drains).
+    fn serve(
+        &self,
+        fleet: &mut Fleet,
+        epoch: &ControlEpoch,
+        weight: f64,
+        telemetry: &mut Telemetry,
+    ) -> WindowMetrics {
+        assert!(!fleet.dark, "a dark region serves nothing");
+        let kind = &self.cfg.workload;
+        let planning = Workload::new(kind.clone(), weight.max(PLANNING_FLOOR_W) * self.rate_rps);
+        let mut arrivals: Box<dyn ArrivalProcess> = if weight > 0.0 {
+            Workload::new(kind.clone(), weight * self.rate_rps).process_from(epoch.start)
+        } else {
+            Box::new(NoArrivals)
+        };
+        let w = fleet
+            .cell
+            .step(
+                epoch,
+                &self.objective,
+                &planning,
+                arrivals.as_mut(),
+                telemetry,
+            )
+            .window;
+        fleet.served += w.served;
+        // What a request actually cost here this epoch — the routing
+        // policies relativize grid intensity by it (a clean grid serving
+        // the big hungry variants is less attractive than its intensity
+        // alone suggests). Dry epochs keep the last observation.
+        if w.served > 0 {
+            fleet.energy_per_request_j = w.it_energy_j() / w.served as f64;
+        }
+        w
+    }
+}
+
+/// Backlog (queued + in flight) across every fleet's boundary carry.
+fn backlog(fleets: &[Fleet]) -> u64 {
+    fleets.iter().map(|f| f.cell.carry().backlog()).sum()
 }
 
 /// Masks `raw` to live regions, clamps negatives and non-finite entries to
@@ -891,13 +1009,13 @@ fn normalize_weights(raw: &[f64], up: &[bool]) -> Vec<f64> {
 /// their home queue), each migrant aged by the transfer latency. A
 /// hysteresis slack keeps small imbalances from thrashing back and forth
 /// every epoch. Returns the number of requests moved.
-fn rebalance_backlog(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64]) -> u64 {
+fn rebalance_backlog(fleets: &mut [Fleet], up: &[bool], weights: &[f64]) -> u64 {
     let n_up = up.iter().filter(|&&u| u).count();
     let total_queued: u64 = fleets
         .iter()
         .zip(up.iter())
         .filter(|(_, &u)| u)
-        .map(|(f, _)| f.queued() as u64)
+        .map(|(f, _)| f.cell.carry().queued() as u64)
         .sum();
     if total_queued == 0 {
         return 0;
@@ -909,11 +1027,11 @@ fn rebalance_backlog(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64])
         if !up[i] {
             continue;
         }
-        let queued = fleet.queued() as u64;
+        let queued = fleet.cell.carry().queued() as u64;
         let target = weights[i] * total_queued as f64;
         if (queued as f64) > target + slack as f64 {
             let excess = queued - target.ceil() as u64;
-            let mut taken = fleet.carry_mut().take_queued_newest(excess as usize);
+            let mut taken = fleet.cell.carry_mut().take_queued_newest(excess as usize);
             for a in &mut taken {
                 *a += TRANSFER_LATENCY_S;
             }
@@ -940,13 +1058,17 @@ fn rebalance_backlog(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64])
         }
         let take = (deficit as usize).min(pool.len() - cursor);
         fleets[i]
+            .cell
             .carry_mut()
             .absorb_queued(&pool[cursor..cursor + take]);
         cursor += take;
     }
     if cursor < pool.len() {
         let first_up = up.iter().position(|&u| u).expect("n_up > 1");
-        fleets[first_up].carry_mut().absorb_queued(&pool[cursor..]);
+        fleets[first_up]
+            .cell
+            .carry_mut()
+            .absorb_queued(&pool[cursor..]);
     }
     moved
 }
@@ -954,7 +1076,7 @@ fn rebalance_backlog(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64])
 /// Deals the transit pool to live regions in proportion to their weights
 /// (largest-remainder apportionment, remainder ties to the lower index),
 /// oldest requests first.
-fn deliver_transit(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64], mut pool: Vec<f64>) {
+fn deliver_transit(fleets: &mut [Fleet], up: &[bool], weights: &[f64], mut pool: Vec<f64>) {
     pool.sort_by(|a, b| b.partial_cmp(a).expect("finite request ages"));
     let total = pool.len();
     let mut counts: Vec<usize> = weights
@@ -994,6 +1116,7 @@ fn deliver_transit(fleets: &mut [RegionalFleet], up: &[bool], weights: &[f64], m
             continue;
         }
         fleets[i]
+            .cell
             .carry_mut()
             .absorb_queued(&pool[cursor..cursor + count]);
         cursor += count;
@@ -1022,29 +1145,93 @@ mod tests {
 
     /// Idle fleets, one per region of `cfg`: nothing queued, nothing in
     /// flight, no epoch served.
-    fn idle_fleets(cfg: &RouterConfig) -> Vec<RegionalFleet> {
-        let family = Arc::new(cfg.app.family());
-        let fleet = |(index, &region): (usize, &Region)| {
-            RegionalFleet::new(FleetSpec {
-                region,
-                index,
-                config: cfg.cell_config(),
-                trace: Arc::new(region.run_trace(cfg.horizon_hours, cfg.seed)),
-                family: &family,
-                perf: PerfModel::a100(),
-                global_rate_rps: 100.0,
-                capacity_per_gpu_rps: 50.0,
-            })
-        };
-        cfg.regions.iter().enumerate().map(fleet).collect()
+    fn idle_fleets(cfg: &RouterConfig) -> Vec<Fleet> {
+        GlobalRouter::new(cfg.clone()).fleets(&Telemetry::disabled())
     }
 
     /// Each fleet's queued ages, oldest first, emptying the queues.
-    fn take_queues(fleets: &mut [RegionalFleet]) -> Vec<Vec<f64>> {
+    fn take_queues(fleets: &mut [Fleet]) -> Vec<Vec<f64>> {
         fleets
             .iter_mut()
-            .map(|f| f.carry_mut().take_queued_newest(usize::MAX))
+            .map(|f| f.cell.carry_mut().take_queued_newest(usize::MAX))
             .collect()
+    }
+
+    #[test]
+    fn a_region_routed_zero_traffic_serves_nothing_but_plans_at_the_floor() {
+        // A region routed zero traffic every epoch, as any region a policy
+        // starves is. It serves no request, so per-request metrics are
+        // undefined; its boards still burn carbon; and every plan (CLOVER's
+        // search included) measures candidates at the floored planning
+        // rate, not at zero.
+        for scheme in [SchemeKind::Base, SchemeKind::Clover] {
+            let cfg = RouterConfig::builder(Application::LanguageModeling)
+                .regions(vec![Region::EsoMarch])
+                .scheme(scheme)
+                .control_epoch_s(600.0)
+                .n_gpus_per_region(2)
+                .min_gpus(1)
+                .horizon_hours(2.0)
+                .utilization(0.6)
+                .sla_headroom(2.0)
+                .seed(5)
+                .build();
+            let router = GlobalRouter::new(cfg.clone());
+            let mut telemetry = Telemetry::new(TelemetrySpec::JOURNAL);
+            let mut fleets = router.fleets(&telemetry);
+            let fleet = &mut fleets[0];
+            let mut carbon_g = 0.0;
+            for epoch in EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s).iter() {
+                let w = router.serve(fleet, &epoch, 0.0, &mut telemetry);
+                assert_eq!(
+                    (w.arrived, w.served),
+                    (0, 0),
+                    "{scheme}: a dry epoch admits nothing"
+                );
+                assert_eq!(
+                    w.energy_per_request_j(),
+                    None,
+                    "{scheme}: energy per request"
+                );
+                assert_eq!(w.p95_latency_s, None, "{scheme}: tail latency");
+                let charged = fleet.cell.totals().ledger.carbon().grams();
+                assert!(
+                    charged > carbon_g,
+                    "{scheme}: dry epoch {} charged no carbon",
+                    epoch.index
+                );
+                carbon_g = charged;
+            }
+            let journal = telemetry.take_report().journal.expect("journal enabled");
+            let floor = PLANNING_FLOOR_W * router.rate_rps;
+            let planned: Vec<f64> = journal
+                .as_str()
+                .lines()
+                .filter(|l| l.contains("\"event\":\"forecast\""))
+                .map(|l| {
+                    let v = l
+                        .split("\"planning_rate_rps\":")
+                        .nth(1)
+                        .expect("rate field");
+                    v[..v.find([',', '}']).expect("field end")]
+                        .parse()
+                        .expect("numeric rate")
+                })
+                .collect();
+            assert!(!planned.is_empty(), "{scheme}: the dry cell never planned");
+            for rate in planned {
+                assert!(
+                    rate > 0.0 && (rate - floor).abs() <= floor * 1e-12,
+                    "{scheme}: planned at {rate} req/s, floor {floor}"
+                );
+            }
+            if scheme == SchemeKind::Clover {
+                assert!(
+                    journal.as_str().contains("\"event\":\"search\""),
+                    "CLOVER never searched at the floored rate"
+                );
+            }
+        }
     }
 
     #[test]

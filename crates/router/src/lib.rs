@@ -1,5 +1,5 @@
-//! Geo-distributed carbon-routed serving: regional fleets and the global
-//! router.
+//! Geo-distributed carbon-routed serving: the global router over regional
+//! cells.
 //!
 //! The single-cluster runtime answers "how should *this* data center serve
 //! under *its* grid?". This crate promotes regions to first class and asks
@@ -9,15 +9,15 @@
 //! where the energy is clean* save, beyond what per-region scheduling
 //! already achieves?
 //!
-//! Three layers:
+//! Two parts:
 //!
-//! - [`RegionalFleet`] — one region's [`clover_core::CellRuntime`] (carbon
-//!   monitor, autoscaler, scheduler, continuous serving simulator, carbon
-//!   ledger) under the region's trace, on its own RNG substream;
 //! - [`RoutePolicy`] — the three traffic splits in [`RoutePolicy::ALL`]:
 //!   `uniform` (per-region-local, the baseline) and the carbon-aware
 //!   `carbon-greedy` and `forecast-aware`;
-//! - [`GlobalRouter`] — the multi-region runtime: splits live traffic each
+//! - [`GlobalRouter`] — the multi-region runtime: steps one
+//!   [`clover_core::CellRuntime`] per region (carbon monitor, autoscaler,
+//!   scheduler, continuous serving simulator, carbon ledger) under the
+//!   region's trace, on its own RNG substream; splits live traffic each
 //!   control epoch, migrates backlog across regions on the serving carry
 //!   (request ages survive the hop, plus a transfer-latency penalty),
 //!   drains regions through
@@ -25,7 +25,7 @@
 //!   global request conservation every epoch.
 //!
 //! Determinism contract: everything derives from [`RouterConfig::seed`].
-//! Fleets draw their master seeds from isolated substreams, the routing
+//! Regional cells draw their master seeds from isolated substreams, the routing
 //! policies draw no randomness, and region traces are keyed by the
 //! experiment seed alone — so [`GlobalRouter::run_cells_with`] over a grid
 //! of configs is byte-identical serial or parallel, and
@@ -33,11 +33,9 @@
 
 #![warn(missing_docs)]
 
-pub mod fleet;
 pub mod global;
 pub mod policy;
 
-pub use fleet::{FleetSpec, NoArrivals, RegionalFleet, PLANNING_FLOOR_W};
 pub use global::{
     GlobalOutcome, GlobalRouter, RouterConfig, RouterConfigBuilder, RouterEpochPoint,
 };

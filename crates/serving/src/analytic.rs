@@ -144,7 +144,9 @@ pub fn estimate(
 mod tests {
     use super::*;
     use crate::sim::ServingSim;
+    use clover_mig::{MigConfig, Partitioning};
     use clover_models::zoo::efficientnet;
+    use clover_models::VariantId;
     use clover_simkit::SimDuration;
 
     #[test]
@@ -213,6 +215,32 @@ mod tests {
         let d = Deployment::co2opt(&fam, 2);
         let e = estimate(&fam, &perf, &d, 10.0);
         assert!((e.accuracy_pct - 79.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn pure_deployments_hit_their_variant_accuracy() {
+        let fam = efficientnet();
+        let d = Deployment::uniform(&fam, 2, MigConfig::FULL, VariantId(3)).unwrap();
+        let e = estimate(&fam, &PerfModel::a100(), &d, 10.0);
+        assert!((e.accuracy_pct - 84.3).abs() < 1e-12);
+    }
+
+    #[test]
+    fn capacity_weighting_leans_toward_fast_instances() {
+        let fam = efficientnet();
+        // One fast small model and one slow large model, each on a whole
+        // GPU: the mixture accuracy must sit below the midpoint because
+        // the small model serves more traffic.
+        let d = Deployment::new(
+            &fam,
+            Partitioning::uniform(2, MigConfig::FULL),
+            vec![VariantId(0), VariantId(3)],
+        )
+        .unwrap();
+        let acc = estimate(&fam, &PerfModel::a100(), &d, 10.0).accuracy_pct;
+        let midpoint = (79.1 + 84.3) / 2.0;
+        assert!(acc < midpoint, "acc {acc} >= midpoint {midpoint}");
+        assert!(acc > 79.1);
     }
 
     #[test]

@@ -169,7 +169,10 @@ impl WindowMetrics {
     /// Mixture accuracy of the served requests (weighted average of the
     /// variants' published accuracy), percent.
     pub fn accuracy_pct(&self, family: &ModelFamily) -> Option<f64> {
-        clover_models::served_weighted_accuracy_counts(family, &self.per_variant_served)
+        clover_models::served_weighted_accuracy(
+            family,
+            self.per_variant_served.iter().map(|&n| n as f64),
+        )
     }
 }
 
