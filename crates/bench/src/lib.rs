@@ -7,9 +7,8 @@
 //! runs over one deduplicated cell set: `figures fig10` renders one,
 //! `figures` all of them. [`harness`] is their shared scaffolding: figure
 //! headers and rows, the standard Sec. 5.1 experiment configuration, and
-//! the decision-journal artifacts and gates. The `perf_report` binary is
-//! the engine's determinism gate. Timing lives in the repository
-//! benchmark (`python3 perfbench/run.py`).
+//! the decision-journal artifacts and gates. Timing lives in the
+//! repository benchmark (`python3 perfbench/run.py`).
 //!
 //! Environment knobs honored by the binaries:
 //!

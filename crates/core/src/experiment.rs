@@ -958,18 +958,10 @@ impl Experiment {
     /// first so one full-epoch cell cannot strand itself behind a drained
     /// pool of light windows.
     pub fn run_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<ExperimentOutcome> {
-        let cells = Self::build_cells(configs, threads);
-        clover_simkit::par_map_lpt(
-            cells.iter().collect(),
-            threads,
-            |e| e.cfg.cost_weight(),
-            |e| e.run(),
-        )
-    }
-
-    /// Builds one cell per config on `threads` workers, in input order.
-    fn build_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<Experiment> {
-        clover_simkit::par_map(configs, threads, Experiment::new)
+        Self::run_cells_with(configs, threads, TelemetrySpec::DISABLED)
+            .into_iter()
+            .map(|(outcome, _)| outcome)
+            .collect()
     }
 
     /// [`Experiment::run_cells`] with telemetry: each cell builds its own
@@ -977,16 +969,18 @@ impl Experiment {
     /// returns its [`TelemetryReport`] alongside the outcome.
     ///
     /// Outcomes come back in input order and — telemetry being a strict
-    /// overlay — bit-identical to [`Experiment::run_cells`]; each cell's
-    /// decision journal derives only from deterministic simulation state,
-    /// so the journals too are byte-identical between serial and parallel
-    /// execution (pinned by `tests/telemetry.rs`, gated by `perf_report`).
+    /// overlay — bit-identical to [`Experiment::run_cells`] (pinned by
+    /// `tests/par_determinism.rs`, whose parallel arm runs with every
+    /// pillar on); each cell's decision journal derives only from
+    /// deterministic simulation state, so the journals too are
+    /// byte-identical between serial and parallel execution (pinned by
+    /// `tests/telemetry.rs`).
     pub fn run_cells_with(
         configs: Vec<ExperimentConfig>,
         threads: usize,
         spec: TelemetrySpec,
     ) -> Vec<(ExperimentOutcome, TelemetryReport)> {
-        let cells = Self::build_cells(configs, threads);
+        let cells = clover_simkit::par_map(configs, threads, Experiment::new);
         clover_simkit::par_map_lpt(
             cells.iter().collect(),
             threads,

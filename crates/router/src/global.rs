@@ -131,9 +131,10 @@ pub struct RouterConfig {
     pub control_epoch_s: f64,
     /// SLA headroom multiplier over the measured BASE p95.
     pub sla_headroom: f64,
-    /// Simulated-annealing parameters.
+    /// Simulated-annealing parameters (the builder leaves the defaults).
     pub sa: SaParams,
-    /// How the SA budget relates to the control cadence.
+    /// How the SA budget relates to the control cadence (the builder
+    /// leaves [`SearchBudget::epoch_scaled`]).
     pub search_budget: SearchBudget,
     /// Fault processes. The router consumes
     /// [`clover_core::chaos::FaultSpec::RegionOutage`] entries; every other
@@ -286,18 +287,6 @@ impl RouterConfigBuilder {
     /// Sets the SLA headroom multiplier.
     pub fn sla_headroom(mut self, h: f64) -> Self {
         self.cfg.sla_headroom = h;
-        self
-    }
-
-    /// Sets SA parameters.
-    pub fn sa(mut self, sa: SaParams) -> Self {
-        self.cfg.sa = sa;
-        self
-    }
-
-    /// Sets the search-budget rule.
-    pub fn search_budget(mut self, b: SearchBudget) -> Self {
-        self.cfg.search_budget = b;
         self
     }
 

@@ -12,7 +12,7 @@
 use rand::RngCore;
 
 /// xoshiro256++ PRNG with convenience samplers for the distributions the
-/// simulator needs (uniform, exponential, normal, Poisson counts).
+/// simulator needs (uniform, exponential, normal).
 #[derive(Debug, Clone)]
 pub struct SimRng {
     state: [u64; 4],
@@ -165,30 +165,6 @@ impl SimRng {
         mean + std_dev * self.normal()
     }
 
-    /// Poisson-distributed count with the given mean (Knuth for small means,
-    /// normal approximation above 64 where the error is negligible for our
-    /// workload-generation use).
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean >= 0.0);
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let s = self.normal_with(mean, mean.sqrt()).round();
-            return s.max(0.0) as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Picks a uniformly random element of the slice.
     ///
     /// # Panics
@@ -281,21 +257,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.03, "var {var}");
-    }
-
-    #[test]
-    fn poisson_small_and_large_mean() {
-        let mut rng = SimRng::new(17);
-        let n = 50_000;
-        for &mean in &[0.5, 3.0, 200.0] {
-            let total: u64 = (0..n).map(|_| rng.poisson(mean)).sum();
-            let sample_mean = total as f64 / n as f64;
-            assert!(
-                (sample_mean - mean).abs() / mean < 0.05,
-                "mean {mean} got {sample_mean}"
-            );
-        }
-        assert_eq!(rng.poisson(0.0), 0);
     }
 
     #[test]

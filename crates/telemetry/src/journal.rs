@@ -9,8 +9,8 @@
 //! floats render through Rust's shortest-round-trip `{}` formatting, field
 //! order is insertion order, and no wall-clock value ever enters a line.
 //! A journal recorded by a parallel grid worker is therefore byte-for-byte
-//! the journal the serial run records — `perf_report` and
-//! `tests/telemetry.rs` gate on exactly that.
+//! the journal the serial run records — `tests/telemetry.rs` gates on
+//! exactly that.
 //!
 //! The event vocabulary the control plane emits (see
 //! `docs/observability.md` for the annotated schema): `epoch_begin`,

@@ -13,8 +13,8 @@
 //! - [`profile`] — scoped wall-clock [`ProfilerHandle`] timers around the
 //!   control loop's phases (scheduler plan, SA evaluate, DES run, scaler,
 //!   carry hand-off). Wall time flows only into perf aggregates (the
-//!   benchmark's phase times, `perf_report`'s phase bound), never into
-//!   journal bytes or simulation state.
+//!   benchmark's phase times, `tests/telemetry.rs`'s per-cell phase
+//!   bound), never into journal bytes or simulation state.
 //!
 //! Plus [`log`](mod@log) — the [`log_line!`] leveled stdout facility the
 //! bench bins use instead of ad-hoc `println!`, honoring
@@ -23,7 +23,8 @@
 //! The whole subsystem is toggled per experiment cell through a
 //! [`TelemetrySpec`]; with everything disabled, [`Telemetry`] is a no-op
 //! sink whose presence is invisible: outcome digests stay bit-identical,
-//! and `perf_report` gates that every pillar on keeps them so.
+//! and `tests/par_determinism.rs` gates that every pillar on keeps them
+//! so.
 //!
 //! See `docs/observability.md` at the workspace root for the journal
 //! schema and an annotated epoch example.
@@ -68,12 +69,6 @@ impl TelemetrySpec {
     pub const JOURNAL: Self = Self {
         journal: true,
         profiling: false,
-    };
-
-    /// Phase profiling only (the `perf_report` time-breakdown runs).
-    pub const PROFILING: Self = Self {
-        journal: false,
-        profiling: true,
     };
 }
 
@@ -158,7 +153,7 @@ impl TelemetryReport {
     /// FNV-1a digest of the journal bytes, 0 when no journal was kept.
     ///
     /// Serial and parallel runs of the same cell must produce the same
-    /// digest; `perf_report` exits non-zero when they do not.
+    /// digest; `tests/telemetry.rs` fails when they do not.
     pub fn journal_digest(&self) -> u64 {
         self.journal.as_ref().map_or(0, Journal::digest)
     }

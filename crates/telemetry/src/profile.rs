@@ -9,8 +9,8 @@
 //!
 //! Timing uses `std::time::Instant` and is therefore not deterministic —
 //! by design it flows only into perf aggregates (the benchmark's phase
-//! times and `perf_report`'s phase bound), never into journal bytes,
-//! metrics used by tests, or simulation state.
+//! times and `tests/telemetry.rs`'s per-cell phase bound), never into
+//! journal bytes, metrics used by tests, or simulation state.
 //! Handles are `Arc`-shared atomics so long-lived components (the DES
 //! evaluator, the serving simulator) can record into the same totals the
 //! experiment owns, including across the parallel grid's worker threads.

@@ -1,18 +1,20 @@
 //! Pins the parallel engine's core guarantee: an experiment grid fanned out
 //! over `par_map` produces outcomes **byte-identical** to the serial run,
-//! for every scheme and across seeds. Every cell derives all of its
-//! randomness from its own config seed, so thread interleaving has nothing
-//! it could perturb — this suite is the regression tripwire for anyone who
-//! introduces shared mutable state into the experiment path.
+//! for every application, every scheme and across seeds — with telemetry
+//! on or off. Every cell derives all of its randomness from its own config
+//! seed, so thread interleaving has nothing it could perturb — this suite
+//! is the regression tripwire for anyone who introduces shared mutable
+//! state into the experiment path.
 
 use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
+use clover::telemetry::TelemetrySpec;
 
 const SEEDS: [u64; 3] = [3, 17, 2023];
 
-fn cfg(scheme: SchemeKind, seed: u64) -> ExperimentConfig {
-    ExperimentConfig::builder(Application::ImageClassification)
+fn cfg(app: Application, scheme: SchemeKind, seed: u64) -> ExperimentConfig {
+    ExperimentConfig::builder(app)
         .scheme(scheme)
         .n_gpus(2)
         .horizon_hours(2.0)
@@ -21,12 +23,20 @@ fn cfg(scheme: SchemeKind, seed: u64) -> ExperimentConfig {
         .build()
 }
 
-/// The full grid this suite pins: all five schemes × three seeds.
+/// Every cell of the grid this suite pins: all three applications × all
+/// five schemes × three seeds, with a label per cell.
+fn cells() -> impl Iterator<Item = (String, ExperimentConfig)> {
+    Application::ALL.into_iter().flat_map(|app| {
+        SchemeKind::ALL.into_iter().flat_map(move |scheme| {
+            SEEDS
+                .into_iter()
+                .map(move |seed| (format!("{app}/{scheme}/{seed}"), cfg(app, scheme, seed)))
+        })
+    })
+}
+
 fn grid() -> Vec<ExperimentConfig> {
-    SchemeKind::ALL
-        .into_iter()
-        .flat_map(|scheme| SEEDS.into_iter().map(move |seed| cfg(scheme, seed)))
-        .collect()
+    cells().map(|(_, c)| c).collect()
 }
 
 fn assert_outcomes_identical(a: &ExperimentOutcome, b: &ExperimentOutcome, label: &str) {
@@ -46,23 +56,19 @@ fn assert_outcomes_identical(a: &ExperimentOutcome, b: &ExperimentOutcome, label
     assert_eq!(a.digest(), b.digest(), "{label}: digest");
 }
 
-/// Parallel `run_cells` equals the serial reference for all five schemes
-/// and three seeds each — outcome for outcome, bit for bit.
+/// The grid on four workers with every telemetry pillar on equals the
+/// serial telemetry-off reference for every application, scheme and seed
+/// — outcome for outcome, bit for bit. Phase profiling and the decision
+/// journal are overlays: neither may move a parallel outcome.
 #[test]
 fn par_map_grid_is_bit_identical_to_serial() {
     let serial = Experiment::run_cells(grid(), 1);
-    let parallel = Experiment::run_cells(grid(), 4);
+    let parallel = Experiment::run_cells_with(grid(), 4, TelemetrySpec::ALL);
     assert_eq!(serial.len(), parallel.len());
-    let labels: Vec<String> = SchemeKind::ALL
-        .into_iter()
-        .flat_map(|scheme| {
-            SEEDS
-                .into_iter()
-                .map(move |seed| format!("{scheme}/{seed}"))
-        })
-        .collect();
-    for ((a, b), label) in serial.iter().zip(parallel.iter()).zip(labels.iter()) {
-        assert_outcomes_identical(a, b, label);
+    for ((a, (b, report)), (label, _)) in serial.iter().zip(parallel.iter()).zip(cells()) {
+        assert_outcomes_identical(a, b, &label);
+        assert!(report.phases.is_some(), "{label}: missing phase totals");
+        assert!(report.journal.is_some(), "{label}: missing journal");
     }
 }
 

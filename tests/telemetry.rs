@@ -1,25 +1,31 @@
 //! Integration tests for the telemetry subsystem.
 //!
-//! Three guarantees are pinned here:
+//! Four guarantees are pinned here:
 //!
 //! 1. **Telemetry is a strict overlay.** Running the pinned pre-refactor
 //!    configurations with the no-op sink *and* with every pillar enabled
 //!    reproduces the exact digests `tests/control_plane.rs` records — the
 //!    sink never touches RNG, float paths, or event order.
 //! 2. **The decision journal is deterministic.** For all five schemes on a
-//!    sub-hour `FullEpoch` grid, the journal a parallel grid worker writes
-//!    is byte-for-byte the journal the serial run writes.
+//!    sub-hour `FullEpoch` flash-crowd grid, and for an MMPP burst cell,
+//!    the journal a parallel grid worker writes is byte-for-byte the
+//!    journal the serial run writes.
 //! 3. **Conservation checkpoints are honest.** The per-epoch
 //!    `conservation` events in the journal match the outcome timeline's
 //!    `HourPoint` counters exactly, and the stream closes the
 //!    `Σ arrived == Σ served + Σ dropped + backlog` law.
+//! 4. **Phase times count nothing twice.** One cell's top-level phases run
+//!    on its own thread and never nest, so their sum fits within the
+//!    cell's wall time.
 
 use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::telemetry::{Telemetry, TelemetrySpec};
+use clover::router::{GlobalRouter, RouterConfig};
+use clover::telemetry::{Phase, Telemetry, TelemetrySpec};
 use clover::workload::WorkloadKind;
+use std::time::Instant;
 
 /// The `tests/control_plane.rs` pinned configuration and digests (recorded
 /// before the control-plane extraction; the telemetry overlay must keep
@@ -42,13 +48,14 @@ fn quick_cfg(scheme: &str) -> ExperimentConfig {
         .build()
 }
 
-/// A sub-hour full-epoch cell: 20-minute epochs under a flash crowd, the
-/// densest journal the control plane writes (scaler + conservation every
-/// epoch, epoch-scaled search budgets on re-plans).
-fn full_epoch_cfg(scheme: &str, seed: u64) -> ExperimentConfig {
+/// A sub-hour full-epoch cell: 20-minute epochs under `workload`. Under a
+/// flash crowd it writes the densest journal the control plane writes
+/// (scaler + conservation every epoch, epoch-scaled search budgets on
+/// re-plans).
+fn full_epoch_cfg(scheme: &str, workload: WorkloadKind, seed: u64) -> ExperimentConfig {
     ExperimentConfig::builder(Application::ImageClassification)
         .scheme(SchemeKind::parse(scheme).unwrap())
-        .workload(WorkloadKind::flash_crowd())
+        .workload(workload)
         .n_gpus(2)
         .horizon_hours(2.0)
         .control_epoch_s(1200.0)
@@ -108,14 +115,20 @@ fn fully_enabled_telemetry_is_a_strict_overlay() {
 
 #[test]
 fn journal_is_byte_identical_serial_vs_parallel() {
-    let configs: Vec<ExperimentConfig> = PINNED_QUICK
+    // Every scheme under a flash crowd, plus the MMPP burst path.
+    let mut cells: Vec<(&str, ExperimentConfig)> = PINNED_QUICK
         .iter()
-        .map(|(s, _)| full_epoch_cfg(s, 3))
+        .map(|&(s, _)| (s, full_epoch_cfg(s, WorkloadKind::flash_crowd(), 3)))
         .collect();
+    cells.push((
+        "CLOVER/mmpp",
+        full_epoch_cfg("CLOVER", WorkloadKind::mmpp(), 3),
+    ));
+    let configs: Vec<ExperimentConfig> = cells.iter().map(|(_, c)| c.clone()).collect();
     let serial = Experiment::run_cells_with(configs.clone(), 1, TelemetrySpec::JOURNAL);
     let parallel = Experiment::run_cells_with(configs, 4, TelemetrySpec::JOURNAL);
-    for ((scheme, _), ((so, sr), (po, pr))) in
-        PINNED_QUICK.iter().zip(serial.iter().zip(parallel.iter()))
+    assert_eq!(serial.len(), cells.len());
+    for ((scheme, _), ((so, sr), (po, pr))) in cells.iter().zip(serial.iter().zip(parallel.iter()))
     {
         assert_eq!(so.digest(), po.digest(), "{scheme}: outcome diverged");
         let sj = sr.journal.as_ref().expect("serial journal");
@@ -135,8 +148,8 @@ fn journal_exposes_the_epoch_scaled_search_budget() {
     // 1200 s epochs scale the paper's 300 s hourly budget to 100 s
     // (SearchBudget::EpochScaled); every `search` event must carry it, so
     // the cadence-aware budget is verifiable from the journal alone.
-    let pairs =
-        Experiment::run_cells_with(vec![full_epoch_cfg("CLOVER", 3)], 1, TelemetrySpec::JOURNAL);
+    let cfg = full_epoch_cfg("CLOVER", WorkloadKind::flash_crowd(), 3);
+    let pairs = Experiment::run_cells_with(vec![cfg], 1, TelemetrySpec::JOURNAL);
     let (out, report) = &pairs[0];
     let journal = report.journal.as_ref().expect("journal enabled");
     let search_lines: Vec<&str> = journal
@@ -218,4 +231,67 @@ fn conservation_checkpoints_match_the_timeline() {
         served + dropped + closing_backlog,
         "the journal's conservation stream must close the per-boundary law"
     );
+}
+
+/// Runs `run` against a profiling-only sink and asserts that its top-level
+/// phase seconds are positive and fit within its own wall time.
+fn assert_top_level_phases_within_wall(label: &str, run: impl FnOnce(&mut Telemetry)) {
+    let mut telemetry = Telemetry::new(TelemetrySpec {
+        profiling: true,
+        ..TelemetrySpec::DISABLED
+    });
+    let t0 = Instant::now();
+    run(&mut telemetry);
+    let wall = t0.elapsed().as_secs_f64();
+    let phases = telemetry.take_report().phases.expect("profiling enabled");
+    let top: f64 = Phase::TOP_LEVEL.into_iter().map(|p| phases.secs(p)).sum();
+    assert!(top > 0.0, "{label}: no phase time recorded");
+    assert!(
+        top <= wall,
+        "{label}: top-level phases sum to {top:.6} s, over the cell's {wall:.6} s wall"
+    );
+}
+
+#[test]
+fn top_level_phases_fit_within_each_cells_wall() {
+    // One cell runs its top-level scopes (plan, des, scaler) on its own
+    // thread, one at a time, so their sum cannot exceed the cell's wall on
+    // any host. A nested phase (`Search` inside `Plan`, `Carry` inside
+    // `Des`) counted as top-level breaks the bound.
+    let mut cells: Vec<(String, ExperimentConfig)> = Vec::new();
+    for app in Application::ALL {
+        for scheme in [SchemeKind::Base, SchemeKind::Clover, SchemeKind::Oracle] {
+            let cfg = ExperimentConfig::builder(app)
+                .scheme(scheme)
+                .n_gpus(4)
+                .horizon_hours(2.0)
+                .sim_window_s(20.0)
+                .seed(3)
+                .build();
+            cells.push((format!("{app}/{scheme}"), cfg));
+        }
+    }
+    cells.push((
+        "full-epoch CLOVER".to_string(),
+        full_epoch_cfg("CLOVER", WorkloadKind::flash_crowd(), 3),
+    ));
+    for (label, cfg) in cells {
+        let experiment = Experiment::new(cfg);
+        assert_top_level_phases_within_wall(&label, |t| {
+            experiment.run_with(t);
+        });
+    }
+    let router = GlobalRouter::new(
+        RouterConfig::builder(Application::LanguageModeling)
+            .policy("carbon-greedy")
+            .scheme(SchemeKind::Clover)
+            .control_epoch_s(600.0)
+            .n_gpus_per_region(2)
+            .horizon_hours(2.0)
+            .seed(11)
+            .build(),
+    );
+    assert_top_level_phases_within_wall("router CLOVER", |t| {
+        router.run_with(t);
+    });
 }
