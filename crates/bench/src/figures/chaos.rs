@@ -5,8 +5,7 @@
 
 use super::{Grid, Spec};
 use crate::{
-    count_events, header, journal, journal_leaks, log_line, replay_gate, scaled_horizon,
-    write_journals, LogLevel,
+    count_events, header, journal, journal_leaks, replay_gate, scaled_horizon, write_journals,
 };
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::chaos::{ChaosConfig, FaultSpec};
@@ -74,9 +73,7 @@ pub(super) fn resilience() -> Spec {
             cell_markers(&labels, pairs.iter().map(|p| &p.1)),
         );
 
-        log_line!(
-            LogLevel::Info,
-            "{:<20} {:>10} {:>10} {:>8} {:>6} {:>7} {:>8} {:>9}",
+        println!("{:<20} {:>10} {:>10} {:>8} {:>6} {:>7} {:>8} {:>9}",
             "cell",
             "carbon_kg",
             "served",
@@ -88,9 +85,7 @@ pub(super) fn resilience() -> Spec {
         );
         for (label, (out, report)) in labels.iter().zip(pairs) {
             let journal = journal(report);
-            log_line!(
-                LogLevel::Info,
-                "{:<20} {:>10.2} {:>10.0} {:>8.2} {:>6} {:>7} {:>8} {:>9}",
+            println!("{:<20} {:>10.2} {:>10.0} {:>8.2} {:>6} {:>7} {:>8} {:>9}",
                 label,
                 out.total_carbon_g / 1000.0,
                 out.served_scaled,
@@ -101,7 +96,7 @@ pub(super) fn resilience() -> Spec {
                 count_events(journal, "fallback"),
             );
         }
-        log_line!(LogLevel::Info, "");
+        println!();
 
         // Liveness: chaos degrades service, it must never halt it. Every cell
         // — including harsh chaos with fully-dead stretches — serves work.
@@ -123,9 +118,7 @@ pub(super) fn resilience() -> Spec {
             leaks == 0,
             "conservation leaked at {leaks} epoch boundaries"
         );
-        log_line!(
-            LogLevel::Info,
-            "liveness: all {} cells served; conservation closed at every epoch boundary",
+        println!("liveness: all {} cells served; conservation closed at every epoch boundary",
             labels.len()
         );
 
@@ -133,9 +126,7 @@ pub(super) fn resilience() -> Spec {
         // chaos-off cell — the resilience cost in carbon and tail.
         let (clean, harsh) = (&pairs[..schemes.len()], &pairs[2 * schemes.len()..]);
         for ((scheme, (clean, _)), (harsh, _)) in schemes.iter().zip(clean).zip(harsh) {
-            log_line!(
-                LogLevel::Info,
-                "{:<8} harsh chaos: carbon {:+.1}%, p95/sla {:.2} -> {:.2}, served {:.1}% of clean",
+            println!("{:<8} harsh chaos: carbon {:+.1}%, p95/sla {:.2} -> {:.2}, served {:.1}% of clean",
                 scheme.label(),
                 (harsh.total_carbon_g - clean.total_carbon_g) / clean.total_carbon_g * 100.0,
                 clean.p95_s / clean.sla_p95_s,
@@ -143,7 +134,7 @@ pub(super) fn resilience() -> Spec {
                 harsh.served_scaled / clean.served_scaled * 100.0,
             );
         }
-        log_line!(LogLevel::Info, "");
+        println!();
 
         // The chaos-enabled determinism gate: replay the harsh level serially
         // and require byte-identical digests and journals against the parallel
@@ -156,15 +147,11 @@ pub(super) fn resilience() -> Spec {
             &runs.replay.experiments,
             ExperimentOutcome::digest,
         )?;
-        log_line!(
-            LogLevel::Info,
-            "chaos determinism gate: serial == parallel digests for all {} schemes at {}",
+        println!("chaos determinism gate: serial == parallel digests for all {} schemes at {}",
             schemes.len(),
             levels[2].0
         );
-        log_line!(
-            LogLevel::Info,
-            "wrote {journal_path} ({} cells' decision journals)",
+        println!("wrote {journal_path} ({} cells' decision journals)",
             labels.len()
         );
         Ok(())
@@ -250,9 +237,7 @@ pub(super) fn georouting() -> Spec {
             cell_markers(&labels, pairs.iter().map(|p| &p.1)),
         );
 
-        log_line!(
-            LogLevel::Info,
-            "{:<24} {:>10} {:>11} {:>8} {:>6} {:>9} {:>8} {:>15}",
+        println!("{:<24} {:>10} {:>11} {:>8} {:>6} {:>9} {:>8} {:>15}",
             "cell",
             "carbon_kg",
             "served",
@@ -269,9 +254,7 @@ pub(super) fn georouting() -> Spec {
                 .map(|w| format!("{w:.2}"))
                 .collect::<Vec<_>>()
                 .join("/");
-            log_line!(
-                LogLevel::Info,
-                "{:<24} {:>10.2} {:>11.0} {:>8.2} {:>6} {:>9} {:>8} {:>15}",
+            println!("{:<24} {:>10.2} {:>11.0} {:>8.2} {:>6} {:>9} {:>8} {:>15}",
                 label,
                 out.total_carbon_g / 1000.0,
                 out.served_scaled,
@@ -282,7 +265,7 @@ pub(super) fn georouting() -> Spec {
                 weights
             );
         }
-        log_line!(LogLevel::Info, "");
+        println!();
 
         // Liveness: every cell — outage cells included — serves work.
         let starved: Vec<&String> = labels
@@ -308,9 +291,7 @@ pub(super) fn georouting() -> Spec {
             let leaks = journal_leaks(journal(report));
             ensure!(leaks == 0, "{label}: {leaks} journaled conservation leaks");
         }
-        log_line!(
-            LogLevel::Info,
-            "conservation: closed at every epoch in all {} cells (boundary and serve laws)",
+        println!("conservation: closed at every epoch in all {} cells (boundary and serve laws)",
             labels.len()
         );
 
@@ -335,9 +316,7 @@ pub(super) fn georouting() -> Spec {
                 aware.total_carbon_g,
                 uniform.total_carbon_g
             );
-            log_line!(
-                LogLevel::Info,
-                "{:<16} saves {:.1}% global carbon vs per-region-local at equal SLA",
+            println!("{:<16} saves {:.1}% global carbon vs per-region-local at equal SLA",
                 policy,
                 (uniform.total_carbon_g - aware.total_carbon_g) / uniform.total_carbon_g * 100.0
             );
@@ -351,9 +330,7 @@ pub(super) fn georouting() -> Spec {
             local_clover.total_carbon_g < uniform.total_carbon_g,
             "local Clover scheduling must beat Base under the same uniform split"
         );
-        log_line!(
-            LogLevel::Info,
-            "local Clover saves {:.1}% vs Base at the same uniform split; routing on top adds {:+.1}%",
+        println!("local Clover saves {:.1}% vs Base at the same uniform split; routing on top adds {:+.1}%",
             (uniform.total_carbon_g - local_clover.total_carbon_g) / uniform.total_carbon_g * 100.0,
             (routed_clover.total_carbon_g - local_clover.total_carbon_g) / local_clover.total_carbon_g
                 * 100.0
@@ -368,16 +345,14 @@ pub(super) fn georouting() -> Spec {
                 out.migrated_requests > 0,
                 "{policy}: outage must migrate the drained backlog"
             );
-            log_line!(
-                LogLevel::Info,
-                "{:<16} outage: {} region-epochs dark, {} requests migrated, sla {}",
+            println!("{:<16} outage: {} region-epochs dark, {} requests migrated, sla {}",
                 policy,
                 out.outage_epochs,
                 out.migrated_requests,
                 if out.sla_met { "ok" } else { "VIOL" }
             );
         }
-        log_line!(LogLevel::Info, "");
+        println!();
 
         // The multi-region determinism gate: replay the whole grid serially
         // and require byte-identical digests against the parallel run.
@@ -388,14 +363,10 @@ pub(super) fn georouting() -> Spec {
             &runs.replay.routed,
             GlobalOutcome::digest,
         )?;
-        log_line!(
-            LogLevel::Info,
-            "determinism gate: serial == parallel digests and journals for all {} cells",
+        println!("determinism gate: serial == parallel digests and journals for all {} cells",
             labels.len()
         );
-        log_line!(
-            LogLevel::Info,
-            "wrote {journal_path} ({} cells' decision journals)",
+        println!("wrote {journal_path} ({} cells' decision journals)",
             labels.len()
         );
         Ok(())

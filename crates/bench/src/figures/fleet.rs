@@ -3,7 +3,7 @@
 //! fidelity (Fig. A2).
 
 use super::Spec;
-use crate::{header, log_line, scaled_horizon, write_journals, LogLevel};
+use crate::{header, scaled_horizon, write_journals};
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::control::Fidelity;
 use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
@@ -61,23 +61,15 @@ pub(super) fn autoscale() -> Spec {
             "elastic GPU fleet: scaling policy x workload, CLOVER partitioning",
         );
         let outs = runs.outcomes();
-        log_line!(
-            LogLevel::Info,
+        println!(
             "{:<12} {:<10} {:>12} {:>14} {:>12} {:>10} {:>6}",
-            "workload",
-            "policy",
-            "carbon_kg",
-            "vs static %",
-            "mean_gpus",
-            "p95/sla",
-            "sla"
+            "workload", "policy", "carbon_kg", "vs static %", "mean_gpus", "p95/sla", "sla"
         );
         for row in outs.chunks(policies.len()) {
             let static_carbon = row[0].total_carbon_g;
             for out in row {
                 let vs_static = (out.total_carbon_g - static_carbon) / static_carbon * 100.0;
-                log_line!(
-                    LogLevel::Info,
+                println!(
                     "{:<12} {:<10} {:>12.2} {:>+14.1} {:>12.2} {:>10.2} {:>6}",
                     out.workload,
                     out.scaling,
@@ -88,22 +80,20 @@ pub(super) fn autoscale() -> Spec {
                     if out.sla_met { "ok" } else { "VIOL" }
                 );
             }
-            log_line!(LogLevel::Info, "");
+            println!();
         }
 
         // The acceptance check this figure exists for, stated in its output:
         // the diurnal row's static vs forecast cells.
         let (stat, fore) = (outs[0], outs[2]);
         let saved = (stat.total_carbon_g - fore.total_carbon_g) / stat.total_carbon_g * 100.0;
-        log_line!(
-            LogLevel::Info,
+        println!(
             "diurnal: forecast scaling saves {saved:.1}% operational carbon vs the static fleet \
              (SLA {} vs {})",
             if fore.sla_met { "met" } else { "VIOLATED" },
             if stat.sla_met { "met" } else { "VIOLATED" },
         );
-        log_line!(
-            LogLevel::Info,
+        println!(
             "(mmpp/flash-crowd: hourly epochs cannot track sub-hour bursts; policies converge)"
         );
     })
@@ -244,20 +234,13 @@ pub(super) fn flashcrowd() -> Spec {
         );
 
         let outs = runs.outcomes();
-        log_line!(
-            LogLevel::Info,
+        println!(
             "{:<24} {:>10} {:>12} {:>12} {:>10} {:>6}",
-            "cell",
-            "carbon_kg",
-            "vs static %",
-            "mean_gpus",
-            "p95/sla",
-            "sla"
+            "cell", "carbon_kg", "vs static %", "mean_gpus", "p95/sla", "sla"
         );
         let static_carbon = outs[0].total_carbon_g;
         for (cell, out) in cells.iter().zip(&outs) {
-            log_line!(
-                LogLevel::Info,
+            println!(
                 "{:<24} {:>10.2} {:>+12.1} {:>12.2} {:>10.2} {:>6}",
                 cell.label,
                 out.total_carbon_g / 1000.0,
@@ -267,14 +250,13 @@ pub(super) fn flashcrowd() -> Spec {
                 if out.sla_met { "ok" } else { "VIOL" }
             );
         }
-        log_line!(LogLevel::Info, "");
+        println!();
 
         // The cells the claims compare, in `crowd_cells` order.
         let (blind, honest, fast, warm10, warm) = (outs[1], outs[2], outs[4], outs[5], outs[6]);
 
         // The fidelity artifact: same hourly decisions, opposite verdicts.
-        log_line!(
-            LogLevel::Info,
+        println!(
             "fidelity artifact: hourly reactive measures p95/sla {:.2} through its representative \
              window but {:.2} when the whole epoch is simulated — the crowd falls between windows",
             blind.p95_s / blind.sla_p95_s,
@@ -282,8 +264,7 @@ pub(super) fn flashcrowd() -> Spec {
         );
         // The cadence win: sub-hour reaction bounds the tail the hourly loop
         // cannot, while still beating the static fleet on carbon.
-        log_line!(
-            LogLevel::Info,
+        println!(
             "cadence win: 2-minute epochs cut the honest p95/sla from {:.2} to {:.2} ({} the SLA) \
              at {:.1}% less carbon than the static fleet",
             honest.p95_s / honest.sla_p95_s,
@@ -299,9 +280,7 @@ pub(super) fn flashcrowd() -> Spec {
         // lookahead sees the ramp coming) and lean in between (forecast
         // insurance replaces the reactive policy's standing headroom), so the
         // SLA is met at *less* carbon than reaction at the same cadence.
-        log_line!(
-            LogLevel::Info,
-            "pre-warm win: at 2-minute epochs the forecast-peak policy holds p95/sla {:.2} vs \
+        println!("pre-warm win: at 2-minute epochs the forecast-peak policy holds p95/sla {:.2} vs \
              reactive {:.2} ({} the SLA) at {:+.1}% carbon vs reactive and {:.1}% less than static; \
              at 10-minute epochs pre-warming already {} the SLA (p95/sla {:.2}) where reactive is \
              borderline",
@@ -317,9 +296,7 @@ pub(super) fn flashcrowd() -> Spec {
         // state the cold-start path silently discarded.
         let peak_backlog =
             |o: &ExperimentOutcome| o.timeline.iter().map(|h| h.backlog).max().unwrap();
-        log_line!(
-            LogLevel::Info,
-            "continuity: the 2-minute reactive run carries up to {} requests across an epoch \
+        println!("continuity: the 2-minute reactive run carries up to {} requests across an epoch \
              boundary mid-crowd (pre-warm: {}) — state a cold-start-per-epoch simulation would drop",
             peak_backlog(fast),
             peak_backlog(warm),
@@ -331,17 +308,15 @@ pub(super) fn flashcrowd() -> Spec {
                 .filter(|w| w[0].active_gpus != w[1].active_gpus)
                 .count()
         };
-        log_line!(
-            LogLevel::Info,
+        println!(
             "the 2-minute fleet resized {} times over {} epochs (hourly reactive: {} over {})",
             resizes(fast),
             fast.timeline.len(),
             resizes(honest),
             honest.timeline.len(),
         );
-        log_line!(LogLevel::Info, "");
-        log_line!(
-            LogLevel::Info,
+        println!();
+        println!(
             "wrote {journal_path} ({} cells' decision journals)",
             cells.len()
         );

@@ -4,37 +4,25 @@
 //! simulated horizon so smoke runs finish quickly; 1.0 is the paper's full
 //! 48 h. [`std_config`] is the standard Sec. 5.1 cell most paper figures
 //! share; the journal helpers read and write the decision-journal
-//! artifacts and gates of the beyond-the-paper figures.
-//!
-//! Output goes through `clover-telemetry`'s leveled [`log_line!`] facility:
-//! `CLOVER_LOG=quiet` silences the tables (machine-read artifacts like
-//! the `FIG_*_journal.jsonl` decision journals are still written), and
-//! `info` (the default) prints them.
+//! artifacts and gates of the beyond-the-paper figures. Tables print to
+//! stdout with `println!`; a failed check prints to stderr.
 
 use clover_carbon::Region;
 use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
 use clover_telemetry::TelemetryReport;
-pub use clover_telemetry::{log_line, LogLevel};
 
 /// Prints a figure/table header in a uniform style.
 pub fn header(id: &str, caption: &str) {
-    log_line!(
-        LogLevel::Info,
-        "================================================================"
-    );
-    log_line!(LogLevel::Info, "{id}: {caption}");
-    log_line!(
-        LogLevel::Info,
-        "================================================================"
-    );
+    println!("================================================================");
+    println!("{id}: {caption}");
+    println!("================================================================");
 }
 
 /// Prints one outcome as a comparison row (Fig. 9/10/16 style).
 pub fn outcome_row(out: &ExperimentOutcome) {
-    log_line!(
-        LogLevel::Info,
+    println!(
         "{:<8} {:<14} carbon_save={:6.1}%  acc_gain={:6.2}%  p95/base={:5.2}  sla={}  opt={:4.2}%",
         out.scheme,
         out.app,

@@ -15,8 +15,7 @@
 //! - `CLOVER_BENCH_SCALE` (default 1.0) scales the simulated horizon so
 //!   smoke runs finish quickly; a value outside (0, 1] panics;
 //! - `CLOVER_THREADS` pins the experiment-grid worker pool (results are
-//!   byte-identical at any thread count);
-//! - `CLOVER_LOG=quiet|info|debug` sets the tables' verbosity.
+//!   byte-identical at any thread count).
 
 #![warn(missing_docs)]
 

@@ -54,12 +54,6 @@ pub const COOLDOWN_EPOCHS: u64 = 1;
 /// while warming.
 pub const PROVISION_DELAY_EPOCHS: u64 = 1;
 
-/// Epochs a retired GPU spends *draining* before it powers down to standby:
-/// it finishes in-flight work, admits nothing, and keeps drawing power
-/// (static floor plus the residual of its resident slices) until the
-/// control plane confirms it empty at an epoch boundary.
-pub const DRAIN_EPOCHS: u64 = 1;
-
 /// How the active GPU count is chosen each decision epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ScalingPolicy {
@@ -163,8 +157,8 @@ pub struct ScalerConfig {
 }
 
 impl ScalerConfig {
-    /// A scaler configuration; cooldown, provisioning delay and drain are
-    /// the module's one-epoch constants.
+    /// A scaler configuration; cooldown and provisioning delay are the
+    /// module's one-epoch constants, and a drain lasts one epoch.
     pub fn new(
         policy: ScalingPolicy,
         min_gpus: usize,
@@ -230,8 +224,8 @@ pub enum ScaleReason {
     /// Active utilization fell below the lower threshold: capacity
     /// retired into the drain window.
     ScaleDown,
-    /// Scale-up wanted but no uncommitted GPU exists (fleet at its
-    /// provisioned maximum, or everything else is mid-drain).
+    /// Scale-up wanted but no uncommitted GPU exists (every board is
+    /// active, warming or down).
     AtCeiling,
     /// Scale-down wanted but the fleet already sits at `min_gpus`.
     AtFloor,
@@ -293,9 +287,13 @@ pub struct Scaler {
     active: usize,
     /// Batches of powered-but-warming GPUs: `(ready_epoch, count)`.
     warming: Vec<(u64, usize)>,
-    /// Batches of retired-but-draining GPUs: `(empty_epoch, count)`. They
-    /// power down to standby once their epoch expires.
-    draining: Vec<(u64, usize)>,
+    /// GPUs retired by the last step, still draining: they finish
+    /// in-flight work, admit nothing, and keep drawing power (static floor
+    /// plus the residual of their resident slices) until the next step
+    /// confirms them empty and they fall to standby. A drain lasts one
+    /// epoch and the cooldown forbids a scaling action at the next step,
+    /// so at most one retirement drains at a time.
+    draining: usize,
     /// Failed GPUs currently out of the fleet (chaos layer). Counted
     /// inside `off` in [`FleetState`] — they draw nothing, not even
     /// standby — and they cap every policy's scale-up until repaired.
@@ -315,7 +313,7 @@ impl Scaler {
         Scaler {
             active: cfg.max_gpus,
             warming: Vec::new(),
-            draining: Vec::new(),
+            draining: 0,
             down: 0,
             cooldown_until: 0,
             epoch: 0,
@@ -364,8 +362,8 @@ impl Scaler {
         let epoch = self.epoch;
         self.epoch += 1;
 
-        // Promote batches whose warm-up lag has elapsed, and power down
-        // retired GPUs whose drain window is over (they fall to standby —
+        // Promote batches whose warm-up lag has elapsed, and power down the
+        // last step's retirement, whose drain is over (it falls to standby —
         // `state()` derives `off` from what remains committed). Static
         // fleets run this too: repaired boards re-enter through warming
         // even when the policy itself never scales.
@@ -427,8 +425,6 @@ impl Scaler {
                 // power now but serve only after the provisioning delay.
                 // Failed boards cannot be powered on at all: growth is
                 // bounded by what is genuinely uncommitted *and* alive.
-                // Drains last one epoch, so `promote_ready` above has retired them all.
-                debug_assert_eq!(self.draining_count(), 0);
                 let uncommitted = self.available().saturating_sub(powered);
                 let add = self
                     .desired(demand, target)
@@ -448,7 +444,7 @@ impl Scaler {
                 if desired < self.active {
                     let retired = self.active - desired;
                     self.active = desired;
-                    self.draining.push((epoch + DRAIN_EPOCHS, retired));
+                    self.draining = retired;
                     self.cooldown_until = epoch + 1 + COOLDOWN_EPOCHS;
                     self.last_reason = ScaleReason::ScaleDown;
                 }
@@ -461,7 +457,7 @@ impl Scaler {
     /// Removes `n` failed GPUs from the fleet, effective immediately —
     /// hardware does not wait for a decision epoch. Boards are taken from
     /// the active set first (their instances are already dead in the
-    /// serving layer), then from warming batches, then from draining
+    /// serving layer), then from warming batches, then from the draining
     /// ones; any remainder fell on boards that were already off. Returns
     /// how many boards actually left (never more than the fleet holds).
     ///
@@ -474,16 +470,15 @@ impl Scaler {
         let from_active = left.min(self.active);
         self.active -= from_active;
         left -= from_active;
-        for batches in [&mut self.warming, &mut self.draining] {
-            for batch in batches.iter_mut() {
-                let take = left.min(batch.1);
-                batch.1 -= take;
-                left -= take;
-            }
-            batches.retain(|&(_, count)| count > 0);
+        for batch in self.warming.iter_mut() {
+            let take = left.min(batch.1);
+            batch.1 -= take;
+            left -= take;
         }
-        // `left` now counts boards that were already in standby: nothing
-        // to power down, but they still join the repair queue.
+        self.warming.retain(|&(_, count)| count > 0);
+        // What exceeds the drain fell on boards already in standby:
+        // nothing to power down, but they still join the repair queue.
+        self.draining -= left.min(self.draining);
         self.down += n;
         n
     }
@@ -514,8 +509,8 @@ impl Scaler {
         self.cfg.max_gpus - self.down
     }
 
-    /// Promotes warming batches whose lag elapsed and expires finished
-    /// drain windows, clamping the active set to the surviving fleet.
+    /// Promotes warming batches whose lag elapsed, clamping the active set
+    /// to the surviving fleet, and powers down the last step's drain.
     fn promote_ready(&mut self, epoch: u64) {
         let mut ready = 0usize;
         self.warming.retain(|&(at, n)| {
@@ -527,7 +522,7 @@ impl Scaler {
             }
         });
         self.active = (self.active + ready).min(self.available());
-        self.draining.retain(|&(until, _)| until > epoch);
+        self.draining = 0;
     }
 
     /// GPU count that would serve `demand` at utilization `target`,
@@ -541,18 +536,13 @@ impl Scaler {
         self.warming.iter().map(|&(_, n)| n).sum()
     }
 
-    fn draining_count(&self) -> usize {
-        self.draining.iter().map(|&(_, n)| n).sum()
-    }
-
     fn state(&self) -> FleetState {
         let warming = self.pending();
-        let draining = self.draining_count();
         FleetState {
             active: self.active,
             warming,
-            draining,
-            off: self.cfg.max_gpus - self.active - warming - draining,
+            draining: self.draining,
+            off: self.cfg.max_gpus - self.active - warming - self.draining,
         }
     }
 }

@@ -378,19 +378,15 @@ impl FaultPlan {
                     mtbf_hours,
                     mttr_hours,
                 } => {
-                    let fail_rate = 1.0 / (mtbf_hours * 3600.0);
-                    let repair_rate = 1.0 / (mttr_hours * 3600.0);
                     for (gpu, timeline) in plan.down.iter_mut().enumerate() {
-                        let mut rng = root.substream(label_base | gpu as u64);
-                        let mut t = rng.exponential(fail_rate);
-                        while t < horizon_s {
-                            let up = t + rng.exponential(repair_rate);
+                        let rng = root.substream(label_base | gpu as u64);
+                        alternating_renewal(rng, mtbf_hours, mttr_hours, horizon_s, |t, up| {
                             timeline.push((t, quantize_up(up)));
                             // The renewal process continues from the raw
                             // repair instant; overlaps introduced by the
                             // quantization are merged below.
-                            t = up + rng.exponential(fail_rate);
-                        }
+                            up
+                        });
                     }
                 }
                 FaultSpec::InstanceCrashes { rate_per_hour } => {
@@ -410,13 +406,9 @@ impl FaultPlan {
                     duration_hours,
                     frac,
                 } => {
-                    let mut rng = root.substream(label_base);
-                    let onset_rate = 1.0 / (mtbf_hours * 3600.0);
-                    let end_rate = 1.0 / (duration_hours * 3600.0);
+                    let rng = root.substream(label_base);
                     let hit = ((frac * n_gpus as f64).round() as usize).clamp(1, n_gpus);
-                    let mut t = rng.exponential(onset_rate);
-                    while t < horizon_s {
-                        let end = t + rng.exponential(end_rate);
+                    alternating_renewal(rng, mtbf_hours, duration_hours, horizon_s, |t, end| {
                         // Deterministic victim choice: the episode takes
                         // the highest-indexed GPUs, leaving the low end —
                         // where single-GPU deployments concentrate — to
@@ -424,22 +416,19 @@ impl FaultPlan {
                         for timeline in plan.down.iter_mut().skip(n_gpus - hit) {
                             timeline.push((t, quantize_up(end)));
                         }
-                        t = end + rng.exponential(onset_rate);
-                    }
+                        end
+                    });
                 }
                 FaultSpec::CarbonGaps {
                     mtbf_hours,
                     duration_hours,
                 } => {
-                    let mut rng = root.substream(label_base);
-                    let onset_rate = 1.0 / (mtbf_hours * 3600.0);
-                    let end_rate = 1.0 / (duration_hours * 3600.0);
-                    let mut t = rng.exponential(onset_rate);
-                    while t < horizon_s {
-                        let end = (t + rng.exponential(end_rate)).min(horizon_s);
+                    let rng = root.substream(label_base);
+                    alternating_renewal(rng, mtbf_hours, duration_hours, horizon_s, |t, end| {
+                        let end = end.min(horizon_s);
                         plan.gaps.push((t, end));
-                        t = end + rng.exponential(onset_rate);
-                    }
+                        end
+                    });
                 }
                 FaultSpec::ForecastError { bias, sigma } => {
                     let mut rng = root.substream(label_base);
@@ -533,6 +522,26 @@ impl FaultPlan {
     /// spec is configured or the epoch is past the horizon).
     pub fn forecast_factor(&self, epoch: usize) -> f64 {
         self.factors.get(epoch).copied().unwrap_or(1.0)
+    }
+}
+
+/// Draws an alternating renewal process from `rng` up to `horizon_s`: an
+/// exponential onset (mean `mtbf_hours`), an exponential episode (mean
+/// `mean_hours`), then the next onset from the instant `episode` returns.
+/// `episode(onset_s, end_s)` records one episode with its raw end.
+fn alternating_renewal(
+    mut rng: SimRng,
+    mtbf_hours: f64,
+    mean_hours: f64,
+    horizon_s: f64,
+    mut episode: impl FnMut(f64, f64) -> f64,
+) {
+    let onset_rate = 1.0 / (mtbf_hours * 3600.0);
+    let end_rate = 1.0 / (mean_hours * 3600.0);
+    let mut t = rng.exponential(onset_rate);
+    while t < horizon_s {
+        let end = t + rng.exponential(end_rate);
+        t = episode(t, end) + rng.exponential(onset_rate);
     }
 }
 

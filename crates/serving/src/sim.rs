@@ -185,22 +185,29 @@ struct Instance {
     busy_w: f64,
     /// Idle power, watts (precomputed).
     idle_w: f64,
-    /// Arrival time of the in-flight request, seconds on the window's
-    /// local clock, if busy. Negative for requests carried in from a
-    /// previous epoch (they arrived before this window opened).
-    in_flight: Option<f64>,
-    /// Service interval (start, end) of the in-flight request, seconds.
-    pending_interval: Option<(f64, f64)>,
+    /// The request in service, if busy.
+    in_flight: Option<InFlight>,
     /// Accumulated busy seconds clipped to the measured span.
     busy_in_span_s: f64,
-    /// False once an injected failure has taken this instance down.
-    up: bool,
-    /// Bumped on every failure; `Done` events from before the failure carry
-    /// the old generation and are discarded as stale.
-    gen: u32,
-    /// Failure instant on the window clock, if the instance went down
-    /// (dead slices stop drawing idle power from this point).
+    /// Failure instant on the window clock, if an injected failure took the
+    /// instance down. A down instance is never dispatched again within the
+    /// run, so its pending `Done` event is stale; dead slices stop drawing
+    /// idle power from this point.
     down_at_s: Option<f64>,
+}
+
+/// A request in service, seconds on the window's local clock.
+#[derive(Clone, Copy)]
+struct InFlight {
+    /// Arrival time; negative for requests carried in from a previous
+    /// epoch (they arrived before this window opened).
+    arrived_at_s: f64,
+    /// Service start. Busy intervals can straddle the span edges, so the
+    /// exact interval is kept and clipped to the measured span when the
+    /// service ends.
+    start_s: f64,
+    /// Scheduled service end.
+    end_s: f64,
 }
 
 /// A queued kernel event. Arrivals never enter the queue: the kernel holds
@@ -209,7 +216,6 @@ struct Instance {
 enum Ev {
     Done {
         instance: u32,
-        gen: u32,
     },
     /// Index into the run's injected-failure schedule.
     Fault {
@@ -501,14 +507,15 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
     // queue with their pre-window arrival times (negative on this clock).
     let restore_scope = profiler.map(|p| p.scope(Phase::Carry));
     for r in &restore.in_flight {
-        let inst = &mut instances[r.instance as usize];
-        inst.in_flight = Some(-r.age_s);
-        inst.pending_interval = Some((0.0, r.remaining_s));
+        instances[r.instance as usize].in_flight = Some(InFlight {
+            arrived_at_s: -r.age_s,
+            start_s: 0.0,
+            end_s: r.remaining_s,
+        });
         q.schedule(
             SimTime::from_secs(r.remaining_s),
             Ev::Done {
                 instance: r.instance,
-                gen: 0,
             },
         );
     }
@@ -591,23 +598,18 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
                 let mut requeue: Vec<f64> = Vec::new();
                 for &inst_idx in &failures[failure as usize].instances {
                     let i = inst_idx as usize;
-                    if i >= instances.len() || !instances[i].up {
+                    if i >= instances.len() || instances[i].down_at_s.is_some() {
                         continue;
                     }
                     let inst = &mut instances[i];
-                    inst.up = false;
-                    inst.gen = inst.gen.wrapping_add(1);
                     inst.down_at_s = Some(now.as_secs());
                     t.fault_kills += 1;
                     // The aborted request burned power up to the failure
-                    // instant; its scheduled completion is now stale (old
-                    // generation) and will be discarded.
-                    if let Some((a, _)) = inst.pending_interval.take() {
-                        inst.pending_interval = Some((a, now.as_secs()));
-                    }
-                    inst.fold_interval(warmup_end_s, horizon_s);
-                    if let Some(arr) = inst.in_flight.take() {
-                        requeue.push(arr);
+                    // instant; its scheduled completion is now stale (the
+                    // instance is down) and will be discarded.
+                    if let Some(job) = inst.in_flight.take() {
+                        inst.fold_busy(job.start_s, now.as_secs(), warmup_end_s, horizon_s);
+                        requeue.push(job.arrived_at_s);
                         t.fault_requeued += 1;
                     }
                     idle.retain(|&j| j != inst_idx);
@@ -618,16 +620,12 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
                     fifo.push_front(arr);
                 }
             }
-            Ev::Done { instance, gen } => {
+            Ev::Done { instance } => {
                 let i = instance as usize;
-                if instances[i].gen != gen {
+                if instances[i].down_at_s.is_some() {
                     continue; // stale completion of a failed instance
                 }
-                instances[i].fold_interval(warmup_end_s, horizon_s);
-                let arrived_at = instances[i]
-                    .in_flight
-                    .take()
-                    .expect("completion for idle instance");
+                let arrived_at = instances[i].finish(warmup_end_s, horizon_s);
                 // Drain mode measures requests that arrived within the
                 // span. Carry mode measures every completion in the epoch,
                 // carried requests with their full seam-spanning latency.
@@ -655,18 +653,14 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
     let snapshot_scope = profiler.map(|p| p.scope(Phase::Carry));
     if let Some(out) = carry_out {
         while let Some((at, ev)) = q.pop() {
-            let Ev::Done { instance, gen } = ev else {
+            let Ev::Done { instance } = ev else {
                 continue;
             };
             let i = instance as usize;
-            if instances[i].gen != gen {
+            if instances[i].down_at_s.is_some() {
                 continue; // stale completion of a failed instance
             }
-            instances[i].fold_interval(warmup_end_s, horizon_s);
-            let arrived_at = instances[i]
-                .in_flight
-                .take()
-                .expect("carried completion for idle instance");
+            let arrived_at = instances[i].finish(warmup_end_s, horizon_s);
             out.in_flight.push(CarriedRequest {
                 instance,
                 age_s: horizon_s - arrived_at,
@@ -726,10 +720,7 @@ impl Instance {
             busy_w: perf.busy_power_w(variant, slice),
             idle_w: perf.power.idle_slice_w(slice),
             in_flight: None,
-            pending_interval: None,
             busy_in_span_s: 0.0,
-            up: true,
-            gen: 0,
             down_at_s: None,
         }
     }
@@ -743,33 +734,38 @@ impl Instance {
         q: &mut EventQueue<Ev>,
     ) {
         debug_assert!(self.in_flight.is_none());
-        debug_assert!(self.up, "dispatch to a failed instance");
-        self.in_flight = Some(arrived_at_s);
+        debug_assert!(self.down_at_s.is_none(), "dispatch to a failed instance");
         // Lognormal jitter with unit mean.
         let sigma = SERVICE_JITTER_SIGMA;
         let jitter = (sigma * rng.normal() - 0.5 * sigma * sigma).exp();
         let service = self.mean_service_s * jitter;
         q.schedule_in(
             SimDuration::from_secs(service),
-            Ev::Done {
-                instance: index,
-                gen: self.gen,
-            },
+            Ev::Done { instance: index },
         );
-        // Busy intervals can straddle the span edges; remember the exact
-        // interval and clip it to the measured span at completion.
-        self.pending_interval = Some((now.as_secs(), now.as_secs() + service));
+        self.in_flight = Some(InFlight {
+            arrived_at_s,
+            start_s: now.as_secs(),
+            end_s: now.as_secs() + service,
+        });
     }
 
-    /// Clips the in-flight service interval to `[warmup_end, span_end]` and
-    /// accumulates the overlap into the measured busy time.
-    fn fold_interval(&mut self, warmup_end: f64, span_end: f64) {
-        if let Some((a, b)) = self.pending_interval.take() {
-            let lo = a.max(warmup_end);
-            let hi = b.min(span_end);
-            if hi > lo {
-                self.busy_in_span_s += hi - lo;
-            }
+    /// Ends the in-flight request's service at its scheduled end, folds
+    /// the service interval into the busy time, and returns the request's
+    /// arrival time.
+    fn finish(&mut self, warmup_end: f64, span_end: f64) -> f64 {
+        let job = self.in_flight.take().expect("completion for idle instance");
+        self.fold_busy(job.start_s, job.end_s, warmup_end, span_end);
+        job.arrived_at_s
+    }
+
+    /// Clips the service interval `[start, end]` to `[warmup_end,
+    /// span_end]` and accumulates the overlap into the measured busy time.
+    fn fold_busy(&mut self, start: f64, end: f64, warmup_end: f64, span_end: f64) {
+        let lo = start.max(warmup_end);
+        let hi = end.min(span_end);
+        if hi > lo {
+            self.busy_in_span_s += hi - lo;
         }
     }
 }
@@ -1434,6 +1430,34 @@ mod tests {
         // Dead capacity stops burning: less static+idle energy than the
         // healthy run over the same span.
         assert!(w.static_energy_j < w_ok.static_energy_j);
+        // A second failure naming the already-dead instance kills nothing
+        // and requeues nothing: the run matches the single-failure one.
+        let mut twice = ServingSim::new(
+            fam.clone(),
+            PerfModel::a100(),
+            Deployment::base(&fam, 2),
+            21,
+        );
+        twice.set_window_failures(vec![
+            InstanceFailure {
+                at_s: 10.0,
+                instances: vec![0],
+                gpus: 1,
+            },
+            InstanceFailure {
+                at_s: 15.0,
+                instances: vec![0],
+                gpus: 0,
+            },
+        ]);
+        let mut p3 = clover_workload::PoissonProcess::new(cap * 0.9);
+        let (w2, carry2) = twice.run_epoch_continuous(&mut p3, epoch, ServingCarry::default());
+        assert_eq!(w2.fault_kills, 1, "a dead instance cannot die again");
+        assert_eq!(w2.fault_requeued, 1);
+        assert_eq!(w2.served, w.served);
+        assert_eq!(w2.dropped, w.dropped);
+        assert_eq!(w2.dynamic_energy_j, w.dynamic_energy_j);
+        assert_eq!(carry2.backlog(), carry.backlog());
     }
 
     #[test]

@@ -16,10 +16,6 @@
 //!   benchmark's phase times, `tests/telemetry.rs`'s per-cell phase
 //!   bound), never into journal bytes or simulation state.
 //!
-//! Plus [`log`](mod@log) — the [`log_line!`] leveled stdout facility the
-//! bench bins use instead of ad-hoc `println!`, honoring
-//! `CLOVER_LOG=quiet|info|debug`.
-//!
 //! The whole subsystem is toggled per experiment cell through a
 //! [`TelemetrySpec`]; with everything disabled, [`Telemetry`] is a no-op
 //! sink whose presence is invisible: outcome digests stay bit-identical,
@@ -32,11 +28,9 @@
 #![warn(missing_docs)]
 
 pub mod journal;
-pub mod log;
 pub mod profile;
 
 pub use journal::{Event, Journal};
-pub use log::{log_enabled, log_level, LogLevel};
 pub use profile::{Phase, PhaseScope, PhaseTotals, ProfilerHandle};
 
 /// Which telemetry pillars an experiment cell should run with.
