@@ -66,8 +66,6 @@ pub struct EvalRecord {
     pub delta_accuracy_pct: f64,
     /// Objective value `f`.
     pub objective_f: f64,
-    /// SA energy `h`.
-    pub sa_energy: f64,
     /// Whether the point met the SLA.
     pub sla_ok: bool,
     /// Whether SA accepted it as the new center.
@@ -93,9 +91,6 @@ pub struct SearchLedger {
     pub rejected: u32,
     /// The non-improving streak at termination.
     pub final_non_improving: u32,
-    /// Simulated live time charged to this invocation, seconds (equals
-    /// `OptimizationRun::time_spent_s`).
-    pub charged_live_s: f64,
     /// The time budget this invocation ran under, seconds — after any
     /// epoch scaling, so sub-hour cadences show their reduced cap here.
     pub budget_s: f64,
@@ -153,7 +148,6 @@ where
             delta_carbon_pct: objective.delta_carbon_pct(point.energy_per_request_j, ci),
             delta_accuracy_pct: objective.delta_accuracy_pct(point.accuracy_pct),
             objective_f: objective.f(point, ci),
-            sa_energy: objective.sa_energy(point, ci),
             sla_ok: objective.sla_ok(point),
             accepted,
         });
@@ -216,7 +210,6 @@ where
             accepted,
             rejected,
             final_non_improving: non_improving,
-            charged_live_s: time_spent,
             budget_s: params.time_budget_s,
         },
     }
@@ -339,7 +332,6 @@ mod tests {
         let run = run_sa(7, &SaParams::default());
         let l = run.ledger;
         assert_eq!((l.accepted + l.rejected) as usize, run.evals.len());
-        assert_eq!(l.charged_live_s, run.time_spent_s);
         assert_eq!(l.budget_s, 300.0, "default budget is the paper's 5 min");
         // Every eval after the start center consumed one iteration.
         assert!(l.iterations as usize + 1 >= run.evals.len());

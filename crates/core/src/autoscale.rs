@@ -332,11 +332,6 @@ impl Scaler {
         self.last_reason
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &ScalerConfig {
-        &self.cfg
-    }
-
     /// The current fleet partition, without advancing an epoch.
     pub fn fleet(&self) -> FleetState {
         self.state()

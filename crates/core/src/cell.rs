@@ -89,8 +89,6 @@ pub struct EpochRecord {
     pub point: HourPoint,
     /// The optimization invocation behind this epoch's plan, if any.
     pub invocation: Option<InvocationRecord>,
-    /// The fleet partition the epoch ran with.
-    pub fleet: FleetState,
 }
 
 /// One cluster's per-epoch serving loop (see the module docs).
@@ -321,13 +319,12 @@ impl CellRuntime {
             ledger.record_power(t, epoch.len, drain_w);
         }
 
-        self.observe_serving(epoch, &w, objective, workload);
+        self.observe_serving(&w, objective, workload);
         let point = self.hour_point(epoch, objective, ci, fleet, &w);
         EpochRecord {
             window: w,
             point,
             invocation,
-            fleet,
         }
     }
 
@@ -394,33 +391,29 @@ impl CellRuntime {
             Staleness::Blind { age_s } => Some(("blind", age_s)),
         };
         if let Some((mode, age_s)) = fallback {
-            if telemetry.journal_mut().is_some() {
-                telemetry.emit(
-                    Event::new("fallback", t)
-                        .str("mode", mode)
-                        .f64("age_s", age_s)
-                        .f64("ci_g_per_kwh", ci.g_per_kwh()),
-                );
-            }
+            telemetry.emit(
+                Event::new("fallback", t)
+                    .str("mode", mode)
+                    .f64("age_s", age_s)
+                    .f64("ci_g_per_kwh", ci.g_per_kwh()),
+            );
         }
 
-        if telemetry.journal_mut().is_some() {
-            telemetry.emit(
-                Event::new("epoch_begin", t)
-                    .u64("epoch", u64::from(epoch.index))
-                    .u64("trace_hour", u64::from(epoch.trace_hour()))
-                    .f64("ci_g_per_kwh", ci.g_per_kwh())
-                    .u64("active_gpus", self.active_gpus as u64),
-            );
-            telemetry.emit(
-                Event::new("scaler", t)
-                    .str("reason", self.scaler.last_reason().label())
-                    .u64("active", fleet.active as u64)
-                    .u64("warming", fleet.warming as u64)
-                    .u64("draining", fleet.draining as u64)
-                    .u64("off", fleet.off as u64),
-            );
-        }
+        telemetry.emit(
+            Event::new("epoch_begin", t)
+                .u64("epoch", u64::from(epoch.index))
+                .u64("trace_hour", u64::from(epoch.trace_hour()))
+                .f64("ci_g_per_kwh", ci.g_per_kwh())
+                .u64("active_gpus", self.active_gpus as u64),
+        );
+        telemetry.emit(
+            Event::new("scaler", t)
+                .str("reason", self.scaler.last_reason().label())
+                .u64("active", fleet.active as u64)
+                .u64("warming", fleet.warming as u64)
+                .u64("draining", fleet.draining as u64)
+                .u64("off", fleet.off as u64),
+        );
 
         let Some(cause) = cause else {
             return (ci, fleet, None);
@@ -430,10 +423,7 @@ impl CellRuntime {
         // Poisson workload; floored above zero so the measurement windows
         // stay well-defined when a trace has run dry).
         self.evaluator.rate_rps = workload.planning_rate_at(t);
-        if telemetry.journal_mut().is_some() {
-            telemetry
-                .emit(Event::new("forecast", t).f64("planning_rate_rps", self.evaluator.rate_rps));
-        }
+        telemetry.emit(Event::new("forecast", t).f64("planning_rate_rps", self.evaluator.rate_rps));
         let plan_scope = telemetry.scope(Phase::Plan);
         let decision = self.scheduler.plan(&mut SchedulerCtx {
             family: &self.family,
@@ -458,31 +448,29 @@ impl CellRuntime {
             self.totals.fold(t, w, 1.0);
         }
         let downtime = self.evaluator.apply(decision.deployment.clone());
-        if telemetry.journal_mut().is_some() {
-            let mut ev = Event::new("plan", t)
-                .str("scheme", self.scheme.label())
-                .str("cause", cause)
-                .u64("gpus", self.active_gpus as u64)
-                .u64("eval_windows", eval_windows.len() as u64);
-            if let Some(note) = decision.note.as_deref() {
-                ev = ev.str("note", note);
-            }
-            telemetry.emit(ev);
-            if let Some(run) = decision.run.as_ref() {
-                let l = run.ledger;
-                telemetry.emit(
-                    Event::new("search", t)
-                        .u64("iterations", u64::from(l.iterations))
-                        .u64("accepted", u64::from(l.accepted))
-                        .u64("rejected", u64::from(l.rejected))
-                        .u64("non_improving", u64::from(l.final_non_improving))
-                        .f64("charged_live_s", l.charged_live_s)
-                        .f64("budget_s", l.budget_s),
-                );
-            }
-            if !downtime.is_zero() {
-                telemetry.emit(Event::new("reconfig", t).f64("downtime_s", downtime.as_secs()));
-            }
+        let mut ev = Event::new("plan", t)
+            .str("scheme", self.scheme.label())
+            .str("cause", cause)
+            .u64("gpus", self.active_gpus as u64)
+            .u64("eval_windows", eval_windows.len() as u64);
+        if let Some(note) = decision.note.as_deref() {
+            ev = ev.str("note", note);
+        }
+        telemetry.emit(ev);
+        if let Some(run) = decision.run.as_ref() {
+            let l = run.ledger;
+            telemetry.emit(
+                Event::new("search", t)
+                    .u64("iterations", u64::from(l.iterations))
+                    .u64("accepted", u64::from(l.accepted))
+                    .u64("rejected", u64::from(l.rejected))
+                    .u64("non_improving", u64::from(l.final_non_improving))
+                    .f64("charged_live_s", run.time_spent_s)
+                    .f64("budget_s", l.budget_s),
+            );
+        }
+        if !downtime.is_zero() {
+            telemetry.emit(Event::new("reconfig", t).f64("downtime_s", downtime.as_secs()));
         }
         self.sim.set_deployment(decision.deployment);
         let invocation = decision.run.map(|run| {
@@ -502,7 +490,6 @@ impl CellRuntime {
     /// scheduler's feedback hook.
     fn observe_serving(
         &mut self,
-        epoch: &ControlEpoch,
         metrics: &WindowMetrics,
         objective: &Objective,
         workload: &Workload,
@@ -511,15 +498,10 @@ impl CellRuntime {
         // violation (nor spuriously pass one — `p95_latency_s` is `None`,
         // not 0.0, for zero-served windows).
         self.sla_violated = metrics
-            .p95_latency_s
+            .p95_latency_s()
             .is_some_and(|p| p > objective.l_tail_s)
             && self.scheme.is_carbon_aware();
-        self.scheduler.observe(&Observation {
-            metrics,
-            at: epoch.start,
-            active_gpus: self.active_gpus,
-            workload,
-        });
+        self.scheduler.observe(&Observation { metrics, workload });
     }
 
     /// Chaos, boundary half: reconciles the fleet with the fault plan
@@ -652,7 +634,7 @@ impl CellRuntime {
             .accuracy_pct(&self.family)
             .unwrap_or(self.family.accuracy_base());
         let energy_per_request_j = w.energy_per_request_j().unwrap_or(f64::NAN);
-        let p95_s = w.p95_latency_s.unwrap_or(f64::NAN);
+        let p95_s = w.p95_latency_s().unwrap_or(f64::NAN);
         let (objective_f, carbon_save_pct) = if energy_per_request_j.is_finite() {
             let point = MeasuredPoint {
                 accuracy_pct,

@@ -140,7 +140,7 @@ impl DesEvaluator {
         let energy = metrics
             .energy_per_request_j()
             .unwrap_or(f64::INFINITY.min(1e12));
-        let p95 = metrics.p95_latency_s.unwrap_or(1e6);
+        let p95 = metrics.p95_latency_s().unwrap_or(1e6);
 
         let cost_s = downtime.as_secs()
             + variant_downtime.as_secs()

@@ -696,7 +696,7 @@ impl BaseYardstick {
             rate_rps,
             capacity_per_gpu_rps: capacity / base_gpus as f64,
             energy_per_request_j: w.energy_per_request_j().expect("calibration served"),
-            p95_s: w.p95_latency_s.expect("calibration served"),
+            p95_s: w.p95_latency_s().expect("calibration served"),
         }
     }
 

@@ -141,17 +141,13 @@ pub struct SchedulerCtx<'a> {
 }
 
 /// What a scheduler is shown after an epoch has actually been served: the
-/// measured window, where and when it was taken, and the workload for
-/// demand banding. This is the feedback half of the scheduler lifecycle —
-/// pure observation, never a chance to change the running configuration.
+/// measured window and the workload for demand banding. This is the
+/// feedback half of the scheduler lifecycle — pure observation, never a
+/// chance to change the running configuration.
 pub struct Observation<'a> {
     /// Serving metrics of the epoch's measured window (representative
     /// window or the full epoch, per the experiment's fidelity).
     pub metrics: &'a WindowMetrics,
-    /// Epoch start on the global clock.
-    pub at: SimTime,
-    /// GPUs that were actively serving the window.
-    pub active_gpus: usize,
     /// The offered workload (forecast view for rate banding).
     pub workload: &'a Workload,
 }
@@ -458,7 +454,7 @@ impl OracleScheduler {
                 let point = MeasuredPoint {
                     accuracy_pct: m.accuracy_pct(family).unwrap_or(family.accuracy_base()),
                     energy_per_request_j: m.energy_per_request_j().unwrap_or(1e12),
-                    p95_latency_s: m.p95_latency_s.unwrap_or(1e6),
+                    p95_latency_s: m.p95_latency_s().unwrap_or(1e6),
                 };
                 ProfiledConfig { deployment, point }
             },
@@ -839,6 +835,59 @@ mod tests {
         assert_ne!(s.profiles[0].band, s.profiles[1].band);
         plan_at(&mut s, &mut evaluator, &mut rng, workload.min_rate() + 1.0);
         assert_eq!(s.profiles.len(), 2, "same band must reuse its table");
+    }
+
+    #[test]
+    fn oracle_observe_keeps_a_per_band_rate_ewma() {
+        use clover_workload::{ArrivalProcess, PoissonProcess};
+        /// A window in which nothing arrives.
+        struct Silent;
+        impl ArrivalProcess for Silent {
+            fn next_after(&mut self, _now: SimTime, _rng: &mut SimRng) -> Option<SimTime> {
+                None
+            }
+        }
+        let fam = efficientnet();
+        let workload = Workload::new(clover_workload::WorkloadKind::diurnal(), 60.0);
+        let width = (workload.max_rate() - workload.min_rate()) / ORACLE_RATE_BANDS as f64;
+        let mut sim = ServingSim::new(fam.clone(), PerfModel::a100(), Deployment::base(&fam, 2), 5);
+        let span = SimDuration::from_secs(60.0);
+        let mut s = OracleScheduler::new();
+        // Serves one window of `arrivals`, shows it to `s`, and returns its
+        // measured rate and that rate's band.
+        let mut observe = |s: &mut OracleScheduler, arrivals: &mut dyn ArrivalProcess| {
+            let metrics = sim.run_window_with(arrivals, span, SimDuration::ZERO);
+            s.observe(&Observation {
+                metrics: &metrics,
+                workload: &workload,
+            });
+            let rate = metrics.arrived as f64 / metrics.span_s;
+            (rate, workload.rate_band(rate, ORACLE_RATE_BANDS))
+        };
+
+        // A band's first observed rate is taken as is.
+        let trough = workload.min_rate() + 0.5 * width;
+        let (r1, band) = observe(&mut s, &mut PoissonProcess::new(trough));
+        assert_eq!(s.observed_rps[band], Some(r1));
+        // The next one in that band blends in at the EWMA weight.
+        let (r2, band2) = observe(&mut s, &mut PoissonProcess::new(trough));
+        assert_eq!(band2, band, "both trough windows must land in one band");
+        assert_ne!(r2, r1, "the second window must measure a different rate");
+        let blended = r1 + OBSERVED_RATE_ALPHA * (r2 - r1);
+        assert_eq!(s.observed_rps[band], Some(blended));
+
+        // A window with no arrivals leaves every estimate unchanged.
+        let before = s.observed_rps;
+        let (silent, _) = observe(&mut s, &mut Silent);
+        assert_eq!(silent, 0.0);
+        assert_eq!(s.observed_rps, before);
+
+        // Peak traffic fills its own slot and leaves the trough's alone.
+        let peak_rps = workload.max_rate() - 0.5 * width;
+        let (r3, peak) = observe(&mut s, &mut PoissonProcess::new(peak_rps));
+        assert_ne!(peak, band);
+        assert_eq!(s.observed_rps[peak], Some(r3));
+        assert_eq!(s.observed_rps[band], Some(blended));
     }
 
     #[test]

@@ -79,10 +79,6 @@ impl ArrivalProcess for NoArrivals {
     fn next_after(&mut self, _now: SimTime, _rng: &mut SimRng) -> Option<SimTime> {
         None
     }
-
-    fn mean_rate(&self) -> f64 {
-        0.0
-    }
 }
 
 /// One region's cell runtime plus what the router tracks of it.
@@ -653,24 +649,20 @@ impl GlobalRouter {
                     fleet.dark = true;
                     let ages = fleet.cell.carry_mut().drain_for_migration();
                     migrated_now += ages.len() as u64;
-                    if telemetry.journal_mut().is_some() {
-                        telemetry.emit(
-                            Event::new("region_outage", t)
-                                .u64("region", i as u64)
-                                .u64("epoch", u64::from(epoch.index))
-                                .u64("drained", ages.len() as u64),
-                        );
-                    }
+                    telemetry.emit(
+                        Event::new("region_outage", t)
+                            .u64("region", i as u64)
+                            .u64("epoch", u64::from(epoch.index))
+                            .u64("drained", ages.len() as u64),
+                    );
                     transit.extend(ages.iter().map(|a| a + TRANSFER_LATENCY_S));
                 } else if !down_now && fleet.dark {
                     fleet.dark = false;
-                    if telemetry.journal_mut().is_some() {
-                        telemetry.emit(
-                            Event::new("region_restore", t)
-                                .u64("region", i as u64)
-                                .u64("epoch", u64::from(epoch.index)),
-                        );
-                    }
+                    telemetry.emit(
+                        Event::new("region_restore", t)
+                            .u64("region", i as u64)
+                            .u64("epoch", u64::from(epoch.index)),
+                    );
                 }
             }
             let up: Vec<bool> = fleets.iter().map(|f| !f.dark).collect();
@@ -1182,7 +1174,7 @@ mod tests {
                     None,
                     "{scheme}: energy per request"
                 );
-                assert_eq!(w.p95_latency_s, None, "{scheme}: tail latency");
+                assert_eq!(w.p95_latency_s(), None, "{scheme}: tail latency");
                 let charged = fleet.cell.totals().ledger.carbon().grams();
                 assert!(
                     charged > carbon_g,

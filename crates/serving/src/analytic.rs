@@ -198,9 +198,10 @@ mod tests {
             SimDuration::from_secs(120.0),
             SimDuration::from_secs(10.0),
         );
-        let rel_mean = (est.mean_latency_s - w.mean_latency_s).abs() / w.mean_latency_s;
+        let sim_mean = w.latency_hist.mean();
+        let rel_mean = (est.mean_latency_s - sim_mean).abs() / sim_mean;
         assert!(rel_mean < 0.35, "mean mismatch {rel_mean}");
-        let sim_p95 = w.p95_latency_s.expect("served");
+        let sim_p95 = w.p95_latency_s().expect("served");
         let rel_p95 = (est.p95_latency_s - sim_p95).abs() / sim_p95;
         assert!(rel_p95 < 0.5, "p95 mismatch {rel_p95}");
         let e_sim = w.energy_per_request_j().unwrap();

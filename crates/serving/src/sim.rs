@@ -92,25 +92,13 @@ pub const SERVICE_JITTER_SIGMA: f64 = 0.08;
 pub struct WindowMetrics {
     /// Length of the measured span, seconds.
     pub span_s: f64,
-    /// Offered request rate, req/s.
-    pub offered_rps: f64,
     /// Requests that arrived within the measured span.
     pub arrived: u64,
     /// Of those, requests completed (possibly after the span's end).
     pub served: u64,
-    /// Requests whose completion fell within the span (true throughput).
-    pub completed_in_span: u64,
     /// Requests dropped: shed at the queue bound or, in a classic window,
     /// still waiting when the drain ended with no live instance left.
     pub dropped: u64,
-    /// Mean end-to-end latency (wait + service) of served requests, seconds.
-    pub mean_latency_s: f64,
-    /// p95 end-to-end latency, seconds. `None` when the window served
-    /// nothing — a silent window has no measured tail, and reporting 0.0
-    /// would spuriously pass any SLA check.
-    pub p95_latency_s: Option<f64>,
-    /// Maximum observed latency, seconds.
-    pub max_latency_s: f64,
     /// Discrete events processed while simulating the window (arrivals and
     /// completions, warmup and drain included) — the denominator for
     /// ns/event engine-throughput reporting.
@@ -123,10 +111,9 @@ pub struct WindowMetrics {
     pub idle_energy_j: f64,
     /// Per-GPU static energy within the span, joules.
     pub static_energy_j: f64,
-    /// Time-averaged number of busy instances over the span.
-    pub mean_busy_instances: f64,
-    /// Full latency distribution of served requests (mergeable across
-    /// windows for run-level quantiles).
+    /// End-to-end latency (wait + service) distribution of served
+    /// requests, seconds: the window's mean, tail and maximum, mergeable
+    /// across windows for run-level quantiles.
     pub latency_hist: LatencyHistogram,
     /// Signed residual of the conservation law
     /// `carried_in + arrived - (served + dropped + carried_out)` (a classic
@@ -157,13 +144,11 @@ impl WindowMetrics {
         }
     }
 
-    /// Served throughput over the span, req/s.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.span_s == 0.0 {
-            0.0
-        } else {
-            self.completed_in_span as f64 / self.span_s
-        }
+    /// p95 end-to-end latency, seconds. `None` when the window served
+    /// nothing — a silent window has no measured tail, and reporting 0.0
+    /// would spuriously pass any SLA check.
+    pub fn p95_latency_s(&self) -> Option<f64> {
+        self.latency_hist.quantile(0.95)
     }
 
     /// Mixture accuracy of the served requests (weighted average of the
@@ -412,11 +397,9 @@ struct Tally {
     served: u64,
     dropped: u64,
     carried_out: u64,
-    completed_in_span: u64,
     sim_events: u64,
     dynamic_j: f64,
     idle_j: f64,
-    busy_integral: f64,
     fault_kills: u64,
     fault_requeued: u64,
 }
@@ -432,27 +415,20 @@ impl Tally {
     fn into_metrics(
         self,
         span_s: f64,
-        offered_rps: f64,
         static_energy_j: f64,
         hist: LatencyHistogram,
         per_variant_served: Vec<u64>,
     ) -> WindowMetrics {
         WindowMetrics {
             span_s,
-            offered_rps,
             arrived: self.arrived,
             served: self.served,
-            completed_in_span: self.completed_in_span,
             dropped: self.dropped,
-            mean_latency_s: hist.mean(),
-            p95_latency_s: hist.quantile(0.95),
-            max_latency_s: hist.max(),
             sim_events: self.sim_events,
             per_variant_served,
             dynamic_energy_j: self.dynamic_j,
             idle_energy_j: self.idle_j,
             static_energy_j,
-            mean_busy_instances: self.busy_integral / span_s,
             latency_hist: hist,
             conservation_leak: self.leak(),
             fault_kills: self.fault_kills,
@@ -634,9 +610,6 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
                     t.served += 1;
                     per_variant[instances[i].variant.0 as usize] += 1;
                 }
-                if now >= warmup_end && now <= horizon {
-                    t.completed_in_span += 1;
-                }
                 if let Some(next_arrival) = fifo.pop_front() {
                     instances[i].start_service(instance, now, next_arrival, &mut service_rng, q);
                 } else {
@@ -683,7 +656,7 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
     // `WindowMetrics::conservation_leak`.
     debug_assert_eq!(t.leak(), 0, "a request leaked");
 
-    // Busy time and energy, clipped to the measured span.
+    // Energy, clipped to the measured span.
     for inst in instances.iter() {
         t.dynamic_j += inst.busy_w * inst.busy_in_span_s;
         // A dead slice stops drawing idle power at its failure instant.
@@ -691,7 +664,6 @@ fn run_kernel(scratch: &mut SimScratch, run: KernelRun<'_>) -> Tally {
             .down_at_s
             .map_or(0.0, |d| (horizon_s - d.max(warmup_end_s)).max(0.0));
         t.idle_j += inst.idle_w * (span_s - inst.busy_in_span_s - dead_s).max(0.0);
-        t.busy_integral += inst.busy_in_span_s;
     }
     t
 }
@@ -836,11 +808,6 @@ impl ServingSim {
         &self.deployment
     }
 
-    /// The model family being served.
-    pub fn family(&self) -> &ModelFamily {
-        &self.family
-    }
-
     /// Replaces the deployment (reconfiguration); the caller accounts for
     /// downtime separately via [`clover_mig::ReconfigCost`].
     pub fn set_deployment(&mut self, deployment: Deployment) {
@@ -958,7 +925,6 @@ impl ServingSim {
         );
         tally.into_metrics(
             window.as_secs(),
-            arrivals.mean_rate(),
             self.static_energy_j(&failures, warmup, window),
             self.scratch.hist.clone(),
             self.scratch.per_variant.clone(),
@@ -1022,10 +988,6 @@ mod tests {
         fn next_after(&mut self, _now: SimTime, _rng: &mut SimRng) -> Option<SimTime> {
             self.0.next().map(SimTime::from_secs)
         }
-
-        fn mean_rate(&self) -> f64 {
-            0.0
-        }
     }
 
     #[test]
@@ -1049,9 +1011,9 @@ mod tests {
             .as_secs();
         let (w, _) = quick_window(d, 5.0, 60.0, 2);
         assert!(
-            (w.mean_latency_s - expect).abs() / expect < 0.1,
+            (w.latency_hist.mean() - expect).abs() / expect < 0.1,
             "mean {} expect {}",
-            w.mean_latency_s,
+            w.latency_hist.mean(),
             expect
         );
         assert!(w.dropped == 0);
@@ -1066,7 +1028,7 @@ mod tests {
         // 95% utilization: latency well above bare service time.
         let (w, _) = quick_window(d, cap * 0.95, 120.0, 3);
         let service = 1.0 / (cap / 2.0);
-        let p95 = w.p95_latency_s.expect("served");
+        let p95 = w.p95_latency_s().expect("served");
         assert!(p95 > service * 1.5, "p95 {p95} vs service {service}");
     }
 
@@ -1077,14 +1039,15 @@ mod tests {
         let cap = perf.capacity_rps(fam.largest(), clover_mig::SliceType::G7);
         let d = Deployment::base(&fam, 1);
         let mut sim = ServingSim::new(fam.clone(), perf, d, 4);
-        let w = sim.run_window(
-            cap * 3.0,
-            SimDuration::from_secs(120.0),
-            SimDuration::from_secs(0.0),
-        );
-        // Throughput pinned at capacity, latency far above service time.
-        assert!(w.throughput_rps() < cap * 1.1);
-        assert!(w.p95_latency_s.expect("served") > 1.0 / cap * 5.0);
+        let span = SimDuration::from_secs(120.0);
+        let w = sim.run_window(cap * 3.0, span, SimDuration::from_secs(0.0));
+        // Latency far above service time.
+        assert!(w.p95_latency_s().expect("served") > 1.0 / cap * 5.0);
+        // Throughput pinned at capacity: an epoch completes no more than
+        // capacity allows within it.
+        let mut p = clover_workload::PoissonProcess::new(cap * 3.0);
+        let (epoch, _) = sim.run_epoch_continuous(&mut p, span, ServingCarry::default());
+        assert!((epoch.served as f64) < cap * 1.1 * span.as_secs());
     }
 
     #[test]
@@ -1094,7 +1057,7 @@ mod tests {
         let (a, _) = quick_window(d.clone(), 100.0, 20.0, 7);
         let (b, _) = quick_window(d, 100.0, 20.0, 7);
         assert_eq!(a.served, b.served);
-        assert_eq!(a.p95_latency_s, b.p95_latency_s);
+        assert_eq!(a.p95_latency_s(), b.p95_latency_s());
         assert_eq!(a.dynamic_energy_j, b.dynamic_energy_j);
     }
 
@@ -1143,9 +1106,8 @@ mod tests {
         let wb = b.run_window_with(&mut p, window, warmup);
         assert_eq!(wa.arrived, wb.arrived);
         assert_eq!(wa.served, wb.served);
-        assert_eq!(wa.p95_latency_s, wb.p95_latency_s);
+        assert_eq!(wa.p95_latency_s(), wb.p95_latency_s());
         assert_eq!(wa.dynamic_energy_j, wb.dynamic_energy_j);
-        assert_eq!(wa.offered_rps, wb.offered_rps);
     }
 
     #[test]
@@ -1177,7 +1139,7 @@ mod tests {
             let c = run(6);
             assert!(a.served > 0, "{}: nothing served", wl.label());
             assert_eq!(a.served, b.served, "{}", wl.label());
-            assert_eq!(a.p95_latency_s, b.p95_latency_s, "{}", wl.label());
+            assert_eq!(a.p95_latency_s(), b.p95_latency_s(), "{}", wl.label());
             assert_ne!(
                 (a.arrived, a.dynamic_energy_j),
                 (c.arrived, c.dynamic_energy_j),
@@ -1226,7 +1188,7 @@ mod tests {
         let b = fresh.run_window(100.0, window, warmup);
         assert_eq!(a.arrived, b.arrived);
         assert_eq!(a.served, b.served);
-        assert_eq!(a.p95_latency_s, b.p95_latency_s);
+        assert_eq!(a.p95_latency_s(), b.p95_latency_s());
         assert_eq!(a.dynamic_energy_j, b.dynamic_energy_j);
         assert_eq!(a.per_variant_served, b.per_variant_served);
         assert_eq!(a.sim_events, b.sim_events);
@@ -1247,7 +1209,8 @@ mod tests {
         );
         assert_eq!(w.served, 0);
         assert_eq!(
-            w.p95_latency_s, None,
+            w.p95_latency_s(),
+            None,
             "a zero-served window must not report a tail latency"
         );
     }
@@ -1307,9 +1270,9 @@ mod tests {
         assert_eq!(w2.arrived, 0);
         assert!(w2.served > 0, "carried work must complete next epoch");
         assert!(
-            w2.max_latency_s > epoch.as_secs(),
+            w2.latency_hist.max() > epoch.as_secs(),
             "seam-spanning latency {} not measured end to end",
-            w2.max_latency_s
+            w2.latency_hist.max()
         );
     }
 
@@ -1379,7 +1342,7 @@ mod tests {
                 let mut p = clover_workload::PoissonProcess::new(220.0);
                 let (w, next) =
                     sim.run_epoch_continuous(&mut p, SimDuration::from_secs(25.0), carry);
-                out.push((w.served, w.dropped, w.p95_latency_s, w.dynamic_energy_j));
+                out.push((w.served, w.dropped, w.p95_latency_s(), w.dynamic_energy_j));
                 carry = next;
             }
             (out, carry.backlog())
@@ -1564,7 +1527,7 @@ mod tests {
         );
         assert_eq!(wa.arrived, wb.arrived);
         assert_eq!(wa.served, wb.served);
-        assert_eq!(wa.p95_latency_s, wb.p95_latency_s);
+        assert_eq!(wa.p95_latency_s(), wb.p95_latency_s());
         assert_eq!(wa.dynamic_energy_j, wb.dynamic_energy_j);
         assert_eq!(wa.idle_energy_j, wb.idle_energy_j);
         assert_eq!(wa.static_energy_j, wb.static_energy_j);

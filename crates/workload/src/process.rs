@@ -21,9 +21,6 @@ pub trait ArrivalProcess {
     /// The next arrival at or after `now` (window-local seconds), or `None`
     /// once the process produces no more arrivals.
     fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime>;
-
-    /// Long-run mean arrival rate, req/s.
-    fn mean_rate(&self) -> f64;
 }
 
 /// Homogeneous Poisson arrivals: i.i.d. exponential inter-arrival times.
@@ -58,10 +55,6 @@ impl ArrivalProcess for PoissonProcess {
     fn next_after(&mut self, now: SimTime, rng: &mut SimRng) -> Option<SimTime> {
         Some(now + clover_simkit::SimDuration::from_secs(rng.exponential(self.rate_rps)))
     }
-
-    fn mean_rate(&self) -> f64 {
-        self.rate_rps
-    }
 }
 
 /// Non-homogeneous Poisson arrivals over a [`RateCurve`], sampled by
@@ -93,11 +86,6 @@ impl NhppProcess {
             lambda_max,
         }
     }
-
-    /// The curve driving this process.
-    pub fn curve(&self) -> &RateCurve {
-        &self.curve
-    }
 }
 
 impl ArrivalProcess for NhppProcess {
@@ -111,10 +99,6 @@ impl ArrivalProcess for NhppProcess {
             }
         }
     }
-
-    fn mean_rate(&self) -> f64 {
-        self.curve.long_run_mean()
-    }
 }
 
 /// Two-state Markov-modulated Poisson process: exponential sojourns in a
@@ -122,9 +106,9 @@ impl ArrivalProcess for NhppProcess {
 ///
 /// The initial state is drawn from the stationary distribution on the first
 /// `next_after` call (from the caller's RNG, so it is seed-deterministic).
-/// [`ArrivalProcess::mean_rate`] reports the stationary mean — the
-/// modulating chain is not observable to forecasters, which is exactly
-/// what makes MMPP traffic hard on schedulers.
+/// Forecasters see only the stationary mean rate — the modulating chain
+/// is not observable to them, which is exactly what makes MMPP traffic
+/// hard on schedulers.
 #[derive(Debug, Clone)]
 pub struct MmppProcess {
     calm_rps: f64,
@@ -207,11 +191,6 @@ impl ArrivalProcess for MmppProcess {
             switch_s = t + rng.exponential(self.sojourn_rate(burst));
         }
     }
-
-    fn mean_rate(&self) -> f64 {
-        let d = self.burst_fraction();
-        d * self.burst_rps + (1.0 - d) * self.calm_rps
-    }
 }
 
 #[cfg(test)]
@@ -271,7 +250,6 @@ mod tests {
     fn mmpp_mean_and_burstiness() {
         // 4x bursts 1/4 of the time: mean = 0.75*20 + 0.25*80 = 35 rps.
         let mut p = MmppProcess::new(20.0, 80.0, 300.0, 100.0);
-        assert!((p.mean_rate() - 35.0).abs() < 1e-9);
         let events = drain(&mut p, 20_000.0, 3);
         let measured = events.len() as f64 / 20_000.0;
         assert!((measured - 35.0).abs() / 35.0 < 0.06, "rate {measured}");

@@ -8,8 +8,9 @@
 use clover::core::schedulers::random_raw_deployment;
 use clover::models::zoo::Application;
 use clover::models::PerfModel;
-use clover::serving::{analytic, ServingSim};
+use clover::serving::{analytic, ServingCarry, ServingSim};
 use clover::simkit::{SimDuration, SimRng};
+use clover::workload::PoissonProcess;
 
 /// Request conservation, latency sanity and energy positivity hold for
 /// any random deployment and load.
@@ -41,16 +42,16 @@ fn window_metrics_invariants() {
             // Latency ordering: mean <= p95 <= max (histogram estimates are
             // within 1% relative error). A serving window must report a
             // measured tail; only zero-served windows may omit it.
-            let p95 = w.p95_latency_s.expect("served window has a p95");
-            assert!(w.mean_latency_s <= p95 * 1.02);
-            assert!(p95 <= w.max_latency_s * 1.02);
+            let p95 = w.p95_latency_s().expect("served window has a p95");
+            assert!(w.latency_hist.mean() <= p95 * 1.02);
+            assert!(p95 <= w.latency_hist.max() * 1.02);
             // Latency cannot undercut the fastest possible service time.
             let fastest = d
                 .instances()
                 .iter()
                 .map(|&(v, s)| perf.service_time(family.variant(v), s).as_secs())
                 .fold(f64::INFINITY, f64::min);
-            assert!(w.mean_latency_s >= fastest * 0.5);
+            assert!(w.latency_hist.mean() >= fastest * 0.5);
             // Mixture accuracy lies within the family's range.
             let acc = w.accuracy_pct(&family).unwrap();
             assert!(acc >= family.smallest().accuracy_pct - 1e-9);
@@ -68,7 +69,7 @@ fn window_metrics_invariants() {
 }
 
 /// The analytic estimator agrees with the DES on stability: if it says
-/// a deployment is saturated, the simulator's throughput caps out.
+/// a deployment is saturated, the simulator's completions cap out.
 #[test]
 fn analytic_stability_matches_des() {
     let family = Application::ImageClassification.family();
@@ -82,13 +83,11 @@ fn analytic_stability_matches_des() {
         let est = analytic::estimate(&family, &perf, &d, over);
         assert!(!est.stable);
         let mut sim = ServingSim::new(family.clone(), perf, d, seed);
-        let w = sim.run_window(
-            over,
-            SimDuration::from_secs(20.0),
-            SimDuration::from_secs(0.0),
-        );
-        // Overloaded: cannot complete more than capacity (with slack for
-        // the drain at the horizon).
-        assert!(w.throughput_rps() <= cap * 1.2);
+        let epoch = SimDuration::from_secs(20.0);
+        let mut arrivals = PoissonProcess::new(over);
+        let (w, _) = sim.run_epoch_continuous(&mut arrivals, epoch, ServingCarry::default());
+        // Overloaded: an epoch cannot complete more than capacity allows
+        // within it (with slack for service-time jitter).
+        assert!(w.served as f64 <= cap * 1.2 * epoch.as_secs());
     }
 }

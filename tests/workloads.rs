@@ -111,8 +111,8 @@ fn poisson_rate_api_and_process_api_are_one_path() {
     assert_eq!(wa.arrived, wb.arrived);
     assert_eq!(wa.served, wb.served);
     assert_eq!(wa.dropped, wb.dropped);
-    assert_eq!(wa.mean_latency_s, wb.mean_latency_s);
-    assert_eq!(wa.p95_latency_s, wb.p95_latency_s);
+    assert_eq!(wa.latency_hist.mean(), wb.latency_hist.mean());
+    assert_eq!(wa.p95_latency_s(), wb.p95_latency_s());
     assert_eq!(wa.dynamic_energy_j, wb.dynamic_energy_j);
     assert_eq!(wa.idle_energy_j, wb.idle_energy_j);
 }
