@@ -3,18 +3,15 @@
 //! a regional outage (Fig. A4). Both gate determinism by replaying cells
 //! serially against the suite's parallel runs.
 
-use super::{Grid, Spec};
-use crate::{
-    count_events, header, journal, journal_leaks, replay_gate, scaled_horizon, write_journals,
-};
+use super::Spec;
+use crate::{count_events, header, journal, journal_leaks, replay_gate, scaled_horizon};
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::chaos::{ChaosConfig, FaultSpec};
 use clover_core::control::Fidelity;
-use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
+use clover_core::experiment::ExperimentConfig;
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
-use clover_router::{GlobalOutcome, RoutePolicy, RouterConfig};
-use clover_telemetry::TelemetryReport;
+use clover_router::{Cell, GlobalOutcome, Outcome, RoutePolicy, RouterConfig};
 
 fn resilience_config(scheme: SchemeKind, mtbf_hours: f64) -> ExperimentConfig {
     ExperimentConfig::builder(Application::ImageClassification)
@@ -51,27 +48,16 @@ pub(super) fn resilience() -> Spec {
     for (level, mtbf) in levels {
         for scheme in schemes {
             labels.push(format!("{}/{level}", scheme.label()));
-            cells.push(resilience_config(scheme, mtbf));
+            cells.push(Cell::Cluster(resilience_config(scheme, mtbf)));
         }
     }
-    let replay = Grid {
-        cells: cells[2 * schemes.len()..].to_vec(),
-        routed: Vec::new(),
-    };
-    Spec::checked(cells, Vec::new(), move |runs| {
+    let (replay, markers) = (cells[2 * schemes.len()..].to_vec(), markers(&labels));
+    Spec::checked(cells, move |runs| {
         header(
             "Fig. A3 (beyond the paper)",
             "deterministic chaos: fault injection and degraded-data fallbacks across all five schemes",
         );
-        let pairs = &runs.experiments;
-
-        // One JSONL artifact for the whole figure: fault/repair onsets,
-        // fallback epochs and conservation checkpoints, per cell.
-        let journal_path = "FIG_resilience_journal.jsonl";
-        write_journals(
-            journal_path,
-            cell_markers(&labels, pairs.iter().map(|p| &p.1)),
-        );
+        let pairs = runs.pairs(Outcome::cluster);
 
         println!("{:<20} {:>10} {:>10} {:>8} {:>6} {:>7} {:>8} {:>9}",
             "cell",
@@ -83,7 +69,7 @@ pub(super) fn resilience() -> Spec {
             "repairs",
             "fallbacks"
         );
-        for (label, (out, report)) in labels.iter().zip(pairs) {
+        for (label, (out, report)) in labels.iter().zip(&pairs) {
             let journal = journal(report);
             println!("{:<20} {:>10.2} {:>10.0} {:>8.2} {:>6} {:>7} {:>8} {:>9}",
                 label,
@@ -102,7 +88,7 @@ pub(super) fn resilience() -> Spec {
         // — including harsh chaos with fully-dead stretches — serves work.
         let starved: Vec<&String> = labels
             .iter()
-            .zip(pairs)
+            .zip(&pairs)
             .filter(|(_, (out, _))| out.served_scaled <= 0.0)
             .map(|(label, _)| label)
             .collect();
@@ -143,33 +129,24 @@ pub(super) fn resilience() -> Spec {
         replay_gate(
             "chaos",
             schemes.map(|s| s.label()),
-            harsh,
-            &runs.replay.experiments,
-            ExperimentOutcome::digest,
+            &runs.runs[2 * schemes.len()..],
+            runs.replay,
         )?;
         println!("chaos determinism gate: serial == parallel digests for all {} schemes at {}",
             schemes.len(),
             levels[2].0
         );
-        println!("wrote {journal_path} ({} cells' decision journals)",
-            labels.len()
-        );
         Ok(())
     })
     .replaying(replay)
+    // Fault/repair onsets, fallback epochs and conservation checkpoints.
+    .journaling("FIG_resilience_journal.jsonl", markers)
 }
 
-/// Each cell's journal artifact marker, naming its label, with its report.
-fn cell_markers<'a>(
-    labels: &'a [String],
-    reports: impl Iterator<Item = &'a TelemetryReport> + 'a,
-) -> impl Iterator<Item = (String, &'a TelemetryReport)> + 'a {
-    labels.iter().zip(reports).map(|(label, report)| {
-        (
-            format!("{{\"event\":\"cell\",\"label\":\"{label}\"}}"),
-            report,
-        )
-    })
+/// Each cell's journal marker, naming its label.
+fn markers(labels: &[String]) -> Vec<String> {
+    let marker = |label| format!("{{\"event\":\"cell\",\"label\":\"{label}\"}}");
+    labels.iter().map(marker).collect()
 }
 
 fn georouting_config(policy: &str, scheme: SchemeKind, chaos: ChaosConfig) -> RouterConfig {
@@ -220,22 +197,19 @@ pub(super) fn georouting() -> Spec {
         .map(|p| cell(p, "clover", SchemeKind::Clover, ChaosConfig::off()));
     let dark =
         ["uniform", "carbon-greedy"].map(|p| cell(p, "outage", SchemeKind::Base, outage.clone()));
-    let (labels, configs): (Vec<String>, Vec<RouterConfig>) =
-        base.into_iter().chain(clover).chain(dark).unzip();
-    Spec::checked(Vec::new(), configs.clone(), move |runs| {
+    let (labels, cells): (Vec<String>, Vec<Cell>) = base
+        .into_iter()
+        .chain(clover)
+        .chain(dark)
+        .map(|(label, cfg)| (label, Cell::Routed(cfg)))
+        .unzip();
+    let markers = markers(&labels);
+    Spec::checked(cells.clone(), move |runs| {
         header(
             "Fig. A4 (beyond the paper)",
             "geo-distributed carbon routing: multi-region fleets under a global traffic router",
         );
-        let pairs = &runs.routed;
-
-        // One JSONL artifact for the whole figure: per-epoch route splits,
-        // outage drains and restores, conservation checkpoints, per cell.
-        let journal_path = "FIG_georouting_journal.jsonl";
-        write_journals(
-            journal_path,
-            cell_markers(&labels, pairs.iter().map(|p| &p.1)),
-        );
+        let pairs = runs.pairs(Outcome::routed);
 
         println!("{:<24} {:>10} {:>11} {:>8} {:>6} {:>9} {:>8} {:>15}",
             "cell",
@@ -247,7 +221,7 @@ pub(super) fn georouting() -> Spec {
             "outages",
             "mean weights"
         );
-        for (label, (out, report)) in labels.iter().zip(pairs) {
+        for (label, (out, report)) in labels.iter().zip(&pairs) {
             let weights = out
                 .mean_weights
                 .iter()
@@ -270,7 +244,7 @@ pub(super) fn georouting() -> Spec {
         // Liveness: every cell — outage cells included — serves work.
         let starved: Vec<&String> = labels
             .iter()
-            .zip(pairs)
+            .zip(&pairs)
             .filter(|(_, (out, _))| out.served_scaled <= 0.0)
             .map(|(label, _)| label)
             .collect();
@@ -279,7 +253,7 @@ pub(super) fn georouting() -> Spec {
         // The checked invariant: global request conservation closes at every
         // epoch of every cell — in the outcome totals and in every journaled
         // checkpoint.
-        for (label, (out, report)) in labels.iter().zip(pairs) {
+        for (label, (out, report)) in labels.iter().zip(&pairs) {
             ensure!(
                 out.conservation_leak == 0,
                 "{label}: global serve-side conservation leaked"
@@ -299,7 +273,7 @@ pub(super) fn georouting() -> Spec {
             labels
                 .iter()
                 .position(|l| l == want)
-                .map(|i| &pairs[i].0)
+                .map(|i| pairs[i].0)
                 .expect("cell present")
         };
 
@@ -356,23 +330,14 @@ pub(super) fn georouting() -> Spec {
 
         // The multi-region determinism gate: replay the whole grid serially
         // and require byte-identical digests against the parallel run.
-        replay_gate(
-            "georouting",
-            &labels,
-            pairs,
-            &runs.replay.routed,
-            GlobalOutcome::digest,
-        )?;
+        replay_gate("georouting", &labels, &runs.runs, runs.replay)?;
         println!("determinism gate: serial == parallel digests and journals for all {} cells",
-            labels.len()
-        );
-        println!("wrote {journal_path} ({} cells' decision journals)",
             labels.len()
         );
         Ok(())
     })
-    .replaying(Grid {
-        cells: Vec::new(),
-        routed: configs,
-    })
+    .replaying(cells)
+    // Per-epoch route splits, outage drains and restores, conservation
+    // checkpoints.
+    .journaling("FIG_georouting_journal.jsonl", markers)
 }

@@ -3,7 +3,7 @@
 //! fidelity (Fig. A2).
 
 use super::Spec;
-use crate::{header, scaled_horizon, write_journals};
+use crate::{header, scaled_horizon};
 use clover_core::autoscale::ScalingPolicy;
 use clover_core::control::Fidelity;
 use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
@@ -210,27 +210,20 @@ pub(super) fn flashcrowd() -> Spec {
                 .build()
         })
         .collect();
+    // Each cell's journal marker names its control cadence.
+    let markers = cells
+        .iter()
+        .map(|cell| {
+            format!(
+                "{{\"event\":\"cell\",\"label\":\"{}\",\"control_epoch_s\":{}}}",
+                cell.label, cell.epoch_s
+            )
+        })
+        .collect();
     Spec::grid(configs, move |runs| {
         header(
             "Fig. A2 (beyond the paper)",
             "flash crowds vs control cadence and fidelity (BASE layout, reactive fleet)",
-        );
-
-        // One JSONL artifact for the whole figure; each cell's marker names
-        // its control cadence.
-        let journal_path = "FIG_flashcrowd_journal.jsonl";
-        write_journals(
-            journal_path,
-            cells
-                .iter()
-                .zip(&runs.experiments)
-                .map(|(cell, (_, report))| {
-                    let marker = format!(
-                        "{{\"event\":\"cell\",\"label\":\"{}\",\"control_epoch_s\":{}}}",
-                        cell.label, cell.epoch_s
-                    );
-                    (marker, report)
-                }),
         );
 
         let outs = runs.outcomes();
@@ -316,9 +309,6 @@ pub(super) fn flashcrowd() -> Spec {
             honest.timeline.len(),
         );
         println!();
-        println!(
-            "wrote {journal_path} ({} cells' decision journals)",
-            cells.len()
-        );
     })
+    .journaling("FIG_flashcrowd_journal.jsonl", markers)
 }

@@ -4,20 +4,24 @@
 //!
 //! [`run`] collects the selected figures' cells, deduplicates them by
 //! config equality (floats compare by `==`), runs the set once through
-//! `Experiment::run_cells_with` and `GlobalRouter::run_cells_with` with the
-//! decision journal on (a strict overlay: outcomes are unchanged), then
-//! renders each figure in order. Figures thus share cells — Figs. 9–13 and
-//! §5.2.1 all read the same 12 standard cells — and the BASE references and
-//! calibration windows of equal cells. Figures without a grid have no cells
-//! and compute in their render step.
+//! `clover_router::run_cells_with` with the decision journal on (a strict
+//! overlay: outcomes are unchanged), then renders each figure in order.
+//! Figures thus share cells — Figs. 9–13 and §5.2.1 all read the same 12
+//! standard cells — and the BASE references and calibration windows of
+//! equal cells. Single-cluster and multi-region cells run side by side in
+//! one pool. Figures without a grid have no cells and compute in their
+//! render step.
 //!
 //! A figure may also name a replay grid, which its render step checks
 //! against its parallel runs. Once the union has run, every selected replay
 //! grid runs at once, each serially on a worker of its own; the render step
-//! then reads its replay.
+//! then reads its replay. A figure may also name a journal artifact: `run`
+//! writes its cells' decision journals there before the render, and
+//! reports the file after a render that passes.
 
-use clover_core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
-use clover_router::{GlobalOutcome, GlobalRouter, RouterConfig};
+use crate::write_journals;
+use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
+use clover_router::{run_cells_with, Cell, Outcome};
 use clover_telemetry::{TelemetryReport, TelemetrySpec};
 
 /// Fails the enclosing render with the formatted message unless `cond`.
@@ -40,12 +44,13 @@ pub type Verdict = Result<(), String>;
 
 /// One figure: the cells it needs and how it renders their runs.
 pub struct Spec {
-    /// The single-cluster cells it renders, in the order it reads them.
-    pub cells: Vec<ExperimentConfig>,
-    /// The multi-region cells it renders, in the order it reads them.
-    pub routed: Vec<RouterConfig>,
+    /// The cells it renders, in the order it reads them.
+    pub cells: Vec<Cell>,
     /// The cells it replays serially to check its runs against.
-    replay: Grid,
+    replay: Vec<Cell>,
+    /// Where it writes its cells' decision journals, each after its cell's
+    /// one-line JSON marker.
+    journal: Option<(&'static str, Vec<String>)>,
     render: Box<dyn FnOnce(&Runs) -> Verdict>,
 }
 
@@ -55,74 +60,70 @@ impl Spec {
         Spec::grid(Vec::new(), move |_| render())
     }
 
-    /// A figure over `cells` that checks nothing.
+    /// A figure over single-cluster `cells` that checks nothing.
     fn grid(cells: Vec<ExperimentConfig>, render: impl FnOnce(&Runs) + 'static) -> Spec {
-        Spec::checked(cells, Vec::new(), move |runs| {
-            render(runs);
-            Ok(())
-        })
+        Spec::checked(
+            cells.into_iter().map(Cell::Cluster).collect(),
+            move |runs| {
+                render(runs);
+                Ok(())
+            },
+        )
     }
 
     /// A figure whose render can fail a check.
-    fn checked(
-        cells: Vec<ExperimentConfig>,
-        routed: Vec<RouterConfig>,
-        render: impl FnOnce(&Runs) -> Verdict + 'static,
-    ) -> Spec {
+    fn checked(cells: Vec<Cell>, render: impl FnOnce(&Runs) -> Verdict + 'static) -> Spec {
         let render = Box::new(render);
         Spec {
             cells,
-            routed,
-            replay: Grid::default(),
+            replay: Vec::new(),
+            journal: None,
             render,
         }
     }
 
     /// This figure, replaying `replay` serially for its render to check.
-    fn replaying(self, replay: Grid) -> Spec {
+    fn replaying(self, replay: Vec<Cell>) -> Spec {
         Spec { replay, ..self }
     }
-}
 
-/// Single-cluster and multi-region cells.
-#[derive(Default)]
-struct Grid {
-    cells: Vec<ExperimentConfig>,
-    routed: Vec<RouterConfig>,
-}
-
-impl Grid {
-    /// Runs every cell on `threads` workers with the decision journal on.
-    fn run(self, threads: usize) -> GridRuns {
-        GridRuns {
-            experiments: Experiment::run_cells_with(self.cells, threads, TelemetrySpec::JOURNAL),
-            routed: GlobalRouter::run_cells_with(self.routed, threads, TelemetrySpec::JOURNAL),
-        }
+    /// This figure, writing its cells' decision journals to `path`, each
+    /// after its entry of `markers`.
+    fn journaling(self, path: &'static str, markers: Vec<String>) -> Spec {
+        let journal = Some((path, markers));
+        Spec { journal, ..self }
     }
-}
-
-/// A grid's runs, in its cells' order.
-pub struct GridRuns {
-    /// One per single-cluster cell.
-    pub experiments: Vec<(ExperimentOutcome, TelemetryReport)>,
-    /// One per multi-region cell.
-    pub routed: Vec<(GlobalOutcome, TelemetryReport)>,
 }
 
 /// The runs of one figure's cells, in the order its [`Spec`] lists them.
 pub struct Runs<'a> {
     /// One per entry of [`Spec::cells`].
-    pub experiments: Vec<&'a (ExperimentOutcome, TelemetryReport)>,
-    /// One per entry of [`Spec::routed`].
-    pub routed: Vec<&'a (GlobalOutcome, TelemetryReport)>,
+    pub runs: Vec<&'a (Outcome, TelemetryReport)>,
     /// The serial runs of the figure's replay grid.
-    pub replay: &'a GridRuns,
+    pub replay: &'a [(Outcome, TelemetryReport)],
 }
 
 impl<'a> Runs<'a> {
+    /// Each run's outcome of the kind `pick` selects, with its report, in
+    /// cell order.
+    ///
+    /// # Panics
+    /// When the figure has a cell of the other kind.
+    pub fn pairs<T>(
+        &self,
+        pick: fn(&'a Outcome) -> Option<&'a T>,
+    ) -> Vec<(&'a T, &'a TelemetryReport)> {
+        let kind = |out| pick(out).expect("every cell of a figure is of the kind it reads");
+        self.runs.iter().map(|(out, r)| (kind(out), r)).collect()
+    }
+
     /// The single-cluster outcomes, in cell order.
+    ///
+    /// # Panics
+    /// When the figure has a multi-region cell.
     pub fn outcomes(&self) -> Vec<&'a ExperimentOutcome> {
-        self.experiments.iter().map(|(out, _)| out).collect()
+        let pairs = self.pairs(Outcome::cluster);
+        pairs.into_iter().map(|(out, _)| out).collect()
     }
 }
 
@@ -175,7 +176,7 @@ pub fn select(names: &[String]) -> Result<Vec<(&'static str, Spec)>, String> {
 
 /// Appends each of `cells` to `set` unless an equal one is there already;
 /// returns each cell's index in `set`.
-fn dedup<T: PartialEq>(set: &mut Vec<T>, cells: Vec<T>) -> Vec<usize> {
+fn dedup(set: &mut Vec<Cell>, cells: Vec<Cell>) -> Vec<usize> {
     cells
         .into_iter()
         .map(|cell| {
@@ -187,43 +188,53 @@ fn dedup<T: PartialEq>(set: &mut Vec<T>, cells: Vec<T>) -> Vec<usize> {
         .collect()
 }
 
-/// Runs every grid serially, all at once on a worker apiece; runs come
-/// back in `grids` order.
-fn replay_all(grids: Vec<Grid>) -> Vec<GridRuns> {
-    let size = |g: &Grid| g.cells.len() + g.routed.len();
-    let busy = grids.iter().filter(|g| size(g) > 0).count();
+/// Runs every grid serially with the decision journal on, all at once on
+/// a worker apiece; runs come back in `grids` order.
+fn replay_all(grids: Vec<Vec<Cell>>) -> Vec<Vec<(Outcome, TelemetryReport)>> {
+    let busy = grids.iter().filter(|g| !g.is_empty()).count();
     // Largest first, so each non-empty grid takes a worker of its own.
-    clover_simkit::par_map_lpt(grids, busy, |g| size(g) as f64, |g| g.run(1))
+    let serial = |g| run_cells_with(g, 1, TelemetrySpec::JOURNAL);
+    clover_simkit::par_map_lpt(grids, busy, |g| g.len() as f64, serial)
 }
 
 /// Runs the union of `figures`' cells once on `threads` workers, then their
 /// replay grids, then renders each figure in order. Returns one line per
 /// failed check, each naming its figure.
 pub fn run(figures: Vec<(&str, Spec)>, threads: usize) -> Vec<String> {
-    let (mut union, mut replays) = (Grid::default(), Vec::new());
+    let (mut union, mut replays) = (Vec::new(), Vec::new());
     let picked: Vec<_> = figures
         .into_iter()
         .map(|(name, spec)| {
-            let c = dedup(&mut union.cells, spec.cells);
-            let r = dedup(&mut union.routed, spec.routed);
             replays.push(spec.replay);
-            (name, c, r, spec.render)
+            (
+                name,
+                dedup(&mut union, spec.cells),
+                spec.journal,
+                spec.render,
+            )
         })
         .collect();
-    let union_runs = union.run(threads);
+    let union_runs = run_cells_with(union, threads, TelemetrySpec::JOURNAL);
     // Only now: the union's cells are gone, so no replay cell can share a
     // BASE reference or calibration window with the run it checks.
     let replayed = replay_all(replays);
     picked
         .into_iter()
         .zip(&replayed)
-        .filter_map(|((name, c, r, render), replay)| {
+        .filter_map(|((name, cells, journal, render), replay)| {
             let runs = Runs {
-                experiments: c.iter().map(|&i| &union_runs.experiments[i]).collect(),
-                routed: r.iter().map(|&i| &union_runs.routed[i]).collect(),
+                runs: cells.iter().map(|&i| &union_runs[i]).collect(),
                 replay,
             };
-            render(&runs).err().map(|check| format!("{name}: {check}"))
+            let reports = runs.runs.iter().map(|(_, report)| report);
+            if let Some((path, markers)) = &journal {
+                write_journals(path, markers.iter().cloned().zip(reports));
+            }
+            let verdict = render(&runs);
+            if let (Ok(()), Some((path, markers))) = (&verdict, &journal) {
+                println!("wrote {path} ({} cells' decision journals)", markers.len());
+            }
+            verdict.err().map(|check| format!("{name}: {check}"))
         })
         .collect()
 }
@@ -232,7 +243,7 @@ pub fn run(figures: Vec<(&str, Spec)>, threads: usize) -> Vec<String> {
 mod tests {
     use super::*;
 
-    fn union(names: &[&str]) -> Vec<ExperimentConfig> {
+    fn union(names: &[&str]) -> Vec<Cell> {
         let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
         let mut set = Vec::new();
         for (_, spec) in select(&names).expect("known names") {
@@ -249,6 +260,19 @@ mod tests {
         let six = union(&["fig09", "fig10", "fig11", "fig12", "fig13", "est01"]);
         assert_eq!(six.len(), 12);
         assert!(six.iter().all(|c| fig10.contains(c)));
+        assert!(six.iter().all(|c| matches!(c, Cell::Cluster(_))));
+    }
+
+    #[test]
+    fn single_cluster_and_routed_cells_share_one_union() {
+        let resilience = union(&["fig_resilience"]);
+        let georouting = union(&["fig_georouting"]);
+        assert_eq!((resilience.len(), georouting.len()), (15, 7));
+        assert!(resilience.iter().all(|c| matches!(c, Cell::Cluster(_))));
+        assert!(georouting.iter().all(|c| matches!(c, Cell::Routed(_))));
+        let both = union(&["fig_resilience", "fig_georouting"]);
+        assert_eq!(both, [resilience, georouting.clone()].concat());
+        assert_eq!(union(&["fig_georouting", "fig_georouting"]), georouting);
     }
 
     #[test]
@@ -260,7 +284,8 @@ mod tests {
         let mut b = a.clone();
         b.lambda = 0.5000001;
         let mut set = Vec::new();
-        assert_eq!(dedup(&mut set, vec![a.clone(), b, a]), vec![0, 1, 0]);
+        let cells = [a.clone(), b, a].map(Cell::Cluster).to_vec();
+        assert_eq!(dedup(&mut set, cells), vec![0, 1, 0]);
         assert_eq!(set.len(), 2);
     }
 

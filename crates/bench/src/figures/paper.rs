@@ -8,6 +8,7 @@ use clover_carbon::Region;
 use clover_core::experiment::{ExperimentConfig, ExperimentOutcome, TraceSource};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
+use clover_router::Cell;
 
 /// The carbon-aware schemes Figs. 10 and 11 compare, in column order.
 const SCHEMES: [SchemeKind; 4] = [
@@ -246,7 +247,8 @@ pub(super) fn fig12() -> Spec {
 /// mostly SLA-compliant; the last invocation converges in a handful of
 /// evaluations, all SLA-compliant.
 pub(super) fn fig13() -> Spec {
-    Spec::checked(classification_clover(), Vec::new(), |runs| {
+    let cells = classification_clover().into_iter().map(Cell::Cluster);
+    Spec::checked(cells.collect(), |runs| {
         header(
             "Fig. 13",
             "Configurations evaluated per invocation (Classification)",

@@ -11,6 +11,7 @@ use clover_carbon::Region;
 use clover_core::experiment::{ExperimentConfig, ExperimentOutcome};
 use clover_core::schedulers::SchemeKind;
 use clover_models::zoo::Application;
+use clover_router::Outcome;
 use clover_telemetry::TelemetryReport;
 
 /// Prints a figure/table header in a uniform style.
@@ -113,21 +114,20 @@ pub fn journal_leaks(journal: &str) -> usize {
 }
 
 /// The determinism gate: each cell's serial replay must reproduce its
-/// parallel run's outcome `digest` and decision journal. Prints every
+/// parallel run's outcome digest and decision journal. Prints every
 /// diverging cell, named by its label, to stderr.
 ///
 /// # Errors
 /// When any cell diverged, naming `gate` and how many did.
-pub fn replay_gate<O>(
+pub fn replay_gate(
     gate: &str,
     labels: impl IntoIterator<Item = impl std::fmt::Display>,
-    parallel: &[&(O, TelemetryReport)],
-    serial: &[(O, TelemetryReport)],
-    digest: fn(&O) -> u64,
+    parallel: &[&(Outcome, TelemetryReport)],
+    serial: &[(Outcome, TelemetryReport)],
 ) -> Result<(), String> {
     let mut mismatches = 0;
     for ((label, (p_out, p_rep)), (s_out, s_rep)) in labels.into_iter().zip(parallel).zip(serial) {
-        let (sd, pd) = (digest(s_out), digest(p_out));
+        let (sd, pd) = (s_out.digest(), p_out.digest());
         let journals_match = journal(s_rep) == journal(p_rep);
         if sd != pd || !journals_match {
             mismatches += 1;

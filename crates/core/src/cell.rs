@@ -26,7 +26,7 @@ use crate::objective::{MeasuredPoint, Objective};
 use crate::schedulers::{make_scheduler, Observation, Scheduler, SchedulerCtx, SchemeKind};
 use clover_carbon::{CarbonIntensity, CarbonLedger, CarbonMonitor, CarbonTrace, Energy, Staleness};
 use clover_mig::SliceType;
-use clover_models::{ModelFamily, PerfModel};
+use clover_models::{served_weighted_accuracy, ModelFamily, PerfModel};
 use clover_serving::{Deployment, InstanceFailure, ServingCarry, ServingSim, WindowMetrics};
 use clover_simkit::{LatencyHistogram, SimRng, SimTime};
 use clover_telemetry::{Event, Phase, PhaseScope, ProfilerHandle, Telemetry};
@@ -78,6 +78,70 @@ impl CellTotals {
             *acc += n as f64 * scale;
         }
         self.served_scaled += w.served as f64 * scale;
+    }
+}
+
+/// The run-level figures of one or more cells' [`CellTotals`], the one
+/// roll-up of the single-cluster experiment and the multi-region router.
+pub struct Rollup {
+    /// Operational carbon, grams.
+    pub carbon_g: f64,
+    /// Requests served.
+    pub served_scaled: f64,
+    /// Carbon per served request, grams; NaN when nothing was served.
+    pub carbon_per_request_g: f64,
+    /// IT energy per served request, joules; NaN when nothing was served.
+    pub energy_per_request_j: f64,
+    /// p95 latency of every request served, seconds; NaN (which fails any
+    /// SLA) when nothing was served.
+    pub p95_s: f64,
+    /// Served-weighted accuracy, percent; the base accuracy when nothing
+    /// was served.
+    pub accuracy_pct: f64,
+    /// Mean GPUs active over the schedule.
+    pub mean_active_gpus: f64,
+    /// Live time charged to optimization, seconds.
+    pub optimization_time_s: f64,
+    /// Discrete events simulated.
+    pub sim_events: u64,
+}
+
+impl Rollup {
+    /// Rolls `totals` up over the epochs of `schedule`, summing in slice
+    /// (region) order, so a slice of one gives that cell's figures bit for
+    /// bit.
+    pub fn of(totals: &[&CellTotals], family: &ModelFamily, schedule: &EpochSchedule) -> Rollup {
+        let mut hist = LatencyHistogram::for_latency();
+        let mut per_variant = vec![0.0f64; family.len()];
+        for t in totals {
+            hist.merge(&t.hist);
+            for (acc, v) in per_variant.iter_mut().zip(&t.per_variant) {
+                *acc += v;
+            }
+        }
+        let sum = |f: fn(&CellTotals) -> f64| totals.iter().map(|t| f(t)).sum::<f64>();
+        let (carbon_g, served_scaled) =
+            (sum(|t| t.ledger.carbon().grams()), sum(|t| t.served_scaled));
+        let per_request = |x: f64| {
+            if served_scaled > 0.0 {
+                x / served_scaled
+            } else {
+                f64::NAN
+            }
+        };
+        let epochs = f64::from(schedule.count().max(1));
+        Rollup {
+            carbon_g,
+            served_scaled,
+            carbon_per_request_g: per_request(carbon_g),
+            energy_per_request_j: per_request(sum(|t| t.ledger.it_energy().joules())),
+            p95_s: hist.quantile(0.95).unwrap_or(f64::NAN),
+            accuracy_pct: served_weighted_accuracy(family, per_variant)
+                .unwrap_or(family.accuracy_base()),
+            mean_active_gpus: sum(|t| t.active_gpu_hours) / (epochs * schedule.epoch_hours()),
+            optimization_time_s: sum(|t| t.optimization_time_s),
+            sim_events: totals.iter().map(|t| t.sim_events).sum(),
+        }
     }
 }
 
@@ -237,11 +301,6 @@ impl CellRuntime {
     /// The run-level accumulators so far.
     pub fn totals(&self) -> &CellTotals {
         &self.totals
-    }
-
-    /// Consumes the cell, returning its run-level accumulators.
-    pub fn into_totals(self) -> CellTotals {
-        self.totals
     }
 
     /// Runs one control epoch: plans against `objective` and the demand

@@ -35,17 +35,17 @@
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
-use crate::cell::{serve_epoch, CellRuntime, CellTotals};
+use crate::cell::{serve_epoch, CellRuntime, CellTotals, Rollup};
 use crate::chaos::ChaosConfig;
 use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, SearchBudget};
 use crate::objective::Objective;
 use crate::schedulers::SchemeKind;
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_models::zoo::Application;
-use clover_models::{served_weighted_accuracy, ModelFamily, PerfModel};
+use clover_models::{ModelFamily, PerfModel};
 use clover_serving::{analytic, Deployment, ServingCarry, ServingSim};
 use clover_simkit::SimDuration;
-use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry, TelemetryReport, TelemetrySpec};
+use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry};
 use clover_workload::{Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -939,57 +939,17 @@ impl Experiment {
     #[doc(hidden)]
     pub fn set_shard_threads(&mut self, _threads: Option<usize>) {}
 
-    /// Runs one experiment cell per config on `threads` worker threads,
-    /// returning outcomes in input order.
-    ///
-    /// Every cell derives all of its randomness from its own
-    /// `ExperimentConfig::seed`, so the parallel grid is **byte-identical**
-    /// to running the configs serially (pinned by
-    /// `tests/par_determinism.rs`). `threads <= 1` runs the cells one at a
-    /// time on the calling thread, but a grid holding an ORACLE cell is not
-    /// fully serial even then: `OracleScheduler` profiles its candidates on
-    /// [`clover_simkit::default_threads`] workers. Set `CLOVER_THREADS=1`
-    /// for a fully serial run. Results are identical either way.
-    ///
-    /// Every cell is built first, so cells that share a BASE reference or
-    /// calibration window are alive together and compute it once. Dispatch
-    /// is then LPT ([`clover_simkit::par_map_lpt`] over
-    /// [`ExperimentConfig::cost_weight`]): the heaviest cells are claimed
-    /// first so one full-epoch cell cannot strand itself behind a drained
-    /// pool of light windows.
+    /// Runs one cell per config on `threads` workers; outcomes come back
+    /// in input order. Kept, hidden, only because `perfbench` calls it:
+    /// grids run through `clover_router::run_cells_with`.
+    #[doc(hidden)]
     pub fn run_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<ExperimentOutcome> {
-        Self::run_cells_with(configs, threads, TelemetrySpec::DISABLED)
-            .into_iter()
-            .map(|(outcome, _)| outcome)
-            .collect()
-    }
-
-    /// [`Experiment::run_cells`] with telemetry: each cell builds its own
-    /// sink from the shared `spec` *inside* the worker closure, runs, and
-    /// returns its [`TelemetryReport`] alongside the outcome.
-    ///
-    /// Outcomes come back in input order and — telemetry being a strict
-    /// overlay — bit-identical to [`Experiment::run_cells`] (pinned by
-    /// `tests/par_determinism.rs`, whose parallel arm runs with every
-    /// pillar on); each cell's decision journal derives only from
-    /// deterministic simulation state, so the journals too are
-    /// byte-identical between serial and parallel execution (pinned by
-    /// `tests/telemetry.rs`).
-    pub fn run_cells_with(
-        configs: Vec<ExperimentConfig>,
-        threads: usize,
-        spec: TelemetrySpec,
-    ) -> Vec<(ExperimentOutcome, TelemetryReport)> {
         let cells = clover_simkit::par_map(configs, threads, Experiment::new);
         clover_simkit::par_map_lpt(
             cells.iter().collect(),
             threads,
             |e| e.cfg.cost_weight(),
-            |e| {
-                let mut telemetry = Telemetry::new(spec);
-                let out = e.run_with(&mut telemetry);
-                (out, telemetry.take_report())
-            },
+            |e| e.run(),
         )
     }
 
@@ -1081,22 +1041,9 @@ impl Experiment {
         }
 
         let base = self.reference.totals(telemetry.profiler());
-        let totals = cell.into_totals();
-        let served_scaled = totals.served_scaled;
-        let total_carbon_g = totals.ledger.carbon().grams();
-        let base_carbon_g = base.ledger.carbon().grams();
-        let a_base = self.family.accuracy_base();
-        let accuracy_pct =
-            served_weighted_accuracy(&self.family, totals.per_variant.iter().copied())
-                .unwrap_or(a_base);
-        // A run that served nothing has no measured tail: NaN (like the
-        // per-request metrics below), never 0.0 — `sla_met` compares
-        // false against NaN, so a fully wedged run cannot pass its SLA.
-        let p95_s = totals.hist.quantile(0.95).unwrap_or(f64::NAN);
-        let base_p95_s = base.hist.quantile(0.95).unwrap_or(f64::NAN);
-        let per_request = |x: f64, n: f64| if n > 0.0 { x / n } else { f64::NAN };
-        let carbon_per_req_g = per_request(total_carbon_g, served_scaled);
-        let base_carbon_per_req_g = per_request(base_carbon_g, base.served_scaled);
+        let [run, base] = [cell.totals(), base].map(|t| Rollup::of(&[t], &self.family, &schedule));
+        let (a_base, accuracy_pct, p95_s) =
+            (self.family.accuracy_base(), run.accuracy_pct, run.p95_s);
 
         ExperimentOutcome {
             scheme: cfg.scheme.label().to_string(),
@@ -1110,28 +1057,27 @@ impl Experiment {
             fidelity: cfg.fidelity.label().to_string(),
             control_epoch_s: cfg.control_epoch_s,
             n_gpus: cfg.n_gpus,
-            mean_active_gpus: totals.active_gpu_hours
-                / (f64::from(epochs.max(1)) * schedule.epoch_hours()),
+            mean_active_gpus: run.mean_active_gpus,
             lambda: cfg.lambda,
             horizon_hours: cfg.horizon_hours,
             rate_rps: self.rate_rps,
             sla_p95_s: self.objective.l_tail_s,
-            total_carbon_g,
-            base_carbon_g,
-            carbon_saving_pct: (base_carbon_g - total_carbon_g) / base_carbon_g * 100.0,
+            total_carbon_g: run.carbon_g,
+            base_carbon_g: base.carbon_g,
+            carbon_saving_pct: (base.carbon_g - run.carbon_g) / base.carbon_g * 100.0,
             accuracy_pct,
             accuracy_loss_pct: (a_base - accuracy_pct) / a_base * 100.0,
             accuracy_gain_pct: (accuracy_pct - a_base) / a_base * 100.0,
             p95_s,
-            base_p95_s,
-            p95_norm_to_base: p95_s / base_p95_s,
+            base_p95_s: base.p95_s,
+            p95_norm_to_base: p95_s / base.p95_s,
             sla_met: p95_s <= self.objective.l_tail_s,
-            energy_per_request_j: per_request(totals.ledger.it_energy().joules(), served_scaled),
-            saving_g_per_request: base_carbon_per_req_g - carbon_per_req_g,
-            optimization_time_s: totals.optimization_time_s,
-            optimization_fraction: totals.optimization_time_s / (cfg.horizon_hours * 3600.0),
-            served_scaled,
-            sim_events: totals.sim_events + base.sim_events,
+            energy_per_request_j: run.energy_per_request_j,
+            saving_g_per_request: base.carbon_per_request_g - run.carbon_per_request_g,
+            optimization_time_s: run.optimization_time_s,
+            optimization_fraction: run.optimization_time_s / (cfg.horizon_hours * 3600.0),
+            served_scaled: run.served_scaled,
+            sim_events: run.sim_events + base.sim_events,
             timeline,
             invocations,
         }

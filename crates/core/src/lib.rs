@@ -54,7 +54,7 @@ pub mod schedulers;
 
 pub use anneal::{anneal, EvalRecord, OptimizationRun, SaParams, SearchLedger};
 pub use autoscale::{FleetState, ScaleReason, Scaler, ScalerConfig, ScalingPolicy};
-pub use cell::{CellRuntime, CellTotals, EpochRecord};
+pub use cell::{CellRuntime, CellTotals, EpochRecord, Rollup};
 pub use chaos::{ChaosConfig, CrashEvent, FaultPlan, FaultSpec, GpuKill};
 pub use control::{ControlEpoch, EpochSchedule, Fidelity, WindowPlan};
 pub use eval::DesEvaluator;

@@ -34,17 +34,18 @@
 //! requests age in place, and serving resumes at the first boundary with a
 //! live region.
 
+use crate::grid::{Cell, Outcome};
 use crate::policy::{RegionSnapshot, RoutePolicy};
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_core::anneal::SaParams;
 use clover_core::chaos::ChaosConfig;
 use clover_core::control::{ControlEpoch, EpochSchedule, Fidelity, SearchBudget};
 use clover_core::schedulers::SchemeKind;
-use clover_core::{BaseYardstick, CellRuntime, ExperimentConfig, Objective, ScalingPolicy};
+use clover_core::{BaseYardstick, CellRuntime, ExperimentConfig, Objective, Rollup, ScalingPolicy};
 use clover_models::zoo::Application;
-use clover_models::{served_weighted_accuracy, ModelFamily, PerfModel};
+use clover_models::{ModelFamily, PerfModel};
 use clover_serving::WindowMetrics;
-use clover_simkit::{LatencyHistogram, SimDuration, SimRng, SimTime};
+use clover_simkit::{SimDuration, SimRng, SimTime};
 use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{ArrivalProcess, Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
@@ -572,24 +573,21 @@ impl GlobalRouter {
         &self.cfg
     }
 
-    /// Runs one cell per config on `threads` workers, each with its own
-    /// telemetry sink from `spec`; outcomes and reports come back in input
-    /// order. Every cell derives all randomness from its own seed, so the
-    /// parallel grid is byte-identical to the serial run.
-    ///
-    /// Every cell is built first, so cells that share a calibration window
-    /// are alive together and derive it once.
+    /// [`crate::run_cells_with`] over routed cells. Kept, hidden, only
+    /// because `perfbench` calls it.
+    #[doc(hidden)]
     pub fn run_cells_with(
         configs: Vec<RouterConfig>,
         threads: usize,
         spec: TelemetrySpec,
     ) -> Vec<(GlobalOutcome, TelemetryReport)> {
-        let cells = clover_simkit::par_map(configs, threads, GlobalRouter::new);
-        clover_simkit::par_map(cells.iter().collect(), threads, |r| {
-            let mut telemetry = Telemetry::new(spec);
-            let out = r.run_with(&mut telemetry);
-            (out, telemetry.take_report())
+        let cells = configs.into_iter().map(Cell::Routed).collect();
+        let runs = crate::run_cells_with(cells, threads, spec).into_iter();
+        runs.map(|(out, report)| match out {
+            Outcome::Routed(out) => (out, report),
+            Outcome::Cluster(_) => unreachable!("a routed cell yields a routed outcome"),
         })
+        .collect()
     }
 
     /// Runs the multi-region experiment without telemetry.
@@ -616,13 +614,6 @@ impl GlobalRouter {
         // boundaries.
         let mut transit: Vec<f64> = Vec::new();
         let mut prev_weights = vec![0.0f64; n];
-        let mut weight_sums = vec![0.0f64; n];
-        let mut arrived = 0u64;
-        let mut served = 0u64;
-        let mut dropped = 0u64;
-        let mut migrated_requests = 0u64;
-        let mut migration_boundaries = 0u64;
-        let mut outage_epochs = 0u64;
         let mut conservation_leak = 0i64;
         let mut boundary_leak = 0i64;
         let mut timeline = Vec::with_capacity(schedule.count() as usize);
@@ -705,10 +696,6 @@ impl GlobalRouter {
 
             let after = backlog(&fleets) + transit.len() as u64;
             boundary_leak += after as i64 - before as i64;
-            if migrated_now > 0 {
-                migration_boundaries += 1;
-                migrated_requests += migrated_now;
-            }
 
             // Serve the epoch in every live region. Dark regions are
             // skipped entirely: boards draw nothing, the scaler freezes.
@@ -719,16 +706,12 @@ impl GlobalRouter {
             let mut e_arrived = 0u64;
             let mut e_served = 0u64;
             let mut e_dropped = 0u64;
-            for (i, fleet) in fleets.iter_mut().enumerate() {
-                if up[i] {
-                    let w = self.serve(fleet, &epoch, weights[i], telemetry);
-                    e_arrived += w.arrived;
-                    e_served += w.served;
-                    e_dropped += w.dropped;
-                    conservation_leak += w.conservation_leak;
-                } else {
-                    outage_epochs += 1;
-                }
+            for (i, fleet) in fleets.iter_mut().enumerate().filter(|(i, _)| up[*i]) {
+                let w = self.serve(fleet, &epoch, weights[i], telemetry);
+                e_arrived += w.arrived;
+                e_served += w.served;
+                e_dropped += w.dropped;
+                conservation_leak += w.conservation_leak;
             }
             let backlog_after = backlog(&fleets);
             // The global serve law; transit is constant within the epoch
@@ -736,12 +719,6 @@ impl GlobalRouter {
             let leak =
                 (carried_in + e_arrived) as i64 - (e_served + e_dropped + backlog_after) as i64;
             conservation_leak += leak;
-            arrived += e_arrived;
-            served += e_served;
-            dropped += e_dropped;
-            for (acc, w) in weight_sums.iter_mut().zip(weights.iter()) {
-                *acc += w;
-            }
 
             if telemetry.journal_mut().is_some() {
                 // f64 Display is shortest-roundtrip, so the joined vector
@@ -788,24 +765,13 @@ impl GlobalRouter {
             prev_weights = weights;
         }
 
-        // Global roll-up across the regional ledgers and histograms.
+        // Global roll-up across the regional ledgers and histograms, and
+        // the run's counters summed over the timeline.
         let epochs = schedule.count().max(1) as f64;
         let totals: Vec<_> = fleets.iter().map(|f| f.cell.totals()).collect();
-        let region_carbon_g: Vec<f64> = totals.iter().map(|t| t.ledger.carbon().grams()).collect();
-        let total_carbon_g: f64 = region_carbon_g.iter().sum();
-        let it_energy_j: f64 = totals.iter().map(|t| t.ledger.it_energy().joules()).sum();
-        let served_scaled: f64 = totals.iter().map(|t| t.served_scaled).sum();
-        let mut hist = LatencyHistogram::for_latency();
-        let mut per_variant = vec![0.0f64; self.family.len()];
-        for t in &totals {
-            hist.merge(&t.hist);
-            for (acc, v) in per_variant.iter_mut().zip(t.per_variant.iter()) {
-                *acc += v;
-            }
-        }
-        let accuracy_pct = served_weighted_accuracy(&self.family, per_variant)
-            .unwrap_or(self.family.accuracy_base());
-        let p95_s = hist.quantile(0.95).unwrap_or(f64::NAN);
+        let run = Rollup::of(&totals, &self.family, &schedule);
+        let sum = |f: fn(&RouterEpochPoint) -> u64| timeline.iter().map(f).sum::<u64>();
+        let mean_weight = |i: usize| timeline.iter().map(|p| p.weights[i]).sum::<f64>() / epochs;
 
         GlobalOutcome {
             policy: cfg.policy.label().to_string(),
@@ -818,36 +784,27 @@ impl GlobalRouter {
             n_gpus_per_region: cfg.n_gpus_per_region,
             rate_rps: self.rate_rps,
             sla_p95_s: self.objective.l_tail_s,
-            total_carbon_g,
-            region_carbon_g,
+            total_carbon_g: run.carbon_g,
+            region_carbon_g: totals.iter().map(|t| t.ledger.carbon().grams()).collect(),
             region_served: fleets.iter().map(|f| f.served).collect(),
-            mean_weights: weight_sums.iter().map(|s| s / epochs).collect(),
-            accuracy_pct,
-            p95_s,
-            sla_met: p95_s <= self.objective.l_tail_s,
-            energy_per_request_j: if served_scaled > 0.0 {
-                it_energy_j / served_scaled
-            } else {
-                f64::NAN
-            },
-            carbon_per_request_g: if served_scaled > 0.0 {
-                total_carbon_g / served_scaled
-            } else {
-                f64::NAN
-            },
-            arrived,
-            served,
-            dropped,
+            mean_weights: (0..n).map(mean_weight).collect(),
+            accuracy_pct: run.accuracy_pct,
+            p95_s: run.p95_s,
+            sla_met: run.p95_s <= self.objective.l_tail_s,
+            energy_per_request_j: run.energy_per_request_j,
+            carbon_per_request_g: run.carbon_per_request_g,
+            arrived: sum(|p| p.arrived),
+            served: sum(|p| p.served),
+            dropped: sum(|p| p.dropped),
             final_backlog: backlog(&fleets),
             final_in_transit: transit.len() as u64,
-            migrated_requests,
-            migration_boundaries,
-            outage_epochs,
-            mean_active_gpus: totals.iter().map(|t| t.active_gpu_hours).sum::<f64>()
-                / (epochs * schedule.epoch_hours()),
-            served_scaled,
-            optimization_time_s: totals.iter().map(|t| t.optimization_time_s).sum(),
-            sim_events: totals.iter().map(|t| t.sim_events).sum(),
+            migrated_requests: sum(|p| p.migrated),
+            migration_boundaries: sum(|p| u64::from(p.migrated > 0)),
+            outage_epochs: sum(|p| p.down.iter().filter(|&&d| d).count() as u64),
+            mean_active_gpus: run.mean_active_gpus,
+            served_scaled: run.served_scaled,
+            optimization_time_s: run.optimization_time_s,
+            sim_events: run.sim_events,
             conservation_leak,
             boundary_leak,
             timeline,

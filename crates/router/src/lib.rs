@@ -9,7 +9,7 @@
 //! where the energy is clean* save, beyond what per-region scheduling
 //! already achieves?
 //!
-//! Two parts:
+//! Three parts:
 //!
 //! - [`RoutePolicy`] — the three traffic splits in [`RoutePolicy::ALL`]:
 //!   `uniform` (per-region-local, the baseline) and the carbon-aware
@@ -22,21 +22,26 @@
 //!   (request ages survive the hop, plus a transfer-latency penalty),
 //!   drains regions through
 //!   [`clover_core::chaos::FaultSpec::RegionOutage`] windows, and checks
-//!   global request conservation every epoch.
+//!   global request conservation every epoch;
+//! - [`run_cells_with`] — the one grid entry point: it runs [`Cell`]s of
+//!   either kind, single-cluster experiments and routed fleets, side by
+//!   side in one pool.
 //!
 //! Determinism contract: everything derives from [`RouterConfig::seed`].
 //! Regional cells draw their master seeds from isolated substreams, the routing
 //! policies draw no randomness, and region traces are keyed by the
-//! experiment seed alone — so [`GlobalRouter::run_cells_with`] over a grid
-//! of configs is byte-identical serial or parallel, and
+//! experiment seed alone — so [`run_cells_with`] over a grid of cells is
+//! byte-identical serial or parallel, and
 //! `figures fig_georouting` pins it.
 
 #![warn(missing_docs)]
 
 pub mod global;
+pub mod grid;
 pub mod policy;
 
 pub use global::{
     GlobalOutcome, GlobalRouter, RouterConfig, RouterConfigBuilder, RouterEpochPoint,
 };
+pub use grid::{run_cells_with, Cell, Outcome};
 pub use policy::RoutePolicy;

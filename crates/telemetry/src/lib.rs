@@ -124,7 +124,7 @@ impl Telemetry {
 
     /// Detach the collected telemetry, leaving this sink disabled.
     ///
-    /// Used by `Experiment::run_cells_with`, which builds one sink per
+    /// Used by `clover_router::run_cells_with`, which builds one sink per
     /// grid cell and returns the report alongside the outcome.
     pub fn take_report(&mut self) -> TelemetryReport {
         TelemetryReport {

@@ -232,11 +232,6 @@ impl Workload {
         self.kind.label()
     }
 
-    /// The base (long-run mean) rate, req/s.
-    pub fn mean_rate(&self) -> f64 {
-        self.base_rps
-    }
-
     /// Expected instantaneous rate at global time `t`, req/s (stationary
     /// mean for MMPP).
     pub fn rate_at(&self, t: SimTime) -> f64 {
@@ -355,6 +350,23 @@ mod tests {
     use super::*;
     use clover_simkit::SimRng;
 
+    /// One whole period of `kind`'s rate curve; an hour for the kinds
+    /// whose forecast is flat.
+    fn period(kind: &WorkloadKind) -> SimDuration {
+        match kind {
+            WorkloadKind::Diurnal { period_hours, .. }
+            | WorkloadKind::FlashCrowd { period_hours, .. } => {
+                SimDuration::from_hours(*period_hours)
+            }
+            WorkloadKind::Poisson | WorkloadKind::Mmpp { .. } => SimDuration::from_hours(1.0),
+        }
+    }
+
+    /// The forecast's mean over `wl`'s first whole period: its base rate.
+    fn period_mean(wl: &Workload) -> f64 {
+        wl.windowed_mean(SimTime::ZERO, period(wl.kind()))
+    }
+
     fn all_kinds() -> Vec<WorkloadKind> {
         vec![
             WorkloadKind::Poisson,
@@ -368,8 +380,9 @@ mod tests {
     fn normalization_makes_every_kind_hit_the_base_rate() {
         for kind in all_kinds() {
             let wl = Workload::new(kind, 120.0);
-            // The forecast view agrees with the declared mean.
-            assert!((wl.mean_rate() - 120.0).abs() < 1e-9);
+            // The forecast view agrees with the declared mean over one
+            // whole period.
+            assert!((period_mean(&wl) - 120.0).abs() < 1e-9);
             // Long-window mean of the forecast ≈ base rate.
             let mean = wl.windowed_mean(SimTime::ZERO, SimDuration::from_hours(48.0));
             assert!(
@@ -435,7 +448,7 @@ mod tests {
         let wl = Workload::new(WorkloadKind::flash_crowd(), 80.0);
         let t = SimTime::from_hours(1.05); // inside the spike
         assert!(wl.rate_at(t) > 80.0);
-        assert_eq!(wl.mean_rate(), 80.0);
+        assert!((period_mean(&wl) - 80.0).abs() < 1e-9);
         assert!(wl.max_rate() > 300.0);
     }
 
@@ -493,8 +506,9 @@ mod tests {
             SimDuration::from_secs(1200.0),
         );
         // Each half sees elevated demand (the spike peaks at ~5× base)...
-        assert!(before > wl.mean_rate() * 1.2, "before {before}");
-        assert!(after > wl.mean_rate() * 1.2, "after {after}");
+        let mean = period_mean(&wl);
+        assert!(before > mean * 1.2, "before {before}");
+        assert!(after > mean * 1.2, "after {after}");
         // ...and splitting at the boundary conserves the spike's mass.
         assert!(
             ((before + after) / 2.0 - whole).abs() / whole < 0.02,
@@ -502,7 +516,7 @@ mod tests {
         );
         // Far from the spike the forecast sits at the baseline.
         let calm = wl.windowed_mean(SimTime::from_secs(100.0), SimDuration::from_secs(600.0));
-        assert!(calm < wl.mean_rate(), "calm window {calm}");
+        assert!(calm < mean, "calm window {calm}");
     }
 
     #[test]
@@ -549,11 +563,12 @@ mod tests {
         let span = SimDuration::from_secs(900.0);
         let peak = wl.peak_over(before, span);
         let mean = wl.windowed_mean(before, span);
-        assert!(peak > wl.mean_rate() * 3.0, "peak {peak}");
+        let base = period_mean(&wl);
+        assert!(peak > base * 3.0, "peak {peak}");
         assert!(mean < peak * 0.6, "mean {mean} vs peak {peak}");
         // Far from any spike the peak is the baseline.
         let calm = wl.peak_over(SimTime::from_secs(100.0), SimDuration::from_secs(600.0));
-        assert!(calm < wl.mean_rate(), "calm peak {calm}");
+        assert!(calm < base, "calm peak {calm}");
         // MMPP (unforecastable bursts) answers with its stationary mean.
         let mmpp = Workload::new(WorkloadKind::mmpp(), 100.0);
         assert_eq!(mmpp.peak_over(before, span), 100.0);

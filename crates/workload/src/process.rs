@@ -144,7 +144,7 @@ impl MmppProcess {
     }
 
     /// Stationary probability of being in the burst state.
-    pub fn burst_fraction(&self) -> f64 {
+    fn burst_fraction(&self) -> f64 {
         self.mean_burst_s / (self.mean_burst_s + self.mean_calm_s)
     }
 

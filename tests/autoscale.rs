@@ -8,10 +8,12 @@
 //! randomness, so thread interleaving has nothing to perturb).
 
 use clover::core::autoscale::{FleetState, Scaler, ScalerConfig, ScalingPolicy, COOLDOWN_EPOCHS};
-use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
+use clover::core::experiment::{Experiment, ExperimentConfig};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
+use clover::router::{run_cells_with, Cell};
 use clover::simkit::SimTime;
+use clover::telemetry::TelemetrySpec;
 use clover::workload::{Workload, WorkloadKind};
 
 /// One diurnal day on a 4-GPU fleet. The generous SLA headroom keeps both
@@ -91,6 +93,16 @@ fn reactive_scaling_saves_but_forecast_anticipates() {
     assert!(reac.mean_active_gpus < 4.0);
 }
 
+/// The digest of each of `configs` run as a single-cluster cell on
+/// `threads` workers.
+fn digests(configs: &[ExperimentConfig], threads: usize) -> Vec<u64> {
+    let cells = configs.iter().cloned().map(Cell::Cluster).collect();
+    run_cells_with(cells, threads, TelemetrySpec::DISABLED)
+        .iter()
+        .map(|(out, _)| out.digest())
+        .collect()
+}
+
 /// Digest grid with scaling enabled: all three policies × a search scheme
 /// and a static scheme, serial vs parallel, byte for byte. This is the
 /// PR's determinism gate — the scaler must stay RNG-free.
@@ -128,15 +140,9 @@ fn autoscaled_grids_are_bit_identical_serial_vs_parallel() {
     })
     .collect();
 
-    let serial: Vec<u64> = Experiment::run_cells(configs.clone(), 1)
-        .iter()
-        .map(ExperimentOutcome::digest)
-        .collect();
+    let serial: Vec<u64> = digests(&configs, 1);
     for threads in [2, 4] {
-        let parallel: Vec<u64> = Experiment::run_cells(configs.clone(), threads)
-            .iter()
-            .map(ExperimentOutcome::digest)
-            .collect();
+        let parallel: Vec<u64> = digests(&configs, threads);
         assert_eq!(
             serial, parallel,
             "{threads}-thread autoscaled grid diverged"

@@ -24,10 +24,11 @@
 use clover::core::autoscale::ScalingPolicy;
 use clover::core::chaos::{ChaosConfig, FaultPlan, FaultSpec};
 use clover::core::control::Fidelity;
-use clover::core::experiment::{Experiment, ExperimentConfig};
+use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::telemetry::TelemetrySpec;
+use clover::router::{run_cells_with, Cell, Outcome};
+use clover::telemetry::{TelemetryReport, TelemetrySpec};
 
 /// The pre-refactor default-config digests (see `tests/control_plane.rs`
 /// for provenance): `ImageClassification`, `n_gpus(4)`,
@@ -79,6 +80,22 @@ fn chaos_off_is_bit_identical_to_the_pre_refactor_pins() {
     }
 }
 
+/// Runs `configs` as single-cluster cells through the grid entry point.
+fn run_clusters(
+    configs: Vec<ExperimentConfig>,
+    threads: usize,
+    spec: TelemetrySpec,
+) -> Vec<(ExperimentOutcome, TelemetryReport)> {
+    let cells = configs.into_iter().map(Cell::Cluster).collect();
+    run_cells_with(cells, threads, spec)
+        .into_iter()
+        .map(|(out, report)| match out {
+            Outcome::Cluster(out) => (out, report),
+            Outcome::Routed(_) => unreachable!("a single-cluster cell"),
+        })
+        .collect()
+}
+
 #[test]
 fn faulted_grid_is_bit_identical_serial_vs_parallel() {
     let configs = || -> Vec<ExperimentConfig> {
@@ -93,9 +110,9 @@ fn faulted_grid_is_bit_identical_serial_vs_parallel() {
         .map(faulted)
         .collect()
     };
-    let serial = Experiment::run_cells(configs(), 1);
-    let parallel = Experiment::run_cells(configs(), 4);
-    for (s, p) in serial.iter().zip(parallel.iter()) {
+    let serial = run_clusters(configs(), 1, TelemetrySpec::DISABLED);
+    let parallel = run_clusters(configs(), 4, TelemetrySpec::DISABLED);
+    for ((s, _), (p, _)) in serial.iter().zip(parallel.iter()) {
         assert_eq!(
             s.digest(),
             p.digest(),
@@ -110,7 +127,7 @@ fn faulted_grid_is_bit_identical_serial_vs_parallel() {
 
 #[test]
 fn conservation_holds_at_every_boundary_under_faults() {
-    for out in Experiment::run_cells(
+    for (out, _) in run_clusters(
         [
             SchemeKind::Base,
             SchemeKind::Co2Opt,
@@ -122,6 +139,7 @@ fn conservation_holds_at_every_boundary_under_faults() {
         .map(faulted)
         .collect(),
         4,
+        TelemetrySpec::DISABLED,
     ) {
         let mut arrived = 0u64;
         let mut served = 0u64;
@@ -264,7 +282,7 @@ fn carbon_gaps_surface_as_fallback_journal_events() {
         .horizon_hours(horizon_hours)
         .seed(seed)
         .build();
-    let mut pairs = Experiment::run_cells_with(vec![cfg], 1, TelemetrySpec::JOURNAL);
+    let mut pairs = run_clusters(vec![cfg], 1, TelemetrySpec::JOURNAL);
     let (_, report) = pairs.remove(0);
     let journal = report.journal.expect("journal enabled");
     let mode_count = |mode: &str| -> usize {

@@ -15,9 +15,11 @@
 
 use clover::core::autoscale::ScalingPolicy;
 use clover::core::control::{Fidelity, SearchBudget};
-use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
+use clover::core::experiment::{Experiment, ExperimentConfig};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
+use clover::router::{run_cells_with, Cell};
+use clover::telemetry::TelemetrySpec;
 
 /// Digests recorded before the control-plane extraction (commit 19339c8's
 /// tree): `ExperimentConfig::builder(ImageClassification).scheme(s)
@@ -156,6 +158,16 @@ fn full_epoch_fidelity_simulates_everything() {
     assert!((0.5..2.0).contains(&ratio), "served ratio {ratio}");
 }
 
+/// The digest of each of `configs` run as a single-cluster cell on
+/// `threads` workers.
+fn digests(configs: &[ExperimentConfig], threads: usize) -> Vec<u64> {
+    let cells = configs.iter().cloned().map(Cell::Cluster).collect();
+    run_cells_with(cells, threads, TelemetrySpec::DISABLED)
+        .iter()
+        .map(|(out, _)| out.digest())
+        .collect()
+}
+
 /// The acceptance gate: sub-hour epochs and FullEpoch fidelity keep the
 /// serial and parallel engines byte-identical for every scheme.
 #[test]
@@ -171,15 +183,9 @@ fn sub_hour_and_full_epoch_grids_are_bit_identical_serial_vs_parallel() {
             .map(move |f| epoch_cfg(scheme, f, 23))
         })
         .collect();
-    let serial: Vec<u64> = Experiment::run_cells(configs.clone(), 1)
-        .iter()
-        .map(ExperimentOutcome::digest)
-        .collect();
+    let serial: Vec<u64> = digests(&configs, 1);
     for threads in [2, 4] {
-        let parallel: Vec<u64> = Experiment::run_cells(configs.clone(), threads)
-            .iter()
-            .map(ExperimentOutcome::digest)
-            .collect();
+        let parallel: Vec<u64> = digests(&configs, threads);
         assert_eq!(
             serial, parallel,
             "{threads}-thread sub-hour/full-epoch grid diverged"
@@ -267,15 +273,9 @@ fn continuous_full_epoch_grid_is_bit_identical_serial_vs_parallel() {
                 .build()
         })
         .collect();
-    let serial: Vec<u64> = Experiment::run_cells(configs.clone(), 1)
-        .iter()
-        .map(ExperimentOutcome::digest)
-        .collect();
+    let serial: Vec<u64> = digests(&configs, 1);
     for threads in [2, 4] {
-        let parallel: Vec<u64> = Experiment::run_cells(configs.clone(), threads)
-            .iter()
-            .map(ExperimentOutcome::digest)
-            .collect();
+        let parallel: Vec<u64> = digests(&configs, threads);
         assert_eq!(
             serial, parallel,
             "{threads}-thread continuous full-epoch grid diverged"

@@ -32,8 +32,24 @@ use clover::core::chaos::{ChaosConfig, FaultSpec};
 use clover::core::schedulers::SchemeKind;
 use clover::core::{Experiment, ExperimentConfig, Objective};
 use clover::models::zoo::Application;
-use clover::router::{GlobalRouter, RouterConfig};
-use clover::telemetry::TelemetrySpec;
+use clover::router::{run_cells_with, Cell, GlobalOutcome, GlobalRouter, Outcome, RouterConfig};
+use clover::telemetry::{TelemetryReport, TelemetrySpec};
+
+/// Runs `configs` as multi-region cells through the grid entry point.
+fn run_fleets(
+    configs: Vec<RouterConfig>,
+    threads: usize,
+    spec: TelemetrySpec,
+) -> Vec<(GlobalOutcome, TelemetryReport)> {
+    let cells = configs.into_iter().map(Cell::Routed).collect();
+    run_cells_with(cells, threads, spec)
+        .into_iter()
+        .map(|(out, report)| match out {
+            Outcome::Routed(out) => (out, report),
+            Outcome::Cluster(_) => unreachable!("a multi-region cell"),
+        })
+        .collect()
+}
 
 /// A small-but-live router cell: three regions, sub-hour epochs, reactive
 /// fleets — every router code path (planning, serving, snapshots,
@@ -98,7 +114,7 @@ fn router_cell_reproduces_the_recorded_digests() {
         ),
     ];
     let configs = PINS.iter().map(|&(policy, _, _)| quick(policy)).collect();
-    let runs = GlobalRouter::run_cells_with(configs, 2, TelemetrySpec::JOURNAL);
+    let runs = run_fleets(configs, 2, TelemetrySpec::JOURNAL);
     for ((policy, digest, journal), (out, report)) in PINS.into_iter().zip(&runs) {
         assert_eq!(
             (out.digest(), report.journal_digest()),
@@ -113,8 +129,8 @@ fn router_cell_reproduces_the_recorded_digests() {
 #[test]
 fn gpu_level_chaos_reaches_every_regional_fleet() {
     let configs = || vec![chaotic("carbon-greedy"), chaotic("uniform")];
-    let serial = GlobalRouter::run_cells_with(configs(), 1, TelemetrySpec::JOURNAL);
-    let parallel = GlobalRouter::run_cells_with(configs(), 2, TelemetrySpec::JOURNAL);
+    let serial = run_fleets(configs(), 1, TelemetrySpec::JOURNAL);
+    let parallel = run_fleets(configs(), 2, TelemetrySpec::JOURNAL);
     for ((s, sr), (p, pr)) in serial.iter().zip(parallel.iter()) {
         assert_eq!(s.digest(), p.digest(), "{}: faulted run diverged", s.policy);
         assert_eq!(
@@ -176,8 +192,8 @@ fn router_grid_is_bit_identical_serial_vs_parallel() {
             .map(quick)
             .collect()
     };
-    let serial = GlobalRouter::run_cells_with(configs(), 1, TelemetrySpec::JOURNAL);
-    let parallel = GlobalRouter::run_cells_with(configs(), 4, TelemetrySpec::JOURNAL);
+    let serial = run_fleets(configs(), 1, TelemetrySpec::JOURNAL);
+    let parallel = run_fleets(configs(), 4, TelemetrySpec::JOURNAL);
     for ((s, sr), (p, pr)) in serial.iter().zip(parallel.iter()) {
         assert_eq!(
             s.digest(),
@@ -261,7 +277,7 @@ fn a_region_dark_at_start_plans_at_startup_when_it_comes_up() {
         start_h: 0.0,
         duration_h: 1.0,
     });
-    let (_, report) = GlobalRouter::run_cells_with(vec![cfg], 1, TelemetrySpec::JOURNAL)
+    let (_, report) = run_fleets(vec![cfg], 1, TelemetrySpec::JOURNAL)
         .pop()
         .expect("one cell");
     let journal = report.journal.expect("journal enabled");

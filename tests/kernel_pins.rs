@@ -7,10 +7,11 @@
 
 use clover::core::chaos::{ChaosConfig, FaultSpec};
 use clover::core::control::Fidelity;
-use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
+use clover::core::experiment::{ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::telemetry::TelemetrySpec;
+use clover::router::{run_cells_with, Cell, Outcome};
+use clover::telemetry::{TelemetryReport, TelemetrySpec};
 use clover::workload::WorkloadKind;
 
 /// One continuous full-epoch cell.
@@ -62,6 +63,26 @@ const KERNEL_PINS_CHAOS: [(&str, u64); 5] = [
     ("ORACLE", 0x0DAA_04AC_6EF8_5C61),
 ];
 
+/// Runs `configs` as single-cluster cells through the grid entry point.
+fn run_clusters(
+    configs: Vec<ExperimentConfig>,
+    threads: usize,
+    spec: TelemetrySpec,
+) -> Vec<(ExperimentOutcome, TelemetryReport)> {
+    let cells = configs.into_iter().map(Cell::Cluster).collect();
+    run_cells_with(cells, threads, spec)
+        .into_iter()
+        .map(|(out, report)| match out {
+            Outcome::Cluster(out) => (out, report),
+            Outcome::Routed(_) => unreachable!("a single-cluster cell"),
+        })
+        .collect()
+}
+
+fn outcomes(pairs: Vec<(ExperimentOutcome, TelemetryReport)>) -> Vec<ExperimentOutcome> {
+    pairs.into_iter().map(|(out, _)| out).collect()
+}
+
 fn assert_pinned(outcomes: &[ExperimentOutcome], pins: &[(&str, u64)], label: &str) {
     assert_eq!(outcomes.len(), pins.len(), "{label}: grid size changed");
     for (out, &(name, want)) in outcomes.iter().zip(pins) {
@@ -78,7 +99,7 @@ fn assert_pinned(outcomes: &[ExperimentOutcome], pins: &[(&str, u64)], label: &s
 #[test]
 fn full_epoch_grid_reproduces_the_recorded_digests() {
     assert_pinned(
-        &Experiment::run_cells(grid_of(cfg), 2),
+        &outcomes(run_clusters(grid_of(cfg), 2, TelemetrySpec::DISABLED)),
         &KERNEL_PINS,
         "chaos off",
     );
@@ -88,7 +109,7 @@ fn full_epoch_grid_reproduces_the_recorded_digests() {
 /// journal), so the pins also cover the kernel's fault handling.
 #[test]
 fn faulted_full_epoch_grid_reproduces_the_recorded_digests() {
-    let pairs = Experiment::run_cells_with(grid_of(chaos_cfg), 2, TelemetrySpec::JOURNAL);
+    let pairs = run_clusters(grid_of(chaos_cfg), 2, TelemetrySpec::JOURNAL);
     for (out, report) in &pairs {
         let journal = report.journal.as_ref().expect("journal enabled").as_str();
         for kind in ["kill", "crash"] {
@@ -99,8 +120,7 @@ fn faulted_full_epoch_grid_reproduces_the_recorded_digests() {
             );
         }
     }
-    let outcomes: Vec<ExperimentOutcome> = pairs.into_iter().map(|(o, _)| o).collect();
-    assert_pinned(&outcomes, &KERNEL_PINS_CHAOS, "chaos on");
+    assert_pinned(&outcomes(pairs), &KERNEL_PINS_CHAOS, "chaos on");
 }
 
 /// The five-scheme grid fanned out as one grid (LPT claiming over
@@ -109,9 +129,9 @@ fn faulted_full_epoch_grid_reproduces_the_recorded_digests() {
 #[test]
 fn full_epoch_grid_is_bit_identical_across_thread_counts() {
     let digests = |threads| -> Vec<u64> {
-        Experiment::run_cells(grid_of(cfg), threads)
+        run_clusters(grid_of(cfg), threads, TelemetrySpec::DISABLED)
             .iter()
-            .map(ExperimentOutcome::digest)
+            .map(|(out, _)| out.digest())
             .collect()
     };
     let reference = digests(1);

@@ -19,11 +19,11 @@
 //!    cell's wall time.
 
 use clover::core::control::Fidelity;
-use clover::core::experiment::{Experiment, ExperimentConfig};
+use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
-use clover::router::{GlobalRouter, RouterConfig};
-use clover::telemetry::{Phase, Telemetry, TelemetrySpec};
+use clover::router::{run_cells_with, Cell, GlobalRouter, Outcome, RouterConfig};
+use clover::telemetry::{Phase, Telemetry, TelemetryReport, TelemetrySpec};
 use clover::workload::WorkloadKind;
 use std::time::Instant;
 
@@ -93,12 +93,28 @@ fn disabled_sink_reproduces_pinned_digests() {
     }
 }
 
+/// Runs `configs` as single-cluster cells through the grid entry point.
+fn run_clusters(
+    configs: Vec<ExperimentConfig>,
+    threads: usize,
+    spec: TelemetrySpec,
+) -> Vec<(ExperimentOutcome, TelemetryReport)> {
+    let cells = configs.into_iter().map(Cell::Cluster).collect();
+    run_cells_with(cells, threads, spec)
+        .into_iter()
+        .map(|(out, report)| match out {
+            Outcome::Cluster(out) => (out, report),
+            Outcome::Routed(_) => unreachable!("a single-cluster cell"),
+        })
+        .collect()
+}
+
 #[test]
 fn fully_enabled_telemetry_is_a_strict_overlay() {
     // Same pinned digests with every pillar on: journal events and phase
     // scopes must not perturb a single bit.
     let configs = PINNED_QUICK.iter().map(|(s, _)| quick_cfg(s)).collect();
-    let pairs = Experiment::run_cells_with(configs, 1, TelemetrySpec::ALL);
+    let pairs = run_clusters(configs, 1, TelemetrySpec::ALL);
     for ((scheme, expected), (out, report)) in PINNED_QUICK.iter().zip(pairs.iter()) {
         assert_eq!(
             out.digest(),
@@ -125,8 +141,8 @@ fn journal_is_byte_identical_serial_vs_parallel() {
         full_epoch_cfg("CLOVER", WorkloadKind::mmpp(), 3),
     ));
     let configs: Vec<ExperimentConfig> = cells.iter().map(|(_, c)| c.clone()).collect();
-    let serial = Experiment::run_cells_with(configs.clone(), 1, TelemetrySpec::JOURNAL);
-    let parallel = Experiment::run_cells_with(configs, 4, TelemetrySpec::JOURNAL);
+    let serial = run_clusters(configs.clone(), 1, TelemetrySpec::JOURNAL);
+    let parallel = run_clusters(configs, 4, TelemetrySpec::JOURNAL);
     assert_eq!(serial.len(), cells.len());
     for ((scheme, _), ((so, sr), (po, pr))) in cells.iter().zip(serial.iter().zip(parallel.iter()))
     {
@@ -149,7 +165,7 @@ fn journal_exposes_the_epoch_scaled_search_budget() {
     // (SearchBudget::EpochScaled); every `search` event must carry it, so
     // the cadence-aware budget is verifiable from the journal alone.
     let cfg = full_epoch_cfg("CLOVER", WorkloadKind::flash_crowd(), 3);
-    let pairs = Experiment::run_cells_with(vec![cfg], 1, TelemetrySpec::JOURNAL);
+    let pairs = run_clusters(vec![cfg], 1, TelemetrySpec::JOURNAL);
     let (out, report) = &pairs[0];
     let journal = report.journal.as_ref().expect("journal enabled");
     let search_lines: Vec<&str> = journal
@@ -198,7 +214,7 @@ fn conservation_checkpoints_match_the_timeline() {
         .sla_headroom(2.0)
         .seed(7)
         .build();
-    let mut pairs = Experiment::run_cells_with(vec![cfg], 1, TelemetrySpec::JOURNAL);
+    let mut pairs = run_clusters(vec![cfg], 1, TelemetrySpec::JOURNAL);
     let (out, report) = pairs.remove(0);
     let journal = report.journal.expect("journal enabled");
     let lines: Vec<&str> = journal
