@@ -13,9 +13,10 @@
 //! and feed the observation back to the scheduler.
 //!
 //! The single-cluster [`crate::experiment::Experiment`] is this runtime
-//! plus a synchronized BASE reference; each of the multi-region router's
-//! regional fleets is this runtime plus a routed traffic weight. Both
-//! therefore account energy, carbon and faults identically.
+//! plus a synchronized BASE reference, itself a BASE cell of this runtime;
+//! each of the multi-region router's regional fleets is this runtime plus
+//! a routed traffic weight. Every serving epoch of either therefore
+//! accounts energy, carbon and faults identically.
 
 use crate::autoscale::{FleetState, Scaler, ScalerConfig};
 use crate::chaos::FaultPlan;
@@ -29,9 +30,12 @@ use clover_mig::SliceType;
 use clover_models::{served_weighted_accuracy, ModelFamily, PerfModel};
 use clover_serving::{Deployment, InstanceFailure, ServingCarry, ServingSim, WindowMetrics};
 use clover_simkit::{LatencyHistogram, SimRng, SimTime};
-use clover_telemetry::{Event, Phase, PhaseScope, ProfilerHandle, Telemetry};
+use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry};
 use clover_workload::{ArrivalProcess, Workload};
 use std::sync::Arc;
+
+/// Salt of a cell's serving stream (its simulator's seed is `seed ^ SIM_SALT`).
+pub(crate) const SIM_SALT: u64 = 0x11;
 
 /// Run-level accumulators of one cell: everything its epochs served,
 /// extrapolated to the epoch under a representative window, with the
@@ -56,7 +60,7 @@ pub struct CellTotals {
 
 impl CellTotals {
     /// Empty totals charged under `trace` at the paper's PUE.
-    pub(crate) fn new(trace: Arc<CarbonTrace>, n_variants: usize) -> Self {
+    fn new(trace: Arc<CarbonTrace>, n_variants: usize) -> Self {
         CellTotals {
             ledger: CarbonLedger::new(trace),
             hist: LatencyHistogram::for_latency(),
@@ -69,7 +73,7 @@ impl CellTotals {
     }
 
     /// Folds one measured window in, its counters scaled by `scale`.
-    pub(crate) fn fold(&mut self, at: SimTime, w: &WindowMetrics, scale: f64) {
+    fn fold(&mut self, at: SimTime, w: &WindowMetrics, scale: f64) {
         self.sim_events += w.sim_events;
         self.ledger
             .record_energy_at(at, Energy::from_joules(w.it_energy_j() * scale));
@@ -246,7 +250,7 @@ impl CellRuntime {
         // degrades.
         monitor.set_gaps(faults.carbon_gaps());
         let n_variants = family.len();
-        let sim = ServingSim::new(family.clone(), perf, initial, cfg.seed ^ 0x11);
+        let sim = ServingSim::new(family.clone(), perf, initial, cfg.seed ^ SIM_SALT);
         CellRuntime {
             scheme: cfg.scheme,
             family,
@@ -303,6 +307,16 @@ impl CellRuntime {
         &self.totals
     }
 
+    /// The run-level accumulators, once the cell is done.
+    pub(crate) fn into_totals(self) -> CellTotals {
+        self.totals
+    }
+
+    /// Restarts the serving stream from `seed`, as if built with it.
+    pub(crate) fn reseed_serving(&mut self, seed: u64) {
+        self.sim.reseed(seed);
+    }
+
     /// Runs one control epoch: plans against `objective` and the demand
     /// `workload` forecasts, serves `arrivals` (anchored at the epoch's
     /// start), and accounts the epoch. Epochs must be stepped in order; a
@@ -343,16 +357,20 @@ impl CellRuntime {
             }
         }
 
+        // Continuously from the carry, advanced to the closing boundary,
+        // or else the representative window; the scope closes before the fold.
         let des = telemetry.scope(Phase::Des);
-        let w = serve_epoch(
-            &mut self.sim,
-            self.continuous.then_some(&mut self.carry),
-            epoch,
-            self.window,
-            arrivals,
-            &mut self.totals,
-            des,
-        );
+        let w = if self.continuous {
+            let carry = std::mem::take(&mut self.carry);
+            let (w, next) = self.sim.run_epoch_continuous(arrivals, epoch.len, carry);
+            self.carry = next;
+            w
+        } else {
+            self.sim
+                .run_window_with(arrivals, self.window.window, self.window.warmup)
+        };
+        drop(des);
+        self.totals.fold(t, &w, self.window.scale);
 
         // GPUs the scaler holds out of the deployment still cost power:
         // powered-off boards draw standby watts, warming boards pay the
@@ -723,30 +741,4 @@ impl CellRuntime {
             backlog: self.carry.backlog(),
         }
     }
-}
-
-/// Serves one epoch on `sim` — continuously from `carry`, which it
-/// advances to the closing boundary, or else the representative window —
-/// and folds the measurement into `totals` at the plan's scale. `des`, the
-/// caller's [`Phase::Des`] scope, closes before the fold.
-pub(crate) fn serve_epoch(
-    sim: &mut ServingSim,
-    carry: Option<&mut ServingCarry>,
-    epoch: &ControlEpoch,
-    wp: WindowPlan,
-    arrivals: &mut dyn ArrivalProcess,
-    totals: &mut CellTotals,
-    des: Option<PhaseScope>,
-) -> WindowMetrics {
-    let w = match carry {
-        Some(carry) => {
-            let (w, next) = sim.run_epoch_continuous(arrivals, epoch.len, std::mem::take(carry));
-            *carry = next;
-            w
-        }
-        None => sim.run_window_with(arrivals, wp.window, wp.warmup),
-    };
-    drop(des);
-    totals.fold(epoch.start, &w, wp.scale);
-    w
 }

@@ -47,8 +47,8 @@ use serde::{Deserialize, Serialize};
 
 /// Salt folded into the experiment seed for the chaos root generator.
 /// Shares no stream with calibration (`^ 0xCA11_B007`), the evaluator
-/// (`^ 0xE7A1`), the scheduler (`^ 0x5C8E`) or the serving sims (`^ 0x11` /
-/// `^ 0x22`).
+/// (`^ 0xE7A1`), the scheduler (`^ 0x5C8E`) or the serving sims (`^ 0x11`
+/// for a cell, `^ 0x22` for its BASE reference's cell, built chaos-off).
 const CHAOS_SALT: u64 = 0xC4A0_5F17;
 
 /// One fault process to inject. A [`FaultPlan`] is generated from a list

@@ -26,16 +26,17 @@
 //! 4. account energy → carbon through the time-varying trace at PUE 1.5.
 //!
 //! Steps 2–4 are one [`CellRuntime::step`] per epoch — the same cell
-//! runtime each regional fleet of the multi-region router runs. A
-//! synchronized BASE run over the same trace and seeds provides the
-//! reference for carbon savings, accuracy loss, and normalized SLA latency.
-//! Neither it nor the calibration window reads the scheme, so live
-//! experiments whose inputs match share one computation of each (the
-//! window also with multi-region routers).
+//! runtime each regional fleet of the multi-region router runs. The
+//! reference for carbon savings, accuracy loss, and normalized SLA latency
+//! is a BASE cell of this runtime too: the experiment of the BASE
+//! reference configuration, serving the same trace and seeds through the
+//! same epoch loop. Neither it nor the calibration window reads the
+//! scheme, so live experiments whose inputs match share one computation of
+//! each (the window also with multi-region routers).
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
-use crate::cell::{serve_epoch, CellRuntime, CellTotals, Rollup};
+use crate::cell::{CellRuntime, CellTotals, Rollup, SIM_SALT};
 use crate::chaos::ChaosConfig;
 use crate::control::{per_hour_or_panic, EpochSchedule, Fidelity, SearchBudget};
 use crate::objective::Objective;
@@ -43,9 +44,9 @@ use crate::schedulers::SchemeKind;
 use clover_carbon::{CarbonIntensity, CarbonTrace, Region};
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
-use clover_serving::{analytic, Deployment, ServingCarry, ServingSim};
-use clover_simkit::SimDuration;
-use clover_telemetry::{Event, Phase, ProfilerHandle, Telemetry};
+use clover_serving::{analytic, Deployment, ServingSim};
+use clover_simkit::{Fnv1a, SimDuration};
+use clover_telemetry::{Event, ProfilerHandle, Telemetry};
 use clover_workload::{Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -551,11 +552,7 @@ impl ExperimentOutcome {
     /// against values recorded before the extraction.
     pub fn digest(&self) -> u64 {
         // FNV-1a over the f64 bit patterns and counters.
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut eat = |bits: u64| {
-            h ^= bits;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = Fnv1a::default();
         for v in [
             self.rate_rps,
             self.sla_p95_s,
@@ -568,36 +565,36 @@ impl ExperimentOutcome {
             self.optimization_time_s,
             self.served_scaled,
         ] {
-            eat(v.to_bits());
+            h.eat(v.to_bits());
         }
-        eat(self.n_gpus as u64);
-        eat(self.mean_active_gpus.to_bits());
-        eat(self.sim_events);
-        eat(self.invocations.len() as u64);
-        eat(self.evals_total() as u64);
+        h.eat(self.n_gpus as u64);
+        h.eat(self.mean_active_gpus.to_bits());
+        h.eat(self.sim_events);
+        h.eat(self.invocations.len() as u64);
+        h.eat(self.evals_total() as u64);
         for p in &self.timeline {
-            eat(u64::from(p.hour));
-            eat(u64::from(p.active_gpus));
-            eat(p.ci_g_per_kwh.to_bits());
-            eat(p.objective_f.to_bits());
-            eat(p.accuracy_pct.to_bits());
-            eat(p.p95_s.to_bits());
-            eat(p.energy_per_request_j.to_bits());
-            eat(p.carbon_save_pct.to_bits());
+            h.eat(u64::from(p.hour));
+            h.eat(u64::from(p.active_gpus));
+            h.eat(p.ci_g_per_kwh.to_bits());
+            h.eat(p.objective_f.to_bits());
+            h.eat(p.accuracy_pct.to_bits());
+            h.eat(p.p95_s.to_bits());
+            h.eat(p.energy_per_request_j.to_bits());
+            h.eat(p.carbon_save_pct.to_bits());
         }
         for inv in &self.invocations {
-            eat(inv.at_hours.to_bits());
-            eat(inv.time_spent_s.to_bits());
+            h.eat(inv.at_hours.to_bits());
+            h.eat(inv.time_spent_s.to_bits());
             for e in &inv.evals {
-                eat(u64::from(e.order));
-                eat(e.delta_carbon_pct.to_bits());
-                eat(e.delta_accuracy_pct.to_bits());
-                eat(e.objective_f.to_bits());
-                eat(u64::from(e.sla_ok));
-                eat(u64::from(e.accepted));
+                h.eat(u64::from(e.order));
+                h.eat(e.delta_carbon_pct.to_bits());
+                h.eat(e.delta_accuracy_pct.to_bits());
+                h.eat(e.objective_f.to_bits());
+                h.eat(u64::from(e.sla_ok));
+                h.eat(u64::from(e.accepted));
             }
         }
-        h
+        h.finish()
     }
 
     /// Evaluated configurations that met the SLA.
@@ -647,16 +644,14 @@ impl BaseYardstick {
     /// lives in: the rate is their analytic capacity times `utilization`,
     /// and one of them is calibrated at its share. Every live cell with
     /// equal `(app, base_gpus, shares, utilization, seed)` gets the same
-    /// slot and the first to ask derives it there, so a cell holds the slot
-    /// while it lives. `family` and `perf` must be `app.family()` and the
-    /// model the cell serves on; the key omits them.
+    /// slot and the first to ask derives it there, on `app`'s model family
+    /// and the A100 every cell serves on, so a cell holds the slot while it
+    /// lives.
     ///
     /// # Panics
     /// If the calibration window serves nothing.
     pub fn shared(
         app: Application,
-        family: &Arc<ModelFamily>,
-        perf: PerfModel,
         base_gpus: usize,
         shares: usize,
         utilization: f64,
@@ -665,7 +660,7 @@ impl BaseYardstick {
         let key = (app, base_gpus, shares, utilization, seed);
         let slot = CALIBRATIONS.slot(key, |_| OnceLock::new());
         let yardstick =
-            *slot.get_or_init(|| Self::derive(family, perf, base_gpus, shares, utilization, seed));
+            *slot.get_or_init(|| Self::derive(app, base_gpus, shares, utilization, seed));
         (yardstick, slot)
     }
 
@@ -673,20 +668,20 @@ impl BaseYardstick {
     /// enough that the p95's sampling noise sits well inside the SLA
     /// headroom.
     fn derive(
-        family: &Arc<ModelFamily>,
-        perf: PerfModel,
+        app: Application,
         base_gpus: usize,
         shares: usize,
         utilization: f64,
         seed: u64,
     ) -> Self {
-        let base = Deployment::base(family, base_gpus);
+        let (family, perf) = (Arc::new(app.family()), PerfModel::a100());
+        let base = Deployment::base(&family, base_gpus);
         let capacity = analytic::estimate(family.as_ref(), &perf, &base, 1.0).capacity_rps;
         // At one share `× shares` and `/ shares` are exact: a cluster's bits
         // are those of `capacity × utilization`.
         let shares = shares as f64;
         let rate_rps = capacity * shares * utilization;
-        let mut calib = ServingSim::new(family.clone(), perf, base, seed ^ 0xCA11_B007);
+        let mut calib = ServingSim::new(family, perf, base, seed ^ 0xCA11_B007);
         let w = calib.run_window(
             rate_rps / shares,
             SimDuration::from_secs(160.0),
@@ -714,38 +709,31 @@ impl BaseYardstick {
     }
 }
 
-/// The configuration fields the synchronized BASE reference reads, and
-/// nothing else. The reference is a pure function of this key, so every
-/// live experiment with an equal key shares one computation of it. Floats
+/// The configuration `cfg`'s synchronized BASE reference is the cell of,
+/// and so its whole input and its sharing key: BASE on the reference fleet
+/// over `cfg`'s app, trace, workload, fidelity, cadence, horizon,
+/// utilization and seed, all else at the builder default. Faults stay off,
+/// so a failing scheme cannot hide behind a failing baseline. Floats
 /// compare by `==`: a NaN field never shares.
-#[derive(Debug, Clone, PartialEq)]
-struct ReferenceKey {
-    app: Application,
-    seed: u64,
-    reference_gpus: usize,
-    utilization_target: f64,
-    workload: WorkloadKind,
-    trace: TraceSource,
-    fidelity: Fidelity,
-    control_epoch_s: f64,
-    horizon_hours: f64,
-}
-
-impl ReferenceKey {
-    fn of(cfg: &ExperimentConfig) -> Self {
-        ReferenceKey {
-            app: cfg.app,
-            seed: cfg.seed,
-            reference_gpus: cfg.reference_gpus,
-            utilization_target: cfg.utilization_target,
-            workload: cfg.workload.clone(),
-            trace: cfg.trace,
-            fidelity: cfg.fidelity.clone(),
-            control_epoch_s: cfg.control_epoch_s,
-            horizon_hours: cfg.horizon_hours,
-        }
+fn reference_config(cfg: &ExperimentConfig) -> ExperimentConfig {
+    ExperimentConfig {
+        scheme: SchemeKind::Base,
+        trace: cfg.trace,
+        workload: cfg.workload.clone(),
+        n_gpus: cfg.reference_gpus,
+        reference_gpus: cfg.reference_gpus,
+        horizon_hours: cfg.horizon_hours,
+        utilization_target: cfg.utilization_target,
+        seed: cfg.seed,
+        control_epoch_s: cfg.control_epoch_s,
+        fidelity: cfg.fidelity.clone(),
+        ..ExperimentConfig::builder(cfg.app).build()
     }
 }
+
+/// Salt of the BASE reference's serving stream: its simulator is seeded
+/// `seed ^ REFERENCE_SIM_SALT`, apart from the cell's.
+const REFERENCE_SIM_SALT: u64 = 0x22;
 
 /// The inputs the BASE yardstick reads: application, GPUs per BASE
 /// deployment, deployment count (1 for a cluster, the region count for a
@@ -764,8 +752,9 @@ impl<K: PartialEq, V> SharedTable<K, V> {
     }
 
     /// The live value under `key`, or `empty(&key)` registered under it.
-    /// The lock covers this lookup only: holders fill their values later,
-    /// never under it.
+    /// The lock covers this lookup and `empty`, which must stay cheap:
+    /// holders fill the costly part of their values (a calibration
+    /// window, a reference's totals) later, never under it.
     fn slot(&self, key: K, empty: impl FnOnce(&K) -> V) -> Arc<V> {
         // Every update below leaves the table valid (a panic in `empty`
         // happens before the push), so a poisoned lock is safe to reuse.
@@ -784,18 +773,14 @@ impl<K: PartialEq, V> SharedTable<K, V> {
     }
 }
 
-static REFERENCES: SharedTable<ReferenceKey, BaseReference> = SharedTable::new();
+static REFERENCES: SharedTable<ExperimentConfig, BaseReference> = SharedTable::new();
 static CALIBRATIONS: SharedTable<CalibrationKey, OnceLock<BaseYardstick>> = SharedTable::new();
 
 /// The synchronized BASE reference of every live experiment with an equal
-/// [`ReferenceKey`]: its inputs, derived from the key alone, and its totals
-/// once some experiment has computed them.
+/// [`reference_config`]: the BASE cell of that configuration, and its
+/// totals once some experiment has served it.
 struct BaseReference {
-    key: ReferenceKey,
-    family: Arc<ModelFamily>,
-    perf: PerfModel,
-    trace: Arc<CarbonTrace>,
-    workload: Workload,
+    experiment: Experiment,
     /// Set by the first experiment to start running; that one computes
     /// the totals before its own epochs.
     claimed: AtomicBool,
@@ -810,44 +795,15 @@ impl BaseReference {
         !self.claimed.swap(true, Ordering::Relaxed)
     }
 
-    /// The reference's totals, computed on this thread if no one has yet.
-    /// Blocks while another thread computes them; if that thread panicked,
-    /// computes them here instead.
+    /// The reference's totals, served on this thread (timed into
+    /// `profiler`, journaled nowhere) if no one has yet. Blocks while
+    /// another thread serves them; if that thread panicked, serves them
+    /// here instead.
     fn totals(&self, profiler: Option<ProfilerHandle>) -> &CellTotals {
-        self.totals.get_or_init(|| self.compute(profiler))
-    }
-
-    /// Serves every epoch of the schedule on the reference fleet's BASE
-    /// deployment. The reference stays un-faulted: it is the ideal-world
-    /// yardstick carbon savings are measured against, and faulting it too
-    /// would let a failing scheme hide behind a failing baseline. Under
-    /// FullEpoch fidelity it is carried across boundaries too — the
-    /// baseline must not keep a cold-start advantage. The DES time is
-    /// charged to `profiler`, the computing experiment's.
-    fn compute(&self, profiler: Option<ProfilerHandle>) -> CellTotals {
-        let key = &self.key;
-        let schedule = EpochSchedule::new(key.horizon_hours, key.control_epoch_s);
-        let wp = key.fidelity.window_plan(schedule.epoch_len());
-        let continuous = matches!(key.fidelity, Fidelity::FullEpoch);
-        let deployment = Deployment::base(&self.family, key.reference_gpus);
-        let mut sim = ServingSim::new(self.family.clone(), self.perf, deployment, key.seed ^ 0x22);
-        sim.set_profiler(profiler.clone());
-        let mut totals = CellTotals::new(self.trace.clone(), self.family.len());
-        let mut carry = ServingCarry::default();
-        for epoch in schedule.iter() {
-            let mut arrivals = self.workload.process_from(epoch.start);
-            let des = profiler.as_ref().map(|p| p.scope(Phase::Des));
-            serve_epoch(
-                &mut sim,
-                continuous.then_some(&mut carry),
-                &epoch,
-                wp,
-                arrivals.as_mut(),
-                &mut totals,
-                des,
-            );
-        }
-        totals
+        self.totals.get_or_init(|| {
+            let mut telemetry = Telemetry::profiling_into(profiler);
+            self.experiment.serve(REFERENCE_SIM_SALT, &mut telemetry).0
+        })
     }
 }
 
@@ -873,14 +829,29 @@ pub struct Experiment {
     /// Held so that experiments built while this one lives share the
     /// calibration window.
     _calibration: Arc<OnceLock<BaseYardstick>>,
-    reference: Arc<BaseReference>,
+    /// The shared BASE reference (`None` in the reference's own cell).
+    reference: Option<Arc<BaseReference>>,
 }
 
 impl Experiment {
     /// Derives workload, SLA and objective baselines for `cfg`: the
     /// [`BaseYardstick`] of the reference fleet, with `C_base` priced at
-    /// the trace's mean intensity.
+    /// the trace's mean intensity. The synchronized BASE reference is the
+    /// BASE cell of the reference configuration, built here only when no
+    /// live experiment shares it yet.
     pub fn new(cfg: ExperimentConfig) -> Self {
+        let key = reference_config(&cfg);
+        let mut experiment = Self::derive(cfg);
+        experiment.reference = Some(REFERENCES.slot(key, |key| BaseReference {
+            experiment: Self::derive(key.clone()),
+            claimed: AtomicBool::new(false),
+            totals: OnceLock::new(),
+        }));
+        experiment
+    }
+
+    /// [`Experiment::new`] without the reference.
+    fn derive(cfg: ExperimentConfig) -> Self {
         let family = Arc::new(cfg.app.family());
         let perf = PerfModel::a100();
         let trace = Arc::new(match cfg.trace {
@@ -892,8 +863,7 @@ impl Experiment {
         });
 
         let (gpus, u, seed) = (cfg.reference_gpus, cfg.utilization_target, cfg.seed);
-        let (yardstick, calibration) =
-            BaseYardstick::shared(cfg.app, &family, perf, gpus, 1, u, seed);
+        let (yardstick, calibration) = BaseYardstick::shared(cfg.app, gpus, 1, u, seed);
         let workload = Workload::new(cfg.workload.clone(), yardstick.rate_rps);
         let mut objective = yardstick.objective(
             family.accuracy_base(),
@@ -905,16 +875,6 @@ impl Experiment {
             objective = objective.with_accuracy_floor(floor);
         }
 
-        let reference = REFERENCES.slot(ReferenceKey::of(&cfg), |key| BaseReference {
-            key: key.clone(),
-            family: family.clone(),
-            perf,
-            trace: trace.clone(),
-            workload: workload.clone(),
-            claimed: AtomicBool::new(false),
-            totals: OnceLock::new(),
-        });
-
         Experiment {
             cfg,
             family,
@@ -925,8 +885,15 @@ impl Experiment {
             workload,
             objective,
             _calibration: calibration,
-            reference,
+            reference: None,
         }
+    }
+
+    /// The shared BASE reference.
+    fn reference(&self) -> &Arc<BaseReference> {
+        self.reference
+            .as_ref()
+            .expect("only a reference's own cell has no reference")
     }
 
     /// The configuration this experiment runs.
@@ -975,73 +942,31 @@ impl Experiment {
 
     /// [`Experiment::run`] with a telemetry sink.
     ///
-    /// Beyond the cell's own events ([`CellRuntime::step`]), the runtime
-    /// emits one `conservation` checkpoint per epoch — the window counters
-    /// that close the per-boundary conservation law, matching the
-    /// [`HourPoint`] the timeline records. When profiling is enabled
-    /// the epoch's serving measurements (scheme and, when this cell
-    /// computes it, the synchronized BASE reference) are timed as
-    /// [`Phase::Des`]; [`Phase::Carry`] (the
-    /// continuous engine's seam work: boundary snapshot and restore) is
-    /// nested within it, as [`Phase::Search`] is within [`Phase::Plan`].
-    /// Telemetry is a strict overlay: with the no-op sink this method *is*
+    /// Beyond the cell's own events and phase scopes
+    /// ([`CellRuntime::step`]), the runtime emits one `conservation`
+    /// checkpoint per epoch — the window counters that close the
+    /// per-boundary conservation law, matching the [`HourPoint`] the
+    /// timeline records. When this experiment computes the synchronized
+    /// BASE reference, the reference cell's phase scopes land in its
+    /// profile too, and the reference's events in no journal. Telemetry
+    /// is a strict overlay: with the no-op sink this method *is*
     /// [`Experiment::run`], bit for bit.
     ///
     /// The BASE reference is shared by every live experiment with the same
-    /// reference inputs. The first of them to run computes it before its
-    /// own epochs; every other one serves its epochs first and then reads
-    /// it, waiting if it is still being computed (or computing it itself
-    /// if the claimer panicked). Sharing changes no result.
+    /// reference configuration. The first of them to run computes it before
+    /// its own epochs; every other one serves its epochs first and then
+    /// reads it, waiting if it is still being computed (or computing it
+    /// itself if the claimer panicked). Sharing changes no result.
     pub fn run_with(&self, telemetry: &mut Telemetry) -> ExperimentOutcome {
         let cfg = &self.cfg;
+        let reference = self.reference();
+        if reference.claim() {
+            reference.totals(telemetry.profiler());
+        }
+        let (totals, timeline, invocations) = self.serve(SIM_SALT, telemetry);
+        let base = reference.totals(telemetry.profiler());
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
-        let epochs = schedule.count();
-        let mut cell = CellRuntime::new(
-            cfg,
-            self.family.clone(),
-            self.perf,
-            self.trace.clone(),
-            self.capacity_per_gpu_rps,
-            self.rate_rps,
-        );
-        cell.set_profiler(telemetry.profiler());
-
-        if self.reference.claim() {
-            self.reference.totals(telemetry.profiler());
-        }
-        let mut timeline = Vec::with_capacity(epochs as usize);
-        let mut invocations = Vec::new();
-
-        for epoch in schedule.iter() {
-            let t = epoch.start;
-            let rec = cell.step(
-                &epoch,
-                &self.objective,
-                &self.workload,
-                self.workload.process_from(t).as_mut(),
-                telemetry,
-            );
-            let (w, backlog) = (&rec.window, rec.point.backlog);
-            // The conservation checkpoint mirrors the HourPoint counters
-            // exactly (window counts, not extrapolated): `tests/telemetry.rs`
-            // cross-checks the journal against the timeline, and summing
-            // the stream verifies Σ arrived == Σ served + Σ dropped +
-            // closing backlog without rerunning anything.
-            telemetry.emit(
-                Event::new("conservation", t)
-                    .u64("epoch", u64::from(epoch.index))
-                    .u64("arrived", w.arrived)
-                    .u64("served", w.served)
-                    .u64("dropped", w.dropped)
-                    .u64("backlog", backlog)
-                    .f64("leak", w.conservation_leak as f64),
-            );
-            timeline.push(rec.point);
-            invocations.extend(rec.invocation);
-        }
-
-        let base = self.reference.totals(telemetry.profiler());
-        let [run, base] = [cell.totals(), base].map(|t| Rollup::of(&[t], &self.family, &schedule));
+        let [run, base] = [&totals, base].map(|t| Rollup::of(&[t], &self.family, &schedule));
         let (a_base, accuracy_pct, p95_s) =
             (self.family.accuracy_base(), run.accuracy_pct, run.p95_s);
 
@@ -1081,6 +1006,59 @@ impl Experiment {
             timeline,
             invocations,
         }
+    }
+
+    /// Steps one [`CellRuntime`] through every epoch of the schedule, its
+    /// serving simulator seeded `seed ^ sim_salt`, and returns its totals,
+    /// timeline and invocations. The experiment's cell and its BASE
+    /// reference's both run here.
+    fn serve(
+        &self,
+        sim_salt: u64,
+        telemetry: &mut Telemetry,
+    ) -> (CellTotals, Vec<HourPoint>, Vec<InvocationRecord>) {
+        let cfg = &self.cfg;
+        let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
+        let mut cell = CellRuntime::new(
+            cfg,
+            self.family.clone(),
+            self.perf,
+            self.trace.clone(),
+            self.capacity_per_gpu_rps,
+            self.rate_rps,
+        );
+        cell.reseed_serving(cfg.seed ^ sim_salt);
+        cell.set_profiler(telemetry.profiler());
+        let mut timeline = Vec::with_capacity(schedule.count() as usize);
+        let mut invocations = Vec::new();
+        for epoch in schedule.iter() {
+            let t = epoch.start;
+            let rec = cell.step(
+                &epoch,
+                &self.objective,
+                &self.workload,
+                self.workload.process_from(t).as_mut(),
+                telemetry,
+            );
+            let (w, backlog) = (&rec.window, rec.point.backlog);
+            // The conservation checkpoint mirrors the HourPoint counters
+            // exactly (window counts, not extrapolated): `tests/telemetry.rs`
+            // cross-checks the journal against the timeline, and summing
+            // the stream verifies Σ arrived == Σ served + Σ dropped +
+            // closing backlog without rerunning anything.
+            telemetry.emit(
+                Event::new("conservation", t)
+                    .u64("epoch", u64::from(epoch.index))
+                    .u64("arrived", w.arrived)
+                    .u64("served", w.served)
+                    .u64("dropped", w.dropped)
+                    .u64("backlog", backlog)
+                    .f64("leak", w.conservation_leak as f64),
+            );
+            timeline.push(rec.point);
+            invocations.extend(rec.invocation);
+        }
+        (cell.into_totals(), timeline, invocations)
     }
 }
 
@@ -1140,7 +1118,7 @@ mod tests {
             edit(&mut cfg);
             let e = Experiment::new(cfg);
             assert!(
-                !Arc::ptr_eq(&base.reference, &e.reference),
+                !Arc::ptr_eq(base.reference(), e.reference()),
                 "changing {name} kept the reference slot"
             );
             assert_eq!(
@@ -1166,7 +1144,7 @@ mod tests {
             edit(&mut cfg);
             let e = Experiment::new(cfg);
             assert!(
-                Arc::ptr_eq(&base.reference, &e.reference),
+                Arc::ptr_eq(base.reference(), e.reference()),
                 "changing {name} split the reference slot"
             );
             assert!(
@@ -1175,7 +1153,7 @@ mod tests {
             );
         }
         // A NaN field never matches, not even itself.
-        let mut key = ReferenceKey::of(&base_cfg);
+        let mut key = reference_config(&base_cfg);
         key.horizon_hours = f64::NAN;
         assert_ne!(key, key.clone());
     }
@@ -1193,20 +1171,31 @@ mod tests {
         full.control_epoch_s = 600.0;
         full.n_gpus = 2;
         full.reference_gpus = 2;
+        // The DES scopes each run records: one per epoch it serves.
+        let des_scopes = |e: &Experiment| {
+            let mut telemetry = Telemetry::profiling_into(Some(ProfilerHandle::new()));
+            let out = e.run_with(&mut telemetry);
+            let phases = telemetry.take_report().phases.expect("profiling enabled");
+            (out, phases.scopes(clover_telemetry::Phase::Des))
+        };
         for cfg in [window, full] {
             let solo = Experiment::new(cfg.clone()).run();
+            let epochs =
+                u64::from(EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s).count());
             let sibling = Experiment::new(ExperimentConfig {
                 scheme: SchemeKind::Co2Opt,
                 ..cfg.clone()
             });
             let cell = Experiment::new(cfg);
-            assert!(Arc::ptr_eq(&sibling.reference, &cell.reference));
-            sibling.run();
+            assert!(Arc::ptr_eq(sibling.reference(), cell.reference()));
+            // The sibling claims the reference and serves it too.
+            assert_eq!(des_scopes(&sibling).1, 2 * epochs, "{}", solo.fidelity);
             assert!(
-                cell.reference.totals.get().is_some(),
+                cell.reference().totals.get().is_some(),
                 "the sibling left the reference empty"
             );
-            let shared = cell.run();
+            let (shared, scopes) = des_scopes(&cell);
+            assert_eq!(scopes, epochs, "{}", solo.fidelity);
             assert_eq!(shared.digest(), solo.digest(), "{}", solo.fidelity);
             assert_eq!(shared.base_carbon_g.to_bits(), solo.base_carbon_g.to_bits());
             assert_eq!(shared.base_p95_s.to_bits(), solo.base_p95_s.to_bits());
@@ -1229,12 +1218,12 @@ mod tests {
             ..cfg.clone()
         });
         let sibling = Experiment::new(cfg);
-        assert!(Arc::ptr_eq(&claimer.reference, &sibling.reference));
+        assert!(Arc::ptr_eq(claimer.reference(), sibling.reference()));
 
         let crashed = std::thread::spawn(move || {
-            assert!(claimer.reference.claim());
+            assert!(claimer.reference().claim());
             claimer
-                .reference
+                .reference()
                 .totals
                 .get_or_init(|| panic!("claimer crashed mid-reference"));
         });

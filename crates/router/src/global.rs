@@ -45,7 +45,7 @@ use clover_core::{BaseYardstick, CellRuntime, ExperimentConfig, Objective, Rollu
 use clover_models::zoo::Application;
 use clover_models::{ModelFamily, PerfModel};
 use clover_serving::WindowMetrics;
-use clover_simkit::{SimDuration, SimRng, SimTime};
+use clover_simkit::{Fnv1a, SimDuration, SimRng, SimTime};
 use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{ArrivalProcess, Workload, WorkloadKind};
 use serde::{Deserialize, Serialize};
@@ -426,20 +426,16 @@ pub struct GlobalOutcome {
 
 impl GlobalOutcome {
     /// Order-sensitive digest of everything the run measured — the
-    /// serial==parallel determinism check for multi-region runs, same
-    /// FNV-1a idiom as the single-cluster outcome digest.
+    /// serial==parallel determinism check for multi-region runs, an
+    /// [`Fnv1a`] digest like the single-cluster outcome's.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xCBF2_9CE4_8422_2325u64;
-        let mut eat = |bits: u64| {
-            h ^= bits;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+        let mut h = Fnv1a::default();
         for s in [&self.policy, &self.scheme, &self.workload] {
             for b in s.as_bytes() {
-                eat(u64::from(*b));
+                h.eat(u64::from(*b));
             }
         }
-        eat(self.regions.len() as u64);
+        h.eat(self.regions.len() as u64);
         for v in [
             self.rate_rps,
             self.sla_p95_s,
@@ -452,16 +448,16 @@ impl GlobalOutcome {
             self.served_scaled,
             self.mean_active_gpus,
         ] {
-            eat(v.to_bits());
+            h.eat(v.to_bits());
         }
         for v in &self.region_carbon_g {
-            eat(v.to_bits());
+            h.eat(v.to_bits());
         }
         for v in &self.region_served {
-            eat(*v);
+            h.eat(*v);
         }
         for v in &self.mean_weights {
-            eat(v.to_bits());
+            h.eat(v.to_bits());
         }
         for v in [
             self.arrived,
@@ -474,32 +470,32 @@ impl GlobalOutcome {
             self.outage_epochs,
             self.sim_events,
         ] {
-            eat(v);
+            h.eat(v);
         }
-        eat(self.conservation_leak as u64);
-        eat(self.boundary_leak as u64);
+        h.eat(self.conservation_leak as u64);
+        h.eat(self.boundary_leak as u64);
         for p in &self.timeline {
-            eat(u64::from(p.epoch));
+            h.eat(u64::from(p.epoch));
             for w in &p.weights {
-                eat(w.to_bits());
+                h.eat(w.to_bits());
             }
             for ci in &p.ci_g_per_kwh {
-                eat(ci.to_bits());
+                h.eat(ci.to_bits());
             }
             for g in &p.active_gpus {
-                eat(u64::from(*g));
+                h.eat(u64::from(*g));
             }
             for d in &p.down {
-                eat(u64::from(*d));
+                h.eat(u64::from(*d));
             }
-            eat(p.arrived);
-            eat(p.served);
-            eat(p.dropped);
-            eat(p.backlog);
-            eat(p.in_transit);
-            eat(p.migrated);
+            h.eat(p.arrived);
+            h.eat(p.served);
+            h.eat(p.dropped);
+            h.eat(p.backlog);
+            h.eat(p.in_transit);
+            h.eat(p.migrated);
         }
-        h
+        h.finish()
     }
 }
 
@@ -536,8 +532,7 @@ impl GlobalRouter {
         let perf = PerfModel::a100();
         let n = cfg.regions.len();
         let (gpus, u) = (cfg.n_gpus_per_region, cfg.utilization_target);
-        let (yardstick, calibration) =
-            BaseYardstick::shared(cfg.app, &family, perf, gpus, n, u, cfg.seed);
+        let (yardstick, calibration) = BaseYardstick::shared(cfg.app, gpus, n, u, cfg.seed);
         let workload = Workload::new(cfg.workload.clone(), yardstick.rate_rps);
 
         // Region traces are keyed by the experiment seed alone: the grid
@@ -1282,18 +1277,17 @@ mod tests {
         );
         let (yardstick, slot) = BaseYardstick::shared(
             cfg.app,
-            &router.family,
-            router.perf,
             cfg.n_gpus_per_region,
             1,
             cfg.utilization_target,
             cfg.seed,
         );
         assert!(Arc::ptr_eq(&router._calibration, &slot));
-        // The router, the experiment and `slot` hold it; nothing else does.
+        // The router, the experiment, its BASE reference's cell and `slot`
+        // hold it; nothing else does.
         assert_eq!(
             Arc::strong_count(&slot),
-            3,
+            4,
             "the experiment holds another slot"
         );
         assert_eq!(yardstick.rate_rps.to_bits(), cell.rate_rps.to_bits());

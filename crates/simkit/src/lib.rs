@@ -22,12 +22,14 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod fnv;
 pub mod par;
 pub mod quantile;
 pub mod rng;
 pub mod time;
 
 pub use events::{EventKey, EventQueue};
+pub use fnv::Fnv1a;
 pub use par::{default_threads, par_map, par_map_lpt};
 pub use quantile::{ExactQuantiles, LatencyHistogram};
 pub use rng::SimRng;

@@ -16,7 +16,7 @@
 //! `docs/observability.md` for the annotated schema): `epoch_begin`,
 //! `forecast`, `scaler`, `plan`, `search`, `reconfig`, `conservation`.
 
-use clover_simkit::SimTime;
+use clover_simkit::{Fnv1a, SimTime};
 use std::fmt::Write as _;
 
 /// Render an `f64` deterministically for a journal line or JSON snapshot:
@@ -165,17 +165,13 @@ impl Journal {
         &self.text
     }
 
-    /// FNV-1a digest over the journal bytes.
-    ///
-    /// Same basis and prime as `ExperimentOutcome::digest`, so the two
-    /// determinism gates report in the same currency.
+    /// [`Fnv1a`] digest over the journal bytes, one byte per word.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut h = Fnv1a::default();
         for b in self.text.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+            h.eat(u64::from(*b));
         }
-        h
+        h.finish()
     }
 }
 

@@ -92,6 +92,15 @@ impl Telemetry {
         }
     }
 
+    /// A sink that keeps no journal and times into `profiler`, sharing its
+    /// totals: work run on a cell's behalf lands in that cell's profile.
+    pub fn profiling_into(profiler: Option<ProfilerHandle>) -> Self {
+        Self {
+            journal: None,
+            profiler,
+        }
+    }
+
     /// The decision journal, when enabled.
     pub fn journal_mut(&mut self) -> Option<&mut Journal> {
         self.journal.as_mut()
