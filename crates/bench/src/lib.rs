@@ -15,7 +15,8 @@
 //! - `CLOVER_BENCH_SCALE` (default 1.0) scales the simulated horizon so
 //!   smoke runs finish quickly; a value outside (0, 1] panics;
 //! - `CLOVER_THREADS` pins the experiment-grid worker pool (results are
-//!   byte-identical at any thread count).
+//!   byte-identical at any thread count); a value that is not an integer
+//!   ≥ 1 panics.
 
 #![warn(missing_docs)]
 

@@ -8,7 +8,6 @@
 //! the same EPA factors.
 
 use crate::intensity::CarbonMass;
-use serde::{Deserialize, Serialize};
 
 /// EPA factor: grams of CO₂ emitted per kilometre by an average gasoline
 /// passenger vehicle (≈400 g/mile).
@@ -18,7 +17,7 @@ pub const GASOLINE_CAR_G_PER_KM: f64 = 250.0;
 pub const COAL_KG_CO2_PER_KG: f64 = 2.0;
 
 /// Everyday-equivalent framing of a daily carbon saving.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SavingsEstimate {
     /// Requests served per day in the scenario.
     pub requests_per_day: f64,

@@ -5,7 +5,6 @@
 //! equation type-checked: multiplying an [`Energy`] by a [`CarbonIntensity`]
 //! is the only way to produce a [`CarbonMass`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Mul, Sub};
@@ -14,7 +13,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 pub const JOULES_PER_KWH: f64 = 3.6e6;
 
 /// Grid carbon intensity in gCO₂/kWh.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonIntensity(f64);
 
 impl CarbonIntensity {
@@ -48,7 +47,7 @@ impl CarbonIntensity {
 }
 
 /// An amount of energy.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Energy(f64); // stored in joules
 
 impl Energy {
@@ -81,7 +80,7 @@ impl Energy {
 }
 
 /// A mass of emitted CO₂.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct CarbonMass(f64); // stored in grams
 
 impl CarbonMass {

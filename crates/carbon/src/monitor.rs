@@ -23,7 +23,6 @@
 use crate::intensity::CarbonIntensity;
 use crate::trace::CarbonTrace;
 use clover_simkit::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The paper's re-invocation threshold: a relative drift above 5% since the
@@ -35,7 +34,7 @@ pub const DRIFT_THRESHOLD: f64 = 0.05;
 pub const AGE_CAP_S: f64 = 7200.0;
 
 /// Data quality of a monitor observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Staleness {
     /// The feed is live; the observation is the trace's current sample.
     Fresh,
@@ -62,7 +61,7 @@ impl Staleness {
 }
 
 /// What the monitor reports on each observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorEvent {
     /// The intensity observed now.
     pub current: CarbonIntensity,

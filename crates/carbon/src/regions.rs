@@ -20,12 +20,11 @@
 use crate::intensity::CarbonIntensity;
 use crate::trace::CarbonTrace;
 use clover_simkit::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 use std::fmt;
 
 /// The grid regions/seasons used in the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// US California ISO, March (solar duck curve, deep midday dip).
     CisoMarch,

@@ -8,10 +8,9 @@
 
 use crate::intensity::CarbonIntensity;
 use clover_simkit::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A regularly sampled carbon-intensity time series.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CarbonTrace {
     step: SimDuration,
     values: Vec<CarbonIntensity>,

@@ -16,10 +16,9 @@ use crate::objective::{MeasuredPoint, Objective};
 use clover_carbon::CarbonIntensity;
 use clover_serving::Deployment;
 use clover_simkit::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// SA hyper-parameters (defaults are the paper's).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaParams {
     /// Initial temperature.
     pub t0: f64,
@@ -56,7 +55,7 @@ pub struct EvalOutcome {
 }
 
 /// Record of one evaluated configuration, for Figs. 12–13.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EvalRecord {
     /// 1-based evaluation order within the invocation.
     pub order: u32,

@@ -43,7 +43,6 @@
 
 use clover_simkit::{SimDuration, SimTime};
 use clover_workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Epochs to wait after a scaling action before acting again.
@@ -55,7 +54,7 @@ pub const COOLDOWN_EPOCHS: u64 = 1;
 pub const PROVISION_DELAY_EPOCHS: u64 = 1;
 
 /// How the active GPU count is chosen each decision epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ScalingPolicy {
     /// No elasticity: the full provisioned fleet stays powered (the
     /// paper's evaluation setup, and the default).
@@ -140,7 +139,7 @@ impl fmt::Display for ScalingPolicy {
 }
 
 /// Everything a [`Scaler`] needs to size a fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalerConfig {
     /// The scaling policy.
     pub policy: ScalingPolicy,
@@ -186,7 +185,7 @@ impl ScalerConfig {
 
 /// The fleet partition a scaling decision produces; counts always sum to
 /// the provisioned `max_gpus`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetState {
     /// GPUs serving the deployment this epoch.
     pub active: usize,

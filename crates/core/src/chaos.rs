@@ -43,7 +43,6 @@
 //!   [`crate::autoscale::Scaler::step`]).
 
 use clover_simkit::{SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Salt folded into the experiment seed for the chaos root generator.
 /// Shares no stream with calibration (`^ 0xCA11_B007`), the evaluator
@@ -54,7 +53,7 @@ const CHAOS_SALT: u64 = 0xC4A0_5F17;
 /// One fault process to inject. A [`FaultPlan`] is generated from a list
 /// of these; each spec draws from its own substream, so specs compose
 /// without perturbing one another.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultSpec {
     /// Independent hardware failures per GPU: an alternating renewal
     /// process with exponential time-to-failure (mean `mtbf_hours`) and
@@ -198,7 +197,7 @@ impl FaultSpec {
 /// The experiment-facing chaos knob: a list of [`FaultSpec`]s. The
 /// default is empty — chaos off — and an off config draws no randomness
 /// at all, keeping every fault-free digest bit-identical.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ChaosConfig {
     /// The fault processes to inject; empty means a healthy world.
     pub specs: Vec<FaultSpec>,

@@ -30,11 +30,10 @@
 
 use crate::anneal::SaParams;
 use clover_simkit::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How much of each control epoch the serving simulator actually runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Fidelity {
     /// Simulate a `window_s`-second representative window per epoch and
     /// extrapolate its counters to the whole epoch — the paper's Sec. 5.1
@@ -116,7 +115,7 @@ impl fmt::Display for Fidelity {
 /// can consume the epoch it is planning for — exploration traffic would
 /// dominate the traffic it is supposed to optimize. This knob makes the
 /// budget cadence-aware.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SearchBudget {
     /// The configured [`SaParams`] are used verbatim at every cadence (the
     /// paper's setup, blind to the epoch length).

@@ -48,12 +48,11 @@ use clover_serving::{analytic, Deployment, ServingSim};
 use clover_simkit::{Fnv1a, SimDuration};
 use clover_telemetry::{Event, ProfilerHandle, Telemetry};
 use clover_workload::{Workload, WorkloadKind};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Where the carbon intensity comes from.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceSource {
     /// A synthetic regional trace (Fig. 8).
     Region(Region),
@@ -62,7 +61,7 @@ pub enum TraceSource {
 }
 
 /// Full specification of one experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// Application under test.
     pub app: Application,
@@ -415,7 +414,7 @@ impl ExperimentConfigBuilder {
 
 /// One control epoch of the run timeline (Fig. 11's series; one entry per
 /// hour under the default hourly cadence, finer under sub-hour epochs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HourPoint {
     /// Trace hour containing this epoch's start.
     pub hour: u32,
@@ -453,7 +452,7 @@ pub struct HourPoint {
 }
 
 /// One optimization invocation (Figs. 12–13).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InvocationRecord {
     /// Trace time of the invocation, hours.
     pub at_hours: f64,
@@ -464,7 +463,7 @@ pub struct InvocationRecord {
 }
 
 /// Aggregated result of one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
     /// Scheme label.
     pub scheme: String,

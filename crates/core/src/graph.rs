@@ -20,11 +20,10 @@
 use clover_mig::{SliceCensus, SliceType};
 use clover_models::{ModelFamily, VariantId};
 use clover_serving::Deployment;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Clover's configuration graph: edge weights `w[variant][slice_type]`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConfigGraph {
     /// `weights[v][s]` = number of instances of variant `v` on slice type `s`.
     weights: Vec<[u32; SliceType::COUNT]>,

@@ -25,10 +25,9 @@ use clover_mig::{MigConfig, Partitioning, SliceType};
 use clover_models::{ModelFamily, VariantId};
 use clover_serving::Deployment;
 use clover_simkit::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// Samples GED-bounded neighbors of a deployment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NeighborSampler {
     /// Maximum GED between center and neighbor (paper: 4).
     pub ged_threshold: u32,

@@ -16,10 +16,9 @@
 //! cap the accuracy traded away regardless of λ.
 
 use clover_carbon::{CarbonIntensity, Energy};
-use serde::{Deserialize, Serialize};
 
 /// What an evaluation of a candidate configuration measures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasuredPoint {
     /// Mixture accuracy, percent.
     pub accuracy_pct: f64,
@@ -30,7 +29,7 @@ pub struct MeasuredPoint {
 }
 
 /// The Clover objective with its baselines and SLA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Objective {
     /// Carbon-vs-accuracy weight λ ∈ [0, 1] (paper default 0.5).
     pub lambda: f64,

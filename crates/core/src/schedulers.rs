@@ -39,11 +39,10 @@ use clover_models::{ModelFamily, PerfModel, VariantId};
 use clover_serving::{Deployment, ServingSim, WindowMetrics};
 use clover_simkit::{SimDuration, SimRng, SimTime};
 use clover_workload::Workload;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the paper's five schemes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchemeKind {
     /// Highest-quality model, unpartitioned GPUs, carbon-unaware.
     Base,

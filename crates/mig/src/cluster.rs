@@ -9,15 +9,14 @@
 use crate::config::MigConfig;
 use crate::slice::{SliceCensus, SliceType};
 use clover_simkit::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a physical GPU in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct GpuId(pub u32);
 
 /// Identifier of one MIG slice: a GPU plus a slot within its configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SliceId {
     /// Owning GPU.
     pub gpu: GpuId,
@@ -26,7 +25,7 @@ pub struct SliceId {
 }
 
 /// A concrete addressable slice of a partitioned GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slice {
     /// Identifier.
     pub id: SliceId,
@@ -35,7 +34,7 @@ pub struct Slice {
 }
 
 /// The paper's `x_p` vector: one MIG configuration per GPU.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Partitioning(Vec<MigConfig>);
 
 impl Partitioning {
@@ -120,7 +119,7 @@ impl fmt::Display for Partitioning {
 /// slice. The paper includes this overhead in all reported results
 /// (Sec. 4.3); we charge a fixed per-GPU repartition time plus a per-slice
 /// model (re)load time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReconfigCost {
     /// Seconds to destroy and recreate MIG instances on one GPU.
     pub repartition_secs: f64,

@@ -10,7 +10,6 @@
 //! rules are approximated.
 
 use crate::slice::{SliceCensus, SliceType};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use SliceType::{G1, G2, G3, G4, G7};
@@ -39,7 +38,7 @@ const CONFIG_TABLE: [&[SliceType]; 19] = [
 ];
 
 /// One of the 19 MIG partition configurations (1-based, matching the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MigConfig(u8);
 
 impl MigConfig {

@@ -23,10 +23,9 @@
 //! ≈85% for CO2OPT vs BASE (Fig. 10).
 
 use crate::slice::SliceType;
-use serde::{Deserialize, Serialize};
 
 /// Analytic power model for an A100-class GPU under MIG partitioning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Constant per-GPU draw, watts (paid regardless of partitioning).
     pub static_w: f64,

@@ -6,12 +6,11 @@
 //! dedicated memory respectively; the 5 GB floor of the 1g slice is what
 //! forces Clover to disable variant↔slice pairings that would OOM.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Index, IndexMut, Sub};
 
 /// One of the five MIG slice types of an A100-class GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SliceType {
     /// 1g slice: 1 compute unit, 5 GB.
     G1,
@@ -81,7 +80,7 @@ impl fmt::Display for SliceType {
 /// A census of slices by type: how many of each slice type exist in a GPU
 /// configuration or across a cluster. This is also the "slice side" of
 /// Clover's configuration graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SliceCensus([u32; SliceType::COUNT]);
 
 impl SliceCensus {

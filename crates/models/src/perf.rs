@@ -21,7 +21,6 @@
 use crate::variant::ModelVariant;
 use clover_mig::{PowerModel, SliceType};
 use clover_simkit::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Calibrated throughput of one MIG compute unit, GFLOP/s, at realistic
 /// inference utilization. One A100 ≈ 19.5 TFLOPS peak / 7 units × ~35%
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 pub const UNIT_GFLOPS_PER_SEC: f64 = 975.0;
 
 /// Performance model binding the zoo's variants to the MIG substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfModel {
     /// GFLOP/s one compute unit sustains for these workloads.
     pub unit_gflops: f64,

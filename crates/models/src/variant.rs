@@ -8,18 +8,17 @@
 //! scalability) that the latency/energy models consume.
 
 use clover_mig::SliceType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ordinal identifier of a variant within its family (0 = smallest).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VariantId(pub u8);
 
 /// CUDA context + framework overhead resident on every slice, GB.
 pub const RUNTIME_OVERHEAD_GB: f64 = 1.2;
 
 /// One member of a model family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelVariant {
     /// Published variant name (e.g. "EfficientNet-B7").
     pub name: &'static str,
@@ -73,7 +72,7 @@ impl fmt::Display for ModelVariant {
 }
 
 /// A family of model variants implementing one application.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelFamily {
     /// Architecture name (e.g. "EfficientNet").
     pub architecture: &'static str,

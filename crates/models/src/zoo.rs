@@ -13,11 +13,10 @@
 //! latency/energy, not accuracy.
 
 use crate::variant::{ModelFamily, ModelVariant, VariantId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The paper's three inference applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Application {
     /// YOLOv5 object detection on MS COCO.
     ObjectDetection,

@@ -48,7 +48,6 @@ use clover_serving::WindowMetrics;
 use clover_simkit::{Fnv1a, SimDuration, SimRng, SimTime};
 use clover_telemetry::{Event, Telemetry, TelemetryReport, TelemetrySpec};
 use clover_workload::{ArrivalProcess, Workload, WorkloadKind};
-use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
 /// Salt deriving the per-fleet seed space from the experiment seed. Each
@@ -96,7 +95,7 @@ struct Fleet {
 }
 
 /// Full specification of one multi-region serving run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Application under test (served in every region).
     pub app: Application,
@@ -318,7 +317,7 @@ impl RouterConfigBuilder {
 
 /// One control epoch of the global timeline (per-region vectors are in
 /// region order).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RouterEpochPoint {
     /// Epoch index.
     pub epoch: u32,
@@ -349,7 +348,7 @@ pub struct RouterEpochPoint {
 }
 
 /// Results of one multi-region run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalOutcome {
     /// Routing policy name.
     pub policy: String,

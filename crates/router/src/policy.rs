@@ -11,7 +11,6 @@
 //! The set is closed: [`RoutePolicy::ALL`] names the study's three
 //! policies, and adding one means adding a variant and its match arms.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Effective-carbon spread (gCO₂/kWh, after scaling by relative energy per
@@ -59,7 +58,7 @@ pub(crate) struct RegionSnapshot {
 }
 
 /// One of the study's traffic-split policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutePolicy {
     /// Static equal split — every region serves its origin share and
     /// nothing moves. With healthy regions this *is* per-region-local

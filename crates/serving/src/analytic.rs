@@ -23,10 +23,9 @@
 use crate::deployment::Deployment;
 use crate::sim::SERVICE_JITTER_SIGMA;
 use clover_models::{ModelFamily, PerfModel};
-use serde::{Deserialize, Serialize};
 
 /// Analytic steady-state estimate for one deployment at one arrival rate.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AnalyticEstimate {
     /// True when the system is stable (utilization < 1).
     pub stable: bool,

@@ -7,11 +7,10 @@
 
 use clover_mig::{MigConfig, Partitioning, SliceCensus, SliceType};
 use clover_models::{ModelFamily, VariantId};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A fully specified service configuration: `x_p` plus `x_v`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Deployment {
     partitioning: Partitioning,
     /// Variant per slice, aligned with `partitioning.slices()` order.

@@ -38,7 +38,6 @@ use clover_models::{ModelFamily, PerfModel, VariantId};
 use clover_simkit::{EventQueue, LatencyHistogram, SimDuration, SimRng, SimTime};
 use clover_telemetry::{Phase, ProfilerHandle};
 use clover_workload::{ArrivalProcess, PoissonProcess};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -88,7 +87,7 @@ pub struct InstanceFailure {
 pub const SERVICE_JITTER_SIGMA: f64 = 0.08;
 
 /// Measured results of one simulated serving window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindowMetrics {
     /// Length of the measured span, seconds.
     pub span_s: f64,

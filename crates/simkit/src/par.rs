@@ -46,18 +46,28 @@ impl Drop for PanicSignal<'_> {
 }
 
 /// Number of worker threads to use by default: the `CLOVER_THREADS`
-/// environment variable when set to a positive integer, otherwise the
-/// machine's available parallelism (1 when that cannot be determined).
+/// environment variable when set, otherwise the machine's available
+/// parallelism (1 when that cannot be determined).
+///
+/// # Panics
+/// Panics if `CLOVER_THREADS` is set to anything but an integer ≥ 1.
 pub fn default_threads() -> usize {
-    std::env::var("CLOVER_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
+    threads_from(std::env::var("CLOVER_THREADS").ok().as_deref()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// The worker count a `CLOVER_THREADS` value pins; unset means none. A
+/// value that is not an integer ≥ 1 panics rather than fall back to full
+/// parallelism, so a typo cannot silently undo a pinned thread count.
+fn threads_from(value: Option<&str>) -> Option<usize> {
+    let v = value?;
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Some(n),
+        _ => panic!("CLOVER_THREADS={v:?}: expected an integer >= 1"),
+    }
 }
 
 /// Maps `f` over `items` on `threads` scoped worker threads, returning the
@@ -278,6 +288,28 @@ mod tests {
     #[test]
     fn default_threads_is_positive() {
         assert!(default_threads() >= 1);
+    }
+
+    #[test]
+    fn threads_are_unpinned_when_unset_and_accept_positive_integers() {
+        assert_eq!(threads_from(None), None);
+        assert_eq!(threads_from(Some("1")), Some(1));
+        assert_eq!(threads_from(Some("8")), Some(8));
+    }
+
+    #[test]
+    fn threads_reject_every_value_below_one_or_not_an_integer() {
+        for bad in ["", "0", "two", "-1", "1.5", " 2"] {
+            let err = std::panic::catch_unwind(|| threads_from(Some(bad)))
+                .expect_err(&format!("{bad:?} was accepted"));
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert!(
+                msg.contains("CLOVER_THREADS") && msg.contains(">= 1"),
+                "{bad:?}: {msg}"
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!   bounded relative error; used for 48-hour runs with tens of millions of
 //!   samples.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact quantile computation over a stored sample buffer.
 #[derive(Debug, Clone, Default)]
 pub struct ExactQuantiles {
@@ -190,7 +188,7 @@ fn latency_table() -> &'static BucketTable {
 /// values at or below the floor land in bucket 0. Buckets are found in a
 /// precomputed table of the formula's exact edges; values past the table
 /// (about 12 days) evaluate the logarithm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,
     total: u64,

@@ -5,11 +5,6 @@
 //! [`SimRng`], a xoshiro256++ generator seeded through SplitMix64. A fixed
 //! seed therefore reproduces an experiment bit-for-bit, which is what lets
 //! the benchmark harness compare schemes on identical request streams.
-//!
-//! The generator also implements [`rand::RngCore`] so it composes with the
-//! wider `rand` ecosystem where convenient.
-
-use rand::RngCore;
 
 /// xoshiro256++ PRNG with convenience samplers for the distributions the
 /// simulator needs (uniform, exponential, normal).
@@ -171,28 +166,6 @@ impl SimRng {
     /// Panics if the slice is empty.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[self.below(items.len())]
-    }
-}
-
-impl RngCore for SimRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        SimRng::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 

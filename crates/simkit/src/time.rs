@@ -6,17 +6,16 @@
 //! ordered (NaN is forbidden by construction through the public API), and
 //! support the obvious arithmetic.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
 /// An instant on the simulation clock, in seconds since the start of the
 /// simulation.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(pub(crate) f64);
 
 /// A span of simulated time, in seconds. May not be negative.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimDuration(f64);
 
 impl SimTime {

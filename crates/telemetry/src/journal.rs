@@ -5,7 +5,7 @@
 //! since the experiment start) and `"event"` (the event name); the
 //! remaining fields are event-specific and appear in the order the
 //! emitting site added them. All serialization is hand-rolled (the
-//! offline `serde` stub does not serialize) and fully deterministic:
+//! workspace depends on no crate outside it) and fully deterministic:
 //! floats render through Rust's shortest-round-trip `{}` formatting, field
 //! order is insertion order, and no wall-clock value ever enters a line.
 //! A journal recorded by a parallel grid worker is therefore byte-for-byte

@@ -13,11 +13,10 @@
 use crate::process::{ArrivalProcess, MmppProcess, NhppProcess, PoissonProcess};
 use crate::rate::RateCurve;
 use clover_simkit::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The traffic scenarios the serving stack can be driven with.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadKind {
     /// Open-loop homogeneous Poisson arrivals (the paper's Sec. 5.1 setup).
     Poisson,
@@ -114,7 +113,7 @@ impl fmt::Display for WorkloadKind {
 /// [`Workload::peak_over`]) schedulers and the autoscaler plan against.
 /// Both are views of the same normalized description, so a scheduler that
 /// trusts the forecast is judged against traffic actually drawn from it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     kind: WorkloadKind,
     base_rps: f64,
@@ -125,7 +124,7 @@ pub struct Workload {
 }
 
 /// Precomputed normalized form of a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 enum Engine {
     /// Deterministic intensity curve (Poisson, diurnal, flash crowd),
     /// already scaled so its long-run mean is the base rate.

@@ -6,7 +6,6 @@
 //! demand forecast a scheduler queries. Curves are pure functions of time —
 //! all randomness lives in the processes that sample them.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::TAU;
 
 /// Trapezoid resolution for numeric window means. Curves are piecewise
@@ -16,7 +15,7 @@ const MEAN_PANELS: usize = 2048;
 
 /// The expected arrival rate λ(t), req/s, as a deterministic function of
 /// simulation time (seconds from the epoch).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RateCurve {
     /// Constant rate (homogeneous Poisson when sampled).
     Constant(f64),

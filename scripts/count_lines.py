@@ -2,10 +2,8 @@
 """Count the non-test lines of the workspace's Rust sources.
 
 Counts every line of every `.rs` file under `crates/*/src` (recursively),
-stopping at the file's first line that contains `#[cfg(test)]`. The
-offline dependency stand-ins live one level deeper, in
-`crates/compat/<name>/src`, so the glob does not count them. Prints one
-count per crate and the total.
+stopping at the file's first line that contains `#[cfg(test)]`. Prints
+one count per crate and the total.
 
 Usage: python3 scripts/count_lines.py [REPO_ROOT]
 """

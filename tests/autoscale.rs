@@ -154,7 +154,7 @@ fn autoscaled_grids_are_bit_identical_serial_vs_parallel() {
 }
 
 /// Seed-sweep property tests for the pre-warm policy (the repo's
-/// deterministic stand-in for proptest, see ROADMAP "Offline stubs"): each
+/// deterministic stand-in for a property-testing framework): each
 /// seed derives a different flash-crowd workload and fleet geometry, and
 /// every derived scenario must satisfy the policy's invariants:
 ///
