@@ -65,14 +65,14 @@ pub(super) fn autoscale() -> Spec {
             "{:<12} {:<10} {:>12} {:>14} {:>12} {:>10} {:>6}",
             "workload", "policy", "carbon_kg", "vs static %", "mean_gpus", "p95/sla", "sla"
         );
-        for row in outs.chunks(policies.len()) {
+        for (kind, row) in kinds.iter().zip(outs.chunks(policies.len())) {
             let static_carbon = row[0].total_carbon_g;
-            for out in row {
+            for (policy, out) in policies.iter().zip(row) {
                 let vs_static = (out.total_carbon_g - static_carbon) / static_carbon * 100.0;
                 println!(
                     "{:<12} {:<10} {:>12.2} {:>+14.1} {:>12.2} {:>10.2} {:>6}",
-                    out.workload,
-                    out.scaling,
+                    kind.label(),
+                    policy.label(),
                     out.total_carbon_g / 1000.0,
                     vs_static,
                     out.mean_active_gpus,

@@ -188,11 +188,13 @@ fn dedup(set: &mut Vec<Cell>, cells: Vec<Cell>) -> Vec<usize> {
         .collect()
 }
 
-/// Runs every grid serially with the decision journal on, all at once on
-/// a worker apiece; runs come back in `grids` order.
-fn replay_all(grids: Vec<Vec<Cell>>) -> Vec<Vec<(Outcome, TelemetryReport)>> {
-    let busy = grids.iter().filter(|g| !g.is_empty()).count();
-    // Largest first, so each non-empty grid takes a worker of its own.
+/// Runs every grid serially with the decision journal on, side by side on
+/// up to `threads` workers, one grid apiece; runs come back in `grids`
+/// order.
+fn replay_all(grids: Vec<Vec<Cell>>, threads: usize) -> Vec<Vec<(Outcome, TelemetryReport)>> {
+    let busy = grids.iter().filter(|g| !g.is_empty()).count().min(threads);
+    // Largest first: the longest grid starts first, and with a worker per
+    // non-empty grid each takes one of its own.
     let serial = |g| run_cells_with(g, 1, TelemetrySpec::JOURNAL);
     clover_simkit::par_map_lpt(grids, busy, |g| g.len() as f64, serial)
 }
@@ -217,7 +219,7 @@ pub fn run(figures: Vec<(&str, Spec)>, threads: usize) -> Vec<String> {
     let union_runs = run_cells_with(union, threads, TelemetrySpec::JOURNAL);
     // Only now: the union's cells are gone, so no replay cell can share a
     // BASE reference or calibration window with the run it checks.
-    let replayed = replay_all(replays);
+    let replayed = replay_all(replays, threads);
     picked
         .into_iter()
         .zip(&replayed)

@@ -197,9 +197,11 @@ pub(super) fn fig12() -> Spec {
         let cw = clover.opt_fraction_by_window(8.0);
         println!("{:>10} {:>8} {:>8}", "window", "BLOVER", "CLOVER");
         for (i, (b, c)) in bw.iter().zip(cw.iter()).enumerate() {
+            // The horizon may end inside the last window.
+            let end = (8.0 * (i + 1) as f64).min(blover.horizon_hours);
             println!(
                 "{:>10} {:>7.2}% {:>7.2}%",
-                format!("{}-{}h", i * 8, i * 8 + 8),
+                format!("{}-{end}h", i * 8),
                 b * 100.0,
                 c * 100.0
             );

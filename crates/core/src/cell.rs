@@ -215,7 +215,7 @@ impl CellRuntime {
         // The search budget is resolved against the cadence once: sub-hour
         // epochs cap the SA's charged live time and iteration budget, the
         // hourly default passes the paper's parameters through untouched.
-        let sa = cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s);
+        let sa = cfg.sa_params();
         let scheduler = make_scheduler(cfg.scheme, &family, cfg.n_gpus, sa);
         let evaluator = DesEvaluator::new(
             family.clone(),

@@ -130,32 +130,14 @@ impl DesEvaluator {
         self.sim.reseed(seed);
         self.sim.set_deployment(candidate.clone());
         let metrics = self.sim.run_window(self.rate_rps, self.window, self.warmup);
-
-        let accuracy = metrics
-            .accuracy_pct(&self.family)
-            .unwrap_or(self.family.accuracy_base());
-        // An evaluation window that served nothing (fully wedged) is
-        // reported as an extreme violator so SA steers away: unmeasured
-        // p95 (`None`) and per-request energy both land at penalty values.
-        let energy = metrics
-            .energy_per_request_j()
-            .unwrap_or(f64::INFINITY.min(1e12));
-        let p95 = metrics.p95_latency_s().unwrap_or(1e6);
-
+        let point = MeasuredPoint::of_window(&metrics, &self.family);
         let cost_s = downtime.as_secs()
             + variant_downtime.as_secs()
             + self.warmup.as_secs()
             + self.window.as_secs();
         self.window_log.push(metrics);
 
-        EvalOutcome {
-            point: MeasuredPoint {
-                accuracy_pct: accuracy,
-                energy_per_request_j: energy,
-                p95_latency_s: p95,
-            },
-            cost_s,
-        }
+        EvalOutcome { point, cost_s }
     }
 
     /// Drains the retained evaluation-window metrics.

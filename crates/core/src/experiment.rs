@@ -138,15 +138,23 @@ impl ExperimentConfig {
                 search_budget: SearchBudget::epoch_scaled(),
                 chaos: ChaosConfig::off(),
             },
-            window_override: None,
         }
     }
 
+    /// The SA parameters each search of this cell runs with: [`Self::sa`]
+    /// under [`Self::search_budget`] at the control cadence.
+    ///
+    /// # Panics
+    /// With the budget's own contract on a bad fraction.
+    pub fn sa_params(&self) -> SaParams {
+        self.search_budget.apply(self.sa, self.control_epoch_s)
+    }
+
     /// A deterministic relative cost estimate of running this cell —
-    /// simulated serving seconds times fleet size. Used as the
-    /// [`clover_simkit::par_map_lpt`] weight so a grid mixing full-epoch
-    /// and representative-window cells claims its heaviest cells first
-    /// instead of stranding one 10M-event cell on a drained pool.
+    /// simulated serving seconds times fleet size. Grids dispatch their
+    /// cells heaviest weight first, so a grid mixing full-epoch and
+    /// representative-window cells does not strand one 10M-event cell on a
+    /// drained pool.
     ///
     /// It ignores the offered rate, so it is not proportional to DES event
     /// volume: at equal weight a cell of a fast model serves many more
@@ -167,9 +175,6 @@ impl ExperimentConfig {
 /// Builder for [`ExperimentConfig`].
 pub struct ExperimentConfigBuilder {
     cfg: ExperimentConfig,
-    /// Explicit `sim_window_s` override, reconciled with the fidelity at
-    /// build time (so setter order cannot silently drop either knob).
-    window_override: Option<f64>,
 }
 
 impl ExperimentConfigBuilder {
@@ -257,16 +262,6 @@ impl ExperimentConfigBuilder {
         self
     }
 
-    /// Sets the representative serving window simulated per epoch
-    /// (seconds). Only meaningful under
-    /// [`Fidelity::RepresentativeWindow`]; combining it with
-    /// [`Fidelity::FullEpoch`] is rejected at [`Self::build`] — the full
-    /// epoch *is* the window there.
-    pub fn sim_window_s(mut self, s: f64) -> Self {
-        self.window_override = Some(s);
-        self
-    }
-
     /// Sets the control-plane cadence (seconds; must evenly divide one
     /// hour). Default: 3600, the paper's hourly loop.
     pub fn control_epoch_s(mut self, s: f64) -> Self {
@@ -275,7 +270,7 @@ impl ExperimentConfigBuilder {
     }
 
     /// Sets the serving-simulation fidelity (default: the paper's 240 s
-    /// representative window).
+    /// representative window); the one setter of the window's length.
     pub fn fidelity(mut self, f: Fidelity) -> Self {
         self.cfg.fidelity = f;
         self
@@ -317,28 +312,13 @@ impl ExperimentConfigBuilder {
     /// non-finite accuracy floor, a scaling floor above the fleet size, a
     /// non-positive SLA headroom or serving window, a control epoch that
     /// does not evenly divide one hour, a representative window longer
-    /// than its epoch, a `sim_window_s` override under
-    /// [`Fidelity::FullEpoch`], or provisioning *more* GPUs than the
+    /// than its epoch, or provisioning *more* GPUs than the
     /// reference the workload and baseline are derived on. (The reverse —
     /// `reference_gpus > n_gpus` — is the paper's Fig. 15
     /// reduced-provisioning setup and stays valid.)
     pub fn build(mut self) -> ExperimentConfig {
         if self.cfg.reference_gpus == 0 {
             self.cfg.reference_gpus = self.cfg.n_gpus;
-        }
-        // Reconcile the window override with the fidelity, independent of
-        // setter order: an override refines the representative window and
-        // contradicts FullEpoch (which measures the whole epoch).
-        match (&self.cfg.fidelity, self.window_override) {
-            (Fidelity::RepresentativeWindow { .. }, Some(w)) => {
-                self.cfg.fidelity = Fidelity::RepresentativeWindow { window_s: w };
-            }
-            (Fidelity::FullEpoch, Some(w)) => panic!(
-                "experiment config: sim_window_s ({w}) override is meaningless under FullEpoch \
-                 fidelity — the whole control epoch is simulated, there is no representative \
-                 window to size (drop the override or use Fidelity::RepresentativeWindow)"
-            ),
-            (_, None) => {}
         }
         let cfg = &self.cfg;
         // Positive + evenly divides one hour, with the control module's
@@ -347,7 +327,7 @@ impl ExperimentConfigBuilder {
         if let Fidelity::RepresentativeWindow { window_s } = cfg.fidelity {
             assert!(
                 window_s > 0.0,
-                "experiment config: sim_window_s must be positive, got {window_s}"
+                "experiment config: the representative window must be positive, got {window_s}"
             );
             assert!(
                 window_s <= cfg.control_epoch_s,
@@ -403,8 +383,7 @@ impl ExperimentConfigBuilder {
              BASE reference itself measured",
             cfg.sla_headroom
         );
-        // Panics with the budget's own contract on a bad fraction.
-        let _ = cfg.search_budget.apply(cfg.sa, cfg.control_epoch_s);
+        let _ = cfg.sa_params();
         if let Err(e) = cfg.chaos.validate() {
             panic!("experiment config: {e}");
         }
@@ -469,23 +448,11 @@ pub struct ExperimentOutcome {
     pub scheme: String,
     /// Application label.
     pub app: String,
-    /// Trace label.
-    pub trace: String,
-    /// Workload (traffic scenario) label.
-    pub workload: String,
-    /// Autoscaling policy label.
-    pub scaling: String,
-    /// Serving-simulation fidelity label (`"window"` / `"full-epoch"`).
-    pub fidelity: String,
-    /// Control-plane cadence, seconds.
-    pub control_epoch_s: f64,
     /// Provisioned GPUs.
     pub n_gpus: usize,
     /// Time-averaged actively serving GPUs over the horizon (equals
     /// `n_gpus` without autoscaling).
     pub mean_active_gpus: f64,
-    /// λ used.
-    pub lambda: f64,
     /// Horizon, hours.
     pub horizon_hours: f64,
     /// Offered Poisson rate, req/s.
@@ -545,9 +512,8 @@ impl ExperimentOutcome {
     /// reproduced its serial reference byte for byte.
     ///
     /// The fed field set is frozen at the pre-control-plane one (newer
-    /// fields like `t_hours` or the fidelity/cadence labels are derived
-    /// from what is already eaten), so default-configuration digests stay
-    /// comparable across the refactor — `tests/control_plane.rs` pins them
+    /// fields like `t_hours` are derived from what is already eaten), so
+    /// default-configuration digests stay comparable across the refactor — `tests/control_plane.rs` pins them
     /// against values recorded before the extraction.
     pub fn digest(&self) -> u64 {
         // FNV-1a over the f64 bit patterns and counters.
@@ -606,7 +572,9 @@ impl ExperimentOutcome {
     }
 
     /// Optimization-time fraction per consecutive window of
-    /// `window_hours` (Fig. 12a's bars).
+    /// `window_hours` (Fig. 12a's bars). Each window is divided by its own
+    /// length, so a last window that the horizon cuts short is a fraction
+    /// of the hours it covers.
     pub fn opt_fraction_by_window(&self, window_hours: f64) -> Vec<f64> {
         let n = (self.horizon_hours / window_hours).ceil() as usize;
         let mut out = vec![0.0; n];
@@ -614,8 +582,9 @@ impl ExperimentOutcome {
             let idx = ((inv.at_hours / window_hours) as usize).min(n.saturating_sub(1));
             out[idx] += inv.time_spent_s;
         }
-        for w in &mut out {
-            *w /= window_hours * 3600.0;
+        for (i, w) in out.iter_mut().enumerate() {
+            let hours = (self.horizon_hours - i as f64 * window_hours).min(window_hours);
+            *w /= hours * 3600.0;
         }
         out
     }
@@ -905,18 +874,14 @@ impl Experiment {
     #[doc(hidden)]
     pub fn set_shard_threads(&mut self, _threads: Option<usize>) {}
 
-    /// Runs one cell per config on `threads` workers; outcomes come back
-    /// in input order. Kept, hidden, only because `perfbench` calls it:
+    /// Builds every cell, then runs them in input order on this thread;
+    /// `_threads` is ignored, because only grid entry points spawn workers.
+    /// Kept, hidden, only because `perfbench` calls it (with one thread):
     /// grids run through `clover_router::run_cells_with`.
     #[doc(hidden)]
-    pub fn run_cells(configs: Vec<ExperimentConfig>, threads: usize) -> Vec<ExperimentOutcome> {
-        let cells = clover_simkit::par_map(configs, threads, Experiment::new);
-        clover_simkit::par_map_lpt(
-            cells.iter().collect(),
-            threads,
-            |e| e.cfg.cost_weight(),
-            |e| e.run(),
-        )
+    pub fn run_cells(configs: Vec<ExperimentConfig>, _threads: usize) -> Vec<ExperimentOutcome> {
+        let cells: Vec<Experiment> = configs.into_iter().map(Experiment::new).collect();
+        cells.iter().map(Experiment::run).collect()
     }
 
     /// The carbon trace in force.
@@ -972,17 +937,8 @@ impl Experiment {
         ExperimentOutcome {
             scheme: cfg.scheme.label().to_string(),
             app: cfg.app.label().to_string(),
-            trace: match cfg.trace {
-                TraceSource::Region(r) => r.to_string(),
-                TraceSource::Constant(v) => format!("constant {v} gCO2/kWh"),
-            },
-            workload: self.workload.label().to_string(),
-            scaling: cfg.scaling.label().to_string(),
-            fidelity: cfg.fidelity.label().to_string(),
-            control_epoch_s: cfg.control_epoch_s,
             n_gpus: cfg.n_gpus,
             mean_active_gpus: run.mean_active_gpus,
-            lambda: cfg.lambda,
             horizon_hours: cfg.horizon_hours,
             rate_rps: self.rate_rps,
             sla_p95_s: self.objective.l_tail_s,
@@ -1065,15 +1021,18 @@ impl Experiment {
 mod tests {
     use super::*;
 
-    fn quick(scheme: SchemeKind) -> ExperimentOutcome {
-        let cfg = ExperimentConfig::builder(Application::ImageClassification)
+    fn quick_config(scheme: SchemeKind) -> ExperimentConfig {
+        ExperimentConfig::builder(Application::ImageClassification)
             .scheme(scheme)
             .n_gpus(4)
             .horizon_hours(6.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(3)
-            .build();
-        Experiment::new(cfg).run()
+            .build()
+    }
+
+    fn quick(scheme: SchemeKind) -> ExperimentOutcome {
+        Experiment::new(quick_config(scheme)).run()
     }
 
     /// A small FullEpoch cell for the sharing tests. Each test passes a
@@ -1162,7 +1121,7 @@ mod tests {
         let window = ExperimentConfig::builder(Application::ImageClassification)
             .n_gpus(4)
             .horizon_hours(6.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(0x5EED_00B1)
             .build();
         let mut full = sharing_config(0x5EED_00B2);
@@ -1178,6 +1137,7 @@ mod tests {
             (out, phases.scopes(clover_telemetry::Phase::Des))
         };
         for cfg in [window, full] {
+            let fidelity = cfg.fidelity.label();
             let solo = Experiment::new(cfg.clone()).run();
             let epochs =
                 u64::from(EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s).count());
@@ -1188,14 +1148,14 @@ mod tests {
             let cell = Experiment::new(cfg);
             assert!(Arc::ptr_eq(sibling.reference(), cell.reference()));
             // The sibling claims the reference and serves it too.
-            assert_eq!(des_scopes(&sibling).1, 2 * epochs, "{}", solo.fidelity);
+            assert_eq!(des_scopes(&sibling).1, 2 * epochs, "{fidelity}");
             assert!(
                 cell.reference().totals.get().is_some(),
                 "the sibling left the reference empty"
             );
             let (shared, scopes) = des_scopes(&cell);
-            assert_eq!(scopes, epochs, "{}", solo.fidelity);
-            assert_eq!(shared.digest(), solo.digest(), "{}", solo.fidelity);
+            assert_eq!(scopes, epochs, "{fidelity}");
+            assert_eq!(shared.digest(), solo.digest(), "{fidelity}");
             assert_eq!(shared.base_carbon_g.to_bits(), solo.base_carbon_g.to_bits());
             assert_eq!(shared.base_p95_s.to_bits(), solo.base_p95_s.to_bits());
         }
@@ -1208,7 +1168,7 @@ mod tests {
         let cfg = ExperimentConfig::builder(Application::ImageClassification)
             .n_gpus(4)
             .horizon_hours(6.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(0x5EED_00C1)
             .build();
         let expected = Experiment::new(cfg.clone()).run();
@@ -1308,6 +1268,16 @@ mod tests {
         assert_eq!(windows.len(), 3);
         let total_from_windows: f64 = windows.iter().map(|f| f * 2.0 * 3600.0).sum();
         assert!((total_from_windows - out.optimization_time_s).abs() < 1e-6);
+        // A window that does not divide the horizon: 0-4 h and a 2 h tail,
+        // each a fraction of the hours it covers.
+        let windows = out.opt_fraction_by_window(4.0);
+        assert_eq!(windows.len(), 2);
+        let total_from_windows = windows[0] * 4.0 * 3600.0 + windows[1] * 2.0 * 3600.0;
+        assert!((total_from_windows - out.optimization_time_s).abs() < 1e-6);
+        // One window past the horizon is the whole run's fraction.
+        let whole = out.opt_fraction_by_window(8.0);
+        assert_eq!(whole.len(), 1);
+        assert!((whole[0] - out.optimization_fraction).abs() < 1e-12);
         assert!(out.evals_sla_ok() <= out.evals_total());
     }
 
@@ -1407,8 +1377,9 @@ mod tests {
 
     #[test]
     fn static_scaling_charges_no_standby_and_keeps_the_fleet() {
-        let out = quick(SchemeKind::Clover);
-        assert_eq!(out.scaling, "static");
+        let cfg = quick_config(SchemeKind::Clover);
+        assert_eq!(cfg.scaling.label(), "static");
+        let out = Experiment::new(cfg).run();
         assert_eq!(out.mean_active_gpus, 4.0);
         assert!(out.timeline.iter().all(|h| h.active_gpus == 4));
     }
@@ -1431,20 +1402,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "meaningless under FullEpoch")]
-    fn window_override_under_full_epoch_rejected() {
+    #[should_panic(expected = "the representative window must be positive, got 0")]
+    fn nonpositive_window_rejected() {
         let _ = ExperimentConfig::builder(Application::ImageClassification)
-            .sim_window_s(20.0)
-            .fidelity(Fidelity::FullEpoch)
-            .build();
-    }
-
-    #[test]
-    #[should_panic(expected = "meaningless under FullEpoch")]
-    fn window_override_under_full_epoch_rejected_either_order() {
-        let _ = ExperimentConfig::builder(Application::ImageClassification)
-            .fidelity(Fidelity::FullEpoch)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 0.0 })
             .build();
     }
 
@@ -1468,17 +1429,16 @@ mod tests {
             cfg.fidelity,
             Fidelity::RepresentativeWindow { window_s: 240.0 }
         );
-        // An explicit window override wins over a fidelity-set window,
-        // regardless of setter order.
+        // The fidelity is the window's one setter: the last call wins.
         let cfg = ExperimentConfig::builder(Application::ImageClassification)
             .fidelity(Fidelity::RepresentativeWindow { window_s: 60.0 })
-            .sim_window_s(30.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 30.0 })
             .build();
         assert_eq!(
             cfg.fidelity,
             Fidelity::RepresentativeWindow { window_s: 30.0 }
         );
-        // FullEpoch with no override is the supported burst path.
+        // FullEpoch, with no window to size, is the supported burst path.
         let cfg = ExperimentConfig::builder(Application::ImageClassification)
             .control_epoch_s(900.0)
             .fidelity(Fidelity::FullEpoch)

@@ -16,6 +16,8 @@
 //! cap the accuracy traded away regardless of λ.
 
 use clover_carbon::{CarbonIntensity, Energy};
+use clover_models::ModelFamily;
+use clover_serving::WindowMetrics;
 
 /// What an evaluation of a candidate configuration measures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +28,20 @@ pub struct MeasuredPoint {
     pub energy_per_request_j: f64,
     /// p95 end-to-end latency, seconds.
     pub p95_latency_s: f64,
+}
+
+impl MeasuredPoint {
+    /// What a window serving `family`'s variants measured of a candidate.
+    /// A window that served nothing (a wedged candidate) reads as an
+    /// extreme violator, so a search steers away: the base accuracy, 1e12 J
+    /// per request and a 1e6 s p95.
+    pub fn of_window(w: &WindowMetrics, family: &ModelFamily) -> Self {
+        MeasuredPoint {
+            accuracy_pct: w.accuracy_pct(family).unwrap_or(family.accuracy_base()),
+            energy_per_request_j: w.energy_per_request_j().unwrap_or(1e12),
+            p95_latency_s: w.p95_latency_s().unwrap_or(1e6),
+        }
+    }
 }
 
 /// The Clover objective with its baselines and SLA.

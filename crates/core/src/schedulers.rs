@@ -426,22 +426,18 @@ impl OracleScheduler {
         n_gpus: usize,
         rate_rps: f64,
     ) -> Vec<ProfiledConfig> {
-        // Embarrassingly parallel: each candidate owns its seed
-        // (`0xACE1 + i`) and a fresh simulator, and `par_map` deposits
-        // results at submission index — so the profile is byte-identical
-        // to the old serial enumeration at any thread count (including the
-        // recorded digest pins).
-        let candidates = enumerate_standardized(ctx.family, n_gpus);
+        // Each candidate owns its seed (`0xACE1 + i`) and a fresh
+        // simulator, so the table is a pure function of the fleet size and
+        // rate. It is profiled serially: the cell runs inside a grid
+        // worker, and only the grid sizes a thread pool.
         let family = ctx.family;
-        let perf = *ctx.perf;
-        let indexed: Vec<(usize, Deployment)> = candidates.into_iter().enumerate().collect();
-        clover_simkit::par_map(
-            indexed,
-            clover_simkit::default_threads(),
-            move |(i, deployment)| {
+        enumerate_standardized(family, n_gpus)
+            .into_iter()
+            .enumerate()
+            .map(|(i, deployment)| {
                 let mut sim = ServingSim::new(
                     family.clone(),
-                    perf,
+                    *ctx.perf,
                     deployment.clone(),
                     0xACE1_u64.wrapping_add(i as u64),
                 );
@@ -450,14 +446,10 @@ impl OracleScheduler {
                     SimDuration::from_secs(DesEvaluator::DEFAULT_WINDOW_S),
                     SimDuration::from_secs(DesEvaluator::DEFAULT_WARMUP_S),
                 );
-                let point = MeasuredPoint {
-                    accuracy_pct: m.accuracy_pct(family).unwrap_or(family.accuracy_base()),
-                    energy_per_request_j: m.energy_per_request_j().unwrap_or(1e12),
-                    p95_latency_s: m.p95_latency_s().unwrap_or(1e6),
-                };
+                let point = MeasuredPoint::of_window(&m, family);
                 ProfiledConfig { deployment, point }
-            },
-        )
+            })
+            .collect()
     }
 }
 

@@ -354,25 +354,15 @@ pub struct GlobalOutcome {
     pub policy: String,
     /// Per-region scheduling scheme label.
     pub scheme: String,
-    /// Region display names, in routing order.
-    pub regions: Vec<String>,
-    /// Traffic scenario label.
+    /// Traffic scenario label (the digest eats it).
     pub workload: String,
-    /// Autoscaling policy label.
-    pub scaling: String,
-    /// Control cadence, seconds.
-    pub control_epoch_s: f64,
-    /// Simulated horizon, hours.
-    pub horizon_hours: f64,
-    /// GPUs provisioned per region.
-    pub n_gpus_per_region: usize,
     /// Global offered base rate, req/s.
     pub rate_rps: f64,
     /// The global SLA (BASE-calibrated p95 bound), seconds.
     pub sla_p95_s: f64,
     /// Total operational carbon across all regions, grams.
     pub total_carbon_g: f64,
-    /// Carbon per region, grams.
+    /// Carbon per region, grams, in routing order (one entry per region).
     pub region_carbon_g: Vec<f64>,
     /// Requests served per region (live traffic).
     pub region_served: Vec<u64>,
@@ -434,7 +424,7 @@ impl GlobalOutcome {
                 h.eat(u64::from(*b));
             }
         }
-        h.eat(self.regions.len() as u64);
+        h.eat(self.region_carbon_g.len() as u64);
         for v in [
             self.rate_rps,
             self.sla_p95_s,
@@ -770,12 +760,7 @@ impl GlobalRouter {
         GlobalOutcome {
             policy: cfg.policy.label().to_string(),
             scheme: cfg.scheme.label().to_string(),
-            regions: cfg.regions.iter().map(|r| r.to_string()).collect(),
             workload: self.workload.label().to_string(),
-            scaling: cfg.scaling.label().to_string(),
-            control_epoch_s: cfg.control_epoch_s,
-            horizon_hours: cfg.horizon_hours,
-            n_gpus_per_region: cfg.n_gpus_per_region,
             rate_rps: self.rate_rps,
             sla_p95_s: self.objective.l_tail_s,
             total_carbon_g: run.carbon_g,

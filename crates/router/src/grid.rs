@@ -70,9 +70,9 @@ enum Built {
 ///
 /// Every cell derives all of its randomness from its own seed, so the
 /// parallel grid is byte-identical to the serial run, journals included
-/// (pinned by `tests/par_determinism.rs`). ORACLE cells still profile on
-/// [`clover_simkit::default_threads`] workers; `CLOVER_THREADS=1` makes
-/// a run fully serial. Every cell is built first, so cells that share a
+/// (pinned by `tests/par_determinism.rs`). These `threads` are the run's
+/// only workers: a cell, ORACLE's offline profiling included, runs on the
+/// worker that claimed it. Every cell is built first, so cells that share a
 /// BASE reference or calibration window are alive together and compute it
 /// once. The cells then run in one pool, heaviest [`Cell::cost_weight`]
 /// first ([`clover_simkit::par_map_lpt`]).

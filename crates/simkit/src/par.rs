@@ -15,6 +15,12 @@
 //! output vector is therefore in input order, independent of which worker
 //! computed which item and of how the OS scheduled the threads.
 //!
+//! Only grid entry points size a pool (the figure suite, the router's
+//! `run_cells_with`, a few independent sweeps): the work inside one cell,
+//! ORACLE's offline profiling included, runs serially on the worker that
+//! claimed the cell, so a grid of `threads` workers never oversubscribes
+//! them.
+//!
 //! # Determinism guarantee
 //!
 //! Parallel output is **byte-identical to the serial run** as long as the

@@ -10,6 +10,7 @@
 //! cargo run --release --example bursty_traffic
 //! ```
 
+use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
@@ -21,7 +22,7 @@ fn run(scheme: SchemeKind, workload: WorkloadKind) -> ExperimentOutcome {
         .workload(workload)
         .n_gpus(4)
         .horizon_hours(12.0)
-        .sim_window_s(60.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 60.0 })
         .seed(23)
         .build();
     Experiment::new(cfg).run()

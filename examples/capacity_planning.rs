@@ -10,6 +10,7 @@
 //! cargo run --release --example capacity_planning
 //! ```
 
+use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
@@ -28,7 +29,7 @@ fn main() {
                 .n_gpus(n_gpus)
                 .reference_gpus(10)
                 .horizon_hours(8.0)
-                .sim_window_s(60.0)
+                .fidelity(Fidelity::RepresentativeWindow { window_s: 60.0 })
                 .seed(2023)
                 .build();
             let out = Experiment::new(cfg).run();

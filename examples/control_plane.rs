@@ -45,11 +45,12 @@ fn main() {
             Fidelity::RepresentativeWindow { window_s: 20.0 },
             Fidelity::FullEpoch,
         ] {
+            let label = fidelity.label();
             let out = Experiment::new(config(scheme, fidelity)).run();
             println!(
                 "{:<11} {:<12} {:>12.1} {:>10.2} {:>8.2} {:>7}",
                 out.scheme,
-                out.fidelity,
+                label,
                 out.carbon_saving_pct,
                 out.accuracy_loss_pct,
                 out.p95_s / out.sla_p95_s,

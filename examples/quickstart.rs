@@ -6,17 +6,19 @@
 //! ```
 
 use clover::carbon::Region;
+use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
 
 fn main() {
+    let region = Region::CisoMarch;
     let config = ExperimentConfig::builder(Application::ImageClassification)
         .scheme(SchemeKind::Clover)
-        .region(Region::CisoMarch)
+        .region(region)
         .n_gpus(4)
         .horizon_hours(12.0)
-        .sim_window_s(60.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 60.0 })
         .seed(7)
         .build();
 
@@ -31,7 +33,7 @@ fn main() {
     println!();
     println!(
         "after {:.0} simulated hours on the {} trace:",
-        outcome.horizon_hours, outcome.trace
+        outcome.horizon_hours, region
     );
     println!(
         "  carbon saved vs BASE:   {:6.1} %",

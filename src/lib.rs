@@ -22,6 +22,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use clover::core::control::Fidelity;
 //! use clover::core::experiment::{Experiment, ExperimentConfig};
 //! use clover::core::schedulers::SchemeKind;
 //! use clover::carbon::regions::Region;
@@ -32,7 +33,7 @@
 //!     .region(Region::CisoMarch)
 //!     .n_gpus(2)
 //!     .horizon_hours(2.0)
-//!     .sim_window_s(20.0)
+//!     .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
 //!     .seed(7)
 //!     .build();
 //! let outcome = Experiment::new(config).run();

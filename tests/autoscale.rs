@@ -8,6 +8,7 @@
 //! randomness, so thread interleaving has nothing to perturb).
 
 use clover::core::autoscale::{FleetState, Scaler, ScalerConfig, ScalingPolicy, COOLDOWN_EPOCHS};
+use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
@@ -26,7 +27,7 @@ fn diurnal_cfg(scheme: SchemeKind, policy: ScalingPolicy, seed: u64) -> Experime
         .n_gpus(4)
         .min_gpus(1)
         .horizon_hours(24.0)
-        .sim_window_s(10.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 10.0 })
         .utilization(0.5)
         .sla_headroom(2.0)
         .seed(seed)
@@ -39,11 +40,13 @@ fn diurnal_cfg(scheme: SchemeKind, policy: ScalingPolicy, seed: u64) -> Experime
 /// quality is held fixed and only the fleet breathes).
 #[test]
 fn forecast_scaling_cuts_carbon_at_equal_sla() {
-    let stat = Experiment::new(diurnal_cfg(SchemeKind::Base, ScalingPolicy::Static, 11)).run();
-    let fore = Experiment::new(diurnal_cfg(SchemeKind::Base, ScalingPolicy::forecast(), 11)).run();
+    let stat = diurnal_cfg(SchemeKind::Base, ScalingPolicy::Static, 11);
+    let fore = diurnal_cfg(SchemeKind::Base, ScalingPolicy::forecast(), 11);
+    assert_eq!(stat.scaling.label(), "static");
+    assert_eq!(fore.scaling.label(), "forecast");
+    let stat = Experiment::new(stat).run();
+    let fore = Experiment::new(fore).run();
 
-    assert_eq!(stat.scaling, "static");
-    assert_eq!(fore.scaling, "forecast");
     // Equal SLA attainment (both comfortably within the headroom).
     assert!(stat.sla_met, "static fleet violated its SLA");
     assert!(fore.sla_met, "forecast fleet violated its SLA");
@@ -132,7 +135,7 @@ fn autoscaled_grids_are_bit_identical_serial_vs_parallel() {
                     .n_gpus(2)
                     .min_gpus(1)
                     .horizon_hours(8.0)
-                    .sim_window_s(10.0)
+                    .fidelity(Fidelity::RepresentativeWindow { window_s: 10.0 })
                     .sla_headroom(2.0)
                     .seed(23)
                     .build()
@@ -292,7 +295,7 @@ fn prewarm_meets_the_flash_crowd_sla_at_no_more_carbon_than_reactive() {
             })
             .scaling(policy)
             .control_epoch_s(120.0)
-            .fidelity(clover::core::control::Fidelity::FullEpoch)
+            .fidelity(Fidelity::FullEpoch)
             .n_gpus(8)
             .min_gpus(2)
             .horizon_hours(6.0)
@@ -344,7 +347,7 @@ fn all_schemes_complete_under_forecast_scaling() {
             .n_gpus(2)
             .min_gpus(1)
             .horizon_hours(6.0)
-            .sim_window_s(10.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 10.0 })
             .sla_headroom(2.0)
             .seed(5)
             .build();
@@ -377,7 +380,7 @@ fn forecast_and_prewarm_cells_reproduce_the_recorded_digests() {
         .n_gpus(4)
         .min_gpus(1)
         .horizon_hours(6.0)
-        .sim_window_s(20.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
         .utilization(0.6)
         .sla_headroom(2.0)
         .seed(7)
@@ -388,7 +391,7 @@ fn forecast_and_prewarm_cells_reproduce_the_recorded_digests() {
         .scaling(ScalingPolicy::PreWarm {
             lookahead_hours: 0.075,
         })
-        .fidelity(clover::core::control::Fidelity::FullEpoch)
+        .fidelity(Fidelity::FullEpoch)
         .control_epoch_s(120.0)
         .n_gpus(4)
         .min_gpus(1)
@@ -401,20 +404,19 @@ fn forecast_and_prewarm_cells_reproduce_the_recorded_digests() {
         (forecast, 0xE3BE_8C0A_8070_267E),
         (prewarm, 0x92A2_AE09_3CC4_6D14),
     ] {
+        let scaling = cfg.scaling.label();
         let out = Experiment::new(cfg).run();
         assert_eq!(
             out.digest(),
             want,
-            "{} {}: autoscaled cell drifted (got 0x{:016X})",
+            "{} {scaling}: autoscaled cell drifted (got 0x{:016X})",
             out.scheme,
-            out.scaling,
             out.digest()
         );
         // The pin reaches the scaler only if the fleet actually moved.
         assert!(
             out.timeline.iter().any(|h| h.active_gpus < 4),
-            "{}: fleet never scaled",
-            out.scaling
+            "{scaling}: fleet never scaled"
         );
     }
 }

@@ -32,7 +32,7 @@ use clover::telemetry::{TelemetryReport, TelemetrySpec};
 
 /// The pre-refactor default-config digests (see `tests/control_plane.rs`
 /// for provenance): `ImageClassification`, `n_gpus(4)`,
-/// `horizon_hours(6.0)`, `sim_window_s(20.0)`, `seed(3)`.
+/// `horizon_hours(6.0)`, a 20 s representative window, `seed(3)`.
 const PRE_REFACTOR_QUICK: [(&str, u64); 5] = [
     ("BASE", 0xA581_0B01_2522_FA2F),
     ("CO2OPT", 0x7471_7784_D531_E3F4),
@@ -66,7 +66,7 @@ fn chaos_off_is_bit_identical_to_the_pre_refactor_pins() {
             .chaos(ChaosConfig::off())
             .n_gpus(4)
             .horizon_hours(6.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(3)
             .build();
         let out = Experiment::new(cfg).run();
@@ -320,7 +320,7 @@ fn region_outages_are_inert_for_single_cluster_experiments() {
             .chaos(chaos)
             .n_gpus(4)
             .horizon_hours(6.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(3)
             .build()
     };

@@ -23,7 +23,7 @@ use clover::telemetry::TelemetrySpec;
 
 /// Digests recorded before the control-plane extraction (commit 19339c8's
 /// tree): `ExperimentConfig::builder(ImageClassification).scheme(s)
-/// .n_gpus(4).horizon_hours(6.0).sim_window_s(20.0).seed(3)`.
+/// .n_gpus(4).horizon_hours(6.0).fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 }).seed(3)`.
 const PRE_REFACTOR_QUICK: [(&str, u64); 5] = [
     ("BASE", 0xA581_0B01_2522_FA2F),
     ("CO2OPT", 0x7471_7784_D531_E3F4),
@@ -33,7 +33,7 @@ const PRE_REFACTOR_QUICK: [(&str, u64); 5] = [
 ];
 
 /// Same vintage: the `tests/par_determinism.rs` grid cell
-/// (`n_gpus(2).horizon_hours(2.0).sim_window_s(10.0)`) per scheme × seed.
+/// (`n_gpus(2).horizon_hours(2.0).fidelity(Fidelity::RepresentativeWindow { window_s: 10.0 })`) per scheme × seed.
 const PRE_REFACTOR_PAR: [(&str, u64, u64); 15] = [
     ("BASE", 3, 0x679B_42AC_F7F2_44E8),
     ("BASE", 17, 0x2A03_A8CF_4273_2C7E),
@@ -59,7 +59,7 @@ fn default_config_reproduces_pre_refactor_digests() {
             .scheme(SchemeKind::parse(name).unwrap())
             .n_gpus(4)
             .horizon_hours(6.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(3)
             .build();
         assert_eq!(cfg.control_epoch_s, 3600.0, "default cadence is hourly");
@@ -81,7 +81,7 @@ fn default_grid_cells_reproduce_pre_refactor_digests() {
             .scheme(SchemeKind::parse(name).unwrap())
             .n_gpus(2)
             .horizon_hours(2.0)
-            .sim_window_s(10.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 10.0 })
             .seed(seed)
             .build();
         let out = Experiment::new(cfg).run();
@@ -97,33 +97,26 @@ fn default_grid_cells_reproduce_pre_refactor_digests() {
 /// One cell of the sub-hour / fidelity grids: 20-minute control epochs
 /// under a bursty workload.
 fn epoch_cfg(scheme: SchemeKind, fidelity: Fidelity, seed: u64) -> ExperimentConfig {
-    let builder = ExperimentConfig::builder(Application::ImageClassification)
+    ExperimentConfig::builder(Application::ImageClassification)
         .scheme(scheme)
         .workload(clover::workload::WorkloadKind::flash_crowd())
         .n_gpus(2)
         .horizon_hours(2.0)
         .control_epoch_s(1200.0)
-        .seed(seed);
-    // `sim_window_s` is only legal under the representative fidelity.
-    match fidelity {
-        Fidelity::RepresentativeWindow { .. } => builder.sim_window_s(10.0).build(),
-        Fidelity::FullEpoch => builder.fidelity(Fidelity::FullEpoch).build(),
-    }
+        .fidelity(fidelity)
+        .seed(seed)
+        .build()
 }
 
 #[test]
 fn sub_hour_epochs_run_all_schemes_with_finer_timelines() {
     for scheme in SchemeKind::ALL {
-        let out = Experiment::new(epoch_cfg(
-            scheme,
-            Fidelity::RepresentativeWindow { window_s: 10.0 },
-            7,
-        ))
-        .run();
+        let cfg = epoch_cfg(scheme, Fidelity::RepresentativeWindow { window_s: 10.0 }, 7);
+        assert_eq!(cfg.control_epoch_s, 1200.0);
+        assert_eq!(cfg.fidelity.label(), "window");
+        let out = Experiment::new(cfg).run();
         // 2 h of 20-minute epochs = 6 timeline entries, 3 per trace hour.
         assert_eq!(out.timeline.len(), 6, "{scheme}");
-        assert_eq!(out.control_epoch_s, 1200.0);
-        assert_eq!(out.fidelity, "window");
         assert_eq!(out.timeline[2].hour, 0, "{scheme}: epoch 2 is in hour 0");
         assert_eq!(out.timeline[3].hour, 1, "{scheme}: epoch 3 is in hour 1");
         assert!((out.timeline[1].t_hours - 1.0 / 3.0).abs() < 1e-12);
@@ -141,8 +134,9 @@ fn full_epoch_fidelity_simulates_everything() {
         7,
     ))
     .run();
-    let full = Experiment::new(epoch_cfg(SchemeKind::Base, Fidelity::FullEpoch, 7)).run();
-    assert_eq!(full.fidelity, "full-epoch");
+    let full = epoch_cfg(SchemeKind::Base, Fidelity::FullEpoch, 7);
+    assert_eq!(full.fidelity.label(), "full-epoch");
+    let full = Experiment::new(full).run();
     // The full-epoch path simulates ~120× the representative traffic
     // (1200 s epochs vs 10 s windows); its event count must reflect that.
     assert!(
@@ -294,7 +288,7 @@ fn search_budget_scales_with_the_epoch_and_not_with_the_default() {
             .scheme(SchemeKind::Clover)
             .n_gpus(4)
             .horizon_hours(6.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .search_budget(budget)
             .seed(3)
             .build()
@@ -316,7 +310,7 @@ fn search_budget_scales_with_the_epoch_and_not_with_the_default() {
             .n_gpus(4)
             .horizon_hours(2.0)
             .control_epoch_s(600.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .search_budget(budget)
             .seed(3)
             .build();

@@ -1,19 +1,24 @@
 //! End-to-end integration tests: the full experiment pipeline across all
 //! crates, checking the paper's qualitative orderings at smoke scale.
 
+use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
 
-fn run(app: Application, scheme: SchemeKind, n_gpus: usize) -> ExperimentOutcome {
+fn experiment(app: Application, scheme: SchemeKind, n_gpus: usize) -> Experiment {
     let cfg = ExperimentConfig::builder(app)
         .scheme(scheme)
         .n_gpus(n_gpus)
         .horizon_hours(6.0)
-        .sim_window_s(20.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
         .seed(11)
         .build();
-    Experiment::new(cfg).run()
+    Experiment::new(cfg)
+}
+
+fn run(app: Application, scheme: SchemeKind, n_gpus: usize) -> ExperimentOutcome {
+    experiment(app, scheme, n_gpus).run()
 }
 
 #[test]
@@ -97,7 +102,7 @@ fn reduced_provisioning_breaks_base_not_clover() {
             .n_gpus(2)
             .reference_gpus(10)
             .horizon_hours(4.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(11)
             .build();
         Experiment::new(cfg).run()
@@ -108,7 +113,7 @@ fn reduced_provisioning_breaks_base_not_clover() {
             .n_gpus(2)
             .reference_gpus(10)
             .horizon_hours(8.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(11)
             .build();
         Experiment::new(cfg).run()
@@ -133,12 +138,14 @@ fn reduced_provisioning_breaks_base_not_clover() {
 
 #[test]
 fn outcomes_are_deterministic() {
-    let a = run(Application::ObjectDetection, SchemeKind::Clover, 2);
+    let e = experiment(Application::ObjectDetection, SchemeKind::Clover, 2);
+    // The default scenario is the paper's Poisson.
+    assert_eq!(e.workload.label(), "poisson");
+    let a = e.run();
     let b = run(Application::ObjectDetection, SchemeKind::Clover, 2);
     assert_eq!(a.total_carbon_g, b.total_carbon_g);
     assert_eq!(a.p95_s, b.p95_s);
-    // Outcomes carry their scenario labels for reporting.
-    assert_eq!(a.workload, "poisson");
+    // Outcomes carry their scheme label for reporting.
     assert_eq!(a.scheme, "CLOVER");
 }
 
@@ -149,7 +156,7 @@ fn accuracy_floor_is_respected() {
         .n_gpus(4)
         .accuracy_floor(1.0)
         .horizon_hours(6.0)
-        .sim_window_s(20.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
         .seed(13)
         .build();
     let out = Experiment::new(cfg).run();
@@ -169,7 +176,7 @@ fn lambda_extremes_trade_carbon_for_accuracy() {
             .lambda(0.1)
             .constant_ci(100.0)
             .horizon_hours(4.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(17)
             .build();
         Experiment::new(cfg).run()
@@ -181,7 +188,7 @@ fn lambda_extremes_trade_carbon_for_accuracy() {
             .lambda(0.9)
             .constant_ci(100.0)
             .horizon_hours(4.0)
-            .sim_window_s(20.0)
+            .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
             .seed(17)
             .build();
         Experiment::new(cfg).run()

@@ -8,6 +8,7 @@
 //! path.
 
 use clover::core::autoscale::ScalingPolicy;
+use clover::core::control::Fidelity;
 use clover::core::experiment::{ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
@@ -21,7 +22,7 @@ fn cfg(app: Application, scheme: SchemeKind, seed: u64) -> ExperimentConfig {
         .scheme(scheme)
         .n_gpus(2)
         .horizon_hours(2.0)
-        .sim_window_s(10.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 10.0 })
         .seed(seed)
         .build()
 }

@@ -43,7 +43,7 @@ fn quick_cfg(scheme: &str) -> ExperimentConfig {
         .scheme(SchemeKind::parse(scheme).unwrap())
         .n_gpus(4)
         .horizon_hours(6.0)
-        .sim_window_s(20.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
         .seed(3)
         .build()
 }
@@ -281,7 +281,7 @@ fn top_level_phases_fit_within_each_cells_wall() {
                 .scheme(scheme)
                 .n_gpus(4)
                 .horizon_hours(2.0)
-                .sim_window_s(20.0)
+                .fidelity(Fidelity::RepresentativeWindow { window_s: 20.0 })
                 .seed(3)
                 .build();
             cells.push((format!("{app}/{scheme}"), cfg));

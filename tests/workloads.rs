@@ -2,6 +2,7 @@
 //! to completion under every traffic scenario, runs are deterministic given
 //! a seed, and the default Poisson path is unchanged by the refactor.
 
+use clover::core::control::Fidelity;
 use clover::core::experiment::{Experiment, ExperimentConfig, ExperimentOutcome};
 use clover::core::schedulers::SchemeKind;
 use clover::models::zoo::Application;
@@ -20,16 +21,20 @@ fn all_kinds() -> Vec<WorkloadKind> {
     ]
 }
 
-fn run(scheme: SchemeKind, kind: WorkloadKind, seed: u64) -> ExperimentOutcome {
+fn experiment(scheme: SchemeKind, kind: WorkloadKind, seed: u64) -> Experiment {
     let cfg = ExperimentConfig::builder(Application::ImageClassification)
         .scheme(scheme)
         .workload(kind)
         .n_gpus(2)
         .horizon_hours(3.0)
-        .sim_window_s(15.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 15.0 })
         .seed(seed)
         .build();
-    Experiment::new(cfg).run()
+    Experiment::new(cfg)
+}
+
+fn run(scheme: SchemeKind, kind: WorkloadKind, seed: u64) -> ExperimentOutcome {
+    experiment(scheme, kind, seed).run()
 }
 
 /// The full acceptance matrix: 5 schemes × 4 workload kinds all complete
@@ -38,7 +43,9 @@ fn run(scheme: SchemeKind, kind: WorkloadKind, seed: u64) -> ExperimentOutcome {
 fn all_schemes_complete_under_all_workloads() {
     for kind in all_kinds() {
         for scheme in SchemeKind::ALL {
-            let out = run(scheme, kind.clone(), 21);
+            let e = experiment(scheme, kind.clone(), 21);
+            assert_eq!(e.workload.kind(), &kind);
+            let out = e.run();
             assert!(
                 out.served_scaled > 0.0,
                 "{scheme} under {}: nothing served",
@@ -47,7 +54,6 @@ fn all_schemes_complete_under_all_workloads() {
             assert!(out.total_carbon_g > 0.0, "{scheme} under {}", kind.label());
             assert!(out.base_carbon_g > 0.0, "{scheme} under {}", kind.label());
             assert_eq!(out.timeline.len(), 3);
-            assert_eq!(out.workload, kind.label());
             assert!(
                 out.p95_s.is_finite() && out.p95_s > 0.0,
                 "{scheme} under {}: p95 {}",
@@ -80,7 +86,7 @@ fn default_config_is_poisson_and_unchanged() {
         .scheme(SchemeKind::Clover)
         .n_gpus(2)
         .horizon_hours(3.0)
-        .sim_window_s(15.0)
+        .fidelity(Fidelity::RepresentativeWindow { window_s: 15.0 })
         .seed(5)
         .build();
     assert_eq!(default_cfg.workload, WorkloadKind::Poisson);
