@@ -118,15 +118,26 @@ pub fn journal_leaks(journal: &str) -> usize {
 /// diverging cell, named by its label, to stderr.
 ///
 /// # Errors
-/// When any cell diverged, naming `gate` and how many did.
+/// When any cell diverged, naming `gate` and how many did, and when the
+/// labels, parallel runs and serial runs are not equally many or are none,
+/// so that a short or empty replay cannot pass.
 pub fn replay_gate(
     gate: &str,
     labels: impl IntoIterator<Item = impl std::fmt::Display>,
     parallel: &[&(Outcome, TelemetryReport)],
     serial: &[(Outcome, TelemetryReport)],
 ) -> Result<(), String> {
+    let labels: Vec<_> = labels.into_iter().collect();
+    if labels.is_empty() || labels.len() != parallel.len() || labels.len() != serial.len() {
+        return Err(format!(
+            "{gate} determinism gate FAILED: {} labels, {} parallel runs, {} serial runs",
+            labels.len(),
+            parallel.len(),
+            serial.len()
+        ));
+    }
     let mut mismatches = 0;
-    for ((label, (p_out, p_rep)), (s_out, s_rep)) in labels.into_iter().zip(parallel).zip(serial) {
+    for ((label, (p_out, p_rep)), (s_out, s_rep)) in labels.iter().zip(parallel).zip(serial) {
         let (sd, pd) = (s_out.digest(), p_out.digest());
         let journals_match = journal(s_rep) == journal(p_rep);
         if sd != pd || !journals_match {
@@ -146,7 +157,7 @@ pub fn replay_gate(
 
 #[cfg(test)]
 mod tests {
-    use super::scale_from;
+    use super::{replay_gate, scale_from};
 
     #[test]
     fn scale_is_full_when_unset_and_accepts_the_unit_interval() {
@@ -168,5 +179,19 @@ mod tests {
                 "{bad:?}: {msg}"
             );
         }
+    }
+
+    #[test]
+    fn the_replay_gate_fails_on_an_empty_or_short_replay() {
+        let empty = replay_gate("empty", Vec::<&str>::new(), &[], &[]).unwrap_err();
+        assert!(
+            empty.contains("0 labels, 0 parallel runs, 0 serial runs"),
+            "{empty}"
+        );
+        let short = replay_gate("short", ["cell"], &[], &[]).unwrap_err();
+        assert!(
+            short.contains("1 labels, 0 parallel runs, 0 serial runs"),
+            "{short}"
+        );
     }
 }

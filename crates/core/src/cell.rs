@@ -647,13 +647,7 @@ impl CellRuntime {
         let t_s = epoch.start.as_secs();
         let end_s = t_s + epoch.len.as_secs();
         let mut failures = Vec::new();
-        // Deployment slot j serves on the j-th lowest alive physical GPU;
-        // instances are flat in GPU order, so prefix sums over the per-GPU
-        // slice counts give each slot's instance range.
-        let mut offsets = vec![0u32];
-        for c in deployment.partitioning().configs() {
-            offsets.push(offsets.last().expect("starts at 0") + c.num_slices() as u32);
-        }
+        // Deployment slot j serves on the j-th lowest alive physical GPU.
         let alive: Vec<usize> = (0..self.n_gpus)
             .filter(|&g| !self.faults.is_down(g, t_s))
             .collect();
@@ -665,15 +659,16 @@ impl CellRuntime {
             else {
                 continue; // fell on a board outside the deployment
             };
+            let slots = deployment.partitioning().slot_range(slot);
             telemetry.emit(
                 Event::new("fault", SimTime::from_secs(kill.at_s()))
                     .str("kind", "kill")
                     .u64("gpu", kill.gpu as u64)
-                    .u64("instances", u64::from(offsets[slot + 1] - offsets[slot])),
+                    .u64("instances", slots.len() as u64),
             );
             failures.push(InstanceFailure {
                 at_s: kill.at_s() - t_s,
-                instances: (offsets[slot]..offsets[slot + 1]).collect(),
+                instances: (slots.start as u32..slots.end as u32).collect(),
                 gpus: 1,
             });
         }

@@ -31,14 +31,13 @@ pub struct DesEvaluator {
     /// Warmup before measurement.
     pub warmup: SimDuration,
     reconfig: ReconfigCost,
-    /// The configuration currently applied to the cluster.
-    current: Deployment,
     seed: u64,
     evals_done: u64,
     /// One simulator reused (re-seeded) across evaluations, so each
     /// candidate measurement costs neither a family deep-clone nor fresh
     /// scratch allocations; [`ServingSim::reseed`] makes this bit-identical
-    /// to constructing a new simulator per candidate.
+    /// to constructing a new simulator per candidate. Its deployment is
+    /// the configuration currently applied to the cluster.
     sim: ServingSim,
     /// Serving metrics of every evaluation window, for run accounting.
     pub window_log: Vec<WindowMetrics>,
@@ -64,14 +63,13 @@ impl DesEvaluator {
         seed: u64,
     ) -> Self {
         let family = family.into();
-        let sim = ServingSim::new(family.clone(), perf, initial.clone(), seed);
+        let sim = ServingSim::new(family.clone(), perf, initial, seed);
         DesEvaluator {
             family,
             rate_rps,
             window: SimDuration::from_secs(Self::DEFAULT_WINDOW_S),
             warmup: SimDuration::from_secs(Self::DEFAULT_WARMUP_S),
             reconfig: ReconfigCost::default_calibration(),
-            current: initial,
             seed,
             evals_done: 0,
             sim,
@@ -88,7 +86,7 @@ impl DesEvaluator {
 
     /// The configuration currently applied.
     pub fn current(&self) -> &Deployment {
-        &self.current
+        self.sim.deployment()
     }
 
     /// Applies `deployment` without measuring (end-of-invocation switch to
@@ -98,8 +96,8 @@ impl DesEvaluator {
     pub fn apply(&mut self, deployment: Deployment) -> SimDuration {
         let downtime = self
             .reconfig
-            .fleet_downtime(self.current.partitioning(), deployment.partitioning());
-        self.current = deployment;
+            .fleet_downtime(self.current().partitioning(), deployment.partitioning());
+        self.sim.set_deployment(deployment);
         downtime
     }
 
@@ -110,14 +108,13 @@ impl DesEvaluator {
         let _search = self.profiler.as_ref().map(|p| p.scope(Phase::Search));
         let downtime = self
             .reconfig
-            .fleet_downtime(self.current.partitioning(), candidate.partitioning());
+            .fleet_downtime(self.current().partitioning(), candidate.partitioning());
         // Variant-only changes still reload models on affected slices.
-        let variant_downtime = if downtime.is_zero() && candidate != &self.current {
+        let variant_downtime = if downtime.is_zero() && candidate != self.current() {
             self.reconfig.variant_swap_downtime()
         } else {
             SimDuration::ZERO
         };
-        self.current = candidate.clone();
 
         self.evals_done += 1;
         let seed = self

@@ -28,11 +28,12 @@
 //! Steps 2–4 are one [`CellRuntime::step`] per epoch — the same cell
 //! runtime each regional fleet of the multi-region router runs. The
 //! reference for carbon savings, accuracy loss, and normalized SLA latency
-//! is a BASE cell of this runtime too: the experiment of the BASE
-//! reference configuration, serving the same trace and seeds through the
-//! same epoch loop. Neither it nor the calibration window reads the
-//! scheme, so live experiments whose inputs match share one computation of
-//! each (the window also with multi-region routers).
+//! is a BASE cell of this runtime too: the cell of the BASE reference
+//! configuration, served by the first experiment sharing it to run, over
+//! the same trace and seeds through the same epoch loop. Neither it nor
+//! the calibration window reads the scheme, so live experiments whose
+//! inputs match share one computation of each (the window also with
+//! multi-region routers).
 
 use crate::anneal::{EvalRecord, SaParams};
 use crate::autoscale::ScalingPolicy;
@@ -626,7 +627,7 @@ impl BaseYardstick {
         seed: u64,
     ) -> (Self, Arc<OnceLock<Self>>) {
         let key = (app, base_gpus, shares, utilization, seed);
-        let slot = CALIBRATIONS.slot(key, |_| OnceLock::new());
+        let slot = CALIBRATIONS.slot(key, OnceLock::new);
         let yardstick =
             *slot.get_or_init(|| Self::derive(app, base_gpus, shares, utilization, seed));
         (yardstick, slot)
@@ -719,11 +720,11 @@ impl<K: PartialEq, V> SharedTable<K, V> {
         SharedTable(Mutex::new(Vec::new()))
     }
 
-    /// The live value under `key`, or `empty(&key)` registered under it.
+    /// The live value under `key`, or `empty()` registered under it.
     /// The lock covers this lookup and `empty`, which must stay cheap:
     /// holders fill the costly part of their values (a calibration
     /// window, a reference's totals) later, never under it.
-    fn slot(&self, key: K, empty: impl FnOnce(&K) -> V) -> Arc<V> {
+    fn slot(&self, key: K, empty: impl FnOnce() -> V) -> Arc<V> {
         // Every update below leaves the table valid (a panic in `empty`
         // happens before the push), so a poisoned lock is safe to reuse.
         let mut entries = self.0.lock().unwrap_or_else(PoisonError::into_inner);
@@ -735,7 +736,7 @@ impl<K: PartialEq, V> SharedTable<K, V> {
         {
             return v;
         }
-        let v = Arc::new(empty(&key));
+        let v = Arc::new(empty());
         entries.push((key, Arc::downgrade(&v)));
         v
     }
@@ -745,10 +746,13 @@ static REFERENCES: SharedTable<ExperimentConfig, BaseReference> = SharedTable::n
 static CALIBRATIONS: SharedTable<CalibrationKey, OnceLock<BaseYardstick>> = SharedTable::new();
 
 /// The synchronized BASE reference of every live experiment with an equal
-/// [`reference_config`]: the BASE cell of that configuration, and its
-/// totals once some experiment has served it.
+/// [`reference_config`]: that configuration, and its cell's totals once
+/// some experiment has served them.
 struct BaseReference {
-    experiment: Experiment,
+    cfg: ExperimentConfig,
+    /// Held so that experiments built while this reference lives share
+    /// the calibration window; its key is a function of `cfg`.
+    _calibration: Arc<OnceLock<BaseYardstick>>,
     /// Set by the first experiment to start running; that one computes
     /// the totals before its own epochs.
     claimed: AtomicBool,
@@ -763,14 +767,14 @@ impl BaseReference {
         !self.claimed.swap(true, Ordering::Relaxed)
     }
 
-    /// The reference's totals, served on this thread (timed into
+    /// The reference's totals, served by `on` on this thread (timed into
     /// `profiler`, journaled nowhere) if no one has yet. Blocks while
     /// another thread serves them; if that thread panicked, serves them
     /// here instead.
-    fn totals(&self, profiler: Option<ProfilerHandle>) -> &CellTotals {
+    fn totals(&self, on: &Experiment, profiler: Option<ProfilerHandle>) -> &CellTotals {
         self.totals.get_or_init(|| {
             let mut telemetry = Telemetry::profiling_into(profiler);
-            self.experiment.serve(REFERENCE_SIM_SALT, &mut telemetry).0
+            on.serve(&self.cfg, REFERENCE_SIM_SALT, &mut telemetry).0
         })
     }
 }
@@ -794,32 +798,17 @@ pub struct Experiment {
     pub workload: Workload,
     /// The derived objective (λ, C_base, A_base, SLA).
     pub objective: Objective,
-    /// Held so that experiments built while this one lives share the
-    /// calibration window.
-    _calibration: Arc<OnceLock<BaseYardstick>>,
-    /// The shared BASE reference (`None` in the reference's own cell).
-    reference: Option<Arc<BaseReference>>,
+    /// The shared BASE reference.
+    reference: Arc<BaseReference>,
 }
 
 impl Experiment {
     /// Derives workload, SLA and objective baselines for `cfg`: the
     /// [`BaseYardstick`] of the reference fleet, with `C_base` priced at
     /// the trace's mean intensity. The synchronized BASE reference is the
-    /// BASE cell of the reference configuration, built here only when no
-    /// live experiment shares it yet.
+    /// BASE cell of the reference configuration, registered here only
+    /// when no live experiment shares it yet.
     pub fn new(cfg: ExperimentConfig) -> Self {
-        let key = reference_config(&cfg);
-        let mut experiment = Self::derive(cfg);
-        experiment.reference = Some(REFERENCES.slot(key, |key| BaseReference {
-            experiment: Self::derive(key.clone()),
-            claimed: AtomicBool::new(false),
-            totals: OnceLock::new(),
-        }));
-        experiment
-    }
-
-    /// [`Experiment::new`] without the reference.
-    fn derive(cfg: ExperimentConfig) -> Self {
         let family = Arc::new(cfg.app.family());
         let perf = PerfModel::a100();
         let trace = Arc::new(match cfg.trace {
@@ -842,6 +831,13 @@ impl Experiment {
         if let Some(floor) = cfg.accuracy_floor_pct {
             objective = objective.with_accuracy_floor(floor);
         }
+        let key = reference_config(&cfg);
+        let reference = REFERENCES.slot(key.clone(), move || BaseReference {
+            cfg: key,
+            _calibration: calibration,
+            claimed: AtomicBool::new(false),
+            totals: OnceLock::new(),
+        });
 
         Experiment {
             cfg,
@@ -852,16 +848,8 @@ impl Experiment {
             capacity_per_gpu_rps: yardstick.capacity_per_gpu_rps,
             workload,
             objective,
-            _calibration: calibration,
-            reference: None,
+            reference,
         }
-    }
-
-    /// The shared BASE reference.
-    fn reference(&self) -> &Arc<BaseReference> {
-        self.reference
-            .as_ref()
-            .expect("only a reference's own cell has no reference")
     }
 
     /// The configuration this experiment runs.
@@ -923,12 +911,12 @@ impl Experiment {
     /// itself if the claimer panicked). Sharing changes no result.
     pub fn run_with(&self, telemetry: &mut Telemetry) -> ExperimentOutcome {
         let cfg = &self.cfg;
-        let reference = self.reference();
+        let reference = &self.reference;
         if reference.claim() {
-            reference.totals(telemetry.profiler());
+            reference.totals(self, telemetry.profiler());
         }
-        let (totals, timeline, invocations) = self.serve(SIM_SALT, telemetry);
-        let base = reference.totals(telemetry.profiler());
+        let (totals, timeline, invocations) = self.serve(cfg, SIM_SALT, telemetry);
+        let base = reference.totals(self, telemetry.profiler());
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let [run, base] = [&totals, base].map(|t| Rollup::of(&[t], &self.family, &schedule));
         let (a_base, accuracy_pct, p95_s) =
@@ -963,16 +951,18 @@ impl Experiment {
         }
     }
 
-    /// Steps one [`CellRuntime`] through every epoch of the schedule, its
-    /// serving simulator seeded `seed ^ sim_salt`, and returns its totals,
-    /// timeline and invocations. The experiment's cell and its BASE
-    /// reference's both run here.
+    /// Steps the [`CellRuntime`] of `cfg` (this experiment's, or its BASE
+    /// reference's) through every epoch of the schedule, its serving
+    /// simulator seeded `seed ^ sim_salt`, and returns its totals, timeline
+    /// and invocations. Every input besides `cfg` comes from this
+    /// experiment; for a reference those are functions of its key, except
+    /// the objective, which the BASE cell reads only into its timeline.
     fn serve(
         &self,
+        cfg: &ExperimentConfig,
         sim_salt: u64,
         telemetry: &mut Telemetry,
     ) -> (CellTotals, Vec<HourPoint>, Vec<InvocationRecord>) {
-        let cfg = &self.cfg;
         let schedule = EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s);
         let mut cell = CellRuntime::new(
             cfg,
@@ -1076,11 +1066,11 @@ mod tests {
             edit(&mut cfg);
             let e = Experiment::new(cfg);
             assert!(
-                !Arc::ptr_eq(base.reference(), e.reference()),
+                !Arc::ptr_eq(&base.reference, &e.reference),
                 "changing {name} kept the reference slot"
             );
             assert_eq!(
-                Arc::ptr_eq(&base._calibration, &e._calibration),
+                Arc::ptr_eq(&base.reference._calibration, &e.reference._calibration),
                 !calibration_field,
                 "changing {name}: wrong calibration sharing"
             );
@@ -1102,11 +1092,11 @@ mod tests {
             edit(&mut cfg);
             let e = Experiment::new(cfg);
             assert!(
-                Arc::ptr_eq(base.reference(), e.reference()),
+                Arc::ptr_eq(&base.reference, &e.reference),
                 "changing {name} split the reference slot"
             );
             assert!(
-                Arc::ptr_eq(&base._calibration, &e._calibration),
+                Arc::ptr_eq(&base.reference._calibration, &e.reference._calibration),
                 "changing {name} split the calibration slot"
             );
         }
@@ -1141,23 +1131,34 @@ mod tests {
             let solo = Experiment::new(cfg.clone()).run();
             let epochs =
                 u64::from(EpochSchedule::new(cfg.horizon_hours, cfg.control_epoch_s).count());
-            let sibling = Experiment::new(ExperimentConfig {
+            let other_scheme = ExperimentConfig {
                 scheme: SchemeKind::Co2Opt,
                 ..cfg.clone()
-            });
-            let cell = Experiment::new(cfg);
-            assert!(Arc::ptr_eq(sibling.reference(), cell.reference()));
-            // The sibling claims the reference and serves it too.
-            assert_eq!(des_scopes(&sibling).1, 2 * epochs, "{fidelity}");
-            assert!(
-                cell.reference().totals.get().is_some(),
-                "the sibling left the reference empty"
-            );
-            let (shared, scopes) = des_scopes(&cell);
-            assert_eq!(scopes, epochs, "{fidelity}");
-            assert_eq!(shared.digest(), solo.digest(), "{fidelity}");
-            assert_eq!(shared.base_carbon_g.to_bits(), solo.base_carbon_g.to_bits());
-            assert_eq!(shared.base_p95_s.to_bits(), solo.base_p95_s.to_bits());
+            };
+            // The sibling serves the reference on its own objective, whose
+            // inputs lie outside the reference key.
+            let other_objective = ExperimentConfig {
+                lambda: 0.9,
+                sla_headroom: 1.5,
+                accuracy_floor_pct: Some(2.0),
+                ..other_scheme.clone()
+            };
+            for sibling in [other_scheme, other_objective] {
+                let sibling = Experiment::new(sibling);
+                let cell = Experiment::new(cfg.clone());
+                assert!(Arc::ptr_eq(&sibling.reference, &cell.reference));
+                // The sibling claims the reference and serves it too.
+                assert_eq!(des_scopes(&sibling).1, 2 * epochs, "{fidelity}");
+                assert!(
+                    cell.reference.totals.get().is_some(),
+                    "the sibling left the reference empty"
+                );
+                let (shared, scopes) = des_scopes(&cell);
+                assert_eq!(scopes, epochs, "{fidelity}");
+                assert_eq!(shared.digest(), solo.digest(), "{fidelity}");
+                assert_eq!(shared.base_carbon_g.to_bits(), solo.base_carbon_g.to_bits());
+                assert_eq!(shared.base_p95_s.to_bits(), solo.base_p95_s.to_bits());
+            }
         }
     }
 
@@ -1177,12 +1178,12 @@ mod tests {
             ..cfg.clone()
         });
         let sibling = Experiment::new(cfg);
-        assert!(Arc::ptr_eq(claimer.reference(), sibling.reference()));
+        assert!(Arc::ptr_eq(&claimer.reference, &sibling.reference));
 
         let crashed = std::thread::spawn(move || {
-            assert!(claimer.reference().claim());
+            assert!(claimer.reference.claim());
             claimer
-                .reference()
+                .reference
                 .totals
                 .get_or_init(|| panic!("claimer crashed mid-reference"));
         });

@@ -85,9 +85,12 @@ impl NeighborSampler {
         center: &Deployment,
         rng: &mut SimRng,
     ) -> Option<Deployment> {
-        let slices = center.partitioning().slices();
-        let idx = rng.below(slices.len());
-        let slice_ty = slices[idx].ty;
+        let idx = rng.below(center.n_instances());
+        let slice_ty = center
+            .partitioning()
+            .slice_types()
+            .nth(idx)
+            .expect("one slice per instance");
         let current = center.variants()[idx];
         let options: Vec<VariantId> = family
             .fitting(slice_ty)
@@ -119,18 +122,14 @@ impl NeighborSampler {
             return None;
         }
 
-        // Variants currently hosted on this GPU, grouped by slice type.
-        let slices = center.partitioning().slices();
-        let mut pool: Vec<(SliceType, VariantId)> = Vec::new();
-        let mut before = 0usize;
-        for (i, s) in slices.iter().enumerate() {
-            if s.id.gpu.0 as usize == gpu {
-                pool.push((s.ty, center.variants()[i]));
-            } else if (s.id.gpu.0 as usize) < gpu {
-                before += 1;
-            }
-        }
-        let old_count = pool.len();
+        // Variants currently hosted on this GPU, with their slice types.
+        let slots = center.partitioning().slot_range(gpu);
+        let mut pool: Vec<(SliceType, VariantId)> = old_config
+            .slices()
+            .iter()
+            .copied()
+            .zip(center.variants()[slots.clone()].iter().copied())
+            .collect();
 
         // Assign variants to the new slices: exact slice-type matches first
         // (zero GED contribution), then arbitrary leftovers, then fresh
@@ -156,9 +155,9 @@ impl NeighborSampler {
         let mut configs = center.partitioning().configs().to_vec();
         configs[gpu] = new_config;
         let mut variants = Vec::with_capacity(center.n_instances());
-        variants.extend_from_slice(&center.variants()[..before]);
+        variants.extend_from_slice(&center.variants()[..slots.start]);
         variants.extend_from_slice(&new_vars);
-        variants.extend_from_slice(&center.variants()[before + old_count..]);
+        variants.extend_from_slice(&center.variants()[slots.end..]);
         Deployment::new(family, Partitioning::new(configs), variants).ok()
     }
 }

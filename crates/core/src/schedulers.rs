@@ -242,8 +242,8 @@ pub fn random_raw_deployment(family: &ModelFamily, n_gpus: usize, rng: &mut SimR
         let partitioning = Partitioning::new(configs);
         let mut ok = true;
         let mut variants = Vec::with_capacity(partitioning.total_slices());
-        for slice in partitioning.slices() {
-            let fitting = family.fitting(slice.ty);
+        for ty in partitioning.slice_types() {
+            let fitting = family.fitting(ty);
             if fitting.is_empty() {
                 ok = false;
                 break;

@@ -2,36 +2,17 @@
 //!
 //! The paper's testbed is ten A100s across five nodes; the optimization
 //! variable `x_p` assigns one of the 19 MIG configurations to each GPU.
-//! [`Partitioning`] is exactly `x_p` and materializes it into addressable
-//! slices; [`ReconfigCost`] knows the cost of moving between partitionings
-//! (a GPU must drain, repartition, and reload models).
+//! [`Partitioning`] is exactly `x_p`: it lists every GPU's slice types in
+//! one flat GPU-major order, the order a deployment's instances follow,
+//! and gives each GPU's range in it; [`ReconfigCost`] knows the cost of
+//! moving between partitionings (a GPU must drain, repartition, and reload
+//! models).
 
 use crate::config::MigConfig;
 use crate::slice::{SliceCensus, SliceType};
 use clover_simkit::SimDuration;
 use std::fmt;
-
-/// Identifier of a physical GPU in the cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct GpuId(pub u32);
-
-/// Identifier of one MIG slice: a GPU plus a slot within its configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SliceId {
-    /// Owning GPU.
-    pub gpu: GpuId,
-    /// Slot index within the GPU's configuration (0-based).
-    pub slot: u8,
-}
-
-/// A concrete addressable slice of a partitioned GPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Slice {
-    /// Identifier.
-    pub id: SliceId,
-    /// Slice type (compute/memory capacity).
-    pub ty: SliceType,
-}
+use std::ops::Range;
 
 /// The paper's `x_p` vector: one MIG configuration per GPU.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -58,11 +39,6 @@ impl Partitioning {
         self.0.len()
     }
 
-    /// Configuration of GPU `i`.
-    pub fn config(&self, gpu: GpuId) -> MigConfig {
-        self.0[gpu.0 as usize]
-    }
-
     /// All per-GPU configurations.
     pub fn configs(&self) -> &[MigConfig] {
         &self.0
@@ -81,21 +57,19 @@ impl Partitioning {
             .fold(SliceCensus::EMPTY, |acc, c| acc + c.census())
     }
 
-    /// Flattens into addressable slices, GPU-major, slot order.
-    pub fn slices(&self) -> Vec<Slice> {
-        let mut out = Vec::with_capacity(self.total_slices());
-        for (g, config) in self.0.iter().enumerate() {
-            for (slot, &ty) in config.slices().iter().enumerate() {
-                out.push(Slice {
-                    id: SliceId {
-                        gpu: GpuId(g as u32),
-                        slot: slot as u8,
-                    },
-                    ty,
-                });
-            }
-        }
-        out
+    /// Every slice's type, GPU-major, slot order: the `i`-th is the
+    /// slice a deployment's instance `i` runs on.
+    pub fn slice_types(&self) -> impl Iterator<Item = SliceType> + '_ {
+        self.0.iter().flat_map(|c| c.slices().iter().copied())
+    }
+
+    /// The positions of GPU `gpu`'s slices in [`Partitioning::slice_types`].
+    ///
+    /// # Panics
+    /// Panics if `gpu >= n_gpus()`.
+    pub fn slot_range(&self, gpu: usize) -> Range<usize> {
+        let start = self.0[..gpu].iter().map(|c| c.num_slices()).sum();
+        start..start + self.0[gpu].num_slices()
     }
 }
 
@@ -207,20 +181,32 @@ mod tests {
 
     #[test]
     fn slices_are_addressable_and_ordered() {
-        let p = Partitioning::new(vec![MigConfig::new(3), MigConfig::new(1)]);
-        let slices = p.slices();
-        assert_eq!(slices.len(), 4);
-        assert_eq!(
-            slices[0].id,
-            SliceId {
-                gpu: GpuId(0),
-                slot: 0
+        let mixed = Partitioning::new(vec![
+            MigConfig::new(3),
+            MigConfig::new(1),
+            MigConfig::new(19),
+        ]);
+        let uniform = MigConfig::all().map(|c| Partitioning::uniform(3, c));
+        for p in uniform.chain([mixed]) {
+            let types: Vec<SliceType> = p.slice_types().collect();
+            assert_eq!(types.len(), p.total_slices(), "{p}");
+            let mut next = 0;
+            for (g, config) in p.configs().iter().enumerate() {
+                let range = p.slot_range(g);
+                assert_eq!(range.start, next, "{p}: GPU {g}");
+                assert_eq!(&types[range.clone()], config.slices(), "{p}: GPU {g}");
+                next = range.end;
             }
+            assert_eq!(next, p.total_slices(), "{p}");
+        }
+        let p = Partitioning::new(vec![MigConfig::new(3), MigConfig::new(1)]);
+        assert_eq!(p.slot_range(0), 0..3);
+        assert_eq!(p.slot_range(1), 3..4);
+        let types: Vec<SliceType> = p.slice_types().collect();
+        assert_eq!(
+            types,
+            [SliceType::G4, SliceType::G2, SliceType::G1, SliceType::G7]
         );
-        assert_eq!(slices[0].ty, SliceType::G4);
-        assert_eq!(slices[2].ty, SliceType::G1);
-        assert_eq!(slices[3].id.gpu, GpuId(1));
-        assert_eq!(slices[3].ty, SliceType::G7);
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //!   capacities, and [`SliceCensus`] aggregates.
 //! - [`config`] — the table of 19 MIG partition configurations.
 //! - [`cluster`] — the cluster state: the paper's `x_p` optimization
-//!   variable ([`Partitioning`]) plus the reconfiguration cost model
-//!   (drain + repartition + model reload) that the paper includes in all
-//!   reported results.
+//!   variable ([`Partitioning`]), whose flat GPU-major list of slice types
+//!   is the order a deployment's instances follow, plus the
+//!   reconfiguration cost model (drain + repartition + model reload) that
+//!   the paper includes in all reported results.
 //! - [`power`] — the calibrated A100 power model (static + per-unit dynamic
 //!   power with underutilization overhead) from which the carbon savings of
 //!   partitioning emerge.
@@ -30,7 +31,7 @@ pub mod feasibility;
 pub mod power;
 pub mod slice;
 
-pub use cluster::{GpuId, Partitioning, ReconfigCost, Slice, SliceId};
+pub use cluster::{Partitioning, ReconfigCost};
 pub use config::MigConfig;
 pub use feasibility::Packer;
 pub use power::PowerModel;

@@ -1267,11 +1267,11 @@ mod tests {
             cfg.seed,
         );
         assert!(Arc::ptr_eq(&router._calibration, &slot));
-        // The router, the experiment, its BASE reference's cell and `slot`
-        // hold it; nothing else does.
+        // The router, the experiment's BASE reference and `slot` hold it;
+        // nothing else does.
         assert_eq!(
             Arc::strong_count(&slot),
-            4,
+            3,
             "the experiment holds another slot"
         );
         assert_eq!(yardstick.rate_rps.to_bits(), cell.rate_rps.to_bits());

@@ -41,11 +41,13 @@ pub(crate) struct RegionSnapshot {
     /// [`clover_core::chaos::FaultSpec::RegionOutage`] window — the router
     /// forces a dark region's weight to zero whatever the policy returns.
     pub up: bool,
-    /// Carbon intensity in force now, gCO₂/kWh (the region's
-    /// [`clover_carbon::CarbonMonitor`] view).
+    /// Carbon intensity in force now, gCO₂/kWh, read from the region's
+    /// true trace, not its [`clover_carbon::CarbonMonitor`]: under a
+    /// carbon-feed gap the router still sees the live intensity that the
+    /// region's controller does not.
     pub ci_now_g_per_kwh: f64,
-    /// Mean forecast intensity over the router's lookahead window,
-    /// gCO₂/kWh (hourly samples of the same monitor).
+    /// Mean intensity over the router's lookahead window, gCO₂/kWh
+    /// (hourly samples of the same true trace).
     pub ci_forecast_g_per_kwh: f64,
     /// Serving capacity of the active fleet at full utilization, req/s.
     pub capacity_rps: f64,

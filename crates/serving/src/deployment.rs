@@ -13,7 +13,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Deployment {
     partitioning: Partitioning,
-    /// Variant per slice, aligned with `partitioning.slices()` order.
+    /// Variant per slice, aligned with `partitioning.slice_types()`.
     variants: Vec<VariantId>,
 }
 
@@ -71,22 +71,22 @@ impl Deployment {
         partitioning: Partitioning,
         variants: Vec<VariantId>,
     ) -> Result<Self, DeploymentError> {
-        let slices = partitioning.slices();
-        if slices.len() != variants.len() {
+        let slices = partitioning.total_slices();
+        if slices != variants.len() {
             return Err(DeploymentError::LengthMismatch {
-                slices: slices.len(),
+                slices,
                 variants: variants.len(),
             });
         }
-        for (i, (slice, &v)) in slices.iter().zip(variants.iter()).enumerate() {
+        for (i, (ty, &v)) in partitioning.slice_types().zip(&variants).enumerate() {
             if (v.0 as usize) >= family.len() {
                 return Err(DeploymentError::UnknownVariant(v));
             }
-            if !family.variant(v).fits(slice.ty) {
+            if !family.variant(v).fits(ty) {
                 return Err(DeploymentError::OutOfMemory {
                     slice_index: i,
                     variant: v,
-                    slice: slice.ty,
+                    slice: ty,
                 });
             }
         }
@@ -152,10 +152,9 @@ impl Deployment {
     /// Iterates `(variant, slice_type)` per instance.
     pub fn instances(&self) -> Vec<(VariantId, SliceType)> {
         self.partitioning
-            .slices()
-            .iter()
-            .zip(self.variants.iter())
-            .map(|(s, &v)| (v, s.ty))
+            .slice_types()
+            .zip(&self.variants)
+            .map(|(ty, &v)| (v, ty))
             .collect()
     }
 
